@@ -1,7 +1,9 @@
 """Command-line front end wiring the toolkit into reproducible pipelines.
 
-Every command can write a machine-readable JSON report (--report); result
-payloads contain no timestamps, so outputs are byte-stable for fixed inputs.
+Each command is one COMMANDS entry declaring its input files and flags; main()
+reads each input once, runs the handler, writes --out and the JSON --report
+(also on failure) and maps errors to exit codes.  Result payloads contain no
+timestamps, so outputs are byte-stable for fixed inputs.
 Exit codes: 0 all verdicts pass, 2 validation error, 3 verification failure,
 4 budget exceeded.
 """
@@ -10,9 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .errors import BudgetError, ToolkitError, ValidationError, VerificationError
 from .games import (
@@ -38,7 +42,7 @@ from .graphs import (
     swap_iso_strategy,
     transport_independence,
 )
-from .labels import label_to_json
+from .labels import int_from_json, label_to_json
 from .magic_square import mermin_peres_system, pauli_magic_square_rep
 from .matops import matrix_from_json, matrix_to_json
 from .rounding import orthogonalize_family
@@ -66,6 +70,14 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_BUDGET = 4
 
+# Most specific first: the first matching class decides the exit code.
+ERROR_EXITS = (
+    (BudgetError, EXIT_BUDGET, "budget exceeded"),
+    (VerificationError, EXIT_VERIFICATION, "verification failed"),
+    (ValidationError, EXIT_VALIDATION, "invalid input"),
+    (ToolkitError, EXIT_VALIDATION, "error"),
+)
+
 SCHEMAS = {
     "system": '{"m": int, "n": int, "rows": [[1-based variable indices]], "b": [0|1, ...]}',
     "sign_vector": "[+1|-1, ...] of length n",
@@ -83,34 +95,45 @@ SCHEMAS = {
     "pvm_family": '{"pvms": [matrix, ...]}',
     "certificate_bundle": '{"value": c, "graph": {...}|"path", "strategy": {...}|"path"} '
     "(paths resolved relative to the bundle file)",
-    "report": '{"command": str, "inputs": {path: sha256}, "payload": {...}, "wall_time_s": float}',
+    "report": '{"command": str, "inputs": {path: sha256}, "payload": {...}, "wall_time_s": float}, '
+    'plus "exit_code": int and "error": str when the exit code is not 0',
     "labels": "ints and strings pass through; tuples serialize as JSON lists",
 }
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, digests: Optional[dict] = None) -> dict:
+    """Parse the JSON object in path; record the sha256 of the bytes read in digests."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    if digests is not None:
+        digests[path] = hashlib.sha256(raw).hexdigest()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return data
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    """Write payload as indented, key-sorted JSON; a str payload is written verbatim."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            if isinstance(payload, str):
+                fh.write(payload)
+            else:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 class Run:
-    """Collects named checks and input digests for one CLI invocation."""
+    """Collects named checks, the payload and input digests for one CLI invocation."""
 
     def __init__(self, command: str):
         self.command = command
@@ -119,10 +142,9 @@ class Run:
         self.checks: list = []
         self.started = time.monotonic()
 
-    def track(self, *paths) -> None:
-        for path in paths:
-            if path:
-                self.inputs[path] = _digest(path)
+    def track(self, path: str, loader: Callable):
+        """Read one input file, record its digest and parse it with loader(data, path)."""
+        return loader(_read_json(path, self.inputs), path)
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append({"name": name, "pass": bool(ok), "detail": detail})
@@ -132,130 +154,109 @@ class Run:
         print(line)
         return bool(ok)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-    def finish(self, report_path=None) -> int:
+    def finish(self, report_path: Optional[str], code: int, error: str) -> None:
         if self.checks:
             self.payload["checks"] = self.checks
-        if report_path:
-            _write_json(
-                report_path,
-                {
-                    "command": self.command,
-                    "inputs": self.inputs,
-                    "payload": self.payload,
-                    "wall_time_s": round(time.monotonic() - self.started, 6),
-                },
-            )
-        return EXIT_OK if self.all_pass else EXIT_VERIFICATION
+        if not report_path:
+            return
+        report = {
+            "command": self.command,
+            "inputs": self.inputs,
+            "payload": self.payload,
+            "wall_time_s": round(time.monotonic() - self.started, 6),
+        }
+        if code != EXIT_OK:
+            report["exit_code"] = code
+            report["error"] = error
+        _write_json(report_path, report)
 
 
-def _load_strategy(path: str) -> OperatorStrategy:
-    return OperatorStrategy.from_json_dict(_read_json(path))
+# --------------------------------------------------------------- loaders --
+
+def _load_pvm_family(data: dict, path: str) -> list:
+    try:
+        return [matrix_from_json(m) for m in data["pvms"]]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed PVM family JSON: {exc}") from exc
 
 
-def _load_graph(path: str) -> Graph:
-    return Graph.from_json_dict(_read_json(path))
-
-
-def _load_system(path: str) -> BinaryLinearSystem:
-    return BinaryLinearSystem.from_json_dict(_read_json(path))
-
-
-def _load_cert_bundle(path: str) -> IndependenceCertificate:
-    import os
-
-    data = _read_json(path)
+def _load_cert_bundle(data: dict, path: str) -> IndependenceCertificate:
+    """A certificate bundle; string entries name files relative to the bundle file."""
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(entry, loader):
+    def part(key, cls):
+        entry = data[key]
         if isinstance(entry, str):
-            return loader(os.path.join(base, entry))
-        return entry
+            entry = _read_json(os.path.join(base, entry))
+        return cls.from_json_dict(entry)
 
     try:
-        graph_data = resolve(data["graph"], _read_json)
-        strat_data = resolve(data["strategy"], _read_json)
         return IndependenceCertificate(
-            graph=Graph.from_json_dict(graph_data),
-            value=int(data["value"]),
-            strategy=OperatorStrategy.from_json_dict(strat_data),
+            graph=part("graph", Graph),
+            value=int_from_json(data["value"], "certificate value"),
+            strategy=part("strategy", OperatorStrategy),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed certificate bundle: {exc}") from exc
 
 
-def _cert_bundle_dict(cert: IndependenceCertificate) -> dict:
-    return {
-        "value": cert.value,
-        "graph": cert.graph.to_json_dict(),
-        "strategy": cert.strategy.to_json_dict(),
-    }
+# Each loader takes the parsed JSON object and the path it was read from.
+LOADERS = {
+    "system": lambda data, path: BinaryLinearSystem.from_json_dict(data),
+    "graph": lambda data, path: Graph.from_json_dict(data),
+    "strategy": lambda data, path: OperatorStrategy.from_json_dict(data),
+    "game": lambda data, path: game_from_json_dict(data),
+    "rep": lambda data, path: GroupRep.from_json_dict(data),
+    "bipartite": lambda data, path: BipartiteStrategy.from_json_dict(data),
+    "correlation": lambda data, path: Correlation.from_json_dict(data),
+    "pvm_family": _load_pvm_family,
+    "cert_bundle": _load_cert_bundle,
+}
 
 
-# ---------------------------------------------------------------- system --
+# --------------------------------------------------------------- handlers --
+# A handler gets the Run, the parsed arguments and the loaded input objects in
+# the order its command declares them (None for an absent optional input).  It
+# fills the payload and returns what --out receives (None without --out).
 
-def cmd_system_solve(args) -> int:
-    run = Run("system solve")
-    run.track(args.infile)
-    sys_ = _load_system(args.infile)
-    solution = solve_gf2(sys_)
+def _system_solve(run, args, system):
+    solution = solve_gf2(system)
+    solution = None if solution is None else list(solution)
     run.payload["solvable"] = solution is not None
     if solution is not None:
-        run.payload["solution"] = list(solution)
-        print(f"solvable: {list(solution)}")
+        run.payload["solution"] = solution
+        print(f"solvable: {solution}")
     else:
         print("unsolvable over GF(2)")
-    if args.out:
-        _write_json(args.out, {"solvable": solution is not None,
-                               "solution": None if solution is None else list(solution)})
-    return run.finish(args.report)
+    return {"solvable": solution is not None, "solution": solution}
 
 
-def cmd_system_si(args) -> int:
-    run = Run("system si")
-    run.track(args.infile)
-    sys_ = _load_system(args.infile)
-    vectors = enumerate_si(sys_, args.equation)
+def _system_si(run, args, system):
+    vectors = enumerate_si(system, args.equation)
     run.payload["equation"] = args.equation
     run.payload["count"] = len(vectors)
     print(f"|S_{args.equation}| = {len(vectors)}")
-    if args.out:
-        _write_json(args.out, {"equation": args.equation, "solutions": [list(x) for x in vectors]})
-    else:
+    if not args.out:
         for x in vectors:
             print(list(x))
-    return run.finish(args.report)
+    return {"equation": args.equation, "solutions": [list(x) for x in vectors]}
 
 
-# ------------------------------------------------------------------ game --
-
-def cmd_game_build(args) -> int:
-    run = Run("game build")
+def _game_build(run, args, system, g, h):
     if args.kind == "synbcs":
-        if not args.system:
+        if system is None:
             raise ValidationError("--kind synbcs needs --system")
-        run.track(args.system)
-        game = build_synbcs(_load_system(args.system))
+        game = build_synbcs(system)
     else:
-        if not (args.g and args.h):
+        if g is None or h is None:
             raise ValidationError(f"--kind {args.kind} needs --g and --h")
-        run.track(args.g, args.h)
-        g, h = _load_graph(args.g), _load_graph(args.h)
         game = build_hom_game(g, h) if args.kind == "hom" else build_iso_game(g, h)
-    _write_json(args.out, game.to_json_dict())
-    run.payload["inputs_count"] = len(game.inputs)
-    run.payload["outputs_count"] = len(game.outputs)
+    run.payload.update(inputs_count=len(game.inputs), outputs_count=len(game.outputs))
     print(f"built {args.kind} game: {len(game.inputs)} inputs, {len(game.outputs)} outputs")
-    return run.finish(args.report)
+    return game.to_json_dict()
 
 
-def cmd_game_solve_classical(args) -> int:
-    run = Run("game solve-classical")
-    run.track(args.infile)
-    game = game_from_json_dict(_read_json(args.infile))
+def _game_solve_classical(run, args, game):
     strategy = find_deterministic_perfect(game)
     run.payload["perfect_deterministic_strategy_exists"] = strategy is not None
     if strategy is None:
@@ -267,14 +268,9 @@ def cmd_game_solve_classical(args) -> int:
                 strategy.assignment.items(), key=lambda kv: repr(kv[0])
             )
         ]
-    return run.finish(args.report)
 
 
-def cmd_game_check_strategy(args) -> int:
-    run = Run("game check-strategy")
-    run.track(args.game, args.strategy)
-    game = game_from_json_dict(_read_json(args.game))
-    strategy = _load_strategy(args.strategy)
+def _game_check_strategy(run, args, game, strategy):
     report = check_game_algebra_relations(game, strategy, args.tol)
     run.payload["relations"] = report.as_dict()
     run.check(
@@ -282,39 +278,26 @@ def cmd_game_check_strategy(args) -> int:
         report.passes,
         f"max residual {report.max_residual:.3e} vs tol {args.tol:g}",
     )
-    return run.finish(args.report)
 
 
-# -------------------------------------------------------------- strategy --
-
-def cmd_strategy_correlation(args) -> int:
-    run = Run("strategy correlation")
-    if bool(args.tracial) == bool(args.bipartite):
+def _strategy_correlation(run, args, tracial, bipartite):
+    if (tracial is None) == (bipartite is None):
         raise ValidationError("pass exactly one of --tracial or --bipartite")
-    if args.tracial:
-        run.track(args.tracial)
-        corr = correlation_from_tracial(_load_strategy(args.tracial), args.tol)
+    if tracial is not None:
+        corr = correlation_from_tracial(tracial, args.tol)
     else:
-        run.track(args.bipartite)
-        corr = correlation_from_bipartite(
-            BipartiteStrategy.from_json_dict(_read_json(args.bipartite)), args.tol
-        )
-    _write_json(args.out, corr.to_json_dict())
+        corr = correlation_from_bipartite(bipartite, args.tol)
     run.payload["entries"] = len(corr.p)
     print(f"wrote correlation with {len(corr.p)} stored entries")
-    return run.finish(args.report)
+    return corr.to_json_dict()
 
 
-def cmd_strategy_check(args) -> int:
-    run = Run("strategy check")
-    run.track(args.correlation, args.game)
-    corr = Correlation.from_json_dict(_read_json(args.correlation))
+def _strategy_check(run, args, corr, game):
     corr.validate(args.tol)
     sync_worst, _ = corr.max_sync_violation()
     run.payload["max_sync_violation"] = sync_worst
     run.check("synchronous", is_synchronous(corr, args.tol), f"max diagonal leak {sync_worst:.3e}")
-    if args.game:
-        game = game_from_json_dict(_read_json(args.game))
+    if game is not None:
         losing, witness = corr.max_losing(game)
         run.payload["max_losing_probability"] = losing
         run.check(
@@ -322,40 +305,21 @@ def cmd_strategy_check(args) -> int:
             is_perfect(corr, game, args.eps),
             f"max losing probability {losing:.3e} at {witness!r} vs eps {args.eps:g}",
         )
-    return run.finish(args.report)
 
 
-def cmd_strategy_decompose_qs(args) -> int:
-    run = Run("strategy decompose-qs")
-    run.track(args.infile)
-    s = BipartiteStrategy.from_json_dict(_read_json(args.infile))
-    blocks = decompose_qs(s, tol=args.tol, cluster_tol=args.cluster_tol)
+def _strategy_decompose_qs(run, args, strategy):
+    blocks = decompose_qs(strategy, tol=args.tol, cluster_tol=args.cluster_tol)
     run.payload["weights"] = [w for w, _ in blocks]
     run.payload["block_dims"] = [b.dim for _, b in blocks]
     print(f"{len(blocks)} block(s), weights {[round(w, 12) for w, _ in blocks]}")
-    if args.out:
-        _write_json(
-            args.out,
-            {"blocks": [{"weight": w, "strategy": b.to_json_dict()} for w, b in blocks]},
-        )
-    return run.finish(args.report)
+    return {"blocks": [{"weight": w, "strategy": b.to_json_dict()} for w, b in blocks]}
 
 
-# ----------------------------------------------------------------- round --
-
-def cmd_round(args) -> int:
-    run = Run("round")
-    run.track(args.infile)
-    data = _read_json(args.infile)
-    try:
-        mats = [matrix_from_json(m) for m in data["pvms"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed PVM family JSON: {exc}") from exc
+def _round(run, args, mats):
     for m in mats:
         if m.shape[0] > args.max_dim:
             raise ValidationError(f"matrix dimension {m.shape[0]} exceeds --max-dim {args.max_dim}")
     qs, report = orthogonalize_family(mats, sum_one=args.sum_one)
-    _write_json(args.out, {"pvms": [matrix_to_json(q) for q in qs]})
     run.payload["rounding"] = report.as_dict()
     run.check(
         "outputs-exact",
@@ -367,128 +331,79 @@ def cmd_round(args) -> int:
         report.within_budget,
         f"max distance {report.max_distance:.3e} vs budget {report.budget:.3e}",
     )
-    return run.finish(args.report)
+    return {"pvms": [matrix_to_json(q) for q in qs]}
 
 
-# ----------------------------------------------------------------- group --
-
-def cmd_group_present(args) -> int:
-    run = Run("group present")
-    run.track(args.system)
-    pres = presentation(_load_system(args.system))
+def _group_present(run, args, system):
+    pres = presentation(system)
     text = pres.export_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {len(pres.relators)} relators")
     else:
         print(text, end="")
     run.payload["relators"] = len(pres.relators)
-    return run.finish(args.report)
+    return text
 
 
-def cmd_group_verify(args) -> int:
-    run = Run("group verify")
-    run.track(args.system, args.rep)
-    sys_ = _load_system(args.system)
-    rep = GroupRep.from_json_dict(_read_json(args.rep))
-    report = verify_rep(rep, sys_, args.tol)
+def _group_verify(run, args, system, rep):
+    report = verify_rep(rep, system, args.tol)
     run.payload["verification"] = report.as_dict()
     run.check("relators", report.passes, f"max residual {report.max_residual:.3e} vs {args.tol:g}")
     run.check("j-nontrivial", report.j_nontrivial, f"||J - I||_2 = {report.j_distance:.3e}")
-    return run.finish(args.report)
 
 
-def cmd_group_to_strategy(args) -> int:
-    run = Run("group to-strategy")
-    run.track(args.system, args.rep)
-    sys_ = _load_system(args.system)
-    rep = GroupRep.from_json_dict(_read_json(args.rep))
-    strategy = strategy_from_rep(rep, sys_, tol=args.tol, eps=args.eps)
-    _write_json(args.out, strategy.to_json_dict())
-    run.payload["dim"] = strategy.dim
-    run.payload["stored_projections"] = len(strategy.pvms)
+def _group_to_strategy(run, args, system, rep):
+    strategy = strategy_from_rep(rep, system, tol=args.tol, eps=args.eps)
+    run.payload.update(dim=strategy.dim, stored_projections=len(strategy.pvms))
     print(f"wrote perfect strategy: dim {strategy.dim}, {len(strategy.pvms)} projections")
-    return run.finish(args.report)
+    return strategy.to_json_dict()
 
 
-def cmd_group_from_strategy(args) -> int:
-    run = Run("group from-strategy")
-    run.track(args.system, args.strategy)
-    sys_ = _load_system(args.system)
-    strategy = _load_strategy(args.strategy)
-    rep = rep_from_strategy(strategy, sys_, tol=args.tol)
-    _write_json(args.out, rep.to_json_dict())
+def _group_from_strategy(run, args, system, strategy):
+    rep = rep_from_strategy(strategy, system, tol=args.tol)
     run.payload["dim"] = rep.dim
     print(f"recovered representation of dimension {rep.dim}")
-    return run.finish(args.report)
+    return rep.to_json_dict()
 
 
-def cmd_group_normalize_j(args) -> int:
-    run = Run("group normalize-j")
-    run.track(args.rep)
-    rep = GroupRep.from_json_dict(_read_json(args.rep))
+def _group_normalize_j(run, args, rep):
     out = normalize_j(rep, tol=args.tol)
-    _write_json(args.out, out.to_json_dict())
-    run.payload["dim_before"] = rep.dim
-    run.payload["dim_after"] = out.dim
+    run.payload.update(dim_before=rep.dim, dim_after=out.dim)
     print(f"compressed {rep.dim} -> {out.dim}")
-    return run.finish(args.report)
+    return out.to_json_dict()
 
 
-# ----------------------------------------------------------------- graph --
-
-def cmd_graph_param(args) -> int:
-    run = Run(f"graph {args.param}")
-    run.track(args.infile)
-    g = _load_graph(args.infile)
-    solver = {"alpha": alpha, "omega": omega, "chi": chi}[args.param]
-    value = solver(g, max_vertices=args.max_vertices) if args.max_vertices else solver(g)
-    run.payload[args.param] = value
+def _graph_param(run, args, graph):
+    param = run.command.split()[-1]
+    solver = {"alpha": alpha, "omega": omega, "chi": chi}[param]
+    value = solver(graph, max_vertices=args.max_vertices) if args.max_vertices else solver(graph)
+    run.payload[param] = value
     print(value)
-    return run.finish(args.report)
 
 
-def cmd_graph_from_system(args) -> int:
-    run = Run("graph from-system")
-    run.track(args.system)
-    sys_ = _load_system(args.system)
-    g = graph_from_system(sys_, use_b=not args.homogeneous)
-    _write_json(args.out, g.to_json_dict())
-    run.payload["vertices"] = g.n
-    run.payload["edges"] = len(g.edges)
+def _graph_from_system(run, args, system):
+    g = graph_from_system(system, use_b=not args.homogeneous)
+    run.payload.update(vertices=g.n, edges=len(g.edges))
     print(f"wrote incompatibility graph: {g.n} vertices, {len(g.edges)} edges")
-    return run.finish(args.report)
+    return g.to_json_dict()
 
 
-def cmd_graph_colour_ga0(args) -> int:
-    run = Run("graph colour-ga0")
-    run.track(args.system)
-    sys_ = _load_system(args.system)
-    certs = complement_colouring_ga0(sys_)
+def _graph_colour_ga0(run, args, system):
+    certs = complement_colouring_ga0(system)
     run.payload["certificates"] = certs.as_dict()
     run.check(
         "alpha-of-homogeneous-graph",
         True,
         f"value {certs.value} pinned by colouring + independent set",
     )
-    if args.out:
-        _write_json(args.out, certs.as_dict())
-    return run.finish(args.report)
+    return certs.as_dict()
 
 
-def cmd_graph_certify(args) -> int:
-    run = Run("graph certify")
-    if args.cert:
-        run.track(args.cert)
-        cert = _load_cert_bundle(args.cert)
-    else:
-        if not (args.graph and args.strategy and args.value is not None):
+def _graph_certify(run, args, cert, graph, strategy):
+    if cert is None:
+        if graph is None or strategy is None or args.value is None:
             raise ValidationError("pass --cert or all of --graph/--value/--strategy")
-        run.track(args.graph, args.strategy)
-        cert = IndependenceCertificate(
-            graph=_load_graph(args.graph), value=args.value, strategy=_load_strategy(args.strategy)
-        )
+        cert = IndependenceCertificate(graph=graph, value=args.value, strategy=strategy)
     report = cert.verify(args.tol)
     run.payload["value"] = cert.value
     run.payload["relations"] = report.as_dict()
@@ -497,37 +412,30 @@ def cmd_graph_certify(args) -> int:
         report.passes,
         f"value {cert.value}, max residual {report.max_residual:.3e} vs {args.tol:g}",
     )
-    return run.finish(args.report)
 
 
-def cmd_graph_transport(args) -> int:
-    run = Run("graph transport")
-    run.track(args.cert, args.iso, args.target)
-    cert = _load_cert_bundle(args.cert)
-    iso = _load_strategy(args.iso)
-    target = _load_graph(args.target)
+def _graph_transport(run, args, cert, iso, target):
     if args.swap_iso:
         iso = swap_iso_strategy(iso)
     out_cert = transport_independence(cert, iso, target, tol=args.tol)
-    _write_json(args.out, _cert_bundle_dict(out_cert))
-    run.payload["value"] = out_cert.value
-    run.payload["dim"] = out_cert.strategy.dim
+    run.payload.update(value=out_cert.value, dim=out_cert.strategy.dim)
     run.check("transported-certificate", True, f"value {out_cert.value}, dim {out_cert.strategy.dim}")
-    return run.finish(args.report)
+    return {
+        "value": out_cert.value,
+        "graph": out_cert.graph.to_json_dict(),
+        "strategy": out_cert.strategy.to_json_dict(),
+    }
 
 
-# ------------------------------------------------------------------ demo --
-
-def cmd_demo_magic_square(args) -> int:
-    run = Run("demo magic-square")
+def _demo_magic_square(run, args):
+    """The headline pipeline.  Objects that a library constructor certifies at
+    the run's tolerance before returning them are not checked again here."""
     tol, eps = args.tol, args.eps
     sys_ = mermin_peres_system()
-    game = build_synbcs(sys_)
-
     run.check("classical-gf2-unsolvable", solve_gf2(sys_) is None, "Gaussian elimination")
     run.check(
         "classical-search-unsolvable",
-        find_deterministic_perfect(game) is None,
+        find_deterministic_perfect(build_synbcs(sys_)) is None,
         "exhaustive backtracking over local solutions",
     )
 
@@ -539,65 +447,35 @@ def cmd_demo_magic_square(args) -> int:
         f"max relator residual {rep_report.max_residual:.3e} at 1e-12, J != 1",
     )
 
+    # strategy_from_rep proves its tracial correlation synchronous and perfect at eps
     strategy = strategy_from_rep(rep, sys_, tol=tol, eps=eps)
-    corr = correlation_from_tracial(strategy, tol)
-    run.check(
-        "quantum-strategy-perfect",
-        is_synchronous(corr, eps) and is_perfect(corr, game, eps),
-        f"dim {strategy.dim} tracial strategy, eps {eps:g}",
-    )
+    run.check("quantum-strategy-perfect", True, f"dim {strategy.dim} tracial strategy, eps {eps:g}")
 
-    rep_back = rep_from_strategy(strategy, sys_, tol=tol)
-    back_report = verify_rep(rep_back, sys_, 1e-8)
+    back_report = verify_rep(rep_from_strategy(strategy, sys_, tol=tol), sys_, 1e-8)
     run.check(
         "representation-roundtrip",
         back_report.passes,
         f"max relator residual {back_report.max_residual:.3e} at 1e-8",
     )
 
-    g_b = graph_from_system(sys_, use_b=True)
-    g_0 = graph_from_system(sys_, use_b=False)
     iso = iso_strategy_from_bcs(strategy, sys_, tol=tol)
+    run.check("isomorphism-certificate", True, f"certified by iso_strategy_from_bcs at {tol:g}")
+
+    g_b = graph_from_system(sys_, use_b=True)
     ga0 = complement_colouring_ga0(sys_)
-    cert0 = independence_certificate_from_set(g_0, ga0.independent_set)
+    cert0 = independence_certificate_from_set(ga0.graph, ga0.independent_set)
     cert_b = transport_independence(cert0, swap_iso_strategy(iso), g_b, tol=tol)
-    rep_from_cert = rep_from_independence(cert_b, sys_, tol=tol)
-
-    def verify_iso():
-        return check_game_algebra_relations(build_iso_game(g_b, g_0), iso, tol)
-
-    def verify_cert():
-        return cert_b.verify(tol)
-
-    def verify_recovered():
-        return verify_rep(rep_from_cert, sys_, 1e-8)
-
-    def exact_alpha():
-        return alpha(g_b)
-
-    legs = [verify_iso, verify_cert, verify_recovered, exact_alpha]
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            iso_rep, cert_rep, rec_rep, alpha_b = (
-                f.result() for f in [pool.submit(leg) for leg in legs]
-            )
-    else:
-        iso_rep, cert_rep, rec_rep, alpha_b = (leg() for leg in legs)
-
-    run.check(
-        "isomorphism-certificate",
-        iso_rep.passes,
-        f"max residual {iso_rep.max_residual:.3e} vs {tol:g}",
-    )
     run.check(
         "quantum-independence-6",
-        cert_rep.passes and cert_b.value == 6,
-        f"transported certificate, max residual {cert_rep.max_residual:.3e}",
+        cert_b.value == 6,
+        f"certified by transport_independence at {tol:g}",
     )
+
+    rec_report = verify_rep(rep_from_independence(cert_b, sys_, tol=tol), sys_, 1e-8)
     run.check(
         "representation-from-certificate",
-        rec_rep.passes,
-        f"max relator residual {rec_rep.max_residual:.3e} at 1e-8",
+        rec_report.passes,
+        f"max relator residual {rec_report.max_residual:.3e} at 1e-8",
     )
 
     # gluing cross-check: any 5 equations are classically solvable, all 6 are not
@@ -613,16 +491,129 @@ def cmd_demo_magic_square(args) -> int:
         is not None
         for drop in range(6)
     )
+    alpha_b = alpha(g_b)
     run.check(
         "classical-alpha-5",
         alpha_b == 5 and subsystems_ok,
         "branch-and-bound = 5; every 5-equation subsystem solvable, full system not",
     )
     run.payload["alpha_G_Ab"] = alpha_b
-    return run.finish(args.report)
 
 
-# ------------------------------------------------------------- arg parser --
+# ---------------------------------------------------------- command table --
+
+@dataclass(frozen=True)
+class Input:
+    """An input-file flag and the LOADERS key of the loader that parses it."""
+
+    flag: str
+    kind: str
+    required: bool = True
+    help: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command; the first word of its name is its subcommand group, if any."""
+
+    name: str
+    help: str
+    handler: Callable
+    inputs: tuple = ()  # Input specs, loaded in this order
+    flags: tuple = ()   # (flag names, argparse keyword arguments) pairs; --report is implicit
+
+
+def flag(*names, **kwargs) -> tuple:
+    return names, kwargs
+
+
+OUT = flag("--out", help="output JSON path")
+OUT_REQUIRED = flag("--out", required=True, help="output JSON path")
+TOL = flag("--tol", type=float, default=1e-9, help="verification tolerance (default 1e-9)")
+EPS = flag("--eps", type=float, default=1e-9, help="perfectness tolerance (default 1e-9)")
+
+
+GROUPS = {
+    "system": "GF(2) linear systems",
+    "game": "synchronous games",
+    "strategy": "operator strategies and correlations",
+    "group": "solution groups",
+    "graph": "graphs and certificates",
+    "demo": "end-to-end pipelines",
+}
+
+COMMANDS = (
+    Command("system solve", "decide classical solvability", _system_solve,
+            inputs=(Input("--in", "system"),), flags=(OUT,)),
+    Command("system si", "enumerate one equation's local solutions", _system_si,
+            inputs=(Input("--in", "system"),),
+            flags=(flag("--equation", type=int, required=True), OUT)),
+    Command("game build", "build a game from a system or graphs", _game_build,
+            inputs=(Input("--system", "system", False), Input("--g", "graph", False),
+                    Input("--h", "graph", False)),
+            flags=(flag("--kind", choices=["synbcs", "hom", "iso"], required=True), OUT_REQUIRED)),
+    Command("game solve-classical", "search for a perfect deterministic strategy",
+            _game_solve_classical, inputs=(Input("--in", "game"),)),
+    Command("game check-strategy", "verify the game-algebra relations", _game_check_strategy,
+            inputs=(Input("--game", "game"), Input("--strategy", "strategy")), flags=(TOL,)),
+    Command("strategy correlation", "evaluate a strategy's correlation", _strategy_correlation,
+            inputs=(Input("--tracial", "strategy", False, "operator strategy JSON"),
+                    Input("--bipartite", "bipartite", False, "bipartite strategy JSON")),
+            flags=(OUT_REQUIRED, TOL)),
+    Command("strategy check", "synchronicity / perfectness of a correlation", _strategy_check,
+            inputs=(Input("--correlation", "correlation"), Input("--game", "game", False)),
+            flags=(TOL, EPS)),
+    Command("strategy decompose-qs", "Schmidt-block decomposition", _strategy_decompose_qs,
+            inputs=(Input("--in", "bipartite"),),
+            flags=(flag("--cluster-tol", type=float, default=1e-7), OUT, TOL)),
+    Command("round", "orthogonalize a family of near-projections", _round,
+            inputs=(Input("--in", "pvm_family"),),
+            flags=(flag("--sum-one", action="store_true"),
+                   flag("--max-dim", type=int, default=512,
+                        help="matrix dimension cap (default 512)"),
+                   OUT_REQUIRED)),
+    Command("group present", "export the group presentation", _group_present,
+            inputs=(Input("--system", "system"),), flags=(OUT,)),
+    Command("group verify", "check a representation against all relators", _group_verify,
+            inputs=(Input("--system", "system"), Input("--rep", "rep")), flags=(TOL,)),
+    Command("group to-strategy", "representation -> perfect BCS strategy", _group_to_strategy,
+            inputs=(Input("--system", "system"), Input("--rep", "rep")),
+            flags=(OUT_REQUIRED, TOL, EPS)),
+    Command("group from-strategy", "perfect BCS strategy -> representation",
+            _group_from_strategy,
+            inputs=(Input("--system", "system"), Input("--strategy", "strategy")),
+            flags=(OUT_REQUIRED, TOL)),
+    Command("group normalize-j", "compress to the -1 eigenspace of J", _group_normalize_j,
+            inputs=(Input("--rep", "rep"),), flags=(OUT_REQUIRED, TOL)),
+    *(
+        Command(f"graph {param}", f"exact {param} by branch and bound", _graph_param,
+                inputs=(Input("--in", "graph"),),
+                flags=(flag("--max-vertices", type=int, help="override the size cap"),))
+        for param in ("alpha", "omega", "chi")
+    ),
+    Command("graph from-system", "incompatibility graph of a system", _graph_from_system,
+            inputs=(Input("--system", "system"),),
+            flags=(flag("--homogeneous", action="store_true",
+                        help="use b = 0 instead of the given b"),
+                   OUT_REQUIRED)),
+    Command("graph colour-ga0", "colouring + independent-set certificates for G_{A,0}",
+            _graph_colour_ga0, inputs=(Input("--system", "system"),), flags=(OUT,)),
+    Command("graph certify", "verify an independence certificate", _graph_certify,
+            inputs=(Input("--cert", "cert_bundle", False, "certificate bundle JSON"),
+                    Input("--graph", "graph", False), Input("--strategy", "strategy", False)),
+            flags=(flag("--value", type=int), TOL)),
+    Command("graph transport", "transport a certificate along an isomorphism strategy",
+            _graph_transport,
+            inputs=(Input("--cert", "cert_bundle", help="certificate bundle JSON"),
+                    Input("--iso", "strategy", help="isomorphism-game strategy JSON"),
+                    Input("--target", "graph", help="target graph JSON")),
+            flags=(flag("--swap-iso", action="store_true",
+                        help="reverse the isomorphism strategy first"),
+                   OUT_REQUIRED, TOL)),
+    Command("demo magic-square", "full magic-square pipeline", _demo_magic_square,
+            flags=(TOL, EPS)),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -631,134 +622,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--schema", action="store_true", help="dump all JSON schemas and exit")
     sub = parser.add_subparsers(dest="group")
-
-    def common(p, out=False, report=True, tol=True, eps=False):
-        if out:
-            p.add_argument("--out", required=out == "required", help="output JSON path")
-        if report:
-            p.add_argument("--report", help="write a JSON run report here")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance (default 1e-9)")
-        if eps:
-            p.add_argument("--eps", type=float, default=1e-9, help="perfectness tolerance (default 1e-9)")
-
-    p_system = sub.add_parser("system", help="GF(2) linear systems").add_subparsers(dest="command")
-    p = p_system.add_parser("solve", help="decide classical solvability")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p, out=True, tol=False)
-    p.set_defaults(func=cmd_system_solve)
-    p = p_system.add_parser("si", help="enumerate one equation's local solutions")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--equation", type=int, required=True)
-    common(p, out=True, tol=False)
-    p.set_defaults(func=cmd_system_si)
-
-    p_game = sub.add_parser("game", help="synchronous games").add_subparsers(dest="command")
-    p = p_game.add_parser("build", help="build a game from a system or graphs")
-    p.add_argument("--kind", choices=["synbcs", "hom", "iso"], required=True)
-    p.add_argument("--system")
-    p.add_argument("--g")
-    p.add_argument("--h")
-    common(p, out="required", tol=False)
-    p.set_defaults(func=cmd_game_build)
-    p = p_game.add_parser("solve-classical", help="search for a perfect deterministic strategy")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p, tol=False)
-    p.set_defaults(func=cmd_game_solve_classical)
-    p = p_game.add_parser("check-strategy", help="verify the game-algebra relations")
-    p.add_argument("--game", required=True)
-    p.add_argument("--strategy", required=True)
-    common(p)
-    p.set_defaults(func=cmd_game_check_strategy)
-
-    p_strat = sub.add_parser("strategy", help="operator strategies and correlations").add_subparsers(
-        dest="command"
-    )
-    p = p_strat.add_parser("correlation", help="evaluate a strategy's correlation")
-    p.add_argument("--tracial", help="operator strategy JSON")
-    p.add_argument("--bipartite", help="bipartite strategy JSON")
-    common(p, out="required")
-    p.set_defaults(func=cmd_strategy_correlation)
-    p = p_strat.add_parser("check", help="synchronicity / perfectness of a correlation")
-    p.add_argument("--correlation", required=True)
-    p.add_argument("--game")
-    common(p, eps=True)
-    p.set_defaults(func=cmd_strategy_check)
-    p = p_strat.add_parser("decompose-qs", help="Schmidt-block decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cluster-tol", type=float, default=1e-7)
-    common(p, out=True)
-    p.set_defaults(func=cmd_strategy_decompose_qs)
-
-    p = sub.add_parser("round", help="orthogonalize a family of near-projections")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sum-one", action="store_true")
-    p.add_argument("--max-dim", type=int, default=512, help="matrix dimension cap (default 512)")
-    common(p, out="required", tol=False)
-    p.set_defaults(func=cmd_round, group="round", command=None)
-
-    p_group = sub.add_parser("group", help="solution groups").add_subparsers(dest="command")
-    p = p_group.add_parser("present", help="export the group presentation")
-    p.add_argument("--system", required=True)
-    common(p, out=True, tol=False)
-    p.set_defaults(func=cmd_group_present)
-    p = p_group.add_parser("verify", help="check a representation against all relators")
-    p.add_argument("--system", required=True)
-    p.add_argument("--rep", required=True)
-    common(p)
-    p.set_defaults(func=cmd_group_verify)
-    p = p_group.add_parser("to-strategy", help="representation -> perfect BCS strategy")
-    p.add_argument("--system", required=True)
-    p.add_argument("--rep", required=True)
-    common(p, out="required", eps=True)
-    p.set_defaults(func=cmd_group_to_strategy)
-    p = p_group.add_parser("from-strategy", help="perfect BCS strategy -> representation")
-    p.add_argument("--system", required=True)
-    p.add_argument("--strategy", required=True)
-    common(p, out="required")
-    p.set_defaults(func=cmd_group_from_strategy)
-    p = p_group.add_parser("normalize-j", help="compress to the -1 eigenspace of J")
-    p.add_argument("--rep", required=True)
-    common(p, out="required")
-    p.set_defaults(func=cmd_group_normalize_j)
-
-    p_graph = sub.add_parser("graph", help="graphs and certificates").add_subparsers(dest="command")
-    for param in ("alpha", "omega", "chi"):
-        p = p_graph.add_parser(param, help=f"exact {param} by branch and bound")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--max-vertices", type=int, help="override the size cap")
-        common(p, tol=False)
-        p.set_defaults(func=cmd_graph_param, param=param)
-    p = p_graph.add_parser("from-system", help="incompatibility graph of a system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--homogeneous", action="store_true", help="use b = 0 instead of the given b")
-    common(p, out="required", tol=False)
-    p.set_defaults(func=cmd_graph_from_system)
-    p = p_graph.add_parser("colour-ga0", help="colouring + independent-set certificates for G_{A,0}")
-    p.add_argument("--system", required=True)
-    common(p, out=True, tol=False)
-    p.set_defaults(func=cmd_graph_colour_ga0)
-    p = p_graph.add_parser("certify", help="verify an independence certificate")
-    p.add_argument("--cert", help="certificate bundle JSON")
-    p.add_argument("--graph")
-    p.add_argument("--value", type=int)
-    p.add_argument("--strategy")
-    common(p)
-    p.set_defaults(func=cmd_graph_certify)
-    p = p_graph.add_parser("transport", help="transport a certificate along an isomorphism strategy")
-    p.add_argument("--cert", required=True, help="certificate bundle JSON")
-    p.add_argument("--iso", required=True, help="isomorphism-game strategy JSON")
-    p.add_argument("--target", required=True, help="target graph JSON")
-    p.add_argument("--swap-iso", action="store_true", help="reverse the isomorphism strategy first")
-    common(p, out="required")
-    p.set_defaults(func=cmd_graph_transport)
-
-    p_demo = sub.add_parser("demo", help="end-to-end pipelines").add_subparsers(dest="command")
-    p = p_demo.add_parser("magic-square", help="full magic-square pipeline")
-    p.add_argument("--jobs", type=int, default=1, help="parallelize independent verifications")
-    common(p, eps=True)
-    p.set_defaults(func=cmd_demo_magic_square)
-
+    groups: dict = {}
+    for cmd in COMMANDS:
+        head, _, tail = cmd.name.partition(" ")
+        if not tail:
+            p = sub.add_parser(head, help=cmd.help)
+        else:
+            if head not in groups:
+                groups[head] = sub.add_parser(head, help=GROUPS[head]).add_subparsers(dest="command")
+            p = groups[head].add_parser(tail, help=cmd.help)
+        for spec in cmd.inputs:
+            p.add_argument(spec.flag, required=spec.required, help=spec.help)
+        for names, kwargs in cmd.flags:
+            p.add_argument(*names, **kwargs)
+        p.add_argument("--report", help="write a JSON run report here")
+        p.set_defaults(spec=cmd)
     return parser
 
 
@@ -768,23 +646,32 @@ def main(argv=None) -> int:
     if args.schema:
         print(json.dumps(SCHEMAS, indent=2, sort_keys=True))
         return EXIT_OK
-    if not getattr(args, "func", None):
+    cmd = getattr(args, "spec", None)
+    if cmd is None:
         parser.print_help()
         return EXIT_VALIDATION
+    run = Run(cmd.name)
     try:
-        return args.func(args)
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=_sys.stderr)
-        return EXIT_BUDGET
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=_sys.stderr)
-        return EXIT_VERIFICATION
+        loaded = []
+        for spec in cmd.inputs:
+            path = getattr(args, spec.flag[2:])
+            loaded.append(None if path is None else run.track(path, LOADERS[spec.kind]))
+        out = cmd.handler(run, args, *loaded)
+        if getattr(args, "out", None):
+            _write_json(args.out, out)
+        failed = [c["name"] for c in run.checks if not c["pass"]]
+        code = EXIT_VERIFICATION if failed else EXIT_OK
+        error = f"failed checks: {', '.join(failed)}" if failed else ""
+    except ToolkitError as exc:
+        code, prefix = next((c, p) for cls, c, p in ERROR_EXITS if isinstance(exc, cls))
+        error = f"{prefix}: {exc}"
+        print(error, file=_sys.stderr)
+    try:
+        run.finish(args.report, code, error)
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except ToolkitError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

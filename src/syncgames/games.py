@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .errors import BudgetError, ValidationError
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import label_from_json, label_to_json
-from .matops import identity, norm2
+from .matops import norm2
 
 if TYPE_CHECKING:  # pragma: no cover
     from .strategies import OperatorStrategy
@@ -193,6 +193,10 @@ def build_iso_game(g, h) -> SyncGame:
 
 def game_from_json_dict(data: dict) -> SyncGame:
     kind = data.get("kind")
+    required = {"synbcs": ("system",), "hom": ("G", "H"), "iso": ("G", "H")}.get(kind, ())
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValidationError(f"{kind} game JSON lacks {missing}")
     if kind == "synbcs":
         return build_synbcs(BinaryLinearSystem.from_json_dict(data["system"]))
     if kind in ("hom", "iso"):
@@ -208,7 +212,7 @@ def game_from_json_dict(data: dict) -> SyncGame:
                 [label_from_json(a) for a in data["outputs"]],
                 [tuple(label_from_json(part) for part in t) for t in data["losing"]],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed explicit game JSON: {exc}") from exc
     raise ValidationError(f"unknown game kind {kind!r}")
 
@@ -337,20 +341,8 @@ def check_game_algebra_relations(
         if x not in game.input_set or a not in game.output_set:
             raise ValidationError(f"stored operator ({x!r}, {a!r}) outside the game's index set")
 
-    eye = identity(strategy.dim)
-    max_adj = 0.0
-    max_proj = 0.0
+    defects = strategy.defects()
     keys = strategy.stored_keys()
-    for x, a in keys:
-        e = strategy.pvms[(x, a)]
-        max_adj = max(max_adj, norm2(e - e.conj().T))
-        max_proj = max(max_proj, norm2(e - e @ e))
-
-    max_complete = 0.0
-    for x in game.inputs:
-        total = sum((strategy.pvms[(x, a)] for a in strategy.row_outputs(x)), 0.0 * eye)
-        max_complete = max(max_complete, norm2(total - eye))
-
     max_losing = 0.0
     worst = None
     n_checked = 0
@@ -366,9 +358,9 @@ def check_game_algebra_relations(
                 worst = (x, y, a, b)
     return GameRelationReport(
         tol=tol,
-        max_adjoint_defect=max_adj,
-        max_projection_defect=max_proj,
-        max_completeness_defect=max_complete,
+        max_adjoint_defect=defects.max_adjoint,
+        max_projection_defect=defects.max_projection,
+        max_completeness_defect=defects.max_completeness,
         max_losing_overlap=max_losing,
         worst_losing=worst,
         n_stored=len(keys),

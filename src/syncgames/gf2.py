@@ -11,6 +11,7 @@ from itertools import product as iter_product
 from typing import Optional
 
 from .errors import BudgetError, ValidationError, VerificationError
+from .labels import int_from_json
 
 SignVector = tuple  # entries in {+1, -1}, length n
 
@@ -32,16 +33,16 @@ class BinaryLinearSystem:
         if len(self.rows) != self.m or len(self.b) != self.m:
             raise ValidationError("rows/b length must equal m")
         object.__setattr__(self, "rows", tuple(frozenset(r) for r in self.rows))
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
         for i, support in enumerate(self.rows, start=1):
             if not support:
                 raise ValidationError(f"equation {i} has empty support")
             for j in support:
-                if not isinstance(j, int) or not 1 <= j <= self.n:
+                if isinstance(j, bool) or not isinstance(j, int) or not 1 <= j <= self.n:
                     raise ValidationError(f"equation {i}: variable index {j!r} out of range 1..{self.n}")
         for i, bit in enumerate(self.b, start=1):
-            if bit not in (0, 1):
+            if isinstance(bit, bool) or bit not in (0, 1):
                 raise ValidationError(f"b[{i}] must be 0 or 1")
+        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
 
     @property
     def untouched_variables(self) -> frozenset:
@@ -88,13 +89,17 @@ class BinaryLinearSystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryLinearSystem":
         try:
+            rows = [[int_from_json(j, "variable index") for j in row] for row in data["rows"]]
+            for i, row in enumerate(rows, start=1):
+                if len(set(row)) != len(row):
+                    raise ValidationError(f"equation {i} repeats a variable index")
             return cls(
-                m=int(data["m"]),
-                n=int(data["n"]),
-                rows=tuple(frozenset(int(j) for j in row) for row in data["rows"]),
-                b=tuple(int(v) for v in data["b"]),
+                m=int_from_json(data["m"], "m"),
+                n=int_from_json(data["n"], "n"),
+                rows=tuple(frozenset(row) for row in rows),
+                b=tuple(int_from_json(v, "b entry") for v in data["b"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed system JSON: {exc}") from exc
 
 

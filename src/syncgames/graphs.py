@@ -19,10 +19,10 @@ import numpy as np
 from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem, enumerate_si
-from .labels import label_from_json, label_to_json
+from .labels import int_from_json, label_from_json, label_to_json
 from .matops import DEFAULT_TOL, dagger, identity, kron, norm2
 from .solution_group import GroupRep, verify_rep
-from .strategies import OperatorStrategy
+from .strategies import OperatorStrategy, deterministic_to_operator
 
 MAX_CLIQUE_VERTICES = 40
 MAX_CHI_VERTICES = 20
@@ -43,7 +43,7 @@ class Graph:
         clean = set()
         for e in self.edges:
             u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if any(isinstance(w, bool) or not isinstance(w, int) for w in (u, v)):
                 raise ValidationError(f"edge {e!r} has non-integer endpoints")
             if u == v:
                 raise ValidationError(f"loop at vertex {u} not allowed")
@@ -86,13 +86,15 @@ class Graph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
         try:
-            labels = data.get("labels")
+            labels = data["labels"] if "labels" in data else None
             return cls(
-                n=int(data["n"]),
-                edges=frozenset((int(e[0]), int(e[1])) for e in data["edges"]),
+                n=int_from_json(data["n"], "vertex count"),
+                edges=frozenset(
+                    tuple(int_from_json(v, "edge endpoint") for v in e) for e in data["edges"]
+                ),
                 labels=None if labels is None else tuple(label_from_json(x) for x in labels),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -330,11 +332,7 @@ def independence_certificate_from_set(g: Graph, vertices) -> IndependenceCertifi
     vs = tuple(vertices)
     if not is_independent_set(g, vs):
         raise ValidationError("vertices are not an independent set")
-    one = np.ones((1, 1), dtype=complex)
-    pvms = {(k, v): one for k, v in enumerate(vs)}
-    strategy = OperatorStrategy(
-        dim=1, inputs=tuple(range(len(vs))), outputs=tuple(range(g.n)), pvms=pvms
-    )
+    strategy = deterministic_to_operator(range(len(vs)), range(g.n), dict(enumerate(vs)))
     return IndependenceCertificate(graph=g, value=len(vs), strategy=strategy)
 
 

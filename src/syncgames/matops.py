@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryAmbiguityError, ValidationError, VerificationError
+from .labels import int_from_json
 
 DEFAULT_TOL = 1e-9
 HERMITIAN_INPUT_TOL = 1e-10
@@ -175,12 +176,11 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
-        d = int(data["dim"])
-        entries = data["entries"]
+        d = int_from_json(data["dim"], "matrix dim")
         mat = np.array(
-            [[complex(pair[0], pair[1]) for pair in row] for row in entries], dtype=complex
+            [[complex(real, imag) for real, imag in row] for row in data["entries"]], dtype=complex
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if mat.shape != (d, d):
         raise ValidationError(f"matrix JSON says dim {d} but entries have shape {mat.shape}")

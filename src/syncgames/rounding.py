@@ -10,7 +10,9 @@ norms use the normalized trace.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import BoundaryAmbiguityError, ValidationError, VerificationError
@@ -25,7 +27,7 @@ from .matops import (
     norm2,
 )
 
-ROUNDING_BOUND_FACTOR = 2.0 * np.sqrt(2.0)
+ROUNDING_BOUND_FACTOR = 2.0 * math.sqrt(2.0)
 INPUT_EIGENVALUE_SLACK = 0.1  # how far input eigenvalues may stray outside [0, 1]
 EXACT_TOL = 1e-12             # orthogonality/idempotency promised on outputs
 

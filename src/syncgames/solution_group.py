@@ -32,6 +32,7 @@ from .matops import (
 from .strategies import (
     OperatorStrategy,
     correlation_from_tracial,
+    deterministic_to_operator,
     is_perfect,
     is_synchronous,
 )
@@ -116,7 +117,7 @@ class GroupRep:
                 images=tuple(matrix_from_json(w) for w in data["images"]),
                 j_image=matrix_from_json(data["j"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed representation JSON: {exc}") from exc
 
 
@@ -230,11 +231,6 @@ def normalize_j(rep: GroupRep, tol: float = DEFAULT_TOL) -> GroupRep:
     return GroupRep(images=compressed, j_image=-identity(cols.shape[1]))
 
 
-def _spectral_half(w: np.ndarray, sign: int, eye: np.ndarray) -> np.ndarray:
-    """chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed."""
-    return (eye + sign * w) / 2
-
-
 def strategy_from_rep(
     rep: GroupRep,
     sys: BinaryLinearSystem,
@@ -272,7 +268,8 @@ def strategy_from_rep(
         for x in enumerate_si(sys, i):
             e = eye
             for j in support:
-                e = e @ _spectral_half(rep.images[j - 1], x[j - 1], eye)
+                # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed
+                e = e @ ((eye + x[j - 1] * rep.images[j - 1]) / 2)
             e = (e + dagger(e)) / 2
             total = total + e
             if norm2(e) > 1e-14:  # keep the stored family sparse
@@ -379,9 +376,8 @@ def strategy_from_solution(sys: BinaryLinearSystem, x) -> OperatorStrategy:
         if not sys.equation_holds(i, x):
             raise ValidationError(f"vector fails equation {i}; not a classical solution")
     game = build_synbcs(sys)
-    one = np.ones((1, 1), dtype=complex)
-    pvms = {}
-    for i in range(1, sys.m + 1):
-        local = tuple(x[j - 1] if j in sys.rows[i - 1] else 1 for j in range(1, sys.n + 1))
-        pvms[(i, local)] = one
-    return OperatorStrategy(dim=1, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    local = {
+        i: tuple(x[j - 1] if j in sys.rows[i - 1] else 1 for j in range(1, sys.n + 1))
+        for i in game.inputs
+    }
+    return deterministic_to_operator(game.inputs, game.outputs, local)

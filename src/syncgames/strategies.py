@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ClusterAmbiguityError, ValidationError, VerificationError
-from .labels import label_from_json, label_to_json
+from .labels import int_from_json, label_from_json, label_to_json
 from .matops import (
     DEFAULT_TOL,
     as_matrix,
@@ -125,7 +125,8 @@ class OperatorStrategy:
             max_complete = max(max_complete, norm2(total - eye))
         return PVMDefects(max_adj, max_proj, max_complete)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
+    def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
+        """Raise unless every PVM defect is within tol; return the defects."""
         d = self.defects()
         if d.max > tol:
             raise VerificationError(
@@ -133,6 +134,7 @@ class OperatorStrategy:
                 f"adjoint {d.max_adjoint:.3e}, projection {d.max_projection:.3e}, "
                 f"completeness {d.max_completeness:.3e} vs tol {tol:g}"
             )
+        return d
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,7 +155,7 @@ class OperatorStrategy:
     def from_json_dict(cls, data: dict) -> "OperatorStrategy":
         try:
             return cls(
-                dim=int(data["dim"]),
+                dim=int_from_json(data["dim"], "strategy dim"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
                 outputs=tuple(label_from_json(a) for a in data["outputs"]),
                 pvms={
@@ -163,7 +165,7 @@ class OperatorStrategy:
                     for e in data["pvms"]
                 },
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed strategy JSON: {exc}") from exc
 
 
@@ -255,15 +257,15 @@ class BipartiteStrategy:
                 }
 
             return cls(
-                dim_a=int(data["dim_a"]),
-                dim_b=int(data["dim_b"]),
+                dim_a=int_from_json(data["dim_a"], "dim_a"),
+                dim_b=int_from_json(data["dim_b"], "dim_b"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
                 outputs=tuple(label_from_json(a) for a in data["outputs"]),
                 alice=side(data["alice"]),
                 bob=side(data["bob"]),
-                state=np.array([complex(p[0], p[1]) for p in data["state"]]),
+                state=np.array([complex(real, imag) for real, imag in data["state"]]),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed bipartite strategy JSON: {exc}") from exc
 
 
@@ -363,7 +365,11 @@ class Correlation:
             outputs = tuple(label_from_json(a) for a in data["outputs"])
             p: dict = {}
             if "p" in data:
-                dense = np.asarray(data["p"], dtype=float)
+                dense = np.asarray(data["p"])
+                shape = (len(inputs), len(inputs), len(outputs), len(outputs))
+                if dense.dtype.kind not in "iuf" or dense.shape != shape:
+                    raise ValidationError(f"dense correlation must be a {shape} array of numbers")
+                dense = dense.astype(float)
                 for ix, x in enumerate(inputs):
                     for iy, y in enumerate(inputs):
                         for ia, a in enumerate(outputs):
@@ -373,6 +379,8 @@ class Correlation:
                                     p[(x, y, a, b)] = val
             else:
                 for x, y, a, b, val in data["entries"]:
+                    if isinstance(val, bool) or not isinstance(val, (int, float)):
+                        raise ValidationError(f"correlation value {val!r} is not a number")
                     p[
                         (
                             label_from_json(x),
@@ -382,13 +390,13 @@ class Correlation:
                         )
                     ] = float(val)
             return cls(inputs=inputs, outputs=outputs, p=p)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed correlation JSON: {exc}") from exc
 
 
 def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:
     """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace."""
-    s.validate(tol)
+    defects = s.validate(tol)
     p: dict = {}
     keys = s.stored_keys()
     for x, a in keys:
@@ -399,7 +407,7 @@ def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> C
                 raise VerificationError(f"non-real trace {val!r} at {(x, y, a, b)!r}")
             p[(x, y, a, b)] = val.real
     corr = Correlation(inputs=s.inputs, outputs=s.outputs, p=p)
-    corr.validate(max(tol, 10 * s.defects().max))
+    corr.validate(max(tol, 10 * defects.max))
     return corr
 
 

@@ -117,6 +117,76 @@ def test_verification_exit_code_for_bad_strategy(tmp_path, magic_square_file):
     assert code == 3
 
 
+SYSTEM = {"m": 1, "n": 2, "rows": [[1, 2]], "b": [1]}  # each case below breaks one field
+RAGGED_MATRIX = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["system", "solve", "--in"], {**SYSTEM, "m": "x"}),
+        (["system", "solve", "--in"], {**SYSTEM, "rows": [[1.5, 2]]}),
+        (["system", "solve", "--in"], {**SYSTEM, "rows": [[True, 2]]}),
+        (["system", "solve", "--in"], {**SYSTEM, "b": [True]}),
+        (["graph", "alpha", "--in"], {"n": 3, "edges": [[0, 1.7]]}),
+        (["round", "--out", "o.json", "--in"], {"pvms": [RAGGED_MATRIX]}),
+        (
+            ["strategy", "check", "--correlation"],
+            {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 1], "p": [[[[0.5, 0.0], [0.5]]]]},
+        ),
+        (["system", "solve", "--in"], None),  # missing input file
+    ],
+    ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
+         "ragged-correlation", "missing-path"],
+)
+def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
+    """Runs in-process, so an uncaught exception (a traceback) fails the test."""
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    assert main(argv + [str(path), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    data = json.loads(report.read_text())
+    assert data["exit_code"] == 2 and data["error"].startswith("invalid input: ")
+
+
+def failing_runs(tmp_path) -> dict:
+    """argv, exit code and report error of one failing run per failure kind."""
+    game = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
+    empty = {"dim": 2, "inputs": [1, 2, 3, 4, 5, 6], "outputs": [[1] * 9], "pvms": []}
+    big = {"kind": "hom", "G": complete(70).to_json_dict(), "H": complete(2).to_json_dict()}
+    return {
+        "verification": (
+            ["game", "check-strategy", "--game", write_json(tmp_path, "game.json", game),
+             "--strategy", write_json(tmp_path, "empty.json", empty)],
+            3,
+            "failed checks: game-algebra-relations",
+        ),
+        "budget": (
+            ["game", "solve-classical", "--in", write_json(tmp_path, "big.json", big)],
+            4,
+            "budget exceeded: search space of 70.0 bits exceeds budget of 64.0; undecided",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["verification", "budget"])
+def test_failed_run_still_writes_report(tmp_path, case):
+    argv, code, error = failing_runs(tmp_path)[case]
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == code
+    data = json.loads(report.read_text())
+    assert (data["exit_code"], data["error"]) == (code, error)
+    assert sorted(data["inputs"]) == sorted(a for a in argv if a.endswith(".json"))
+
+
+def test_demo_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "magic-square", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_group_pipeline_via_files(tmp_path, magic_square_file, pauli_rep_file, capsys):
     strat = tmp_path / "strategy.json"
     assert (
@@ -265,7 +335,7 @@ def test_schema_dump(capsys):
 def test_demo_magic_square_report_is_byte_stable(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["demo", "magic-square", "--report", str(r1)]) == 0
-    assert main(["demo", "magic-square", "--report", str(r2), "--jobs", "2"]) == 0
+    assert main(["demo", "magic-square", "--report", str(r2)]) == 0
     p1 = json.loads(r1.read_text())
     p2 = json.loads(r2.read_text())
     assert p1["payload"] == p2["payload"]

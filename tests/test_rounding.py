@@ -1,6 +1,8 @@
 """Projection rounding: the single-contraction bound and the family construction."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,7 @@ def test_two_level_contraction_matches_hand_computation():
     assert report.defect == pytest.approx(0.09, abs=1e-12)
     assert report.bound == pytest.approx(2 * np.sqrt(2) * 0.09, abs=1e-12)
     assert report.bound_holds
+    assert json.loads(json.dumps(report.as_dict()))["bound_holds"] is True
 
 
 def test_distance_bound_never_violated_on_random_contractions():
