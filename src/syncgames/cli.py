@@ -94,9 +94,10 @@ SCHEMAS = {
     "representation": '{"dim": d, "images": [matrix, ... n], "j": matrix}',
     "pvm_family": '{"pvms": [matrix, ...]}',
     "certificate_bundle": '{"value": c, "graph": {...}|"path", "strategy": {...}|"path"} '
-    "(paths resolved relative to the bundle file)",
+    "(paths resolved relative to the bundle file; reports digest the files named)",
     "report": '{"command": str, "inputs": {path: sha256}, "payload": {...}, "wall_time_s": float}, '
-    'plus "exit_code": int and "error": str when the exit code is not 0',
+    'with a digest for every file read, plus "exit_code": int and "error": str when the exit '
+    "code is not 0",
     "labels": "ints and strings pass through; tuples serialize as JSON lists",
 }
 
@@ -106,7 +107,7 @@ def _read_json(path: str, digests: Optional[dict] = None) -> dict:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in a bundle-named path
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if digests is not None:
         digests[path] = hashlib.sha256(raw).hexdigest()
@@ -143,8 +144,8 @@ class Run:
         self.started = time.monotonic()
 
     def track(self, path: str, loader: Callable):
-        """Read one input file, record its digest and parse it with loader(data, path)."""
-        return loader(_read_json(path, self.inputs), path)
+        """Read one input file, record its digest and parse it with its loader."""
+        return loader(_read_json(path, self.inputs), path, self.inputs)
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append({"name": name, "pass": bool(ok), "detail": detail})
@@ -173,21 +174,21 @@ class Run:
 
 # --------------------------------------------------------------- loaders --
 
-def _load_pvm_family(data: dict, path: str) -> list:
+def _load_pvm_family(data: dict, *_) -> list:
     try:
         return [matrix_from_json(m) for m in data["pvms"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed PVM family JSON: {exc}") from exc
 
 
-def _load_cert_bundle(data: dict, path: str) -> IndependenceCertificate:
-    """A certificate bundle; string entries name files relative to the bundle file."""
-    base = os.path.dirname(os.path.abspath(path))
+def _load_cert_bundle(data: dict, path: str, digests: dict) -> IndependenceCertificate:
+    """A certificate bundle; string entries name files relative to the bundle file,
+    whose digests are recorded next to the bundle's."""
 
     def part(key, cls):
         entry = data[key]
         if isinstance(entry, str):
-            entry = _read_json(os.path.join(base, entry))
+            entry = _read_json(os.path.join(os.path.dirname(path), entry), digests)
         return cls.from_json_dict(entry)
 
     try:
@@ -200,15 +201,16 @@ def _load_cert_bundle(data: dict, path: str) -> IndependenceCertificate:
         raise ValidationError(f"malformed certificate bundle: {exc}") from exc
 
 
-# Each loader takes the parsed JSON object and the path it was read from.
+# Each loader takes the parsed JSON object, the path it was read from and the
+# run's digest table (for any further file it reads).
 LOADERS = {
-    "system": lambda data, path: BinaryLinearSystem.from_json_dict(data),
-    "graph": lambda data, path: Graph.from_json_dict(data),
-    "strategy": lambda data, path: OperatorStrategy.from_json_dict(data),
-    "game": lambda data, path: game_from_json_dict(data),
-    "rep": lambda data, path: GroupRep.from_json_dict(data),
-    "bipartite": lambda data, path: BipartiteStrategy.from_json_dict(data),
-    "correlation": lambda data, path: Correlation.from_json_dict(data),
+    "system": lambda data, *_: BinaryLinearSystem.from_json_dict(data),
+    "graph": lambda data, *_: Graph.from_json_dict(data),
+    "strategy": lambda data, *_: OperatorStrategy.from_json_dict(data),
+    "game": lambda data, *_: game_from_json_dict(data),
+    "rep": lambda data, *_: GroupRep.from_json_dict(data),
+    "bipartite": lambda data, *_: BipartiteStrategy.from_json_dict(data),
+    "correlation": lambda data, *_: Correlation.from_json_dict(data),
     "pvm_family": _load_pvm_family,
     "cert_bundle": _load_cert_bundle,
 }

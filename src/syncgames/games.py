@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, VerificationError
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import label_from_json, label_to_json
 from .matops import norm2
@@ -193,6 +193,8 @@ def build_iso_game(g, h) -> SyncGame:
 
 def game_from_json_dict(data: dict) -> SyncGame:
     kind = data.get("kind")
+    if not isinstance(kind, (str, type(None))):
+        raise ValidationError(f"game kind {kind!r} is not a string")
     required = {"synbcs": ("system",), "hom": ("G", "H"), "iso": ("G", "H")}.get(kind, ())
     missing = [key for key in required if key not in data]
     if missing:
@@ -309,6 +311,14 @@ class GameRelationReport:
     @property
     def passes(self) -> bool:
         return self.max_residual <= self.tol
+
+    def require(self, what: str) -> None:
+        """Raise VerificationError, naming what was checked, unless the relations hold."""
+        if not self.passes:
+            raise VerificationError(
+                f"{what} fails the game-algebra relations: max residual {self.max_residual:.3e} "
+                f"> {self.tol:g} (worst losing tuple {self.worst_losing!r})"
+            )
 
     def as_dict(self) -> dict:
         return {

@@ -20,7 +20,7 @@ from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import int_from_json, label_from_json, label_to_json
-from .matops import DEFAULT_TOL, dagger, identity, kron, norm2
+from .matops import DEFAULT_TOL, dagger, identity, kron, max_pairwise_distance, norm2
 from .solution_group import GroupRep, verify_rep
 from .strategies import OperatorStrategy, deterministic_to_operator
 
@@ -67,9 +67,6 @@ class Graph:
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def label_of(self, v: int):
-        return v if self.labels is None else self.labels[v]
 
     def complement(self) -> "Graph":
         comp = frozenset(
@@ -183,7 +180,7 @@ def alpha(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> int:
 
 
 def omega(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> int:
-    return alpha(g.complement(), max_vertices=max_vertices)
+    return len(max_clique(g, max_vertices=max_vertices))
 
 
 def _k_colourable(g: Graph, k: int, clique) -> Optional[dict]:
@@ -317,15 +314,6 @@ class IndependenceCertificate:
     def verify(self, tol: float = DEFAULT_TOL) -> GameRelationReport:
         return check_game_algebra_relations(self.game(), self.strategy, tol)
 
-    def verify_or_raise(self, tol: float = DEFAULT_TOL) -> GameRelationReport:
-        report = self.verify(tol)
-        if not report.passes:
-            raise VerificationError(
-                f"independence certificate fails: max residual {report.max_residual:.3e} > {tol:g} "
-                f"(worst losing tuple {report.worst_losing!r})"
-            )
-        return report
-
 
 def independence_certificate_from_set(g: Graph, vertices) -> IndependenceCertificate:
     """Wrap a classical independent set as a d = 1 certificate."""
@@ -361,12 +349,7 @@ def iso_strategy_from_bcs(
             pvms[(("g", u), ("h", v))] = mat
             pvms[(("h", v), ("g", u))] = mat
     iso = OperatorStrategy(dim=s.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
-    report = check_game_algebra_relations(game, iso, tol)
-    if not report.passes:
-        raise VerificationError(
-            f"isomorphism strategy fails: max residual {report.max_residual:.3e} > {tol:g} "
-            f"(offending relation case {report.worst_losing!r})"
-        )
+    check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso
 
 
@@ -397,13 +380,10 @@ def transport_independence(
     Kronecker products f_{k,x} = sum_v e_{k,v} (x) q_{v,x}, and the returned
     certificate for the target graph is verified before being returned.
     """
-    cert.verify_or_raise(tol)
-    iso_game = build_iso_game(cert.graph, target)
-    iso_report = check_game_algebra_relations(iso_game, iso, tol)
-    if not iso_report.passes:
-        raise VerificationError(
-            f"isomorphism strategy fails: max residual {iso_report.max_residual:.3e} > {tol:g}"
-        )
+    cert.verify(tol).require("independence certificate")
+    check_game_algebra_relations(build_iso_game(cert.graph, target), iso, tol).require(
+        "isomorphism strategy"
+    )
     pvms = {}
     for k in cert.strategy.inputs:
         for x in range(target.n):
@@ -424,7 +404,7 @@ def transport_independence(
         pvms=pvms,
     )
     out = IndependenceCertificate(graph=target, value=cert.value, strategy=transported)
-    out.verify_or_raise(tol)
+    out.verify(tol).require("transported independence certificate")
     return out
 
 
@@ -448,7 +428,7 @@ def rep_from_independence(
     g_b = graph_from_system(sys, use_b=True)
     if cert.graph.n != g_b.n or cert.graph.edges != g_b.edges or cert.graph.labels != g_b.labels:
         raise ValidationError("certificate graph is not the system's incompatibility graph")
-    cert.verify_or_raise(tol)
+    cert.verify(tol).require("independence certificate")
     if choice_tol is None:
         choice_tol = 2.0 * g_b.n * math.sqrt(tol)
     d = cert.strategy.dim
@@ -469,19 +449,13 @@ def rep_from_independence(
             images.append(identity(d))
             continue
         mats = [slot_unitary(i, j) for i in eqs]
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                spread = norm2(mats[a] - mats[b])
-                if spread > choice_tol:
-                    raise VerificationError(
-                        f"variable {j}: slots {eqs[a]} and {eqs[b]} glue only within "
-                        f"{spread:.3e} > {choice_tol:.3e}; defective certificate"
-                    )
+        spread, pair = max_pairwise_distance(mats)
+        if spread > choice_tol:
+            raise VerificationError(
+                f"variable {j}: slots {eqs[pair[0]]} and {eqs[pair[1]]} glue only within "
+                f"{spread:.3e} > {choice_tol:.3e}; defective certificate"
+            )
         images.append(mats[0])
     rep = GroupRep(images=tuple(images), j_image=-identity(d))
-    final = verify_rep(rep, sys, 10 * tol)
-    if not final.passes:
-        raise VerificationError(
-            f"recovered representation fails relators at {final.max_residual:.3e} > {10 * tol:g}"
-        )
+    verify_rep(rep, sys, 10 * tol).require("recovered representation")
     return rep

@@ -45,6 +45,17 @@ def norm2(a) -> float:
     return float(np.sqrt(np.sum(np.abs(mat) ** 2).real / d))
 
 
+def max_pairwise_distance(mats) -> tuple:
+    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two."""
+    worst, witness = 0.0, None
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            diff = norm2(mats[a] - mats[b])
+            if diff > worst:
+                worst, witness = diff, (a, b)
+    return worst, witness
+
+
 def ntrace(a) -> complex:
     """Normalized trace tr(a)/d."""
     mat = as_matrix(a)
@@ -74,8 +85,9 @@ def hermitian_eig(h, *, max_dim: int = MAX_EIG_DIM) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, certified by reconstruction residual.
 
     The input must be Hermitian within 1e-10 entrywise and no larger than
-    max_dim; the reconstruction U diag(w) U* must match within 1e-9 * d in
-    Frobenius norm or a VerificationError is raised.
+    max_dim; the reconstruction U diag(w) U* must match within
+    1e-9 * d * max(1, ||H||_F) in Frobenius norm, so the bound scales with the
+    input, or a VerificationError is raised.
     """
     mat = as_matrix(h)
     d = mat.shape[0]
@@ -88,8 +100,9 @@ def hermitian_eig(h, *, max_dim: int = MAX_EIG_DIM) -> EigResult:
     sym = (mat + dagger(mat)) / 2
     w, u = np.linalg.eigh(sym)
     residual = float(np.linalg.norm(u @ np.diag(w) @ dagger(u) - mat))
-    if residual > 1e-9 * d:
-        raise VerificationError(f"eigendecomposition residual {residual:.3e} > {1e-9 * d:.3e}")
+    bound = 1e-9 * d * max(1.0, float(np.linalg.norm(mat)))
+    if residual > bound:
+        raise VerificationError(f"eigendecomposition residual {residual:.3e} > {bound:.3e}")
     return EigResult(eigenvalues=w, eigenvectors=u)
 
 

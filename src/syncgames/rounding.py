@@ -25,6 +25,7 @@ from .matops import (
     hermitian_eig,
     identity,
     norm2,
+    projection_onto_columns,
 )
 
 ROUNDING_BOUND_FACTOR = 2.0 * math.sqrt(2.0)
@@ -69,6 +70,16 @@ def _validated_contraction(p, input_slack: float) -> tuple:
     return mat, eig
 
 
+def _upper_half_columns(eig, boundary_margin: float) -> np.ndarray:
+    """Eigenvectors for eigenvalues >= 1/2; raise BoundaryAmbiguityError if one lies
+    within boundary_margin of 1/2 (boundary_margin = 0 disables the check)."""
+    lam = eig.eigenvalues
+    near = np.abs(lam - 0.5) < boundary_margin
+    if np.any(near):
+        raise BoundaryAmbiguityError(f"eigenvalue {lam[near][0]:.12g} within {boundary_margin:g} of 1/2")
+    return eig.eigenvectors[:, lam >= 0.5]
+
+
 def round_contraction(
     p,
     *,
@@ -84,15 +95,7 @@ def round_contraction(
     input_slack and treated as clipped.
     """
     mat, eig = _validated_contraction(p, input_slack)
-    lam = eig.eigenvalues
-    if boundary_margin > 0 and np.any(np.abs(lam - 0.5) < boundary_margin):
-        worst = lam[np.abs(lam - 0.5) < boundary_margin][0]
-        raise BoundaryAmbiguityError(
-            f"eigenvalue {worst:.12g} within {boundary_margin:g} of 1/2"
-        )
-    cols = eig.eigenvectors[:, lam >= 0.5]
-    q = cols @ dagger(cols)
-    q = (q + dagger(q)) / 2
+    q = projection_onto_columns(_upper_half_columns(eig, boundary_margin))
     defect = norm2(mat - mat @ mat)
     distance = norm2(mat - q)
     report = ContractionRoundingReport(
@@ -227,15 +230,8 @@ def orthogonalize_family(
         h = r @ p @ r
         h = (h + dagger(h)) / 2
         eig = hermitian_eig(h)
-        lam = eig.eigenvalues
-        if boundary_margin > 0 and np.any(np.abs(lam - 0.5) < boundary_margin):
-            worst = lam[np.abs(lam - 0.5) < boundary_margin][0]
-            raise BoundaryAmbiguityError(
-                f"compressed element has eigenvalue {worst:.12g} within {boundary_margin:g} of 1/2"
-            )
-        cols = _orthonormalize_against(eig.eigenvectors[:, lam >= 0.5], basis)
-        q = cols @ dagger(cols)
-        qs.append((q + dagger(q)) / 2)
+        cols = _orthonormalize_against(_upper_half_columns(eig, boundary_margin), basis)
+        qs.append(projection_onto_columns(cols))
         basis = np.concatenate([basis, cols], axis=1)
 
     sum_before = norm2(sum(validated) - eye)

@@ -27,6 +27,7 @@ from .matops import (
     identity,
     matrix_from_json,
     matrix_to_json,
+    max_pairwise_distance,
     norm2,
 )
 from .strategies import (
@@ -149,6 +150,13 @@ class RepVerificationReport:
     def passes(self) -> bool:
         return self.max_residual <= self.tol
 
+    def require(self, what: str) -> None:
+        """Raise VerificationError, naming what was checked, unless every relator passes."""
+        if not self.passes:
+            raise VerificationError(
+                f"{what} fails the relators: max residual {self.max_residual:.3e} > {self.tol:g}"
+            )
+
     def as_dict(self) -> dict:
         return {
             "tol": self.tol,
@@ -241,9 +249,9 @@ def strategy_from_rep(
 
     E_{i,x} is the product over the equation's support of the spectral-half
     projections picked by x; off-support solutions are zero and omitted.  The
-    construction certifies that each equation's projections sum to the
-    identity and that the resulting tracial correlation is a synchronous
-    perfect correlation for the BCS game.
+    construction certifies (through correlation_from_tracial) that each
+    equation's projections sum to the identity and that the resulting tracial
+    correlation is a synchronous perfect correlation for the BCS game.
     """
     if not sys.covers_all_columns:
         raise ValidationError(
@@ -253,32 +261,22 @@ def strategy_from_rep(
     eye = identity(rep.dim)
     if norm2(rep.j_image + eye) > tol:
         raise ValidationError("representation must have j_image = -I; apply normalize_j first")
-    report = verify_rep(rep, sys, tol)
-    if not report.passes:
-        raise VerificationError(
-            f"representation fails relator check: max residual {report.max_residual:.3e} > {tol:g}"
-        )
+    verify_rep(rep, sys, tol).require("representation")
     eps = tol if eps is None else eps
 
     game = build_synbcs(sys)
     pvms = {}
     for i in range(1, sys.m + 1):
         support = sorted(sys.rows[i - 1])
-        total = np.zeros((rep.dim, rep.dim), dtype=complex)
         for x in enumerate_si(sys, i):
             e = eye
             for j in support:
                 # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed
                 e = e @ ((eye + x[j - 1] * rep.images[j - 1]) / 2)
             e = (e + dagger(e)) / 2
-            total = total + e
             if norm2(e) > 1e-14:  # keep the stored family sparse
                 pvms[(i, x)] = e
-        defect = norm2(total - eye)
-        if defect > tol:
-            raise VerificationError(
-                f"equation {i}: spectral projections sum to I only within {defect:.3e} > {tol:g}"
-            )
+    # correlation_from_tracial validates the PVMs, completeness included, at tol
     strategy = OperatorStrategy(dim=rep.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
     corr = correlation_from_tracial(strategy, tol)
     if not is_synchronous(corr, eps):
@@ -313,12 +311,9 @@ def variable_image_candidates(
             v = (v + dagger(v)) / 2
             mats.append((i, v))
         candidates[k] = mats
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                diff = norm2(mats[a][1] - mats[b][1])
-                if diff > worst:
-                    worst = diff
-                    witness = (k, mats[a][0], mats[b][0])
+        spread, pair = max_pairwise_distance([v for _, v in mats])
+        if spread > worst:
+            worst, witness = spread, (k, mats[pair[0]][0], mats[pair[1]][0])
     return candidates, (worst, witness)
 
 
@@ -341,11 +336,7 @@ def rep_from_strategy(
             f"variables {sorted(sys.untouched_variables)} appear in no equation"
         )
     game = build_synbcs(sys)
-    report = check_game_algebra_relations(game, s, tol)
-    if not report.passes:
-        raise VerificationError(
-            f"strategy fails the game-algebra relations: max residual {report.max_residual:.3e} > {tol:g}"
-        )
+    check_game_algebra_relations(game, s, tol).require("strategy")
     if choice_tol is None:
         s_max = max(len(enumerate_si(sys, i)) for i in range(1, sys.m + 1))
         choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
@@ -358,11 +349,7 @@ def rep_from_strategy(
         )
     images = tuple(candidates[k][0][1] for k in range(1, sys.n + 1))
     rep = GroupRep(images=images, j_image=-identity(s.dim))
-    final = verify_rep(rep, sys, 10 * tol)
-    if not final.passes:
-        raise VerificationError(
-            f"recovered representation fails relators at {final.max_residual:.3e} > {10 * tol:g}"
-        )
+    verify_rep(rep, sys, 10 * tol).require("recovered representation")
     return rep
 
 

@@ -51,6 +51,22 @@ def _validated_pvm_dict(pvms: dict, dim: int, inputs: tuple, outputs: tuple) -> 
     return clean
 
 
+def _pvms_to_json(s: OperatorStrategy) -> list:
+    """The {"input", "output", "matrix"} entries of a strategy's stored operators."""
+    return [
+        dict(input=label_to_json(x), output=label_to_json(a), matrix=matrix_to_json(s.pvms[(x, a)]))
+        for x, a in s.stored_keys()
+    ]
+
+
+def _pvms_from_json(entries) -> dict:
+    """Inverse of _pvms_to_json: (input, output) -> operator."""
+    return {
+        (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(e["matrix"])
+        for e in entries
+    }
+
+
 @dataclass(frozen=True)
 class PVMDefects:
     max_adjoint: float
@@ -141,14 +157,7 @@ class OperatorStrategy:
             "dim": self.dim,
             "inputs": [label_to_json(x) for x in self.inputs],
             "outputs": [label_to_json(a) for a in self.outputs],
-            "pvms": [
-                {
-                    "input": label_to_json(x),
-                    "output": label_to_json(a),
-                    "matrix": matrix_to_json(self.pvms[(x, a)]),
-                }
-                for x, a in self.stored_keys()
-            ],
+            "pvms": _pvms_to_json(self),
         }
 
     @classmethod
@@ -158,12 +167,7 @@ class OperatorStrategy:
                 dim=int_from_json(data["dim"], "strategy dim"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
                 outputs=tuple(label_from_json(a) for a in data["outputs"]),
-                pvms={
-                    (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(
-                        e["matrix"]
-                    )
-                    for e in data["pvms"]
-                },
+                pvms=_pvms_from_json(data["pvms"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed strategy JSON: {exc}") from exc
@@ -207,14 +211,6 @@ class BipartiteStrategy:
     def state_matrix(self) -> np.ndarray:
         return self.state.reshape(self.dim_a, self.dim_b)
 
-    def alice_matrix(self, x, a) -> np.ndarray:
-        mat = self.alice.get((x, a))
-        return np.zeros((self.dim_a, self.dim_a), dtype=complex) if mat is None else mat
-
-    def bob_matrix(self, y, b) -> np.ndarray:
-        mat = self.bob.get((y, b))
-        return np.zeros((self.dim_b, self.dim_b), dtype=complex) if mat is None else mat
-
     def alice_strategy(self) -> OperatorStrategy:
         return OperatorStrategy(self.dim_a, self.inputs, self.outputs, dict(self.alice))
 
@@ -222,47 +218,26 @@ class BipartiteStrategy:
         return OperatorStrategy(self.dim_b, self.inputs, self.outputs, dict(self.bob))
 
     def to_json_dict(self) -> dict:
-        def side(pvms):
-            return [
-                {
-                    "input": label_to_json(x),
-                    "output": label_to_json(a),
-                    "matrix": matrix_to_json(mat),
-                }
-                for (x, a), mat in sorted(
-                    pvms.items(),
-                    key=lambda kv: (self.inputs.index(kv[0][0]), self.outputs.index(kv[0][1])),
-                )
-            ]
-
         return {
             "dim_a": self.dim_a,
             "dim_b": self.dim_b,
             "inputs": [label_to_json(x) for x in self.inputs],
             "outputs": [label_to_json(a) for a in self.outputs],
-            "alice": side(self.alice),
-            "bob": side(self.bob),
+            "alice": _pvms_to_json(self.alice_strategy()),
+            "bob": _pvms_to_json(self.bob_strategy()),
             "state": [[float(z.real), float(z.imag)] for z in self.state],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartiteStrategy":
         try:
-            def side(entries):
-                return {
-                    (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(
-                        e["matrix"]
-                    )
-                    for e in entries
-                }
-
             return cls(
                 dim_a=int_from_json(data["dim_a"], "dim_a"),
                 dim_b=int_from_json(data["dim_b"], "dim_b"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
                 outputs=tuple(label_from_json(a) for a in data["outputs"]),
-                alice=side(data["alice"]),
-                bob=side(data["bob"]),
+                alice=_pvms_from_json(data["alice"]),
+                bob=_pvms_from_json(data["bob"]),
                 state=np.array([complex(real, imag) for real, imag in data["state"]]),
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -363,6 +338,9 @@ class Correlation:
         try:
             inputs = tuple(label_from_json(x) for x in data["inputs"])
             outputs = tuple(label_from_json(a) for a in data["outputs"])
+            counts = [int_from_json(data[key], f"correlation {key}") for key in ("n", "m")]
+            if counts != [len(inputs), len(outputs)]:
+                raise ValidationError(f"correlation n, m = {counts} do not match the labels listed")
             p: dict = {}
             if "p" in data:
                 dense = np.asarray(data["p"])
@@ -378,17 +356,14 @@ class Correlation:
                                 if val != 0.0:
                                     p[(x, y, a, b)] = val
             else:
-                for x, y, a, b, val in data["entries"]:
+                input_set, output_set = frozenset(inputs), frozenset(outputs)
+                for *labels, val in data["entries"]:
+                    x, y, a, b = map(label_from_json, labels)
+                    if not ({x, y} <= input_set and {a, b} <= output_set):
+                        raise ValidationError(f"unlisted label in correlation entry {[x, y, a, b]!r}")
                     if isinstance(val, bool) or not isinstance(val, (int, float)):
                         raise ValidationError(f"correlation value {val!r} is not a number")
-                    p[
-                        (
-                            label_from_json(x),
-                            label_from_json(y),
-                            label_from_json(a),
-                            label_from_json(b),
-                        )
-                    ] = float(val)
+                    p[(x, y, a, b)] = float(val)
             return cls(inputs=inputs, outputs=outputs, p=p)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed correlation JSON: {exc}") from exc
@@ -486,60 +461,11 @@ def sync_vector_defect(s: BipartiteStrategy) -> float:
     """max over (x, a) of || (E (x) I) psi - (I (x) F) psi ||; zero certifies the
     synchronous-state condition needed by the block decomposition."""
     m = s.state_matrix()
+    alice, bob = s.alice_strategy(), s.bob_strategy()
     worst = 0.0
-    for x in s.inputs:
-        for a in s.outputs:
-            e = s.alice.get((x, a))
-            f = s.bob.get((x, a))
-            if e is None and f is None:
-                continue
-            left = (e @ m) if e is not None else np.zeros_like(m)
-            right = (m @ f.T) if f is not None else np.zeros_like(m)
-            worst = max(worst, float(np.linalg.norm(left - right)))
+    for x, a in set(s.alice) | set(s.bob):
+        worst = max(worst, float(np.linalg.norm(alice.matrix(x, a) @ m - m @ bob.matrix(x, a).T)))
     return worst
-
-
-def _pad_to_square(s: BipartiteStrategy) -> BipartiteStrategy:
-    """Equalize the two local dimensions: the smaller side's first output absorbs an
-    identity summand and every other output a zero summand, leaving the correlation
-    unchanged."""
-    if s.dim_a == s.dim_b:
-        return s
-    d = max(s.dim_a, s.dim_b)
-    first = s.outputs[0]
-
-    def pad_side(pvms, old_dim):
-        extra = d - old_dim
-        out = {}
-        seen_first_inputs = set()
-        for (x, a), mat in pvms.items():
-            big = np.zeros((d, d), dtype=complex)
-            big[:old_dim, :old_dim] = mat
-            if a == first:
-                big[old_dim:, old_dim:] = np.eye(extra)
-                seen_first_inputs.add(x)
-            out[(x, a)] = big
-        for x in s.inputs:
-            if x not in seen_first_inputs:
-                big = np.zeros((d, d), dtype=complex)
-                big[old_dim:, old_dim:] = np.eye(extra)
-                out[(x, first)] = big
-        return out
-
-    m = s.state_matrix()
-    big_m = np.zeros((d, d), dtype=complex)
-    big_m[: s.dim_a, : s.dim_b] = m
-    alice = pad_side(s.alice, s.dim_a) if s.dim_a < d else dict(s.alice)
-    bob = pad_side(s.bob, s.dim_b) if s.dim_b < d else dict(s.bob)
-    return BipartiteStrategy(
-        dim_a=d,
-        dim_b=d,
-        inputs=s.inputs,
-        outputs=s.outputs,
-        alice=alice,
-        bob=bob,
-        state=big_m.reshape(-1),
-    )
 
 
 def _schmidt_levels(sigma: np.ndarray, cluster_tol: float) -> list:
@@ -566,20 +492,19 @@ def decompose_qs(
 ) -> list:
     """Decompose a synchronous bipartite strategy into weighted tracial blocks.
 
-    Computes the Schmidt decomposition of the shared state, groups equal
-    Schmidt coefficients into level sets, verifies that each level's subspace
-    reduces every row unitary on both sides, and returns (weight, compressed
+    Computes the Schmidt decomposition of the dim_a x dim_b state matrix (the
+    local dimensions may differ), groups equal Schmidt coefficients into level
+    sets, verifies that each level's subspace reduces every row unitary on both
+    sides, each under its own normalized trace, and returns (weight, compressed
     tracial strategy) pairs whose convex recombination reproduces the input
     correlation within 10 * tol.  The level subspaces are certified rather
     than trusted: a reduction residual above tol raises ClusterAmbiguityError.
     """
-    s = _pad_to_square(s)
     defect = sync_vector_defect(s)
     if defect > tol:
         raise VerificationError(
             f"synchronous-state defect {defect:.3e} > {tol:g}; not a synchronous strategy"
         )
-    d = s.dim_a
     m = s.state_matrix()
     rho = m @ dagger(m)
     eig = hermitian_eig((rho + dagger(rho)) / 2)
@@ -591,10 +516,11 @@ def decompose_qs(
     if not levels:
         raise VerificationError("state has no Schmidt coefficient above the clustering tolerance")
 
-    alice_unitaries = {x: pvm_to_unitary([s.alice_matrix(x, a) for a in s.outputs]) for x in s.inputs}
-    bob_unitaries = {x: pvm_to_unitary([s.bob_matrix(x, a) for a in s.outputs]) for x in s.inputs}
+    alice, bob = s.alice_strategy(), s.bob_strategy()
+    alice_unitaries = {x: pvm_to_unitary(alice.row(x)) for x in s.inputs}
+    bob_unitaries = {x: pvm_to_unitary(bob.row(x)) for x in s.inputs}
 
-    eye = identity(d)
+    eye_a, eye_b = identity(s.dim_a), identity(s.dim_b)
     blocks = []
     for level in levels:
         a_cols = vecs[:, level]
@@ -605,8 +531,8 @@ def decompose_qs(
         p_l = a_cols @ dagger(a_cols)
         q_l = b_cols @ dagger(b_cols)
         for x in s.inputs:
-            res_a = norm2((eye - p_l) @ alice_unitaries[x] @ p_l)
-            res_b = norm2((eye - q_l) @ bob_unitaries[x] @ q_l)
+            res_a = norm2((eye_a - p_l) @ alice_unitaries[x] @ p_l)
+            res_b = norm2((eye_b - q_l) @ bob_unitaries[x] @ q_l)
             if max(res_a, res_b) > tol:
                 raise ClusterAmbiguityError(
                     f"level set of size {len(level)} fails the reduction check at input {x!r} "

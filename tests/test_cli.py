@@ -1,14 +1,24 @@
 """CLI surface: exit-code taxonomy, file pipelines, report stability."""
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_exact_pvm
 
-from syncgames import complete, mermin_peres_system, pauli_magic_square_rep
+from syncgames import (
+    complete,
+    empty_graph,
+    independence_certificate_from_set,
+    mermin_peres_system,
+    pauli_magic_square_rep,
+)
 from syncgames.cli import main
 from syncgames.matops import matrix_to_json
 
@@ -135,9 +145,13 @@ RAGGED_MATRIX = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}
             {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 1], "p": [[[[0.5, 0.0], [0.5]]]]},
         ),
         (["system", "solve", "--in"], None),  # missing input file
+        (
+            ["strategy", "check", "--correlation"],
+            {"n": 5, "m": 9, "inputs": [0], "outputs": [0], "entries": [[7, 7, 3, 4, 0.5]]},
+        ),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
-         "ragged-correlation", "missing-path"],
+         "ragged-correlation", "missing-path", "correlation-labels"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
@@ -324,6 +338,79 @@ def test_graph_transport_via_bundles(tmp_path, magic_square_file, pauli_rep_file
     )
     assert code == 0
     assert main(["graph", "certify", "--cert", str(out)]) == 0
+
+
+def test_certify_report_digests_the_files_a_bundle_names(tmp_path):
+    cert = independence_certificate_from_set(empty_graph(3), [0, 2])
+    graph_file = write_json(tmp_path, "g.json", cert.graph.to_json_dict())
+    strategy_file = write_json(tmp_path, "s.json", cert.strategy.to_json_dict())
+    bundle = {"value": 2, "graph": "g.json", "strategy": "s.json"}
+    bundle_file = write_json(tmp_path, "bundle.json", bundle)
+    report = tmp_path / "report.json"
+    assert main(["graph", "certify", "--cert", bundle_file, "--report", str(report)]) == 0
+    digests = {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in (bundle_file, graph_file, strategy_file)
+    }
+    assert json.loads(report.read_text())["inputs"] == digests
+
+
+# Per loader kind: a command reading that kind (the fuzzed file goes last) and the
+# keys of the object it expects.
+FUZZ_KINDS = {
+    "system": (["system", "solve", "--in"], ["m", "n", "rows", "b"]),
+    "graph": (["graph", "alpha", "--in"], ["n", "edges", "labels"]),
+    "strategy": (["strategy", "correlation", "--out", "out.json", "--tracial"],
+                 ["dim", "inputs", "outputs", "pvms"]),
+    "game": (["game", "solve-classical", "--in"],
+             ["kind", "system", "G", "H", "inputs", "outputs", "losing"]),
+    "rep": (["group", "normalize-j", "--out", "out.json", "--rep"], ["dim", "images", "j"]),
+    "bipartite": (["strategy", "decompose-qs", "--in"],
+                  ["dim_a", "dim_b", "inputs", "outputs", "alice", "bob", "state"]),
+    "correlation": (["strategy", "check", "--correlation"],
+                    ["n", "m", "inputs", "outputs", "p", "entries"]),
+    "pvm_family": (["round", "--out", "out.json", "--in"], ["pvms"]),
+    "cert_bundle": (["graph", "certify", "--cert"], ["value", "graph", "strategy"]),
+}
+# Small integers keep every declared size (dimensions, vertex counts) cheap to act on.
+_numbers = st.integers(-2, 5) | st.floats(allow_nan=True, allow_infinity=True)
+_matrices = st.integers(0, 3).flatmap(
+    lambda d: st.fixed_dictionaries({
+        "dim": st.just(d),
+        "entries": st.lists(
+            st.lists(st.lists(_numbers, min_size=2, max_size=2), min_size=d, max_size=d),
+            min_size=d, max_size=d,
+        ),
+    })
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3) | _matrices
+    | st.sampled_from(["synbcs", "hom", "iso", "explicit", "input", "output", "matrix"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+# Huge finite entries overflow inside the PVM checks; numpy warns and the run still
+# ends with a documented code, which is what this test checks.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_input_exits_with_a_documented_code(kind, data):
+    """Random JSON, shaped like each loader's object or not, never escapes the exit codes."""
+    command, keys = FUZZ_KINDS[kind]
+    payload = data.draw(st.dictionaries(st.sampled_from(keys), _json) | _json)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [str(Path(tmp) / a) if a.endswith(".json") else a for a in command]
+        code = main(argv + [str(path), "--report", str(Path(tmp) / "report.json")])
+        assert code in (0, 2, 3, 4)
+        assert json.loads((Path(tmp) / "report.json").read_text())["command"]
 
 
 def test_schema_dump(capsys):

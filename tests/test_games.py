@@ -6,7 +6,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from conftest import exhaustive_solutions, random_hermitian, random_system
+from conftest import exhaustive_solutions, random_hermitian, random_system, random_unitary
 
 from syncgames import (
     BinaryLinearSystem,
@@ -213,3 +213,25 @@ def test_wins_rejects_unknown_labels():
     game = build_hom_game(complete(2), complete(2))
     with pytest.raises(ValidationError):
         game.wins(0, 5, 0, 0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_relation_check_invariant_under_unitary_conjugation(magic_square, eps):
+    """Conjugating every operator by one Haar unitary keeps the verdict and the residuals."""
+    rng = np.random.default_rng(31)
+    strategy = strategy_from_rep(pauli_magic_square_rep(), magic_square)
+    pvms = {key: mat + random_hermitian(4, rng, scale=eps) for key, mat in strategy.pvms.items()}
+    u = random_unitary(4, rng)
+    base = OperatorStrategy(dim=4, inputs=strategy.inputs, outputs=strategy.outputs, pvms=pvms)
+    rotated = OperatorStrategy(
+        dim=4, inputs=strategy.inputs, outputs=strategy.outputs,
+        pvms={key: u @ mat @ u.conj().T for key, mat in pvms.items()},
+    )
+    game = build_synbcs(magic_square)
+    before = check_game_algebra_relations(game, base, tol=1e-9)
+    after = check_game_algebra_relations(game, rotated, tol=1e-9)
+    assert before.passes == after.passes == (eps == 0.0)
+    for field in ("max_adjoint_defect", "max_projection_defect", "max_completeness_defect",
+                  "max_losing_overlap", "max_residual"):
+        assert abs(getattr(before, field) - getattr(after, field)) <= 1e-12
+    assert (before.n_stored, before.n_losing_checked) == (after.n_stored, after.n_losing_checked)

@@ -374,3 +374,32 @@ def test_monotone_chain_alpha_cert_chi(magic_square, pauli_rep):
     cert_b = transport_independence(cert0, swap_iso_strategy(iso), g_b, tol=1e-9)
     assert cert_b.verify(1e-9).passes
     assert alpha(g_b) <= cert_b.value <= chi(g_b.complement(), max_vertices=24)
+
+
+def _assert_same_strategy(s, t):
+    assert (s.dim, s.inputs, s.outputs) == (t.dim, t.inputs, t.outputs)
+    assert s.pvms.keys() == t.pvms.keys()
+    assert all(np.array_equal(s.pvms[key], mat) for key, mat in t.pvms.items())
+
+
+def test_swap_iso_strategy_is_an_involution(magic_square, pauli_rep):
+    from syncgames.strategies import OperatorStrategy
+
+    # a classical isomorphism of two 3-vertex paths along a 3-cycle: swapping changes it
+    g = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
+    h = Graph(n=3, edges=frozenset({(1, 2), (0, 2)}))
+    perm = {0: 1, 1: 2, 2: 0}
+    one = np.eye(1, dtype=complex)
+    pvms = {}
+    for u, v in perm.items():
+        pvms[(("g", u), ("h", v))] = pvms[(("h", v), ("g", u))] = one
+    game = build_iso_game(g, h)
+    iso = OperatorStrategy(dim=1, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    assert check_game_algebra_relations(game, iso, 1e-12).passes
+    swapped = swap_iso_strategy(iso)
+    assert swapped.pvms.keys() != iso.pvms.keys()
+    assert check_game_algebra_relations(build_iso_game(h, g), swapped, 1e-12).passes
+    _assert_same_strategy(swap_iso_strategy(swapped), iso)
+
+    quantum = iso_strategy_from_bcs(strategy_from_rep(pauli_rep, magic_square), magic_square)
+    _assert_same_strategy(swap_iso_strategy(swap_iso_strategy(quantum)), quantum)

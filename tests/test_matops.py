@@ -142,3 +142,13 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects_shape_mismatch():
     with pytest.raises(ValidationError):
         matrix_from_json({"dim": 2, "entries": [[[1.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_eig_bound_scales_with_the_norm(d):
+    """A valid Hermitian matrix of spectral norm 1e8 passes (the bound was 1e-9 * d alone)."""
+    h = random_hermitian(d, np.random.default_rng(d), scale=1e8)
+    res = hermitian_eig(h)
+    u = res.eigenvectors
+    residual = np.linalg.norm(u @ np.diag(res.eigenvalues) @ u.conj().T - h)
+    assert residual <= 1e-9 * d * np.linalg.norm(h)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_exact_pvm
+from conftest import random_exact_pvm, random_unitary
 
 from syncgames import build_hom_game, complete
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
@@ -343,6 +343,74 @@ def test_decompose_pads_unequal_dimensions():
     assert blocks[0][1].dim == 2
 
 
+def _rectangular_strategy(rng, extra_a, extra_b):
+    """A two-block synchronous strategy whose state lives on a common core of the two
+    local spaces; each side gets extra dimensions carrying their own PVMs, and each side
+    is rotated by its own Haar unitary."""
+    core, _ = _block_diagonal_strategy(rng, dims=(2, 1), weights=(0.6, 0.4))
+    k = core.dim_a
+
+    def widen(pvms, extra):
+        rows = {x: random_exact_pvm(extra, len(core.outputs), rng) for x in core.inputs}
+        u = random_unitary(k + extra, rng)
+        out = {}
+        for (x, a), mat in pvms.items():
+            big = np.zeros((k + extra, k + extra), dtype=complex)
+            big[:k, :k] = mat
+            big[k:, k:] = rows[x][a]
+            out[(x, a)] = u @ big @ u.conj().T
+        return out, u
+
+    alice, u = widen(core.alice, extra_a)
+    bob, v = widen(core.bob, extra_b)
+    psi = np.zeros((k + extra_a, k + extra_b), dtype=complex)
+    psi[:k, :k] = core.state_matrix()
+    return BipartiteStrategy(
+        dim_a=k + extra_a, dim_b=k + extra_b, inputs=core.inputs, outputs=core.outputs,
+        alice=alice, bob=bob, state=(u @ psi @ v.T).reshape(-1),
+    )
+
+
+def _zero_padded_square(s: BipartiteStrategy) -> BipartiteStrategy:
+    """Embed the smaller side into the larger dimension: zero rows and columns, plus an
+    identity summand on each input's first output so every row still sums to I."""
+    d = max(s.dim_a, s.dim_b)
+
+    def pad(pvms, dim):
+        out = {}
+        for x in s.inputs:
+            for a in s.outputs:
+                big = np.zeros((d, d), dtype=complex)
+                big[:dim, :dim] = pvms.get((x, a), 0.0)
+                if a == s.outputs[0]:
+                    big[dim:, dim:] = np.eye(d - dim)
+                out[(x, a)] = big
+        return out
+
+    m = np.zeros((d, d), dtype=complex)
+    m[: s.dim_a, : s.dim_b] = s.state_matrix()
+    return BipartiteStrategy(
+        dim_a=d, dim_b=d, inputs=s.inputs, outputs=s.outputs,
+        alice=pad(s.alice, s.dim_a), bob=pad(s.bob, s.dim_b), state=m.reshape(-1),
+    )
+
+
+@pytest.mark.parametrize("extra_a, extra_b", [(0, 2), (2, 0), (1, 3), (3, 1)])
+def test_decompose_rectangular_matches_zero_padded_square(extra_a, extra_b):
+    rng = np.random.default_rng(500 + 10 * extra_a + extra_b)
+    for _ in range(5):
+        s = _rectangular_strategy(rng, extra_a, extra_b)
+        blocks = decompose_qs(s, tol=1e-9)
+        padded = decompose_qs(_zero_padded_square(s), tol=1e-9)
+        assert [b.dim for _, b in blocks] == [b.dim for _, b in padded]
+        assert sorted(b.dim for _, b in blocks) == [1, 2]
+        for (weight, block), (weight_sq, block_sq) in zip(blocks, padded):
+            assert abs(weight - weight_sq) <= 1e-12
+            c_block = correlation_from_tracial(block).to_dense()
+            c_square = correlation_from_tracial(block_sq).to_dense()
+            assert np.max(np.abs(c_block - c_square)) <= 1e-12
+
+
 def test_decompose_rejects_nonsynchronous_state():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)
@@ -415,6 +483,23 @@ def test_correlation_json_roundtrip_dense_and_sparse():
     assert dense.p == corr.p
     sparse = Correlation.from_json_dict(corr.to_json_dict(max_dense_cells=0))
     assert sparse.p == corr.p
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 5, "m": 9, "inputs": [0], "outputs": [0], "entries": [[7, 7, 3, 4, 0.5]]},
+        {"n": 1, "m": 1, "inputs": [0], "outputs": [0], "entries": [[7, 7, 3, 4, 0.5]]},
+        {"n": 1, "m": 1, "inputs": [0], "outputs": [0], "entries": [[0, 0, 0, 4, 0.5]]},
+        {"n": 2, "m": 1, "inputs": [0], "outputs": [0], "entries": [[0, 0, 0, 0, 1.0]]},
+        {"n": 1, "m": 3, "inputs": [0], "outputs": [0], "p": [[[[1.0]]]]},
+        {"inputs": [0], "outputs": [0], "p": [[[[1.0]]]]},
+    ],
+    ids=["counts-and-labels", "input-label", "output-label", "n-count", "m-count", "no-counts"],
+)
+def test_correlation_loader_refuses_counts_and_labels_off_the_lists(data):
+    with pytest.raises(ValidationError):
+        Correlation.from_json_dict(data)
 
 
 def test_correlation_validation():
