@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_GAME_VARIABLES = 20
 DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
+MAX_SYNC_SCAN_CELLS = 2_000_000
+MAX_LOSING_TABLE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,11 @@ class SyncGame:
             raise ValidationError(f"unknown output label in ({a!r}, {b!r})")
         return bool(self.predicate(x, y, a, b))
 
-    def synchronicity_holds(self, max_cells: int = 2_000_000) -> bool:
+    def synchronicity_holds(self) -> bool:
         """Full diagonal predicate scan: V(x,x,a,b) = 0 whenever a != b."""
         cells = len(self.inputs) * len(self.outputs) ** 2
-        if cells > max_cells:
-            raise BudgetError(f"synchronicity scan needs {cells} cells > {max_cells}")
+        if cells > MAX_SYNC_SCAN_CELLS:
+            raise BudgetError(f"synchronicity scan needs {cells} cells > {MAX_SYNC_SCAN_CELLS}")
         for x in self.inputs:
             for a in self.outputs:
                 for b in self.outputs:
@@ -63,12 +65,12 @@ class SyncGame:
                         return False
         return True
 
-    def to_json_dict(self, max_cells: int = 1_000_000) -> dict:
+    def to_json_dict(self) -> dict:
         if self.source is not None:
             return dict(self.source)
         cells = len(self.inputs) ** 2 * len(self.outputs) ** 2
-        if cells > max_cells:
-            raise BudgetError(f"explicit losing table needs {cells} cells > {max_cells}")
+        if cells > MAX_LOSING_TABLE_CELLS:
+            raise BudgetError(f"explicit losing table needs {cells} cells > {MAX_LOSING_TABLE_CELLS}")
         losing = [
             [label_to_json(x), label_to_json(y), label_to_json(a), label_to_json(b)]
             for x in self.inputs
@@ -108,12 +110,12 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
     )
 
 
-def build_synbcs(sys: BinaryLinearSystem, max_vars: int = MAX_GAME_VARIABLES) -> SyncGame:
+def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     """The synchronous BCS game of a GF(2) system: inputs are equations, outputs are
     global sign vectors; players win when both answers are local solutions agreeing
     on shared variables."""
-    if sys.n > max_vars:
-        raise BudgetError(f"synBCS output set 2^{sys.n} exceeds the n <= {max_vars} budget")
+    if sys.n > MAX_GAME_VARIABLES:
+        raise BudgetError(f"synBCS output set 2^{sys.n} exceeds the n <= {MAX_GAME_VARIABLES} budget")
     solutions = {i: frozenset(enumerate_si(sys, i)) for i in range(1, sys.m + 1)}
     shared = {
         (i, j): tuple(sorted(sys.rows[i - 1] & sys.rows[j - 1]))
@@ -232,26 +234,21 @@ class DeterministicStrategy:
         )
 
 
-def find_deterministic_perfect(
-    game: SyncGame,
-    *,
-    max_bits: float = DEFAULT_SEARCH_BITS,
-    max_nodes: int = DEFAULT_SEARCH_NODES,
-) -> Optional[DeterministicStrategy]:
+def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy]:
     """Backtracking search for a perfect deterministic strategy.
 
     Returns None only when the exhaustive search proved none exists; raises
     BudgetError (an explicit undecided outcome) when the assignment space
-    exceeds max_bits or the node budget runs out.  Inputs are processed most
-    constrained first and partial assignments are pruned against every
-    previously assigned input.
+    exceeds DEFAULT_SEARCH_BITS bits or the search exceeds DEFAULT_SEARCH_NODES
+    nodes.  Inputs are processed most constrained first and partial
+    assignments are pruned against every previously assigned input.
     """
     n_inputs = len(game.inputs)
     n_outputs = len(game.outputs)
     bits = n_inputs * math.log2(max(n_outputs, 1))
-    if bits > max_bits:
+    if bits > DEFAULT_SEARCH_BITS:
         raise BudgetError(
-            f"search space of {bits:.1f} bits exceeds budget of {max_bits:.1f}; undecided"
+            f"search space of {bits:.1f} bits exceeds budget of {DEFAULT_SEARCH_BITS:.1f}; undecided"
         )
     candidates = {
         x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
@@ -269,8 +266,8 @@ def find_deterministic_perfect(
         x = order[depth]
         for a in candidates[x]:
             nodes += 1
-            if nodes > max_nodes:
-                raise BudgetError(f"search exceeded {max_nodes} nodes; undecided")
+            if nodes > DEFAULT_SEARCH_NODES:
+                raise BudgetError(f"search exceeded {DEFAULT_SEARCH_NODES} nodes; undecided")
             if all(
                 game.predicate(x, y, a, b) and game.predicate(y, x, b, a)
                 for y, b in assignment.items()

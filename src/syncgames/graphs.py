@@ -165,13 +165,18 @@ def _max_clique_search(neighbors) -> list:
     return sorted(best)
 
 
-def max_clique(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> list:
+def _require_clique_budget(g: Graph, max_vertices: int) -> None:
     if g.n > max_vertices:
         raise BudgetError(f"exact clique search refused for {g.n} > {max_vertices} vertices")
+
+
+def max_clique(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> list:
+    _require_clique_budget(g, max_vertices)
     return _max_clique_search(g.neighbors)
 
 
 def max_independent_set(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> list:
+    _require_clique_budget(g, max_vertices)  # before the O(n^2) complement is built
     return max_clique(g.complement(), max_vertices=max_vertices)
 
 
@@ -229,11 +234,7 @@ def chi(g: Graph, max_vertices: int = MAX_CHI_VERTICES) -> int:
     return upper
 
 
-def graph_from_system(
-    sys: BinaryLinearSystem,
-    use_b: bool = True,
-    max_vertices: int = MAX_SYSTEM_GRAPH_VERTICES,
-) -> Graph:
+def graph_from_system(sys: BinaryLinearSystem, use_b: bool = True) -> Graph:
     """The incompatibility graph: vertices are (equation, local solution) pairs,
     edges join pairs that disagree on a shared variable.
 
@@ -250,8 +251,8 @@ def graph_from_system(
     for i in range(1, variant.m + 1):
         for x in enumerate_si(variant, i):
             labels.append((i, x))
-    if len(labels) > max_vertices:
-        raise BudgetError(f"{len(labels)} vertices exceed the budget of {max_vertices}")
+    if len(labels) > MAX_SYSTEM_GRAPH_VERTICES:
+        raise BudgetError(f"{len(labels)} vertices exceed the budget of {MAX_SYSTEM_GRAPH_VERTICES}")
     supports = {i: variant.rows[i - 1] for i in range(1, variant.m + 1)}
     edges = set()
     for u in range(len(labels)):
@@ -412,7 +413,6 @@ def rep_from_independence(
     cert: IndependenceCertificate,
     sys: BinaryLinearSystem,
     tol: float = DEFAULT_TOL,
-    choice_tol: Optional[float] = None,
 ) -> GroupRep:
     """Recover a solution-group representation from a full-value independence
     certificate for the inhomogeneous incompatibility graph.
@@ -429,8 +429,7 @@ def rep_from_independence(
     if cert.graph.n != g_b.n or cert.graph.edges != g_b.edges or cert.graph.labels != g_b.labels:
         raise ValidationError("certificate graph is not the system's incompatibility graph")
     cert.verify(tol).require("independence certificate")
-    if choice_tol is None:
-        choice_tol = 2.0 * g_b.n * math.sqrt(tol)
+    choice_tol = 2.0 * g_b.n * math.sqrt(tol)
     d = cert.strategy.dim
     slot_of = {i: cert.strategy.inputs[i - 1] for i in range(1, sys.m + 1)}
 

@@ -1,5 +1,5 @@
-"""Dense complex Hermitian matrix kernel: eigendecomposition, spectral projections,
-normalized-trace 2-norms and Kronecker products.
+"""Dense complex Hermitian matrix kernel: eigendecomposition, projections onto
+columns, normalized-trace 2-norms and Kronecker products.
 
 All 2-norms in this package are taken with respect to the NORMALIZED trace,
 norm2(a) = sqrt(tr(a* a) / d), so norm2(I) = 1 in every dimension.  Every distance-bound
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryAmbiguityError, ValidationError, VerificationError
+from .errors import ValidationError, VerificationError
 from .labels import int_from_json
 
 DEFAULT_TOL = 1e-9
@@ -110,73 +110,6 @@ def projection_onto_columns(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of the given (orthonormal) columns."""
     q = cols @ dagger(cols)
     return (q + dagger(q)) / 2
-
-
-def spectral_projection(
-    h,
-    window=None,
-    values=None,
-    *,
-    value_tol: float = BOUNDARY_MARGIN,
-    boundary_margin: float = BOUNDARY_MARGIN,
-    max_dim: int = MAX_EIG_DIM,
-) -> np.ndarray:
-    """Orthogonal projection onto the eigenspaces selected by a window or value set.
-
-    Exactly one of `window` (a closed interval (lo, hi)) or `values` (a finite
-    list of spectral values) must be given.  For a window, an eigenvalue within
-    boundary_margin of an endpoint raises BoundaryAmbiguityError when the
-    endpoint actually separates spectrum (there are eigenvalues beyond it); an
-    endpoint with nothing beyond it is widened by the margin instead, so e.g.
-    eigenvalue 1 of a contraction never trips the upper end of [1/2, 1].  Pass
-    boundary_margin=0 to disable the check.  For a value set, each eigenvalue
-    must either lie within value_tol of a listed value (selected) or be at
-    least 10 * value_tol away from all of them (excluded); anything in between
-    is ambiguous.
-    """
-    if (window is None) == (values is None):
-        raise ValidationError("pass exactly one of window= or values=")
-    eig = hermitian_eig(h, max_dim=max_dim)
-    lam = eig.eigenvalues
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        if lo > hi:
-            raise ValidationError(f"empty window [{lo}, {hi}]")
-        lo_eff, hi_eff = lo, hi
-        if boundary_margin > 0:
-            if np.any(lam > hi + boundary_margin):
-                near = np.abs(lam - hi) < boundary_margin
-                if np.any(near):
-                    raise BoundaryAmbiguityError(
-                        f"eigenvalue {lam[near][0]:.12g} within {boundary_margin:g} of the "
-                        f"separating boundary {hi}; widen or shrink the window"
-                    )
-            else:
-                hi_eff = hi + boundary_margin
-            if np.any(lam < lo - boundary_margin):
-                near = np.abs(lam - lo) < boundary_margin
-                if np.any(near):
-                    raise BoundaryAmbiguityError(
-                        f"eigenvalue {lam[near][0]:.12g} within {boundary_margin:g} of the "
-                        f"separating boundary {lo}; widen or shrink the window"
-                    )
-            else:
-                lo_eff = lo - boundary_margin
-        selected = (lam >= lo_eff) & (lam <= hi_eff)
-    else:
-        vals = np.asarray(list(values), dtype=float)
-        if vals.size == 0:
-            raise ValidationError("empty value set")
-        dist = np.min(np.abs(lam[:, None] - vals[None, :]), axis=1)
-        ambiguous = (dist > value_tol) & (dist < 10 * value_tol)
-        if np.any(ambiguous):
-            worst = lam[ambiguous][0]
-            raise BoundaryAmbiguityError(
-                f"eigenvalue {worst:.12g} at distance {dist[ambiguous][0]:.3e} from the value set; "
-                f"not within {value_tol:g} nor beyond {10 * value_tol:g}"
-            )
-        selected = dist <= value_tol
-    return projection_onto_columns(eig.eigenvectors[:, selected])
 
 
 def matrix_to_json(a) -> dict:

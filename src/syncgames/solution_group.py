@@ -321,7 +321,6 @@ def rep_from_strategy(
     s: OperatorStrategy,
     sys: BinaryLinearSystem,
     tol: float = DEFAULT_TOL,
-    choice_tol: Optional[float] = None,
 ) -> GroupRep:
     """Recover a solution-group representation from a perfect BCS strategy.
 
@@ -337,9 +336,8 @@ def rep_from_strategy(
         )
     game = build_synbcs(sys)
     check_game_algebra_relations(game, s, tol).require("strategy")
-    if choice_tol is None:
-        s_max = max(len(enumerate_si(sys, i)) for i in range(1, sys.m + 1))
-        choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
+    s_max = max(len(enumerate_si(sys, i)) for i in range(1, sys.m + 1))
+    choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
     candidates, (spread, witness) = variable_image_candidates(s, sys)
     if spread > choice_tol:
         k, i, i2 = witness

@@ -9,6 +9,7 @@ row unitary, where w = exp(2*pi*1j/m).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -65,6 +66,13 @@ def _pvms_from_json(entries) -> dict:
         (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(e["matrix"])
         for e in entries
     }
+
+
+def _residual(a: np.ndarray) -> float:
+    try:
+        return norm2(a)
+    except ValidationError:  # an entry overflowed to inf or nan
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -129,16 +137,17 @@ class OperatorStrategy:
         )
 
     def defects(self) -> PVMDefects:
+        """The largest adjoint, idempotency and completeness residuals; a residual
+        that overflows (huge finite entries) is inf, so it fails every check."""
         eye = identity(self.dim)
-        max_adj = 0.0
-        max_proj = 0.0
-        for mat in self.pvms.values():
-            max_adj = max(max_adj, norm2(mat - dagger(mat)))
-            max_proj = max(max_proj, norm2(mat - mat @ mat))
-        max_complete = 0.0
-        for x in self.inputs:
-            total = sum((self.pvms[(x, a)] for a in self.row_outputs(x)), 0.0 * eye)
-            max_complete = max(max_complete, norm2(total - eye))
+        max_adj = max_proj = max_complete = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mat in self.pvms.values():
+                max_adj = max(max_adj, _residual(mat - dagger(mat)))
+                max_proj = max(max_proj, _residual(mat - mat @ mat))
+            for x in self.inputs:
+                total = sum((self.pvms[(x, a)] for a in self.row_outputs(x)), 0.0 * eye)
+                max_complete = max(max_complete, _residual(total - eye))
         return PVMDefects(max_adj, max_proj, max_complete)
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
@@ -506,8 +515,7 @@ def decompose_qs(
             f"synchronous-state defect {defect:.3e} > {tol:g}; not a synchronous strategy"
         )
     m = s.state_matrix()
-    rho = m @ dagger(m)
-    eig = hermitian_eig((rho + dagger(rho)) / 2)
+    eig = hermitian_eig(m @ dagger(m))
     order = np.argsort(eig.eigenvalues)[::-1]
     lam = np.clip(eig.eigenvalues[order], 0.0, None)
     vecs = eig.eigenvectors[:, order]

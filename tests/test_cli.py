@@ -170,6 +170,8 @@ def failing_runs(tmp_path) -> dict:
     game = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
     empty = {"dim": 2, "inputs": [1, 2, 3, 4, 5, 6], "outputs": [[1] * 9], "pvms": []}
     big = {"kind": "hom", "G": complete(70).to_json_dict(), "H": complete(2).to_json_dict()}
+    huge = {"dim": 1, "inputs": [0], "outputs": [0], "pvms": [
+        {"input": 0, "output": 0, "matrix": {"dim": 1, "entries": [[[1e308, 0.0]]]}}]}
     return {
         "verification": (
             ["game", "check-strategy", "--game", write_json(tmp_path, "game.json", game),
@@ -182,10 +184,18 @@ def failing_runs(tmp_path) -> dict:
             4,
             "budget exceeded: search space of 70.0 bits exceeds budget of 64.0; undecided",
         ),
+        # 1e308 squared overflows: the PVM check must fail (exit 3), not warn or exit 2
+        "overflow": (
+            ["strategy", "correlation", "--tracial", write_json(tmp_path, "huge.json", huge),
+             "--out", str(tmp_path / "corr.out")],
+            3,
+            "verification failed: PVM invariants fail: adjoint 0.000e+00, projection inf, "
+            "completeness inf vs tol 1e-09",
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["verification", "budget"])
+@pytest.mark.parametrize("case", ["verification", "budget", "overflow"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"

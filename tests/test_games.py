@@ -21,10 +21,12 @@ from syncgames import (
     pauli_magic_square_rep,
     solve_gf2,
     strategy_from_rep,
+    verify_rep,
 )
 from syncgames.errors import BudgetError, ValidationError
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.graphs import Graph
+from syncgames.solution_group import GroupRep
 from syncgames.strategies import OperatorStrategy
 
 
@@ -215,6 +217,10 @@ def test_wins_rejects_unknown_labels():
         game.wins(0, 5, 0, 0)
 
 
+RELATION_FIELDS = ("max_adjoint_defect", "max_projection_defect", "max_completeness_defect",
+                   "max_losing_overlap", "max_residual")
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 def test_relation_check_invariant_under_unitary_conjugation(magic_square, eps):
     """Conjugating every operator by one Haar unitary keeps the verdict and the residuals."""
@@ -231,7 +237,60 @@ def test_relation_check_invariant_under_unitary_conjugation(magic_square, eps):
     before = check_game_algebra_relations(game, base, tol=1e-9)
     after = check_game_algebra_relations(game, rotated, tol=1e-9)
     assert before.passes == after.passes == (eps == 0.0)
-    for field in ("max_adjoint_defect", "max_projection_defect", "max_completeness_defect",
-                  "max_losing_overlap", "max_residual"):
+    for field in RELATION_FIELDS:
+        assert abs(getattr(before, field) - getattr(after, field)) <= 1e-12
+    assert (before.n_stored, before.n_losing_checked) == (after.n_stored, after.n_losing_checked)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("permuted", ["equations", "variables"])
+def test_relation_check_invariant_under_relabelling(magic_square, permuted, eps):
+    """Permuting the system's equations or its variables, with the strategy and the
+    representation relabelled to match, keeps every verdict and residual."""
+    rng = np.random.default_rng(33)
+    new_eq = list(range(1, magic_square.m + 1))    # old equation i becomes new_eq[i - 1]
+    new_var = list(range(1, magic_square.n + 1))   # old variable j becomes new_var[j - 1]
+    if permuted == "equations":
+        new_eq = [int(v) + 1 for v in rng.permutation(magic_square.m)]
+    else:
+        new_var = [int(v) + 1 for v in rng.permutation(magic_square.n)]
+    rows, b = [None] * magic_square.m, [None] * magic_square.m
+    for i, row in enumerate(magic_square.rows, start=1):
+        rows[new_eq[i - 1] - 1] = frozenset(new_var[j - 1] for j in row)
+        b[new_eq[i - 1] - 1] = magic_square.b[i - 1]
+    moved = BinaryLinearSystem(m=magic_square.m, n=magic_square.n, rows=tuple(rows), b=tuple(b))
+
+    def relabel(i, x):
+        y = [0] * len(x)
+        for j, v in enumerate(x, start=1):
+            y[new_var[j - 1] - 1] = v
+        return new_eq[i - 1], tuple(y)
+
+    rep = pauli_magic_square_rep()
+    images = [None] * magic_square.n
+    for j, w in enumerate(rep.images, start=1):
+        images[new_var[j - 1] - 1] = w
+    moved_rep = GroupRep(images=tuple(images), j_image=rep.j_image)
+    rep_before, rep_after = verify_rep(rep, magic_square, 1e-9), verify_rep(moved_rep, moved, 1e-9)
+    assert rep_before.passes and rep_after.passes
+    assert abs(rep_before.max_residual - rep_after.max_residual) <= 1e-12
+
+    exact = strategy_from_rep(rep, magic_square)
+    moved_exact = strategy_from_rep(moved_rep, moved)
+    assert set(moved_exact.pvms) == {relabel(*key) for key in exact.pvms}
+    for key, mat in exact.pvms.items():
+        assert np.max(np.abs(moved_exact.pvms[relabel(*key)] - mat)) <= 1e-12
+
+    pvms = {key: mat + random_hermitian(4, rng, scale=eps) for key, mat in exact.pvms.items()}
+    game, moved_game = build_synbcs(magic_square), build_synbcs(moved)
+    base = OperatorStrategy(dim=4, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    relabelled = OperatorStrategy(
+        dim=4, inputs=moved_game.inputs, outputs=moved_game.outputs,
+        pvms={relabel(*key): mat for key, mat in pvms.items()},
+    )
+    before = check_game_algebra_relations(game, base, tol=1e-9)
+    after = check_game_algebra_relations(moved_game, relabelled, tol=1e-9)
+    assert before.passes == after.passes == (eps == 0.0)
+    for field in RELATION_FIELDS:
         assert abs(getattr(before, field) - getattr(after, field)) <= 1e-12
     assert (before.n_stored, before.n_losing_checked) == (after.n_stored, after.n_losing_checked)

@@ -101,6 +101,15 @@ def test_exact_solvers_refuse_oversized_graphs():
     assert chi(empty_graph(21), max_vertices=25) == 1
 
 
+def test_alpha_refuses_before_building_the_complement(monkeypatch):
+    def complement(self):
+        raise AssertionError("complement built for a graph over the clique cap")
+
+    monkeypatch.setattr(Graph, "complement", complement)
+    with pytest.raises(BudgetError):
+        alpha(empty_graph(2000))
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         Graph(n=2, edges=frozenset({(0, 0)}))

@@ -1,4 +1,4 @@
-"""Matrix kernel: eigendecomposition, spectral projections, tracial norms, kron."""
+"""Matrix kernel: eigendecomposition, tracial norms, kron, matrix JSON."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_hermitian
 
-from syncgames.errors import BoundaryAmbiguityError, ValidationError
+from syncgames.errors import ValidationError
 from syncgames.matops import (
     hermitian_eig,
     kron,
@@ -14,10 +14,8 @@ from syncgames.matops import (
     matrix_to_json,
     norm2,
     ntrace,
-    spectral_projection,
 )
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -54,49 +52,6 @@ def test_eig_rejects_non_hermitian():
 def test_eig_rejects_dimension_above_cap():
     with pytest.raises(ValidationError):
         hermitian_eig(np.eye(8), max_dim=4)
-
-
-def test_spectral_projection_window_trivial():
-    q = spectral_projection(np.diag([1.0, 0.0]), window=(0.5, 1.0))
-    assert np.allclose(q, np.diag([1.0, 0.0]))
-
-
-def test_spectral_projection_value_set_pauli_x():
-    q = spectral_projection(PAULI_X, values=[-1.0])
-    assert np.allclose(q, 0.5 * np.array([[1, -1], [-1, 1]]))
-
-
-def test_spectral_projection_three_level_contraction():
-    # the [1/2, 1] window keeps exactly the top eigenvalue of diag(0.9, 0.4, 0.1)
-    q = spectral_projection(np.diag([0.9, 0.4, 0.1]), window=(0.5, 1.0))
-    assert np.allclose(q, np.diag([1.0, 0.0, 0.0]))
-
-
-def test_spectral_projection_boundary_ambiguity():
-    with pytest.raises(BoundaryAmbiguityError):
-        spectral_projection(np.diag([0.5 + 1e-9, 0.1]), window=(0.5, 1.0))
-    q = spectral_projection(np.diag([0.5 + 1e-9, 0.1]), window=(0.5, 1.0), boundary_margin=0.0)
-    assert np.allclose(q, np.diag([1.0, 0.0]))
-
-
-def test_spectral_projection_value_set_ambiguity():
-    # 5e-6 is farther than value_tol from 0 but not 10x beyond it: ambiguous
-    with pytest.raises(BoundaryAmbiguityError):
-        spectral_projection(np.diag([1.0, 5e-6]), values=[1.0, 0.0], value_tol=1e-6)
-
-
-def test_spectral_projection_commutes_with_input():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        d = int(rng.integers(2, 8))
-        h = random_hermitian(d, rng)
-        mid = float(np.median(np.linalg.eigvalsh(h)))
-        try:
-            q = spectral_projection(h, window=(mid + 0.05, 2.0))
-        except BoundaryAmbiguityError:
-            continue
-        assert norm2(q @ h - h @ q) <= 1e-9
-        assert norm2(q - q @ q) <= 1e-12
 
 
 def test_norm2_identity_is_one():

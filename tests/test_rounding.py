@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_exact_pvm, random_hermitian
+from conftest import random_exact_pvm, random_hermitian, random_unitary
 
 from syncgames import (
     build_synbcs,
@@ -18,9 +18,10 @@ from syncgames import (
     pauli_magic_square_rep,
     strategy_from_rep,
 )
-from syncgames.errors import BoundaryAmbiguityError, ValidationError
-from syncgames.matops import norm2
+from syncgames.errors import BoundaryAmbiguityError, ValidationError, VerificationError
+from syncgames.matops import norm2, projection_onto_columns
 from syncgames.rounding import (
+    _orthonormalize_against,
     family_budget_constant,
     orthogonalize_family,
     round_contraction,
@@ -33,6 +34,26 @@ BOUND_FACTOR = 2 * np.sqrt(2)
 def perturbed_pvm(d, m, rng, eps):
     """An exact PVM nudged by Hermitian noise of operator norm eps per element."""
     return [p + random_hermitian(d, rng, scale=eps) for p in random_exact_pvm(d, m, rng)]
+
+
+def gram_schmidt_against(cols, basis):
+    """Reference oracle: per-column modified Gram-Schmidt against the basis and the
+    columns already emitted, two passes per column, raising on a norm below 1/2."""
+    out = []
+    for k in range(cols.shape[1]):
+        v = cols[:, k].copy()
+        for _ in range(2):
+            if basis.shape[1]:
+                v = v - basis @ (basis.conj().T @ v)
+            for u in out:
+                v = v - u * np.vdot(u, v)
+        nrm = float(np.linalg.norm(v))
+        if nrm < 0.5:
+            raise VerificationError("spectral block collapsed")
+        out.append(v / nrm)
+    if not out:
+        return np.zeros((cols.shape[0], 0), dtype=complex)
+    return np.column_stack(out)
 
 
 def test_exact_projection_is_fixed():
@@ -154,6 +175,22 @@ def test_family_mixed_dimensions_rejected():
         orthogonalize_family([np.eye(2), np.eye(3)])
 
 
+def test_family_accepts_an_asymmetry_that_compression_amplifies():
+    """Each input is Hermitian within 1e-10, but r p_2 r (r = I - q_1) is not: the
+    compression is symmetrized before its eigensolve, so the family still rounds."""
+    d = 64
+    v = np.eye(d)[0] - np.ones(d) / np.sqrt(d)
+    v /= np.linalg.norm(v)
+    w = np.random.default_rng(48).normal(size=d)
+    w -= v * (v @ w)
+    w /= np.linalg.norm(w)
+    p2 = np.outer(w, w) + 0.45j * 1e-10 * np.ones((d, d))
+    r = np.eye(d) - np.outer(v, v)
+    assert np.max(np.abs(p2 - p2.conj().T)) < 1e-10 < np.max(np.abs(r @ (p2 - p2.conj().T) @ r))
+    qs, report = orthogonalize_family([np.outer(v, v), p2])
+    assert report.outputs_exact and report.within_budget
+
+
 def test_family_boundary_ambiguity():
     with pytest.raises(BoundaryAmbiguityError):
         orthogonalize_family([np.diag([0.5, 0.2])])
@@ -182,3 +219,35 @@ def test_rounded_perturbed_strategy_is_perfect_again():
     corr = correlation_from_tracial(restored, tol=1e-4)
     assert is_synchronous(corr, 1e-9)
     assert is_perfect(corr, game, 1e-9)
+
+
+def test_block_orthonormalization_matches_gram_schmidt():
+    """Random blocks: orthonormal columns off the basis, mixed within the block, plus
+    a large basis component and 1e-6 noise; both methods span the same subspace."""
+    rng = np.random.default_rng(46)
+    for _ in range(40):
+        d = int(rng.integers(2, 33))
+        n_basis = int(rng.integers(0, d))
+        k = int(rng.integers(0, d - n_basis + 1))
+        u = random_unitary(d, rng)
+        basis = u[:, :n_basis]
+        cols = (
+            u[:, n_basis:n_basis + k] @ random_unitary(k, rng)
+            + 0.5 * basis @ rng.normal(size=(n_basis, k))
+            + 1e-6 * (rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
+        )
+        q = _orthonormalize_against(cols, basis)
+        assert q.shape == (d, k)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(k)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(basis.conj().T @ q), initial=0.0) <= 1e-12
+        expected = projection_onto_columns(gram_schmidt_against(cols, basis))
+        assert np.max(np.abs(projection_onto_columns(q) - expected), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("method", [_orthonormalize_against, gram_schmidt_against])
+def test_block_orthonormalization_collapses_on_a_column_in_the_basis_span(method):
+    u = random_unitary(6, np.random.default_rng(47))
+    basis = u[:, :2]
+    cols = np.column_stack([u[:, 2], basis @ np.array([0.6, 0.8])])
+    with pytest.raises(VerificationError):
+        method(cols, basis)

@@ -249,3 +249,36 @@ def test_group_rep_json_roundtrip(pauli_rep):
     for w1, w2 in zip(back.images, pauli_rep.images):
         assert np.allclose(w1, w2)
     assert np.allclose(back.j_image, pauli_rep.j_image)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_tensoring_with_an_identity_keeps_every_verdict(magic_square, pauli_rep, flip):
+    """W_j -> W_j (x) I_2 keeps the relator residuals (normalized trace), and the
+    strategy built from it passes the game-algebra check with the same residuals;
+    with one generator's sign flipped, both representations fail alike."""
+    images = list(pauli_rep.images)
+    if flip:
+        images[0] = -images[0]
+    rep = GroupRep(images=tuple(images), j_image=pauli_rep.j_image)
+    eye = np.eye(2, dtype=complex)
+    wide = GroupRep(
+        images=tuple(np.kron(w, eye) for w in rep.images), j_image=np.kron(rep.j_image, eye)
+    )
+    before, after = verify_rep(rep, magic_square, 1e-9), verify_rep(wide, magic_square, 1e-9)
+    assert before.passes == after.passes == (not flip)
+    assert before.j_nontrivial and after.j_nontrivial
+    assert abs(before.max_residual - after.max_residual) <= 1e-12
+    assert abs(before.j_distance - after.j_distance) <= 1e-12
+    if flip:
+        for r in (rep, wide):
+            with pytest.raises(VerificationError):
+                strategy_from_rep(r, magic_square)
+        return
+    game = build_synbcs(magic_square)
+    small = check_game_algebra_relations(game, strategy_from_rep(rep, magic_square), 1e-9)
+    large = check_game_algebra_relations(game, strategy_from_rep(wide, magic_square), 1e-9)
+    assert small.passes and large.passes
+    for field in ("max_adjoint_defect", "max_projection_defect", "max_completeness_defect",
+                  "max_losing_overlap", "max_residual"):
+        assert abs(getattr(small, field) - getattr(large, field)) <= 1e-12
+    assert (small.n_stored, small.n_losing_checked) == (large.n_stored, large.n_losing_checked)
