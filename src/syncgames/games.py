@@ -4,19 +4,24 @@ constructors, exhaustive classical solving, and the game-algebra relation checke
 Predicates are closures over the generating structure; winning tuples of a BCS
 game are sparse while losing tuples are astronomically many, so games are never
 materialized as losing lists except when loaded from an explicit JSON table.
+The generated games also carry a vectorised losing mask over a list of stored
+(input, output) keys, which the relation checker uses in place of one predicate
+call per pair; it is computed only when asked for.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Callable, Optional
 
+import numpy as np
+
 from .errors import BudgetError, ValidationError, VerificationError
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import label_from_json, label_to_json
-from .matops import norm2
+from .matops import product_norms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .strategies import OperatorStrategy
@@ -37,6 +42,9 @@ class SyncGame:
     predicate: Callable  # (x, y, a, b) -> bool on valid labels
     kind: str = "custom"
     source: Optional[dict] = None  # JSON provenance for generated games
+    # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)];
+    # the vectorised form of the predicate, set by the generating constructors
+    mask_of: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def input_set(self) -> frozenset:
@@ -52,6 +60,14 @@ class SyncGame:
         if a not in self.output_set or b not in self.output_set:
             raise ValidationError(f"unknown output label in ({a!r}, {b!r})")
         return bool(self.predicate(x, y, a, b))
+
+    def losing_mask(self, keys) -> np.ndarray:
+        """(K, K) bool array over (input, output) keys: entry (i, j) is True when the
+        round (x_i, x_j, a_i, a_j) loses.  Labels must be valid for the game."""
+        if self.mask_of is not None:
+            return self.mask_of(keys)
+        mask = [not self.predicate(x, y, a, b) for x, a in keys for y, b in keys]
+        return np.array(mask, dtype=bool).reshape(len(keys), len(keys))
 
     def synchronicity_holds(self) -> bool:
         """Full diagonal predicate scan: V(x,x,a,b) = 0 whenever a != b."""
@@ -128,12 +144,24 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
             return False
         return all(x[k - 1] == y[k - 1] for k in shared[(i, j)])
 
+    def mask_of(keys):
+        # Over the variables two keys' equations share, the signed support rows
+        # give (#agreeing - #disagreeing) = #shared exactly when the answers agree.
+        valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
+        support = np.zeros((len(keys), sys.n), dtype=np.int64)
+        for k, (i, _) in enumerate(keys):
+            support[k, [j - 1 for j in sys.rows[i - 1]]] = 1
+        signed = support * np.array([x for _, x in keys], dtype=np.int64).reshape(len(keys), sys.n)
+        agree = (signed @ signed.T) == (support @ support.T)
+        return ~(valid[:, None] & valid[None, :] & agree)
+
     return SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
         outputs=tuple(iter_product((-1, 1), repeat=sys.n)),
         predicate=predicate,
         kind="synbcs",
         source={"kind": "synbcs", "system": sys.to_json_dict()},
+        mask_of=mask_of,
     )
 
 
@@ -146,12 +174,19 @@ def build_hom_game(g, h) -> SyncGame:
             return False
         return not (g.is_edge(v, w) and not h.is_edge(x, y))
 
+    def mask_of(keys):
+        v = np.array([k[0] for k in keys], dtype=np.intp)
+        x = np.array([k[1] for k in keys], dtype=np.intp)
+        repeated = (v[:, None] == v[None, :]) & (x[:, None] != x[None, :])
+        return repeated | (_adjacency(g)[np.ix_(v, v)] & ~_adjacency(h)[np.ix_(x, x)])
+
     return SyncGame(
         inputs=tuple(range(g.n)),
         outputs=tuple(range(h.n)),
         predicate=predicate,
         kind="hom",
         source={"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
+        mask_of=mask_of,
     )
 
 
@@ -160,6 +195,21 @@ def _rel(graph, u, v) -> int:
     if u == v:
         return 0
     return 1 if graph.is_edge(u, v) else 2
+
+
+def _adjacency(graph) -> np.ndarray:
+    adj = np.zeros((graph.n, graph.n), dtype=bool)
+    if graph.edges:
+        u, v = np.array(list(graph.edges)).T
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def _relation_types(graph) -> np.ndarray:
+    """The n x n matrix of _rel over all vertex pairs."""
+    rel = np.where(_adjacency(graph), 1, 2).astype(np.int8)
+    np.fill_diagonal(rel, 0)
+    return rel
 
 
 def build_iso_game(g, h) -> SyncGame:
@@ -184,12 +234,24 @@ def build_iso_game(g, h) -> SyncGame:
             return False
         return _rel(g, first[0], second[0]) == _rel(h, first[1], second[1])
 
+    def mask_of(keys):
+        pairs = [pair_of(p, r) for p, r in keys]
+        valid = np.flatnonzero([pair is not None for pair in pairs])
+        gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
+        hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
+        mask = np.ones((len(keys), len(keys)), dtype=bool)  # a same-side key loses every round
+        mask[np.ix_(valid, valid)] = (
+            _relation_types(g)[np.ix_(gv, gv)] != _relation_types(h)[np.ix_(hv, hv)]
+        )
+        return mask
+
     return SyncGame(
         inputs=labels,
         outputs=labels,
         predicate=predicate,
         kind="iso",
         source={"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
+        mask_of=mask_of,
     )
 
 
@@ -339,30 +401,27 @@ def check_game_algebra_relations(
     """Residuals of the synchronous game algebra relations: each stored operator must
     be a self-adjoint projection, each input's operators must sum to the identity,
     and operator products over losing tuples must vanish.  Absent operators are
-    zero, so only stored pairs are scanned."""
-    if set(strategy.inputs) != set(game.inputs):
+    zero, so only stored pairs are scanned: the game's losing mask over the
+    stored keys picks the losing pairs, in row-major order, and matops takes
+    the norms of their products in one batch.  The witness is the first pair
+    attaining the largest overlap, None when every overlap is zero.  A product
+    that overflows has overlap inf and fails the check."""
+    if set(strategy.inputs) != game.input_set:
         raise ValidationError("strategy inputs do not match game inputs")
-    if not set(strategy.outputs) <= set(game.outputs):
+    # The strategy checked every stored key against its own labels when it was built,
+    # so these two label-set checks also cover the stored keys.
+    if strategy.outputs != game.outputs and not game.output_set.issuperset(strategy.outputs):
         raise ValidationError("strategy outputs are not a subset of game outputs")
-    for x, a in strategy.pvms:
-        if x not in game.input_set or a not in game.output_set:
-            raise ValidationError(f"stored operator ({x!r}, {a!r}) outside the game's index set")
 
     defects = strategy.defects()
-    keys = strategy.stored_keys()
-    max_losing = 0.0
-    worst = None
-    n_checked = 0
-    for x, a in keys:
-        e = strategy.pvms[(x, a)]
-        for y, b in keys:
-            if game.predicate(x, y, a, b):
-                continue
-            n_checked += 1
-            overlap = norm2(e @ strategy.pvms[(y, b)])
-            if overlap > max_losing:
-                max_losing = overlap
-                worst = (x, y, a, b)
+    keys, stack = strategy.stacked()
+    left, right = np.nonzero(game.losing_mask(keys))
+    overlaps = product_norms(stack, left, right)
+    max_losing, worst = 0.0, None
+    if overlaps.size and overlaps.max() > 0.0:
+        k = int(np.argmax(overlaps))
+        (x, a), (y, b) = keys[left[k]], keys[right[k]]
+        max_losing, worst = float(overlaps[k]), (x, y, a, b)
     return GameRelationReport(
         tol=tol,
         max_adjoint_defect=defects.max_adjoint,
@@ -371,5 +430,5 @@ def check_game_algebra_relations(
         max_losing_overlap=max_losing,
         worst_losing=worst,
         n_stored=len(keys),
-        n_losing_checked=n_checked,
+        n_losing_checked=len(left),
     )

@@ -29,6 +29,7 @@ from .matops import (
     matrix_to_json,
     max_pairwise_distance,
     norm2,
+    residual,
 )
 from .strategies import (
     OperatorStrategy,
@@ -178,27 +179,30 @@ def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL)
         raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
     eye = identity(rep.dim)
     mats = list(rep.images) + [rep.j_image]
-    unitarity = tuple(norm2(dagger(w) @ w - eye) for w in mats)
-    involutions = tuple(norm2(w @ w - eye) for w in mats)
-    mate = []
-    for i in range(1, sys.m + 1):
-        support = sorted(sys.rows[i - 1])
-        for pos, j in enumerate(support):
-            wj = rep.images[j - 1]
-            for k in support[pos + 1 :]:
-                wk = rep.images[k - 1]
-                mate.append(((i, j, k), norm2(wj @ wk - wk @ wj)))
-    j_comm = tuple(
-        (j, norm2(rep.images[j - 1] @ rep.j_image - rep.j_image @ rep.images[j - 1]))
-        for j in range(1, sys.n + 1)
-    )
-    products = []
-    for i in range(1, sys.m + 1):
-        prod = eye
-        for j in sorted(sys.rows[i - 1]):
-            prod = prod @ rep.images[j - 1]
-        target = rep.j_image if sys.b[i - 1] else eye
-        products.append((i, norm2(prod - target)))
+    # Huge finite entries may overflow; residual() turns that into a failed relator.
+    with np.errstate(over="ignore", invalid="ignore"):
+        unitarity = tuple(residual(dagger(w) @ w - eye) for w in mats)
+        involutions = tuple(residual(w @ w - eye) for w in mats)
+        mate = []
+        for i in range(1, sys.m + 1):
+            support = sorted(sys.rows[i - 1])
+            for pos, j in enumerate(support):
+                wj = rep.images[j - 1]
+                for k in support[pos + 1 :]:
+                    wk = rep.images[k - 1]
+                    mate.append(((i, j, k), residual(wj @ wk - wk @ wj)))
+        j_comm = tuple(
+            (j, residual(rep.images[j - 1] @ rep.j_image - rep.j_image @ rep.images[j - 1]))
+            for j in range(1, sys.n + 1)
+        )
+        products = []
+        for i in range(1, sys.m + 1):
+            prod = eye
+            for j in sorted(sys.rows[i - 1]):
+                prod = prod @ rep.images[j - 1]
+            target = rep.j_image if sys.b[i - 1] else eye
+            products.append((i, residual(prod - target)))
+        j_distance = residual(rep.j_image - eye)
     return RepVerificationReport(
         tol=tol,
         unitarity=unitarity,
@@ -206,7 +210,7 @@ def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL)
         mate_commutators=tuple(mate),
         j_commutators=j_comm,
         products=tuple(products),
-        j_distance=norm2(rep.j_image - eye),
+        j_distance=j_distance,
     )
 
 
@@ -218,24 +222,26 @@ def normalize_j(rep: GroupRep, tol: float = DEFAULT_TOL) -> GroupRep:
     eigenprojection fails to commute with some generator image within tol.
     """
     eye = identity(rep.dim)
-    if norm2(rep.j_image + eye) <= tol:
-        return rep
     j = rep.j_image
-    if norm2(j @ j - eye) > tol:
-        raise ValidationError("image of J is not an involution; cannot compress")
-    eig = hermitian_eig((j + dagger(j)) / 2)
-    selected = np.abs(eig.eigenvalues + 1.0) <= 0.5
-    if not np.any(selected):
-        raise ValidationError("image of J has no -1 eigenspace; nothing to compress to")
-    cols = eig.eigenvectors[:, selected]
-    proj = cols @ dagger(cols)
-    for k, w in enumerate(rep.images, start=1):
-        resid = norm2(proj @ w - w @ proj)
-        if resid > tol:
-            raise ValidationError(
-                f"-1 eigenprojection fails to commute with generator {k} (residual {resid:.3e})"
-            )
-    compressed = tuple(dagger(cols) @ w @ cols for w in rep.images)
+    # Huge finite entries may overflow; residual() reads that as inf, which fails a check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if residual(j + eye) <= tol:
+            return rep
+        if residual(j @ j - eye) > tol:
+            raise ValidationError("image of J is not an involution; cannot compress")
+        eig = hermitian_eig((j + dagger(j)) / 2)
+        selected = np.abs(eig.eigenvalues + 1.0) <= 0.5
+        if not np.any(selected):
+            raise ValidationError("image of J has no -1 eigenspace; nothing to compress to")
+        cols = eig.eigenvectors[:, selected]
+        proj = cols @ dagger(cols)
+        for k, w in enumerate(rep.images, start=1):
+            resid = residual(proj @ w - w @ proj)
+            if resid > tol:
+                raise ValidationError(
+                    f"-1 eigenprojection fails to commute with generator {k} (residual {resid:.3e})"
+                )
+        compressed = tuple(dagger(cols) @ w @ cols for w in rep.images)
     return GroupRep(images=compressed, j_image=-identity(cols.shape[1]))
 
 
@@ -259,7 +265,9 @@ def strategy_from_rep(
             "the surjection hypothesis fails"
         )
     eye = identity(rep.dim)
-    if norm2(rep.j_image + eye) > tol:
+    with np.errstate(over="ignore"):
+        j_defect = residual(rep.j_image + eye)
+    if j_defect > tol:
         raise ValidationError("representation must have j_image = -I; apply normalize_j first")
     verify_rep(rep, sys, tol).require("representation")
     eps = tol if eps is None else eps

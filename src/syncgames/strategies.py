@@ -9,7 +9,6 @@ row unitary, where w = exp(2*pi*1j/m).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from .matops import (
     matrix_from_json,
     matrix_to_json,
     norm2,
+    residual,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,13 +66,6 @@ def _pvms_from_json(entries) -> dict:
         (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(e["matrix"])
         for e in entries
     }
-
-
-def _residual(a: np.ndarray) -> float:
-    try:
-        return norm2(a)
-    except ValidationError:  # an entry overflowed to inf or nan
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,12 @@ class OperatorStrategy:
             self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index[key[1]])
         )
 
+    def stacked(self) -> tuple:
+        """(stored_keys(), their operators stacked in that order as a (K, dim, dim) array)."""
+        keys = self.stored_keys()
+        mats = np.array([self.pvms[key] for key in keys], dtype=complex)
+        return keys, mats.reshape(len(keys), self.dim, self.dim)
+
     def defects(self) -> PVMDefects:
         """The largest adjoint, idempotency and completeness residuals; a residual
         that overflows (huge finite entries) is inf, so it fails every check."""
@@ -143,11 +142,11 @@ class OperatorStrategy:
         max_adj = max_proj = max_complete = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for mat in self.pvms.values():
-                max_adj = max(max_adj, _residual(mat - dagger(mat)))
-                max_proj = max(max_proj, _residual(mat - mat @ mat))
+                max_adj = max(max_adj, residual(mat - dagger(mat)))
+                max_proj = max(max_proj, residual(mat - mat @ mat))
             for x in self.inputs:
                 total = sum((self.pvms[(x, a)] for a in self.row_outputs(x)), 0.0 * eye)
-                max_complete = max(max_complete, _residual(total - eye))
+                max_complete = max(max_complete, residual(total - eye))
         return PVMDefects(max_adj, max_proj, max_complete)
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
@@ -212,7 +211,8 @@ class BipartiteStrategy:
             raise ValidationError(
                 f"state has {psi.size} components, expected {self.dim_a * self.dim_b}"
             )
-        nrm = float(np.linalg.norm(psi))
+        with np.errstate(over="ignore"):  # a huge entry gives norm inf, which fails below
+            nrm = float(np.linalg.norm(psi))
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError(f"state norm {nrm!r} is not 1 within 1e-12")
         object.__setattr__(self, "state", psi)
@@ -379,17 +379,27 @@ class Correlation:
 
 
 def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:
-    """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace."""
+    """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace.
+
+    All traces come from one Gram product of the stacked operators, using
+    tr(E F) = sum_kl E_kl F^T_kl; no square root is taken, so this is as exact
+    as the per-pair trace.
+    """
     defects = s.validate(tol)
-    p: dict = {}
-    keys = s.stored_keys()
-    for x, a in keys:
-        e = s.pvms[(x, a)]
-        for y, b in keys:
-            val = complex(np.trace(e @ s.pvms[(y, b)])) / s.dim
-            if abs(val.imag) > 1e-9:
-                raise VerificationError(f"non-real trace {val!r} at {(x, y, a, b)!r}")
-            p[(x, y, a, b)] = val.real
+    keys, stack = s.stacked()
+    flat = stack.reshape(len(keys), -1)
+    traces = flat @ stack.transpose(0, 2, 1).reshape(len(keys), -1).T / s.dim
+    nonreal = np.flatnonzero(np.abs(traces.imag) > 1e-9)
+    if nonreal.size:
+        i, j = divmod(int(nonreal[0]), len(keys))
+        (x, a), (y, b) = keys[i], keys[j]
+        raise VerificationError(f"non-real trace {complex(traces[i, j])!r} at {(x, y, a, b)!r}")
+    real = traces.real.tolist()
+    p = {
+        (x, y, a, b): real[i][j]
+        for i, (x, a) in enumerate(keys)
+        for j, (y, b) in enumerate(keys)
+    }
     corr = Correlation(inputs=s.inputs, outputs=s.outputs, p=p)
     corr.validate(max(tol, 10 * defects.max))
     return corr

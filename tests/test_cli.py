@@ -172,6 +172,14 @@ def failing_runs(tmp_path) -> dict:
     big = {"kind": "hom", "G": complete(70).to_json_dict(), "H": complete(2).to_json_dict()}
     huge = {"dim": 1, "inputs": [0], "outputs": [0], "pvms": [
         {"input": 0, "output": 0, "matrix": {"dim": 1, "entries": [[[1e308, 0.0]]]}}]}
+    one = {"m": 1, "n": 1, "rows": [[1]], "b": [0]}
+    entry = {"dim": 1, "entries": [[[1e200, 0.0]]]}
+    # (-1,) is no local solution, so the pair of stored operators is a losing pair
+    huge_bcs = {"dim": 1, "inputs": [1], "outputs": [[-1], [1]], "pvms": [
+        {"input": 1, "output": [s], "matrix": entry} for s in (-1, 1)]}
+    huge_rep = {"dim": 1, "images": [{"dim": 1, "entries": [[[1.7e308, 0.0]]]}] * 9,
+                "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}
+    magic = write_json(tmp_path, "magic.json", mermin_peres_system().to_json_dict())
     return {
         "verification": (
             ["game", "check-strategy", "--game", write_json(tmp_path, "game.json", game),
@@ -192,10 +200,31 @@ def failing_runs(tmp_path) -> dict:
             "verification failed: PVM invariants fail: adjoint 0.000e+00, projection inf, "
             "completeness inf vs tol 1e-09",
         ),
+        # Overflowing products and relators are failed checks too.
+        "overflow-relations": (
+            ["game", "check-strategy",
+             "--game", write_json(tmp_path, "game1.json", {"kind": "synbcs", "system": one}),
+             "--strategy", write_json(tmp_path, "huge_bcs.json", huge_bcs)],
+            3,
+            "failed checks: game-algebra-relations",
+        ),
+        "overflow-relators": (
+            ["group", "verify", "--system", magic,
+             "--rep", write_json(tmp_path, "huge_rep.json", huge_rep)],
+            3,
+            "failed checks: relators",
+        ),
+        "overflow-to-strategy": (
+            ["group", "to-strategy", "--system", magic, "--rep", str(tmp_path / "huge_rep.json"),
+             "--out", str(tmp_path / "strategy.out")],
+            3,
+            "verification failed: representation fails the relators: max residual inf > 1e-09",
+        ),
     }
 
 
-@pytest.mark.parametrize("case", ["verification", "budget", "overflow"])
+@pytest.mark.parametrize("case", ["verification", "budget", "overflow", "overflow-relations",
+                                  "overflow-relators", "overflow-to-strategy"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"
@@ -403,15 +432,12 @@ _json = st.recursive(
 
 
 @pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
-# Huge finite entries overflow inside the PVM checks; numpy warns and the run still
-# ends with a documented code, which is what this test checks.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_input_exits_with_a_documented_code(kind, data):
-    """Random JSON, shaped like each loader's object or not, never escapes the exit codes."""
+    """Random JSON, shaped like each loader's object or not, never escapes the exit codes.
+    Warnings fail the suite, so a huge finite entry must not make numpy warn either."""
     command, keys = FUZZ_KINDS[kind]
     payload = data.draw(st.dictionaries(st.sampled_from(keys), _json) | _json)
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,7 +6,13 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from conftest import exhaustive_solutions, random_hermitian, random_system, random_unitary
+from conftest import (
+    exhaustive_solutions,
+    random_graph,
+    random_hermitian,
+    random_system,
+    random_unitary,
+)
 
 from syncgames import (
     BinaryLinearSystem,
@@ -16,16 +22,22 @@ from syncgames import (
     check_game_algebra_relations,
     complete,
     empty_graph,
+    enumerate_si,
     find_deterministic_perfect,
     game_from_json_dict,
+    graph_from_system,
+    iso_strategy_from_bcs,
+    mermin_peres_system,
     pauli_magic_square_rep,
     solve_gf2,
     strategy_from_rep,
     verify_rep,
 )
+from syncgames import matops
 from syncgames.errors import BudgetError, ValidationError
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.graphs import Graph
+from syncgames.matops import norm2
 from syncgames.solution_group import GroupRep
 from syncgames.strategies import OperatorStrategy
 
@@ -294,3 +306,131 @@ def test_relation_check_invariant_under_relabelling(magic_square, permuted, eps)
     for field in RELATION_FIELDS:
         assert abs(getattr(before, field) - getattr(after, field)) <= 1e-12
     assert (before.n_stored, before.n_losing_checked) == (after.n_stored, after.n_losing_checked)
+
+
+# ------------------------------------------------- batched relation kernel --
+
+def relation_oracle(game, strategy) -> tuple:
+    """The per-pair loop the batched kernel replaced: (max overlap, witness, pairs checked)
+    over the stored keys in row-major order, taking the first strict maximum."""
+    keys = strategy.stored_keys()
+    max_losing, worst, n_checked = 0.0, None, 0
+    for x, a in keys:
+        e = strategy.pvms[(x, a)]
+        for y, b in keys:
+            if game.predicate(x, y, a, b):
+                continue
+            n_checked += 1
+            overlap = norm2(e @ strategy.pvms[(y, b)])
+            if overlap > max_losing:
+                max_losing, worst = overlap, (x, y, a, b)
+    return max_losing, worst, n_checked
+
+
+def assert_kernel_matches_oracle(game, strategy) -> None:
+    report = check_game_algebra_relations(game, strategy, tol=1e-9)
+    max_losing, worst, n_checked = relation_oracle(game, strategy)
+    assert abs(report.max_losing_overlap - max_losing) <= 1e-12
+    assert report.worst_losing == worst
+    assert (report.n_stored, report.n_losing_checked) == (len(strategy.pvms), n_checked)
+
+
+def kcopy_magic_square(k: int) -> tuple:
+    """k disjoint Mermin-Peres systems and their k-fold Kronecker Pauli representation."""
+    base, pauli = mermin_peres_system(), pauli_magic_square_rep()
+    rows = tuple(frozenset(j + 9 * c for j in r) for c in range(k) for r in base.rows)
+    sys_ = BinaryLinearSystem(m=6 * k, n=9 * k, rows=rows, b=base.b * k)
+    images = []
+    for c in range(k):
+        for w in pauli.images:
+            mat = np.ones((1, 1), dtype=complex)
+            for f in range(k):
+                mat = np.kron(mat, w if f == c else np.eye(4))
+            images.append(mat)
+    return sys_, GroupRep(images=tuple(images), j_image=-np.eye(4**k, dtype=complex))
+
+
+def rotated(strategy: OperatorStrategy, u: np.ndarray) -> OperatorStrategy:
+    pvms = {key: u @ mat @ u.conj().T for key, mat in strategy.pvms.items()}
+    return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
+
+
+def every_key(game) -> list:
+    return [(x, a) for x in game.inputs for a in game.outputs]
+
+
+def mask_cases() -> list:
+    """One (game, keys) param per case, over every game kind; keys mix winning and losing labels."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for t in range(8):
+        sys_ = random_system(rng)
+        game = build_synbcs(sys_)
+        local = [(i, x) for i in game.inputs for x in enumerate_si(sys_, i)]
+        stray = [(int(rng.choice(game.inputs)), game.outputs[int(rng.integers(len(game.outputs)))])
+                 for _ in range(10)]
+        cases.append(pytest.param(game, local + stray, id=f"synbcs-{t}"))
+        g, h = random_graph(rng, int(rng.integers(1, 6))), random_graph(rng, int(rng.integers(1, 6)))
+        for kind, build in (("hom", build_hom_game), ("iso", build_iso_game)):
+            cases.append(pytest.param(build(g, h), every_key(build(g, h)), id=f"{kind}-{t}"))
+    magic = mermin_peres_system()
+    iso = build_iso_game(graph_from_system(magic, use_b=True), graph_from_system(magic, use_b=False))
+    cases.append(pytest.param(iso, [(x, a) for x in iso.inputs[::5] for a in iso.outputs],
+                              id="iso-magic-square"))
+    cases.append(pytest.param(build_synbcs(magic),
+                              [(i, x) for i in range(1, 7) for x in enumerate_si(magic, i)],
+                              id="synbcs-magic-square"))
+    explicit = game_from_json_dict(SyncGame(
+        inputs=(0, 1), outputs=(0, 1, 2), predicate=build_hom_game(complete(2), complete(3)).predicate,
+    ).to_json_dict())
+    cases.append(pytest.param(explicit, every_key(explicit), id="explicit"))
+    return cases
+
+
+@pytest.mark.parametrize("game, keys", mask_cases())
+def test_losing_mask_is_the_negated_predicate(game, keys):
+    expected = [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
+    assert np.array_equal(game.losing_mask(keys), np.array(expected, dtype=bool).reshape(len(keys), -1))
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_relation_kernel_matches_the_loop_on_rotated_strategies(copies):
+    sys_, rep = kcopy_magic_square(copies)
+    strategy = strategy_from_rep(rep, sys_)
+    u = random_unitary(strategy.dim, np.random.default_rng(43 + copies))
+    assert_kernel_matches_oracle(build_synbcs(sys_), rotated(strategy, u))
+    if copies == 1:
+        iso = iso_strategy_from_bcs(strategy, sys_)
+        g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+        assert_kernel_matches_oracle(build_iso_game(g_b, g_0), rotated(iso, u))
+
+
+@pytest.mark.parametrize("noise", ["hermitian", "general"])
+def test_relation_kernel_matches_the_loop_on_a_perturbed_strategy(magic_square, noise):
+    """Hermitian noise gives ||E F|| = ||F E||, so the largest overlap is tied and the
+    witness is the first of the tie; general noise breaks the tie."""
+    rng = np.random.default_rng(47)
+    strategy = strategy_from_rep(pauli_magic_square_rep(), magic_square)
+    pvms = {}
+    for key, mat in strategy.pvms.items():
+        delta = random_hermitian(4, rng, scale=1e-3)
+        if noise == "general":
+            delta = delta + 1e-3 * rng.normal(size=(4, 4))
+        pvms[key] = mat + delta
+    perturbed = OperatorStrategy(4, strategy.inputs, strategy.outputs, pvms)
+    game = build_synbcs(magic_square)
+    keys = perturbed.stored_keys()
+    overlaps = sorted(norm2(perturbed.pvms[(x, a)] @ perturbed.pvms[(y, b)])
+                      for x, a in keys for y, b in keys if not game.predicate(x, y, a, b))
+    assert (overlaps[-1] > overlaps[-2]) == (noise == "general")
+    assert_kernel_matches_oracle(game, perturbed)
+
+
+def test_relation_kernel_is_independent_of_the_chunk_size(magic_square, monkeypatch):
+    strategy = strategy_from_rep(pauli_magic_square_rep(), magic_square)
+    g_b, g_0 = graph_from_system(magic_square, use_b=True), graph_from_system(magic_square, use_b=False)
+    iso = rotated(iso_strategy_from_bcs(strategy, magic_square), random_unitary(4, np.random.default_rng(53)))
+    game = build_iso_game(g_b, g_0)
+    whole = check_game_algebra_relations(game, iso, tol=1e-9).as_dict()
+    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", 3 * 4 * 4)  # three pairs per chunk
+    assert check_game_algebra_relations(game, iso, tol=1e-9).as_dict() == whole

@@ -65,6 +65,38 @@ def test_tracial_rejects_invalid_pvm():
         correlation_from_tracial(s)
 
 
+def tracial_oracle(s: OperatorStrategy) -> dict:
+    """The per-pair trace loop that the Gram product replaced."""
+    p = {}
+    for x, a in s.stored_keys():
+        for y, b in s.stored_keys():
+            val = complex(np.trace(s.pvms[(x, a)] @ s.pvms[(y, b)])) / s.dim
+            if abs(val.imag) > 1e-9:
+                raise VerificationError(f"non-real trace {val!r} at {(x, y, a, b)!r}")
+            p[(x, y, a, b)] = val.real
+    return p
+
+
+def test_tracial_gram_product_matches_the_per_pair_traces():
+    rng = np.random.default_rng(19)
+    pvms = {(x, a): e for x in range(3) for a, e in enumerate(random_exact_pvm(8, 3, rng))}
+    s = OperatorStrategy(dim=8, inputs=(0, 1, 2), outputs=(0, 1, 2), pvms=pvms)
+    corr, expected = correlation_from_tracial(s), tracial_oracle(s)
+    assert list(corr.p) == list(expected)
+    assert max(abs(corr.p[key] - val) for key, val in expected.items()) <= 1e-15
+
+
+def test_tracial_reports_the_first_non_real_trace():
+    """Operators within a loose tol of a PVM but with a complex diagonal give non-real traces."""
+    e = np.diag([1 + 0.1j, 0]).astype(complex)
+    s = OperatorStrategy(dim=2, inputs=(0,), outputs=(0, 1), pvms={(0, 0): e, (0, 1): np.eye(2) - e})
+    with pytest.raises(VerificationError) as expected:
+        tracial_oracle(s)
+    with pytest.raises(VerificationError, match="non-real trace") as got:
+        correlation_from_tracial(s, tol=1.0)
+    assert str(got.value) == str(expected.value)
+
+
 def test_tracial_synchronous_for_orthogonal_rows():
     rng = np.random.default_rng(12)
     for _ in range(10):
