@@ -42,9 +42,10 @@ class SyncGame:
     predicate: Callable  # (x, y, a, b) -> bool on valid labels
     kind: str = "custom"
     source: Optional[dict] = None  # JSON provenance for generated games
-    # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)];
-    # the vectorised form of the predicate, set by the generating constructors
-    mask_of: Optional[Callable] = field(default=None, compare=False, repr=False)
+    # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)]:
+    # the vectorised form of the predicate, attached only by the generating constructors
+    # (through _with_mask), so it cannot be passed in disagreeing with the predicate
+    _mask_of: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def input_set(self) -> frozenset:
@@ -64,8 +65,8 @@ class SyncGame:
     def losing_mask(self, keys) -> np.ndarray:
         """(K, K) bool array over (input, output) keys: entry (i, j) is True when the
         round (x_i, x_j, a_i, a_j) loses.  Labels must be valid for the game."""
-        if self.mask_of is not None:
-            return self.mask_of(keys)
+        if self._mask_of is not None:
+            return self._mask_of(keys)
         mask = [not self.predicate(x, y, a, b) for x, a in keys for y, b in keys]
         return np.array(mask, dtype=bool).reshape(len(keys), len(keys))
 
@@ -101,6 +102,11 @@ class SyncGame:
             "outputs": [label_to_json(a) for a in self.outputs],
             "losing": losing,
         }
+
+
+def _with_mask(game: SyncGame, mask_of: Callable) -> SyncGame:
+    object.__setattr__(game, "_mask_of", mask_of)
+    return game
 
 
 def game_from_losing(inputs, outputs, losing) -> SyncGame:
@@ -155,14 +161,14 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
         agree = (signed @ signed.T) == (support @ support.T)
         return ~(valid[:, None] & valid[None, :] & agree)
 
-    return SyncGame(
+    game = SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
         outputs=tuple(iter_product((-1, 1), repeat=sys.n)),
         predicate=predicate,
         kind="synbcs",
         source={"kind": "synbcs", "system": sys.to_json_dict()},
-        mask_of=mask_of,
     )
+    return _with_mask(game, mask_of)
 
 
 def build_hom_game(g, h) -> SyncGame:
@@ -178,16 +184,16 @@ def build_hom_game(g, h) -> SyncGame:
         v = np.array([k[0] for k in keys], dtype=np.intp)
         x = np.array([k[1] for k in keys], dtype=np.intp)
         repeated = (v[:, None] == v[None, :]) & (x[:, None] != x[None, :])
-        return repeated | (_adjacency(g)[np.ix_(v, v)] & ~_adjacency(h)[np.ix_(x, x)])
+        return repeated | (_pair_adjacency(g, v) & ~_pair_adjacency(h, x))
 
-    return SyncGame(
+    game = SyncGame(
         inputs=tuple(range(g.n)),
         outputs=tuple(range(h.n)),
         predicate=predicate,
         kind="hom",
         source={"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
-        mask_of=mask_of,
     )
+    return _with_mask(game, mask_of)
 
 
 def _rel(graph, u, v) -> int:
@@ -197,18 +203,21 @@ def _rel(graph, u, v) -> int:
     return 1 if graph.is_edge(u, v) else 2
 
 
-def _adjacency(graph) -> np.ndarray:
-    adj = np.zeros((graph.n, graph.n), dtype=bool)
-    if graph.edges:
-        u, v = np.array(list(graph.edges)).T
-        adj[u, v] = adj[v, u] = True
-    return adj
+def _pair_adjacency(graph, verts: np.ndarray) -> np.ndarray:
+    """(K, K) bool array of graph.is_edge(verts[i], verts[j]).  Edges are looked up
+    among the distinct vertices named only, so the cost is O(K^2 + |E|) and never
+    grows with graph.n."""
+    named, inverse = np.unique(verts, return_inverse=True)
+    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)  # stored as u < v
+    lo, hi = np.minimum.outer(named, named), np.maximum.outer(named, named)
+    adjacent = np.isin(lo * graph.n + hi, edges[:, 0] * graph.n + edges[:, 1])
+    return adjacent[np.ix_(inverse, inverse)]
 
 
-def _relation_types(graph) -> np.ndarray:
-    """The n x n matrix of _rel over all vertex pairs."""
-    rel = np.where(_adjacency(graph), 1, 2).astype(np.int8)
-    np.fill_diagonal(rel, 0)
+def _relation_types(graph, verts: np.ndarray) -> np.ndarray:
+    """(K, K) int8 array of _rel(graph, verts[i], verts[j])."""
+    rel = 2 - _pair_adjacency(graph, verts).astype(np.int8)
+    rel[verts[:, None] == verts[None, :]] = 0
     return rel
 
 
@@ -240,19 +249,17 @@ def build_iso_game(g, h) -> SyncGame:
         gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
         hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
         mask = np.ones((len(keys), len(keys)), dtype=bool)  # a same-side key loses every round
-        mask[np.ix_(valid, valid)] = (
-            _relation_types(g)[np.ix_(gv, gv)] != _relation_types(h)[np.ix_(hv, hv)]
-        )
+        mask[np.ix_(valid, valid)] = _relation_types(g, gv) != _relation_types(h, hv)
         return mask
 
-    return SyncGame(
+    game = SyncGame(
         inputs=labels,
         outputs=labels,
         predicate=predicate,
         kind="iso",
         source={"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
-        mask_of=mask_of,
     )
+    return _with_mask(game, mask_of)
 
 
 def game_from_json_dict(data: dict) -> SyncGame:

@@ -46,27 +46,22 @@ def identity(d: int) -> np.ndarray:
 
 def norm2(a) -> float:
     """Tracial 2-norm sqrt(tr(a* a)/d) under the normalized trace."""
-    mat = as_matrix(a)
-    d = mat.shape[0]
-    return float(np.sqrt(np.sum(np.abs(mat) ** 2).real / d))
+    return residual(as_matrix(a))
 
 
 def residual(a) -> float:
     """norm2(a) for a check that must fail, not reject its input, on overflow: inf when
     an entry of a, or its square, is not finite.  Compute a under
     np.errstate(over="ignore", invalid="ignore") so its overflow stays silent too."""
-    mat = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = float(np.sqrt(np.sum(np.abs(mat) ** 2).real / mat.shape[0]))
-    return val if math.isfinite(val) else math.inf
+    return float(_residuals(np.asarray(a, dtype=complex)[None])[0])
 
 
 def _residuals(mats: np.ndarray) -> np.ndarray:
-    """residual of each matrix of a (n, d, d) stack, each summed exactly as residual sums."""
-    n, d = mats.shape[0], mats.shape[-1]
+    """residual of each matrix of a (n, d, d) stack; the one place the norm is summed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.sum(np.abs(mats.reshape(n, d * d)) ** 2, axis=1).real / d)
-    return np.where(np.isfinite(norms), norms, math.inf)
+        norms = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)) / mats.shape[-1])
+    norms[~np.isfinite(norms)] = math.inf
+    return norms
 
 
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:

@@ -265,9 +265,7 @@ def strategy_from_rep(
             "the surjection hypothesis fails"
         )
     eye = identity(rep.dim)
-    with np.errstate(over="ignore"):
-        j_defect = residual(rep.j_image + eye)
-    if j_defect > tol:
+    if residual(rep.j_image + eye) > tol:
         raise ValidationError("representation must have j_image = -I; apply normalize_j first")
     verify_rep(rep, sys, tol).require("representation")
     eps = tol if eps is None else eps

@@ -1,6 +1,7 @@
 """Game constructors, classical search and the algebra-relation checker."""
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product as iter_product
 
 import numpy as np
@@ -391,6 +392,31 @@ def mask_cases() -> list:
 def test_losing_mask_is_the_negated_predicate(game, keys):
     expected = [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
     assert np.array_equal(game.losing_mask(keys), np.array(expected, dtype=bool).reshape(len(keys), -1))
+
+
+@pytest.mark.parametrize(
+    "build, keys",
+    [
+        (build_hom_game, [(0, 3999), (3999, 0), (1, 2), (1, 0)]),
+        (build_iso_game, [(("g", 0), ("h", 3999)), (("g", 3999), ("h", 0)), (("g", 1), ("h", 2)),
+                          (("h", 5), ("h", 6))]),
+    ],
+    ids=["hom", "iso"],
+)
+def test_losing_mask_memory_does_not_grow_with_the_vertex_count(build, keys):
+    """A 4000-vertex graph with one edge and a few stored keys: the mask looks up only
+    the vertices the keys name (an n x n bool matrix alone would take 16 MB)."""
+    g = Graph(n=4000, edges=frozenset({(0, 3999)}))
+    game = build(g, g)
+    tracemalloc.start()
+    try:
+        mask = game.losing_mask(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    expected = [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
+    assert np.array_equal(mask, np.array(expected, dtype=bool))
 
 
 @pytest.mark.parametrize("copies", [1, 2])
