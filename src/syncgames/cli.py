@@ -78,6 +78,12 @@ ERROR_EXITS = (
     (ToolkitError, EXIT_VALIDATION, "error"),
 )
 
+OUTPUTS_NOTE = (
+    '{"sign_vectors": n}, 0 <= n <= 62, stands for all 2^n sign vectors [+1|-1, ...] in '
+    "itertools.product((-1, 1), repeat=n) order, the synBCS output alphabet, and is how it is "
+    "written; the old form listing every vector still loads)"
+)
+
 SCHEMAS = {
     "system": '{"m": int, "n": int, "rows": [[1-based variable indices]], "b": [0|1, ...]}',
     "sign_vector": "[+1|-1, ...] of length n",
@@ -85,12 +91,15 @@ SCHEMAS = {
     "graph": '{"n": int, "edges": [[u, v], ...]} with 0-based vertices, optional "labels": [...]',
     "game": '{"kind": "synbcs", "system": {...}} | {"kind": "hom"|"iso", "G": {...}, "H": {...}} | '
     '{"kind": "explicit", "inputs": [...], "outputs": [...], "losing": [[x, y, a, b], ...]}',
-    "strategy": '{"dim": d, "inputs": [...], "outputs": [...], '
-    '"pvms": [{"input": x, "output": a, "matrix": {...}}, ...]} (missing operators are zero)',
-    "bipartite_strategy": '{"dim_a": d, "dim_b": d, "inputs": [...], "outputs": [...], '
-    '"alice": [pvm entries], "bob": [pvm entries], "state": [[re, im], ...]}',
-    "correlation": '{"n": int, "m": int, "inputs": [...], "outputs": [...], '
-    '"p": [[[[...]]]] indexed [x][y][a][b]} or sparse "entries": [[x, y, a, b, value], ...]',
+    "strategy": '{"dim": d, "inputs": [...], "outputs": [...] | {"sign_vectors": n}, '
+    '"pvms": [{"input": x, "output": a, "matrix": {...}}, ...]} (missing operators are zero; '
+    + OUTPUTS_NOTE,
+    "bipartite_strategy": '{"dim_a": d, "dim_b": d, "inputs": [...], '
+    '"outputs": [...] | {"sign_vectors": n}, "alice": [pvm entries], "bob": [pvm entries], '
+    '"state": [[re, im], ...]} (' + OUTPUTS_NOTE,
+    "correlation": '{"n": int, "m": int, "inputs": [...], "outputs": [...] | {"sign_vectors": n}, '
+    '"p": [[[[...]]]] indexed [x][y][a][b]} or sparse "entries": [[x, y, a, b, value], ...] ('
+    + OUTPUTS_NOTE,
     "representation": '{"dim": d, "images": [matrix, ... n], "j": matrix}',
     "pvm_family": '{"pvms": [matrix, ...]}',
     "certificate_bundle": '{"value": c, "graph": {...}|"path", "strategy": {...}|"path"} '

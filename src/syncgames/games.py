@@ -11,25 +11,28 @@ call per pair; it is computed only when asked for.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iter_product
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .gf2 import BinaryLinearSystem, enumerate_si
-from .labels import label_from_json, label_to_json
+from .labels import MAX_SIGN_VECTOR_LENGTH, SignVectors, label_from_json, label_set, label_to_json
 from .matops import product_norms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .strategies import OperatorStrategy
 
-MAX_GAME_VARIABLES = 20
+MAX_GAME_VARIABLES = MAX_SIGN_VECTOR_LENGTH  # synBCS outputs are SignVectors(n)
 DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SYNC_SCAN_CELLS = 2_000_000
+# predicate calls of the search's candidate scan: above 3 * 2^20, the largest scan
+# the 64-bit search budget allowed while synBCS games had at most 20 variables
+MAX_CANDIDATE_SCAN = 4_000_000
 MAX_LOSING_TABLE_CELLS = 1_000_000
 
 
@@ -38,7 +41,7 @@ class SyncGame:
     """A synchronous finite input-output game with a total win/lose predicate."""
 
     inputs: tuple
-    outputs: tuple
+    outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
     predicate: Callable  # (x, y, a, b) -> bool on valid labels
     kind: str = "custom"
     source: Optional[dict] = None  # JSON provenance for generated games
@@ -52,8 +55,9 @@ class SyncGame:
         return frozenset(self.inputs)
 
     @cached_property
-    def output_set(self) -> frozenset:
-        return frozenset(self.outputs)
+    def output_set(self):
+        """Membership test for the outputs (the implicit alphabet itself, never a set of it)."""
+        return label_set(self.outputs)
 
     def wins(self, x, y, a, b) -> bool:
         if x not in self.input_set or y not in self.input_set:
@@ -134,8 +138,8 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
 
 def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     """The synchronous BCS game of a GF(2) system: inputs are equations, outputs are
-    global sign vectors; players win when both answers are local solutions agreeing
-    on shared variables."""
+    the global sign vectors, kept implicit as SignVectors(n); players win when both
+    answers are local solutions agreeing on shared variables."""
     if sys.n > MAX_GAME_VARIABLES:
         raise BudgetError(f"synBCS output set 2^{sys.n} exceeds the n <= {MAX_GAME_VARIABLES} budget")
     solutions = {i: frozenset(enumerate_si(sys, i)) for i in range(1, sys.m + 1)}
@@ -163,7 +167,7 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
 
     game = SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
-        outputs=tuple(iter_product((-1, 1), repeat=sys.n)),
+        outputs=SignVectors(sys.n),
         predicate=predicate,
         kind="synbcs",
         source={"kind": "synbcs", "system": sys.to_json_dict()},
@@ -279,6 +283,9 @@ def game_from_json_dict(data: dict) -> SyncGame:
         h = Graph.from_json_dict(data["H"])
         return build_hom_game(g, h) if kind == "hom" else build_iso_game(g, h)
     if kind == "explicit" or "losing" in data:
+        # list-only: the losing table names every output explicitly anyway
+        if not all(isinstance(data.get(key), list) for key in ("inputs", "outputs")):
+            raise ValidationError("explicit game inputs and outputs must be JSON lists")
         try:
             return game_from_losing(
                 [label_from_json(x) for x in data["inputs"]],
@@ -318,6 +325,11 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     if bits > DEFAULT_SEARCH_BITS:
         raise BudgetError(
             f"search space of {bits:.1f} bits exceeds budget of {DEFAULT_SEARCH_BITS:.1f}; undecided"
+        )
+    if n_inputs * n_outputs > MAX_CANDIDATE_SCAN:
+        raise BudgetError(
+            f"candidate scan needs {n_inputs * n_outputs} predicate calls > {MAX_CANDIDATE_SCAN}; "
+            "undecided"
         )
     candidates = {
         x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
@@ -416,8 +428,10 @@ def check_game_algebra_relations(
     if set(strategy.inputs) != game.input_set:
         raise ValidationError("strategy inputs do not match game inputs")
     # The strategy checked every stored key against its own labels when it was built,
-    # so these two label-set checks also cover the stored keys.
-    if strategy.outputs != game.outputs and not game.output_set.issuperset(strategy.outputs):
+    # so these two label-set checks also cover the stored keys.  The scan stops at the
+    # first label missing from the game: for a longer alphabet, within len(game.outputs).
+    outputs = strategy.outputs
+    if outputs != game.outputs and not all(a in game.output_set for a in outputs):
         raise ValidationError("strategy outputs are not a subset of game outputs")
 
     defects = strategy.defects()

@@ -1,8 +1,105 @@
-"""JSON codec for game/strategy labels (tuples round-trip as lists, scalars pass
-through) and for the integer fields of the JSON formats."""
+"""Labels of games and strategies: the JSON codec for labels (tuples round-trip as
+lists, scalars pass through), the implicit sign-vector alphabet of BCS games and
+the converter pair for output alphabets, and the integer fields of the JSON
+formats."""
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
+from itertools import product as iter_product
+from typing import Callable
+
 from .errors import ValidationError
+
+MAX_SIGN_VECTOR_LENGTH = 62  # the largest n whose 2^n fits in len()'s Py_ssize_t
+
+
+class SignVectors(Sequence):
+    """The alphabet {-1, +1}^n as an immutable sequence, never materialised.
+
+    Element k is the k-th tuple of itertools.product((-1, 1), repeat=n): its
+    entry j is +1 exactly when bit n-1-j of k is set.  Indexing, index() and
+    membership are arithmetic, O(n); membership accepts only length-n tuples
+    of int entries -1 and +1 (booleans are refused).  Two alphabets are equal
+    when their lengths n are; an alphabet never equals a tuple.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValidationError(f"sign-vector length must be an integer, got {n!r}")
+        if not 0 <= n <= MAX_SIGN_VECTOR_LENGTH:
+            raise ValidationError(
+                f"sign-vector length {n} is outside 0..{MAX_SIGN_VECTOR_LENGTH}"
+            )
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignVectors is immutable")
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, k) -> tuple:
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("sign-vector index out of range")
+        return tuple(1 if k >> shift & 1 else -1 for shift in range(self.n - 1, -1, -1))
+
+    def __contains__(self, label) -> bool:
+        return (
+            type(label) is tuple
+            and len(label) == self.n
+            and all(type(v) is int and (v == 1 or v == -1) for v in label)
+        )
+
+    def index(self, label) -> int:
+        if label not in self:
+            raise ValueError(f"{label!r} is not a sign vector of length {self.n}")
+        k = 0
+        for v in label:
+            k = 2 * k + (v == 1)
+        return k
+
+    def __iter__(self):
+        return iter_product((-1, 1), repeat=self.n)
+
+    def __eq__(self, other):
+        if isinstance(other, SignVectors):
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((SignVectors, self.n))
+
+    def __repr__(self) -> str:
+        return f"SignVectors({self.n})"
+
+    def __reduce__(self):
+        return SignVectors, (self.n,)
+
+
+def as_alphabet(labels) -> Sequence:
+    """A label sequence as stored: an implicit alphabet stays implicit, anything else
+    becomes a tuple."""
+    return labels if isinstance(labels, SignVectors) else tuple(labels)
+
+
+def label_set(labels):
+    """A membership test for a label sequence: an implicit alphabet is its own,
+    any other sequence gets a frozenset."""
+    return labels if isinstance(labels, SignVectors) else frozenset(labels)
+
+
+def label_index(labels) -> Callable:
+    """label -> position in the sequence: arithmetic for an implicit alphabet, a
+    dict lookup otherwise (the last position of a repeated label wins)."""
+    if isinstance(labels, SignVectors):
+        return labels.index
+    return {label: k for k, label in enumerate(labels)}.__getitem__
 
 
 def label_to_json(label):
@@ -19,6 +116,36 @@ def label_from_json(data):
     if isinstance(data, bool) or not isinstance(data, (int, str)):
         raise ValidationError(f"malformed label {data!r}")
     return data
+
+
+def outputs_to_json(outputs):
+    """The JSON form of an output alphabet: {"sign_vectors": n} for SignVectors(n),
+    the list of labels otherwise."""
+    if isinstance(outputs, SignVectors):
+        return {"sign_vectors": outputs.n}
+    return [label_to_json(a) for a in outputs]
+
+
+def outputs_from_json(data):
+    """Inverse of outputs_to_json.  A list that is exactly the full enumeration of
+    {-1, +1}^n, in order, loads as SignVectors(n); any other list as a tuple."""
+    if isinstance(data, dict):
+        if set(data) != {"sign_vectors"}:
+            raise ValidationError(
+                f'output alphabet object must be {{"sign_vectors": n}}, got keys {sorted(data)}'
+            )
+        return SignVectors(int_from_json(data["sign_vectors"], "sign_vectors"))
+    if not isinstance(data, list):
+        raise ValidationError(f'outputs must be a list or {{"sign_vectors": n}}, got {data!r}')
+    labels = tuple(label_from_json(a) for a in data)
+    n = len(labels).bit_length() - 1
+    if (
+        labels
+        and len(labels) == 1 << n
+        and all(map(operator.eq, labels, iter_product((-1, 1), repeat=n)))
+    ):
+        return SignVectors(n)
+    return labels
 
 
 def int_from_json(data, what: str) -> int:

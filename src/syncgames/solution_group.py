@@ -361,7 +361,8 @@ def strategy_from_solution(sys: BinaryLinearSystem, x) -> OperatorStrategy:
     """The d = 1 strategy of a classical solution: both players answer the local
     restriction of x (support entries kept, off-support entries set to +1)."""
     x = tuple(x)
-    if len(x) != sys.n or any(v not in (-1, 1) for v in x):
+    # the synBCS alphabet's own rule: int entries +-1 only, so no bool or float slips in
+    if len(x) != sys.n or any(type(v) is not int or v not in (-1, 1) for v in x):
         raise ValidationError(f"not a sign vector of length {sys.n}")
     for i in range(1, sys.m + 1):
         if not sys.equation_holds(i, x):

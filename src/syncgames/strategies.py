@@ -9,6 +9,7 @@ row unitary, where w = exp(2*pi*1j/m).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -16,7 +17,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ClusterAmbiguityError, ValidationError, VerificationError
-from .labels import int_from_json, label_from_json, label_to_json
+from .labels import (
+    as_alphabet,
+    int_from_json,
+    label_from_json,
+    label_index,
+    label_set,
+    label_to_json,
+    outputs_from_json,
+    outputs_to_json,
+)
 from .matops import (
     DEFAULT_TOL,
     as_matrix,
@@ -35,9 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_CLUSTER_TOL = 1e-7
 
 
-def _validated_pvm_dict(pvms: dict, dim: int, inputs: tuple, outputs: tuple) -> dict:
+def _validated_pvm_dict(pvms: dict, dim: int, inputs: tuple, outputs: Sequence) -> dict:
     input_set = frozenset(inputs)
-    output_set = frozenset(outputs)
+    output_set = label_set(outputs)
     clean = {}
     for key, mat in pvms.items():
         x, a = key
@@ -90,14 +100,14 @@ class OperatorStrategy:
 
     dim: int
     inputs: tuple
-    outputs: tuple
+    outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
     pvms: dict
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("strategy dimension must be >= 1")
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
         object.__setattr__(
             self, "pvms", _validated_pvm_dict(self.pvms, self.dim, self.inputs, self.outputs)
         )
@@ -107,8 +117,9 @@ class OperatorStrategy:
         return {x: i for i, x in enumerate(self.inputs)}
 
     @cached_property
-    def _output_index(self) -> dict:
-        return {a: i for i, a in enumerate(self.outputs)}
+    def _output_index(self):
+        """output label -> position, without enumerating an implicit alphabet."""
+        return label_index(self.outputs)
 
     def matrix(self, x, a) -> np.ndarray:
         mat = self.pvms.get((x, a))
@@ -117,16 +128,27 @@ class OperatorStrategy:
     def row_outputs(self, x) -> tuple:
         """Outputs with a stored operator for input x, in output order."""
         present = [a for (x2, a) in self.pvms if x2 == x]
-        present.sort(key=self._output_index.__getitem__)
+        present.sort(key=self._output_index)
         return tuple(present)
 
     def row(self, x) -> list:
         """The full PVM row for input x, ordered by the output tuple (zeros included)."""
         return [self.matrix(x, a) for a in self.outputs]
 
+    def unitary(self, x) -> np.ndarray:
+        """pvm_to_unitary(self.row(x)), summed over the stored operators only, so an
+        implicit output alphabet is never enumerated."""
+        if not self.outputs:
+            raise ValidationError("empty PVM row")
+        omega = np.exp(2j * np.pi / len(self.outputs))
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for a in self.row_outputs(x):
+            out = out + omega ** (self._output_index(a) + 1) * self.pvms[(x, a)]
+        return out
+
     def stored_keys(self) -> list:
         return sorted(
-            self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index[key[1]])
+            self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index(key[1]))
         )
 
     def stacked(self) -> tuple:
@@ -164,7 +186,7 @@ class OperatorStrategy:
         return {
             "dim": self.dim,
             "inputs": [label_to_json(x) for x in self.inputs],
-            "outputs": [label_to_json(a) for a in self.outputs],
+            "outputs": outputs_to_json(self.outputs),
             "pvms": _pvms_to_json(self),
         }
 
@@ -174,7 +196,7 @@ class OperatorStrategy:
             return cls(
                 dim=int_from_json(data["dim"], "strategy dim"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
-                outputs=tuple(label_from_json(a) for a in data["outputs"]),
+                outputs=outputs_from_json(data["outputs"]),
                 pvms=_pvms_from_json(data["pvms"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -192,14 +214,14 @@ class BipartiteStrategy:
     dim_a: int
     dim_b: int
     inputs: tuple
-    outputs: tuple
+    outputs: Sequence
     alice: dict
     bob: dict
     state: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
         object.__setattr__(
             self, "alice", _validated_pvm_dict(self.alice, self.dim_a, self.inputs, self.outputs)
         )
@@ -231,7 +253,7 @@ class BipartiteStrategy:
             "dim_a": self.dim_a,
             "dim_b": self.dim_b,
             "inputs": [label_to_json(x) for x in self.inputs],
-            "outputs": [label_to_json(a) for a in self.outputs],
+            "outputs": outputs_to_json(self.outputs),
             "alice": _pvms_to_json(self.alice_strategy()),
             "bob": _pvms_to_json(self.bob_strategy()),
             "state": [[float(z.real), float(z.imag)] for z in self.state],
@@ -244,7 +266,7 @@ class BipartiteStrategy:
                 dim_a=int_from_json(data["dim_a"], "dim_a"),
                 dim_b=int_from_json(data["dim_b"], "dim_b"),
                 inputs=tuple(label_from_json(x) for x in data["inputs"]),
-                outputs=tuple(label_from_json(a) for a in data["outputs"]),
+                outputs=outputs_from_json(data["outputs"]),
                 alice=_pvms_from_json(data["alice"]),
                 bob=_pvms_from_json(data["bob"]),
                 state=np.array([complex(real, imag) for real, imag in data["state"]]),
@@ -258,12 +280,12 @@ class Correlation:
     """Conditional probabilities p(a, b | x, y), stored sparsely: missing entries are 0."""
 
     inputs: tuple
-    outputs: tuple
+    outputs: Sequence
     p: dict  # (x, y, a, b) -> float
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
         object.__setattr__(self, "p", dict(self.p))
 
     @cached_property
@@ -297,12 +319,30 @@ class Correlation:
         return worst, witness
 
     def max_losing(self, game: "SyncGame") -> tuple:
-        """(max, witness) over stored entries on losing tuples of the game."""
-        worst, witness = 0.0, None
-        for (x, y, a, b), val in self.p.items():
-            if not game.wins(x, y, a, b) and val > worst:
-                worst, witness = val, (x, y, a, b)
-        return worst, witness
+        """(max, witness) over stored entries on losing tuples of the game: one losing
+        mask over the distinct (x, a) and (y, b) keys of the entries picks them, and
+        the witness is the first entry, in dict order, holding the largest value
+        above 0 (None when there is none; a NaN value never counts)."""
+        keys = {}
+        for x, y, a, b in self.p:
+            keys.setdefault((x, a), len(keys))
+            keys.setdefault((y, b), len(keys))
+        for x, a in keys:
+            if x not in game.input_set:
+                raise ValidationError(f"unknown input label {x!r}")
+            if a not in game.output_set:
+                raise ValidationError(f"unknown output label {a!r}")
+        if not keys:
+            return 0.0, None
+        rows = [keys[(x, a)] for x, _, a, _ in self.p]
+        cols = [keys[(y, b)] for _, y, _, b in self.p]
+        losing = game.losing_mask(list(keys))[rows, cols]
+        vals = np.fromiter(self.p.values(), dtype=float, count=len(self.p))
+        vals = np.where(losing & (vals > 0.0), vals, 0.0)
+        k = int(np.argmax(vals))
+        if vals[k] > 0.0:
+            return float(vals[k]), list(self.p)[k]
+        return 0.0, None
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         if self.max_range_violation() > tol:
@@ -316,10 +356,10 @@ class Correlation:
     def to_dense(self) -> np.ndarray:
         n, m = len(self.inputs), len(self.outputs)
         xi = {x: i for i, x in enumerate(self.inputs)}
-        ai = {a: i for i, a in enumerate(self.outputs)}
+        ai = label_index(self.outputs)
         dense = np.zeros((n, n, m, m))
         for (x, y, a, b), val in self.p.items():
-            dense[xi[x], xi[y], ai[a], ai[b]] = val
+            dense[xi[x], xi[y], ai(a), ai(b)] = val
         return dense
 
     def to_json_dict(self, max_dense_cells: int = 4_000_000) -> dict:
@@ -327,7 +367,7 @@ class Correlation:
             "n": len(self.inputs),
             "m": len(self.outputs),
             "inputs": [label_to_json(x) for x in self.inputs],
-            "outputs": [label_to_json(a) for a in self.outputs],
+            "outputs": outputs_to_json(self.outputs),
         }
         cells = len(self.inputs) ** 2 * len(self.outputs) ** 2
         if cells <= max_dense_cells:
@@ -346,7 +386,7 @@ class Correlation:
     def from_json_dict(cls, data: dict) -> "Correlation":
         try:
             inputs = tuple(label_from_json(x) for x in data["inputs"])
-            outputs = tuple(label_from_json(a) for a in data["outputs"])
+            outputs = outputs_from_json(data["outputs"])
             counts = [int_from_json(data[key], f"correlation {key}") for key in ("n", "m")]
             if counts != [len(inputs), len(outputs)]:
                 raise ValidationError(f"correlation n, m = {counts} do not match the labels listed")
@@ -365,10 +405,10 @@ class Correlation:
                                 if val != 0.0:
                                     p[(x, y, a, b)] = val
             else:
-                input_set, output_set = frozenset(inputs), frozenset(outputs)
+                input_set, output_set = frozenset(inputs), label_set(outputs)
                 for *labels, val in data["entries"]:
                     x, y, a, b = map(label_from_json, labels)
-                    if not ({x, y} <= input_set and {a, b} <= output_set):
+                    if not ({x, y} <= input_set and a in output_set and b in output_set):
                         raise ValidationError(f"unlisted label in correlation entry {[x, y, a, b]!r}")
                     if isinstance(val, bool) or not isinstance(val, (int, float)):
                         raise ValidationError(f"correlation value {val!r} is not a number")
@@ -473,7 +513,7 @@ def deterministic_to_operator(inputs, outputs, assignment: dict) -> OperatorStra
     """Embed a deterministic assignment as the d = 1 operator strategy."""
     one = np.ones((1, 1), dtype=complex)
     pvms = {(x, assignment[x]): one for x in inputs}
-    return OperatorStrategy(dim=1, inputs=tuple(inputs), outputs=tuple(outputs), pvms=pvms)
+    return OperatorStrategy(dim=1, inputs=tuple(inputs), outputs=outputs, pvms=pvms)
 
 
 def sync_vector_defect(s: BipartiteStrategy) -> float:
@@ -535,8 +575,8 @@ def decompose_qs(
         raise VerificationError("state has no Schmidt coefficient above the clustering tolerance")
 
     alice, bob = s.alice_strategy(), s.bob_strategy()
-    alice_unitaries = {x: pvm_to_unitary(alice.row(x)) for x in s.inputs}
-    bob_unitaries = {x: pvm_to_unitary(bob.row(x)) for x in s.inputs}
+    alice_unitaries = {x: alice.unitary(x) for x in s.inputs}
+    bob_unitaries = {x: bob.unitary(x) for x in s.inputs}
 
     eye_a, eye_b = identity(s.dim_a), identity(s.dim_b)
     blocks = []

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from syncgames import BinaryLinearSystem, Graph, mermin_peres_system, pauli_magic_square_rep
+from syncgames.solution_group import GroupRep
+from syncgames.strategies import OperatorStrategy
 
 
 @pytest.fixture
@@ -41,6 +43,26 @@ def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (h + h.conj().T) / 2
     return scale * h / np.linalg.norm(h, 2)
+
+
+def kcopy_magic_square(k: int) -> tuple:
+    """k disjoint Mermin-Peres systems and their k-fold Kronecker Pauli representation."""
+    base, pauli = mermin_peres_system(), pauli_magic_square_rep()
+    rows = tuple(frozenset(j + 9 * c for j in r) for c in range(k) for r in base.rows)
+    sys_ = BinaryLinearSystem(m=6 * k, n=9 * k, rows=rows, b=base.b * k)
+    images = []
+    for c in range(k):
+        for w in pauli.images:
+            mat = np.ones((1, 1), dtype=complex)
+            for f in range(k):
+                mat = np.kron(mat, w if f == c else np.eye(4))
+            images.append(mat)
+    return sys_, GroupRep(images=tuple(images), j_image=-np.eye(4**k, dtype=complex))
+
+
+def rotated(strategy: OperatorStrategy, u: np.ndarray) -> OperatorStrategy:
+    pvms = {key: u @ mat @ u.conj().T for key, mat in strategy.pvms.items()}
+    return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
 
 
 def random_system(rng, max_m: int = 6, max_n: int = 10) -> BinaryLinearSystem:

@@ -165,6 +165,54 @@ def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     assert data["exit_code"] == 2 and data["error"].startswith("invalid input: ")
 
 
+SIGN_VECTOR_LOADERS = {
+    "strategy": (["game", "check-strategy", "--game", "game.json", "--strategy"],
+                 {"dim": 1, "inputs": [1], "pvms": []}),
+    "bipartite": (["strategy", "decompose-qs", "--in"],
+                  {"dim_a": 1, "dim_b": 1, "inputs": [1], "alice": [], "bob": [],
+                   "state": [[1.0, 0.0]]}),
+    "correlation": (["strategy", "check", "--correlation"],
+                    {"n": 1, "m": 2, "inputs": [1], "entries": []}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGN_VECTOR_LOADERS))
+@pytest.mark.parametrize(
+    "alphabet, message",
+    [
+        ({"sign_vectors": True}, "sign_vectors must be an integer, got True"),
+        ({"sign_vectors": 1.0}, "sign_vectors must be an integer, got 1.0"),
+        ({"sign_vectors": -1}, "sign-vector length -1 is outside 0..62"),
+        ({"sign_vectors": 63}, "sign-vector length 63 is outside 0..62"),
+        ({"sign_vectors": 1, "n": 1}, "output alphabet object must be"),
+    ],
+    ids=["bool", "float", "negative", "too-long", "extra-key"],
+)
+def test_malformed_sign_vector_alphabet_exits_2(tmp_path, capsys, kind, alphabet, message):
+    command, payload = SIGN_VECTOR_LOADERS[kind]
+    write_json(tmp_path, "game.json", {"kind": "synbcs", "system": {"m": 1, "n": 1, "rows": [[1]],
+                                                                     "b": [0]}})
+    path = write_json(tmp_path, "input.json", {**payload, "outputs": alphabet})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    report = tmp_path / "report.json"
+    assert main(argv + [path, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err
+    assert json.loads(report.read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("kind", sorted(SIGN_VECTOR_LOADERS))
+def test_well_formed_sign_vector_alphabet_loads(tmp_path, kind):
+    """The same inputs with a valid alphabet get past the loaders (the empty
+    strategies then fail their checks, exit 3)."""
+    command, payload = SIGN_VECTOR_LOADERS[kind]
+    write_json(tmp_path, "game.json", {"kind": "synbcs", "system": {"m": 1, "n": 1, "rows": [[1]],
+                                                                     "b": [0]}})
+    path = write_json(tmp_path, "input.json", {**payload, "outputs": {"sign_vectors": 1}})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    assert main(argv + [path]) == 3
+
+
 def failing_runs(tmp_path) -> dict:
     """argv, exit code and report error of one failing run per failure kind."""
     game = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
@@ -412,7 +460,12 @@ FUZZ_KINDS = {
     "cert_bundle": (["graph", "certify", "--cert"], ["value", "graph", "strategy"]),
 }
 # Small integers keep every declared size (dimensions, vertex counts) cheap to act on.
-_numbers = st.integers(-2, 5) | st.floats(allow_nan=True, allow_infinity=True)
+# Huge finite values reach the overflow paths (squares and products of matrix entries).
+_numbers = (
+    st.integers(-2, 5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([1e200, 1.7e308, -1e308])
+)
 _matrices = st.integers(0, 3).flatmap(
     lambda d: st.fixed_dictionaries({
         "dim": st.just(d),
@@ -424,9 +477,10 @@ _matrices = st.integers(0, 3).flatmap(
 )
 _json = st.recursive(
     st.none() | st.booleans() | _numbers | st.text(max_size=3) | _matrices
-    | st.sampled_from(["synbcs", "hom", "iso", "explicit", "input", "output", "matrix"]),
+    | st.sampled_from(["synbcs", "hom", "iso", "explicit", "input", "output", "matrix",
+                       "sign_vectors"]),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=6) | st.just("sign_vectors"), inner, max_size=4),
     max_leaves=16,
 )
 
@@ -453,6 +507,8 @@ def test_schema_dump(capsys):
     assert main(["--schema"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "system" in data and "strategy" in data
+    for kind in ("strategy", "bipartite_strategy", "correlation"):
+        assert '{"sign_vectors": n}' in data[kind] and "still loads" in data[kind]
 
 
 def test_demo_magic_square_report_is_byte_stable(tmp_path):

@@ -9,10 +9,12 @@ import pytest
 
 from conftest import (
     exhaustive_solutions,
+    kcopy_magic_square,
     random_graph,
     random_hermitian,
     random_system,
     random_unitary,
+    rotated,
 )
 
 from syncgames import (
@@ -36,8 +38,9 @@ from syncgames import (
 )
 from syncgames import matops
 from syncgames.errors import BudgetError, ValidationError
-from syncgames.games import SyncGame, game_from_losing
+from syncgames.games import MAX_GAME_VARIABLES, SyncGame, game_from_losing
 from syncgames.graphs import Graph
+from syncgames.labels import SignVectors
 from syncgames.matops import norm2
 from syncgames.solution_group import GroupRep
 from syncgames.strategies import OperatorStrategy
@@ -79,11 +82,46 @@ def test_synbcs_magic_square_shape(magic_square):
 
 
 def test_synbcs_refuses_too_many_variables():
-    n = 21
+    """The cap is the largest n whose 2^n outputs len() can count."""
+    n = MAX_GAME_VARIABLES + 1
+    assert n == 63
     rows = tuple(frozenset({j}) for j in range(1, n + 1))
     sys_ = BinaryLinearSystem(m=n, n=n, rows=rows, b=(0,) * n)
     with pytest.raises(BudgetError):
         build_synbcs(sys_)
+    game = build_synbcs(BinaryLinearSystem(m=n - 1, n=n - 1, rows=rows[:-1], b=(0,) * (n - 1)))
+    assert len(game.outputs) == 2**62
+
+
+def test_classical_search_refuses_a_candidate_scan_over_the_whole_alphabet():
+    """One equation over 23 variables fits the 64-bit search budget, but listing its
+    candidates would scan 2^23 outputs: a budget refusal (at 40 variables the scan
+    would not finish)."""
+    sys_ = BinaryLinearSystem(m=1, n=23, rows=(frozenset({1}),), b=(0,))
+    with pytest.raises(BudgetError, match="candidate scan"):
+        find_deterministic_perfect(build_synbcs(sys_))
+
+
+def test_relation_check_compares_output_alphabets_without_enumerating_them():
+    game = build_synbcs(BinaryLinearSystem(m=1, n=3, rows=(frozenset({1, 2, 3}),), b=(0,)))
+    one = np.eye(1)
+    for outputs in (SignVectors(62), SignVectors(2), (0, 1)):
+        strategy = OperatorStrategy(dim=1, inputs=(1,), outputs=outputs, pvms={})
+        with pytest.raises(ValidationError, match="not a subset"):
+            check_game_algebra_relations(game, strategy, 1e-9)
+    listed = OperatorStrategy(dim=1, inputs=(1,), outputs=((1, 1, 1), (-1, -1, 1)),
+                              pvms={(1, (1, 1, 1)): one})
+    assert check_game_algebra_relations(game, listed, 1e-9).passes
+    explicit = game_from_losing(inputs=[0], outputs=[0, 1], losing=[(0, 0, 0, 1), (0, 0, 1, 0)])
+    strategy = OperatorStrategy(dim=1, inputs=(0,), outputs=SignVectors(62), pvms={})
+    with pytest.raises(ValidationError, match="not a subset"):
+        check_game_algebra_relations(explicit, strategy, 1e-9)
+
+
+@pytest.mark.parametrize("outputs", [{"sign_vectors": 1}, "ab", 2])
+def test_explicit_game_outputs_must_be_a_list(outputs):
+    with pytest.raises(ValidationError, match="must be JSON lists"):
+        game_from_json_dict({"kind": "explicit", "inputs": [0], "outputs": outputs, "losing": []})
 
 
 def test_hom_game_identity_wins_k2():
@@ -334,26 +372,6 @@ def assert_kernel_matches_oracle(game, strategy) -> None:
     assert abs(report.max_losing_overlap - max_losing) <= 1e-12
     assert report.worst_losing == worst
     assert (report.n_stored, report.n_losing_checked) == (len(strategy.pvms), n_checked)
-
-
-def kcopy_magic_square(k: int) -> tuple:
-    """k disjoint Mermin-Peres systems and their k-fold Kronecker Pauli representation."""
-    base, pauli = mermin_peres_system(), pauli_magic_square_rep()
-    rows = tuple(frozenset(j + 9 * c for j in r) for c in range(k) for r in base.rows)
-    sys_ = BinaryLinearSystem(m=6 * k, n=9 * k, rows=rows, b=base.b * k)
-    images = []
-    for c in range(k):
-        for w in pauli.images:
-            mat = np.ones((1, 1), dtype=complex)
-            for f in range(k):
-                mat = np.kron(mat, w if f == c else np.eye(4))
-            images.append(mat)
-    return sys_, GroupRep(images=tuple(images), j_image=-np.eye(4**k, dtype=complex))
-
-
-def rotated(strategy: OperatorStrategy, u: np.ndarray) -> OperatorStrategy:
-    pvms = {key: u @ mat @ u.conj().T for key, mat in strategy.pvms.items()}
-    return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
 
 
 def every_key(game) -> list:

@@ -1,0 +1,156 @@
+"""The k-copy magic-square pipeline over the implicit synBCS output alphabet: the
+3-copy system (n = 27, d = 64) end to end, the compact 2-copy strategy JSON, and
+old list-form files loading as before."""
+from __future__ import annotations
+
+import json
+from itertools import product as iter_product
+
+import numpy as np
+import pytest
+
+from conftest import kcopy_magic_square, random_unitary
+
+from syncgames import (
+    BinaryLinearSystem,
+    build_synbcs,
+    check_game_algebra_relations,
+    correlation_from_tracial,
+    decompose_qs,
+    is_perfect,
+    is_synchronous,
+    rep_from_strategy,
+    solve_gf2,
+    strategy_from_rep,
+    strategy_from_solution,
+    verify_rep,
+)
+from syncgames.cli import main
+from syncgames.games import MAX_GAME_VARIABLES
+from syncgames.labels import SignVectors
+from syncgames.solution_group import GroupRep
+from syncgames.strategies import BipartiteStrategy, Correlation, OperatorStrategy
+
+TOL = 1e-9
+ROTATED_RELATION_TOL = 1e-12
+
+
+def rotated_kcopy(k: int, seed: int) -> tuple:
+    """The k-copy system and its Kronecker Pauli representation conjugated by a Haar unitary,
+    which makes every matrix entry non-dyadic."""
+    sys_, rep = kcopy_magic_square(k)
+    u = random_unitary(4**k, np.random.default_rng(seed))
+    images = tuple(u @ w @ u.conj().T for w in rep.images)
+    return sys_, GroupRep(images=images, j_image=rep.j_image)
+
+
+def bitwise_equal(a: OperatorStrategy, b: OperatorStrategy) -> bool:
+    return (
+        (a.dim, a.inputs, a.outputs) == (b.dim, b.inputs, b.outputs)
+        and set(a.pvms) == set(b.pvms)
+        and all(np.array_equal(a.pvms[key], b.pvms[key]) for key in a.pvms)
+    )
+
+
+def listed(n: int) -> list:
+    """The old JSON form of SignVectors(n): every vector, in order."""
+    return [list(x) for x in iter_product((-1, 1), repeat=n)]
+
+
+def test_three_copy_pipeline_runs_end_to_end():
+    sys_, rep = rotated_kcopy(3, seed=61)
+    assert (sys_.n, rep.dim) == (27, 64)
+    rep_report = verify_rep(rep, sys_, ROTATED_RELATION_TOL)
+    assert rep_report.passes and rep_report.j_nontrivial
+    strategy = strategy_from_rep(rep, sys_, tol=TOL, eps=TOL)
+    assert strategy.outputs == SignVectors(27) and len(strategy.pvms) == 72
+    game = build_synbcs(sys_)
+    relations = check_game_algebra_relations(game, strategy, TOL)
+    assert relations.passes and relations.max_residual <= ROTATED_RELATION_TOL
+    corr = correlation_from_tracial(strategy, TOL)
+    assert is_synchronous(corr, TOL) and is_perfect(corr, game, TOL)
+    assert verify_rep(rep_from_strategy(strategy, sys_, tol=TOL), sys_, 1e-8).passes
+    data = json.loads(json.dumps(strategy.to_json_dict()))
+    assert data["outputs"] == {"sign_vectors": 27}
+    assert bitwise_equal(strategy, OperatorStrategy.from_json_dict(data))
+
+
+@pytest.fixture(scope="module")
+def two_copy():
+    sys_, rep = rotated_kcopy(2, seed=67)
+    return sys_, strategy_from_rep(rep, sys_, tol=TOL, eps=TOL)
+
+
+def test_two_copy_strategy_json_is_compact(two_copy):
+    _, strategy = two_copy
+    text = json.dumps(strategy.to_json_dict())
+    assert len(text.encode()) < 1_000_000  # 17.6 MB while every output was listed
+    assert json.loads(text)["outputs"] == {"sign_vectors": 18}
+
+
+def test_old_list_form_strategy_loads_equal_to_the_compact_one(two_copy):
+    sys_, strategy = two_copy
+    compact = json.loads(json.dumps(strategy.to_json_dict()))
+    old = json.loads(json.dumps({**compact, "outputs": listed(18)}))
+    from_compact = OperatorStrategy.from_json_dict(compact)
+    from_old = OperatorStrategy.from_json_dict(old)
+    assert from_old.outputs == SignVectors(18)
+    assert bitwise_equal(from_old, from_compact) and bitwise_equal(from_old, strategy)
+    game = build_synbcs(sys_)
+    reference = check_game_algebra_relations(game, from_compact, TOL)
+    assert check_game_algebra_relations(game, from_old, TOL) == reference
+    assert reference.passes
+
+
+def test_old_list_form_bipartite_and_correlation_load_as_before(tmp_path, magic_square, pauli_rep):
+    strategy = strategy_from_rep(pauli_rep, magic_square)
+    bob = {key: mat.T for key, mat in strategy.pvms.items()}
+    bipartite = BipartiteStrategy(
+        dim_a=4, dim_b=4, inputs=strategy.inputs, outputs=strategy.outputs,
+        alice=dict(strategy.pvms), bob=bob, state=np.eye(4, dtype=complex).reshape(-1) / 2,
+    )
+    data = json.loads(json.dumps(bipartite.to_json_dict()))
+    assert data["outputs"] == {"sign_vectors": 9}
+    old = BipartiteStrategy.from_json_dict({**data, "outputs": listed(9)})
+    assert old.outputs == bipartite.outputs
+    assert [w for w, _ in decompose_qs(old)] == [w for w, _ in decompose_qs(bipartite)]
+
+    corr = correlation_from_tracial(strategy)
+    data = json.loads(json.dumps(corr.to_json_dict()))
+    assert data["outputs"] == {"sign_vectors": 9} and data["m"] == 512
+    assert Correlation.from_json_dict({**data, "outputs": listed(9)}) == corr
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(build_synbcs(magic_square).to_json_dict()))
+    payloads = []
+    for name, outputs in (("compact", data["outputs"]), ("old", listed(9))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**data, "outputs": outputs}))
+        report = tmp_path / f"{name}-report.json"
+        argv = ["strategy", "check", "--correlation", str(path), "--game", str(game)]
+        assert main(argv + ["--report", str(report)]) == 0
+        payloads.append(json.loads(report.read_text())["payload"])
+    assert payloads[0] == payloads[1]
+
+
+def test_a_62_variable_system_never_enumerates_its_outputs():
+    """Every step from a classical solution of a 62-variable system to its certified
+    strategy, correlation, representation, JSON and block decomposition: 2^62 outputs,
+    so any enumeration of the alphabet would not finish."""
+    n = MAX_GAME_VARIABLES
+    rows = tuple(frozenset({j, j + 1}) for j in range(1, n)) + (frozenset({n}),)
+    sys_ = BinaryLinearSystem(m=n, n=n, rows=rows, b=tuple(j % 2 for j in range(n)))
+    x = solve_gf2(sys_)
+    strategy = strategy_from_solution(sys_, x)
+    assert strategy.outputs == SignVectors(62)
+    game = build_synbcs(sys_)
+    assert check_game_algebra_relations(game, strategy, TOL).max_residual == 0.0
+    corr = correlation_from_tracial(strategy)
+    assert is_perfect(corr, game, 0.0) and corr.max_losing(game) == (0.0, None)
+    assert verify_rep(rep_from_strategy(strategy, sys_), sys_, 0.0).passes
+    data = json.loads(json.dumps(strategy.to_json_dict()))
+    assert bitwise_equal(strategy, OperatorStrategy.from_json_dict(data))
+    assert Correlation.from_json_dict(json.loads(json.dumps(corr.to_json_dict()))) == corr
+    bipartite = BipartiteStrategy(dim_a=1, dim_b=1, inputs=strategy.inputs, outputs=strategy.outputs,
+                                  alice=strategy.pvms, bob=strategy.pvms, state=np.ones(1))
+    [(weight, block)] = decompose_qs(bipartite)
+    assert weight == 1.0 and bitwise_equal(block, strategy)

@@ -4,9 +4,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_exact_pvm, random_unitary
+from conftest import kcopy_magic_square, random_exact_pvm, random_unitary, rotated
 
-from syncgames import build_hom_game, complete
+from syncgames import (
+    build_hom_game,
+    build_iso_game,
+    build_synbcs,
+    complete,
+    game_from_json_dict,
+    graph_from_system,
+    iso_strategy_from_bcs,
+    strategy_from_rep,
+)
+from syncgames.games import SyncGame, game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
 from syncgames.matops import norm2
 from syncgames.strategies import (
@@ -216,6 +226,20 @@ def test_unitary_to_pvm_rejects_wrong_order():
     u = np.diag([np.exp(2j * np.pi / 3), 1.0])
     with pytest.raises(VerificationError):
         unitary_to_pvm(u, 2)
+
+
+def test_row_unitary_sums_the_stored_operators_only(magic_square, pauli_rep):
+    """OperatorStrategy.unitary is pvm_to_unitary of the full row, zeros skipped: on a
+    sparse tuple-labelled row and on the magic-square strategy over SignVectors(9)."""
+    rng = np.random.default_rng(101)
+    pvms = {(0, a): e for a, e in zip((1, 3, 4), random_exact_pvm(4, 3, rng))}
+    sparse = OperatorStrategy(dim=4, inputs=(0,), outputs=tuple(range(6)), pvms=pvms)
+    strategy = strategy_from_rep(pauli_rep, magic_square)
+    for s in (sparse, strategy):
+        for x in s.inputs:
+            assert np.array_equal(s.unitary(x), pvm_to_unitary(s.row(x)))
+    with pytest.raises(ValidationError):
+        OperatorStrategy(dim=1, inputs=(0,), outputs=(), pvms={}).unitary(0)
 
 
 def test_unitary_to_pvm_rejects_non_unitary():
@@ -547,3 +571,90 @@ def test_bipartite_rejects_unnormalized_state():
             alice={(0, 0): np.eye(1)}, bob={(0, 0): np.eye(1)},
             state=np.array([2.0]),
         )
+
+
+# ------------------------------------------------------ batched max_losing --
+
+def max_losing_oracle(corr: Correlation, game) -> tuple:
+    """The per-entry loop Correlation.max_losing replaced: one game.wins call per
+    stored entry, keeping the first strict maximum above 0."""
+    worst, witness = 0.0, None
+    for (x, y, a, b), val in corr.p.items():
+        if not game.wins(x, y, a, b) and val > worst:
+            worst, witness = val, (x, y, a, b)
+    return worst, witness
+
+
+def rotated_correlation(strategy, seed: int) -> Correlation:
+    u = random_unitary(strategy.dim, np.random.default_rng(seed))
+    return correlation_from_tracial(rotated(strategy, u))
+
+
+def noisy(corr: Correlation, seed: int, scale: float = 1e-3) -> Correlation:
+    rng = np.random.default_rng(seed)
+    p = {key: val + scale * rng.normal() for key, val in corr.p.items()}
+    return Correlation(corr.inputs, corr.outputs, p)
+
+
+def max_losing_cases() -> list:
+    """(correlation, game) params: Haar-rotated perfect strategies, whose losing entries
+    are rounding noise of either sign, the same with noise on every entry, and a
+    correlation per game kind."""
+    cases = []
+    for copies in (1, 2):
+        sys_, rep = kcopy_magic_square(copies)
+        strategy, game = strategy_from_rep(rep, sys_), build_synbcs(sys_)
+        corr = rotated_correlation(strategy, 71 + copies)
+        cases.append(pytest.param(corr, game, id=f"rotated-{copies}-copy"))
+        cases.append(pytest.param(noisy(corr, 73 + copies), game, id=f"noisy-{copies}-copy"))
+        if copies == 1:
+            iso = iso_strategy_from_bcs(strategy, sys_)
+            iso_game = build_iso_game(graph_from_system(sys_, use_b=True),
+                                      graph_from_system(sys_, use_b=False))
+            cases.append(pytest.param(noisy(rotated_correlation(iso, 79), 83), iso_game, id="iso"))
+    hom = build_hom_game(complete(3), complete(3))
+    uniform = {(x, y, a, b): 1.0 / 9 for x in hom.inputs for y in hom.inputs
+               for a in hom.outputs for b in hom.outputs}
+    cases.append(pytest.param(noisy(Correlation(hom.inputs, hom.outputs, uniform), 89), hom,
+                              id="hom"))
+    explicit = game_from_json_dict(SyncGame(
+        inputs=(0, 1), outputs=(0, 1, 2), predicate=build_hom_game(complete(2), complete(3)).predicate,
+    ).to_json_dict())
+    cases.append(pytest.param(noisy(Correlation((0, 1), (0, 1, 2), {
+        key: 1.0 / 9 for key in uniform if max(key) < 3 and max(key[:2]) < 2}), 97), explicit,
+        id="explicit"))
+    return cases
+
+
+@pytest.mark.parametrize("corr, game", max_losing_cases())
+def test_max_losing_matches_the_per_entry_loop(corr, game):
+    assert corr.max_losing(game) == max_losing_oracle(corr, game)
+
+
+def test_max_losing_keeps_the_first_of_tied_maxima_and_skips_nan():
+    game = build_hom_game(complete(2), complete(2))
+    p = {(0, 1, 0, 0): 0.25, (0, 0, 0, 1): float("nan"), (1, 0, 1, 1): 0.25,
+         (0, 0, 0, 0): 0.5, (1, 1, 1, 0): 0.1}
+    corr = Correlation(game.inputs, game.outputs, p)
+    assert corr.max_losing(game) == max_losing_oracle(corr, game) == (0.25, (0, 1, 0, 0))
+    p[(1, 1, 0, 1)] = float("inf")
+    corr = Correlation(game.inputs, game.outputs, p)
+    assert corr.max_losing(game) == max_losing_oracle(corr, game) == (float("inf"), (1, 1, 0, 1))
+    winning = Correlation(game.inputs, game.outputs, {(0, 0, 0, 0): 0.5, (0, 1, 0, 1): 0.5})
+    assert winning.max_losing(game) == (0.0, None)
+    assert Correlation(game.inputs, game.outputs, {}).max_losing(game) == (0.0, None)
+
+
+def test_max_losing_reads_the_mask_in_entry_order_on_an_asymmetric_game():
+    """(0, 1, 0, 0) loses but (1, 0, 0, 0) wins, so a transposed mask lookup is caught."""
+    diagonal = [(x, x, a, b) for x in (0, 1) for a in (0, 1) for b in (0, 1) if a != b]
+    game = game_from_losing(inputs=[0, 1], outputs=[0, 1], losing=diagonal + [(0, 1, 0, 0)])
+    corr = Correlation(game.inputs, game.outputs, {(1, 0, 0, 0): 0.5, (0, 1, 0, 0): 0.3})
+    assert corr.max_losing(game) == max_losing_oracle(corr, game) == (0.3, (0, 1, 0, 0))
+
+
+def test_max_losing_refuses_labels_the_game_does_not_have():
+    game = build_hom_game(complete(2), complete(2))
+    for key in ((0, 2, 0, 0), (0, 0, 0, 5)):
+        with pytest.raises(ValidationError):
+            Correlation((0, 1, 2), (0, 1, 5), {key: 0.5}).max_losing(game)
