@@ -30,8 +30,9 @@ MAX_GAME_VARIABLES = MAX_SIGN_VECTOR_LENGTH  # synBCS outputs are SignVectors(n)
 DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SYNC_SCAN_CELLS = 2_000_000
-# predicate calls of the search's candidate scan: above 3 * 2^20, the largest scan
-# the 64-bit search budget allowed while synBCS games had at most 20 variables
+# predicate calls of the search's candidate scan, made only for a game that lists no
+# candidates (synBCS games list theirs): above 3 * 2^20, the largest scan the 64-bit
+# search budget allowed while synBCS games had at most 20 variables
 MAX_CANDIDATE_SCAN = 4_000_000
 MAX_LOSING_TABLE_CELLS = 1_000_000
 
@@ -49,6 +50,9 @@ class SyncGame:
     # the vectorised form of the predicate, attached only by the generating constructors
     # (through _with_mask), so it cannot be passed in disagreeing with the predicate
     _mask_of: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
+    # input -> its winning outputs (those a with V(x, x, a, a) = 1) in output order, so
+    # the classical search need not scan the alphabet; attached by build_synbcs only
+    _candidates: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def input_set(self) -> frozenset:
@@ -108,8 +112,9 @@ class SyncGame:
         }
 
 
-def _with_mask(game: SyncGame, mask_of: Callable) -> SyncGame:
+def _with_mask(game: SyncGame, mask_of: Callable, candidates: Optional[dict] = None) -> SyncGame:
     object.__setattr__(game, "_mask_of", mask_of)
+    object.__setattr__(game, "_candidates", candidates)
     return game
 
 
@@ -142,7 +147,8 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     answers are local solutions agreeing on shared variables."""
     if sys.n > MAX_GAME_VARIABLES:
         raise BudgetError(f"synBCS output set 2^{sys.n} exceeds the n <= {MAX_GAME_VARIABLES} budget")
-    solutions = {i: frozenset(enumerate_si(sys, i)) for i in range(1, sys.m + 1)}
+    listed = {i: tuple(enumerate_si(sys, i)) for i in range(1, sys.m + 1)}  # in output order
+    solutions = {i: frozenset(si) for i, si in listed.items()}
     shared = {
         (i, j): tuple(sorted(sys.rows[i - 1] & sys.rows[j - 1]))
         for i in range(1, sys.m + 1)
@@ -172,7 +178,7 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
         kind="synbcs",
         source={"kind": "synbcs", "system": sys.to_json_dict()},
     )
-    return _with_mask(game, mask_of)
+    return _with_mask(game, mask_of, listed)
 
 
 def build_hom_game(g, h) -> SyncGame:
@@ -314,26 +320,36 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     """Backtracking search for a perfect deterministic strategy.
 
     Returns None only when the exhaustive search proved none exists; raises
-    BudgetError (an explicit undecided outcome) when the assignment space
-    exceeds DEFAULT_SEARCH_BITS bits or the search exceeds DEFAULT_SEARCH_NODES
-    nodes.  Inputs are processed most constrained first and partial
-    assignments are pruned against every previously assigned input.
+    BudgetError (an explicit undecided outcome) when the assignment space,
+    sum over inputs x of log2 |candidates(x)|, exceeds DEFAULT_SEARCH_BITS
+    bits or the search exceeds DEFAULT_SEARCH_NODES nodes.  The candidates of
+    x are its outputs a with V(x, x, a, a) = 1: the game's own lists when it
+    has them (synBCS: the local solutions S_i), else a predicate scan of the
+    whole alphabet, refused above MAX_CANDIDATE_SCAN calls and counted as
+    every output in the bit budget.  Inputs are processed most constrained
+    first and partial assignments are pruned against every previously
+    assigned input.
     """
     n_inputs = len(game.inputs)
     n_outputs = len(game.outputs)
-    bits = n_inputs * math.log2(max(n_outputs, 1))
+    candidates = game._candidates
+    if candidates is None:
+        bits = n_inputs * math.log2(max(n_outputs, 1))
+    else:
+        bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
     if bits > DEFAULT_SEARCH_BITS:
         raise BudgetError(
             f"search space of {bits:.1f} bits exceeds budget of {DEFAULT_SEARCH_BITS:.1f}; undecided"
         )
-    if n_inputs * n_outputs > MAX_CANDIDATE_SCAN:
-        raise BudgetError(
-            f"candidate scan needs {n_inputs * n_outputs} predicate calls > {MAX_CANDIDATE_SCAN}; "
-            "undecided"
-        )
-    candidates = {
-        x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
-    }
+    if candidates is None:
+        if n_inputs * n_outputs > MAX_CANDIDATE_SCAN:
+            raise BudgetError(
+                f"candidate scan needs {n_inputs * n_outputs} predicate calls > "
+                f"{MAX_CANDIDATE_SCAN}; undecided"
+            )
+        candidates = {
+            x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
+        }
     if any(not c for c in candidates.values()):
         return None
     order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))

@@ -1,6 +1,6 @@
 """Dense complex Hermitian matrix kernel: eigendecomposition, projections onto
 columns, normalized-trace 2-norms (one at a time, or batched over operator
-products) and Kronecker products.
+products and over the relations of a PVM family) and Kronecker products.
 
 All 2-norms in this package are taken with respect to the NORMALIZED trace,
 norm2(a) = sqrt(tr(a* a) / d), so norm2(I) = 1 in every dimension.  Every distance-bound
@@ -84,6 +84,28 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     return out
 
 
+def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
+    """(largest adjoint, idempotency, completeness residual) of a family of d x d
+    operators mats (a sequence), operator k in row rows[k] of n_rows rows:
+    residual(a - a*) and residual(a - a a) of each operator, and residual(s - I)
+    of each row sum s, its operators added in sequence order (an empty row sums
+    to 0).  The operators are stacked in chunks of at most PRODUCT_CHUNK_ENTRIES
+    complex entries per array, never all at once; a residual that overflows is
+    inf.  Each largest residual is 0.0 when there is nothing to check.
+    """
+    per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
+    totals = np.zeros((n_rows, d, d), dtype=complex)
+    max_adj = max_proj = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(mats), per):
+            chunk = np.array(mats[start:start + per], dtype=complex)
+            max_adj = max(max_adj, _residuals(chunk - np.conj(np.swapaxes(chunk, 1, 2))).max())
+            max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
+            np.add.at(totals, rows[start:start + per], chunk)  # unbuffered, in index order
+        totals -= identity(d)
+    return float(max_adj), float(max_proj), float(_residuals(totals).max(initial=0.0))
+
+
 def max_pairwise_distance(mats) -> tuple:
     """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two."""
     worst, witness = 0.0, None
@@ -120,28 +142,40 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(h, *, max_dim: int = MAX_EIG_DIM) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, certified by reconstruction residual.
-
-    The input must be Hermitian within 1e-10 entrywise and no larger than
-    max_dim; the reconstruction U diag(w) U* must match within
-    1e-9 * d * max(1, ||H||_F) in Frobenius norm, so the bound scales with the
-    input, or a VerificationError is raised.
-    """
+def hermitian_input(h, *, max_dim: int = MAX_EIG_DIM) -> np.ndarray:
+    """h as a square complex matrix with finite entries, refused unless it is no larger
+    than max_dim and Hermitian within HERMITIAN_INPUT_TOL entrywise.  These are the
+    input checks of hermitian_eig, for callers that need no eigenvectors."""
     mat = as_matrix(h)
     d = mat.shape[0]
     if d > max_dim:
         raise ValidationError(f"dimension {d} exceeds cap {max_dim}")
-    # Huge finite entries may overflow to inf below; that is reported through the
-    # defect, the eigenvalues or the residual, never as a numpy warning.
+    # Huge finite entries may overflow to inf here; that is reported through the
+    # defect, never as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         defect = hermitian_defect(mat)
-        if defect > HERMITIAN_INPUT_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian within {HERMITIAN_INPUT_TOL:g} (defect {defect:.3e})"
-            )
+    if defect > HERMITIAN_INPUT_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian within {HERMITIAN_INPUT_TOL:g} (defect {defect:.3e})"
+        )
+    return mat
+
+
+def hermitian_eig(h, *, max_dim: int = MAX_EIG_DIM) -> EigResult:
+    """Eigendecomposition of a Hermitian matrix, certified by reconstruction residual.
+
+    The input must pass hermitian_input (Hermitian within 1e-10 entrywise and no
+    larger than max_dim); the reconstruction U diag(w) U* must match within
+    1e-9 * d * max(1, ||H||_F) in Frobenius norm, so the bound scales with the
+    input, or a VerificationError is raised.
+    """
+    mat = hermitian_input(h, max_dim=max_dim)
+    d = mat.shape[0]
+    # Huge finite entries may overflow to inf below; that is reported through the
+    # eigenvalues or the residual, never as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
         w, u = np.linalg.eigh(mat / 2 + dagger(mat) / 2)  # halves first: the sum cannot overflow
-        recon = float(np.linalg.norm(u @ np.diag(w) @ dagger(u) - mat))
+        recon = float(np.linalg.norm((u * w) @ dagger(u) - mat))  # u * w is u @ diag(w)
         bound = 1e-9 * d * max(1.0, float(np.linalg.norm(mat)))
     if recon > bound:
         raise VerificationError(f"eigendecomposition residual {recon:.3e} > {bound:.3e}")

@@ -3,10 +3,12 @@
 round_contraction sends a positive contraction to its spectral projection for
 [1/2, 1] and certifies the distance bound ||p - q||_2 <= 2*sqrt(2)*||p - p^2||_2.
 orthogonalize_family runs the inductive construction for a whole family: each
-element is compressed by the complement of the previously emitted projections
+element is compressed to the complement of the previously emitted projections
 before rounding, so the outputs are mutually orthogonal by construction, and an
-optional remainder absorption makes them sum to the identity.  All reported
-norms use the normalized trace.
+optional remainder absorption makes them sum to the identity.  The compression
+is taken in an orthonormal basis of that complement, which shrinks as blocks
+are emitted, so each element costs one eigensolve of the size still free.  All
+reported norms use the normalized trace.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .matops import (
     as_matrix,
     dagger,
     hermitian_eig,
+    hermitian_input,
     identity,
     norm2,
     projection_onto_columns,
@@ -28,6 +31,8 @@ from .matops import (
 
 ROUNDING_BOUND_FACTOR = 2.0 * math.sqrt(2.0)
 INPUT_EIGENVALUE_SLACK = 0.1  # how far input eigenvalues may stray outside [0, 1]
+# inputs whose eigenvalues come this close to the slack's edge are left to the eigensolve
+CHOLESKY_MARGIN = 1e-9
 EXACT_TOL = 1e-12             # orthogonality/idempotency promised on outputs
 
 
@@ -65,6 +70,30 @@ def _validated_contraction(p) -> tuple:
             f"{INPUT_EIGENVALUE_SLACK:g} outside [0, 1]"
         )
     return mat, eig
+
+
+def _certified_contraction(p) -> np.ndarray:
+    """The matrix of _validated_contraction(p), without its eigenvectors.
+
+    After the input checks of hermitian_eig, Cholesky factorizations of
+    h + s I and (1 + s) I - h, for s = INPUT_EIGENVALUE_SLACK - CHOLESKY_MARGIN
+    and h the symmetrized input, certify every eigenvalue within
+    INPUT_EIGENVALUE_SLACK of [0, 1].  An input they cannot certify (a factor
+    fails or is not finite) goes to _validated_contraction, which decides and
+    words any refusal exactly as before.
+    """
+    mat = hermitian_input(p)
+    h = mat / 2 + dagger(mat) / 2  # the matrix hermitian_eig diagonalizes
+    eye = identity(mat.shape[0])
+    s = INPUT_EIGENVALUE_SLACK - CHOLESKY_MARGIN
+    with np.errstate(all="ignore"):
+        try:
+            factors = (np.linalg.cholesky(h + s * eye), np.linalg.cholesky((1.0 + s) * eye - h))
+        except np.linalg.LinAlgError:
+            factors = ()
+    if factors and all(np.isfinite(f).all() for f in factors):
+        return mat
+    return _validated_contraction(mat)[0]
 
 
 def _upper_half_columns(eig, boundary_margin: float) -> np.ndarray:
@@ -186,9 +215,14 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
 
     Follows the inductive construction: element k is compressed by
     r = I - (q_1 + ... + q_{k-1}) and q_k is the [1/2, 1] spectral projection
-    of r p_k r, re-orthonormalized against the emitted blocks.  With sum_one
-    the remainder I - sum q_i is absorbed into q_1.  Returns (qs, report);
-    the report tracks the input scale against the (40 m + 3) budget.
+    of r p_k r, re-orthonormalized against the emitted blocks.  The
+    compression is diagonalized as rest* p_k rest, where the columns of rest
+    are an orthonormal basis of the range of r: its eigenvalues are the nonzero
+    ones of r p_k r, the eigenvectors for [1/2, 1] give q_k's columns and
+    the others give the next rest.  Each input's eigenvalue range is certified
+    without an eigensolve (_certified_contraction).  With sum_one the remainder
+    I - sum q_i is absorbed into q_1.  Returns (qs, report); the report tracks
+    the input scale against the (40 m + 3) budget.
     """
     mats = [as_matrix(p) for p in ps]
     m = len(mats)
@@ -200,16 +234,17 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
     for p in mats:
         if p.shape != (d, d):
             raise ValidationError("family elements have mixed dimensions")
-    validated = [_validated_contraction(p)[0] for p in mats]
+    validated = [_certified_contraction(p) for p in mats]
 
     eye = identity(d)
-    basis = np.zeros((d, 0), dtype=complex)
+    basis = np.zeros((d, 0), dtype=complex)  # the emitted columns
+    rest = eye  # orthonormal columns spanning their complement
     qs = []
     for p in validated:
-        r = eye - basis @ dagger(basis)
-        h = r @ p @ r  # compression can amplify p's tolerated non-Hermitian part past 1e-10
+        h = dagger(rest) @ p @ rest  # compression can amplify p's tolerated non-Hermitian part past 1e-10
         eig = hermitian_eig((h + dagger(h)) / 2)
-        cols = _orthonormalize_against(_upper_half_columns(eig, BOUNDARY_MARGIN), basis)
+        cols = _orthonormalize_against(rest @ _upper_half_columns(eig, BOUNDARY_MARGIN), basis)
+        rest = rest @ eig.eigenvectors[:, eig.eigenvalues < 0.5]
         qs.append(projection_onto_columns(cols))
         basis = np.concatenate([basis, cols], axis=1)
 

@@ -36,7 +36,7 @@ from .matops import (
     matrix_from_json,
     matrix_to_json,
     norm2,
-    residual,
+    pvm_defects,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,13 +131,10 @@ class OperatorStrategy:
         present.sort(key=self._output_index)
         return tuple(present)
 
-    def row(self, x) -> list:
-        """The full PVM row for input x, ordered by the output tuple (zeros included)."""
-        return [self.matrix(x, a) for a in self.outputs]
-
     def unitary(self, x) -> np.ndarray:
-        """pvm_to_unitary(self.row(x)), summed over the stored operators only, so an
-        implicit output alphabet is never enumerated."""
+        """pvm_to_unitary of the full row for input x (zeros included, in output
+        order), summed over the stored operators only, so an implicit output
+        alphabet is never enumerated."""
         if not self.outputs:
             raise ValidationError("empty PVM row")
         omega = np.exp(2j * np.pi / len(self.outputs))
@@ -158,18 +155,13 @@ class OperatorStrategy:
         return keys, mats.reshape(len(keys), self.dim, self.dim)
 
     def defects(self) -> PVMDefects:
-        """The largest adjoint, idempotency and completeness residuals; a residual
-        that overflows (huge finite entries) is inf, so it fails every check."""
-        eye = identity(self.dim)
-        max_adj = max_proj = max_complete = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for mat in self.pvms.values():
-                max_adj = max(max_adj, residual(mat - dagger(mat)))
-                max_proj = max(max_proj, residual(mat - mat @ mat))
-            for x in self.inputs:
-                total = sum((self.pvms[(x, a)] for a in self.row_outputs(x)), 0.0 * eye)
-                max_complete = max(max_complete, residual(total - eye))
-        return PVMDefects(max_adj, max_proj, max_complete)
+        """The largest adjoint, idempotency and completeness residuals, batched over
+        the stored operators in stored_keys() order; a residual that overflows
+        (huge finite entries) is inf, so it fails every check."""
+        keys = self.stored_keys()
+        rows = np.array([self._input_index[x] for x, _ in keys], dtype=np.intp)
+        mats = [self.pvms[key] for key in keys]
+        return PVMDefects(*pvm_defects(mats, rows, len(self.inputs), self.dim))
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
         """Raise unless every PVM defect is within tol; return the defects."""

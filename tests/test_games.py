@@ -94,12 +94,50 @@ def test_synbcs_refuses_too_many_variables():
 
 
 def test_classical_search_refuses_a_candidate_scan_over_the_whole_alphabet():
-    """One equation over 23 variables fits the 64-bit search budget, but listing its
-    candidates would scan 2^23 outputs: a budget refusal (at 40 variables the scan
-    would not finish)."""
+    """A synBCS game lists its candidates (the local solutions S_i), so one equation
+    over 23 variables is solved without a scan.  A game over the same 2^23 outputs
+    that lists none would scan them all: a budget refusal (at 40 variables the
+    scan would not finish)."""
     sys_ = BinaryLinearSystem(m=1, n=23, rows=(frozenset({1}),), b=(0,))
+    game = build_synbcs(sys_)
+    found = find_deterministic_perfect(game)
+    assert found is not None and found.perfect_for(game)
+    assert found.assignment == {1: (1,) * 23}
+    unlisted = SyncGame(inputs=game.inputs, outputs=SignVectors(23), predicate=game.predicate)
     with pytest.raises(BudgetError, match="candidate scan"):
-        find_deterministic_perfect(build_synbcs(sys_))
+        find_deterministic_perfect(unlisted)
+
+
+def test_synbcs_candidate_lists_are_the_local_solutions_in_output_order():
+    """The attached lists equal the scan they replace, and the search over them finds
+    the very assignment the scan-based search finds."""
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        sys_ = random_system(rng, max_m=4, max_n=6)
+        game = build_synbcs(sys_)
+        scanned = {
+            i: tuple(a for a in game.outputs if game.predicate(i, i, a, a)) for i in game.inputs
+        }
+        assert game._candidates == scanned
+        assert all(tuple(enumerate_si(sys_, i)) == scanned[i] for i in game.inputs)
+        unlisted = SyncGame(inputs=game.inputs, outputs=game.outputs, predicate=game.predicate)
+        found, expected = find_deterministic_perfect(game), find_deterministic_perfect(unlisted)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found.assignment == expected.assignment
+
+
+def test_synbcs_search_budget_counts_the_candidate_lists():
+    """Equations on one 4-variable support list 8 candidates (3 bits) each: 21 of
+    them (63 bits) fit the 64-bit budget although 21 * log2(2^4) = 84, and 22
+    (66 bits) are refused before any search."""
+    def system(m):
+        return BinaryLinearSystem(m=m, n=4, rows=(frozenset({1, 2, 3, 4}),) * m, b=(0,) * m)
+
+    game = build_synbcs(system(21))
+    assert find_deterministic_perfect(game).perfect_for(game)
+    with pytest.raises(BudgetError, match="66.0 bits"):
+        find_deterministic_perfect(build_synbcs(system(22)))
 
 
 def test_relation_check_compares_output_alphabets_without_enumerating_them():

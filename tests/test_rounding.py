@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,15 @@ from syncgames import (
     pauli_magic_square_rep,
     strategy_from_rep,
 )
+from syncgames import rounding
+from syncgames.cli import main
 from syncgames.errors import BoundaryAmbiguityError, ValidationError, VerificationError
-from syncgames.matops import norm2, projection_onto_columns
+from syncgames.matops import BOUNDARY_MARGIN, hermitian_eig, norm2, projection_onto_columns
 from syncgames.rounding import (
+    _certified_contraction,
     _orthonormalize_against,
+    _upper_half_columns,
+    _validated_contraction,
     family_budget_constant,
     orthogonalize_family,
     round_contraction,
@@ -54,6 +60,40 @@ def gram_schmidt_against(cols, basis):
     if not out:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     return np.column_stack(out)
+
+
+def full_space_family(ps, sum_one: bool) -> list:
+    """Reference oracle: the family construction in the full space.  Each input's
+    range is checked by a full eigensolve, and element k is rounded from the d x d
+    compression r p_k r, r = I - (q_1 + ... + q_{k-1}); with sum_one the
+    remainder is absorbed into q_1.  Returns the rounded projections."""
+    validated = [_validated_contraction(p)[0] for p in ps]
+    d = validated[0].shape[0]
+    eye = np.eye(d, dtype=complex)
+    basis = np.zeros((d, 0), dtype=complex)
+    qs = []
+    for p in validated:
+        r = eye - basis @ basis.conj().T
+        h = r @ p @ r
+        eig = hermitian_eig((h + h.conj().T) / 2)
+        cols = _orthonormalize_against(_upper_half_columns(eig, BOUNDARY_MARGIN), basis)
+        qs.append(projection_onto_columns(cols))
+        basis = np.concatenate([basis, cols], axis=1)
+    if sum_one:
+        remainder = eye - basis @ basis.conj().T
+        remainder = (remainder + remainder.conj().T) / 2
+        if norm2(remainder - remainder @ remainder) > 1e-9:
+            raise VerificationError("remainder is not a projection")
+        qs[0] = qs[0] + remainder
+    return qs
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except (ValidationError, VerificationError) as exc:
+        return type(exc), str(exc)
 
 
 def test_exact_projection_is_fixed():
@@ -251,3 +291,119 @@ def test_block_orthonormalization_collapses_on_a_column_in_the_basis_span(method
     cols = np.column_stack([u[:, 2], basis @ np.array([0.6, 0.8])])
     with pytest.raises(VerificationError):
         method(cols, basis)
+
+
+def family_cases(seed: int, count: int) -> list:
+    """(ps, sum_one) over Haar-rotated PVMs with d <= 64, nudged by Hermitian noise of
+    a log-uniform size from 1e-7 to 1e-2, plus families built to fail (an input
+    out of range, an eigenvalue on 1/2 after compression) and a one-element
+    family that sum_one must fill up."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        d = int(rng.integers(1, 65))
+        m = int(rng.integers(1, min(d, 6) + 1))
+        eps = float(10.0 ** rng.uniform(-7.0, -2.0))
+        cases.append((perturbed_pvm(d, m, rng, eps), k % 2 == 0))
+    u = random_unitary(8, rng)
+
+    def spin(lam):
+        return (u * np.array(lam)) @ u.conj().T
+
+    fail = [
+        [spin([1.2] + [0.0] * 7)],
+        [spin([1.0, 0.0] + [0.0] * 6), spin([0.9, 0.5] + [0.0] * 6)],
+    ]
+    cases += [(ps, False) for ps in fail] + [(ps, True) for ps in fail]
+    cases.append(([spin([0.96] * 2 + [0.04] * 2 + [0.0] * 4)], True))
+    return cases
+
+
+def test_family_matches_the_full_space_construction():
+    """The complement-basis construction rounds every family as the full-space
+    loop does, within 1e-12, and refuses the same families with the same types."""
+    raised = set()
+    for ps, sum_one in family_cases(seed=120, count=60):
+        new = outcome(orthogonalize_family, ps, sum_one)
+        old = outcome(full_space_family, ps, sum_one)
+        assert new[0] == old[0], (new, old)
+        if new[0] == "ok":
+            qs, report = new[1]
+            assert len(qs) == len(old[1])
+            assert max(np.max(np.abs(q - r)) for q, r in zip(qs, old[1])) <= 1e-12
+            assert report.outputs_exact
+        else:
+            raised.add(new[0])
+    assert raised == {ValidationError, BoundaryAmbiguityError}
+
+
+def test_family_makes_one_eigensolve_per_element(monkeypatch):
+    calls = []
+
+    def counted(h, **kwargs):
+        calls.append(h.shape[0])
+        return hermitian_eig(h, **kwargs)
+
+    monkeypatch.setattr(rounding, "hermitian_eig", counted)
+    ps = perturbed_pvm(16, 4, np.random.default_rng(121), 1e-4)
+    qs, _ = orthogonalize_family(ps)
+    ranks = [round(np.trace(q).real) for q in qs]
+    # each eigensolve is over the complement of the blocks emitted before it
+    assert calls == [16 - sum(ranks[:k]) for k in range(4)]
+    assert min(ranks) >= 1
+
+
+@pytest.mark.parametrize("lam, accepted", [
+    ([1.1, 0.0], True),
+    ([-0.1, 0.7], True),
+    ([1.1000001, 0.0], False),
+    ([-0.1000001, 0.7], False),
+])
+def test_family_input_range_edges(lam, accepted):
+    """Inputs on the edge of the slack are left to the eigensolve, which accepts them;
+    just past it they are refused with the eigensolve's message."""
+    if accepted:
+        qs, report = orthogonalize_family([np.diag(lam)])
+        assert np.allclose(qs[0], np.diag(np.array(lam) >= 0.5).astype(float))
+        assert report.outputs_exact
+    else:
+        expected = f"eigenvalues [{min(lam):.6g}, {max(lam):.6g}] stray more than 0.1 outside [0, 1]"
+        with pytest.raises(ValidationError) as info:
+            orthogonalize_family([np.diag(lam)])
+        assert str(info.value) == expected
+
+
+def test_input_range_certificate_decides_as_the_eigensolve_does():
+    """Rotated inputs whose extreme eigenvalues straddle the edges of the slack by
+    1e-17 to 1e-3: the Cholesky certificate accepts and refuses exactly what the
+    eigensolve accepts and refuses, with the same message.  (Unshifted by
+    CHOLESKY_MARGIN, the factorizations accept some inputs within rounding of
+    the edge that the eigensolve refuses.)"""
+    rng = np.random.default_rng(122)
+    for _ in range(400):
+        d = int(rng.integers(1, 17))
+        lam = rng.uniform(0.0, 1.0, size=d)
+        edge = float(rng.choice([-0.1, 1.1]))
+        lam[0] = edge + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-17.0, -3.0)
+        u = random_unitary(d, rng)
+        p = (u * lam) @ u.conj().T
+        new = outcome(_certified_contraction, p)
+        old = outcome(lambda a: _validated_contraction(a)[0], p)
+        assert new[0] == old[0]
+        if new[0] == "ok":
+            assert np.array_equal(new[1], old[1])
+        else:
+            assert new[1] == old[1]
+
+
+def test_family_huge_entry_exits_2_without_a_warning(tmp_path):
+    entry = {"dim": 2, "entries": [[[0.5, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.5, 0.0]]]}
+    infile = tmp_path / "family.json"
+    infile.write_text(json.dumps({"pvms": [entry]}))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["round", "--in", str(infile), "--out", str(tmp_path / "o.json"),
+                     "--report", str(report)])
+    assert code == 2
+    assert "stray more than 0.1 outside [0, 1]" in json.loads(report.read_text())["error"]

@@ -4,7 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import kcopy_magic_square, random_exact_pvm, random_unitary, rotated
+from conftest import (
+    kcopy_magic_square,
+    random_exact_pvm,
+    random_hermitian,
+    random_unitary,
+    rotated,
+)
 
 from syncgames import (
     build_hom_game,
@@ -18,9 +24,10 @@ from syncgames import (
 )
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
-from syncgames.matops import norm2
+from syncgames.matops import dagger, norm2, residual
 from syncgames.strategies import (
     BipartiteStrategy,
+    PVMDefects,
     Correlation,
     OperatorStrategy,
     correlation_from_bipartite,
@@ -237,7 +244,8 @@ def test_row_unitary_sums_the_stored_operators_only(magic_square, pauli_rep):
     strategy = strategy_from_rep(pauli_rep, magic_square)
     for s in (sparse, strategy):
         for x in s.inputs:
-            assert np.array_equal(s.unitary(x), pvm_to_unitary(s.row(x)))
+            row = [s.matrix(x, a) for a in s.outputs]  # the full row, zeros included
+            assert np.array_equal(s.unitary(x), pvm_to_unitary(row))
     with pytest.raises(ValidationError):
         OperatorStrategy(dim=1, inputs=(0,), outputs=(), pvms={}).unitary(0)
 
@@ -255,7 +263,7 @@ def test_strategy_row_feeds_the_unitary_roundtrip():
             pvms[(x, a)] = e
     s = OperatorStrategy(dim=4, inputs=(0, 1), outputs=(0, 1, 2), pvms=pvms)
     for x in s.inputs:
-        row = s.row(x)
+        row = [s.matrix(x, a) for a in s.outputs]
         back = unitary_to_pvm(pvm_to_unitary(row), len(s.outputs))
         assert max(norm2(e - f) for e, f in zip(row, back)) <= 1e-10
 
@@ -658,3 +666,65 @@ def test_max_losing_refuses_labels_the_game_does_not_have():
     for key in ((0, 2, 0, 0), (0, 0, 0, 5)):
         with pytest.raises(ValidationError):
             Correlation((0, 1, 2), (0, 1, 5), {key: 0.5}).max_losing(game)
+
+
+def defects_oracle(s: OperatorStrategy) -> PVMDefects:
+    """The per-operator loop OperatorStrategy.defects replaced: one residual call per
+    adjoint and idempotency check, one row sum per input in output order."""
+    eye = np.eye(s.dim, dtype=complex)
+    max_adj = max_proj = max_complete = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mat in s.pvms.values():
+            max_adj = max(max_adj, residual(mat - dagger(mat)))
+            max_proj = max(max_proj, residual(mat - mat @ mat))
+        for x in s.inputs:
+            total = sum((s.pvms[(x, a)] for a in s.row_outputs(x)), 0.0 * eye)
+            max_complete = max(max_complete, residual(total - eye))
+    return PVMDefects(max_adj, max_proj, max_complete)
+
+
+def perturbed(s: OperatorStrategy, seed: int, scale: float) -> OperatorStrategy:
+    """s with non-Hermitian noise of the given scale on every stored operator."""
+    rng = np.random.default_rng(seed)
+    noise = {
+        key: random_hermitian(s.dim, rng, scale) + 1j * scale * rng.normal(size=(s.dim, s.dim))
+        for key in s.pvms
+    }
+    return OperatorStrategy(s.dim, s.inputs, s.outputs, {k: m + noise[k] for k, m in s.pvms.items()})
+
+
+def defects_cases() -> list:
+    """Haar-rotated 1- and 2-copy strategies (one chunk of 4 x 4 operators, and
+    48 operators of 16 x 16, 32 to a chunk), noisy copies of them, a Haar-rotated
+    iso strategy (192 stored operators), 128 x 128 operators (one to a chunk), an
+    input with no stored operator, and huge entries whose products overflow."""
+    cases = []
+    for copies in (1, 2):
+        sys_, rep = kcopy_magic_square(copies)
+        strategy = strategy_from_rep(rep, sys_)
+        spun = rotated(strategy, random_unitary(strategy.dim, np.random.default_rng(80 + copies)))
+        cases.append(pytest.param(spun, id=f"rotated-{copies}-copy"))
+        cases.append(pytest.param(perturbed(spun, 90 + copies, 1e-6), id=f"noisy-{copies}-copy"))
+    magic, pauli = kcopy_magic_square(1)
+    iso = iso_strategy_from_bcs(strategy_from_rep(pauli, magic), magic)
+    cases.append(pytest.param(rotated(iso, random_unitary(4, np.random.default_rng(94))), id="iso"))
+    rng = np.random.default_rng(95)
+    big = {(x, a): e for x in range(2) for a, e in enumerate(random_exact_pvm(128, 3, rng))}
+    cases.append(pytest.param(perturbed(OperatorStrategy(128, (0, 1), (0, 1, 2), big), 96, 1e-3),
+                              id="d128"))
+    sparse = {(0, 1): np.eye(2, dtype=complex), (2, 0): np.diag([1.0, 0.0]).astype(complex)}
+    cases.append(pytest.param(OperatorStrategy(2, (0, 1, 2), (0, 1), sparse), id="empty-row"))
+    huge = {(0, 0): np.array([[1e200, 1e200], [-1e200, 3.0]]), (0, 1): np.eye(2) * 1e-300,
+            (1, 1): np.array([[1.7e308, 0.0], [0.0, -1.7e308]])}
+    cases.append(pytest.param(OperatorStrategy(2, (0, 1), (0, 1), huge), id="overflow"))
+    return cases
+
+
+@pytest.mark.parametrize("strategy", defects_cases())
+def test_defects_match_the_per_operator_loop_bit_for_bit(strategy):
+    assert strategy.defects() == defects_oracle(strategy)
+
+
+def test_defects_read_zero_on_an_empty_strategy():
+    s = OperatorStrategy(dim=3, inputs=(), outputs=(0,), pvms={})
+    assert s.defects() == PVMDefects(0.0, 0.0, 0.0) == defects_oracle(s)
