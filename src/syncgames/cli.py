@@ -4,14 +4,15 @@ Each command is one COMMANDS entry declaring its input files and flags; main()
 reads each input once, runs the handler, writes --out and the JSON --report
 (also on failure) and maps errors to exit codes.  Result payloads contain no
 timestamps, so outputs are byte-stable for fixed inputs.
-Exit codes: 0 all verdicts pass, 2 validation error, 3 verification failure,
-4 budget exceeded.
+Exit codes: 0 all verdicts pass, 2 validation error (a NaN, infinite or negative
+tolerance too), 3 verification failure, 4 budget exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 import time
@@ -663,6 +664,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     run = Run(cmd.name)
     try:
+        for flag_name in ("--tol", "--eps", "--cluster-tol"):
+            value = getattr(args, flag_name[2:].replace("-", "_"), None)
+            if value is not None and not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValidationError(f"{flag_name} must be finite and >= 0, got {value!r}")
         loaded = []
         for spec in cmd.inputs:
             path = getattr(args, spec.flag[2:])

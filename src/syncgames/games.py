@@ -141,6 +141,18 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
     )
 
 
+def _bcs_disagreement(sys: BinaryLinearSystem, keys) -> np.ndarray:
+    """(K, K) bool array over (equation, sign vector) keys of the system: entry (i, j)
+    is True when the two sign vectors disagree on a variable both equations contain."""
+    # Over the variables two keys' equations share, the signed support rows
+    # give (#agreeing - #disagreeing) = #shared exactly when the answers agree.
+    support = np.zeros((len(keys), sys.n), dtype=np.int64)
+    for k, (i, _) in enumerate(keys):
+        support[k, [j - 1 for j in sys.rows[i - 1]]] = 1
+    signed = support * np.array([x for _, x in keys], dtype=np.int64).reshape(len(keys), sys.n)
+    return (signed @ signed.T) != (support @ support.T)
+
+
 def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     """The synchronous BCS game of a GF(2) system: inputs are equations, outputs are
     the global sign vectors, kept implicit as SignVectors(n); players win when both
@@ -161,15 +173,8 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
         return all(x[k - 1] == y[k - 1] for k in shared[(i, j)])
 
     def mask_of(keys):
-        # Over the variables two keys' equations share, the signed support rows
-        # give (#agreeing - #disagreeing) = #shared exactly when the answers agree.
         valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
-        support = np.zeros((len(keys), sys.n), dtype=np.int64)
-        for k, (i, _) in enumerate(keys):
-            support[k, [j - 1 for j in sys.rows[i - 1]]] = 1
-        signed = support * np.array([x for _, x in keys], dtype=np.int64).reshape(len(keys), sys.n)
-        agree = (signed @ signed.T) == (support @ support.T)
-        return ~(valid[:, None] & valid[None, :] & agree)
+        return ~(valid[:, None] & valid[None, :]) | _bcs_disagreement(sys, keys)
 
     game = SyncGame(
         inputs=tuple(range(1, sys.m + 1)),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
+from .games import _bcs_disagreement
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import int_from_json, label_from_json, label_to_json
 from .matops import DEFAULT_TOL, dagger, identity, kron, max_pairwise_distance, norm2
@@ -253,15 +254,9 @@ def graph_from_system(sys: BinaryLinearSystem, use_b: bool = True) -> Graph:
             labels.append((i, x))
     if len(labels) > MAX_SYSTEM_GRAPH_VERTICES:
         raise BudgetError(f"{len(labels)} vertices exceed the budget of {MAX_SYSTEM_GRAPH_VERTICES}")
-    supports = {i: variant.rows[i - 1] for i in range(1, variant.m + 1)}
-    edges = set()
-    for u in range(len(labels)):
-        i, x = labels[u]
-        for v in range(u + 1, len(labels)):
-            j, y = labels[v]
-            if any(x[k - 1] != y[k - 1] for k in supports[i] & supports[j]):
-                edges.add((u, v))
-    return Graph(n=len(labels), edges=frozenset(edges), labels=tuple(labels))
+    us, vs = np.nonzero(np.triu(_bcs_disagreement(variant, labels), 1))
+    edges = frozenset(zip(us.tolist(), vs.tolist()))
+    return Graph(n=len(labels), edges=edges, labels=tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,6 @@ def max_pairwise_distance(mats) -> tuple:
     return worst, witness
 
 
-def ntrace(a) -> complex:
-    """Normalized trace tr(a)/d."""
-    mat = as_matrix(a)
-    return complex(np.trace(mat)) / mat.shape[0]
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product in row-major block order."""
     return np.kron(as_matrix(a), as_matrix(b))

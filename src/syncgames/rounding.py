@@ -27,6 +27,7 @@ from .matops import (
     identity,
     norm2,
     projection_onto_columns,
+    pvm_defects,
 )
 
 ROUNDING_BOUND_FACTOR = 2.0 * math.sqrt(2.0)
@@ -263,8 +264,7 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
         ((i, j), norm2(validated[i] @ validated[j])) for i in range(m) for j in range(i + 1, m)
     )
     distances = tuple(norm2(p - q) for p, q in zip(validated, qs))
-    out_adjoint = max(norm2(q - dagger(q)) for q in qs)
-    out_idem = max(norm2(q - q @ q) for q in qs)
+    out_adjoint, out_idem, sum_after = pvm_defects(qs, np.zeros(m, dtype=np.intp), 1, d)
     out_overlap = max(
         (norm2(qs[i] @ qs[j]) for i in range(m) for j in range(i + 1, m)), default=0.0
     )
@@ -273,7 +273,7 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
         pairwise_overlaps=overlaps,
         distances=distances,
         sum_defect_before=sum_before,
-        sum_defect_after=norm2(sum(qs) - eye),
+        sum_defect_after=sum_after,
         max_output_adjoint=out_adjoint,
         max_output_idempotency=out_idem,
         max_output_overlap=out_overlap,

@@ -10,7 +10,7 @@ row unitary, where w = exp(2*pi*1j/m).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -43,23 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .games import SyncGame
 
 DEFAULT_CLUSTER_TOL = 1e-7
-
-
-def _validated_pvm_dict(pvms: dict, dim: int, inputs: tuple, outputs: Sequence) -> dict:
-    input_set = frozenset(inputs)
-    output_set = label_set(outputs)
-    clean = {}
-    for key, mat in pvms.items():
-        x, a = key
-        if x not in input_set:
-            raise ValidationError(f"PVM key has unknown input {x!r}")
-        if a not in output_set:
-            raise ValidationError(f"PVM key has unknown output {a!r}")
-        m = as_matrix(mat)
-        if m.shape != (dim, dim):
-            raise ValidationError(f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}")
-        clean[(x, a)] = m
-    return clean
 
 
 def _pvms_to_json(s: OperatorStrategy) -> list:
@@ -108,9 +91,21 @@ class OperatorStrategy:
             raise ValidationError("strategy dimension must be >= 1")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", as_alphabet(self.outputs))
-        object.__setattr__(
-            self, "pvms", _validated_pvm_dict(self.pvms, self.dim, self.inputs, self.outputs)
-        )
+        input_set, output_set, dim = frozenset(self.inputs), label_set(self.outputs), self.dim
+        clean = {}
+        for key, mat in self.pvms.items():
+            x, a = key
+            if x not in input_set:
+                raise ValidationError(f"PVM key has unknown input {x!r}")
+            if a not in output_set:
+                raise ValidationError(f"PVM key has unknown output {a!r}")
+            m = as_matrix(mat)
+            if m.shape != (dim, dim):
+                raise ValidationError(
+                    f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
+                )
+            clean[(x, a)] = m
+        object.__setattr__(self, "pvms", clean)
 
     @cached_property
     def _input_index(self) -> dict:
@@ -210,16 +205,17 @@ class BipartiteStrategy:
     alice: dict
     bob: dict
     state: np.ndarray
+    # each side as an OperatorStrategy, validated once here; alice and bob are their pvms
+    _alice: OperatorStrategy = field(init=False, compare=False, repr=False)
+    _bob: OperatorStrategy = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", as_alphabet(self.outputs))
-        object.__setattr__(
-            self, "alice", _validated_pvm_dict(self.alice, self.dim_a, self.inputs, self.outputs)
-        )
-        object.__setattr__(
-            self, "bob", _validated_pvm_dict(self.bob, self.dim_b, self.inputs, self.outputs)
-        )
+        for side, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
+            strategy = OperatorStrategy(dim, self.inputs, self.outputs, getattr(self, side))
+            object.__setattr__(self, "_" + side, strategy)
+            object.__setattr__(self, side, strategy.pvms)
         psi = np.asarray(self.state, dtype=complex).reshape(-1)
         if psi.size != self.dim_a * self.dim_b:
             raise ValidationError(
@@ -227,7 +223,7 @@ class BipartiteStrategy:
             )
         with np.errstate(over="ignore"):  # a huge entry gives norm inf, which fails below
             nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ValidationError(f"state norm {nrm!r} is not 1 within 1e-12")
         object.__setattr__(self, "state", psi)
 
@@ -235,10 +231,10 @@ class BipartiteStrategy:
         return self.state.reshape(self.dim_a, self.dim_b)
 
     def alice_strategy(self) -> OperatorStrategy:
-        return OperatorStrategy(self.dim_a, self.inputs, self.outputs, dict(self.alice))
+        return self._alice
 
     def bob_strategy(self) -> OperatorStrategy:
-        return OperatorStrategy(self.dim_b, self.inputs, self.outputs, dict(self.bob))
+        return self._bob
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,13 +290,13 @@ class Correlation:
         return self._row_sums.get((x, y), 0.0)
 
     def max_range_violation(self) -> float:
-        worst = 0.0
-        for val in self.p.values():
-            worst = max(worst, -val, val - 1.0)
-        return max(worst, 0.0)
+        """How far the entries stray outside [0, 1]; NaN when an entry is NaN."""
+        vals = np.fromiter(self.p.values(), dtype=float, count=len(self.p))
+        return float(np.max(np.maximum(-vals, vals - 1.0), initial=0.0))
 
     def max_normalization_defect(self) -> float:
-        return max(abs(self.row_sum(x, y) - 1.0) for x in self.inputs for y in self.inputs)
+        defects = [abs(self.row_sum(x, y) - 1.0) for x in self.inputs for y in self.inputs]
+        return max(defects, default=0.0)
 
     def max_sync_violation(self) -> tuple:
         """(max, witness) over diagonal entries p(a, b | x, x) with a != b."""
@@ -337,7 +333,7 @@ class Correlation:
         return 0.0, None
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        if self.max_range_violation() > tol:
+        if not self.max_range_violation() <= tol:  # written so that a NaN entry fails too
             raise VerificationError(
                 f"correlation entry outside [-tol, 1+tol]: violation {self.max_range_violation():.3e}"
             )
@@ -405,52 +401,53 @@ class Correlation:
                     if isinstance(val, bool) or not isinstance(val, (int, float)):
                         raise ValidationError(f"correlation value {val!r} is not a number")
                     p[(x, y, a, b)] = float(val)
+            if not np.isfinite(np.fromiter(p.values(), dtype=float, count=len(p))).all():
+                raise ValidationError("correlation has a NaN or infinite value")
             return cls(inputs=inputs, outputs=outputs, p=p)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed correlation JSON: {exc}") from exc
 
 
-def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:
-    """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace.
-
-    All traces come from one Gram product of the stacked operators, using
-    tr(E F) = sum_kl E_kl F^T_kl; no square root is taken, so this is as exact
-    as the per-pair trace.
-    """
-    defects = s.validate(tol)
-    keys, stack = s.stacked()
-    flat = stack.reshape(len(keys), -1)
-    traces = flat @ stack.transpose(0, 2, 1).reshape(len(keys), -1).T / s.dim
+def _trace_table(inputs, outputs, row_keys, rows, col_keys, cols, d) -> Correlation:
+    """p(x, y, a, b) = tr(rows[i] cols[j]^T) / d over keys (x, a) = row_keys[i], (y, b) =
+    col_keys[j] in key order, from one Gram product of the (K, n, n) stacks and with no
+    square root, so as exact as a per-pair trace; a non-real trace (beyond 1e-9) raises."""
+    n = rows.shape[-1]
+    traces = rows.reshape(len(row_keys), n * n) @ cols.reshape(len(col_keys), n * n).T / d
     nonreal = np.flatnonzero(np.abs(traces.imag) > 1e-9)
     if nonreal.size:
-        i, j = divmod(int(nonreal[0]), len(keys))
-        (x, a), (y, b) = keys[i], keys[j]
+        i, j = divmod(int(nonreal[0]), len(col_keys))
+        (x, a), (y, b) = row_keys[i], col_keys[j]
         raise VerificationError(f"non-real trace {complex(traces[i, j])!r} at {(x, y, a, b)!r}")
     real = traces.real.tolist()
     p = {
         (x, y, a, b): real[i][j]
-        for i, (x, a) in enumerate(keys)
-        for j, (y, b) in enumerate(keys)
+        for i, (x, a) in enumerate(row_keys)
+        for j, (y, b) in enumerate(col_keys)
     }
-    corr = Correlation(inputs=s.inputs, outputs=s.outputs, p=p)
+    return Correlation(inputs=inputs, outputs=outputs, p=p)
+
+
+def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:
+    """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace, over the
+    stored operators in stored_keys() order."""
+    defects = s.validate(tol)
+    keys, stack = s.stacked()
+    corr = _trace_table(s.inputs, s.outputs, keys, stack, keys, np.swapaxes(stack, 1, 2), s.dim)
     corr.validate(max(tol, 10 * defects.max))
     return corr
 
 
 def correlation_from_bipartite(s: BipartiteStrategy, tol: float = DEFAULT_TOL) -> Correlation:
-    """p(a, b | x, y) = <(E_{x,a} (x) F_{y,b}) psi, psi> evaluated exactly."""
+    """p(a, b | x, y) = <(E_{x,a} (x) F_{y,b}) psi, psi> = tr(m* E_{x,a} m F_{y,b}^T) for the
+    state matrix m, over Alice's and Bob's stored operators in stored_keys() order."""
     s.alice_strategy().validate(tol)
     s.bob_strategy().validate(tol)
     m = s.state_matrix()
-    p: dict = {}
-    for (x, a), e in s.alice.items():
-        em = e @ m
-        for (y, b), f in s.bob.items():
-            val = complex(np.vdot(m, em @ f.T))
-            if abs(val.imag) > 1e-9:
-                raise VerificationError(f"non-real probability {val!r} at {(x, y, a, b)!r}")
-            p[(x, y, a, b)] = val.real
-    corr = Correlation(inputs=s.inputs, outputs=s.outputs, p=p)
+    a_keys, a_stack = s.alice_strategy().stacked()
+    b_keys, b_stack = s.bob_strategy().stacked()
+    rows = dagger(m) @ a_stack @ m
+    corr = _trace_table(s.inputs, s.outputs, a_keys, rows, b_keys, b_stack, 1)
     corr.validate(1e-10 if tol <= 1e-10 else tol)
     return corr
 

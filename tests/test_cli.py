@@ -129,6 +129,14 @@ def test_verification_exit_code_for_bad_strategy(tmp_path, magic_square_file):
 
 SYSTEM = {"m": 1, "n": 2, "rows": [[1, 2]], "b": [1]}  # each case below breaks one field
 RAGGED_MATRIX = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}
+CORRELATION = {"n": 1, "m": 1, "inputs": [0], "outputs": [0]}
+E0, E1 = ({"dim": 2, "entries": [[[v, 0], [0, 0]], [[0, 0], [1 - v, 0]]]} for v in (1, 0))
+# Alice answers 0 where Bob answers 1: a product strategy that is not synchronous
+MISMATCHED = {"dim_a": 2, "dim_b": 2, "inputs": [0], "outputs": [0, 1],
+              "alice": [{"input": 0, "output": a, "matrix": e} for a, e in enumerate((E0, E1))],
+              "bob": [{"input": 0, "output": a, "matrix": e} for a, e in enumerate((E1, E0))],
+              "state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+NO_SIDES = {"inputs": [], "outputs": [], "alice": [], "bob": []}
 
 
 @pytest.mark.parametrize(
@@ -149,9 +157,37 @@ RAGGED_MATRIX = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}
             ["strategy", "check", "--correlation"],
             {"n": 5, "m": 9, "inputs": [0], "outputs": [0], "entries": [[7, 7, 3, 4, 0.5]]},
         ),
+        (
+            ["strategy", "check", "--correlation"],
+            {**CORRELATION, "entries": [[0, 0, 0, 0, float("nan")]]},
+        ),
+        (
+            ["strategy", "check", "--correlation"],
+            {**CORRELATION, "entries": [[0, 0, 0, 0, float("inf")]]},
+        ),
+        (
+            ["strategy", "check", "--correlation"],
+            {**CORRELATION, "entries": [[0, 0, 0, 0, 10**400]]},  # too large for a float
+        ),
+        (["strategy", "check", "--correlation"], {**CORRELATION, "p": [[[[float("nan")]]]]}),
+        (["strategy", "check", "--correlation"], {**CORRELATION, "p": [[[[float("-inf")]]]]}),
+        (
+            ["strategy", "correlation", "--out", "o.json", "--bipartite"],
+            {**MISMATCHED, "state": [[float("nan"), 0.0]] + MISMATCHED["state"][1:]},
+        ),
+        (["strategy", "decompose-qs", "--in"], {**NO_SIDES, "dim_a": -1, "dim_b": -1,
+                                                "state": [[1.0, 0.0]]}),
+        (["strategy", "decompose-qs", "--in"], {**NO_SIDES, "dim_a": -2, "dim_b": -3,
+                                                "state": [[6 ** -0.5, 0.0]] * 6}),
+        (["strategy", "decompose-qs", "--tol", "nan", "--in"], MISMATCHED),
+        (["strategy", "check", "--eps", "inf", "--correlation"], {**CORRELATION, "p": [[[[1]]]]}),
+        (["strategy", "decompose-qs", "--cluster-tol", "-0.5", "--in"], MISMATCHED),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
-         "ragged-correlation", "missing-path", "correlation-labels"],
+         "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
+         "correlation-entry-infinity", "correlation-entry-huge-int", "correlation-dense-nan",
+         "correlation-dense-minus-infinity", "bipartite-state-nan", "bipartite-dims-minus-1",
+         "bipartite-dims-minus-2-3", "tol-nan", "eps-infinity", "cluster-tol-negative"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
@@ -163,6 +199,27 @@ def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     assert capsys.readouterr().err.startswith("invalid input: ")
     data = json.loads(report.read_text())
     assert data["exit_code"] == 2 and data["error"].startswith("invalid input: ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected",
+    [
+        (["strategy", "correlation", "--out", "corr.json", "--tracial"],
+         {"dim": 2, "inputs": [], "outputs": [0], "pvms": []}, {"entries": 0}),
+        (["strategy", "check", "--correlation"],
+         {"n": 0, "m": 0, "inputs": [], "outputs": [], "entries": []},
+         {"max_sync_violation": 0.0, "checks": [
+             {"name": "synchronous", "pass": True, "detail": "max diagonal leak 0.000e+00"}]}),
+    ],
+    ids=["tracial", "correlation"],
+)
+def test_empty_inputs_are_vacuous(tmp_path, argv, payload, expected):
+    """Runs in-process, so an uncaught exception (a traceback) fails the test."""
+    path = write_json(tmp_path, "input.json", payload)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    report = tmp_path / "report.json"
+    assert main(argv + [path, "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["payload"] == expected
 
 
 SIGN_VECTOR_LOADERS = {

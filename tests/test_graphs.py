@@ -9,6 +9,7 @@ from conftest import (
     brute_alpha,
     brute_chi,
     brute_omega,
+    kcopy_magic_square,
     random_graph,
     random_system,
 )
@@ -39,6 +40,7 @@ from syncgames import (
     verify_rep,
 )
 from syncgames.errors import BudgetError, ValidationError, VerificationError
+from syncgames.gf2 import enumerate_si
 from syncgames.graphs import Graph, greedy_colouring, is_independent_set, is_proper_colouring
 
 
@@ -142,6 +144,33 @@ def test_incompatibility_graph_disjoint_supports_give_no_edges():
         for v in range(u + 1, g.n):
             if g.labels[u][0] != g.labels[v][0]:
                 assert not g.is_edge(u, v)
+
+
+def graph_from_system_oracle(sys_: BinaryLinearSystem, use_b: bool) -> Graph:
+    """The pair loop the synBCS disagreement mask replaced: an edge for each pair of
+    (equation, local solution) vertices disagreeing on a shared variable."""
+    b = sys_.b if use_b else (0,) * sys_.m
+    variant = BinaryLinearSystem(m=sys_.m, n=sys_.n, rows=sys_.rows, b=b)
+    labels = [(i, x) for i in range(1, sys_.m + 1) for x in enumerate_si(variant, i)]
+    edges = set()
+    for u in range(len(labels)):
+        i, x = labels[u]
+        for v in range(u + 1, len(labels)):
+            j, y = labels[v]
+            if any(x[k - 1] != y[k - 1] for k in sys_.rows[i - 1] & sys_.rows[j - 1]):
+                edges.add((u, v))
+    return Graph(n=len(labels), edges=frozenset(edges), labels=tuple(labels))
+
+
+def test_incompatibility_graph_matches_the_pair_loop():
+    rng = np.random.default_rng(52)
+    systems = [random_system(rng, max_m=6, max_n=10) for _ in range(40)]
+    systems.append(kcopy_magic_square(3)[0])
+    for sys_ in systems:
+        for use_b in (True, False):
+            g = graph_from_system(sys_, use_b=use_b)
+            expected = graph_from_system_oracle(sys_, use_b)
+            assert (g.n, g.labels, g.edges) == (expected.n, expected.labels, expected.edges)
 
 
 def test_alpha_of_incompatibility_graph_detects_solvability():

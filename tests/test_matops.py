@@ -13,7 +13,6 @@ from syncgames.matops import (
     matrix_from_json,
     matrix_to_json,
     norm2,
-    ntrace,
 )
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -71,7 +70,7 @@ def test_pythagorean_identity_for_trace_orthogonal_pair():
         b = np.zeros((d, d), dtype=complex)
         a[:3, :] = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
         b[3:, :] = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-        assert abs(ntrace(a.conj().T @ b)) < 1e-14
+        assert abs(np.trace(a.conj().T @ b) / d) < 1e-14
         assert norm2(a + b) ** 2 == pytest.approx(norm2(a) ** 2 + norm2(b) ** 2, abs=1e-12)
 
 

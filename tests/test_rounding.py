@@ -337,6 +337,20 @@ def test_family_matches_the_full_space_construction():
     assert raised == {ValidationError, BoundaryAmbiguityError}
 
 
+def test_family_output_report_matches_the_per_element_loops():
+    """The output adjoint, idempotency and sum residuals of one pvm_defects call are
+    bit for bit those of the per-element loops they replaced."""
+    for ps, sum_one in family_cases(seed=121, count=30):
+        result = outcome(orthogonalize_family, ps, sum_one)
+        if result[0] != "ok":
+            continue
+        qs, report = result[1]
+        eye = np.eye(qs[0].shape[0], dtype=complex)
+        assert report.max_output_adjoint == max(norm2(q - q.conj().T) for q in qs)
+        assert report.max_output_idempotency == max(norm2(q - q @ q) for q in qs)
+        assert report.sum_defect_after == norm2(sum(qs) - eye)
+
+
 def test_family_makes_one_eigensolve_per_element(monkeypatch):
     calls = []
 

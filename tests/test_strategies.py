@@ -475,6 +475,61 @@ def test_decompose_rectangular_matches_zero_padded_square(extra_a, extra_b):
             assert np.max(np.abs(c_block - c_square)) <= 1e-12
 
 
+def bipartite_oracle(s: BipartiteStrategy) -> dict:
+    """The per-pair loop the Gram product replaced: one product and vdot per pair of
+    Alice's and Bob's operators, in their dict order."""
+    m = s.state_matrix()
+    p = {}
+    for (x, a), e in s.alice.items():
+        em = e @ m
+        for (y, b), f in s.bob.items():
+            val = complex(np.vdot(m, em @ f.T))
+            if abs(val.imag) > 1e-9:
+                raise VerificationError(f"non-real probability {val!r} at {(x, y, a, b)!r}")
+            p[(x, y, a, b)] = val.real
+    return p
+
+
+def random_bipartite(rng, dim_a: int, dim_b: int, n_in: int = 2, m_out: int = 3):
+    """Haar-random PVMs on each side, stored in stored-key order, and a random state."""
+    inputs, outputs = tuple(range(n_in)), tuple(range(m_out))
+    alice, bob = (
+        {(x, a): e for x in inputs for a, e in enumerate(random_exact_pvm(d, m_out, rng))}
+        for d in (dim_a, dim_b)
+    )
+    psi = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
+    return BipartiteStrategy(dim_a, dim_b, inputs, outputs, alice, bob, psi / np.linalg.norm(psi))
+
+
+def test_bipartite_gram_product_matches_the_per_pair_loop():
+    rng = np.random.default_rng(700)
+    cases = [random_bipartite(rng, *dims) for dims in [(2, 5), (5, 2), (3, 4), (1, 6), (7, 3)]]
+    cases += [_rectangular_strategy(rng, *extra) for extra in [(0, 2), (3, 1)]]
+    for s in cases:
+        assert s.dim_a != s.dim_b
+        corr, expected = correlation_from_bipartite(s), bipartite_oracle(s)
+        assert list(corr.p) == list(expected)
+        assert max(abs(corr.p[key] - val) for key, val in expected.items()) <= 1e-12
+
+
+def test_bipartite_sides_are_validated_once():
+    rng = np.random.default_rng(701)
+    s = random_bipartite(rng, 2, 3)
+    assert s.alice_strategy() is s.alice_strategy() and s.bob_strategy() is s.bob_strategy()
+    assert s.alice is s.alice_strategy().pvms and s.bob is s.bob_strategy().pvms
+    assert (s.alice_strategy().dim, s.bob_strategy().dim) == (2, 3)
+
+
+@pytest.mark.parametrize("state", [[np.nan], [-np.inf], [complex(1.0, np.nan)]],
+                         ids=["nan", "-inf", "imag-nan"])
+def test_bipartite_rejects_a_non_finite_state(state):
+    with pytest.raises(ValidationError):
+        BipartiteStrategy(
+            dim_a=1, dim_b=1, inputs=(0,), outputs=(0,),
+            alice={(0, 0): np.eye(1)}, bob={(0, 0): np.eye(1)}, state=np.array(state),
+        )
+
+
 def test_decompose_rejects_nonsynchronous_state():
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)
@@ -570,6 +625,21 @@ def test_correlation_validation():
     corr = Correlation(inputs=(0,), outputs=(0,), p={(0, 0, 0, 0): 0.4})
     with pytest.raises(VerificationError):
         corr.validate(1e-9)
+
+
+def test_correlation_validation_fails_on_a_nan_entry():
+    corr = Correlation(inputs=(0,), outputs=(0, 1), p={(0, 0, 0, 0): 1.0, (0, 0, 0, 1): np.nan})
+    assert np.isnan(corr.max_range_violation())
+    with pytest.raises(VerificationError, match="violation nan"):
+        corr.validate(1e-9)
+
+
+def test_empty_correlation_is_vacuously_valid():
+    corr = Correlation(inputs=(), outputs=(), p={})
+    assert corr.max_normalization_defect() == 0.0 and corr.max_range_violation() == 0.0
+    corr.validate(1e-9)
+    empty = OperatorStrategy(dim=2, inputs=(), outputs=(0,), pvms={})
+    assert correlation_from_tracial(empty).p == {}
 
 
 def test_bipartite_rejects_unnormalized_state():
