@@ -627,8 +627,22 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes any argument that starts with '-' and does not match its pattern
+    for negative numbers (no exponent, no inf or nan) for an option, so `--tol -1e-7`
+    would exit before main could check the value and write a report.  Here every
+    argument that parses as a float is a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="syncgames",
         description="Synchronous nonlocal games: construction, verification and conversion.",
     )

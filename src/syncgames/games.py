@@ -443,7 +443,9 @@ def check_game_algebra_relations(
     and operator products over losing tuples must vanish.  Absent operators are
     zero, so only stored pairs are scanned: the game's losing mask over the
     stored keys picks the losing pairs, in row-major order, and matops takes
-    the norms of their products in one batch.  The witness is the first pair
+    the norms of their products in one batch, forming one product per distinct
+    pair of operator contents (an iso strategy stores each BCS projection many
+    times) and giving each pair its own norm.  The witness is the first pair
     attaining the largest overlap, None when every overlap is zero.  A product
     that overflows has overlap inf and fails the check."""
     if set(strategy.inputs) != game.input_set:

@@ -380,19 +380,26 @@ def transport_independence(
     check_game_algebra_relations(build_iso_game(cert.graph, target), iso, tol).require(
         "isomorphism strategy"
     )
+    # Only stored operators contribute: walk each input's stored (k, v) in ascending
+    # v and the iso operators stored for g-vertex v, so each sum adds its terms in
+    # ascending v.
+    stored: dict = {}
+    for (k, v), e in sorted(cert.strategy.pvms.items(), key=lambda item: item[0][1]):
+        stored.setdefault(k, []).append((v, e))
+    images: dict = {}
+    for ((side, v), (out_side, x)), q in iso.pvms.items():
+        if (side, out_side) == ("g", "h"):
+            images.setdefault(v, []).append((x, q))
     pvms = {}
     for k in cert.strategy.inputs:
-        for x in range(target.n):
-            acc = None
-            for v in range(cert.graph.n):
-                e = cert.strategy.pvms.get((k, v))
-                q = iso.pvms.get((("g", v), ("h", x)))
-                if e is None or q is None:
-                    continue
+        acc: dict = {}
+        for v, e in stored.get(k, ()):
+            for x, q in images.get(v, ()):
                 term = kron(e, q)
-                acc = term if acc is None else acc + term
-            if acc is not None and norm2(acc) > 0.0:
-                pvms[(k, x)] = acc
+                acc[x] = acc[x] + term if x in acc else term
+        for x in sorted(acc):
+            if norm2(acc[x]) > 0.0:
+                pvms[(k, x)] = acc[x]
     transported = OperatorStrategy(
         dim=cert.strategy.dim * iso.dim,
         inputs=cert.strategy.inputs,

@@ -67,20 +67,38 @@ def _residuals(mats: np.ndarray) -> np.ndarray:
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the index arrays left and right.
 
+    Each distinct product is formed once.  Operators are keyed by content (the
+    bytes of each matrix), so equal operators stored as separate arrays, as in
+    an isomorphism strategy that repeats each BCS projection or one reloaded
+    from JSON, share one index; the distinct pairs are multiplied and their
+    norms scattered back to the caller's order.  Equal factors give
+    bit-identical products, so the norms are those of the pairs taken one by one.
+
     Each norm is taken of the direct product, never through a Gram-matrix trace
     identity: a residual near 1e-16 would come out of the square root of a
     trace near 1e-32 that rounding has already swamped.  Products are formed in
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
     that overflows has norm inf.
     """
+    content: dict = {}
+    ids = np.array([content.setdefault(mat.tobytes(), len(content)) for mat in stack], dtype=np.intp)
+    n = max(len(content), 1)
+    pairs, inverse = np.unique(ids[np.asarray(left, dtype=np.intp)] * n
+                               + ids[np.asarray(right, dtype=np.intp)], return_inverse=True)
+    distinct = stack[np.unique(ids, return_index=True)[1]]  # the first operator of each content
+    return _pair_residuals(distinct, pairs // n, pairs % n, np.matmul)[inverse]
+
+
+def _pair_residuals(stack: np.ndarray, left: np.ndarray, right: np.ndarray, combine) -> np.ndarray:
+    """_residuals of combine(stack[i], stack[j]) for each pair (i, j) of left and right,
+    stacked in chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array."""
     d = stack.shape[-1]
     per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
     out = np.empty(len(left))
     for start in range(0, len(left), per):
         stop = start + per
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = np.matmul(stack[left[start:stop]], stack[right[start:stop]])
-        out[start:stop] = _residuals(prod)
+            out[start:stop] = _residuals(combine(stack[left[start:stop]], stack[right[start:stop]]))
     return out
 
 
@@ -107,14 +125,28 @@ def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
 
 
 def max_pairwise_distance(mats) -> tuple:
-    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two."""
-    worst, witness = 0.0, None
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            diff = norm2(mats[a] - mats[b])
-            if diff > worst:
-                worst, witness = diff, (a, b)
-    return worst, witness
+    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two.
+
+    The differences are stacked in row-major pair order and their norms taken by the
+    chunked pair kernel, so each is norm2's value bit for bit; the witness is the
+    first pair attaining a positive maximum.  A difference with a non-finite entry
+    is refused, as norm2 refuses it."""
+    if len(mats) < 2:
+        return 0.0, None
+    stack = np.asarray(mats, dtype=complex)
+    left, right = np.triu_indices(len(stack), 1)
+
+    def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = a - b
+        if not np.all(np.isfinite(diff)):
+            raise ValidationError("matrix has non-finite entries")
+        return diff
+
+    dists = _pair_residuals(stack, left, right, difference)
+    if dists.max() <= 0.0:
+        return 0.0, None
+    k = int(np.argmax(dists))
+    return float(dists[k]), (int(left[k]), int(right[k]))
 
 
 def kron(a, b) -> np.ndarray:

@@ -382,6 +382,8 @@ class Correlation:
             if "p" in data:
                 dense = np.asarray(data["p"])
                 shape = (len(inputs), len(inputs), len(outputs), len(outputs))
+                if dense.size == 0 and 0 in shape:  # tolist() drops the shape of an array without cells
+                    dense = dense.reshape(shape)
                 if dense.dtype.kind not in "iuf" or dense.shape != shape:
                     raise ValidationError(f"dense correlation must be a {shape} array of numbers")
                 dense = dense.astype(float)

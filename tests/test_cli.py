@@ -325,18 +325,55 @@ def failing_runs(tmp_path) -> dict:
             3,
             "verification failed: representation fails the relators: max residual inf > 1e-09",
         ),
+        # A negative value written with an exponent, or -inf, is a value, not an option:
+        # the range check refuses it before any input is read.
+        "cluster-tol-exponent": (
+            ["strategy", "decompose-qs", "--cluster-tol", "-1e-7",
+             "--in", write_json(tmp_path, "mismatched.json", MISMATCHED)],
+            2,
+            "invalid input: --cluster-tol must be finite and >= 0, got -1e-07",
+        ),
+        "tol-exponent": (
+            ["game", "check-strategy", "--tol", "-1E-7", "--game", str(tmp_path / "game.json"),
+             "--strategy", str(tmp_path / "empty.json")],
+            2,
+            "invalid input: --tol must be finite and >= 0, got -1e-07",
+        ),
+        "eps-exponent": (
+            ["strategy", "check", "--correlation",
+             write_json(tmp_path, "corr.json", {**CORRELATION, "p": [[[[1]]]]}),
+             "--eps", "-2.5e-3"],
+            2,
+            "invalid input: --eps must be finite and >= 0, got -0.0025",
+        ),
+        "tol-minus-infinity": (
+            ["demo", "magic-square", "--tol", "-inf"],
+            2,
+            "invalid input: --tol must be finite and >= 0, got -inf",
+        ),
     }
 
 
 @pytest.mark.parametrize("case", ["verification", "budget", "overflow", "overflow-relations",
-                                  "overflow-relators", "overflow-to-strategy"])
+                                  "overflow-relators", "overflow-to-strategy", "cluster-tol-exponent",
+                                  "tol-exponent", "eps-exponent", "tol-minus-infinity"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == code
     data = json.loads(report.read_text())
     assert (data["exit_code"], data["error"]) == (code, error)
-    assert sorted(data["inputs"]) == sorted(a for a in argv if a.endswith(".json"))
+    read = [] if code == 2 else sorted(a for a in argv if a.endswith(".json"))  # flags come first
+    assert sorted(data["inputs"]) == read
+
+
+def test_empty_dense_correlation_roundtrips_through_the_cli(tmp_path):
+    strategy = write_json(tmp_path, "strategy.json", {"dim": 2, "inputs": [], "outputs": [0], "pvms": []})
+    corr, report = tmp_path / "corr.json", tmp_path / "report.json"
+    assert main(["strategy", "correlation", "--tracial", strategy, "--out", str(corr)]) == 0
+    assert json.loads(corr.read_text())["p"] == []
+    assert main(["strategy", "check", "--correlation", str(corr), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["payload"]["max_sync_violation"] == 0.0
 
 
 def test_demo_has_no_jobs_flag():

@@ -1,6 +1,7 @@
 """Game constructors, classical search and the algebra-relation checker."""
 from __future__ import annotations
 
+import json
 import tracemalloc
 from itertools import product as iter_product
 
@@ -481,10 +482,9 @@ def test_relation_kernel_matches_the_loop_on_rotated_strategies(copies):
     strategy = strategy_from_rep(rep, sys_)
     u = random_unitary(strategy.dim, np.random.default_rng(43 + copies))
     assert_kernel_matches_oracle(build_synbcs(sys_), rotated(strategy, u))
-    if copies == 1:
-        iso = iso_strategy_from_bcs(strategy, sys_)
-        g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
-        assert_kernel_matches_oracle(build_iso_game(g_b, g_0), rotated(iso, u))
+    iso = iso_strategy_from_bcs(strategy, sys_)
+    g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+    assert_kernel_matches_oracle(build_iso_game(g_b, g_0), rotated(iso, u))
 
 
 @pytest.mark.parametrize("noise", ["hermitian", "general"])
@@ -516,3 +516,67 @@ def test_relation_kernel_is_independent_of_the_chunk_size(magic_square, monkeypa
     whole = check_game_algebra_relations(game, iso, tol=1e-9).as_dict()
     monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", 3 * 4 * 4)  # three pairs per chunk
     assert check_game_algebra_relations(game, iso, tol=1e-9).as_dict() == whole
+
+
+def magic_square_iso(copies: int) -> tuple:
+    """The iso game of the k-copy magic square's two incompatibility graphs and its Pauli
+    iso strategy, which stores each BCS projection at x*y for every pair (i, x), (i, y)."""
+    sys_, rep = kcopy_magic_square(copies)
+    g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+    return build_iso_game(g_b, g_0), iso_strategy_from_bcs(strategy_from_rep(rep, sys_), sys_)
+
+
+def test_relation_report_survives_a_json_roundtrip_of_the_iso_strategy():
+    """Reloaded, the equal operators are separate arrays: the kernel keys them by content."""
+    game, iso = magic_square_iso(1)
+    u = random_unitary(4, np.random.default_rng(59))
+    for strategy in (iso, rotated(iso, u)):
+        reloaded = OperatorStrategy.from_json_dict(json.loads(json.dumps(strategy.to_json_dict())))
+        keys = reloaded.stored_keys()
+        assert len({id(reloaded.pvms[key]) for key in keys}) == len(keys)
+        report = check_game_algebra_relations(game, reloaded, tol=1e-9).as_dict()
+        assert report == check_game_algebra_relations(game, strategy, tol=1e-9).as_dict()
+        assert_kernel_matches_oracle(game, reloaded)
+
+
+def negative_zeros(mat: np.ndarray) -> np.ndarray:
+    """mat with every zero real or imaginary part written as -0.0."""
+    out = np.empty_like(mat)
+    out.real = np.where(mat.real == 0.0, -0.0, mat.real)
+    out.imag = np.where(mat.imag == 0.0, -0.0, mat.imag)
+    return out
+
+
+def test_operators_differing_in_the_sign_of_zero_give_the_same_report():
+    game, iso = magic_square_iso(1)
+    keys = iso.stored_keys()
+    pvms = {key: negative_zeros(mat) if k % 2 else mat for k, (key, mat) in enumerate(iso.pvms.items())}
+    signed = OperatorStrategy(iso.dim, iso.inputs, iso.outputs, pvms)
+    assert any(signed.pvms[key].tobytes() != iso.pvms[key].tobytes() for key in keys)
+    assert all(np.array_equal(signed.pvms[key], iso.pvms[key]) for key in keys)
+    report = check_game_algebra_relations(game, signed, tol=1e-9)
+    assert report.as_dict() == check_game_algebra_relations(game, iso, tol=1e-9).as_dict()
+    assert_kernel_matches_oracle(game, signed)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["pauli", "rotated"])
+def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
+    """The 2-copy iso strategy stores 384 operators, 48 of them distinct: its 23,040
+    losing pairs need 432 products."""
+    game, iso = magic_square_iso(2)
+    if rotate:
+        iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(61)))
+    keys, stack = iso.stacked()
+    left, right = np.nonzero(game.losing_mask(keys))
+    rows = []
+    residuals = matops._residuals
+
+    def counting(mats):
+        rows.append(len(mats))
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", counting)
+    overlaps = matops.product_norms(stack, left, right)
+    assert (len(keys), len(left), sum(rows)) == (384, 23040, 432)
+    monkeypatch.undo()
+    assert all(overlaps[k] == norm2(stack[left[k]] @ stack[right[k]]) for k in range(0, len(left), 97))

@@ -12,6 +12,8 @@ from conftest import (
     kcopy_magic_square,
     random_graph,
     random_system,
+    random_unitary,
+    rotated,
 )
 
 from syncgames import (
@@ -42,6 +44,7 @@ from syncgames import (
 from syncgames.errors import BudgetError, ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
 from syncgames.graphs import Graph, greedy_colouring, is_independent_set, is_proper_colouring
+from syncgames.matops import kron, norm2
 
 
 def five_cycle() -> Graph:
@@ -316,6 +319,59 @@ def test_transport_classical_certificate_through_classical_iso():
         assert np.allclose(mat, np.eye(1))
         image.add(v)
     assert is_independent_set(g_b, image)
+
+
+def transport_oracle(cert, iso, target) -> dict:
+    """The triple loop transport_independence replaced: every (k, x, v), looking up both
+    stored operators, summed in ascending v."""
+    pvms = {}
+    for k in cert.strategy.inputs:
+        for x in range(target.n):
+            acc = None
+            for v in range(cert.graph.n):
+                e = cert.strategy.pvms.get((k, v))
+                q = iso.pvms.get((("g", v), ("h", x)))
+                if e is None or q is None:
+                    continue
+                term = kron(e, q)
+                acc = term if acc is None else acc + term
+            if acc is not None and norm2(acc) > 0.0:
+                pvms[(k, x)] = acc
+    return pvms
+
+
+def transport_cases() -> list:
+    """(certificate, iso strategy, target) for the k-copy magic squares, Pauli and
+    Haar-rotated, and for a classical system.  A classical certificate stores one
+    operator per input, so each transported sum has one term; the 1-copy quantum
+    certificates, transported back, sum several terms per key."""
+    cases = []
+    for copies, seed in ((1, None), (1, 73), (2, None), (2, 74)):
+        sys_, rep = kcopy_magic_square(copies)
+        iso = iso_strategy_from_bcs(strategy_from_rep(rep, sys_), sys_)
+        if seed is not None:
+            iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(seed)))
+        g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+        cert0 = independence_certificate_from_set(g_0, complement_colouring_ga0(sys_).independent_set)
+        cases.append((cert0, swap_iso_strategy(iso), g_b))
+        if copies == 1:
+            cases.append((transport_independence(cert0, swap_iso_strategy(iso), g_b), iso, g_0))
+    sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
+    iso = iso_strategy_from_bcs(strategy_from_solution(sys_, solve_gf2(sys_)), sys_, tol=1e-12)
+    cert0 = independence_certificate_from_set(graph_from_system(sys_, use_b=False),
+                                               complement_colouring_ga0(sys_).independent_set)
+    cases.append((cert0, swap_iso_strategy(iso), graph_from_system(sys_, use_b=True)))
+    return cases
+
+
+def test_transport_matches_the_triple_loop_bit_for_bit():
+    cases = transport_cases()
+    assert any(sum(k == 0 for k, _ in cert.strategy.pvms) > 1 for cert, _, _ in cases)
+    for cert, iso, target in cases:
+        expected = transport_oracle(cert, iso, target)
+        pvms = transport_independence(cert, iso, target, tol=1e-9).strategy.pvms
+        assert list(pvms) == list(expected)
+        assert all(pvms[key].tobytes() == mat.tobytes() for key, mat in expected.items())
 
 
 def test_magic_square_triangle(magic_square, pauli_rep):

@@ -4,15 +4,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 
+from syncgames import matops
 from syncgames.errors import ValidationError
 from syncgames.matops import (
     hermitian_eig,
     kron,
     matrix_from_json,
     matrix_to_json,
+    max_pairwise_distance,
     norm2,
+    product_norms,
 )
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -106,3 +109,66 @@ def test_eig_bound_scales_with_the_norm(d):
     u = res.eigenvectors
     residual = np.linalg.norm(u @ np.diag(res.eigenvalues) @ u.conj().T - h)
     assert residual <= 1e-9 * d * np.linalg.norm(h)
+
+
+def test_product_norms_match_the_per_pair_products():
+    """Repeated operators, stored as equal but separate arrays, share their products; each
+    norm is still the one of its own pair, bit for bit."""
+    rng = np.random.default_rng(71)
+    for d in (1, 4, 16):
+        u = random_unitary(d, rng)
+        base = [u @ random_hermitian(d, rng) @ u.conj().T for _ in range(4)]
+        stack = np.array([base[k].copy() for k in rng.integers(0, 4, size=12)])
+        left, right = rng.integers(0, 12, size=(2, 200))
+        expected = [norm2(stack[i] @ stack[j]) for i, j in zip(left, right)]
+        assert product_norms(stack, left, right).tolist() == expected
+    assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
+    assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)
+
+
+def max_pairwise_distance_oracle(mats) -> tuple:
+    """The per-pair loop max_pairwise_distance replaced: norm2 of each difference over
+    a < b in row-major order, keeping the first strict maximum."""
+    worst, witness = 0.0, None
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            diff = norm2(mats[a] - mats[b])
+            if diff > worst:
+                worst, witness = diff, (a, b)
+    return worst, witness
+
+
+def pairwise_cases() -> list:
+    rng = np.random.default_rng(67)
+    cases = [[], [np.eye(3)], [np.eye(2)] * 4]
+    for d in (1, 4, 16, 64):
+        u = random_unitary(d, rng)
+        base = [u @ random_hermitian(d, rng) @ u.conj().T for _ in range(int(rng.integers(2, 7)))]
+        cases.append(base)
+        cases.append(base + base)  # every distance is attained twice: the first pair wins
+        cases.append([base[0] + 1e-9 * random_hermitian(d, rng) for _ in range(5)])
+    cases.append([np.eye(2), np.diag([1e200, 0.0])])  # a finite difference whose norm is inf
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [matops.PRODUCT_CHUNK_ENTRIES, 1])
+def test_max_pairwise_distance_matches_the_pair_loop(monkeypatch, chunk):
+    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
+    for mats in pairwise_cases():
+        assert max_pairwise_distance(mats) == max_pairwise_distance_oracle(mats)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        [np.eye(2), np.full((2, 2), np.inf)],
+        [np.eye(2), np.eye(2), np.diag([np.nan, 0.0])],
+        [np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])],  # the difference overflows
+    ],
+    ids=["inf", "nan", "overflow"],
+)
+def test_max_pairwise_distance_refuses_a_non_finite_difference(mats):
+    with pytest.raises(ValidationError, match="matrix has non-finite entries"):
+        max_pairwise_distance(mats)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        max_pairwise_distance_oracle(mats)

@@ -1,6 +1,8 @@
 """Correlations, PVM/unitary conversion, and the Schmidt-block decomposition."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -640,6 +642,15 @@ def test_empty_correlation_is_vacuously_valid():
     corr.validate(1e-9)
     empty = OperatorStrategy(dim=2, inputs=(), outputs=(0,), pvms={})
     assert correlation_from_tracial(empty).p == {}
+
+
+@pytest.mark.parametrize("inputs, outputs", [((), (0,)), ((1,), ()), ((), ())])
+def test_dense_correlation_without_cells_loads_back(inputs, outputs):
+    corr = Correlation(inputs=inputs, outputs=outputs, p={})
+    data = json.loads(json.dumps(corr.to_json_dict()))
+    assert np.asarray(data["p"]).size == 0
+    back = Correlation.from_json_dict(data)
+    assert (back.inputs, list(back.outputs), back.p) == (corr.inputs, list(corr.outputs), {})
 
 
 def test_bipartite_rejects_unnormalized_state():
