@@ -541,8 +541,8 @@ def flag(*names, **kwargs) -> tuple:
 
 OUT = flag("--out", help="output JSON path")
 OUT_REQUIRED = flag("--out", required=True, help="output JSON path")
-TOL = flag("--tol", type=float, default=1e-9, help="verification tolerance (default 1e-9)")
-EPS = flag("--eps", type=float, default=1e-9, help="perfectness tolerance (default 1e-9)")
+TOL = flag("--tol", default=1e-9, help="verification tolerance (default 1e-9)")
+EPS = flag("--eps", default=1e-9, help="perfectness tolerance (default 1e-9)")
 
 
 GROUPS = {
@@ -577,7 +577,7 @@ COMMANDS = (
             flags=(TOL, EPS)),
     Command("strategy decompose-qs", "Schmidt-block decomposition", _strategy_decompose_qs,
             inputs=(Input("--in", "bipartite"),),
-            flags=(flag("--cluster-tol", type=float, default=1e-7), OUT, TOL)),
+            flags=(flag("--cluster-tol", default=1e-7), OUT, TOL)),
     Command("round", "orthogonalize a family of near-projections", _round,
             inputs=(Input("--in", "pvm_family"),),
             flags=(flag("--sum-one", action="store_true"),
@@ -627,22 +627,27 @@ COMMANDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse takes any argument that starts with '-' and does not match its pattern
-    for negative numbers (no exponent, no inf or nan) for an option, so `--tol -1e-7`
-    would exit before main could check the value and write a report.  Here every
-    argument that parses as a float is a value."""
+# Flags whose value main converts and range-checks itself, so that a bad value gets
+# the run report a bad input file gets.
+FLOAT_FLAGS = ("--tol", "--eps", "--cluster-tol")
 
-    def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+
+def _attach_float_values(argv: list) -> list:
+    """argv with each float flag joined to the argument after it (`--tol=-1e-7`).
+    argparse takes a separate `-1e-7` or `-inf` for an option, not a value (its
+    negative-number pattern has no exponent), and would exit before main could
+    check the value and write a report."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in FLOAT_FLAGS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="syncgames",
         description="Synchronous nonlocal games: construction, verification and conversion.",
     )
@@ -668,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_float_values(_sys.argv[1:] if argv is None else argv))
     if args.schema:
         print(json.dumps(SCHEMAS, indent=2, sort_keys=True))
         return EXIT_OK
@@ -678,10 +683,18 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     run = Run(cmd.name)
     try:
-        for flag_name in ("--tol", "--eps", "--cluster-tol"):
-            value = getattr(args, flag_name[2:].replace("-", "_"), None)
-            if value is not None and not 0.0 <= value < math.inf:  # NaN fails too
+        for flag_name in FLOAT_FLAGS:
+            dest = flag_name[2:].replace("-", "_")
+            raw = getattr(args, dest, None)
+            if raw is None:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValidationError(f"{flag_name} must be a number, got {raw!r}") from None
+            if not 0.0 <= value < math.inf:  # NaN fails too
                 raise ValidationError(f"{flag_name} must be finite and >= 0, got {value!r}")
+            setattr(args, dest, value)
         loaded = []
         for spec in cmd.inputs:
             path = getattr(args, spec.flag[2:])

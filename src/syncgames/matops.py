@@ -8,6 +8,7 @@ constant downstream is certified under this convention.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -67,12 +68,14 @@ def _residuals(mats: np.ndarray) -> np.ndarray:
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the index arrays left and right.
 
-    Each distinct product is formed once.  Operators are keyed by content (the
-    bytes of each matrix), so equal operators stored as separate arrays, as in
-    an isomorphism strategy that repeats each BCS projection or one reloaded
-    from JSON, share one index; the distinct pairs are multiplied and their
-    norms scattered back to the caller's order.  Equal factors give
+    Each distinct product is formed once.  Operators are keyed by content: a
+    blake2b digest of each matrix's bytes, a hit confirmed byte for byte against
+    the first operator with that digest.  Equal operators stored as separate
+    arrays, as in an isomorphism strategy that repeats each BCS projection or one
+    reloaded from JSON, so share one index; the distinct pairs are multiplied and
+    their norms scattered back to the caller's order.  Equal factors give
     bit-identical products, so the norms are those of the pairs taken one by one.
+    The key table holds 32 bytes per operator, never a copy of the stack.
 
     Each norm is taken of the direct product, never through a Gram-matrix trace
     identity: a residual near 1e-16 would come out of the square root of a
@@ -80,26 +83,27 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
     that overflows has norm inf.
     """
-    content: dict = {}
-    ids = np.array([content.setdefault(mat.tobytes(), len(content)) for mat in stack], dtype=np.intp)
-    n = max(len(content), 1)
+    stack = np.ascontiguousarray(stack)
+    first: dict = {}  # digest -> index of the first operator with that digest
+    # owner[k]: the first operator with k's bytes (k itself after a digest collision)
+    owner = np.empty(len(stack), dtype=np.intp)
+    for k, mat in enumerate(stack):
+        j = first.setdefault(hashlib.blake2b(mat, digest_size=32).digest(), k)
+        owner[k] = j if j == k or np.array_equal(mat.view(np.uint8), stack[j].view(np.uint8)) else k
+    reps, ids = np.unique(owner, return_inverse=True)
+    n = max(len(reps), 1)
     pairs, inverse = np.unique(ids[np.asarray(left, dtype=np.intp)] * n
                                + ids[np.asarray(right, dtype=np.intp)], return_inverse=True)
-    distinct = stack[np.unique(ids, return_index=True)[1]]  # the first operator of each content
-    return _pair_residuals(distinct, pairs // n, pairs % n, np.matmul)[inverse]
-
-
-def _pair_residuals(stack: np.ndarray, left: np.ndarray, right: np.ndarray, combine) -> np.ndarray:
-    """_residuals of combine(stack[i], stack[j]) for each pair (i, j) of left and right,
-    stacked in chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array."""
+    left, right = reps[pairs // n], reps[pairs % n]
     d = stack.shape[-1]
     per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
-    out = np.empty(len(left))
-    for start in range(0, len(left), per):
+    out = np.empty(len(pairs))
+    for start in range(0, len(pairs), per):
         stop = start + per
         with np.errstate(over="ignore", invalid="ignore"):
-            out[start:stop] = _residuals(combine(stack[left[start:stop]], stack[right[start:stop]]))
-    return out
+            prod = np.matmul(stack[left[start:stop]], stack[right[start:stop]])
+        out[start:stop] = _residuals(prod)
+    return out[inverse]
 
 
 def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
@@ -125,28 +129,14 @@ def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
 
 
 def max_pairwise_distance(mats) -> tuple:
-    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two.
-
-    The differences are stacked in row-major pair order and their norms taken by the
-    chunked pair kernel, so each is norm2's value bit for bit; the witness is the
-    first pair attaining a positive maximum.  A difference with a non-finite entry
-    is refused, as norm2 refuses it."""
-    if len(mats) < 2:
-        return 0.0, None
-    stack = np.asarray(mats, dtype=complex)
-    left, right = np.triu_indices(len(stack), 1)
-
-    def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a - b
-        if not np.all(np.isfinite(diff)):
-            raise ValidationError("matrix has non-finite entries")
-        return diff
-
-    dists = _pair_residuals(stack, left, right, difference)
-    if dists.max() <= 0.0:
-        return 0.0, None
-    k = int(np.argmax(dists))
-    return float(dists[k]), (int(left[k]), int(right[k]))
+    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two."""
+    worst, witness = 0.0, None
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            diff = norm2(mats[a] - mats[b])
+            if diff > worst:
+                worst, witness = diff, (a, b)
+    return worst, witness
 
 
 def kron(a, b) -> np.ndarray:

@@ -351,12 +351,24 @@ def failing_runs(tmp_path) -> dict:
             2,
             "invalid input: --tol must be finite and >= 0, got -inf",
         ),
+        # A value that is not a number is refused by main too, with a report.
+        "tol-not-a-number": (
+            ["strategy", "decompose-qs", "--tol", "abc", "--in", str(tmp_path / "mismatched.json")],
+            2,
+            "invalid input: --tol must be a number, got 'abc'",
+        ),
+        "eps-not-a-number": (
+            ["demo", "magic-square", "--eps", "-x"],
+            2,
+            "invalid input: --eps must be a number, got '-x'",
+        ),
     }
 
 
 @pytest.mark.parametrize("case", ["verification", "budget", "overflow", "overflow-relations",
                                   "overflow-relators", "overflow-to-strategy", "cluster-tol-exponent",
-                                  "tol-exponent", "eps-exponent", "tol-minus-infinity"])
+                                  "tol-exponent", "eps-exponent", "tol-minus-infinity",
+                                  "tol-not-a-number", "eps-not-a-number"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"

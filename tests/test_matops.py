@@ -13,7 +13,6 @@ from syncgames.matops import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    max_pairwise_distance,
     norm2,
     product_norms,
 )
@@ -111,9 +110,25 @@ def test_eig_bound_scales_with_the_norm(d):
     assert residual <= 1e-9 * d * np.linalg.norm(h)
 
 
-def test_product_norms_match_the_per_pair_products():
+class _CollidingDigest:
+    """A stand-in for hashlib whose blake2b gives every matrix the same digest."""
+
+    @staticmethod
+    def blake2b(data, digest_size):
+        return _CollidingDigest
+
+    @staticmethod
+    def digest():
+        return bytes(32)
+
+
+@pytest.mark.parametrize("digests", ["blake2b", "colliding"])
+def test_product_norms_match_the_per_pair_products(monkeypatch, digests):
     """Repeated operators, stored as equal but separate arrays, share their products; each
-    norm is still the one of its own pair, bit for bit."""
+    norm is still the one of its own pair, bit for bit, also when every digest collides
+    and only the byte comparison tells the operators apart."""
+    if digests == "colliding":
+        monkeypatch.setattr(matops, "hashlib", _CollidingDigest)
     rng = np.random.default_rng(71)
     for d in (1, 4, 16):
         u = random_unitary(d, rng)
@@ -124,51 +139,3 @@ def test_product_norms_match_the_per_pair_products():
         assert product_norms(stack, left, right).tolist() == expected
     assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
     assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)
-
-
-def max_pairwise_distance_oracle(mats) -> tuple:
-    """The per-pair loop max_pairwise_distance replaced: norm2 of each difference over
-    a < b in row-major order, keeping the first strict maximum."""
-    worst, witness = 0.0, None
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            diff = norm2(mats[a] - mats[b])
-            if diff > worst:
-                worst, witness = diff, (a, b)
-    return worst, witness
-
-
-def pairwise_cases() -> list:
-    rng = np.random.default_rng(67)
-    cases = [[], [np.eye(3)], [np.eye(2)] * 4]
-    for d in (1, 4, 16, 64):
-        u = random_unitary(d, rng)
-        base = [u @ random_hermitian(d, rng) @ u.conj().T for _ in range(int(rng.integers(2, 7)))]
-        cases.append(base)
-        cases.append(base + base)  # every distance is attained twice: the first pair wins
-        cases.append([base[0] + 1e-9 * random_hermitian(d, rng) for _ in range(5)])
-    cases.append([np.eye(2), np.diag([1e200, 0.0])])  # a finite difference whose norm is inf
-    return cases
-
-
-@pytest.mark.parametrize("chunk", [matops.PRODUCT_CHUNK_ENTRIES, 1])
-def test_max_pairwise_distance_matches_the_pair_loop(monkeypatch, chunk):
-    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
-    for mats in pairwise_cases():
-        assert max_pairwise_distance(mats) == max_pairwise_distance_oracle(mats)
-
-
-@pytest.mark.parametrize(
-    "mats",
-    [
-        [np.eye(2), np.full((2, 2), np.inf)],
-        [np.eye(2), np.eye(2), np.diag([np.nan, 0.0])],
-        [np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])],  # the difference overflows
-    ],
-    ids=["inf", "nan", "overflow"],
-)
-def test_max_pairwise_distance_refuses_a_non_finite_difference(mats):
-    with pytest.raises(ValidationError, match="matrix has non-finite entries"):
-        max_pairwise_distance(mats)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="non-finite"):
-        max_pairwise_distance_oracle(mats)
