@@ -328,9 +328,6 @@ def _strategy_decompose_qs(run, args, strategy):
 
 
 def _round(run, args, mats):
-    for m in mats:
-        if m.shape[0] > args.max_dim:
-            raise ValidationError(f"matrix dimension {m.shape[0]} exceeds --max-dim {args.max_dim}")
     qs, report = orthogonalize_family(mats, sum_one=args.sum_one)
     run.payload["rounding"] = report.as_dict()
     run.check(
@@ -388,7 +385,10 @@ def _group_normalize_j(run, args, rep):
 def _graph_param(run, args, graph):
     param = run.command.split()[-1]
     solver = {"alpha": alpha, "omega": omega, "chi": chi}[param]
-    value = solver(graph, max_vertices=args.max_vertices) if args.max_vertices else solver(graph)
+    if args.max_vertices is None:
+        value = solver(graph)
+    else:
+        value = solver(graph, max_vertices=args.max_vertices)
     run.payload[param] = value
     print(value)
 
@@ -580,10 +580,7 @@ COMMANDS = (
             flags=(flag("--cluster-tol", default=1e-7), OUT, TOL)),
     Command("round", "orthogonalize a family of near-projections", _round,
             inputs=(Input("--in", "pvm_family"),),
-            flags=(flag("--sum-one", action="store_true"),
-                   flag("--max-dim", type=int, default=512,
-                        help="matrix dimension cap (default 512)"),
-                   OUT_REQUIRED)),
+            flags=(flag("--sum-one", action="store_true"), OUT_REQUIRED)),
     Command("group present", "export the group presentation", _group_present,
             inputs=(Input("--system", "system"),), flags=(OUT,)),
     Command("group verify", "check a representation against all relators", _group_verify,

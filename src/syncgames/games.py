@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .gf2 import BinaryLinearSystem, enumerate_si
-from .labels import MAX_SIGN_VECTOR_LENGTH, SignVectors, label_from_json, label_set, label_to_json
+from .labels import MAX_SIGN_VECTOR_LENGTH, SignVectors, label_set, label_to_json, labels_from_json
 from .matops import product_norms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +44,6 @@ class SyncGame:
     inputs: tuple
     outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
     predicate: Callable  # (x, y, a, b) -> bool on valid labels
-    kind: str = "custom"
     source: Optional[dict] = None  # JSON provenance for generated games
     # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)]:
     # the vectorised form of the predicate, attached only by the generating constructors
@@ -137,7 +136,6 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
         inputs=inputs,
         outputs=outputs,
         predicate=lambda x, y, a, b: (x, y, a, b) not in losing_set,
-        kind="explicit",
     )
 
 
@@ -180,7 +178,6 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
         inputs=tuple(range(1, sys.m + 1)),
         outputs=SignVectors(sys.n),
         predicate=predicate,
-        kind="synbcs",
         source={"kind": "synbcs", "system": sys.to_json_dict()},
     )
     return _with_mask(game, mask_of, listed)
@@ -205,7 +202,6 @@ def build_hom_game(g, h) -> SyncGame:
         inputs=tuple(range(g.n)),
         outputs=tuple(range(h.n)),
         predicate=predicate,
-        kind="hom",
         source={"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
     return _with_mask(game, mask_of)
@@ -271,7 +267,6 @@ def build_iso_game(g, h) -> SyncGame:
         inputs=labels,
         outputs=labels,
         predicate=predicate,
-        kind="iso",
         source={"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
     return _with_mask(game, mask_of)
@@ -295,13 +290,12 @@ def game_from_json_dict(data: dict) -> SyncGame:
         return build_hom_game(g, h) if kind == "hom" else build_iso_game(g, h)
     if kind == "explicit" or "losing" in data:
         # list-only: the losing table names every output explicitly anyway
-        if not all(isinstance(data.get(key), list) for key in ("inputs", "outputs")):
-            raise ValidationError("explicit game inputs and outputs must be JSON lists")
         try:
             return game_from_losing(
-                [label_from_json(x) for x in data["inputs"]],
-                [label_from_json(a) for a in data["outputs"]],
-                [tuple(label_from_json(part) for part in t) for t in data["losing"]],
+                labels_from_json(data["inputs"], "explicit game inputs"),
+                labels_from_json(data["outputs"], "explicit game outputs"),
+                labels_from_json(data["losing"], "explicit game losing table",
+                                 lambda t: labels_from_json(t, "losing entry")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed explicit game JSON: {exc}") from exc

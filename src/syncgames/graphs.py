@@ -20,9 +20,9 @@ from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
 from .games import _bcs_disagreement
 from .gf2 import BinaryLinearSystem, enumerate_si
-from .labels import int_from_json, label_from_json, label_to_json
-from .matops import DEFAULT_TOL, dagger, identity, kron, max_pairwise_distance, norm2
-from .solution_group import GroupRep, verify_rep
+from .labels import int_from_json, label_to_json, labels_from_json
+from .matops import DEFAULT_TOL, kron, norm2
+from .solution_group import GroupRep, glue_rep
 from .strategies import OperatorStrategy, deterministic_to_operator
 
 MAX_CLIQUE_VERTICES = 40
@@ -90,7 +90,7 @@ class Graph:
                 edges=frozenset(
                     tuple(int_from_json(v, "edge endpoint") for v in e) for e in data["edges"]
                 ),
-                labels=None if labels is None else tuple(label_from_json(x) for x in labels),
+                labels=None if labels is None else labels_from_json(labels, "graph labels"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
@@ -419,11 +419,11 @@ def rep_from_independence(
     """Recover a solution-group representation from a full-value independence
     certificate for the inhomogeneous incompatibility graph.
 
-    Slot i's self-adjoint unitary for variable j is the sign-weighted sum of
-    that slot's projections over every vertex; the certificate must glue
-    (slots sharing a variable must produce the same unitary, exactly so under
-    a faithful trace), and the glued generators are verified against all
-    solution-group relators.
+    Slot i (the certificate's i-th input) stands for equation i: its row is
+    the slot's stored projections with their vertices' sign vectors, in
+    ascending vertex order, and glue_rep glues the rows into generators (slots
+    sharing a variable must give the same unitary, exactly so under a faithful
+    trace) and verifies them against all solution-group relators.
     """
     if cert.value != sys.m:
         raise ValidationError(f"certificate value {cert.value} != m = {sys.m}")
@@ -432,31 +432,8 @@ def rep_from_independence(
         raise ValidationError("certificate graph is not the system's incompatibility graph")
     cert.verify(tol).require("independence certificate")
     choice_tol = 2.0 * g_b.n * math.sqrt(tol)
-    d = cert.strategy.dim
-    slot_of = {i: cert.strategy.inputs[i - 1] for i in range(1, sys.m + 1)}
-
-    def slot_unitary(i: int, j: int) -> np.ndarray:
-        v = np.zeros((d, d), dtype=complex)
-        for t, (k, x) in enumerate(g_b.labels):
-            e = cert.strategy.pvms.get((slot_of[i], t))
-            if e is not None:
-                v = v + x[j - 1] * e
-        return (v + dagger(v)) / 2
-
-    images = []
-    for j in range(1, sys.n + 1):
-        eqs = [i for i in range(1, sys.m + 1) if j in sys.rows[i - 1]]
-        if not eqs:
-            images.append(identity(d))
-            continue
-        mats = [slot_unitary(i, j) for i in eqs]
-        spread, pair = max_pairwise_distance(mats)
-        if spread > choice_tol:
-            raise VerificationError(
-                f"variable {j}: slots {eqs[pair[0]]} and {eqs[pair[1]]} glue only within "
-                f"{spread:.3e} > {choice_tol:.3e}; defective certificate"
-            )
-        images.append(mats[0])
-    rep = GroupRep(images=tuple(images), j_image=-identity(d))
-    verify_rep(rep, sys, 10 * tol).require("recovered representation")
-    return rep
+    rows: dict = {slot: [] for slot in cert.strategy.inputs}
+    for (slot, t), e in sorted(cert.strategy.pvms.items(), key=lambda item: item[0][1]):
+        rows[slot].append((g_b.labels[t][1], e))
+    return glue_rep(sys, [rows[slot] for slot in cert.strategy.inputs[: sys.m]],
+                    cert.strategy.dim, choice_tol, tol, "defective certificate")

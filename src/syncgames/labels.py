@@ -118,6 +118,14 @@ def label_from_json(data):
     return data
 
 
+def labels_from_json(data, what: str, item: Callable = label_from_json) -> tuple:
+    """A JSON list of labels (each parsed by item) as a tuple.  Any other JSON value
+    is refused, never iterated: a string would give its characters, an object its keys."""
+    if not isinstance(data, list):
+        raise ValidationError(f"{what} must be a JSON list, got {data!r}")
+    return tuple(item(x) for x in data)
+
+
 def outputs_to_json(outputs):
     """The JSON form of an output alphabet: {"sign_vectors": n} for SignVectors(n),
     the list of labels otherwise."""

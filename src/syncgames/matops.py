@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, VerificationError
+from .errors import BudgetError, ValidationError, VerificationError
 from .labels import int_from_json
 
 DEFAULT_TOL = 1e-9
@@ -128,17 +128,6 @@ def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
     return float(max_adj), float(max_proj), float(_residuals(totals).max(initial=0.0))
 
 
-def max_pairwise_distance(mats) -> tuple:
-    """(largest norm2(m_a - m_b) over pairs a < b, (a, b)); (0.0, None) for fewer than two."""
-    worst, witness = 0.0, None
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            diff = norm2(mats[a] - mats[b])
-            if diff > worst:
-                worst, witness = diff, (a, b)
-    return worst, witness
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product in row-major block order."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -158,14 +147,14 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_input(h, *, max_dim: int = MAX_EIG_DIM) -> np.ndarray:
-    """h as a square complex matrix with finite entries, refused unless it is no larger
-    than max_dim and Hermitian within HERMITIAN_INPUT_TOL entrywise.  These are the
-    input checks of hermitian_eig, for callers that need no eigenvectors."""
+def hermitian_input(h) -> np.ndarray:
+    """h as a square complex matrix with finite entries and Hermitian within
+    HERMITIAN_INPUT_TOL entrywise; a BudgetError when it is larger than MAX_EIG_DIM.
+    These are the input checks of hermitian_eig, for callers that need no eigenvectors."""
     mat = as_matrix(h)
     d = mat.shape[0]
-    if d > max_dim:
-        raise ValidationError(f"dimension {d} exceeds cap {max_dim}")
+    if d > MAX_EIG_DIM:
+        raise BudgetError(f"dimension {d} exceeds cap {MAX_EIG_DIM}")
     # Huge finite entries may overflow to inf here; that is reported through the
     # defect, never as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,15 +166,15 @@ def hermitian_input(h, *, max_dim: int = MAX_EIG_DIM) -> np.ndarray:
     return mat
 
 
-def hermitian_eig(h, *, max_dim: int = MAX_EIG_DIM) -> EigResult:
+def hermitian_eig(h) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, certified by reconstruction residual.
 
     The input must pass hermitian_input (Hermitian within 1e-10 entrywise and no
-    larger than max_dim); the reconstruction U diag(w) U* must match within
+    larger than MAX_EIG_DIM); the reconstruction U diag(w) U* must match within
     1e-9 * d * max(1, ||H||_F) in Frobenius norm, so the bound scales with the
     input, or a VerificationError is raised.
     """
-    mat = hermitian_input(h, max_dim=max_dim)
+    mat = hermitian_input(h)
     d = mat.shape[0]
     # Huge finite entries may overflow to inf below; that is reported through the
     # eigenvalues or the residual, never as a numpy warning.

@@ -27,7 +27,6 @@ from .matops import (
     identity,
     matrix_from_json,
     matrix_to_json,
-    max_pairwise_distance,
     norm2,
     residual,
 )
@@ -295,32 +294,50 @@ def strategy_from_rep(
     return strategy
 
 
-def variable_image_candidates(
-    s: OperatorStrategy, sys: BinaryLinearSystem
-) -> tuple:
-    """Per-variable candidate unitaries, one from each equation containing the variable.
+def glue_rep(
+    sys: BinaryLinearSystem,
+    rows,
+    d: int,
+    choice_tol: float,
+    tol: float,
+    tail: str,
+) -> GroupRep:
+    """The representation glued from each equation's row of projections.
 
-    Returns (candidates, spread) where candidates[k] is a list of (equation,
-    matrix) pairs and spread is the largest pairwise 2-norm difference between
-    candidates of the same variable, with its witness.
+    rows[i - 1] lists equation i's (sign vector, operator) pairs in summation
+    order.  Variable k's candidate from equation i is the symmetrised sum of
+    x[k - 1] * operator over that row; a variable in no equation maps to the
+    identity.  Candidates of one variable must agree within choice_tol in the
+    2-norm (they agree exactly under a faithful trace), or a VerificationError
+    names the worst pair over all variables and ends with tail.  The images are
+    the candidates of each variable's first equation, j_image is -I, and the
+    result is verified against every relator at 10 * tol.
     """
-    candidates = {}
-    worst = 0.0
-    witness = None
+    images = []
+    worst, witness = 0.0, None
     for k in range(1, sys.n + 1):
-        eqs = [i for i in range(1, sys.m + 1) if k in sys.rows[i - 1]]
         mats = []
-        for i in eqs:
-            v = np.zeros((s.dim, s.dim), dtype=complex)
-            for x in enumerate_si(sys, i):
-                v = v + x[k - 1] * s.matrix(i, x)
-            v = (v + dagger(v)) / 2
-            mats.append((i, v))
-        candidates[k] = mats
-        spread, pair = max_pairwise_distance([v for _, v in mats])
-        if spread > worst:
-            worst, witness = spread, (k, mats[pair[0]][0], mats[pair[1]][0])
-    return candidates, (worst, witness)
+        for i in range(1, sys.m + 1):
+            if k in sys.rows[i - 1]:
+                v = np.zeros((d, d), dtype=complex)
+                for x, e in rows[i - 1]:
+                    v = v + x[k - 1] * e
+                mats.append((i, (v + dagger(v)) / 2))
+        for a, (i, va) in enumerate(mats):
+            for i2, vb in mats[a + 1 :]:
+                diff = norm2(va - vb)
+                if diff > worst:
+                    worst, witness = diff, (k, i, i2)
+        images.append(mats[0][1] if mats else identity(d))
+    if worst > choice_tol:
+        k, i, i2 = witness
+        raise VerificationError(
+            f"variable {k}: equations {i} and {i2} disagree by {worst:.3e} > {choice_tol:.3e}; "
+            + tail
+        )
+    rep = GroupRep(images=tuple(images), j_image=-identity(d))
+    verify_rep(rep, sys, 10 * tol).require("recovered representation")
+    return rep
 
 
 def rep_from_strategy(
@@ -331,9 +348,9 @@ def rep_from_strategy(
     """Recover a solution-group representation from a perfect BCS strategy.
 
     Each variable's unitary is the sign-weighted sum of the projections of any
-    equation containing it; the construction is computed from every admissible
-    equation and the pairwise differences are certified small (they vanish
-    exactly under a faithful trace), so a large spread flags a defective input
+    equation containing it; glue_rep computes it from every admissible
+    equation and certifies the pairwise differences small (they vanish exactly
+    under a faithful trace), so a large spread flags a defective input
     strategy.  j_image is fixed to -I.
     """
     if not sys.covers_all_columns:
@@ -342,19 +359,11 @@ def rep_from_strategy(
         )
     game = build_synbcs(sys)
     check_game_algebra_relations(game, s, tol).require("strategy")
-    s_max = max(len(enumerate_si(sys, i)) for i in range(1, sys.m + 1))
+    rows = [[(x, s.matrix(i, x)) for x in enumerate_si(sys, i)] for i in range(1, sys.m + 1)]
+    s_max = max(len(row) for row in rows)
     choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
-    candidates, (spread, witness) = variable_image_candidates(s, sys)
-    if spread > choice_tol:
-        k, i, i2 = witness
-        raise VerificationError(
-            f"variable {k}: equations {i} and {i2} disagree by {spread:.3e} > {choice_tol:.3e}; "
-            "the strategy is only approximately perfect"
-        )
-    images = tuple(candidates[k][0][1] for k in range(1, sys.n + 1))
-    rep = GroupRep(images=images, j_image=-identity(s.dim))
-    verify_rep(rep, sys, 10 * tol).require("recovered representation")
-    return rep
+    return glue_rep(sys, rows, s.dim, choice_tol, tol,
+                    "the strategy is only approximately perfect")
 
 
 def strategy_from_solution(sys: BinaryLinearSystem, x) -> OperatorStrategy:

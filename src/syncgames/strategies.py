@@ -24,6 +24,7 @@ from .labels import (
     label_index,
     label_set,
     label_to_json,
+    labels_from_json,
     outputs_from_json,
     outputs_to_json,
 )
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .games import SyncGame
 
 DEFAULT_CLUSTER_TOL = 1e-7
+MAX_DENSE_CORRELATION_CELLS = 4_000_000  # a larger correlation is written as sparse entries
 
 
 def _pvms_to_json(s: OperatorStrategy) -> list:
@@ -182,7 +184,7 @@ class OperatorStrategy:
         try:
             return cls(
                 dim=int_from_json(data["dim"], "strategy dim"),
-                inputs=tuple(label_from_json(x) for x in data["inputs"]),
+                inputs=labels_from_json(data["inputs"], "strategy inputs"),
                 outputs=outputs_from_json(data["outputs"]),
                 pvms=_pvms_from_json(data["pvms"]),
             )
@@ -253,7 +255,7 @@ class BipartiteStrategy:
             return cls(
                 dim_a=int_from_json(data["dim_a"], "dim_a"),
                 dim_b=int_from_json(data["dim_b"], "dim_b"),
-                inputs=tuple(label_from_json(x) for x in data["inputs"]),
+                inputs=labels_from_json(data["inputs"], "bipartite strategy inputs"),
                 outputs=outputs_from_json(data["outputs"]),
                 alice=_pvms_from_json(data["alice"]),
                 bob=_pvms_from_json(data["bob"]),
@@ -350,7 +352,7 @@ class Correlation:
             dense[xi[x], xi[y], ai(a), ai(b)] = val
         return dense
 
-    def to_json_dict(self, max_dense_cells: int = 4_000_000) -> dict:
+    def to_json_dict(self) -> dict:
         base = {
             "n": len(self.inputs),
             "m": len(self.outputs),
@@ -358,7 +360,7 @@ class Correlation:
             "outputs": outputs_to_json(self.outputs),
         }
         cells = len(self.inputs) ** 2 * len(self.outputs) ** 2
-        if cells <= max_dense_cells:
+        if cells <= MAX_DENSE_CORRELATION_CELLS:
             base["p"] = self.to_dense().tolist()
         else:
             base["entries"] = [
@@ -373,7 +375,7 @@ class Correlation:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Correlation":
         try:
-            inputs = tuple(label_from_json(x) for x in data["inputs"])
+            inputs = labels_from_json(data["inputs"], "correlation inputs")
             outputs = outputs_from_json(data["outputs"])
             counts = [int_from_json(data[key], f"correlation {key}") for key in ("n", "m")]
             if counts != [len(inputs), len(outputs)]:

@@ -20,7 +20,7 @@ from syncgames import (
     pauli_magic_square_rep,
 )
 from syncgames.cli import main
-from syncgames.matops import matrix_to_json
+from syncgames.matops import MAX_EIG_DIM, matrix_to_json
 
 
 @pytest.fixture
@@ -75,6 +75,13 @@ def test_graph_chi_respects_max_vertices_flag(tmp_path):
     assert main(["graph", "chi", "--in", path, "--max-vertices", "30"]) == 0
 
 
+@pytest.mark.parametrize("param", ["alpha", "omega", "chi"])
+def test_graph_max_vertices_zero_is_a_cap_of_zero(tmp_path, param):
+    path = write_json(tmp_path, "e3.json", {"n": 3, "edges": []})
+    assert main(["graph", param, "--in", path]) == 0
+    assert main(["graph", param, "--in", path, "--max-vertices", "0"]) == 4
+
+
 def test_round_cli_noop_on_exact_pvm(tmp_path, capsys):
     rng = np.random.default_rng(1)
     pvm = random_exact_pvm(4, 2, rng)
@@ -87,11 +94,15 @@ def test_round_cli_noop_on_exact_pvm(tmp_path, capsys):
     assert max(payload["rounding"]["distances"]) <= 1e-12
 
 
-def test_round_cli_respects_max_dim(tmp_path):
-    infile = write_json(
-        tmp_path, "pvms.json", {"pvms": [matrix_to_json(np.eye(3))]}
-    )
-    assert main(["round", "--in", infile, "--out", str(tmp_path / "o.json"), "--max-dim", "2"]) == 2
+def test_round_cli_respects_max_dim(tmp_path, capsys):
+    d = MAX_EIG_DIM + 1
+    zero = {"dim": d, "entries": [[[0.0, 0.0]] * d] * d}  # a projection, refused by size alone
+    infile = write_json(tmp_path, "pvms.json", {"pvms": [zero]})
+    out = str(tmp_path / "o.json")
+    assert main(["round", "--in", infile, "--out", out]) == 4
+    assert f"dimension {d} exceeds cap {MAX_EIG_DIM}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # no flag raises the cap
+        main(["round", "--in", infile, "--out", out, "--max-dim", "1024"])
 
 
 def test_validation_exit_code_for_garbage_file(tmp_path):
@@ -137,6 +148,17 @@ MISMATCHED = {"dim_a": 2, "dim_b": 2, "inputs": [0], "outputs": [0, 1],
               "bob": [{"input": 0, "output": a, "matrix": e} for a, e in enumerate((E1, E0))],
               "state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 NO_SIDES = {"inputs": [], "outputs": [], "alice": [], "bob": []}
+ONE = {"dim": 1, "entries": [[[1.0, 0.0]]]}
+# Label lists given as a string or an object, which iterate as characters or keys;
+# each loads on one input "x" (or "a", "b") if it is coerced.
+STRING_INPUTS = {"dim": 1, "inputs": "ab", "outputs": [0],
+                 "pvms": [{"input": x, "output": 0, "matrix": ONE} for x in "ab"]}
+BIPARTITE_STRING_INPUTS = {"dim_a": 1, "dim_b": 1, "inputs": "x", "outputs": [0],
+                           "alice": [{"input": "x", "output": 0, "matrix": ONE}],
+                           "bob": [{"input": "x", "output": 0, "matrix": ONE}],
+                           "state": [[1.0, 0.0]]}
+EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
+            "losing": [["x", "x", "a", "b"], ["x", "x", "b", "a"]]}
 
 
 @pytest.mark.parametrize(
@@ -182,12 +204,23 @@ NO_SIDES = {"inputs": [], "outputs": [], "alice": [], "bob": []}
         (["strategy", "decompose-qs", "--tol", "nan", "--in"], MISMATCHED),
         (["strategy", "check", "--eps", "inf", "--correlation"], {**CORRELATION, "p": [[[[1]]]]}),
         (["strategy", "decompose-qs", "--cluster-tol", "-0.5", "--in"], MISMATCHED),
+        (["strategy", "correlation", "--out", "o.json", "--tracial"], STRING_INPUTS),
+        (["strategy", "decompose-qs", "--in"], BIPARTITE_STRING_INPUTS),
+        (["strategy", "check", "--correlation"],
+         {**CORRELATION, "inputs": "0", "entries": [["0", "0", 0, 0, 1.0]]}),
+        (["graph", "alpha", "--in"], {"n": 2, "edges": [], "labels": {"p": 1, "q": 2}}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "losing": ["xxab", "xxba"]}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "outputs": ["a"], "losing": {}}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "inputs": "x"}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
          "correlation-entry-infinity", "correlation-entry-huge-int", "correlation-dense-nan",
          "correlation-dense-minus-infinity", "bipartite-state-nan", "bipartite-dims-minus-1",
-         "bipartite-dims-minus-2-3", "tol-nan", "eps-infinity", "cluster-tol-negative"],
+         "bipartite-dims-minus-2-3", "tol-nan", "eps-infinity", "cluster-tol-negative",
+         "strategy-inputs-string", "bipartite-inputs-string", "correlation-inputs-string",
+         "graph-labels-object", "explicit-losing-entry-strings", "explicit-losing-object",
+         "explicit-inputs-string"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""

@@ -159,7 +159,7 @@ def test_relation_check_compares_output_alphabets_without_enumerating_them():
 
 @pytest.mark.parametrize("outputs", [{"sign_vectors": 1}, "ab", 2])
 def test_explicit_game_outputs_must_be_a_list(outputs):
-    with pytest.raises(ValidationError, match="must be JSON lists"):
+    with pytest.raises(ValidationError, match="explicit game outputs must be a JSON list"):
         game_from_json_dict({"kind": "explicit", "inputs": [0], "outputs": outputs, "losing": []})
 
 
@@ -291,9 +291,7 @@ def test_game_json_roundtrip_synbcs(magic_square):
 
 def test_game_json_roundtrip_explicit():
     game = build_hom_game(complete(2), complete(2))
-    explicit = SyncGame(
-        inputs=game.inputs, outputs=game.outputs, predicate=game.predicate, kind="hom"
-    )
+    explicit = SyncGame(inputs=game.inputs, outputs=game.outputs, predicate=game.predicate)
     data = explicit.to_json_dict()
     assert data["kind"] == "explicit"
     back = game_from_json_dict(data)

@@ -2,6 +2,8 @@
 and the certificate transports of the BCS / isomorphism / independence triangle."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import (
     brute_omega,
     kcopy_magic_square,
     random_graph,
+    random_hermitian,
     random_system,
     random_unitary,
     rotated,
@@ -43,8 +46,15 @@ from syncgames import (
 )
 from syncgames.errors import BudgetError, ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
-from syncgames.graphs import Graph, greedy_colouring, is_independent_set, is_proper_colouring
-from syncgames.matops import kron, norm2
+from syncgames.graphs import (
+    Graph,
+    IndependenceCertificate,
+    greedy_colouring,
+    is_independent_set,
+    is_proper_colouring,
+)
+from syncgames.matops import dagger, kron, norm2
+from syncgames.strategies import OperatorStrategy
 
 
 def five_cycle() -> Graph:
@@ -393,14 +403,7 @@ def test_magic_square_triangle(magic_square, pauli_rep):
 def test_rep_from_independence_classical_case():
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
     x = solve_gf2(sys_)
-    g_b = graph_from_system(sys_, use_b=True)
-    index_of = {lab: v for v, lab in enumerate(g_b.labels)}
-    chosen = []
-    for i in range(1, sys_.m + 1):
-        local = tuple(x[k - 1] if k in sys_.rows[i - 1] else 1 for k in range(1, sys_.n + 1))
-        chosen.append(index_of[(i, local)])
-    cert = independence_certificate_from_set(g_b, chosen)
-    rep = rep_from_independence(cert, sys_, tol=1e-12)
+    rep = rep_from_independence(classical_certificate(sys_), sys_, tol=1e-12)
     for w, v in zip(rep.images, x):
         assert np.allclose(w, [[v]])
 
@@ -424,6 +427,104 @@ def test_rep_from_independence_rejects_value_mismatch(magic_square):
     cert = independence_certificate_from_set(g_b, indep)
     with pytest.raises(ValidationError):
         rep_from_independence(cert, magic_square)
+
+
+def independence_oracle(cert, sys_) -> tuple:
+    """The slot-unitary loop rep_from_independence replaced, kept as its oracle:
+    slot i's unitary for variable j summed over every vertex in ascending order.
+    Returns (images, spreads): each variable's first-equation unitary (the identity
+    for a variable in no equation) and its largest pairwise 2-norm spread."""
+    g_b = graph_from_system(sys_, use_b=True)
+    d = cert.strategy.dim
+    slot_of = {i: cert.strategy.inputs[i - 1] for i in range(1, sys_.m + 1)}
+
+    def slot_unitary(i, j):
+        v = np.zeros((d, d), dtype=complex)
+        for t, (_, x) in enumerate(g_b.labels):
+            e = cert.strategy.pvms.get((slot_of[i], t))
+            if e is not None:
+                v = v + x[j - 1] * e
+        return (v + dagger(v)) / 2
+
+    images, spreads = [], []
+    for j in range(1, sys_.n + 1):
+        mats = [slot_unitary(i, j) for i in range(1, sys_.m + 1) if j in sys_.rows[i - 1]]
+        images.append(mats[0] if mats else np.eye(d, dtype=complex))
+        spreads.append(max((norm2(a - b) for k, a in enumerate(mats) for b in mats[k + 1 :]),
+                           default=0.0))
+    return images, spreads
+
+
+def transported_certificate(copies: int, seed) -> tuple:
+    """(system, full-value certificate for G_{A,b}) transported from the all-ones set of
+    the homogeneous graph through the k-copy iso strategy, Pauli or Haar-rotated."""
+    sys_, rep = kcopy_magic_square(copies)
+    iso = iso_strategy_from_bcs(strategy_from_rep(rep, sys_), sys_)
+    if seed is not None:
+        iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(seed)))
+    certs0 = complement_colouring_ga0(sys_)
+    cert0 = independence_certificate_from_set(certs0.graph, certs0.independent_set)
+    return sys_, transport_independence(cert0, swap_iso_strategy(iso), graph_from_system(sys_))
+
+
+def classical_certificate(sys_) -> IndependenceCertificate:
+    """The d = 1 certificate of a classical solution: each equation's local restriction."""
+    x = solve_gf2(sys_)
+    g_b = graph_from_system(sys_, use_b=True)
+    index_of = {lab: v for v, lab in enumerate(g_b.labels)}
+    local = [tuple(x[k - 1] if k in sys_.rows[i - 1] else 1 for k in range(1, sys_.n + 1))
+             for i in range(1, sys_.m + 1)]
+    return independence_certificate_from_set(g_b, [index_of[lab] for lab in enumerate(local, 1)])
+
+
+@pytest.mark.parametrize(
+    "case", ["1-pauli", "1-rotated", "2-pauli", "2-rotated", "classical", "uncovered-variable"]
+)
+def test_rep_from_independence_matches_the_slot_loop_bit_for_bit(case):
+    if case == "classical":
+        sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
+        cert = classical_certificate(sys_)
+    elif case == "uncovered-variable":  # variable 2 is in no equation: its image is I
+        sys_ = BinaryLinearSystem(m=1, n=2, rows=(frozenset({1}),), b=(1,))
+        cert = classical_certificate(sys_)
+    else:
+        copies, kind = case.split("-")
+        sys_, cert = transported_certificate(int(copies), 75 if kind == "rotated" else None)
+    images, spreads = independence_oracle(cert, sys_)
+    assert max(spreads) <= 1e-12
+    recovered = rep_from_independence(cert, sys_)
+    assert len(recovered.images) == sys_.n
+    assert all(w.tobytes() == mat.tobytes() for w, mat in zip(recovered.images, images))
+
+
+def test_defective_certificate_names_its_worst_variable(monkeypatch, magic_square):
+    """Slots 1 and 6 rotated by different amounts: both slots' variables fail to glue,
+    and the refusal names the variable of largest spread, not the first one over the
+    gluing tolerance.  A rotated certificate already fails its relation check, so the
+    check is bypassed to reach the gluing."""
+    _, cert = transported_certificate(1, None)
+    rng = np.random.default_rng(5)
+    rotations = {}
+    for slot, eps in ((0, 0.01), (5, 0.3)):
+        w, u = np.linalg.eigh(random_hermitian(4, rng))
+        rotations[slot] = u @ np.diag(np.exp(1j * eps * w)) @ u.conj().T
+    pvms = {
+        (k, v): rotations[k] @ e @ rotations[k].conj().T if k in rotations else e
+        for (k, v), e in cert.strategy.pvms.items()
+    }
+    strategy = OperatorStrategy(cert.strategy.dim, cert.strategy.inputs, cert.strategy.outputs, pvms)
+    bad = IndependenceCertificate(graph=cert.graph, value=cert.value, strategy=strategy)
+    _, spreads = independence_oracle(bad, magic_square)
+    choice_tol = 2.0 * bad.graph.n * 1e-9 ** 0.5
+    worst = 1 + int(np.argmax(spreads))
+    first = 1 + next(j for j, spread in enumerate(spreads) if spread > choice_tol)
+    assert worst != first
+    passing = SimpleNamespace(require=lambda what: None)
+    monkeypatch.setattr(IndependenceCertificate, "verify", lambda self, tol: passing)
+    with pytest.raises(VerificationError, match=f"^variable {worst}: equations") as info:
+        rep_from_independence(bad, magic_square, tol=1e-9)
+    assert f"disagree by {max(spreads):.3e}" in str(info.value)
+    assert str(info.value).endswith("; defective certificate")
 
 
 def test_certificate_verify_flags_dependent_set():

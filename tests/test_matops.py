@@ -7,8 +7,9 @@ import pytest
 from conftest import random_hermitian, random_unitary
 
 from syncgames import matops
-from syncgames.errors import ValidationError
+from syncgames.errors import BudgetError, ValidationError
 from syncgames.matops import (
+    MAX_EIG_DIM,
     hermitian_eig,
     kron,
     matrix_from_json,
@@ -51,8 +52,10 @@ def test_eig_rejects_non_hermitian():
 
 
 def test_eig_rejects_dimension_above_cap():
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.eye(8), max_dim=4)
+    with pytest.raises(BudgetError, match=f"dimension {MAX_EIG_DIM + 1} exceeds cap {MAX_EIG_DIM}"):
+        hermitian_eig(np.eye(MAX_EIG_DIM + 1))
+    with pytest.raises(TypeError):  # the cap is not a parameter
+        hermitian_eig(np.eye(2), max_dim=4)
 
 
 def test_norm2_identity_is_one():

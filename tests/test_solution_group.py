@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import kcopy_magic_square, random_hermitian, random_unitary, rotated
 
 from syncgames import (
     BinaryLinearSystem,
@@ -24,10 +24,35 @@ from syncgames.solution_group import (
     rep_from_strategy,
     strategy_from_rep,
     strategy_from_solution,
-    variable_image_candidates,
     verify_rep,
 )
+from syncgames.gf2 import enumerate_si
+from syncgames.matops import dagger, norm2
 from syncgames.strategies import OperatorStrategy
+
+
+def variable_image_candidates(s: OperatorStrategy, sys: BinaryLinearSystem) -> tuple:
+    """The gluing that rep_from_strategy replaced, kept as its oracle: per variable, one
+    candidate unitary from each equation containing it, S_i enumerated once per
+    (variable, equation) pair.  Returns (candidates, (spread, witness)): candidates[k]
+    lists (equation, matrix) pairs, and spread is the largest pairwise 2-norm difference
+    between candidates of one variable, witness its (variable, equation, equation)."""
+    candidates = {}
+    worst, witness = 0.0, None
+    for k in range(1, sys.n + 1):
+        mats = []
+        for i in [i for i in range(1, sys.m + 1) if k in sys.rows[i - 1]]:
+            v = np.zeros((s.dim, s.dim), dtype=complex)
+            for x in enumerate_si(sys, i):
+                v = v + x[k - 1] * s.matrix(i, x)
+            mats.append((i, (v + dagger(v)) / 2))
+        candidates[k] = mats
+        for a in range(len(mats)):
+            for b in range(a + 1, len(mats)):
+                diff = norm2(mats[a][1] - mats[b][1])
+                if diff > worst:
+                    worst, witness = diff, (k, mats[a][0], mats[b][0])
+    return candidates, (worst, witness)
 
 
 def single_equation_system():
@@ -230,6 +255,21 @@ def test_choice_independence_spread_scales_with_perturbation(magic_square, pauli
         spreads[eps] = variable_image_candidates(perturbed, magic_square)[1][0]
         assert eps / 100 <= spreads[eps] <= 100 * eps
     assert spreads[1e-2] > spreads[1e-3]
+
+
+@pytest.mark.parametrize("seed", [None, 31], ids=["pauli", "rotated"])
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_rep_from_strategy_matches_the_candidate_oracle_bit_for_bit(copies, seed):
+    sys_, rep = kcopy_magic_square(copies)
+    strategy = strategy_from_rep(rep, sys_)
+    if seed is not None:
+        strategy = rotated(strategy, random_unitary(strategy.dim, np.random.default_rng(seed)))
+    candidates, (spread, _) = variable_image_candidates(strategy, sys_)
+    assert spread <= 1e-12
+    recovered = rep_from_strategy(strategy, sys_)
+    assert len(recovered.images) == sys_.n
+    for k, w in enumerate(recovered.images, start=1):
+        assert w.tobytes() == candidates[k][0][1].tobytes()
 
 
 def _expm_skew(h, eps):

@@ -26,6 +26,7 @@ from syncgames import (
 )
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
+from syncgames.labels import SignVectors
 from syncgames.matops import dagger, norm2, residual
 from syncgames.strategies import (
     BipartiteStrategy,
@@ -602,8 +603,13 @@ def test_correlation_json_roundtrip_dense_and_sparse():
     corr = Correlation(inputs=(0,), outputs=(0, 1), p=p)
     dense = Correlation.from_json_dict(corr.to_json_dict())
     assert dense.p == corr.p
-    sparse = Correlation.from_json_dict(corr.to_json_dict(max_dense_cells=0))
-    assert sparse.p == corr.p
+    # 2^11 outputs give 2^22 cells, more than MAX_DENSE_CORRELATION_CELLS
+    outputs = SignVectors(11)
+    p = {(0, 0, outputs[0], outputs[0]): 0.25, (0, 0, outputs[-1], outputs[-1]): 0.75}
+    wide = Correlation(inputs=(0,), outputs=outputs, p=p)
+    data = wide.to_json_dict()
+    assert "p" not in data and len(data["entries"]) == 2
+    assert Correlation.from_json_dict(data).p == p
 
 
 @pytest.mark.parametrize(
