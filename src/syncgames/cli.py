@@ -43,7 +43,7 @@ from .graphs import (
     swap_iso_strategy,
     transport_independence,
 )
-from .labels import int_from_json, label_to_json
+from .labels import int_from_json, label_to_json, labels_from_json
 from .magic_square import mermin_peres_system, pauli_magic_square_rep
 from .matops import matrix_from_json, matrix_to_json
 from .rounding import orthogonalize_family
@@ -88,7 +88,10 @@ OUTPUTS_NOTE = (
 SCHEMAS = {
     "system": '{"m": int, "n": int, "rows": [[1-based variable indices]], "b": [0|1, ...]}',
     "sign_vector": "[+1|-1, ...] of length n",
-    "matrix": '{"dim": d, "entries": [[[re, im], ... d], ... d]} row-major',
+    "matrix": '{"dim": d, "c16": "<base64 of the little-endian complex128 bytes, row-major>"} '
+    "is written (bit-exact); the hand-written form "
+    '{"dim": d, "entries": [[[re, im], ... d], ... d]} (row-major) is still read. '
+    'Exactly one of "c16" and "entries", an integer d >= 1 and finite entries',
     "graph": '{"n": int, "edges": [[u, v], ...]} with 0-based vertices, optional "labels": [...]',
     "game": '{"kind": "synbcs", "system": {...}} | {"kind": "hom"|"iso", "G": {...}, "H": {...}} | '
     '{"kind": "explicit", "inputs": [...], "outputs": [...], "losing": [[x, y, a, b], ...]}',
@@ -186,8 +189,8 @@ class Run:
 
 def _load_pvm_family(data: dict, *_) -> list:
     try:
-        return [matrix_from_json(m) for m in data["pvms"]]
-    except (KeyError, TypeError) as exc:
+        return list(labels_from_json(data["pvms"], "PVM family pvms", item=matrix_from_json))
+    except KeyError as exc:
         raise ValidationError(f"malformed PVM family JSON: {exc}") from exc
 
 

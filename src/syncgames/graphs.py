@@ -88,12 +88,16 @@ class Graph:
             return cls(
                 n=int_from_json(data["n"], "vertex count"),
                 edges=frozenset(
-                    tuple(int_from_json(v, "edge endpoint") for v in e) for e in data["edges"]
+                    labels_from_json(data["edges"], "graph edges", item=_edge_from_json)
                 ),
                 labels=None if labels is None else labels_from_json(labels, "graph labels"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
+
+
+def _edge_from_json(e) -> tuple:
+    return labels_from_json(e, "graph edge", item=lambda v: int_from_json(v, "edge endpoint"))
 
 
 def complete(n: int) -> Graph:

@@ -8,6 +8,7 @@ constant downstream is certified under this convention.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import math
 from dataclasses import dataclass
@@ -194,21 +195,48 @@ def projection_onto_columns(cols: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_json(a) -> dict:
+    """{"dim": d, "c16": base64 of the matrix's little-endian complex128 bytes, row-major}:
+    bit-exact (-0.0, subnormals and the largest finite values survive) and deterministic."""
     mat = as_matrix(a)
-    return {
-        "dim": mat.shape[0],
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
-    }
+    raw = mat.astype("<c16", copy=False).tobytes(order="C")
+    return {"dim": mat.shape[0], "c16": base64.b64encode(raw).decode("ascii")}
 
 
-def matrix_from_json(data: dict) -> np.ndarray:
-    try:
-        d = int_from_json(data["dim"], "matrix dim")
-        mat = np.array(
-            [[complex(real, imag) for real, imag in row] for row in data["entries"]], dtype=complex
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
-    if mat.shape != (d, d):
-        raise ValidationError(f"matrix JSON says dim {d} but entries have shape {mat.shape}")
-    return mat
+def matrix_from_json(data) -> np.ndarray:
+    """Inverse of matrix_to_json; also reads the hand-written form {"dim": d, "entries":
+    [[[re, im], ... d], ... d]}.  A payload must hold exactly one of "c16" and "entries",
+    dim must be an integer >= 1, "c16" canonical base64 of exactly 16 d^2 bytes, and every
+    entry finite.  The result is a new, writable complex array."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"matrix must be a JSON object, got {data!r}")
+    d = int_from_json(data.get("dim"), "matrix dim")
+    if d < 1:
+        raise ValidationError(f"matrix dim must be >= 1, got {d}")
+    if ("c16" in data) == ("entries" in data):
+        raise ValidationError('matrix JSON must hold exactly one of "c16" and "entries"')
+    if "c16" in data:
+        payload = data["c16"]
+        if not isinstance(payload, str):
+            raise ValidationError(f"matrix c16 must be a base64 string, got {payload!r}")
+        try:
+            raw = base64.b64decode(payload, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise ValidationError(f"matrix c16 is not valid base64: {exc}") from exc
+        if len(raw) != 16 * d * d:
+            raise ValidationError(
+                f"matrix c16 holds {len(raw)} bytes, expected {16 * d * d} (16 d^2)"
+            )
+        if base64.b64encode(raw) != payload.encode("ascii"):  # the decoder ignores unused bits
+            raise ValidationError("matrix c16 is not canonical base64: unused bits are set")
+        mat = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(d, d)
+    else:
+        try:
+            mat = np.array(
+                [[complex(real, imag) for real, imag in row] for row in data["entries"]],
+                dtype=complex,
+            )
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int beyond float
+            raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+        if mat.shape != (d, d):
+            raise ValidationError(f"matrix JSON says dim {d} but entries have shape {mat.shape}")
+    return as_matrix(mat)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ValidationError, VerificationError
 from .games import build_synbcs, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem, enumerate_si
+from .labels import labels_from_json
 from .matops import (
     DEFAULT_TOL,
     as_matrix,
@@ -115,7 +116,9 @@ class GroupRep:
     def from_json_dict(cls, data: dict) -> "GroupRep":
         try:
             return cls(
-                images=tuple(matrix_from_json(w) for w in data["images"]),
+                images=labels_from_json(
+                    data["images"], "representation images", item=matrix_from_json
+                ),
                 j_image=matrix_from_json(data["j"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -55,12 +55,14 @@ def _pvms_to_json(s: OperatorStrategy) -> list:
     ]
 
 
-def _pvms_from_json(entries) -> dict:
+def _pvm_entry_from_json(e) -> tuple:
+    key = label_from_json(e["input"]), label_from_json(e["output"])
+    return key, matrix_from_json(e["matrix"])
+
+
+def _pvms_from_json(entries, what: str) -> dict:
     """Inverse of _pvms_to_json: (input, output) -> operator."""
-    return {
-        (label_from_json(e["input"]), label_from_json(e["output"])): matrix_from_json(e["matrix"])
-        for e in entries
-    }
+    return dict(labels_from_json(entries, what, item=_pvm_entry_from_json))
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ class OperatorStrategy:
                 dim=int_from_json(data["dim"], "strategy dim"),
                 inputs=labels_from_json(data["inputs"], "strategy inputs"),
                 outputs=outputs_from_json(data["outputs"]),
-                pvms=_pvms_from_json(data["pvms"]),
+                pvms=_pvms_from_json(data["pvms"], "strategy pvms"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed strategy JSON: {exc}") from exc
@@ -257,8 +259,8 @@ class BipartiteStrategy:
                 dim_b=int_from_json(data["dim_b"], "dim_b"),
                 inputs=labels_from_json(data["inputs"], "bipartite strategy inputs"),
                 outputs=outputs_from_json(data["outputs"]),
-                alice=_pvms_from_json(data["alice"]),
-                bob=_pvms_from_json(data["bob"]),
+                alice=_pvms_from_json(data["alice"], "bipartite strategy alice"),
+                bob=_pvms_from_json(data["bob"], "bipartite strategy bob"),
                 state=np.array([complex(real, imag) for real, imag in data["state"]]),
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -398,13 +400,17 @@ class Correlation:
                                     p[(x, y, a, b)] = val
             else:
                 input_set, output_set = frozenset(inputs), label_set(outputs)
-                for *labels, val in data["entries"]:
+
+                def entry(e) -> tuple:
+                    *labels, val = e
                     x, y, a, b = map(label_from_json, labels)
                     if not ({x, y} <= input_set and a in output_set and b in output_set):
                         raise ValidationError(f"unlisted label in correlation entry {[x, y, a, b]!r}")
                     if isinstance(val, bool) or not isinstance(val, (int, float)):
                         raise ValidationError(f"correlation value {val!r} is not a number")
-                    p[(x, y, a, b)] = float(val)
+                    return (x, y, a, b), float(val)
+
+                p = dict(labels_from_json(data["entries"], "correlation entries", item=entry))
             if not np.isfinite(np.fromiter(p.values(), dtype=float, count=len(p))).all():
                 raise ValidationError("correlation has a NaN or infinite value")
             return cls(inputs=inputs, outputs=outputs, p=p)

@@ -1,6 +1,7 @@
 """CLI surface: exit-code taxonomy, file pipelines, report stability."""
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import tempfile
@@ -161,6 +162,19 @@ EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
             "losing": [["x", "x", "a", "b"], ["x", "x", "b", "a"]]}
 
 
+def c16(values, dim: int = 1) -> dict:
+    """The compact matrix form of the complex values given, row-major, for dimension dim."""
+    raw = np.asarray(values, dtype="<c16").tobytes()
+    return {"dim": dim, "c16": base64.b64encode(raw).decode("ascii")}
+
+
+def round_file(matrix) -> dict:
+    return {"pvms": [matrix]}
+
+
+ROUND = ["round", "--out", "o.json", "--in"]
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [
@@ -212,6 +226,28 @@ EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
         (["game", "solve-classical", "--in"], {**EXPLICIT, "losing": ["xxab", "xxba"]}),
         (["game", "solve-classical", "--in"], {**EXPLICIT, "outputs": ["a"], "losing": {}}),
         (["game", "solve-classical", "--in"], {**EXPLICIT, "inputs": "x"}),
+        (["graph", "alpha", "--in"], {"n": 2, "edges": {}}),
+        (ROUND, {"pvms": {}}),
+        (["strategy", "correlation", "--out", "o.json", "--tracial"],
+         {"dim": 2, "inputs": [], "outputs": [0], "pvms": {}}),
+        (["strategy", "decompose-qs", "--in"], {**MISMATCHED, "bob": ""}),
+        (["strategy", "check", "--correlation"], {**CORRELATION, "entries": {}}),
+        (["group", "normalize-j", "--out", "o.json", "--rep"],
+         {"dim": 1, "images": {}, "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}),
+        (ROUND, round_file({"dim": 1, "c16": "AAAA!AAAAAAAAAAAAAAAAA=="})),
+        (ROUND, round_file({"dim": 1, "c16": "AAAAAAAAAAAAAAAAAAAAAA="})),
+        (ROUND, round_file({"dim": 1, "c16": "AAAAAAAAAAAAAAAAAAAAAB=="})),
+        (ROUND, round_file(c16([1.0], dim=2))),
+        (ROUND, round_file(c16([1.0, 0.0]))),
+        (ROUND, round_file(c16([float("nan")]))),
+        (ROUND, round_file(c16([complex(0.0, float("inf"))]))),
+        (["group", "normalize-j", "--out", "o.json", "--rep"],
+         {"dim": 1, "images": [c16([float("-inf")])], "j": c16([-1.0])}),
+        (ROUND, round_file({**c16([1.0]), **ONE})),
+        (ROUND, round_file({"dim": 1})),
+        (ROUND, round_file({"dim": 1, "c16": [0] * 16})),
+        (ROUND, round_file({"dim": 0, "c16": ""})),
+        (ROUND, round_file({"dim": 1, "entries": [[[10**400, 0]]]})),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -220,7 +256,12 @@ EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
          "bipartite-dims-minus-2-3", "tol-nan", "eps-infinity", "cluster-tol-negative",
          "strategy-inputs-string", "bipartite-inputs-string", "correlation-inputs-string",
          "graph-labels-object", "explicit-losing-entry-strings", "explicit-losing-object",
-         "explicit-inputs-string"],
+         "explicit-inputs-string", "graph-edges-object", "pvm-family-object",
+         "strategy-pvms-object", "bipartite-bob-string", "correlation-entries-object",
+         "rep-images-object", "c16-non-alphabet", "c16-bad-padding", "c16-unused-bits-set",
+         "c16-too-short", "c16-too-long", "c16-nan", "c16-infinity", "rep-c16-infinity",
+         "c16-and-entries", "matrix-without-payload", "c16-not-string", "matrix-dim-0",
+         "entries-huge-int"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
@@ -614,8 +655,20 @@ _matrices = st.integers(0, 3).flatmap(
         ),
     })
 )
+# Compact matrices: a random string, base64 of random bytes, or base64 of exactly 16 d^2
+# random bytes (any bit pattern: NaN, infinities, huge and subnormal entries); now and
+# then an "entries" key as well.
+_c16_matrices = st.integers(0, 3).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {"dim": st.just(d),
+         "c16": st.text(max_size=8)
+         | (st.binary(max_size=40) | st.binary(min_size=16 * d * d, max_size=16 * d * d))
+         .map(lambda raw: base64.b64encode(raw).decode("ascii"))},
+        optional={"entries": st.just([[[1.0, 0.0]]])},
+    )
+)
 _json = st.recursive(
-    st.none() | st.booleans() | _numbers | st.text(max_size=3) | _matrices
+    st.none() | st.booleans() | _numbers | st.text(max_size=3) | _matrices | _c16_matrices
     | st.sampled_from(["synbcs", "hom", "iso", "explicit", "input", "output", "matrix",
                        "sign_vectors"]),
     lambda inner: st.lists(inner, max_size=4)
@@ -648,6 +701,8 @@ def test_schema_dump(capsys):
     assert "system" in data and "strategy" in data
     for kind in ("strategy", "bipartite_strategy", "correlation"):
         assert '{"sign_vectors": n}' in data[kind] and "still loads" in data[kind]
+    assert '"c16"' in data["matrix"] and "is written" in data["matrix"]
+    assert '"entries"' in data["matrix"] and "still read" in data["matrix"]
 
 
 def test_demo_magic_square_report_is_byte_stable(tmp_path):

@@ -1,6 +1,9 @@
 """Matrix kernel: eigendecomposition, tracial norms, kron, matrix JSON."""
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -98,9 +101,55 @@ def test_matrix_json_roundtrip():
     assert np.allclose(matrix_from_json(matrix_to_json(m)), m)
 
 
+def test_matrix_json_is_bit_exact():
+    """-0.0, the smallest subnormal and +-1.7e308 survive the JSON text bit for bit, and so
+    do random bit patterns of every exponent; the loaded array is writable, as a built one is."""
+    edge = np.array([[-0.0 + 5e-324j, 1.7e308 - 1.7e308j], [-5e-324 - 0.0j, -1.7e308 + 0.0j]])
+    rng = np.random.default_rng(5)
+    bits = np.frombuffer(rng.bytes(16 * 25), dtype="<c16").reshape(5, 5).copy()
+    bits.real[~np.isfinite(bits.real)] = 0.0
+    bits.imag[~np.isfinite(bits.imag)] = 0.0
+    for mat in (edge, bits, edge.T):  # a transposed view is written row-major all the same
+        data = json.loads(json.dumps(matrix_to_json(mat)))
+        assert set(data) == {"dim", "c16"} and data["dim"] == mat.shape[0]
+        back = matrix_from_json(data)
+        assert back.tobytes() == np.ascontiguousarray(mat).tobytes() and back.flags.writeable
+
+
+# The hand-written {"dim", "entries"} matrices of the test suite (the d = 513 zero matrix
+# of test_cli stands here as d = 3): each loads as the old entry-by-entry reader gave it.
+ENTRIES_FORM = [
+    {"dim": 1, "entries": [[[1.0, 0.0]]]},
+    {"dim": 1, "entries": [[[-1.0, 0.0]]]},
+    {"dim": 1, "entries": [[[1e200, 0.0]]]},
+    {"dim": 1, "entries": [[[1e308, 0.0]]]},
+    {"dim": 1, "entries": [[[1.7e308, 0.0]]]},
+    *({"dim": 2, "entries": [[[v, 0], [0, 0]], [[0, 0], [1 - v, 0]]]} for v in (1, 0)),
+    {"dim": 2, "entries": [[[0.5, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.5, 0.0]]]},
+    {"dim": 3, "entries": [[[0.0, 0.0]] * 3] * 3},
+]
+
+
+@pytest.mark.parametrize("data", ENTRIES_FORM)
+def test_entries_form_loads_as_before(data):
+    expected = np.array([[complex(re, im) for re, im in row] for row in data["entries"]])
+    assert matrix_from_json(json.loads(json.dumps(data))).tobytes() == expected.tobytes()
+
+
 def test_matrix_json_rejects_shape_mismatch():
     with pytest.raises(ValidationError):
         matrix_from_json({"dim": 2, "entries": [[[1.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_matrix_json_refuses_non_finite_entries(value):
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[1, 1] = value
+    compact = {"dim": 2, "c16": base64.b64encode(mat.tobytes()).decode("ascii")}
+    entries = {"dim": 2, "entries": [[[z.real, z.imag] for z in row] for row in mat.tolist()]}
+    for data in (compact, entries):
+        with pytest.raises(ValidationError, match="non-finite"):
+            matrix_from_json(data)
 
 
 @pytest.mark.parametrize("d", [16, 64, 256])
