@@ -5,8 +5,9 @@ Predicates are closures over the generating structure; winning tuples of a BCS
 game are sparse while losing tuples are astronomically many, so games are never
 materialized as losing lists except when loaded from an explicit JSON table.
 The generated games also carry a vectorised losing mask over a list of stored
-(input, output) keys, which the relation checker uses in place of one predicate
-call per pair; it is computed only when asked for.
+(input, output) keys, which the relation checker, the classical search's pair
+table and DeterministicStrategy.perfect_for use in place of one predicate call per
+pair; it is computed only when asked for.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ MAX_SYNC_SCAN_CELLS = 2_000_000
 # candidates (synBCS games list theirs): above 3 * 2^20, the largest scan the 64-bit
 # search budget allowed while synBCS games had at most 20 variables
 MAX_CANDIDATE_SCAN = 4_000_000
+# cells of the search's pair table, K^2 for K candidate keys (x, a): K <= 2000
+MAX_PAIR_TABLE_CELLS = 4_000_000
 MAX_LOSING_TABLE_CELLS = 1_000_000
 
 
@@ -309,10 +312,15 @@ class DeterministicStrategy:
     assignment: dict
 
     def perfect_for(self, game: SyncGame) -> bool:
+        """True when every round wins: each input's label is checked once, then one
+        losing mask over the assignment's keys gives the verdict."""
         f = self.assignment
-        return all(
-            game.wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs
-        )
+        for x in game.inputs:
+            if x not in f:
+                raise ValidationError(f"assignment lacks input {x!r}")
+            if f[x] not in game.output_set:
+                raise ValidationError(f"unknown output label {f[x]!r} for input {x!r}")
+        return not game.losing_mask([(x, f[x]) for x in game.inputs]).any()
 
 
 def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy]:
@@ -328,6 +336,13 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     every output in the bit budget.  Inputs are processed most constrained
     first and partial assignments are pruned against every previously
     assigned input.
+
+    The pruning reads a pair table built once, before the search, from the
+    game's losing mask over the K candidate keys (x, a): key k is a Python
+    int whose bit j is set when keys k and j win against each other in both
+    orders, and each depth passes on the AND of the rows chosen so far.  A
+    table of more than MAX_PAIR_TABLE_CELLS cells (K^2) is refused before
+    anything is allocated.
     """
     n_inputs = len(game.inputs)
     n_outputs = len(game.outputs)
@@ -352,30 +367,41 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     if any(not c for c in candidates.values()):
         return None
     order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
-    assignment: dict = {}
+    keys = [(x, a) for x in order for a in candidates[x]]
+    cells = len(keys) ** 2
+    if cells > MAX_PAIR_TABLE_CELLS:
+        raise BudgetError(
+            f"pair table of {len(keys)} candidate keys needs {cells} cells > "
+            f"{MAX_PAIR_TABLE_CELLS}; undecided"
+        )
+    losing = game.losing_mask(keys)
+    packed = np.packbits(~(losing | losing.T), axis=1, bitorder="little")
+    # key k as (its own bit, its compatibility row, its output), cut into one level per depth
+    entries = [(1 << k, int.from_bytes(row.tobytes(), "little"), a)
+               for k, (row, (_, a)) in enumerate(zip(packed, keys))]
+    levels, start = [], 0
+    for x in order:
+        levels.append(entries[start:start + len(candidates[x])])
+        start += len(candidates[x])
+    chosen: list = [None] * len(order)
     nodes = 0
 
-    def extend(depth: int) -> bool:
+    def extend(depth: int, allowed: int) -> bool:
         nonlocal nodes
-        if depth == len(order):
+        if depth == len(levels):
             return True
-        x = order[depth]
-        for a in candidates[x]:
+        for bit, row, a in levels[depth]:
             nodes += 1
             if nodes > DEFAULT_SEARCH_NODES:
                 raise BudgetError(f"search exceeded {DEFAULT_SEARCH_NODES} nodes; undecided")
-            if all(
-                game.predicate(x, y, a, b) and game.predicate(y, x, b, a)
-                for y, b in assignment.items()
-            ):
-                assignment[x] = a
-                if extend(depth + 1):
+            if allowed & bit:
+                chosen[depth] = a
+                if extend(depth + 1, allowed & row):
                     return True
-                del assignment[x]
         return False
 
-    if extend(0):
-        return DeterministicStrategy(assignment=dict(assignment))
+    if extend(0, -1):  # -1: every bit set
+        return DeterministicStrategy(assignment=dict(zip(order, chosen)))
     return None
 
 

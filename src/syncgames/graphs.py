@@ -41,16 +41,18 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValidationError("vertex count must be >= 0")
-        clean = set()
+        n, clean = self.n, set()
         for e in self.edges:
             u, v = e
-            if any(isinstance(w, bool) or not isinstance(w, int) for w in (u, v)):
+            if isinstance(u, bool) or isinstance(v, bool) or not (
+                isinstance(u, int) and isinstance(v, int)
+            ):
                 raise ValidationError(f"edge {e!r} has non-integer endpoints")
             if u == v:
                 raise ValidationError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError(f"edge {e!r} out of range for {self.n} vertices")
-            clean.add((min(u, v), max(u, v)))
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge {e!r} out of range for {n} vertices")
+            clean.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(clean))
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -70,6 +72,11 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     def complement(self) -> "Graph":
+        """The complement graph, built (and its edges validated) once per graph."""
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "Graph":
         comp = frozenset(
             (u, v) for u in range(self.n) for v in range(u + 1, self.n) if (u, v) not in self.edges
         )

@@ -161,3 +161,16 @@ def int_from_json(data, what: str) -> int:
     if isinstance(data, bool) or not isinstance(data, int):
         raise ValidationError(f"{what} must be an integer, got {data!r}")
     return data
+
+
+def complex_from_json(data, what: str) -> complex:
+    """A [re, im] pair of JSON numbers as a complex: booleans, strings and anything but
+    a two-item list are refused, never coerced.  An integer beyond float range raises
+    OverflowError, which the callers report as malformed input."""
+    if (
+        not isinstance(data, list)
+        or len(data) != 2
+        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in data)
+    ):
+        raise ValidationError(f"{what} must be a [re, im] pair of numbers, got {data!r}")
+    return complex(data[0], data[1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
-from .labels import int_from_json
+from .labels import complex_from_json, int_from_json
 
 DEFAULT_TOL = 1e-9
 HERMITIAN_INPUT_TOL = 1e-10
@@ -232,7 +232,7 @@ def matrix_from_json(data) -> np.ndarray:
     else:
         try:
             mat = np.array(
-                [[complex(real, imag) for real, imag in row] for row in data["entries"]],
+                [[complex_from_json(z, "matrix entry") for z in row] for row in data["entries"]],
                 dtype=complex,
             )
         except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int beyond float

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ClusterAmbiguityError, ValidationError, VerificationError
 from .labels import (
     as_alphabet,
+    complex_from_json,
     int_from_json,
     label_from_json,
     label_index,
@@ -261,9 +262,12 @@ class BipartiteStrategy:
                 outputs=outputs_from_json(data["outputs"]),
                 alice=_pvms_from_json(data["alice"], "bipartite strategy alice"),
                 bob=_pvms_from_json(data["bob"], "bipartite strategy bob"),
-                state=np.array([complex(real, imag) for real, imag in data["state"]]),
+                state=np.array(labels_from_json(
+                    data["state"], "bipartite state",
+                    item=lambda z: complex_from_json(z, "bipartite state entry"),
+                ), dtype=complex),
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed bipartite strategy JSON: {exc}") from exc
 
 

@@ -122,6 +122,17 @@ def test_budget_exit_code(tmp_path):
     assert main(["game", "solve-classical", "--in", path]) == 4
 
 
+def test_pair_table_budget_exit_code(tmp_path, capsys):
+    """A hom game from one vertex into 2001 lists 2001 candidate keys: the search's
+    pair table (2001^2 cells) is over its budget, so the answer is undecided."""
+    game = {"kind": "hom", "G": {"n": 1, "edges": []}, "H": {"n": 2001, "edges": []}}
+    path = write_json(tmp_path, "wide.json", game)
+    assert main(["game", "solve-classical", "--in", path]) == 4
+    assert "pair table of 2001 candidate keys needs 4004001 cells" in capsys.readouterr().err
+    game["H"]["n"] = 2000
+    assert main(["game", "solve-classical", "--in", write_json(tmp_path, "fits.json", game)]) == 0
+
+
 def test_verification_exit_code_for_bad_strategy(tmp_path, magic_square_file):
     game_file = write_json(
         tmp_path, "game.json", {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
@@ -158,6 +169,7 @@ BIPARTITE_STRING_INPUTS = {"dim_a": 1, "dim_b": 1, "inputs": "x", "outputs": [0]
                            "alice": [{"input": "x", "output": 0, "matrix": ONE}],
                            "bob": [{"input": "x", "output": 0, "matrix": ONE}],
                            "state": [[1.0, 0.0]]}
+BIPARTITE_ONE = {**BIPARTITE_STRING_INPUTS, "inputs": ["x"]}
 EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
             "losing": [["x", "x", "a", "b"], ["x", "x", "b", "a"]]}
 
@@ -248,6 +260,14 @@ ROUND = ["round", "--out", "o.json", "--in"]
         (ROUND, round_file({"dim": 1, "c16": [0] * 16})),
         (ROUND, round_file({"dim": 0, "c16": ""})),
         (ROUND, round_file({"dim": 1, "entries": [[[10**400, 0]]]})),
+        (ROUND, round_file({"dim": 1, "entries": [[[True, False]]]})),
+        (ROUND, round_file({"dim": 1, "entries": [[[1.0, 0.0, 0.0]]]})),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "state": [[True, False]]}),
+        (["strategy", "decompose-qs", "--in"],
+         {**BIPARTITE_ONE, "alice": [{"input": "x", "output": 0,
+                                      "matrix": {"dim": 1, "entries": [[[True, 0.0]]]}}]}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "state": [[10**400, 0]]}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "state": "x"}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -261,7 +281,8 @@ ROUND = ["round", "--out", "o.json", "--in"]
          "rep-images-object", "c16-non-alphabet", "c16-bad-padding", "c16-unused-bits-set",
          "c16-too-short", "c16-too-long", "c16-nan", "c16-infinity", "rep-c16-infinity",
          "c16-and-entries", "matrix-without-payload", "c16-not-string", "matrix-dim-0",
-         "entries-huge-int"],
+         "entries-huge-int", "entries-bool", "entries-triple", "bipartite-state-bool",
+         "bipartite-entries-bool", "bipartite-state-huge-int", "bipartite-state-string"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from itertools import product as iter_product
 
@@ -37,9 +38,9 @@ from syncgames import (
     strategy_from_rep,
     verify_rep,
 )
-from syncgames import matops
+from syncgames import games, matops
 from syncgames.errors import BudgetError, ValidationError
-from syncgames.games import MAX_GAME_VARIABLES, SyncGame, game_from_losing
+from syncgames.games import MAX_GAME_VARIABLES, DeterministicStrategy, SyncGame, game_from_losing
 from syncgames.graphs import Graph
 from syncgames.labels import SignVectors
 from syncgames.matops import norm2
@@ -232,6 +233,172 @@ def test_deterministic_search_budget():
     game = build_hom_game(complete(70), complete(2))
     with pytest.raises(BudgetError):
         find_deterministic_perfect(game)
+
+
+def search_oracle(game: SyncGame):
+    """The per-node predicate search the pair table replaced: the same budgets, order
+    and node count, with every partial assignment checked by predicate calls."""
+    n_inputs, n_outputs = len(game.inputs), len(game.outputs)
+    candidates = game._candidates
+    if candidates is None:
+        bits = n_inputs * math.log2(max(n_outputs, 1))
+    else:
+        bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
+    if bits > games.DEFAULT_SEARCH_BITS:
+        raise BudgetError(
+            f"search space of {bits:.1f} bits exceeds budget of {games.DEFAULT_SEARCH_BITS:.1f}; "
+            "undecided"
+        )
+    if candidates is None:
+        if n_inputs * n_outputs > games.MAX_CANDIDATE_SCAN:
+            raise BudgetError(
+                f"candidate scan needs {n_inputs * n_outputs} predicate calls > "
+                f"{games.MAX_CANDIDATE_SCAN}; undecided"
+            )
+        candidates = {
+            x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
+        }
+    if any(not c for c in candidates.values()):
+        return None
+    order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
+    assignment: dict = {}
+    nodes = 0
+
+    def extend(depth: int) -> bool:
+        nonlocal nodes
+        if depth == len(order):
+            return True
+        x = order[depth]
+        for a in candidates[x]:
+            nodes += 1
+            if nodes > games.DEFAULT_SEARCH_NODES:
+                raise BudgetError(f"search exceeded {games.DEFAULT_SEARCH_NODES} nodes; undecided")
+            if all(
+                game.predicate(x, y, a, b) and game.predicate(y, x, b, a)
+                for y, b in assignment.items()
+            ):
+                assignment[x] = a
+                if extend(depth + 1):
+                    return True
+                del assignment[x]
+        return False
+
+    return DeterministicStrategy(assignment=dict(assignment)) if extend(0) else None
+
+
+def search_outcome(search, game):
+    """A search's answer as comparable data: its assignment in insertion order, None,
+    or the budget message."""
+    try:
+        found = search(game)
+    except BudgetError as exc:
+        return f"budget: {exc}"
+    return None if found is None else list(found.assignment.items())
+
+
+def random_search_games(seed: int) -> list:
+    """Seeded synBCS, hom, iso and explicit games, about a third without a perfect
+    deterministic strategy."""
+    rng = np.random.default_rng(seed)
+    out = [build_synbcs(random_system(rng, max_m=7, max_n=9)) for _ in range(40)]
+    for _ in range(25):
+        g = random_graph(rng, int(rng.integers(1, 9)), float(rng.uniform(0.2, 0.8)))
+        h = random_graph(rng, int(rng.integers(1, 6)), float(rng.uniform(0.2, 0.9)))
+        out.append(build_hom_game(g, h))
+    for _ in range(10):
+        g = random_graph(rng, int(rng.integers(2, 10)))
+        out.append(build_hom_game(g, complete(int(rng.integers(1, 5)))))
+    for _ in range(15):
+        n = int(rng.integers(1, 6))
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
+        if rng.random() < 0.5:  # an isomorphic copy, so the game has a perfect strategy
+            perm = rng.permutation(n)
+            h = Graph(n=n, edges=frozenset((int(perm[u]), int(perm[v])) for u, v in g.edges))
+        else:
+            h = random_graph(rng, int(rng.integers(1, 6)), float(rng.uniform(0.2, 0.8)))
+        out.append(build_iso_game(g, h))
+    for _ in range(20):
+        ins = [f"x{i}" for i in range(int(rng.integers(1, 5)))]
+        outs = list(range(int(rng.integers(1, 4))))
+        losing = [(x, y, a, b) for x in ins for y in ins for a in outs for b in outs
+                  if (x == y and a != b) or rng.random() < 0.15]
+        out.append(game_from_losing(ins, outs, losing))
+    return out
+
+
+def test_search_agrees_with_the_predicate_oracle():
+    """Same assignment (in the same order) or None on every game, under a seed not
+    used elsewhere; a few games of each kind are solved and a few refuted."""
+    outcomes = []
+    for game in random_search_games(1201):
+        expected = search_outcome(search_oracle, game)
+        assert search_outcome(find_deterministic_perfect, game) == expected
+        outcomes.append(expected is None)
+    assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+
+def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
+    """For every node budget up to 30, both searches raise, or both answer alike: so the
+    first node over the budget is the same node."""
+    refused = answered = 0
+    for limit in range(1, 31):
+        monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", limit)
+        for game in random_search_games(1202)[::3]:
+            expected = search_outcome(search_oracle, game)
+            assert search_outcome(find_deterministic_perfect, game) == expected
+            refused += isinstance(expected, str)
+            answered += not isinstance(expected, str)
+    assert refused > 100 and answered > 100
+
+
+def nothing_loses(keys) -> np.ndarray:
+    return np.zeros((len(keys), len(keys)), dtype=bool)
+
+
+def one_input_game(n_outputs: int, mask_of=nothing_loses) -> SyncGame:
+    """One input with n_outputs candidates and a cheap losing mask."""
+    game = SyncGame(inputs=(0,), outputs=tuple(range(n_outputs)),
+                    predicate=lambda x, y, a, b: a == b)
+    return games._with_mask(game, mask_of)
+
+
+def test_pair_table_budget_boundary(monkeypatch):
+    """K candidate keys need K^2 cells: 2000 keys (4,000,000 cells) are searched, 2001
+    are refused before the losing mask is taken."""
+    assert games.MAX_PAIR_TABLE_CELLS == 2000**2
+    assert find_deterministic_perfect(one_input_game(2000)).assignment == {0: 0}
+    over = one_input_game(2001, mask_of=lambda keys: pytest.fail("losing mask taken"))
+    with pytest.raises(BudgetError, match="2001 candidate keys needs 4004001 cells > 4000000"):
+        find_deterministic_perfect(over)
+    # a hom game lists every output of H as a candidate: 6 x 333 keys fit, 6 x 334 do not
+    monkeypatch.setattr(games, "MAX_PAIR_TABLE_CELLS", 6 * 6)
+    assert find_deterministic_perfect(build_hom_game(complete(2), complete(3))) is not None
+    with pytest.raises(BudgetError, match="7 candidate keys"):
+        find_deterministic_perfect(build_hom_game(empty_graph(1), empty_graph(7)))
+
+
+def test_perfect_for_checks_labels_and_reads_one_mask():
+    game = build_hom_game(complete(3), complete(3))
+    assert DeterministicStrategy({0: 0, 1: 1, 2: 2}).perfect_for(game)
+    assert not DeterministicStrategy({0: 0, 1: 0, 2: 2}).perfect_for(game)
+    with pytest.raises(ValidationError, match="unknown output label 5 for input 2"):
+        DeterministicStrategy({0: 0, 1: 0, 2: 5}).perfect_for(game)  # losing before label 5
+    with pytest.raises(ValidationError, match="lacks input 2"):
+        DeterministicStrategy({0: 0, 1: 1}).perfect_for(game)
+    rng = np.random.default_rng(1203)
+    verdicts = []
+    for game in random_search_games(1204):
+        drawn = DeterministicStrategy(
+            {x: game.outputs[int(rng.integers(len(game.outputs)))] for x in game.inputs}
+        )
+        found = find_deterministic_perfect(game)
+        for strategy in [drawn] + ([found] if found is not None else []):
+            f = strategy.assignment
+            verdicts.append(strategy.perfect_for(game))
+            assert verdicts[-1] == all(
+                game.wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs
+            )
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
 
 def test_relation_check_trivial_identity_strategy():

@@ -2,6 +2,7 @@
 and the certificate transports of the BCS / isomorphism / independence triangle."""
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,10 +127,28 @@ def test_alpha_refuses_before_building_the_complement(monkeypatch):
 
 
 def test_graph_validation():
-    with pytest.raises(ValidationError):
-        Graph(n=2, edges=frozenset({(0, 0)}))
-    with pytest.raises(ValidationError):
-        Graph(n=2, edges=frozenset({(0, 5)}))
+    """Each bad edge is refused with its own message."""
+    for edge, message in [
+        ((0, 0), "loop at vertex 0 not allowed"),
+        ((0, 5), "edge (0, 5) out of range for 2 vertices"),
+        ((-1, 1), "edge (-1, 1) out of range for 2 vertices"),
+        ((True, 1), "edge (True, 1) has non-integer endpoints"),
+        ((0, False), "edge (0, False) has non-integer endpoints"),
+        ((0, 1.0), "edge (0, 1.0) has non-integer endpoints"),
+        (("0", 1), "edge ('0', 1) has non-integer endpoints"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Graph(n=2, edges=frozenset({edge}))
+
+
+def test_complement_is_built_once_per_graph():
+    g = Graph(n=4, edges=frozenset({(2, 0), (1, 3)}), labels=tuple("abcd"))
+    comp = g.complement()
+    assert comp is g.complement()
+    assert comp == Graph(n=4, edges=frozenset({(0, 1), (0, 3), (1, 2), (2, 3)}), labels=g.labels)
+    assert comp.complement() == g
+    cert = independence_certificate_from_set(g, [0, 1])
+    assert cert.game().source["H"] == comp.to_json_dict()
 
 
 def test_graph_json_roundtrip():
