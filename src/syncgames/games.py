@@ -32,8 +32,9 @@ DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SYNC_SCAN_CELLS = 2_000_000
 # predicate calls of the search's candidate scan, made only for a game that lists no
-# candidates (synBCS games list theirs): above 3 * 2^20, the largest scan the 64-bit
-# search budget allowed while synBCS games had at most 20 variables
+# candidates (an explicit game; generated games list theirs): above 3 * 2^20, the
+# largest scan the 64-bit search budget allowed while synBCS games had at most 20
+# variables
 MAX_CANDIDATE_SCAN = 4_000_000
 # cells of the search's pair table, K^2 for K candidate keys (x, a): K <= 2000
 MAX_PAIR_TABLE_CELLS = 4_000_000
@@ -53,7 +54,8 @@ class SyncGame:
     # (through _with_mask), so it cannot be passed in disagreeing with the predicate
     _mask_of: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
     # input -> its winning outputs (those a with V(x, x, a, a) = 1) in output order, so
-    # the classical search need not scan the alphabet; attached by build_synbcs only
+    # the classical search need not scan the alphabet; attached by the generating
+    # constructors only
     _candidates: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
@@ -207,7 +209,8 @@ def build_hom_game(g, h) -> SyncGame:
         predicate=predicate,
         source={"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
-    return _with_mask(game, mask_of)
+    # graphs are loopless, so V(v, v, x, x) = 1 for every output x
+    return _with_mask(game, mask_of, dict.fromkeys(game.inputs, game.outputs))
 
 
 def _rel(graph, u, v) -> int:
@@ -218,13 +221,16 @@ def _rel(graph, u, v) -> int:
 
 
 def _pair_adjacency(graph, verts: np.ndarray) -> np.ndarray:
-    """(K, K) bool array of graph.is_edge(verts[i], verts[j]).  Edges are looked up
-    among the distinct vertices named only, so the cost is O(K^2 + |E|) and never
-    grows with graph.n."""
+    """(K, K) bool array of graph.is_edge(verts[i], verts[j]).  The edges whose two
+    endpoints are both among the n' distinct vertices named are scattered into an
+    n' x n' table, so the cost is O(K^2 + |E| log n') and never grows with graph.n."""
     named, inverse = np.unique(verts, return_inverse=True)
-    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)  # stored as u < v
-    lo, hi = np.minimum.outer(named, named), np.maximum.outer(named, named)
-    adjacent = np.isin(lo * graph.n + hi, edges[:, 0] * graph.n + edges[:, 1])
+    adjacent = np.zeros((len(named), len(named)), dtype=bool)
+    if len(named):
+        edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+        pos = np.searchsorted(named, edges).clip(max=len(named) - 1)
+        u, v = pos[(named[pos] == edges).all(axis=1)].T  # edges with both ends named
+        adjacent[u, v] = adjacent[v, u] = True
     return adjacent[np.ix_(inverse, inverse)]
 
 
@@ -272,7 +278,10 @@ def build_iso_game(g, h) -> SyncGame:
         predicate=predicate,
         source={"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
-    return _with_mask(game, mask_of)
+    # V(p, p, r, r) = 1 exactly when r is on the side opposite p (both pairs are equal)
+    g_side, h_side = labels[:g.n], labels[g.n:]
+    candidates = {p: h_side if p[0] == "g" else g_side for p in labels}
+    return _with_mask(game, mask_of, candidates)
 
 
 def game_from_json_dict(data: dict) -> SyncGame:
@@ -331,11 +340,11 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     sum over inputs x of log2 |candidates(x)|, exceeds DEFAULT_SEARCH_BITS
     bits or the search exceeds DEFAULT_SEARCH_NODES nodes.  The candidates of
     x are its outputs a with V(x, x, a, a) = 1: the game's own lists when it
-    has them (synBCS: the local solutions S_i), else a predicate scan of the
-    whole alphabet, refused above MAX_CANDIDATE_SCAN calls and counted as
-    every output in the bit budget.  Inputs are processed most constrained
-    first and partial assignments are pruned against every previously
-    assigned input.
+    has them (synBCS: the local solutions S_i; hom: every output; iso: every
+    label of the opposite side), else a predicate scan of the whole alphabet,
+    refused above MAX_CANDIDATE_SCAN calls and counted as every output in the
+    bit budget.  Inputs are processed most constrained first and partial
+    assignments are pruned against every previously assigned input.
 
     The pruning reads a pair table built once, before the search, from the
     game's losing mask over the K candidate keys (x, a): key k is a Python
@@ -463,11 +472,12 @@ def check_game_algebra_relations(
     and operator products over losing tuples must vanish.  Absent operators are
     zero, so only stored pairs are scanned: the game's losing mask over the
     stored keys picks the losing pairs, in row-major order, and matops takes
-    the norms of their products in one batch, forming one product per distinct
-    pair of operator contents (an iso strategy stores each BCS projection many
-    times) and giving each pair its own norm.  The witness is the first pair
-    attaining the largest overlap, None when every overlap is zero.  A product
-    that overflows has overlap inf and fails the check."""
+    the norms of their products in one batch over the strategy's stack of
+    distinct operators, forming one product per distinct pair of rows (an iso
+    strategy stores each BCS projection many times) and giving each pair its
+    own norm.  The witness is the first pair attaining the largest overlap,
+    None when every overlap is zero.  A product that overflows has overlap inf
+    and fails the check."""
     if set(strategy.inputs) != game.input_set:
         raise ValidationError("strategy inputs do not match game inputs")
     # The strategy checked every stored key against its own labels when it was built,
@@ -478,9 +488,9 @@ def check_game_algebra_relations(
         raise ValidationError("strategy outputs are not a subset of game outputs")
 
     defects = strategy.defects()
-    keys, stack = strategy.stacked()
+    keys = strategy.stored_keys()
     left, right = np.nonzero(game.losing_mask(keys))
-    overlaps = product_norms(stack, left, right)
+    overlaps = product_norms(strategy.stack, strategy.ids[left], strategy.ids[right])
     max_losing, worst = 0.0, None
     if overlaps.size and overlaps.max() > 0.0:
         k = int(np.argmax(overlaps))

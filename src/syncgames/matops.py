@@ -9,7 +9,6 @@ constant downstream is certified under this convention.
 from __future__ import annotations
 
 import base64
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -67,16 +66,13 @@ def _residuals(mats: np.ndarray) -> np.ndarray:
 
 
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
-    """norm2(stack[i] @ stack[j]) for each pair (i, j) of the index arrays left and right.
+    """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
-    Each distinct product is formed once.  Operators are keyed by content: a
-    blake2b digest of each matrix's bytes, a hit confirmed byte for byte against
-    the first operator with that digest.  Equal operators stored as separate
-    arrays, as in an isomorphism strategy that repeats each BCS projection or one
-    reloaded from JSON, so share one index; the distinct pairs are multiplied and
-    their norms scattered back to the caller's order.  Equal factors give
-    bit-identical products, so the norms are those of the pairs taken one by one.
-    The key table holds 32 bytes per operator, never a copy of the stack.
+    Each distinct pair of ids is multiplied once and its norm scattered back to
+    the caller's order, so a stack of distinct operators (an OperatorStrategy's
+    store) forms one product per distinct pair of operator contents.  Equal
+    factors give bit-identical products, so the norms are those of the pairs
+    taken one by one.
 
     Each norm is taken of the direct product, never through a Gram-matrix trace
     identity: a residual near 1e-16 would come out of the square root of a
@@ -84,18 +80,10 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
     that overflows has norm inf.
     """
-    stack = np.ascontiguousarray(stack)
-    first: dict = {}  # digest -> index of the first operator with that digest
-    # owner[k]: the first operator with k's bytes (k itself after a digest collision)
-    owner = np.empty(len(stack), dtype=np.intp)
-    for k, mat in enumerate(stack):
-        j = first.setdefault(hashlib.blake2b(mat, digest_size=32).digest(), k)
-        owner[k] = j if j == k or np.array_equal(mat.view(np.uint8), stack[j].view(np.uint8)) else k
-    reps, ids = np.unique(owner, return_inverse=True)
-    n = max(len(reps), 1)
-    pairs, inverse = np.unique(ids[np.asarray(left, dtype=np.intp)] * n
-                               + ids[np.asarray(right, dtype=np.intp)], return_inverse=True)
-    left, right = reps[pairs // n], reps[pairs % n]
+    n = max(len(stack), 1)
+    pairs, inverse = np.unique(np.asarray(left, dtype=np.intp) * n
+                               + np.asarray(right, dtype=np.intp), return_inverse=True)
+    left, right = pairs // n, pairs % n
     d = stack.shape[-1]
     per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
     out = np.empty(len(pairs))
@@ -107,26 +95,35 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     return out[inverse]
 
 
-def pvm_defects(mats, rows: np.ndarray, n_rows: int, d: int) -> tuple:
+def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     """(largest adjoint, idempotency, completeness residual) of a family of d x d
-    operators mats (a sequence), operator k in row rows[k] of n_rows rows:
-    residual(a - a*) and residual(a - a a) of each operator, and residual(s - I)
-    of each row sum s, its operators added in sequence order (an empty row sums
-    to 0).  The operators are stacked in chunks of at most PRODUCT_CHUNK_ENTRIES
+    operators held once each in mats, a (D, d, d) array or a sequence of D
+    arrays: member k of the family is mats[ids[k]], in row rows[k] of n_rows
+    rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
+    mats, so every entry must belong to the family; residual(s - I) is taken of
+    each row sum s, its members added in family order (an empty row sums to 0).
+    Entries and row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES
     complex entries per array, never all at once; a residual that overflows is
     inf.  Each largest residual is 0.0 when there is nothing to check.
     """
     per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
-    totals = np.zeros((n_rows, d, d), dtype=complex)
-    max_adj = max_proj = 0.0
+    rows = np.asarray(rows, dtype=np.intp)
+    order = np.argsort(rows, kind="stable")  # by row, in family order within a row
+    bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
+    max_adj = max_proj = max_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(mats), per):
-            chunk = np.array(mats[start:start + per], dtype=complex)
+            chunk = np.asarray(mats[start:start + per], dtype=complex)  # a view if mats is an array
             max_adj = max(max_adj, _residuals(chunk - np.conj(np.swapaxes(chunk, 1, 2))).max())
             max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
-            np.add.at(totals, rows[start:start + per], chunk)  # unbuffered, in index order
-        totals -= identity(d)
-    return float(max_adj), float(max_proj), float(_residuals(totals).max(initial=0.0))
+        for start in range(0, n_rows, per):
+            totals = np.zeros((min(per, n_rows - start), d, d), dtype=complex)
+            for r, total in enumerate(totals, start):
+                for k in order[bounds[r]:bounds[r + 1]]:
+                    total += mats[ids[k]]  # in place, in family order: the bits of a plain sum
+            totals -= identity(d)
+            max_sum = max(max_sum, _residuals(totals).max())
+    return float(max_adj), float(max_proj), float(max_sum)
 
 
 def kron(a, b) -> np.ndarray:

@@ -9,9 +9,11 @@ row unitary, where w = exp(2*pi*1j/m).
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import hashlib
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,12 +86,24 @@ class OperatorStrategy:
     pvms maps (input, output) to a dim x dim operator; missing keys are zero,
     so exponentially large output sets stay cheap when only the winning
     supports carry mass.
+
+    Each distinct operator is stored once.  The constructor copies the given
+    operators into one read-only (D, dim, dim) array, stack, and ids[k] is the
+    row of stack holding the operator of stored_keys()[k].  Operators are
+    shared first by identity (an isomorphism strategy passes each BCS
+    projection many times), then by content: a blake2b digest of the bytes, a
+    hit confirmed byte for byte, so a strategy reloaded from JSON or rotated key
+    by key shares its rows too.  Rows are numbered in stored-key order of first
+    use.  After construction pvms is a read-only mapping, in stored_keys()
+    order, to read-only views of the rows, one view object per row.
     """
 
     dim: int
     inputs: tuple
     outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
-    pvms: dict
+    pvms: Mapping
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
+    ids: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -97,20 +111,45 @@ class OperatorStrategy:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", as_alphabet(self.outputs))
         input_set, output_set, dim = frozenset(self.inputs), label_set(self.outputs), self.dim
-        clean = {}
-        for key, mat in self.pvms.items():
-            x, a = key
+        for x, a in self.pvms:
             if x not in input_set:
                 raise ValidationError(f"PVM key has unknown input {x!r}")
             if a not in output_set:
                 raise ValidationError(f"PVM key has unknown output {a!r}")
-            m = as_matrix(mat)
-            if m.shape != (dim, dim):
-                raise ValidationError(
-                    f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
-                )
-            clean[(x, a)] = m
-        object.__setattr__(self, "pvms", clean)
+        keys = sorted(
+            self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index(key[1]))
+        )
+        distinct: list = []
+        by_object: dict = {}  # id(mat) -> (mat, row); holding mat keeps its id from being reused
+        by_digest: dict = {}  # blake2b digest -> rows with that digest
+        ids = np.empty(len(keys), dtype=np.intp)
+        for k, key in enumerate(keys):
+            mat = self.pvms[key]
+            hit = by_object.get(id(mat))
+            if hit is None:
+                m = np.ascontiguousarray(as_matrix(mat))
+                if m.shape != (dim, dim):
+                    raise ValidationError(
+                        f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
+                    )
+                same = by_digest.setdefault(hashlib.blake2b(m, digest_size=32).digest(), [])
+                raw = m.view(np.uint8)
+                row = next((r for r in same if np.array_equal(raw, distinct[r].view(np.uint8))), None)
+                if row is None:
+                    row = len(distinct)
+                    distinct.append(m)
+                    same.append(row)
+                hit = by_object[id(mat)] = (mat, row)
+            ids[k] = hit[1]
+        stack = np.array(distinct, dtype=complex).reshape(len(distinct), dim, dim)
+        stack.flags.writeable = False
+        ids.flags.writeable = False
+        views = list(stack)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "pvms", MappingProxyType(
+            {key: views[row] for key, row in zip(keys, ids.tolist())}
+        ))
 
     @cached_property
     def _input_index(self) -> dict:
@@ -127,9 +166,7 @@ class OperatorStrategy:
 
     def row_outputs(self, x) -> tuple:
         """Outputs with a stored operator for input x, in output order."""
-        present = [a for (x2, a) in self.pvms if x2 == x]
-        present.sort(key=self._output_index)
-        return tuple(present)
+        return tuple(a for (x2, a) in self.pvms if x2 == x)
 
     def unitary(self, x) -> np.ndarray:
         """pvm_to_unitary of the full row for input x (zeros included, in output
@@ -144,24 +181,27 @@ class OperatorStrategy:
         return out
 
     def stored_keys(self) -> list:
-        return sorted(
-            self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index(key[1]))
-        )
+        """The (input, output) keys with a stored operator, in input order, then output order."""
+        return list(self.pvms)
 
     def stacked(self) -> tuple:
-        """(stored_keys(), their operators stacked in that order as a (K, dim, dim) array)."""
+        """(stored_keys(), their operators in that order as a (K, dim, dim) array): the
+        read-only stack itself when no two keys share a row, else a gathered copy."""
         keys = self.stored_keys()
-        mats = np.array([self.pvms[key] for key in keys], dtype=complex)
-        return keys, mats.reshape(len(keys), self.dim, self.dim)
+        return keys, self.stack if len(self.stack) == len(keys) else self.stack[self.ids]
+
+    @cached_property
+    def _defects(self) -> PVMDefects:
+        rows = [self._input_index[x] for x, _ in self.pvms]
+        return PVMDefects(*pvm_defects(self.stack, self.ids, rows, len(self.inputs), self.dim))
 
     def defects(self) -> PVMDefects:
-        """The largest adjoint, idempotency and completeness residuals, batched over
-        the stored operators in stored_keys() order; a residual that overflows
-        (huge finite entries) is inf, so it fails every check."""
-        keys = self.stored_keys()
-        rows = np.array([self._input_index[x] for x, _ in keys], dtype=np.intp)
-        mats = [self.pvms[key] for key in keys]
-        return PVMDefects(*pvm_defects(mats, rows, len(self.inputs), self.dim))
+        """The largest adjoint, idempotency and completeness residuals: adjoint and
+        idempotency once per distinct operator, each input's operators summed in
+        stored_keys() order.  Computed once per strategy, whose operators are
+        read-only; a residual that overflows (huge finite entries) is inf, so it
+        fails every check."""
+        return self._defects
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
         """Raise unless every PVM defect is within tol; return the defects."""
@@ -520,14 +560,21 @@ def deterministic_to_operator(inputs, outputs, assignment: dict) -> OperatorStra
 
 
 def sync_vector_defect(s: BipartiteStrategy) -> float:
-    """max over (x, a) of || (E (x) I) psi - (I (x) F) psi ||; zero certifies the
+    """max over (x, a) stored on either side of || (E (x) I) psi - (I (x) F) psi ||, the
+    Frobenius norm of E m - m F^T for the state matrix m (an absent operator is zero),
+    from one batched product per side over its distinct operators; zero certifies the
     synchronous-state condition needed by the block decomposition."""
     m = s.state_matrix()
     alice, bob = s.alice_strategy(), s.bob_strategy()
-    worst = 0.0
-    for x, a in set(s.alice) | set(s.bob):
-        worst = max(worst, float(np.linalg.norm(alice.matrix(x, a) @ m - m @ bob.matrix(x, a).T)))
-    return worst
+    zero = np.zeros((1, s.dim_a, s.dim_b), dtype=complex)  # row -1: an absent operator
+    left = np.concatenate([np.matmul(alice.stack, m), zero])
+    right = np.concatenate([np.matmul(m, np.swapaxes(bob.stack, 1, 2)), zero])
+    a_row = dict(zip(alice.pvms, alice.ids.tolist()))
+    b_row = dict(zip(bob.pvms, bob.ids.tolist()))
+    keys = list(a_row | b_row)
+    diffs = (left[[a_row.get(key, -1) for key in keys]]
+             - right[[b_row.get(key, -1) for key in keys]])
+    return float(np.linalg.norm(diffs, axis=(1, 2)).max(initial=0.0))
 
 
 def _schmidt_levels(sigma: np.ndarray, cluster_tol: float) -> list:

@@ -6,7 +6,7 @@ independent of the code paths they check.
 """
 from __future__ import annotations
 
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 import numpy as np
 import pytest
@@ -117,3 +117,12 @@ def brute_chi(g: Graph) -> int:
             if all(colours[u] != colours[v] for u, v in g.edges):
                 return k
     return g.n
+
+
+def brute_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some bijection of the vertices maps g's edges onto h's."""
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    return any(
+        all(h.is_edge(perm[u], perm[v]) for u, v in g.edges) for perm in permutations(range(g.n))
+    )

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    brute_chi,
+    brute_isomorphic,
     exhaustive_solutions,
     kcopy_magic_square,
     random_graph,
@@ -377,6 +379,63 @@ def test_pair_table_budget_boundary(monkeypatch):
         find_deterministic_perfect(build_hom_game(empty_graph(1), empty_graph(7)))
 
 
+def test_hom_and_iso_searches_call_no_predicate():
+    """Hom games list every output as a candidate (graphs are loopless) and iso games
+    every label of the opposite side: the lists equal the diagonal scan they replace,
+    the search makes no predicate call, and its verdicts match the brute-force
+    colouring and isomorphism oracles."""
+    rng = np.random.default_rng(1203)
+    cases = []
+    for _ in range(12):
+        g = random_graph(rng, int(rng.integers(1, 7)), float(rng.uniform(0.2, 0.8)))
+        k = int(rng.integers(1, 5))
+        cases.append((build_hom_game(g, complete(k)), brute_chi(g) <= k))
+        n = int(rng.integers(1, 6))
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
+        if rng.random() < 0.5:
+            perm = rng.permutation(n)
+            h = Graph(n=n, edges=frozenset(tuple(sorted((int(perm[u]), int(perm[v]))))
+                                           for u, v in g.edges))
+        else:
+            h = random_graph(rng, int(rng.integers(1, 6)), float(rng.uniform(0.2, 0.8)))
+        cases.append((build_iso_game(g, h), brute_isomorphic(g, h)))
+    verdicts = []
+    for game, expected in cases:
+        predicate, calls = game.predicate, []
+        scanned = {x: tuple(a for a in game.outputs if predicate(x, x, a, a)) for x in game.inputs}
+        assert game._candidates == scanned
+
+        def counting(*args, predicate=predicate, calls=calls):
+            calls.append(args)
+            return predicate(*args)
+
+        object.__setattr__(game, "predicate", counting)
+        found = find_deterministic_perfect(game)
+        assert calls == []
+        assert (found is not None) == expected
+        assert found is None or found.perfect_for(game)
+        verdicts.append(expected)
+    assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+
+def test_hom_mask_into_an_edgeless_2000_vertex_graph_stays_small():
+    """One vertex into 2000 isolated ones: 2000 candidate keys, whose 4 MB pair table
+    the search builds; the adjacency lookup scatters the named edges into one bool
+    table instead of forming n'^2 int64 arrays (over 100 MB of peak here)."""
+    game = build_hom_game(empty_graph(1), empty_graph(2000))
+    keys = [(0, a) for a in range(2000)]
+    tracemalloc.start()
+    try:
+        mask = game.losing_mask(keys)
+        found = find_deterministic_perfect(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert np.array_equal(mask, ~np.eye(2000, dtype=bool))  # unequal answers to one question
+    assert found.assignment == {0: 0}
+
+
 def test_perfect_for_checks_labels_and_reads_one_mask():
     game = build_hom_game(complete(3), complete(3))
     assert DeterministicStrategy({0: 0, 1: 1, 2: 2}).perfect_for(game)
@@ -596,6 +655,13 @@ def mask_cases() -> list:
         g, h = random_graph(rng, int(rng.integers(1, 6))), random_graph(rng, int(rng.integers(1, 6)))
         for kind, build in (("hom", build_hom_game), ("iso", build_iso_game)):
             cases.append(pytest.param(build(g, h), every_key(build(g, h)), id=f"{kind}-{t}"))
+        # keys naming only some vertices of larger graphs: edges leaving them are not looked up
+        g, h = random_graph(rng, 12), random_graph(rng, 10)
+        for kind, build in (("hom", build_hom_game), ("iso", build_iso_game)):
+            game = build(g, h)
+            keys = every_key(game)
+            picked = rng.choice(len(keys), size=40, replace=False)
+            cases.append(pytest.param(game, [keys[k] for k in picked], id=f"{kind}-partial-{t}"))
     magic = mermin_peres_system()
     iso = build_iso_game(graph_from_system(magic, use_b=True), graph_from_system(magic, use_b=False))
     cases.append(pytest.param(iso, [(x, a) for x in iso.inputs[::5] for a in iso.outputs],
@@ -692,13 +758,13 @@ def magic_square_iso(copies: int) -> tuple:
 
 
 def test_relation_report_survives_a_json_roundtrip_of_the_iso_strategy():
-    """Reloaded, the equal operators are separate arrays: the kernel keys them by content."""
+    """Reloaded, the equal operators arrive as separate arrays: the store shares them by
+    content, so the reloaded strategy has the 24 rows of the one it was written from."""
     game, iso = magic_square_iso(1)
     u = random_unitary(4, np.random.default_rng(59))
     for strategy in (iso, rotated(iso, u)):
         reloaded = OperatorStrategy.from_json_dict(json.loads(json.dumps(strategy.to_json_dict())))
-        keys = reloaded.stored_keys()
-        assert len({id(reloaded.pvms[key]) for key in keys}) == len(keys)
+        assert (len(reloaded.stored_keys()), len(reloaded.stack)) == (192, 24)
         report = check_game_algebra_relations(game, reloaded, tol=1e-9).as_dict()
         assert report == check_game_algebra_relations(game, strategy, tol=1e-9).as_dict()
         assert_kernel_matches_oracle(game, reloaded)
@@ -726,12 +792,12 @@ def test_operators_differing_in_the_sign_of_zero_give_the_same_report():
 
 @pytest.mark.parametrize("rotate", [False, True], ids=["pauli", "rotated"])
 def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
-    """The 2-copy iso strategy stores 384 operators, 48 of them distinct: its 23,040
-    losing pairs need 432 products."""
+    """The 2-copy iso strategy stores 384 operators in 48 rows: its 23,040 losing pairs,
+    taken through the store, need 432 products."""
     game, iso = magic_square_iso(2)
     if rotate:
         iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(61)))
-    keys, stack = iso.stacked()
+    keys = iso.stored_keys()
     left, right = np.nonzero(game.losing_mask(keys))
     rows = []
     residuals = matops._residuals
@@ -741,7 +807,9 @@ def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
         return residuals(mats)
 
     monkeypatch.setattr(matops, "_residuals", counting)
-    overlaps = matops.product_norms(stack, left, right)
+    overlaps = matops.product_norms(iso.stack, iso.ids[left], iso.ids[right])
     assert (len(keys), len(left), sum(rows)) == (384, 23040, 432)
     monkeypatch.undo()
-    assert all(overlaps[k] == norm2(stack[left[k]] @ stack[right[k]]) for k in range(0, len(left), 97))
+    pvms = iso.pvms
+    assert all(overlaps[k] == norm2(pvms[keys[left[k]]] @ pvms[keys[right[k]]])
+               for k in range(0, len(left), 97))

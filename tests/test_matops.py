@@ -162,32 +162,25 @@ def test_eig_bound_scales_with_the_norm(d):
     assert residual <= 1e-9 * d * np.linalg.norm(h)
 
 
-class _CollidingDigest:
-    """A stand-in for hashlib whose blake2b gives every matrix the same digest."""
-
-    @staticmethod
-    def blake2b(data, digest_size):
-        return _CollidingDigest
-
-    @staticmethod
-    def digest():
-        return bytes(32)
-
-
-@pytest.mark.parametrize("digests", ["blake2b", "colliding"])
-def test_product_norms_match_the_per_pair_products(monkeypatch, digests):
-    """Repeated operators, stored as equal but separate arrays, share their products; each
-    norm is still the one of its own pair, bit for bit, also when every digest collides
-    and only the byte comparison tells the operators apart."""
-    if digests == "colliding":
-        monkeypatch.setattr(matops, "hashlib", _CollidingDigest)
+def test_product_norms_match_the_per_pair_products(monkeypatch):
+    """Repeated pairs of row ids share one product; each norm is still the one of its own
+    pair, bit for bit."""
     rng = np.random.default_rng(71)
+    residuals, formed = matops._residuals, []
+
+    def counting(mats):
+        formed.append(len(mats))
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", counting)
     for d in (1, 4, 16):
         u = random_unitary(d, rng)
-        base = [u @ random_hermitian(d, rng) @ u.conj().T for _ in range(4)]
-        stack = np.array([base[k].copy() for k in rng.integers(0, 4, size=12)])
-        left, right = rng.integers(0, 12, size=(2, 200))
+        stack = np.array([u @ random_hermitian(d, rng) @ u.conj().T for _ in range(4)])
+        left, right = rng.integers(0, 4, size=(2, 200))
         expected = [norm2(stack[i] @ stack[j]) for i, j in zip(left, right)]
+        formed.clear()
         assert product_norms(stack, left, right).tolist() == expected
+        assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
+    monkeypatch.undo()
     assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
     assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)

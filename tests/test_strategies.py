@@ -18,12 +18,15 @@ from syncgames import (
     build_hom_game,
     build_iso_game,
     build_synbcs,
+    check_game_algebra_relations,
     complete,
     game_from_json_dict,
     graph_from_system,
     iso_strategy_from_bcs,
     strategy_from_rep,
+    swap_iso_strategy,
 )
+from syncgames import strategies
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
 from syncgames.labels import SignVectors
@@ -815,3 +818,108 @@ def test_defects_match_the_per_operator_loop_bit_for_bit(strategy):
 def test_defects_read_zero_on_an_empty_strategy():
     s = OperatorStrategy(dim=3, inputs=(), outputs=(0,), pvms={})
     assert s.defects() == PVMDefects(0.0, 0.0, 0.0) == defects_oracle(s)
+
+
+def sync_vector_defect_oracle(s: BipartiteStrategy) -> float:
+    """The per-key loop sync_vector_defect replaced: one product pair and norm per key."""
+    m = s.state_matrix()
+    alice, bob = s.alice_strategy(), s.bob_strategy()
+    worst = 0.0
+    for x, a in set(s.alice) | set(s.bob):
+        worst = max(worst, float(np.linalg.norm(alice.matrix(x, a) @ m - m @ bob.matrix(x, a).T)))
+    return worst
+
+
+def test_sync_vector_defect_matches_the_per_key_loop():
+    """Haar-rotated two-block strategies (defect near 0), the same with a perturbed
+    state, random strategies (defect of order 1) and keys stored on one side only."""
+    rng = np.random.default_rng(710)
+    cases = [_rectangular_strategy(rng, *extra) for extra in [(0, 2), (2, 0), (1, 3), (3, 1)]]
+    for s in list(cases):
+        psi = s.state + 1e-3 * (rng.normal(size=s.state.size) + 1j * rng.normal(size=s.state.size))
+        cases.append(BipartiteStrategy(s.dim_a, s.dim_b, s.inputs, s.outputs, s.alice, s.bob,
+                                       psi / np.linalg.norm(psi)))
+    cases += [random_bipartite(rng, *dims) for dims in [(2, 5), (4, 4), (6, 3)]]
+    s = random_bipartite(rng, 3, 3)
+    cases.append(BipartiteStrategy(3, 3, s.inputs, s.outputs, dict(list(s.alice.items())[:4]),
+                                   dict(list(s.bob.items())[2:]), s.state))
+    defects = []
+    for s in cases:
+        defects.append(sync_vector_defect(s))
+        assert abs(defects[-1] - sync_vector_defect_oracle(s)) <= 1e-12
+    assert max(defects[:4]) <= 1e-12 and min(defects[4:]) > 1e-4
+
+
+class _CollidingDigest:
+    """A stand-in for hashlib whose blake2b gives every matrix the same digest."""
+
+    @staticmethod
+    def blake2b(data, digest_size):
+        return _CollidingDigest
+
+    @staticmethod
+    def digest():
+        return bytes(32)
+
+
+@pytest.mark.parametrize("digests", ["blake2b", "colliding"])
+def test_store_shares_rows_by_content(monkeypatch, digests):
+    """Equal operators passed as separate arrays share one row and operators that
+    differ only in the sign of a zero do not, also when every digest collides and only
+    the byte comparison tells the operators apart.  Each key reads back its own bytes."""
+    if digests == "colliding":
+        monkeypatch.setattr(strategies, "hashlib", _CollidingDigest)
+    rng = np.random.default_rng(711)
+    base = [random_hermitian(4, rng) for _ in range(3)]
+    signed = base[0].copy()
+    signed.imag[np.diag_indices(4)] = -0.0  # a Hermitian diagonal is real: its 0.0 parts flip
+    choice = rng.integers(0, 3, size=12).tolist()
+    pvms = {(x, a): base[choice[3 * x + a]].copy() for x in range(4) for a in range(3)}
+    pvms[(4, 0)] = signed
+    s = OperatorStrategy(4, range(5), range(3), pvms)
+    assert (len(s.stored_keys()), len(s.stack)) == (13, len(set(choice)) + 1)
+    keys, stack = s.stacked()
+    for k, key in enumerate(keys):
+        assert s.pvms[key].tobytes() == stack[k].tobytes() == pvms[key].tobytes()
+        assert s.pvms[key].tobytes() == s.stack[s.ids[k]].tobytes()
+    distinct = OperatorStrategy(4, range(3), range(1), {(x, 0): base[x] for x in range(3)})
+    assert distinct.stacked()[1] is distinct.stack  # no key repeats a row: nothing is copied
+
+
+@pytest.mark.parametrize("copies, stored, rows", [(1, 192, 24), (2, 384, 48), (3, 576, 72)])
+def test_iso_strategy_stores_each_bcs_projection_once(copies, stored, rows):
+    """The k-copy iso strategy, its swap, its reload from JSON and a key-by-key Haar
+    rotation, and their swaps, each keep one row per distinct BCS projection."""
+    sys_, rep = kcopy_magic_square(copies)
+    iso = iso_strategy_from_bcs(strategy_from_rep(rep, sys_), sys_)
+    reloaded = OperatorStrategy.from_json_dict(iso.to_json_dict())
+    spun = rotated(iso, random_unitary(iso.dim, np.random.default_rng(712 + copies)))
+    for s in (iso, reloaded, spun):
+        for t in (s, swap_iso_strategy(s)):
+            assert (len(t.stored_keys()), len(t.stack)) == (stored, rows)
+
+
+def test_stored_operators_are_read_only(magic_square, pauli_rep):
+    s = strategy_from_rep(pauli_rep, magic_square)
+    key = s.stored_keys()[0]
+    with pytest.raises(TypeError):
+        s.pvms[key] = np.eye(4)
+    for write in (lambda: s.pvms[key].__setitem__((0, 0), 2.0),
+                  lambda: s.stack.__setitem__((0, 0, 0), 2.0),
+                  lambda: s.ids.__setitem__(0, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+
+
+def test_mutating_the_caller_arrays_after_construction_changes_nothing(magic_square, pauli_rep):
+    rng = np.random.default_rng(713)
+    spun = rotated(strategy_from_rep(pauli_rep, magic_square), random_unitary(4, rng))
+    given = {key: np.array(mat) for key, mat in spun.pvms.items()}
+    s = OperatorStrategy(4, spun.inputs, spun.outputs, given)
+    for mat in given.values():
+        mat += random_hermitian(4, rng)
+    game = build_synbcs(magic_square)
+    assert s.defects() == spun.defects() and s.defects() is s.defects()
+    report = check_game_algebra_relations(game, s, tol=1e-9).as_dict()
+    assert report == check_game_algebra_relations(game, spun, tol=1e-9).as_dict()
+    assert report["passes"]
