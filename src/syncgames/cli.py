@@ -387,12 +387,7 @@ def _group_normalize_j(run, args, rep):
 
 def _graph_param(run, args, graph):
     param = run.command.split()[-1]
-    solver = {"alpha": alpha, "omega": omega, "chi": chi}[param]
-    if args.max_vertices is None:
-        value = solver(graph)
-    else:
-        value = solver(graph, max_vertices=args.max_vertices)
-    run.payload[param] = value
+    run.payload[param] = value = {"alpha": alpha, "omega": omega, "chi": chi}[param](graph)
     print(value)
 
 
@@ -599,8 +594,7 @@ COMMANDS = (
             inputs=(Input("--rep", "rep"),), flags=(OUT_REQUIRED, TOL)),
     *(
         Command(f"graph {param}", f"exact {param} by branch and bound", _graph_param,
-                inputs=(Input("--in", "graph"),),
-                flags=(flag("--max-vertices", type=int, help="override the size cap"),))
+                inputs=(Input("--in", "graph"),))
         for param in ("alpha", "omega", "chi")
     ),
     Command("graph from-system", "incompatibility graph of a system", _graph_from_system,

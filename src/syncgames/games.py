@@ -48,7 +48,7 @@ class SyncGame:
     inputs: tuple
     outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
     predicate: Callable  # (x, y, a, b) -> bool on valid labels
-    source: Optional[dict] = None  # JSON provenance for generated games
+    source: Optional[Callable] = None  # () -> JSON provenance, for generated games
     # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)]:
     # the vectorised form of the predicate, attached only by the generating constructors
     # (through _with_mask), so it cannot be passed in disagreeing with the predicate
@@ -96,7 +96,7 @@ class SyncGame:
 
     def to_json_dict(self) -> dict:
         if self.source is not None:
-            return dict(self.source)
+            return self.source()
         cells = len(self.inputs) ** 2 * len(self.outputs) ** 2
         if cells > MAX_LOSING_TABLE_CELLS:
             raise BudgetError(f"explicit losing table needs {cells} cells > {MAX_LOSING_TABLE_CELLS}")
@@ -183,7 +183,7 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
         inputs=tuple(range(1, sys.m + 1)),
         outputs=SignVectors(sys.n),
         predicate=predicate,
-        source={"kind": "synbcs", "system": sys.to_json_dict()},
+        source=lambda: {"kind": "synbcs", "system": sys.to_json_dict()},
     )
     return _with_mask(game, mask_of, listed)
 
@@ -207,7 +207,7 @@ def build_hom_game(g, h) -> SyncGame:
         inputs=tuple(range(g.n)),
         outputs=tuple(range(h.n)),
         predicate=predicate,
-        source={"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
+        source=lambda: {"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
     # graphs are loopless, so V(v, v, x, x) = 1 for every output x
     return _with_mask(game, mask_of, dict.fromkeys(game.inputs, game.outputs))
@@ -276,7 +276,7 @@ def build_iso_game(g, h) -> SyncGame:
         inputs=labels,
         outputs=labels,
         predicate=predicate,
-        source={"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
+        source=lambda: {"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
     # V(p, p, r, r) = 1 exactly when r is on the side opposite p (both pairs are equal)
     g_side, h_side = labels[:g.n], labels[g.n:]
@@ -330,6 +330,18 @@ class DeterministicStrategy:
             if f[x] not in game.output_set:
                 raise ValidationError(f"unknown output label {f[x]!r} for input {x!r}")
         return not game.losing_mask([(x, f[x]) for x in game.inputs]).any()
+
+
+def node_budget() -> Callable:
+    """spend(k=1) counts k nodes of one search, raising BudgetError past DEFAULT_SEARCH_NODES."""
+    left = [DEFAULT_SEARCH_NODES]
+
+    def spend(k: int = 1) -> None:
+        left[0] -= k
+        if left[0] < 0:
+            raise BudgetError(f"search exceeded {DEFAULT_SEARCH_NODES} nodes; undecided")
+
+    return spend
 
 
 def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy]:
@@ -393,16 +405,13 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
         levels.append(entries[start:start + len(candidates[x])])
         start += len(candidates[x])
     chosen: list = [None] * len(order)
-    nodes = 0
+    spend = node_budget()
 
     def extend(depth: int, allowed: int) -> bool:
-        nonlocal nodes
         if depth == len(levels):
             return True
         for bit, row, a in levels[depth]:
-            nodes += 1
-            if nodes > DEFAULT_SEARCH_NODES:
-                raise BudgetError(f"search exceeded {DEFAULT_SEARCH_NODES} nodes; undecided")
+            spend()
             if allowed & bit:
                 chosen[depth] = a
                 if extend(depth + 1, allowed & row):

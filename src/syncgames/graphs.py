@@ -2,31 +2,30 @@
 graph of a GF(2) system, and the three certificate transports tying BCS strategies,
 graph-isomorphism strategies and quantum independence certificates together.
 
-alpha/omega run a branch-and-bound maximum-clique search with a greedy-colouring
-bound; chi runs DSATUR backtracking seeded with a maximum clique.  All quantum
-certificates are verified through the game-algebra relation checker before and
-after every transport.
+Per connected component, on neighbour bitsets (Graph.rows) and under the game search's
+node budget, alpha/omega run a clique search with BBMC's bit-parallel colour bound (alpha
+on complement rows) and chi runs DSATUR seeded with a maximum clique.  Every quantum
+certificate is verified by the game-algebra relation checker before and after a transport.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
-from .games import _bcs_disagreement
+from .games import _bcs_disagreement, node_budget
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import int_from_json, label_to_json, labels_from_json
 from .matops import DEFAULT_TOL, kron, norm2
 from .solution_group import GroupRep, glue_rep
 from .strategies import OperatorStrategy, deterministic_to_operator
 
-MAX_CLIQUE_VERTICES = 40
-MAX_CHI_VERTICES = 20
 MAX_SYSTEM_GRAPH_VERTICES = 4096
 
 
@@ -61,12 +60,13 @@ class Graph:
             object.__setattr__(self, "labels", labels)
 
     @cached_property
-    def neighbors(self) -> tuple:
-        adj = [set() for _ in range(self.n)]
+    def rows(self) -> tuple:
+        """Neighbour bitsets: bit u of rows[v] is set when {u, v} is an edge."""
+        rows = [0] * self.n
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -129,121 +129,117 @@ def is_proper_colouring(g: Graph, colouring: dict) -> bool:
 
 
 def greedy_colouring(g: Graph) -> dict:
-    """Largest-degree-first greedy colouring; an upper bound for chi."""
-    order = sorted(range(g.n), key=lambda v: -len(g.neighbors[v]))
-    colouring: dict = {}
-    for v in order:
-        used = {colouring[u] for u in g.neighbors[v] if u in colouring}
-        c = 0
-        while c in used:
-            c += 1
-        colouring[v] = c
-    return colouring
+    """Greedy colouring in vertex order, the colour bound's classes; an upper bound for chi."""
+    return {v: k - 1 for k, v in _colour_classes(g.rows, (1 << g.n) - 1, lambda k: None)}
 
 
-def _max_clique_search(neighbors) -> list:
-    """Branch-and-bound maximum clique with a greedy-colouring upper bound."""
-    n = len(neighbors)
-    best: list = []
-
-    def expand(chosen: list, candidates: list) -> None:
-        nonlocal best
-        if not candidates:
-            if len(chosen) > len(best):
-                best = chosen[:]
-            return
-        colour = {}
-        classes: list = []
-        for v in candidates:
-            for ci, members in enumerate(classes):
-                if not neighbors[v] & members:
-                    members.add(v)
-                    colour[v] = ci
-                    break
-            else:
-                classes.append({v})
-                colour[v] = len(classes) - 1
-        ordered = sorted(candidates, key=colour.__getitem__)
-        for idx in range(len(ordered) - 1, -1, -1):
-            v = ordered[idx]
-            if len(chosen) + colour[v] + 1 <= len(best):
-                return
-            chosen.append(v)
-            expand(chosen, [u for u in ordered[:idx] if u in neighbors[v]])
-            chosen.pop()
-
-    initial = sorted(range(n), key=lambda v: -len(neighbors[v]))
-    expand([], initial)
-    return sorted(best)
+def _bits(x: int):
+    """The vertices of bitset x, lowest first."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
 
-def _require_clique_budget(g: Graph, max_vertices: int) -> None:
-    if g.n > max_vertices:
-        raise BudgetError(f"exact clique search refused for {g.n} > {max_vertices} vertices")
+def _components(g: Graph, spend):
+    """The vertex bitsets of g's connected components.  A search is first charged one
+    node per 64-bit word of an n x n bit table, the size of g.rows and of complement
+    rows, so a huge graph is refused before they are built."""
+    spend(g.n * g.n // 64)
+    left = (1 << g.n) - 1
+    while left:
+        comp = grown = left & -left
+        while grown:  # the neighbours of the vertices added last that comp lacks
+            grown = reduce(or_, map(g.rows.__getitem__, _bits(grown))) & ~comp
+            comp |= grown
+        yield comp
+        left ^= comp
 
 
-def max_clique(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> list:
-    _require_clique_budget(g, max_vertices)
-    return _max_clique_search(g.neighbors)
+def _colour_classes(rows, p: int, spend) -> list:
+    """(class, vertex) for bitset p's vertices, greedily coloured lowest vertex first."""
+    spend(p.bit_count())
+    order, k = [], 0
+    while p:
+        q, k = p, k + 1
+        while q:
+            v = (q & -q).bit_length() - 1
+            q &= ~(rows[v] | 1 << v)
+            p ^= 1 << v
+            order.append((k, v))
+    return order
 
 
-def max_independent_set(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> list:
-    _require_clique_budget(g, max_vertices)  # before the O(n^2) complement is built
-    return max_clique(g.complement(), max_vertices=max_vertices)
+def _max_clique_in(rows, p: int, spend) -> list:
+    """A maximum clique among bitset p's vertices, rows[v] being v's neighbours."""
+    best, frames = [], [[p, _colour_classes(rows, p, spend), None]]  # [p, order, v opened for]
+    while frames:
+        p, order, _ = frame = frames[-1]
+        if not order or len(frames) - 1 + order[-1][0] <= len(best):  # the colour bound
+            frames.pop()
+            continue
+        v = order.pop()[1]
+        frame[0] = p ^ (1 << v)
+        spend(1)
+        if p & rows[v]:
+            frames.append([p & rows[v], _colour_classes(rows, p & rows[v], spend), v])
+        elif len(frames) > len(best):
+            best = [f[2] for f in frames[1:]] + [v]
+    return best
 
 
-def alpha(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> int:
-    return len(max_independent_set(g, max_vertices=max_vertices))
+def max_clique(g: Graph) -> list:
+    spend = node_budget()
+    cliques = (_max_clique_in(g.rows, comp, spend) for comp in _components(g, spend))
+    return sorted(max(cliques, key=len, default=[]))
 
 
-def omega(g: Graph, max_vertices: int = MAX_CLIQUE_VERTICES) -> int:
-    return len(max_clique(g, max_vertices=max_vertices))
+def max_independent_set(g: Graph) -> list:
+    """Maximum cliques of the components' complement rows (no complement graph is built)."""
+    spend = node_budget()
+    return sorted(v for comp in _components(g, spend) for v in _max_clique_in(
+        {u: comp & ~g.rows[u] & ~(1 << u) for u in _bits(comp)}, comp, spend))
 
 
-def _k_colourable(g: Graph, k: int, clique) -> Optional[dict]:
-    """DSATUR backtracking for k-colourability, seeded with a pre-coloured clique."""
-    if len(clique) > k:
-        return None
-    colouring = {v: i for i, v in enumerate(clique)}
-
-    def recurse(max_used: int) -> bool:
-        if len(colouring) == g.n:
-            return True
-        pick, pick_key = None, None
-        for v in range(g.n):
-            if v in colouring:
-                continue
-            saturation = len({colouring[u] for u in g.neighbors[v] if u in colouring})
-            key = (saturation, len(g.neighbors[v]))
-            if pick is None or key > pick_key:
-                pick, pick_key = v, key
-        used = {colouring[u] for u in g.neighbors[pick] if u in colouring}
-        for c in range(min(k - 1, max_used + 1) + 1):
-            if c in used:
-                continue
-            colouring[pick] = c
-            if recurse(max(max_used, c)):
-                return True
-            del colouring[pick]
-        return False
-
-    return dict(colouring) if recurse(len(clique) - 1) else None
+def alpha(g: Graph) -> int:
+    return len(max_independent_set(g))
 
 
-def chi(g: Graph, max_vertices: int = MAX_CHI_VERTICES) -> int:
-    if g.n > max_vertices:
-        raise BudgetError(f"exact colouring refused for {g.n} > {max_vertices} vertices")
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    clique = max_clique(g, max_vertices=max_vertices)
-    lower = len(clique)
-    upper = max(greedy_colouring(g).values()) + 1
-    for k in range(lower, upper):
-        if _k_colourable(g, k, clique) is not None:
-            return k
-    return upper
+def omega(g: Graph) -> int:
+    return len(max_clique(g))
+
+
+def _k_colourable(rows, comp: int, k: int, clique, spend) -> bool:
+    """DSATUR backtracking for a k-colouring of comp with the clique coloured 0, 1, ..."""
+    classes = [1 << v for v in clique] + [0] * (k - len(clique))  # colour -> vertex bitset
+    left, trail = comp & ~sum(classes), []  # trail: (vertex, its colours still to try)
+    while left:
+        spend(left.bit_count())
+        v = max(_bits(left), key=lambda u: (sum(1 for c in classes if rows[u] & c),
+                                            rows[u].bit_count()))
+        in_use = k - classes.count(0)  # colours 0 .. in_use - 1; try at most one more
+        trail.append((v, [c for c in range(min(k, in_use + 1)) if not rows[v] & classes[c]][::-1]))
+        left ^= 1 << v
+        while not trail[-1][1]:  # no colour left: backtrack to the last vertex with one
+            left |= 1 << trail.pop()[0]
+            if not trail:
+                return False
+            classes = [members & ~(1 << trail[-1][0]) for members in classes]
+        u, options = trail[-1]
+        spend(1)
+        classes[options.pop()] |= 1 << u
+    return True
+
+
+def chi(g: Graph) -> int:
+    """The largest chromatic number of g's components (each searched only if it may win)."""
+    spend, best = node_budget(), 0
+    for comp in _components(g, spend):
+        upper = _colour_classes(g.rows, comp, spend)[-1][0]  # a greedy colouring's colours
+        if upper > best:
+            clique = _max_clique_in(g.rows, comp, spend)
+            best = next((k for k in range(max(best, len(clique)), upper)
+                         if _k_colourable(g.rows, comp, k, clique, spend)), upper)
+    return best
 
 
 def graph_from_system(sys: BinaryLinearSystem, use_b: bool = True) -> Graph:

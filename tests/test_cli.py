@@ -1,9 +1,11 @@
 """CLI surface: exit-code taxonomy, file pipelines, report stability."""
 from __future__ import annotations
 
+import argparse
 import base64
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from syncgames import (
     mermin_peres_system,
     pauli_magic_square_rep,
 )
-from syncgames.cli import main
+from syncgames import games
+from syncgames.cli import build_parser, main
 from syncgames.matops import MAX_EIG_DIM, matrix_to_json
 
 
@@ -70,17 +73,57 @@ def test_graph_alpha_complete_graph(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "1"
 
 
-def test_graph_chi_respects_max_vertices_flag(tmp_path):
-    path = write_json(tmp_path, "e25.json", {"n": 25, "edges": []})
-    assert main(["graph", "chi", "--in", path]) == 4  # above default cap
-    assert main(["graph", "chi", "--in", path, "--max-vertices", "30"]) == 0
+def test_graph_alpha_on_long_paths_answers_or_exits_4(tmp_path, capsys, monkeypatch):
+    """No vertex cap: a 2000-vertex path is answered (its search is deeper than
+    Python's recursion limit), and a 5000-vertex one under a smaller node budget is
+    refused with exit 4 and a report, never a traceback."""
+    path = {"n": 2000, "edges": [[v, v + 1] for v in range(1999)]}
+    assert main(["graph", "alpha", "--in", write_json(tmp_path, "p2000.json", path)]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "1000"
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", 500_000)
+    path = {"n": 5000, "edges": [[v, v + 1] for v in range(4999)]}
+    report = tmp_path / "report.json"
+    argv = ["graph", "alpha", "--in", write_json(tmp_path, "p5000.json", path)]
+    assert main(argv + ["--report", str(report)]) == 4
+    data = json.loads(report.read_text())
+    assert data["exit_code"] == 4
+    assert data["error"] == "budget exceeded: search exceeded 500000 nodes; undecided"
 
 
-@pytest.mark.parametrize("param", ["alpha", "omega", "chi"])
-def test_graph_max_vertices_zero_is_a_cap_of_zero(tmp_path, param):
-    path = write_json(tmp_path, "e3.json", {"n": 3, "edges": []})
+@pytest.mark.parametrize("param, graph, need, value", [
+    ("alpha", empty_graph(10), 21, "10"), ("omega", complete(5), 20, "5"), ("chi", complete(5), 25, "5"),
+], ids=["alpha", "omega", "chi"])
+def test_graph_param_exits_4_past_the_node_budget(tmp_path, capsys, monkeypatch, param, graph,
+                                                  need, value):
+    """The game search's node budget bounds the graph searches: each graph is answered
+    within `need` nodes (counted in test_graphs) and refused with one node fewer."""
+    path = write_json(tmp_path, "g.json", graph.to_json_dict())
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need)
     assert main(["graph", param, "--in", path]) == 0
-    assert main(["graph", param, "--in", path, "--max-vertices", "0"]) == 4
+    assert capsys.readouterr().out.strip().splitlines()[-1] == value
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need - 1)
+    assert main(["graph", param, "--in", path, "--report", str(report)]) == 4
+    data = json.loads(report.read_text())
+    assert (data["exit_code"], data["payload"]) == (4, {})
+    assert data["error"] == f"budget exceeded: search exceeded {need - 1} nodes; undecided"
+    with pytest.raises(SystemExit):  # the vertex cap and its flag are gone
+        main(["graph", param, "--in", path, "--max-vertices", "0"])
+
+
+def test_every_flag_the_readme_names_is_accepted():
+    """A flag that is removed from the command line cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    accepted, parsers = set(), [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        accepted |= set(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "--report" in named and "--tol" in named
+    assert named <= accepted, sorted(named - accepted)
 
 
 def test_round_cli_noop_on_exact_pvm(tmp_path, capsys):

@@ -45,6 +45,7 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
+from syncgames import games
 from syncgames.errors import BudgetError, ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
 from syncgames.graphs import (
@@ -91,6 +92,31 @@ def test_parameters_match_brute_force_on_random_graphs():
         assert alpha(g) == brute_alpha(g)
         assert omega(g) == brute_omega(g)
         assert chi(g) == brute_chi(g)
+    for _ in range(40):  # brute-force chi is too slow for 12 vertices
+        g = random_graph(rng, int(rng.integers(9, 13)), p=float(rng.uniform(0.1, 0.9)))
+        assert alpha(g) == brute_alpha(g)
+        assert omega(g) == brute_omega(g)
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = set(), 0
+    for part in parts:
+        edges |= {(u + offset, v + offset) for u, v in part.edges}
+        offset += part.n
+    return Graph(n=offset, edges=frozenset(edges))
+
+
+def test_parameters_of_disjoint_unions_match_brute_force_on_the_parts():
+    """alpha adds over components, omega and chi take the largest: each part is
+    checked by its brute-force oracle, the union by the searches alone."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        parts = [random_graph(rng, int(rng.integers(0, 8)), p=float(rng.uniform(0.1, 0.9)))
+                 for _ in range(int(rng.integers(2, 4)))]
+        g = disjoint_union(*parts)
+        assert alpha(g) == sum(brute_alpha(part) for part in parts)
+        assert omega(g) == max(brute_omega(part) for part in parts)
+        assert chi(g) == max(brute_chi(part) for part in parts)
 
 
 def test_alpha_le_chi_of_complement_on_random_graphs():
@@ -102,28 +128,60 @@ def test_alpha_le_chi_of_complement_on_random_graphs():
 
 def test_max_clique_returns_a_clique():
     rng = np.random.default_rng(39)
-    g = random_graph(rng, 12, p=0.6)
-    clique = max_clique(g)
-    assert all(g.is_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
-    indep = max_independent_set(g)
-    assert is_independent_set(g, indep)
+    for _ in range(30):
+        parts = [random_graph(rng, int(rng.integers(0, 13)), p=float(rng.uniform(0.1, 0.9)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        g = disjoint_union(*parts)
+        clique = max_clique(g)
+        assert all(g.is_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
+        assert len(clique) == max(brute_omega(part) for part in parts)
+        indep = max_independent_set(g)
+        assert is_independent_set(g, indep)
+        assert len(indep) == sum(brute_alpha(part) for part in parts)
 
 
-def test_exact_solvers_refuse_oversized_graphs():
-    with pytest.raises(BudgetError):
-        alpha(empty_graph(41))
-    with pytest.raises(BudgetError):
-        chi(empty_graph(21))
-    assert chi(empty_graph(21), max_vertices=25) == 1
+def test_exact_solvers_refuse_oversized_graphs(monkeypatch):
+    """A graph is oversized when its search needs more nodes than
+    games.DEFAULT_SEARCH_NODES, not by its vertex count.  A search is charged one node
+    per 64-bit word of an n x n bit table first (1 for n = 10, 0 for n = 5), then one
+    per branch, colour tried and vertex a colour bound places or DSATUR scans, with one
+    budget for all components: K_5's clique search places 5 + 4 + 3 + 2 + 1 vertices
+    and takes 5 branches, chi's greedy upper bound places 5 more, and each isolated
+    vertex takes one placement and one branch."""
+    assert alpha(empty_graph(41)) == 41
+    assert chi(empty_graph(21)) == 1
+    for solver, g, need, value in ((omega, complete(5), 20, 5), (chi, complete(5), 25, 5),
+                                   (alpha, empty_graph(10), 21, 10)):
+        monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need)
+        assert solver(g) == value
+        monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need - 1)
+        with pytest.raises(BudgetError, match=f"^search exceeded {need - 1} nodes; undecided$"):
+            solver(g)
+    monkeypatch.undo()
+    monkeypatch.setattr(Graph, "rows", property(lambda self: pytest.fail("bitsets built")))
+    for solver in (alpha, omega, chi):  # 12000^2 / 64 > 2,000,000
+        with pytest.raises(BudgetError, match="^search exceeded 2000000 nodes; undecided$"):
+            solver(empty_graph(12_000))
 
 
 def test_alpha_refuses_before_building_the_complement(monkeypatch):
+    """alpha reads complement rows; it never builds the complement graph, neither when
+    it answers nor when the node budget refuses it."""
     def complement(self):
-        raise AssertionError("complement built for a graph over the clique cap")
+        raise AssertionError("complement graph built")
 
     monkeypatch.setattr(Graph, "complement", complement)
+    assert alpha(empty_graph(2000)) == 2000
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", 1000)
     with pytest.raises(BudgetError):
         alpha(empty_graph(2000))
+
+
+def test_searches_do_not_recurse_on_long_paths():
+    """The clique search keeps its own stack: alpha of a 2000-vertex path needs a
+    1000-vertex clique of the complement, deeper than Python's recursion limit."""
+    path = Graph(n=2000, edges=frozenset((v, v + 1) for v in range(1999)))
+    assert (alpha(path), omega(path), chi(path)) == (1000, 2, 2)
 
 
 def test_graph_validation():
@@ -141,14 +199,16 @@ def test_graph_validation():
             Graph(n=2, edges=frozenset({edge}))
 
 
-def test_complement_is_built_once_per_graph():
+def test_complement_is_built_once_per_graph(monkeypatch):
     g = Graph(n=4, edges=frozenset({(2, 0), (1, 3)}), labels=tuple("abcd"))
     comp = g.complement()
     assert comp is g.complement()
     assert comp == Graph(n=4, edges=frozenset({(0, 1), (0, 3), (1, 2), (2, 3)}), labels=g.labels)
     assert comp.complement() == g
     cert = independence_certificate_from_set(g, [0, 1])
-    assert cert.game().source["H"] == comp.to_json_dict()
+    assert cert.game().to_json_dict()["H"] == comp.to_json_dict()
+    monkeypatch.setattr(Graph, "to_json_dict", lambda self: pytest.fail("graph JSON built"))
+    assert cert.verify().passes  # builds its game, never the game's JSON
 
 
 def test_graph_json_roundtrip():
@@ -242,7 +302,7 @@ def test_complement_colouring_ga0(magic_square):
     assert is_proper_colouring(certs.graph.complement(), certs.colouring)
     assert is_independent_set(certs.graph, certs.independent_set)
     assert alpha(certs.graph) == 6
-    assert chi(certs.graph.complement(), max_vertices=24) == 6
+    assert chi(certs.graph.complement()) == 6
 
 
 def test_complement_colouring_ga0_random_homogeneous():
@@ -587,7 +647,7 @@ def test_monotone_chain_alpha_cert_chi(magic_square, pauli_rep):
     cert0 = independence_certificate_from_set(g_0, complement_colouring_ga0(magic_square).independent_set)
     cert_b = transport_independence(cert0, swap_iso_strategy(iso), g_b, tol=1e-9)
     assert cert_b.verify(1e-9).passes
-    assert alpha(g_b) <= cert_b.value <= chi(g_b.complement(), max_vertices=24)
+    assert alpha(g_b) <= cert_b.value <= chi(g_b.complement())
 
 
 def _assert_same_strategy(s, t):

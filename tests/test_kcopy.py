@@ -13,20 +13,25 @@ from conftest import kcopy_magic_square, random_unitary
 
 from syncgames import (
     BinaryLinearSystem,
+    alpha,
     build_synbcs,
     check_game_algebra_relations,
     correlation_from_tracial,
     decompose_qs,
+    graph_from_system,
     is_perfect,
     is_synchronous,
+    max_independent_set,
     rep_from_strategy,
     solve_gf2,
     strategy_from_rep,
     strategy_from_solution,
     verify_rep,
 )
+from syncgames import games
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
+from syncgames.graphs import is_independent_set
 from syncgames.labels import SignVectors
 from syncgames.solution_group import GroupRep
 from syncgames.strategies import BipartiteStrategy, Correlation, OperatorStrategy
@@ -73,6 +78,18 @@ def test_three_copy_pipeline_runs_end_to_end():
     data = json.loads(json.dumps(strategy.to_json_dict()))
     assert data["outputs"] == {"sign_vectors": 27}
     assert bitwise_equal(strategy, OperatorStrategy.from_json_dict(data))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_alpha_of_the_kcopy_graph_is_certified_one_component_at_a_time(monkeypatch, k):
+    """G_b of k disjoint magic squares has one 24-vertex component per copy and
+    alpha = 5k.  Its components are searched one at a time, so 300 nodes per copy
+    suffice: a vertex cap of 40 refused every k >= 2."""
+    g_b = graph_from_system(kcopy_magic_square(k)[0], use_b=True)
+    assert g_b.n == 24 * k
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", 300 * k)
+    assert alpha(g_b) == 5 * k
+    assert is_independent_set(g_b, max_independent_set(g_b))
 
 
 @pytest.fixture(scope="module")
