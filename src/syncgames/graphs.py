@@ -22,7 +22,7 @@ from .games import GameRelationReport, build_hom_game, build_iso_game, check_gam
 from .games import _bcs_disagreement, node_budget
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import int_from_json, label_to_json, labels_from_json
-from .matops import DEFAULT_TOL, kron, norm2
+from .matops import DEFAULT_TOL, _chunk_slices, _kron_pairs, _residuals
 from .solution_group import GroupRep, glue_rep
 from .strategies import OperatorStrategy, deterministic_to_operator
 
@@ -358,7 +358,8 @@ def iso_strategy_from_bcs(
 
 def swap_iso_strategy(iso: OperatorStrategy) -> OperatorStrategy:
     """Reverse an isomorphism-game strategy: a strategy for (G, H) becomes one for
-    (H, G) by exchanging the two side tags."""
+    (H, G) by exchanging the two side tags.  The result shares iso's read-only
+    stack: each flipped key keeps its row, and nothing is copied or re-hashed."""
 
     def flip(label):
         side, v = label
@@ -367,8 +368,8 @@ def swap_iso_strategy(iso: OperatorStrategy) -> OperatorStrategy:
     g_side = [v for side, v in iso.inputs if side == "g"]
     h_side = [v for side, v in iso.inputs if side == "h"]
     inputs = tuple(("g", v) for v in sorted(h_side)) + tuple(("h", v) for v in sorted(g_side))
-    pvms = {(flip(x), flip(a)): mat for (x, a), mat in iso.pvms.items()}
-    return OperatorStrategy(dim=iso.dim, inputs=inputs, outputs=inputs, pvms=pvms)
+    keys = [(flip(x), flip(a)) for x, a in iso.stored_keys()]
+    return OperatorStrategy._over_rows(iso.dim, inputs, inputs, keys, iso.stack, iso.ids)
 
 
 def transport_independence(
@@ -380,35 +381,50 @@ def transport_independence(
     """Transport an independence certificate along an isomorphism-game strategy.
 
     Both inputs are verified first; the transported projections are the sums of
-    Kronecker products f_{k,x} = sum_v e_{k,v} (x) q_{v,x}, and the returned
-    certificate for the target graph is verified before being returned.
+    Kronecker products f_{k,x} = sum_v e_{k,v} (x) q_{v,x}, added in ascending v,
+    and the returned certificate for the target graph is verified before being
+    returned.  Each input's terms are formed in chunked batches, a position of
+    every sum at a time, and its zero sums dropped in one batch.
     """
     cert.verify(tol).require("independence certificate")
     check_game_algebra_relations(build_iso_game(cert.graph, target), iso, tol).require(
         "isomorphism strategy"
     )
     # Only stored operators contribute: walk each input's stored (k, v) in ascending
-    # v and the iso operators stored for g-vertex v, so each sum adds its terms in
-    # ascending v.
+    # v and the iso operators stored for g-vertex v, so each sum lists its terms in
+    # ascending v.  Terms are (certificate row, iso row) pairs of the two stacks.
     stored: dict = {}
-    for (k, v), e in sorted(cert.strategy.pvms.items(), key=lambda item: item[0][1]):
-        stored.setdefault(k, []).append((v, e))
+    for (k, v), row in sorted(zip(cert.strategy.stored_keys(), cert.strategy.ids.tolist()),
+                              key=lambda item: item[0][1]):
+        stored.setdefault(k, []).append((v, row))
     images: dict = {}
-    for ((side, v), (out_side, x)), q in iso.pvms.items():
+    for ((side, v), (out_side, x)), row in zip(iso.stored_keys(), iso.ids.tolist()):
         if (side, out_side) == ("g", "h"):
-            images.setdefault(v, []).append((x, q))
+            images.setdefault(v, []).append((x, row))
+    dim = cert.strategy.dim * iso.dim
     pvms = {}
     for k in cert.strategy.inputs:
-        acc: dict = {}
+        terms: dict = {}
         for v, e in stored.get(k, ()):
             for x, q in images.get(v, ()):
-                term = kron(e, q)
-                acc[x] = acc[x] + term if x in acc else term
-        for x in sorted(acc):
-            if norm2(acc[x]) > 0.0:
-                pvms[(k, x)] = acc[x]
+                terms.setdefault(x, []).append((e, q))
+        xs = sorted(terms)
+        for sl in _chunk_slices(len(xs), dim):
+            sums = [terms[x] for x in xs[sl]]
+            acc = None
+            for pos in range(max(map(len, sums))):
+                has = [r for r, t in enumerate(sums) if len(t) > pos]
+                e, q = np.array([sums[r][pos] for r in has], dtype=np.intp).T
+                term = _kron_pairs(cert.strategy.stack[e], iso.stack[q])
+                if acc is None:
+                    acc = term  # every sum has a first term
+                else:
+                    acc[has] += term
+            for x, mat, nonzero in zip(xs[sl], acc, _residuals(acc) > 0.0):
+                if nonzero:
+                    pvms[(k, x)] = mat
     transported = OperatorStrategy(
-        dim=cert.strategy.dim * iso.dim,
+        dim=dim,
         inputs=cert.strategy.inputs,
         outputs=tuple(range(target.n)),
         pvms=pvms,

@@ -1,6 +1,7 @@
 """Dense complex Hermitian matrix kernel: eigendecomposition, projections onto
-columns, normalized-trace 2-norms (one at a time, or batched over operator
-products and over the relations of a PVM family) and Kronecker products.
+columns, normalized-trace 2-norms (one at a time, or batched in chunks over
+operator products, the relations of a PVM family and any stack of residual
+matrices) and Kronecker products.
 
 All 2-norms in this package are taken with respect to the NORMALIZED trace,
 norm2(a) = sqrt(tr(a* a) / d), so norm2(I) = 1 in every dimension.  Every distance-bound
@@ -38,7 +39,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """The adjoint of a matrix, or of each matrix of a (n, d, d) stack."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def identity(d: int) -> np.ndarray:
@@ -65,6 +67,27 @@ def _residuals(mats: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _chunk_slices(count: int, d: int) -> list:
+    """Consecutive slices covering range(count), each of at most PRODUCT_CHUNK_ENTRIES
+    complex entries of d x d matrices (at least one matrix): the chunks of every batch."""
+    per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
+    return [slice(start, min(start + per, count)) for start in range(0, count, per)]
+
+
+def _chunked_residuals(count: int, d: int, build) -> np.ndarray:
+    """_residuals of build(sl) over the _chunk_slices of range(count): residual i of a
+    batch whose d x d matrices build forms chunk by chunk, so at most two chunks of
+    them (the last one and the one being built) are held at once."""
+    out = np.empty(count)
+    for sl in _chunk_slices(count, d):
+        # mats lives until the next chunk is built: freeing each chunk at once let the
+        # allocator hand its pages back and fault them in again, which doubled the
+        # time of d = 256 products
+        mats = build(sl)
+        out[sl] = _residuals(mats)
+    return out
+
+
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
@@ -84,14 +107,9 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     pairs, inverse = np.unique(np.asarray(left, dtype=np.intp) * n
                                + np.asarray(right, dtype=np.intp), return_inverse=True)
     left, right = pairs // n, pairs % n
-    d = stack.shape[-1]
-    per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
-    out = np.empty(len(pairs))
-    for start in range(0, len(pairs), per):
-        stop = start + per
-        with np.errstate(over="ignore", invalid="ignore"):
-            prod = np.matmul(stack[left[start:stop]], stack[right[start:stop]])
-        out[start:stop] = _residuals(prod)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _chunked_residuals(len(pairs), stack.shape[-1],
+                                lambda sl: np.matmul(stack[left[sl]], stack[right[sl]]))
     return out[inverse]
 
 
@@ -106,19 +124,18 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     complex entries per array, never all at once; a residual that overflows is
     inf.  Each largest residual is 0.0 when there is nothing to check.
     """
-    per = max(1, PRODUCT_CHUNK_ENTRIES // (d * d))
     rows = np.asarray(rows, dtype=np.intp)
     order = np.argsort(rows, kind="stable")  # by row, in family order within a row
     bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
     max_adj = max_proj = max_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(mats), per):
-            chunk = np.asarray(mats[start:start + per], dtype=complex)  # a view if mats is an array
-            max_adj = max(max_adj, _residuals(chunk - np.conj(np.swapaxes(chunk, 1, 2))).max())
+        for sl in _chunk_slices(len(mats), d):
+            chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
+            max_adj = max(max_adj, _residuals(chunk - dagger(chunk)).max())
             max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
-        for start in range(0, n_rows, per):
-            totals = np.zeros((min(per, n_rows - start), d, d), dtype=complex)
-            for r, total in enumerate(totals, start):
+        for sl in _chunk_slices(n_rows, d):
+            totals = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
+            for r, total in enumerate(totals, sl.start):
                 for k in order[bounds[r]:bounds[r + 1]]:
                     total += mats[ids[k]]  # in place, in family order: the bits of a plain sum
             totals -= identity(d)
@@ -129,6 +146,13 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
 def kron(a, b) -> np.ndarray:
     """Kronecker product in row-major block order."""
     return np.kron(as_matrix(a), as_matrix(b))
+
+
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[t], b[t]) for each t of two stacks, (c, p, p) and (c, q, q): each entry
+    the product of the same two factors, multiplied in the same broadcast as np.kron."""
+    c, p, q = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(c, p * q, p * q)
 
 
 def hermitian_defect(a) -> float:

@@ -11,7 +11,7 @@ it as the sign-weighted sum of that equation's projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,13 +22,15 @@ from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import labels_from_json
 from .matops import (
     DEFAULT_TOL,
+    _chunk_slices,
+    _chunked_residuals,
+    _residuals,
     as_matrix,
     dagger,
     hermitian_eig,
     identity,
     matrix_from_json,
     matrix_to_json,
-    norm2,
     residual,
 )
 from .strategies import (
@@ -82,10 +84,15 @@ def presentation(sys: BinaryLinearSystem) -> GroupPresentation:
 
 @dataclass(frozen=True)
 class GroupRep:
-    """Unitary images of the variable generators plus the image of J."""
+    """Unitary images of the variable generators plus the image of J.
+
+    The constructor copies them once into a read-only (n + 1, d, d) array, stack
+    (the generators in order, then J); images and j_image are views of its rows.
+    """
 
     images: tuple  # one matrix per variable generator
     j_image: np.ndarray
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mats = tuple(as_matrix(w) for w in self.images)
@@ -94,8 +101,11 @@ class GroupRep:
         for k, w in enumerate(mats, start=1):
             if w.shape != (d, d):
                 raise ValidationError(f"generator image {k} has shape {w.shape}, expected {(d, d)}")
-        object.__setattr__(self, "images", mats)
-        object.__setattr__(self, "j_image", j)
+        stack = np.array(mats + (j,), dtype=complex)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "images", tuple(stack[:-1]))
+        object.__setattr__(self, "j_image", stack[-1])
 
     @property
     def dim(self) -> int:
@@ -175,43 +185,76 @@ class RepVerificationReport:
         }
 
 
+def _by_length(seqs) -> list:
+    """[(positions, (g, L) intp array of those sequences' entries)] for each length L
+    among seqs, in order of first appearance; positions ascend within a group."""
+    groups: dict = {}
+    for pos, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(pos)
+    return [(np.array(members, dtype=np.intp),
+             np.array([seqs[p] for p in members], dtype=np.intp).reshape(len(members), length))
+            for length, members in groups.items()]
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b - b @ a for each matrix of a stack (either side may be one matrix)."""
+    return np.matmul(a, b) - np.matmul(b, a)
+
+
+def _ordered_products(eye: np.ndarray, count: int, length: int, factor):
+    """For each chunk sl of range(count), (sl, the products I @ factor(sl, 0) @ ... @
+    factor(sl, length - 1)), multiplied left to right from the identity as a loop over
+    positions would multiply them one matrix at a time."""
+    d = eye.shape[0]
+    for sl in _chunk_slices(count, d):
+        prod = np.broadcast_to(eye, (sl.stop - sl.start, d, d))
+        for pos in range(length):
+            prod = np.matmul(prod, factor(sl, pos))
+        yield sl, prod
+
+
 def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL) -> RepVerificationReport:
-    """Residuals of every solution-group relator under the candidate representation."""
+    """Residuals of every solution-group relator under the candidate representation.
+
+    Each relator family is one chunked batch over rep.stack: unitarity and
+    involutions of every generator and J, the commutators of equation-mates and
+    with J, and each equation's product, multiplied from I in sorted support
+    order; the residuals are those of the relators taken one at a time.
+    """
     if rep.n_variables != sys.n:
         raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
-    eye = identity(rep.dim)
-    mats = list(rep.images) + [rep.j_image]
-    # Huge finite entries may overflow; residual() turns that into a failed relator.
+    n, d, stack, j = sys.n, rep.dim, rep.stack, rep.j_image
+    eye = identity(d)
+    supports = [sorted(row) for row in sys.rows]
+    mates = [(i, a, b) for i, support in enumerate(supports, start=1)
+             for pos, a in enumerate(support) for b in support[pos + 1:]]
+    left = np.array([a for _, a, _ in mates], dtype=np.intp) - 1
+    right = np.array([b for _, _, b in mates], dtype=np.intp) - 1
+    odd = np.array(sys.b, dtype=bool)
+    products = np.empty(sys.m)
+    # Huge finite entries may overflow; _residuals turns that into a failed relator.
     with np.errstate(over="ignore", invalid="ignore"):
-        unitarity = tuple(residual(dagger(w) @ w - eye) for w in mats)
-        involutions = tuple(residual(w @ w - eye) for w in mats)
-        mate = []
-        for i in range(1, sys.m + 1):
-            support = sorted(sys.rows[i - 1])
-            for pos, j in enumerate(support):
-                wj = rep.images[j - 1]
-                for k in support[pos + 1 :]:
-                    wk = rep.images[k - 1]
-                    mate.append(((i, j, k), residual(wj @ wk - wk @ wj)))
-        j_comm = tuple(
-            (j, residual(rep.images[j - 1] @ rep.j_image - rep.j_image @ rep.images[j - 1]))
-            for j in range(1, sys.n + 1)
-        )
-        products = []
-        for i in range(1, sys.m + 1):
-            prod = eye
-            for j in sorted(sys.rows[i - 1]):
-                prod = prod @ rep.images[j - 1]
-            target = rep.j_image if sys.b[i - 1] else eye
-            products.append((i, residual(prod - target)))
-        j_distance = residual(rep.j_image - eye)
+        unitarity = _chunked_residuals(
+            n + 1, d, lambda sl: np.matmul(dagger(stack[sl]), stack[sl]) - eye)
+        involutions = _chunked_residuals(
+            n + 1, d, lambda sl: np.matmul(stack[sl], stack[sl]) - eye)
+        mate = _chunked_residuals(
+            len(mates), d, lambda sl: _commutators(stack[left[sl]], stack[right[sl]]))
+        j_comm = _chunked_residuals(n, d, lambda sl: _commutators(stack[sl], j))
+        for eqs, ids in _by_length(supports):
+            ids = ids - 1
+            for sl, prod in _ordered_products(eye, len(eqs), ids.shape[1],
+                                              lambda sl, pos: stack[ids[sl, pos]]):
+                targets = np.where(odd[eqs[sl], None, None], j, eye)
+                products[eqs[sl]] = _residuals(prod - targets)
+        j_distance = residual(j - eye)
     return RepVerificationReport(
         tol=tol,
-        unitarity=unitarity,
-        involutions=involutions,
-        mate_commutators=tuple(mate),
-        j_commutators=j_comm,
-        products=tuple(products),
+        unitarity=tuple(unitarity.tolist()),
+        involutions=tuple(involutions.tolist()),
+        mate_commutators=tuple(zip(mates, mate.tolist())),
+        j_commutators=tuple(zip(range(1, n + 1), j_comm.tolist())),
+        products=tuple(zip(range(1, sys.m + 1), products.tolist())),
         j_distance=j_distance,
     )
 
@@ -221,7 +264,8 @@ def normalize_j(rep: GroupRep, tol: float = DEFAULT_TOL) -> GroupRep:
 
     The compressed representation has j_image exactly -I.  Raises when the -1
     eigenspace is trivial (the image of J is the identity) or when the
-    eigenprojection fails to commute with some generator image within tol.
+    eigenprojection fails to commute with some generator image within tol,
+    naming the first such generator.
     """
     eye = identity(rep.dim)
     j = rep.j_image
@@ -237,12 +281,15 @@ def normalize_j(rep: GroupRep, tol: float = DEFAULT_TOL) -> GroupRep:
             raise ValidationError("image of J has no -1 eigenspace; nothing to compress to")
         cols = eig.eigenvectors[:, selected]
         proj = cols @ dagger(cols)
-        for k, w in enumerate(rep.images, start=1):
-            resid = residual(proj @ w - w @ proj)
-            if resid > tol:
-                raise ValidationError(
-                    f"-1 eigenprojection fails to commute with generator {k} (residual {resid:.3e})"
-                )
+        gens = rep.stack[:-1]
+        resid = _chunked_residuals(len(gens), rep.dim, lambda sl: _commutators(proj, gens[sl]))
+        failing = np.flatnonzero(resid > tol)
+        if failing.size:
+            k = int(failing[0])
+            raise ValidationError(
+                f"-1 eigenprojection fails to commute with generator {k + 1} "
+                f"(residual {float(resid[k]):.3e})"
+            )
         compressed = tuple(dagger(cols) @ w @ cols for w in rep.images)
     return GroupRep(images=compressed, j_image=-identity(cols.shape[1]))
 
@@ -255,11 +302,13 @@ def strategy_from_rep(
 ) -> OperatorStrategy:
     """Perfect BCS strategy from a representation with j_image = -I.
 
-    E_{i,x} is the product over the equation's support of the spectral-half
-    projections picked by x; off-support solutions are zero and omitted.  The
-    construction certifies (through correlation_from_tracial) that each
-    equation's projections sum to the identity and that the resulting tracial
-    correlation is a synchronous perfect correlation for the BCS game.
+    E_{i,x} is the product over the equation's support, in sorted order, of the
+    spectral-half projections (I + x_j w_j) / 2 picked by x, formed in chunked
+    batches over every x in S_i of every equation of one support length;
+    near-zero solutions (2-norm <= 1e-14) are omitted.  The construction
+    certifies (through correlation_from_tracial) that each equation's
+    projections sum to the identity and that the resulting tracial correlation
+    is a synchronous perfect correlation for the BCS game.
     """
     if not sys.covers_all_columns:
         raise ValidationError(
@@ -273,17 +322,23 @@ def strategy_from_rep(
     eps = tol if eps is None else eps
 
     game = build_synbcs(sys)
+    keys = [(i, x) for i in range(1, sys.m + 1) for x in enumerate_si(sys, i)]
+    stack = rep.stack
     pvms = {}
-    for i in range(1, sys.m + 1):
-        support = sorted(sys.rows[i - 1])
-        for x in enumerate_si(sys, i):
-            e = eye
-            for j in support:
-                # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed
-                e = e @ ((eye + x[j - 1] * rep.images[j - 1]) / 2)
+    for members, ids in _by_length([sorted(sys.rows[i - 1]) for i, _ in keys]):
+        ids = ids - 1
+        signs = np.array([keys[r][1] for r in members], dtype=complex)
+        signs = np.take_along_axis(signs, ids, axis=1)
+
+        def factor(sl, pos):
+            # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed
+            return (eye + signs[sl, pos, None, None] * stack[ids[sl, pos]]) / 2
+
+        for sl, e in _ordered_products(eye, len(members), ids.shape[1], factor):
             e = (e + dagger(e)) / 2
-            if norm2(e) > 1e-14:  # keep the stored family sparse
-                pvms[(i, x)] = e
+            keep = _residuals(e) > 1e-14  # keep the stored family sparse
+            for r, mat in zip(members[sl][keep].tolist(), e[keep]):
+                pvms[keys[r]] = mat
     # correlation_from_tracial validates the PVMs, completeness included, at tol
     strategy = OperatorStrategy(dim=rep.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
     corr = correlation_from_tracial(strategy, tol)
@@ -309,36 +364,52 @@ def glue_rep(
 
     rows[i - 1] lists equation i's (sign vector, operator) pairs in summation
     order.  Variable k's candidate from equation i is the symmetrised sum of
-    x[k - 1] * operator over that row; a variable in no equation maps to the
-    identity.  Candidates of one variable must agree within choice_tol in the
-    2-norm (they agree exactly under a faithful trace), or a VerificationError
-    names the worst pair over all variables and ends with tail.  The images are
-    the candidates of each variable's first equation, j_image is -I, and the
-    result is verified against every relator at 10 * tol.
+    x[k - 1] * operator over that row, added in row order; every support
+    variable's candidate of an equation is formed in one chunked batch.  A
+    variable in no equation maps to the identity.  Candidates of one variable
+    must agree within choice_tol in the 2-norm (they agree exactly under a
+    faithful trace), or a VerificationError names the worst pair over all
+    variables (the first such pair, by variable, then equations) and ends with
+    tail; every pair's spread is one chunked batch.  The images are the
+    candidates of each variable's first equation, j_image is -I, and the result
+    is verified against every relator at 10 * tol.
     """
-    images = []
-    worst, witness = 0.0, None
-    for k in range(1, sys.n + 1):
-        mats = []
-        for i in range(1, sys.m + 1):
-            if k in sys.rows[i - 1]:
-                v = np.zeros((d, d), dtype=complex)
-                for x, e in rows[i - 1]:
-                    v = v + x[k - 1] * e
-                mats.append((i, (v + dagger(v)) / 2))
-        for a, (i, va) in enumerate(mats):
-            for i2, vb in mats[a + 1 :]:
-                diff = norm2(va - vb)
-                if diff > worst:
-                    worst, witness = diff, (k, i, i2)
-        images.append(mats[0][1] if mats else identity(d))
+    supports = [sorted(row) for row in sys.rows]
+    cands = np.empty((sum(map(len, supports)), d, d), dtype=complex)
+    where: dict = {}  # variable -> [(equation, row of cands)], equations ascending
+    offset = 0
+    for i, support in enumerate(supports, start=1):
+        row = rows[i - 1]
+        for pos, k in enumerate(support):
+            where.setdefault(k, []).append((i, offset + pos))
+        signs = np.array([x for x, _ in row], dtype=complex).reshape(len(row), sys.n)
+        signs = signs[:, np.array(support) - 1]
+        for sl in _chunk_slices(len(support), d):
+            v = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
+            for r, (_, e) in enumerate(row):
+                v = v + signs[r, sl, None, None] * e
+            cands[offset + sl.start:offset + sl.stop] = (v + dagger(v)) / 2
+        offset += len(support)
+    pairs = [(k, i, i2, a, b) for k in range(1, sys.n + 1)
+             for pos, (i, a) in enumerate(where.get(k, ())) for i2, b in where[k][pos + 1:]]
+    left = np.array([p[3] for p in pairs], dtype=np.intp)
+    right = np.array([p[4] for p in pairs], dtype=np.intp)
+    spreads = np.empty(len(pairs))
+    for sl in _chunk_slices(len(pairs), d):
+        diff = cands[left[sl]] - cands[right[sl]]
+        spreads[sl] = _residuals(diff)
+        if np.isinf(spreads[sl]).any() and not np.all(np.isfinite(diff)):
+            raise ValidationError("matrix has non-finite entries")  # as norm2 refuses it
+    worst = float(spreads.max()) if len(pairs) else 0.0
     if worst > choice_tol:
-        k, i, i2 = witness
+        k, i, i2, _, _ = pairs[int(np.argmax(spreads))]
         raise VerificationError(
             f"variable {k}: equations {i} and {i2} disagree by {worst:.3e} > {choice_tol:.3e}; "
             + tail
         )
-    rep = GroupRep(images=tuple(images), j_image=-identity(d))
+    images = tuple(cands[where[k][0][1]] if k in where else identity(d)
+                   for k in range(1, sys.n + 1))
+    rep = GroupRep(images=images, j_image=-identity(d))
     verify_rep(rep, sys, 10 * tol).require("recovered representation")
     return rep
 

@@ -93,9 +93,10 @@ class OperatorStrategy:
     shared first by identity (an isomorphism strategy passes each BCS
     projection many times), then by content: a blake2b digest of the bytes, a
     hit confirmed byte for byte, so a strategy reloaded from JSON or rotated key
-    by key shares its rows too.  Rows are numbered in stored-key order of first
-    use.  After construction pvms is a read-only mapping, in stored_keys()
-    order, to read-only views of the rows, one view object per row.
+    by key shares its rows too.  The constructor numbers rows in stored-key order
+    of first use (a swapped isomorphism strategy keeps the original's numbers).
+    After construction pvms is a read-only mapping, in stored_keys() order, to
+    read-only views of the rows, one view object per row.
     """
 
     dim: int
@@ -144,12 +145,33 @@ class OperatorStrategy:
         stack = np.array(distinct, dtype=complex).reshape(len(distinct), dim, dim)
         stack.flags.writeable = False
         ids.flags.writeable = False
+        self._set_rows(keys, stack, ids)
+
+    def _set_rows(self, keys: list, stack: np.ndarray, ids: np.ndarray) -> None:
         views = list(stack)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "pvms", MappingProxyType(
             {key: views[row] for key, row in zip(keys, ids.tolist())}
         ))
+
+    @classmethod
+    def _over_rows(cls, dim: int, inputs, outputs, keys, stack: np.ndarray,
+                   ids: np.ndarray) -> "OperatorStrategy":
+        """The strategy mapping keys[t] to stack[ids[t]] over another strategy's
+        read-only stack, shared as it is: nothing is copied, re-hashed or re-validated,
+        so every key must be a valid (input, output) label pair.  Rows keep their
+        numbers, which need not follow this strategy's key order."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "outputs", as_alphabet(outputs))
+        order = sorted(range(len(keys)), key=lambda t: (
+            self._input_index[keys[t][0]], self._output_index(keys[t][1])))
+        sorted_ids = np.asarray(ids)[order]
+        sorted_ids.flags.writeable = False
+        self._set_rows([keys[t] for t in order], stack, sorted_ids)
+        return self
 
     @cached_property
     def _input_index(self) -> dict:

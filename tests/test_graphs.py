@@ -677,3 +677,22 @@ def test_swap_iso_strategy_is_an_involution(magic_square, pauli_rep):
 
     quantum = iso_strategy_from_bcs(strategy_from_rep(pauli_rep, magic_square), magic_square)
     _assert_same_strategy(swap_iso_strategy(swap_iso_strategy(quantum)), quantum)
+
+
+def test_swap_iso_strategy_shares_the_original_stack(magic_square, pauli_rep):
+    """The swap keeps iso's rows (no copy), flips every key, and reads like a strategy
+    built from the flipped dict: same key order, defects and relation report."""
+    iso = iso_strategy_from_bcs(strategy_from_rep(pauli_rep, magic_square), magic_square)
+    swapped = swap_iso_strategy(iso)
+    assert np.shares_memory(swapped.stack, iso.stack)
+    flip = {"g": "h", "h": "g"}
+    flipped = {((flip[x[0]], x[1]), (flip[a[0]], a[1])): mat for (x, a), mat in iso.pvms.items()}
+    assert swapped.pvms.keys() == flipped.keys()
+    assert all(swapped.pvms[key].tobytes() == mat.tobytes() for key, mat in flipped.items())
+    rebuilt = OperatorStrategy(swapped.dim, swapped.inputs, swapped.outputs, flipped)
+    assert list(swapped.pvms) == list(rebuilt.pvms)
+    assert swapped.defects() == rebuilt.defects()
+    g_b, g_0 = graph_from_system(magic_square), graph_from_system(magic_square, use_b=False)
+    game = build_iso_game(g_0, g_b)
+    assert (check_game_algebra_relations(game, swapped, 1e-12).as_dict()
+            == check_game_algebra_relations(game, rebuilt, 1e-12).as_dict())
