@@ -10,6 +10,7 @@ tolerance too), 3 verification failure, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -425,8 +426,14 @@ def _graph_certify(run, args, cert, graph, strategy):
 
 
 def _graph_transport(run, args, cert, iso, target):
+    """transport_independence checks only its arguments' labels, so the files' relations
+    are checked here first."""
     if args.swap_iso:
         iso = swap_iso_strategy(iso)
+    cert.verify(args.tol).require("independence certificate")
+    check_game_algebra_relations(build_iso_game(cert.graph, target), iso, args.tol).require(
+        "isomorphism strategy"
+    )
     out_cert = transport_independence(cert, iso, target, tol=args.tol)
     run.payload.update(value=out_cert.value, dim=out_cert.strategy.dim)
     run.check("transported-certificate", True, f"value {out_cert.value}, dim {out_cert.strategy.dim}")
@@ -640,7 +647,10 @@ def _attach_float_values(argv: list) -> list:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by every main
+    call: parsing leaves it unchanged, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="syncgames",
         description="Synchronous nonlocal games: construction, verification and conversion.",

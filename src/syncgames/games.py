@@ -473,6 +473,20 @@ class GameRelationReport:
         }
 
 
+def _check_labels(game: SyncGame, strategy: "OperatorStrategy") -> None:
+    """Raise ValidationError unless strategy's inputs are game's and its outputs lie
+    among game's: the label part of the relation check, which a conversion reading a
+    strategy's keys as the game's labels needs even when it skips the residuals."""
+    if set(strategy.inputs) != game.input_set:
+        raise ValidationError("strategy inputs do not match game inputs")
+    # The strategy checked every stored key against its own labels when it was built,
+    # so these two label-set checks also cover the stored keys.  The scan stops at the
+    # first label missing from the game: for a longer alphabet, within len(game.outputs).
+    outputs = strategy.outputs
+    if outputs != game.outputs and not all(a in game.output_set for a in outputs):
+        raise ValidationError("strategy outputs are not a subset of game outputs")
+
+
 def check_game_algebra_relations(
     game: SyncGame, strategy: "OperatorStrategy", tol: float
 ) -> GameRelationReport:
@@ -487,15 +501,7 @@ def check_game_algebra_relations(
     own norm.  The witness is the first pair attaining the largest overlap,
     None when every overlap is zero.  A product that overflows has overlap inf
     and fails the check."""
-    if set(strategy.inputs) != game.input_set:
-        raise ValidationError("strategy inputs do not match game inputs")
-    # The strategy checked every stored key against its own labels when it was built,
-    # so these two label-set checks also cover the stored keys.  The scan stops at the
-    # first label missing from the game: for a longer alphabet, within len(game.outputs).
-    outputs = strategy.outputs
-    if outputs != game.outputs and not all(a in game.output_set for a in outputs):
-        raise ValidationError("strategy outputs are not a subset of game outputs")
-
+    _check_labels(game, strategy)
     defects = strategy.defects()
     keys = strategy.stored_keys()
     left, right = np.nonzero(game.losing_mask(keys))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import hashlib
 import json
 import re
@@ -16,14 +17,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import random_exact_pvm
 
 from syncgames import (
+    OperatorStrategy,
+    build_iso_game,
+    check_game_algebra_relations,
+    complement_colouring_ga0,
     complete,
     empty_graph,
+    graph_from_system,
     independence_certificate_from_set,
+    iso_strategy_from_bcs,
     mermin_peres_system,
     pauli_magic_square_rep,
+    strategy_from_rep,
+    swap_iso_strategy,
 )
 from syncgames import games
-from syncgames.cli import build_parser, main
+from syncgames.cli import SCHEMAS, build_parser, main
 from syncgames.matops import MAX_EIG_DIM, matrix_to_json
 
 
@@ -228,6 +237,11 @@ def round_file(matrix) -> dict:
 
 
 ROUND = ["round", "--out", "o.json", "--in"]
+# graph transport reads a certificate and a target before its --iso; these load
+EMPTY_CERT = {"value": 0, "graph": {"n": 0, "edges": []},
+              "strategy": {"dim": 1, "inputs": [], "outputs": [], "pvms": []}}
+TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
+                     "--cert", "empty-cert.json", "--target", "empty-graph.json", "--iso"]
 
 
 @pytest.mark.parametrize(
@@ -311,6 +325,10 @@ ROUND = ["round", "--out", "o.json", "--in"]
                                       "matrix": {"dim": 1, "entries": [[[True, 0.0]]]}}]}),
         (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "state": [[10**400, 0]]}),
         (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "state": "x"}),
+        (TRANSPORT_SWAPPED, {"dim": 1, "inputs": [1], "outputs": {"sign_vectors": 1},
+                             "pvms": [{"input": 1, "output": [1], "matrix": ONE}]}),
+        (TRANSPORT_SWAPPED, {"dim": 1, "inputs": [["x", 0]], "outputs": [["h", 0]],
+                             "pvms": [{"input": ["x", 0], "output": ["h", 0], "matrix": ONE}]}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -325,10 +343,14 @@ ROUND = ["round", "--out", "o.json", "--in"]
          "c16-too-short", "c16-too-long", "c16-nan", "c16-infinity", "rep-c16-infinity",
          "c16-and-entries", "matrix-without-payload", "c16-not-string", "matrix-dim-0",
          "entries-huge-int", "entries-bool", "entries-triple", "bipartite-state-bool",
-         "bipartite-entries-bool", "bipartite-state-huge-int", "bipartite-state-string"],
+         "bipartite-entries-bool", "bipartite-state-huge-int", "bipartite-state-string",
+         "swap-iso-bcs-strategy", "swap-iso-side-x"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
+    write_json(tmp_path, "empty-cert.json", EMPTY_CERT)
+    write_json(tmp_path, "empty-graph.json", EMPTY_CERT["graph"])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     path = tmp_path / "input.json"
     if payload is not None:
         path.write_text(json.dumps(payload))
@@ -423,6 +445,10 @@ def failing_runs(tmp_path) -> dict:
     huge_rep = {"dim": 1, "images": [{"dim": 1, "entries": [[[1.7e308, 0.0]]]}] * 9,
                 "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}
     magic = write_json(tmp_path, "magic.json", mermin_peres_system().to_json_dict())
+    transport = scaled_transport_inputs()
+    files = {name: write_json(tmp_path, f"{name}.json", transport[name])
+             for name in ("cert", "cert-scaled", "iso", "iso-scaled", "target")}
+    refused = "verification failed: {} fails the game-algebra relations: max residual 1.000e-06 > 1e-09"
     return {
         "verification": (
             ["game", "check-strategy", "--game", write_json(tmp_path, "game.json", game),
@@ -500,13 +526,53 @@ def failing_runs(tmp_path) -> dict:
             2,
             "invalid input: --eps must be a number, got '-x'",
         ),
+        # transport_independence checks only labels; the command checks its files first
+        "transport-iso-scaled": (
+            ["graph", "transport", "--swap-iso", "--out", str(tmp_path / "cert.out"),
+             "--cert", files["cert"], "--iso", files["iso-scaled"], "--target", files["target"]],
+            3,
+            refused.format("isomorphism strategy")
+            + f" (worst losing tuple {transport['iso-scaled-witness']!r})",
+        ),
+        "transport-cert-scaled": (
+            ["graph", "transport", "--swap-iso", "--out", str(tmp_path / "cert.out"),
+             "--cert", files["cert-scaled"], "--iso", files["iso"], "--target", files["target"]],
+            3,
+            refused.format("independence certificate") + " (worst losing tuple None)",
+        ),
     }
+
+
+@functools.cache
+def scaled_transport_inputs() -> dict:
+    """The magic-square transport's certificate bundle, iso strategy and target graph as
+    JSON, and the bundle and the iso with every operator scaled by 1 + 1e-6.  Also the
+    witness of the scaled iso's relation check: its losing overlaps are rounding noise
+    near 1e-17, so which pair is worst depends on the float kernel."""
+    sys_ = mermin_peres_system()
+    iso = iso_strategy_from_bcs(strategy_from_rep(pauli_magic_square_rep(), sys_), sys_)
+    g_b, g_0 = graph_from_system(sys_), graph_from_system(sys_, use_b=False)
+    cert = independence_certificate_from_set(g_0, complement_colouring_ga0(sys_).independent_set)
+
+    def scaled(s):
+        return OperatorStrategy(s.dim, s.inputs, s.outputs,
+                                {key: (1 + 1e-6) * mat for key, mat in s.pvms.items()})
+
+    def bundle(strategy):
+        return {"value": cert.value, "graph": g_0.to_json_dict(), "strategy": strategy.to_json_dict()}
+
+    witness = check_game_algebra_relations(
+        build_iso_game(g_0, g_b), swap_iso_strategy(scaled(iso)), 1e-9).worst_losing
+    return {"cert": bundle(cert.strategy), "cert-scaled": bundle(scaled(cert.strategy)),
+            "iso": iso.to_json_dict(), "iso-scaled": scaled(iso).to_json_dict(),
+            "target": g_b.to_json_dict(), "iso-scaled-witness": witness}
 
 
 @pytest.mark.parametrize("case", ["verification", "budget", "overflow", "overflow-relations",
                                   "overflow-relators", "overflow-to-strategy", "cluster-tol-exponent",
                                   "tol-exponent", "eps-exponent", "tol-minus-infinity",
-                                  "tol-not-a-number", "eps-not-a-number"])
+                                  "tol-not-a-number", "eps-not-a-number", "transport-iso-scaled",
+                                  "transport-cert-scaled"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"
@@ -757,6 +823,27 @@ def test_fuzzed_input_exits_with_a_documented_code(kind, data):
         code = main(argv + [str(path), "--report", str(Path(tmp) / "report.json")])
         assert code in (0, 2, 3, 4)
         assert json.loads((Path(tmp) / "report.json").read_text())["command"]
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    """Two main calls share one parser, and help, the schema dump and usage errors
+    read as they do from a parser built afresh."""
+    build_parser.cache_clear()
+    assert main(["--schema"]) == 0 and main(["--schema"]) == 0
+    assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 1)
+    schema = capsys.readouterr().out
+    assert schema == 2 * (json.dumps(SCHEMAS, indent=2, sort_keys=True) + "\n")
+
+    def printed(parse, argv) -> tuple:
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code,) + tuple(capsys.readouterr())
+
+    for argv in (["--help"], ["graph", "transport", "--help"], ["graph", "transport"],
+                 ["demo", "magic-square", "--jobs", "2"], ["no-such-group"]):
+        fresh = printed(build_parser.__wrapped__().parse_args, argv)
+        assert printed(main, argv) == printed(main, argv) == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_schema_dump(capsys):

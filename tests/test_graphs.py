@@ -3,7 +3,7 @@ and the certificate transports of the BCS / isomorphism / independence triangle.
 from __future__ import annotations
 
 import re
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -576,11 +576,11 @@ def test_rep_from_independence_matches_the_slot_loop_bit_for_bit(case):
     assert all(w.tobytes() == mat.tobytes() for w, mat in zip(recovered.images, images))
 
 
-def test_defective_certificate_names_its_worst_variable(monkeypatch, magic_square):
+def test_defective_certificate_names_its_worst_variable(magic_square):
     """Slots 1 and 6 rotated by different amounts: both slots' variables fail to glue,
     and the refusal names the variable of largest spread, not the first one over the
-    gluing tolerance.  A rotated certificate already fails its relation check, so the
-    check is bypassed to reach the gluing."""
+    gluing tolerance.  rep_from_independence does not check the certificate's relations,
+    so the rotated certificate reaches the gluing."""
     _, cert = transported_certificate(1, None)
     rng = np.random.default_rng(5)
     rotations = {}
@@ -598,12 +598,68 @@ def test_defective_certificate_names_its_worst_variable(monkeypatch, magic_squar
     worst = 1 + int(np.argmax(spreads))
     first = 1 + next(j for j, spread in enumerate(spreads) if spread > choice_tol)
     assert worst != first
-    passing = SimpleNamespace(require=lambda what: None)
-    monkeypatch.setattr(IndependenceCertificate, "verify", lambda self, tol: passing)
     with pytest.raises(VerificationError, match=f"^variable {worst}: equations") as info:
         rep_from_independence(bad, magic_square, tol=1e-9)
     assert f"disagree by {max(spreads):.3e}" in str(info.value)
     assert str(info.value).endswith("; defective certificate")
+
+
+def _scaled(s: OperatorStrategy, factor: float) -> OperatorStrategy:
+    return OperatorStrategy(s.dim, s.inputs, s.outputs,
+                            {key: factor * mat for key, mat in s.pvms.items()})
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 1e300],
+                         ids=["delta-1e-12", "delta-1e-9", "delta-1e-6", "delta-1e-3", "times-1e300"])
+@pytest.mark.parametrize("scaled", ["transport-iso", "transport-cert", "transport-both", "glue-cert"])
+def test_arguments_off_their_relations_are_refused_or_give_a_certified_result(
+        magic_square, pauli_rep, scaled, factor):
+    """transport_independence and rep_from_independence check only their arguments'
+    labels.  An iso or certificate scaled off its relations must be refused with a
+    toolkit error or give a result that passes its own check, never a numpy warning."""
+    iso = swap_iso_strategy(iso_strategy_from_bcs(strategy_from_rep(pauli_rep, magic_square),
+                                                  magic_square))
+    g_b = graph_from_system(magic_square)
+    certs0 = complement_colouring_ga0(magic_square)
+    cert = independence_certificate_from_set(certs0.graph, certs0.independent_set)
+    if scaled == "glue-cert":
+        cert = transport_independence(cert, iso, g_b)
+    if scaled in ("transport-cert", "transport-both", "glue-cert"):
+        cert = IndependenceCertificate(cert.graph, cert.value, _scaled(cert.strategy, factor))
+    if scaled in ("transport-iso", "transport-both"):
+        iso = _scaled(iso, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if scaled == "glue-cert":
+                rep = rep_from_independence(cert, magic_square, tol=1e-9)
+                assert verify_rep(rep, magic_square, 1e-8).passes
+            else:
+                assert transport_independence(cert, iso, g_b, tol=1e-9).verify(1e-9).passes
+        except (VerificationError, ValidationError):
+            pass
+
+
+def test_mislabelled_arguments_are_refused_as_invalid(magic_square):
+    """Only the labels of the arguments are checked, and they still must be: an output
+    of -1 would index the graph's labels from the end, mixed int and str outputs would
+    not sort, and an iso label that is no (side, vertex) pair would not unpack."""
+    g_b = graph_from_system(magic_square)
+    m, one = magic_square.m, np.eye(1, dtype=complex)
+
+    def certificate(outputs) -> IndependenceCertificate:
+        pvms = {(k, outputs[k % len(outputs)]): one for k in range(m)}
+        return IndependenceCertificate(g_b, m, OperatorStrategy(1, tuple(range(m)), outputs, pvms))
+
+    bcs_like = OperatorStrategy(1, (1,), (1,), {(1, 1): one})
+    for bad in (certificate((-1,)), certificate((0, "a"))):
+        with pytest.raises(ValidationError, match="outputs are not a subset of game outputs"):
+            rep_from_independence(bad, magic_square)
+        with pytest.raises(ValidationError, match="outputs are not a subset of game outputs"):
+            transport_independence(bad, bcs_like, g_b)
+    good = certificate(tuple(range(m)))
+    with pytest.raises(ValidationError, match="inputs do not match game inputs"):
+        transport_independence(good, bcs_like, g_b)
 
 
 def test_certificate_verify_flags_dependent_set():

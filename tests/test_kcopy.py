@@ -16,19 +16,25 @@ from syncgames import (
     alpha,
     build_synbcs,
     check_game_algebra_relations,
+    complement_colouring_ga0,
     correlation_from_tracial,
     decompose_qs,
     graph_from_system,
+    independence_certificate_from_set,
     is_perfect,
     is_synchronous,
+    iso_strategy_from_bcs,
     max_independent_set,
+    rep_from_independence,
     rep_from_strategy,
     solve_gf2,
     strategy_from_rep,
     strategy_from_solution,
+    swap_iso_strategy,
+    transport_independence,
     verify_rep,
 )
-from syncgames import games
+from syncgames import cli, games, graphs, solution_group
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
 from syncgames.graphs import is_independent_set
@@ -197,3 +203,59 @@ def test_a_62_variable_system_never_enumerates_its_outputs():
                                   alice=strategy.pvms, bob=strategy.pvms, state=np.ones(1))
     [(weight, block)] = decompose_qs(bipartite)
     assert weight == 1.0 and bitwise_equal(block, strategy)
+
+
+def demo_pipeline() -> None:
+    assert main(["demo", "magic-square"]) == 0
+
+
+def two_copy_pipeline() -> None:
+    """The steps of perfbench's KCopy2.run, up to its JSON round trip, on a rotated
+    2-copy representation; its own checks go through the counted module attributes."""
+    sys_, rep = rotated_kcopy(2, seed=71)
+    rep_report = solution_group.verify_rep(rep, sys_, ROTATED_RELATION_TOL)
+    assert rep_report.passes and rep_report.j_nontrivial
+    strategy = strategy_from_rep(rep, sys_, tol=TOL, eps=TOL)
+    game = build_synbcs(sys_)
+    relations = games.check_game_algebra_relations(game, strategy, TOL)
+    assert relations.passes and relations.max_residual <= ROTATED_RELATION_TOL
+    corr = correlation_from_tracial(strategy, TOL)
+    assert is_synchronous(corr, TOL) and is_perfect(corr, game, TOL)
+    back = rep_from_strategy(strategy, sys_, tol=TOL)
+    assert solution_group.verify_rep(back, sys_, 1e-8).passes
+    g_b = graph_from_system(sys_, use_b=True)
+    g_0 = graph_from_system(sys_, use_b=False)
+    iso = iso_strategy_from_bcs(strategy, sys_, tol=TOL)
+    cert0 = independence_certificate_from_set(g_0, complement_colouring_ga0(sys_).independent_set)
+    cert_b = transport_independence(cert0, swap_iso_strategy(iso), g_b, tol=TOL)
+    assert cert_b.value == sys_.m and cert_b.verify(TOL).passes
+    recovered = rep_from_independence(cert_b, sys_, tol=TOL)
+    assert solution_group.verify_rep(recovered, sys_, 1e-8).passes
+
+
+@pytest.mark.parametrize("pipeline, relation_checks, rep_checks", [
+    (demo_pipeline, 3, 6),
+    (two_copy_pipeline, 5, 6),
+], ids=["demo", "kcopy2"])
+def test_each_certificate_is_checked_once(monkeypatch, pipeline, relation_checks, rep_checks):
+    """Relation checks and relator verifications computed by each pipeline, counted
+    through every module that imports the two checkers.  A conversion certifies what
+    it returns and does not re-check its arguments, so the demo computes 3 relation
+    checks (6 when transport and gluing re-checked theirs) and the 2-copy pipeline 5
+    (8); the relator verifications stay 6."""
+    originals = {"check_game_algebra_relations": games.check_game_algebra_relations,
+                 "verify_rep": solution_group.verify_rep}
+    counts = dict.fromkeys(originals, 0)
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for module in (games, graphs, solution_group, cli):
+        for name in originals:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
+    pipeline()
+    assert counts == {"check_game_algebra_relations": relation_checks, "verify_rep": rep_checks}
