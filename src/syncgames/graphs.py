@@ -132,11 +132,6 @@ def is_proper_colouring(g: Graph, colouring: dict) -> bool:
     return all(colouring[u] != colouring[v] for u, v in g.edges)
 
 
-def greedy_colouring(g: Graph) -> dict:
-    """Greedy colouring in vertex order, the colour bound's classes; an upper bound for chi."""
-    return {v: k - 1 for k, v in _colour_classes(g.rows, (1 << g.n) - 1, lambda k: None)}
-
-
 def _bits(x: int):
     """The vertices of bitset x, lowest first."""
     while x:

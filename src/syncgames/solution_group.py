@@ -7,6 +7,11 @@ to the central involution J; a strategy arises by multiplying the commuting
 +-1 spectral projections chi_s(w) = (I + s w) / 2 over each equation's support,
 and conversely each variable's unitary is recovered from any equation containing
 it as the sign-weighted sum of that equation's projections.
+
+A conversion certifies what it returns: a constructed strategy by the game-algebra
+relation checker, a glued representation against every relator.  Of its arguments it
+checks only what it reads; their relations are the caller's to check, as the CLI
+checks the files it reads.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .games import build_synbcs, check_game_algebra_relations
+from .games import _check_labels, build_synbcs, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem, enumerate_si
 from .labels import labels_from_json
 from .matops import (
@@ -33,13 +38,7 @@ from .matops import (
     matrix_to_json,
     residual,
 )
-from .strategies import (
-    OperatorStrategy,
-    correlation_from_tracial,
-    deterministic_to_operator,
-    is_perfect,
-    is_synchronous,
-)
+from .strategies import OperatorStrategy, deterministic_to_operator
 
 
 @dataclass(frozen=True)
@@ -305,10 +304,11 @@ def strategy_from_rep(
     E_{i,x} is the product over the equation's support, in sorted order, of the
     spectral-half projections (I + x_j w_j) / 2 picked by x, formed in chunked
     batches over every x in S_i of every equation of one support length;
-    near-zero solutions (2-norm <= 1e-14) are omitted.  The construction
-    certifies (through correlation_from_tracial) that each equation's
-    projections sum to the identity and that the resulting tracial correlation
-    is a synchronous perfect correlation for the BCS game.
+    near-zero solutions (2-norm <= 1e-14) are omitted.  Of rep only the generator
+    count and J = -I are checked; the result is certified instead: its PVMs and
+    game-algebra relations at tol, and each losing overlap squared, for projections
+    ||E F||_2^2 = tr(E F) / d (the probability of that losing tuple; every
+    (x, x, a != b) is one, so this certifies synchronicity too), at most eps.
     """
     if not sys.covers_all_columns:
         raise ValidationError(
@@ -318,7 +318,8 @@ def strategy_from_rep(
     eye = identity(rep.dim)
     if residual(rep.j_image + eye) > tol:
         raise ValidationError("representation must have j_image = -I; apply normalize_j first")
-    verify_rep(rep, sys, tol).require("representation")
+    if rep.n_variables != sys.n:
+        raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
     eps = tol if eps is None else eps
 
     game = build_synbcs(sys)
@@ -334,21 +335,22 @@ def strategy_from_rep(
             # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed
             return (eye + signs[sl, pos, None, None] * stack[ids[sl, pos]]) / 2
 
-        for sl, e in _ordered_products(eye, len(members), ids.shape[1], factor):
-            e = (e + dagger(e)) / 2
-            keep = _residuals(e) > 1e-14  # keep the stored family sparse
-            for r, mat in zip(members[sl][keep].tolist(), e[keep]):
-                pvms[keys[r]] = mat
-    # correlation_from_tracial validates the PVMs, completeness included, at tol
+        # Huge finite entries may overflow; the strategy refuses the non-finite result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sl, e in _ordered_products(eye, len(members), ids.shape[1], factor):
+                e = (e + dagger(e)) / 2
+                keep = _residuals(e) > 1e-14  # keep the stored family sparse
+                for r, mat in zip(members[sl][keep].tolist(), e[keep]):
+                    pvms[keys[r]] = mat
     strategy = OperatorStrategy(dim=rep.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
-    corr = correlation_from_tracial(strategy, tol)
-    if not is_synchronous(corr, eps):
-        raise VerificationError("constructed correlation is not synchronous")
-    if not is_perfect(corr, game, eps):
-        worst, witness = corr.max_losing(game)
+    strategy.validate(tol)
+    report = check_game_algebra_relations(game, strategy, tol)
+    lost = report.max_losing_overlap ** 2
+    if lost > eps:
         raise VerificationError(
-            f"constructed correlation loses with probability {worst:.3e} at {witness!r}"
+            f"constructed correlation loses with probability {lost:.3e} at {report.worst_losing!r}"
         )
+    report.require("constructed strategy")
     return strategy
 
 
@@ -370,9 +372,10 @@ def glue_rep(
     must agree within choice_tol in the 2-norm (they agree exactly under a
     faithful trace), or a VerificationError names the worst pair over all
     variables (the first such pair, by variable, then equations) and ends with
-    tail; every pair's spread is one chunked batch.  The images are the
-    candidates of each variable's first equation, j_image is -I, and the result
-    is verified against every relator at 10 * tol.
+    tail; every pair's spread is one chunked batch, which refuses a non-finite
+    candidate or difference as norm2 does.  The images are the candidates of each
+    variable's first equation, j_image is -I, and the result is verified against
+    every relator at 10 * tol.
     """
     supports = [sorted(row) for row in sys.rows]
     cands = np.empty((sum(map(len, supports)), d, d), dtype=complex)
@@ -386,9 +389,10 @@ def glue_rep(
         signs = signs[:, np.array(support) - 1]
         for sl in _chunk_slices(len(support), d):
             v = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
-            for r, (_, e) in enumerate(row):
-                v = v + signs[r, sl, None, None] * e
-            cands[offset + sl.start:offset + sl.stop] = (v + dagger(v)) / 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r, (_, e) in enumerate(row):
+                    v = v + signs[r, sl, None, None] * e
+                cands[offset + sl.start:offset + sl.stop] = (v + dagger(v)) / 2
         offset += len(support)
     pairs = [(k, i, i2, a, b) for k in range(1, sys.n + 1)
              for pos, (i, a) in enumerate(where.get(k, ())) for i2, b in where[k][pos + 1:]]
@@ -396,7 +400,8 @@ def glue_rep(
     right = np.array([p[4] for p in pairs], dtype=np.intp)
     spreads = np.empty(len(pairs))
     for sl in _chunk_slices(len(pairs), d):
-        diff = cands[left[sl]] - cands[right[sl]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = cands[left[sl]] - cands[right[sl]]
         spreads[sl] = _residuals(diff)
         if np.isinf(spreads[sl]).any() and not np.all(np.isfinite(diff)):
             raise ValidationError("matrix has non-finite entries")  # as norm2 refuses it
@@ -425,14 +430,13 @@ def rep_from_strategy(
     equation containing it; glue_rep computes it from every admissible
     equation and certifies the pairwise differences small (they vanish exactly
     under a faithful trace), so a large spread flags a defective input
-    strategy.  j_image is fixed to -I.
+    strategy; of s only the labels are checked.  j_image is fixed to -I.
     """
     if not sys.covers_all_columns:
         raise ValidationError(
             f"variables {sorted(sys.untouched_variables)} appear in no equation"
         )
-    game = build_synbcs(sys)
-    check_game_algebra_relations(game, s, tol).require("strategy")
+    _check_labels(build_synbcs(sys), s)
     rows = [[(x, s.matrix(i, x)) for x in enumerate_si(sys, i)] for i in range(1, sys.m + 1)]
     s_max = max(len(row) for row in rows)
     choice_tol = math.sqrt(8.0 * s_max * s_max * tol)

@@ -10,6 +10,7 @@ from conftest import exhaustive_solutions, kcopy_magic_square, random_unitary
 from test_graphs import transport_cases, transport_oracle
 
 from syncgames import BinaryLinearSystem, build_synbcs, mermin_peres_system, pauli_magic_square_rep
+from syncgames import check_game_algebra_relations
 from syncgames import matops
 from syncgames.errors import ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
@@ -63,7 +64,8 @@ def verify_rep_loop(rep: GroupRep, sys: BinaryLinearSystem, tol: float) -> RepVe
 
 
 def strategy_from_rep_loop(rep: GroupRep, sys: BinaryLinearSystem, tol: float) -> OperatorStrategy:
-    """strategy_from_rep's operators, one product of (I + x_j w_j) / 2 factors per (i, x)."""
+    """strategy_from_rep's operators, one product of (I + x_j w_j) / 2 factors per (i, x),
+    with the same argument refusals and the same certificate of the result."""
     if not sys.covers_all_columns:
         raise ValidationError(
             f"variables {sorted(sys.untouched_variables)} appear in no equation; "
@@ -72,23 +74,35 @@ def strategy_from_rep_loop(rep: GroupRep, sys: BinaryLinearSystem, tol: float) -
     eye = identity(rep.dim)
     if residual(rep.j_image + eye) > tol:
         raise ValidationError("representation must have j_image = -I; apply normalize_j first")
-    verify_rep_loop(rep, sys, tol).require("representation")
+    if rep.n_variables != sys.n:
+        raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
     game = build_synbcs(sys)
     pvms = {}
     for i in range(1, sys.m + 1):
         support = sorted(sys.rows[i - 1])
         for x in enumerate_si(sys, i):
             e = eye
-            for j in support:
-                e = e @ ((eye + x[j - 1] * rep.images[j - 1]) / 2)
-            e = (e + dagger(e)) / 2
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in support:
+                    e = e @ ((eye + x[j - 1] * rep.images[j - 1]) / 2)
+                e = (e + dagger(e)) / 2
             if norm2(e) > 1e-14:
                 pvms[(i, x)] = e
-    return OperatorStrategy(dim=rep.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    strategy = OperatorStrategy(dim=rep.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    strategy.validate(tol)
+    report = check_game_algebra_relations(game, strategy, tol)
+    lost = report.max_losing_overlap ** 2
+    if lost > tol:
+        raise VerificationError(
+            f"constructed correlation loses with probability {lost:.3e} at {report.worst_losing!r}"
+        )
+    report.require("constructed strategy")
+    return strategy
 
 
 def glue_rep_loop(sys, rows, d, choice_tol, tol, tail) -> GroupRep:
-    """glue_rep with one candidate sum per (variable, equation) and one norm2 per pair."""
+    """glue_rep with one candidate sum per (variable, equation) and one norm2 per pair;
+    norm2 refuses a non-finite candidate or difference."""
     images = []
     worst, witness = 0.0, None
     for k in range(1, sys.n + 1):
@@ -96,12 +110,15 @@ def glue_rep_loop(sys, rows, d, choice_tol, tol, tail) -> GroupRep:
         for i in range(1, sys.m + 1):
             if k in sys.rows[i - 1]:
                 v = np.zeros((d, d), dtype=complex)
-                for x, e in rows[i - 1]:
-                    v = v + x[k - 1] * e
-                mats.append((i, (v + dagger(v)) / 2))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for x, e in rows[i - 1]:
+                        v = v + x[k - 1] * e
+                    mats.append((i, (v + dagger(v)) / 2))
         for a, (i, va) in enumerate(mats):
             for i2, vb in mats[a + 1:]:
-                diff = norm2(va - vb)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    delta = va - vb
+                diff = norm2(delta)
                 if diff > worst:
                     worst, witness = diff, (k, i, i2)
         images.append(mats[0][1] if mats else identity(d))
@@ -358,12 +375,10 @@ def test_transport_is_bit_identical_to_the_triple_loop_in_one_matrix_chunks(monk
 
 def test_glue_rep_refuses_an_overflowing_difference_as_the_loop_does(chunking):
     """Candidates of +-1.5e308 differ by an infinite matrix, which norm2 refuses as
-    malformed; the batch refuses it with the same message (the subtraction's overflow
-    warning is silenced here, as it is raised by both)."""
+    malformed; the batch refuses it with the same message, and neither warns."""
     sys_ = BinaryLinearSystem(m=2, n=1, rows=(frozenset({1}), frozenset({1})), b=(1, 1))
     big = 1.5e308 * np.eye(2, dtype=complex)
     rows = [[((-1,), big)], [((-1,), -big)]]
     args = (sys_, rows, 2, 1e-6, 1e-9, "tail")
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, want = outcome(glue_rep, *args), outcome(glue_rep_loop, *args)
+    got, want = outcome(glue_rep, *args), outcome(glue_rep_loop, *args)
     assert got == want == (ValidationError, "matrix has non-finite entries")

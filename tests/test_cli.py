@@ -445,6 +445,11 @@ def failing_runs(tmp_path) -> dict:
     huge_rep = {"dim": 1, "images": [{"dim": 1, "entries": [[[1.7e308, 0.0]]]}] * 9,
                 "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}
     magic = write_json(tmp_path, "magic.json", mermin_peres_system().to_json_dict())
+    # the second variable is in no equation, which the conversions refuse (exit 2)
+    untouched = write_json(tmp_path, "untouched.json", {"m": 1, "n": 2, "rows": [[1]], "b": [1]})
+    double = {"dim": 1, "images": [{"dim": 1, "entries": [[[2.0, 0.0]]]}] * 2,
+              "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}
+    empty_one = {"dim": 1, "inputs": [1], "outputs": [[-1, 1]], "pvms": []}
     transport = scaled_transport_inputs()
     files = {name: write_json(tmp_path, f"{name}.json", transport[name])
              for name in ("cert", "cert-scaled", "iso", "iso-scaled", "target")}
@@ -488,6 +493,39 @@ def failing_runs(tmp_path) -> dict:
              "--out", str(tmp_path / "strategy.out")],
             3,
             "verification failed: representation fails the relators: max residual inf > 1e-09",
+        ),
+        # The group conversions certify only what they return, and each command checks
+        # the file it reads first: of two faults, a file off its relations is reported
+        # before an untouched variable or J != -I.
+        "from-strategy-defective": (
+            ["group", "from-strategy", "--system", magic, "--strategy", str(tmp_path / "empty.json"),
+             "--out", str(tmp_path / "rep.out")],
+            3,
+            "verification failed: strategy fails the game-algebra relations: max residual "
+            "1.000e+00 > 1e-09 (worst losing tuple None)",
+        ),
+        "to-strategy-untouched-and-relators": (
+            ["group", "to-strategy", "--system", untouched,
+             "--rep", write_json(tmp_path, "double.json", double),
+             "--out", str(tmp_path / "strategy.out")],
+            3,
+            "verification failed: representation fails the relators: max residual 3.000e+00 > 1e-09",
+        ),
+        "to-strategy-j-and-relators": (
+            ["group", "to-strategy", "--system", magic,
+             "--rep", write_json(tmp_path, "huge_rep_j.json",
+                                 {**huge_rep, "j": {"dim": 1, "entries": [[[1.0, 0.0]]]}}),
+             "--out", str(tmp_path / "strategy.out")],
+            3,
+            "verification failed: representation fails the relators: max residual inf > 1e-09",
+        ),
+        "from-strategy-untouched-and-relations": (
+            ["group", "from-strategy", "--system", untouched,
+             "--strategy", write_json(tmp_path, "empty_one.json", empty_one),
+             "--out", str(tmp_path / "rep.out")],
+            3,
+            "verification failed: strategy fails the game-algebra relations: max residual "
+            "1.000e+00 > 1e-09 (worst losing tuple None)",
         ),
         # A negative value written with an exponent, or -inf, is a value, not an option:
         # the range check refuses it before any input is read.
@@ -572,7 +610,9 @@ def scaled_transport_inputs() -> dict:
                                   "overflow-relators", "overflow-to-strategy", "cluster-tol-exponent",
                                   "tol-exponent", "eps-exponent", "tol-minus-infinity",
                                   "tol-not-a-number", "eps-not-a-number", "transport-iso-scaled",
-                                  "transport-cert-scaled"])
+                                  "transport-cert-scaled", "from-strategy-defective",
+                                  "to-strategy-untouched-and-relators", "to-strategy-j-and-relators",
+                                  "from-strategy-untouched-and-relations"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"

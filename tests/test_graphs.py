@@ -51,7 +51,6 @@ from syncgames.gf2 import enumerate_si
 from syncgames.graphs import (
     Graph,
     IndependenceCertificate,
-    greedy_colouring,
     is_independent_set,
     is_proper_colouring,
 )
@@ -312,12 +311,6 @@ def test_complement_colouring_ga0_random_homogeneous():
         certs = complement_colouring_ga0(sys_)
         assert certs.value == sys_.m
         assert is_proper_colouring(certs.graph.complement(), certs.colouring)
-
-
-def test_greedy_colouring_is_proper():
-    rng = np.random.default_rng(69)
-    g = random_graph(rng, 14, p=0.4)
-    assert is_proper_colouring(g, greedy_colouring(g))
 
 
 def test_iso_strategy_from_classical_solution_is_permutation():

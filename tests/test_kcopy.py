@@ -234,15 +234,17 @@ def two_copy_pipeline() -> None:
 
 
 @pytest.mark.parametrize("pipeline, relation_checks, rep_checks", [
-    (demo_pipeline, 3, 6),
-    (two_copy_pipeline, 5, 6),
+    (demo_pipeline, 3, 3),
+    (two_copy_pipeline, 5, 5),
 ], ids=["demo", "kcopy2"])
 def test_each_certificate_is_checked_once(monkeypatch, pipeline, relation_checks, rep_checks):
     """Relation checks and relator verifications computed by each pipeline, counted
     through every module that imports the two checkers.  A conversion certifies what
     it returns and does not re-check its arguments, so the demo computes 3 relation
-    checks (6 when transport and gluing re-checked theirs) and the 2-copy pipeline 5
-    (8); the relator verifications stay 6."""
+    checks and 3 relator verifications (6 and 6 when every conversion re-checked its
+    arguments and the demo re-verified the glued representations) and the 2-copy
+    pipeline 5 and 5 (8 and 6); 2 of those 5 are its own re-verifications of the glued
+    representations, as in perfbench's KCopy2.run."""
     originals = {"check_game_algebra_relations": games.check_game_algebra_relations,
                  "verify_rep": solution_group.verify_rep}
     counts = dict.fromkeys(originals, 0)

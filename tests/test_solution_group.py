@@ -2,10 +2,13 @@
 strategy/representation conversions."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import kcopy_magic_square, random_hermitian, random_unitary, rotated
+from test_graphs import transported_certificate
 
 from syncgames import (
     BinaryLinearSystem,
@@ -14,9 +17,13 @@ from syncgames import (
     correlation_from_tracial,
     is_perfect,
     is_synchronous,
+    mermin_peres_system,
+    pauli_magic_square_rep,
+    rep_from_independence,
     solve_gf2,
 )
-from syncgames.errors import ValidationError, VerificationError
+from syncgames.errors import ToolkitError, ValidationError, VerificationError
+from syncgames.graphs import IndependenceCertificate
 from syncgames.solution_group import (
     GroupRep,
     normalize_j,
@@ -322,3 +329,132 @@ def test_tensoring_with_an_identity_keeps_every_verdict(magic_square, pauli_rep,
                   "max_losing_overlap", "max_residual"):
         assert abs(getattr(small, field) - getattr(large, field)) <= 1e-12
     assert (small.n_stored, small.n_losing_checked) == (large.n_stored, large.n_losing_checked)
+
+
+@pytest.mark.parametrize("count", [8, 10], ids=["one-short", "one-over"])
+def test_strategy_from_rep_refuses_a_wrong_generator_count(magic_square, pauli_rep, count):
+    """One generator short, the construction would read J as generator 9."""
+    images = (pauli_rep.images + (np.eye(4, dtype=complex),))[:count]
+    rep = GroupRep(images=images, j_image=pauli_rep.j_image)
+    with pytest.raises(ValidationError, match=f"^representation has {count} generators, system has 9$"):
+        strategy_from_rep(rep, magic_square)
+    # the untouched-variable and J = -I refusals come first, as before
+    with pytest.raises(ValidationError, match="must have j_image = -I"):
+        strategy_from_rep(GroupRep(images=images, j_image=np.eye(4, dtype=complex)), magic_square)
+
+
+def test_rep_from_strategy_refuses_a_mislabelled_strategy(magic_square, pauli_rep):
+    strategy = strategy_from_rep(pauli_rep, magic_square)
+    pvms = {(i, x): mat for (i, x), mat in strategy.pvms.items() if i < 6}
+    fewer = OperatorStrategy(strategy.dim, tuple(range(1, 6)), strategy.outputs, pvms)
+    with pytest.raises(ValidationError, match="^strategy inputs do not match game inputs$"):
+        rep_from_strategy(fewer, magic_square)
+    ints = OperatorStrategy(1, strategy.inputs, (0, 1), {(i, 0): np.eye(1) for i in strategy.inputs})
+    with pytest.raises(ValidationError, match="^strategy outputs are not a subset of game outputs$"):
+        rep_from_strategy(ints, magic_square)
+
+
+def broken_reps() -> dict:
+    """The Pauli representation of the magic square, broken in one way each."""
+    pauli = pauli_magic_square_rep()
+    images, j = list(pauli.images), pauli.j_image
+    rng = np.random.default_rng(41)
+    cases = {"sign-flip": GroupRep(tuple([-images[0]] + images[1:]), j)}
+    for eps in (1e-3, 1e-6, 1e-8):
+        u = _expm_skew(random_hermitian(4, rng), eps)
+        cases[f"conjugated-{eps:g}"] = GroupRep(tuple([u @ images[0] @ u.conj().T] + images[1:]), j)
+    cases["j-plus-identity"] = GroupRep(pauli.images, np.eye(4, dtype=complex))
+    cases["non-unitary"] = GroupRep(tuple([2 * images[0]] + images[1:]), j)
+    cases["scaled-1e200"] = GroupRep(tuple(1e200 * w for w in images), j)
+    return cases
+
+
+BROKEN = broken_reps()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_representations_are_refused_or_give_a_certified_strategy(name, tol):
+    """strategy_from_rep does not check its representation's relators, so a broken one
+    must be refused with a toolkit error (never a numpy warning) or give a strategy
+    that passes the relation check at tol with every losing overlap squared <= eps."""
+    sys_, game = mermin_peres_system(), build_synbcs(mermin_peres_system())
+    refusal = {"sign-flip": "PVM invariants fail: ", "non-unitary": "PVM invariants fail: ",
+               "j-plus-identity": "representation must have j_image = -I",
+               "scaled-1e200": "matrix has non-finite entries"}.get(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            strategy = strategy_from_rep(BROKEN[name], sys_, tol=tol)
+        except ToolkitError as exc:
+            assert str(exc).startswith(refusal or "")
+            return
+    report = check_game_algebra_relations(game, strategy, tol)
+    assert report.passes and report.max_losing_overlap ** 2 <= tol
+    assert name.startswith("conjugated")  # a small rotation may stay within tol
+
+
+def per_input_rotations(strategy: OperatorStrategy, delta: float, seed: int) -> OperatorStrategy:
+    """Each input's projections conjugated by its own exp(i delta H): still exact PVMs,
+    with losing overlaps between inputs of order delta."""
+    rng = np.random.default_rng(seed)
+    u = {x: _expm_skew(random_hermitian(strategy.dim, rng), delta) for x in strategy.inputs}
+    return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs,
+                            {(x, a): u[x] @ mat @ u[x].conj().T for (x, a), mat in strategy.pvms.items()})
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_squared_losing_overlap_is_the_tracial_losing_probability(copies):
+    """strategy_from_rep refuses when a losing overlap squared exceeds eps, where it
+    refused a tracial losing probability above eps: for projections
+    ||E F||_2^2 = tr(E F) / d.  On Haar-rotated strategies, each input then rotated by
+    delta, the two verdicts agree for every eps outside a band of 1e-12 relative plus
+    1e-15 absolute around the tracial value (the trace sums round near 1e-17)."""
+    sys_, rep = kcopy_magic_square(copies)
+    game = build_synbcs(sys_)
+    u = random_unitary(rep.dim, np.random.default_rng(copies))
+    spun = GroupRep(tuple(u @ w @ u.conj().T for w in rep.images), u @ rep.j_image @ u.conj().T)
+    base = strategy_from_rep(spun, sys_)
+    for delta in (0.0, 1e-8, 1e-6, 1e-4, 1e-3):
+        s = per_input_rotations(base, delta, seed=copies) if delta else base
+        squared = check_game_algebra_relations(game, s, 1e-9).max_losing_overlap ** 2
+        tracial = correlation_from_tracial(s, 1e-9).max_losing(game)[0]
+        band = 1e-12 * tracial + 1e-15
+        for eps in (0.0, 1e-12, 1e-9, 1e-3, 0.5 * tracial, 0.99 * tracial, 1.01 * tracial, 2 * tracial):
+            if abs(eps - tracial) > band:
+                assert (squared > eps) == (tracial > eps), (delta, eps, squared, tracial)
+        if not delta:  # the library's own verdict on its own strategy
+            for eps in (1e-12, 1e-9):
+                assert strategy_from_rep(spun, sys_, eps=eps).pvms.keys() == base.pvms.keys()
+
+
+def test_strategy_from_rep_names_the_losing_probability(magic_square, pauli_rep):
+    """A rotated generator at a loose tol passes the PVM check; an eps below its losing
+    overlap squared refuses it with that probability and the worst losing tuple."""
+    rep = BROKEN["conjugated-0.001"]
+    game = build_synbcs(magic_square)
+    report = check_game_algebra_relations(game, strategy_from_rep(rep, magic_square, tol=1e-3), 1e-3)
+    probability = report.max_losing_overlap ** 2
+    assert 0.0 < probability <= 1e-3
+    with pytest.raises(VerificationError) as info:
+        strategy_from_rep(rep, magic_square, tol=1e-3, eps=probability / 2)
+    assert str(info.value) == (f"constructed correlation loses with probability {probability:.3e} "
+                               f"at {report.worst_losing!r}")
+
+
+def test_gluing_refuses_overflowing_sums_without_a_warning(magic_square, pauli_rep):
+    """Rows scaled by 1.7e308 overflow when glue_rep sums them, through either caller;
+    the non-finite candidate is refused as the spread check refuses one."""
+    strategy = strategy_from_rep(pauli_rep, magic_square)
+    huge = OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs,
+                            {key: 1.7e308 * mat for key, mat in strategy.pvms.items()})
+    _, cert = transported_certificate(1, None)
+    huge_cert = IndependenceCertificate(cert.graph, cert.value, OperatorStrategy(
+        cert.strategy.dim, cert.strategy.inputs, cert.strategy.outputs,
+        {key: 1.7e308 * mat for key, mat in cert.strategy.pvms.items()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+            rep_from_strategy(huge, magic_square)
+        with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+            rep_from_independence(huge_cert, magic_square)
