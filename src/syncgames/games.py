@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
-from .gf2 import BinaryLinearSystem, enumerate_si
+from .gf2 import BinaryLinearSystem
 from .labels import MAX_SIGN_VECTOR_LENGTH, SignVectors, label_set, label_to_json, labels_from_json
 from .matops import product_norms
 
@@ -159,10 +159,20 @@ def _bcs_disagreement(sys: BinaryLinearSystem, keys) -> np.ndarray:
 def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     """The synchronous BCS game of a GF(2) system: inputs are equations, outputs are
     the global sign vectors, kept implicit as SignVectors(n); players win when both
-    answers are local solutions agreeing on shared variables."""
+    answers are local solutions agreeing on shared variables.  Each system builds its
+    game once and returns the same SyncGame afterwards; a refusal is raised on every
+    call."""
     if sys.n > MAX_GAME_VARIABLES:
         raise BudgetError(f"synBCS output set 2^{sys.n} exceeds the n <= {MAX_GAME_VARIABLES} budget")
-    listed = {i: tuple(enumerate_si(sys, i)) for i in range(1, sys.m + 1)}  # in output order
+    return sys._cached("synbcs", lambda: _build_synbcs(sys))
+
+
+def _build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
+    # the system's own local-solution tuples, in output order
+    listed = {i: sys._local_solutions(i) for i in range(1, sys.m + 1)}
+    # The closures hold an equal system with nothing derived, not sys: sys keeps this
+    # game, and the reference cycle would leave a dropped system to the cyclic collector.
+    spec = BinaryLinearSystem(m=sys.m, n=sys.n, rows=sys.rows, b=sys.b)
     solutions = {i: frozenset(si) for i, si in listed.items()}
     shared = {
         (i, j): tuple(sorted(sys.rows[i - 1] & sys.rows[j - 1]))
@@ -177,13 +187,13 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
 
     def mask_of(keys):
         valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
-        return ~(valid[:, None] & valid[None, :]) | _bcs_disagreement(sys, keys)
+        return ~(valid[:, None] & valid[None, :]) | _bcs_disagreement(spec, keys)
 
     game = SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
         outputs=SignVectors(sys.n),
         predicate=predicate,
-        source=lambda: {"kind": "synbcs", "system": sys.to_json_dict()},
+        source=lambda: {"kind": "synbcs", "system": spec.to_json_dict()},
     )
     return _with_mask(game, mask_of, listed)
 
@@ -223,11 +233,12 @@ def _rel(graph, u, v) -> int:
 def _pair_adjacency(graph, verts: np.ndarray) -> np.ndarray:
     """(K, K) bool array of graph.is_edge(verts[i], verts[j]).  The edges whose two
     endpoints are both among the n' distinct vertices named are scattered into an
-    n' x n' table, so the cost is O(K^2 + |E| log n') and never grows with graph.n."""
+    n' x n' table, so the cost is O(K^2 + |E| log n') and never grows with graph.n.  The
+    edges come from the graph's own (|E|, 2) array, built once per graph."""
     named, inverse = np.unique(verts, return_inverse=True)
     adjacent = np.zeros((len(named), len(named)), dtype=bool)
     if len(named):
-        edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+        edges = graph._edge_array
         pos = np.searchsorted(named, edges).clip(max=len(named) - 1)
         u, v = pos[(named[pos] == edges).all(axis=1)].T  # edges with both ends named
         adjacent[u, v] = adjacent[v, u] = True

@@ -6,7 +6,7 @@ Rows are bit-packed into Python ints, so elimination is exact and reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
 
@@ -26,6 +26,11 @@ class BinaryLinearSystem:
     n: int
     rows: tuple  # tuple of frozensets of 1-based variable indices
     b: tuple      # tuple of bits (0 or 1)
+    # what the library derives from the system, each built on first use and kept for the
+    # object's life (equality, hashing and repr ignore it): ("si", i) -> equation i's local
+    # solutions, "homogeneous" -> the b = 0 system, "graph" -> the incompatibility graph,
+    # "synbcs" -> the synBCS game
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -73,6 +78,40 @@ class BinaryLinearSystem:
         for j in self.rows[i - 1]:
             prod *= x[j - 1]
         return prod == (-1) ** self.b[i - 1]
+
+    def __reduce__(self):
+        # a pickle or copy starts with nothing derived, as a system loaded from JSON does
+        return (BinaryLinearSystem, (self.m, self.n, self.rows, self.b))
+
+    def _cached(self, key, build):
+        """The object build() returned on the first call for key.  A call that raises
+        (a budget refusal) stores nothing, so it raises again on the next call."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def _local_solution_count(self, i: int) -> int:
+        """|S_i| = 2^(|V_i| - 1), refused for a support over MAX_SUPPORT_ENUMERATION."""
+        self._check_index(i)
+        size = len(self.rows[i - 1])
+        if size > MAX_SUPPORT_ENUMERATION:
+            raise BudgetError(
+                f"equation {i} has support size {size} > {MAX_SUPPORT_ENUMERATION}"
+            )
+        return 1 << (size - 1)
+
+    def _local_solutions(self, i: int) -> tuple:
+        """Equation i's local solutions as enumerate_si lists them, enumerated once per
+        system and kept as a tuple; a refusal is raised on every call."""
+        self._local_solution_count(i)
+        return self._cached(("si", i), lambda: _enumerate_si(self, i))
+
+    def _homogeneous(self) -> "BinaryLinearSystem":
+        """The system with every b_i = 0: itself when it is homogeneous, else built once."""
+        if not any(self.b):
+            return self
+        return self._cached("homogeneous", lambda: BinaryLinearSystem(
+            m=self.m, n=self.n, rows=self.rows, b=(0,) * self.m))
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -148,14 +187,14 @@ def enumerate_si(sys: BinaryLinearSystem, i: int) -> list:
 
     Returned in lexicographic order (tuples compared entrywise, -1 before +1),
     so downstream vertex orderings are byte-stable.  Cardinality is
-    2^(|V_i| - 1).  Supports larger than 20 variables are refused.
+    2^(|V_i| - 1).  Supports larger than 20 variables are refused.  The vectors
+    are enumerated once per system and equation; each call returns a new list.
     """
-    sys._check_index(i)
+    return list(sys._local_solutions(i))
+
+
+def _enumerate_si(sys: BinaryLinearSystem, i: int) -> tuple:
     support = sorted(sys.rows[i - 1])
-    if len(support) > MAX_SUPPORT_ENUMERATION:
-        raise BudgetError(
-            f"equation {i} has support size {len(support)} > {MAX_SUPPORT_ENUMERATION}"
-        )
     target = (-1) ** sys.b[i - 1]
     out = []
     for signs in iter_product((-1, 1), repeat=len(support)):
@@ -169,4 +208,4 @@ def enumerate_si(sys: BinaryLinearSystem, i: int) -> list:
             x[j - 1] = s
         out.append(tuple(x))
     out.sort()
-    return out
+    return tuple(out)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
 from .games import _bcs_disagreement, _check_labels, node_budget
-from .gf2 import BinaryLinearSystem, enumerate_si
+from .gf2 import BinaryLinearSystem
 from .labels import int_from_json, label_to_json, labels_from_json
 from .matops import DEFAULT_TOL, _chunk_slices, _kron_pairs, _residuals
 from .solution_group import GroupRep, glue_rep
@@ -71,6 +71,13 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
+
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """The edges as a read-only (|E|, 2) intp array, in the frozenset's order."""
+        edges = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        edges.flags.writeable = False
+        return edges
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -247,20 +254,21 @@ def graph_from_system(sys: BinaryLinearSystem, use_b: bool = True) -> Graph:
 
     With use_b=False the homogeneous right-hand side is used instead.  Vertices
     are ordered equation-major with solutions lexicographic, so the graph (and
-    its JSON) is byte-stable.
+    its JSON) is byte-stable.  Each system builds its G_b and its G_0 once and
+    returns the same Graph afterwards; a refusal (a support over 20 variables,
+    more than MAX_SYSTEM_GRAPH_VERTICES vertices) is raised on every call,
+    before any local solution is enumerated.
     """
-    variant = (
-        sys
-        if use_b
-        else BinaryLinearSystem(m=sys.m, n=sys.n, rows=sys.rows, b=(0,) * sys.m)
-    )
-    labels = []
-    for i in range(1, variant.m + 1):
-        for x in enumerate_si(variant, i):
-            labels.append((i, x))
-    if len(labels) > MAX_SYSTEM_GRAPH_VERTICES:
-        raise BudgetError(f"{len(labels)} vertices exceed the budget of {MAX_SYSTEM_GRAPH_VERTICES}")
-    us, vs = np.nonzero(np.triu(_bcs_disagreement(variant, labels), 1))
+    variant = sys if use_b else sys._homogeneous()
+    n = sum(variant._local_solution_count(i) for i in range(1, variant.m + 1))
+    if n > MAX_SYSTEM_GRAPH_VERTICES:
+        raise BudgetError(f"{n} vertices exceed the budget of {MAX_SYSTEM_GRAPH_VERTICES}")
+    return variant._cached("graph", lambda: _build_graph_from_system(variant))
+
+
+def _build_graph_from_system(sys: BinaryLinearSystem) -> Graph:
+    labels = [(i, x) for i in range(1, sys.m + 1) for x in sys._local_solutions(i)]
+    us, vs = np.nonzero(np.triu(_bcs_disagreement(sys, labels), 1))
     edges = frozenset(zip(us.tolist(), vs.tolist()))
     return Graph(n=len(labels), edges=edges, labels=tuple(labels))
 
@@ -311,6 +319,12 @@ class IndependenceCertificate:
     strategy: OperatorStrategy
 
     def game(self):
+        """The homomorphism game from K_value into the graph's complement, built once
+        per certificate, as Graph keeps its complement."""
+        return self._game
+
+    @cached_property
+    def _game(self):
         return build_hom_game(complete(self.value), self.graph.complement())
 
     def verify(self, tol: float = DEFAULT_TOL) -> GameRelationReport:
@@ -334,22 +348,28 @@ def iso_strategy_from_bcs(
 
     The projection for the pair ((i, x), (j, y)) is the BCS projection at the
     pointwise product x*y when i = j and zero otherwise.  Row and column sums
-    and all relation products are certified through the game checker.
+    and all relation products are certified through the game checker.  Each G_b
+    vertex is paired only with the G_0 vertices of its own equation, read from the
+    system's local solutions (both graphs list vertices equation-major in that order).
     """
     g_b = graph_from_system(sys, use_b=True)
     g_0 = graph_from_system(sys, use_b=False)
     game = build_iso_game(g_b, g_0)
+    homogeneous = sys._homogeneous()
     pvms = {}
-    for u, (i, x) in enumerate(g_b.labels):
-        for v, (j, y) in enumerate(g_0.labels):
-            if i != j:
-                continue
-            z = tuple(a * b for a, b in zip(x, y))
-            mat = s.pvms.get((i, z))
-            if mat is None:
-                continue
-            pvms[(("g", u), ("h", v))] = mat
-            pvms[(("h", v), ("g", u))] = mat
+    u = v0 = 0  # the first G_b and G_0 vertex of equation i
+    for i in range(1, sys.m + 1):
+        ys = homogeneous._local_solutions(i)
+        for x in sys._local_solutions(i):
+            for v, y in enumerate(ys, start=v0):
+                z = tuple(a * b for a, b in zip(x, y))
+                mat = s.pvms.get((i, z))
+                if mat is None:
+                    continue
+                pvms[(("g", u), ("h", v))] = mat
+                pvms[(("h", v), ("g", u))] = mat
+            u += 1
+        v0 += len(ys)
     iso = OperatorStrategy(dim=s.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
     check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso

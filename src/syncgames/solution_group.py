@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError, VerificationError
 from .games import _check_labels, build_synbcs, check_game_algebra_relations
-from .gf2 import BinaryLinearSystem, enumerate_si
+from .gf2 import BinaryLinearSystem
 from .labels import labels_from_json
 from .matops import (
     DEFAULT_TOL,
@@ -323,7 +323,7 @@ def strategy_from_rep(
     eps = tol if eps is None else eps
 
     game = build_synbcs(sys)
-    keys = [(i, x) for i in range(1, sys.m + 1) for x in enumerate_si(sys, i)]
+    keys = [(i, x) for i in range(1, sys.m + 1) for x in sys._local_solutions(i)]
     stack = rep.stack
     pvms = {}
     for members, ids in _by_length([sorted(sys.rows[i - 1]) for i, _ in keys]):
@@ -437,7 +437,7 @@ def rep_from_strategy(
             f"variables {sorted(sys.untouched_variables)} appear in no equation"
         )
     _check_labels(build_synbcs(sys), s)
-    rows = [[(x, s.matrix(i, x)) for x in enumerate_si(sys, i)] for i in range(1, sys.m + 1)]
+    rows = [[(x, s.matrix(i, x)) for x in sys._local_solutions(i)] for i in range(1, sys.m + 1)]
     s_max = max(len(row) for row in rows)
     choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
     return glue_rep(sys, rows, s.dim, choice_tol, tol,

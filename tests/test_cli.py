@@ -912,3 +912,33 @@ def test_demo_magic_square_report_is_byte_stable(tmp_path):
         "quantum-independence-6",
     } <= names
     assert p1["payload"]["alpha_G_Ab"] == 5
+
+
+# sha256 of what these commands write for the magic square: how the graphs are built may
+# change, their bytes may not
+GRAPH_OUT_SHA256 = {
+    "from-system": "97605f80402cac940de0eac76ab54d61edf3f25395665cf227c49aaf2ba9793f",
+    "from-system --homogeneous": "a1d453e8cac17e94971701e95668ef45418c19e28309237321bd1b9463a479a7",
+    "colour-ga0": "661420c6f47ba36017ece499128bae00d69822a9266fed4f879ec3bfcd3986af",
+}
+DEMO_REPORT_SHA256 = "68fd0ec29720f25e01b06d8e30e4a8a3e2c700380e744fcdb62c4cc6b13c8adb"
+
+
+def test_graph_and_demo_outputs_are_pinned(tmp_path, magic_square_file):
+    """The graph commands' --out files and the demo's report (without wall_time_s, keys
+    sorted) keep their bytes, run twice in one process."""
+    for _ in range(2):
+        for command, digest in GRAPH_OUT_SHA256.items():
+            out, report = tmp_path / "out.json", tmp_path / "report.json"
+            argv = ["graph", *command.split(), "--system", magic_square_file,
+                    "--out", str(out), "--report", str(report)]
+            assert main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+            if command.startswith("from-system"):
+                assert json.loads(report.read_text())["payload"] == {"edges": 108, "vertices": 24}
+        report = tmp_path / "demo.json"
+        assert main(["demo", "magic-square", "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        del data["wall_time_s"]
+        text = json.dumps(data, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == DEMO_REPORT_SHA256

@@ -1,6 +1,12 @@
-"""GF(2) solver and local-solution enumeration against exhaustive oracles."""
+"""GF(2) solver and local-solution enumeration against exhaustive oracles, and the
+structures a system builds once and keeps."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+import pickle
+import weakref
 from itertools import product as iter_product
 
 import pytest
@@ -9,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import exhaustive_solutions, random_system
 import numpy as np
 
-from syncgames import BinaryLinearSystem, enumerate_si, solve_gf2
+from syncgames import (
+    BinaryLinearSystem,
+    build_synbcs,
+    enumerate_si,
+    graph_from_system,
+    mermin_peres_system,
+    solve_gf2,
+)
+from syncgames import gf2, graphs
 from syncgames.errors import BudgetError, ValidationError
 
 
@@ -157,3 +171,89 @@ def test_solve_agrees_with_bitmask_scan_up_to_sixteen_variables():
                 for x in range(2**n)
             )
             assert (solve_gf2(sys_) is not None) == brute
+
+
+def derived_objects(sys_) -> list:
+    """Every object the library derives from sys_ and keeps on it."""
+    objects = [build_synbcs(sys_), graph_from_system(sys_, True), graph_from_system(sys_, False)]
+    objects += [sys_._homogeneous()] + [sys_._local_solutions(i) for i in range(1, sys_.m + 1)]
+    return objects
+
+
+def test_mutating_a_local_solution_list_changes_nothing_kept(magic_square):
+    listed = enumerate_si(magic_square, 1)
+    expected = list(listed)
+    listed.reverse()
+    listed.append((1,) * 9)
+    assert enumerate_si(magic_square, 1) == expected
+    assert enumerate_si(magic_square, 1) is not enumerate_si(magic_square, 1)
+    assert build_synbcs(magic_square)._candidates[1] == tuple(expected)
+
+
+def test_equal_systems_share_no_derived_object(magic_square):
+    """Equality, hashing and repr ignore what a system keeps, and each object, equal or
+    not, built directly, by dataclasses.replace, by a copy or by a pickle, derives its
+    own."""
+    kept = derived_objects(magic_square)
+    other = mermin_peres_system()
+    assert other == magic_square and other is not magic_square
+    assert hash(other) == hash(magic_square) and repr(other) == repr(magic_square)
+    flipped = dataclasses.replace(magic_square, b=(1,) * 6)
+    same = dataclasses.replace(magic_square, b=magic_square.b)
+    seen = {id(obj) for obj in kept}
+    for sys_ in (other, flipped, same):
+        objects = derived_objects(sys_)
+        assert seen.isdisjoint(map(id, objects))
+        seen.update(map(id, objects))
+    assert derived_objects(other)[1] == kept[1] == derived_objects(same)[1]
+    for sys_ in (copy.copy(magic_square), copy.deepcopy(magic_square),
+                 pickle.loads(pickle.dumps(magic_square))):
+        assert sys_ == magic_square and sys_._derived == {}
+    fresh = BinaryLinearSystem(m=6, n=9, rows=magic_square.rows, b=(1,) * 6)
+    assert graph_from_system(flipped, True) == graph_from_system(fresh, True)
+    assert build_synbcs(flipped)._candidates == build_synbcs(fresh)._candidates
+
+
+def test_refusals_are_raised_on_every_call(monkeypatch, magic_square):
+    """A refusal stores nothing: the same call refuses again, and once the budget allows
+    it the object is built.  The graph budget refuses before any local solution is
+    enumerated."""
+    enumerated = []
+    original = gf2._enumerate_si
+    monkeypatch.setattr(gf2, "_enumerate_si", lambda *args: enumerated.append(args) or original(*args))
+    monkeypatch.setattr(graphs, "MAX_SYSTEM_GRAPH_VERTICES", 23)
+    for use_b in (True, False, True):
+        with pytest.raises(BudgetError, match="^24 vertices exceed the budget of 23$"):
+            graph_from_system(magic_square, use_b)
+    assert enumerated == []
+    monkeypatch.setattr(graphs, "MAX_SYSTEM_GRAPH_VERTICES", 24)
+    assert graph_from_system(magic_square, True).n == 24
+    n = 25
+    wide = BinaryLinearSystem(m=1, n=n, rows=(frozenset(range(1, n + 1)),), b=(0,))
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="^equation 1 has support size 25 > 20$"):
+            enumerate_si(wide, 1)
+        with pytest.raises(BudgetError, match="^equation 1 has support size 25 > 20$"):
+            graph_from_system(wide, False)
+    huge = BinaryLinearSystem(m=1, n=63, rows=(frozenset({1}),), b=(0,))
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="exceeds the n <= 62 budget"):
+            build_synbcs(huge)
+    assert wide._derived == huge._derived == {}
+
+
+def test_a_dropped_system_is_freed_with_what_it_derived():
+    """What a system keeps holds no reference back to it, so dropping the system frees
+    it and its derived objects at once, without the cyclic collector."""
+    gc.disable()
+    try:
+        sys_ = mermin_peres_system()
+        refs = [weakref.ref(obj) for obj in [sys_] + derived_objects(sys_)[:3]]
+        game = build_synbcs(sys_)
+        del sys_
+        assert [ref() is None for ref in refs] == [True, False, True, True]
+        assert game.to_json_dict()["system"] == mermin_peres_system().to_json_dict()
+        del game
+        assert refs[1]() is None
+    finally:
+        gc.enable()

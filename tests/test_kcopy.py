@@ -4,6 +4,7 @@ old list-form files loading as before."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import product as iter_product
 
 import numpy as np
@@ -34,7 +35,7 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
-from syncgames import cli, games, graphs, solution_group
+from syncgames import cli, games, gf2, graphs, solution_group
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
 from syncgames.graphs import is_independent_set
@@ -261,3 +262,42 @@ def test_each_certificate_is_checked_once(monkeypatch, pipeline, relation_checks
                 monkeypatch.setattr(module, name, counted(name))
     pipeline()
     assert counts == {"check_game_algebra_relations": relation_checks, "verify_rep": rep_checks}
+
+
+@pytest.mark.parametrize("pipeline", [demo_pipeline, two_copy_pipeline], ids=["demo", "kcopy2"])
+def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
+    """Each pipeline starts from a fresh system and builds, through the private builders
+    counted here, its one synBCS game, its one G_b, the one G_0 of its homogeneous
+    variant and each of the two systems' local solutions once per equation: 12 and 24
+    enumerations (60 and 132 when every conversion rebuilt them).  6 Graphs are built
+    in all (10 and 13 before): G_b, G_0, their complements and the complete graph of
+    each of the two independence certificates' games."""
+    built = {"_enumerate_si": [], "_build_graph_from_system": [], "_build_synbcs": []}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            built[name].append(args)
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(gf2, "_enumerate_si")
+    count(graphs, "_build_graph_from_system")
+    count(games, "_build_synbcs")
+    graphs_built = []
+    post_init = graphs.Graph.__post_init__
+
+    def counted_post_init(self):
+        graphs_built.append(self)
+        post_init(self)
+    monkeypatch.setattr(graphs.Graph, "__post_init__", counted_post_init)
+    pipeline()
+    [(system,)] = built["_build_synbcs"]
+    homogeneous = system._homogeneous()
+    assert any(system.b) and not any(homogeneous.b)
+    assert [id(s) for s, in built["_build_graph_from_system"]] == [id(system), id(homogeneous)]
+    enumerated = Counter((id(s), i) for s, i in built["_enumerate_si"])
+    assert enumerated == Counter((id(s), i) for s in (system, homogeneous)
+                                 for i in range(1, system.m + 1))
+    assert len(graphs_built) == 6
