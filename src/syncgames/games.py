@@ -19,9 +19,16 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, VerificationError
+from .errors import BudgetError, ValidationError
 from .gf2 import BinaryLinearSystem
-from .labels import MAX_SIGN_VECTOR_LENGTH, SignVectors, label_set, label_to_json, labels_from_json
+from .labels import (
+    MAX_SIGN_VECTOR_LENGTH,
+    SignVectors,
+    ToleranceReport,
+    label_set,
+    label_to_json,
+    labels_from_json,
+)
 from .matops import product_norms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -435,7 +442,7 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
 
 
 @dataclass(frozen=True)
-class GameRelationReport:
+class GameRelationReport(ToleranceReport):
     """Residuals of the game-algebra relations for an operator strategy."""
 
     tol: float
@@ -447,6 +454,12 @@ class GameRelationReport:
     n_stored: int
     n_losing_checked: int
 
+    label_fields = ("worst_losing",)
+    refusal = (
+        "{what} fails the game-algebra relations: max residual {self.max_residual:.3e} "
+        "> {self.tol:g} (worst losing tuple {self.worst_losing!r})"
+    )
+
     @property
     def max_residual(self) -> float:
         return max(
@@ -455,33 +468,6 @@ class GameRelationReport:
             self.max_completeness_defect,
             self.max_losing_overlap,
         )
-
-    @property
-    def passes(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def require(self, what: str) -> None:
-        """Raise VerificationError, naming what was checked, unless the relations hold."""
-        if not self.passes:
-            raise VerificationError(
-                f"{what} fails the game-algebra relations: max residual {self.max_residual:.3e} "
-                f"> {self.tol:g} (worst losing tuple {self.worst_losing!r})"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "max_adjoint_defect": self.max_adjoint_defect,
-            "max_projection_defect": self.max_projection_defect,
-            "max_completeness_defect": self.max_completeness_defect,
-            "max_losing_overlap": self.max_losing_overlap,
-            "worst_losing": None
-            if self.worst_losing is None
-            else [label_to_json(part) for part in self.worst_losing],
-            "n_stored": self.n_stored,
-            "n_losing_checked": self.n_losing_checked,
-            "passes": self.passes,
-        }
 
 
 def _check_labels(game: SyncGame, strategy: "OperatorStrategy") -> None:

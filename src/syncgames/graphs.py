@@ -330,6 +330,10 @@ class IndependenceCertificate:
     def verify(self, tol: float = DEFAULT_TOL) -> GameRelationReport:
         return check_game_algebra_relations(self.game(), self.strategy, tol)
 
+    def __reduce__(self):
+        # a pickle or copy drops the kept game, whose rules are closures
+        return (IndependenceCertificate, (self.graph, self.value, self.strategy))
+
 
 def independence_certificate_from_set(g: Graph, vertices) -> IndependenceCertificate:
     """Wrap a classical independent set as a d = 1 certificate."""

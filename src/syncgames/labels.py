@@ -1,15 +1,16 @@
 """Labels of games and strategies: the JSON codec for labels (tuples round-trip as
 lists, scalars pass through), the implicit sign-vector alphabet of BCS games and
-the converter pair for output alphabets, and the integer fields of the JSON
-formats."""
+the converter pair for output alphabets, the integer fields of the JSON
+formats, and the base that writes every check report's JSON form."""
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from dataclasses import fields
 from itertools import product as iter_product
-from typing import Callable
+from typing import Callable, ClassVar
 
-from .errors import ValidationError
+from .errors import ValidationError, VerificationError
 
 MAX_SIGN_VECTOR_LENGTH = 62  # the largest n whose 2^n fits in len()'s Py_ssize_t
 
@@ -108,6 +109,51 @@ def label_to_json(label):
     if isinstance(label, (int, str)):
         return label
     raise ValidationError(f"label {label!r} is not JSON-serializable (int, str or tuple expected)")
+
+
+def _tuples_as_lists(value):
+    if isinstance(value, tuple):
+        return [_tuples_as_lists(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the check reports, each a frozen dataclass.  as_dict() is the JSON form:
+    the fields in declaration order, tuples as lists, then the verdict properties named in
+    verdicts.  A field named in label_fields holds a tuple of labels or None; label_to_json
+    writes its labels and refuses one JSON cannot hold."""
+
+    verdicts: ClassVar[tuple] = ()
+    label_fields: ClassVar[tuple] = ()
+
+    def as_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in self.label_fields and value is not None:
+                out[f.name] = label_to_json(value)
+            else:
+                out[f.name] = _tuples_as_lists(value)
+        out.update((name, getattr(self, name)) for name in self.verdicts)
+        return out
+
+
+class ToleranceReport(Report):
+    """A report that passes when its max_residual is at most its tol.  require(what)
+    raises VerificationError otherwise, with the class's refusal text formatted
+    with what and the report as self."""
+
+    verdicts = ("passes",)
+    refusal: ClassVar[str]
+
+    @property
+    def passes(self) -> bool:
+        return self.max_residual <= self.tol
+
+    def require(self, what: str) -> None:
+        """Raise VerificationError, naming what was checked, unless the report passes."""
+        if not self.passes:
+            raise VerificationError(self.refusal.format(what=what, self=self))
 
 
 def label_from_json(data):

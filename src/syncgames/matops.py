@@ -119,7 +119,8 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     arrays: member k of the family is mats[ids[k]], in row rows[k] of n_rows
     rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
     mats, so every entry must belong to the family; residual(s - I) is taken of
-    each row sum s, its members added in family order (an empty row sums to 0).
+    each row sum s, its members added in family order.  An empty row sums to 0,
+    so its residual is norm2(-I) = 1.0, taken without forming a d x d matrix.
     Entries and row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES
     complex entries per array, never all at once; a residual that overflows is
     inf.  Each largest residual is 0.0 when there is nothing to check.
@@ -127,15 +128,17 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     rows = np.asarray(rows, dtype=np.intp)
     order = np.argsort(rows, kind="stable")  # by row, in family order within a row
     bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
-    max_adj = max_proj = max_sum = 0.0
+    filled = np.flatnonzero(np.diff(bounds))  # the rows with a member
+    max_adj = max_proj = 0.0
+    max_sum = 1.0 if len(filled) < n_rows else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for sl in _chunk_slices(len(mats), d):
             chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
             max_adj = max(max_adj, _residuals(chunk - dagger(chunk)).max())
             max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
-        for sl in _chunk_slices(n_rows, d):
+        for sl in _chunk_slices(len(filled), d):
             totals = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
-            for r, total in enumerate(totals, sl.start):
+            for r, total in zip(filled[sl], totals):
                 for k in order[bounds[r]:bounds[r + 1]]:
                     total += mats[ids[k]]  # in place, in family order: the bits of a plain sum
             totals -= identity(d)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryAmbiguityError, ValidationError, VerificationError
+from .labels import Report
 from .matops import (
     BOUNDARY_MARGIN,
     as_matrix,
@@ -43,22 +44,16 @@ def family_budget_constant(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class ContractionRoundingReport:
+class ContractionRoundingReport(Report):
     defect: float       # ||p - p^2||_2
     distance: float     # ||p - q||_2
     bound: float        # 2 sqrt(2) * defect
 
+    verdicts = ("bound_holds",)
+
     @property
     def bound_holds(self) -> bool:
         return self.distance <= self.bound + 1e-12
-
-    def as_dict(self) -> dict:
-        return {
-            "defect": self.defect,
-            "distance": self.distance,
-            "bound": self.bound,
-            "bound_holds": self.bound_holds,
-        }
 
 
 def _validated_contraction(p) -> tuple:
@@ -131,7 +126,7 @@ def round_contraction(p, *, boundary_margin: float = BOUNDARY_MARGIN) -> tuple:
 
 
 @dataclass(frozen=True)
-class FamilyRoundingReport:
+class FamilyRoundingReport(Report):
     """Input defect / output distance bookkeeping for a rounded family."""
 
     input_defects: tuple          # per element ||p - p^2||_2
@@ -143,6 +138,8 @@ class FamilyRoundingReport:
     max_output_idempotency: float
     max_output_overlap: float
     sum_one: bool
+
+    verdicts = ("input_scale", "max_distance", "budget", "within_budget", "outputs_exact")
 
     @property
     def input_scale(self) -> float:
@@ -172,24 +169,6 @@ class FamilyRoundingReport:
         if self.sum_one:
             worst = max(worst, self.sum_defect_after)
         return worst <= EXACT_TOL
-
-    def as_dict(self) -> dict:
-        return {
-            "input_defects": list(self.input_defects),
-            "pairwise_overlaps": [[list(ij), v] for ij, v in self.pairwise_overlaps],
-            "distances": list(self.distances),
-            "sum_defect_before": self.sum_defect_before,
-            "sum_defect_after": self.sum_defect_after,
-            "max_output_adjoint": self.max_output_adjoint,
-            "max_output_idempotency": self.max_output_idempotency,
-            "max_output_overlap": self.max_output_overlap,
-            "sum_one": self.sum_one,
-            "input_scale": self.input_scale,
-            "max_distance": self.max_distance,
-            "budget": self.budget,
-            "within_budget": self.within_budget,
-            "outputs_exact": self.outputs_exact,
-        }
 
 
 def _orthonormalize_against(cols: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError, VerificationError
 from .games import _check_labels, build_synbcs, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem
-from .labels import labels_from_json
+from .labels import ToleranceReport, labels_from_json
 from .matops import (
     DEFAULT_TOL,
     _chunk_slices,
@@ -106,6 +106,10 @@ class GroupRep:
         object.__setattr__(self, "images", tuple(stack[:-1]))
         object.__setattr__(self, "j_image", stack[-1])
 
+    def __reduce__(self):
+        # a pickle or copy is rebuilt by the constructor, so its stack is read-only again
+        return (GroupRep, (self.images, self.j_image))
+
     @property
     def dim(self) -> int:
         return self.j_image.shape[0]
@@ -135,7 +139,7 @@ class GroupRep:
 
 
 @dataclass(frozen=True)
-class RepVerificationReport:
+class RepVerificationReport(ToleranceReport):
     """Relator residuals of a candidate representation, in the tracial 2-norm."""
 
     tol: float
@@ -145,6 +149,9 @@ class RepVerificationReport:
     j_commutators: tuple        # (j, ||[w_j, J]||_2)
     products: tuple             # (i, ||prod_{j in V_i} w_j - J^{b_i}||_2)
     j_distance: float           # ||J - I||_2
+
+    verdicts = ("j_nontrivial", "max_residual", "passes")
+    refusal = "{what} fails the relators: max residual {self.max_residual:.3e} > {self.tol:g}"
 
     @property
     def j_nontrivial(self) -> bool:
@@ -157,31 +164,6 @@ class RepVerificationReport:
         residuals.extend(v for _, v in self.j_commutators)
         residuals.extend(v for _, v in self.products)
         return max(residuals, default=0.0)
-
-    @property
-    def passes(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def require(self, what: str) -> None:
-        """Raise VerificationError, naming what was checked, unless every relator passes."""
-        if not self.passes:
-            raise VerificationError(
-                f"{what} fails the relators: max residual {self.max_residual:.3e} > {self.tol:g}"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "unitarity": list(self.unitarity),
-            "involutions": list(self.involutions),
-            "mate_commutators": [[list(key), v] for key, v in self.mate_commutators],
-            "j_commutators": [[j, v] for j, v in self.j_commutators],
-            "products": [[i, v] for i, v in self.products],
-            "j_distance": self.j_distance,
-            "j_nontrivial": self.j_nontrivial,
-            "max_residual": self.max_residual,
-            "passes": self.passes,
-        }
 
 
 def _by_length(seqs) -> list:

@@ -155,6 +155,10 @@ class OperatorStrategy:
             {key: views[row] for key, row in zip(keys, ids.tolist())}
         ))
 
+    def __reduce__(self):
+        # a pickle or copy is rebuilt by the constructor: validated, read-only, nothing derived
+        return (OperatorStrategy, (self.dim, self.inputs, self.outputs, dict(self.pvms)))
+
     @classmethod
     def _over_rows(cls, dim: int, inputs, outputs, keys, stack: np.ndarray,
                    ids: np.ndarray) -> "OperatorStrategy":
@@ -293,6 +297,11 @@ class BipartiteStrategy:
         if not abs(nrm - 1.0) <= 1e-12:  # written so that a NaN norm fails too
             raise ValidationError(f"state norm {nrm!r} is not 1 within 1e-12")
         object.__setattr__(self, "state", psi)
+
+    def __reduce__(self):
+        # as OperatorStrategy's: the constructor rebuilds and validates both sides
+        return (BipartiteStrategy, (self.dim_a, self.dim_b, self.inputs, self.outputs,
+                                    dict(self.alice), dict(self.bob), self.state))
 
     def state_matrix(self) -> np.ndarray:
         return self.state.reshape(self.dim_a, self.dim_b)
@@ -448,7 +457,6 @@ class Correlation:
             counts = [int_from_json(data[key], f"correlation {key}") for key in ("n", "m")]
             if counts != [len(inputs), len(outputs)]:
                 raise ValidationError(f"correlation n, m = {counts} do not match the labels listed")
-            p: dict = {}
             if "p" in data:
                 dense = np.asarray(data["p"])
                 shape = (len(inputs), len(inputs), len(outputs), len(outputs))
@@ -456,14 +464,7 @@ class Correlation:
                     dense = dense.reshape(shape)
                 if dense.dtype.kind not in "iuf" or dense.shape != shape:
                     raise ValidationError(f"dense correlation must be a {shape} array of numbers")
-                dense = dense.astype(float)
-                for ix, x in enumerate(inputs):
-                    for iy, y in enumerate(inputs):
-                        for ia, a in enumerate(outputs):
-                            for ib, b in enumerate(outputs):
-                                val = float(dense[ix, iy, ia, ib])
-                                if val != 0.0:
-                                    p[(x, y, a, b)] = val
+                p = _dense_entries(dense.astype(float), inputs, outputs)
             else:
                 input_set, output_set = frozenset(inputs), label_set(outputs)
 
@@ -482,6 +483,14 @@ class Correlation:
             return cls(inputs=inputs, outputs=outputs, p=p)
         except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed correlation JSON: {exc}") from exc
+
+
+def _dense_entries(dense: np.ndarray, inputs, outputs) -> dict:
+    """(x, y, a, b) -> value for each nonzero cell of a dense [x][y][a][b] float array, in
+    row-major order, as a loop over x, y, a and b would insert them: -0.0 is zero, NaN is not."""
+    cells = np.nonzero(dense)
+    return {(inputs[ix], inputs[iy], outputs[ia], outputs[ib]): val
+            for ix, iy, ia, ib, val in zip(*(c.tolist() for c in cells), dense[cells].tolist())}
 
 
 def _trace_table(inputs, outputs, row_keys, rows, col_keys, cols, d) -> Correlation:

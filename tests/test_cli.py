@@ -450,6 +450,10 @@ def failing_runs(tmp_path) -> dict:
     double = {"dim": 1, "images": [{"dim": 1, "entries": [[[2.0, 0.0]]]}] * 2,
               "j": {"dim": 1, "entries": [[[-1.0, 0.0]]]}}
     empty_one = {"dim": 1, "inputs": [1], "outputs": [[-1, 1]], "pvms": []}
+    # the empty row of a huge dimension sums to 0, so its completeness residual is 1, and
+    # no d x d matrix may be formed for it
+    huge_dim = write_json(tmp_path, "huge_dim.json",
+                          {"dim": 100000000, "inputs": [0], "outputs": [0], "pvms": []})
     transport = scaled_transport_inputs()
     files = {name: write_json(tmp_path, f"{name}.json", transport[name])
              for name in ("cert", "cert-scaled", "iso", "iso-scaled", "target")}
@@ -473,6 +477,18 @@ def failing_runs(tmp_path) -> dict:
             3,
             "verification failed: PVM invariants fail: adjoint 0.000e+00, projection inf, "
             "completeness inf vs tol 1e-09",
+        ),
+        "huge-dim-check": (
+            ["game", "check-strategy", "--strategy", huge_dim, "--game", write_json(
+                tmp_path, "game00.json", {"kind": "explicit", "inputs": [0], "outputs": [0], "losing": []})],
+            3,
+            "failed checks: game-algebra-relations",
+        ),
+        "huge-dim-correlation": (
+            ["strategy", "correlation", "--tracial", huge_dim, "--out", str(tmp_path / "corr.out")],
+            3,
+            "verification failed: PVM invariants fail: adjoint 0.000e+00, projection 0.000e+00, "
+            "completeness 1.000e+00 vs tol 1e-09",
         ),
         # Overflowing products and relators are failed checks too.
         "overflow-relations": (
@@ -612,7 +628,8 @@ def scaled_transport_inputs() -> dict:
                                   "tol-not-a-number", "eps-not-a-number", "transport-iso-scaled",
                                   "transport-cert-scaled", "from-strategy-defective",
                                   "to-strategy-untouched-and-relators", "to-strategy-j-and-relators",
-                                  "from-strategy-untouched-and-relations"])
+                                  "from-strategy-untouched-and-relations", "huge-dim-check",
+                                  "huge-dim-correlation"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"
@@ -621,6 +638,8 @@ def test_failed_run_still_writes_report(tmp_path, case):
     assert (data["exit_code"], data["error"]) == (code, error)
     read = [] if code == 2 else sorted(a for a in argv if a.endswith(".json"))  # flags come first
     assert sorted(data["inputs"]) == read
+    if case == "huge-dim-check":
+        assert data["payload"]["relations"]["max_completeness_defect"] == 1.0
 
 
 def test_empty_dense_correlation_roundtrips_through_the_cli(tmp_path):

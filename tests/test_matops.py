@@ -184,3 +184,14 @@ def test_product_norms_match_the_per_pair_products(monkeypatch):
     monkeypatch.undo()
     assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
     assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)
+
+
+def test_an_empty_pvm_row_has_completeness_residual_one_without_a_zero_sum():
+    for d in (1, 2, 3, 5, 64):
+        assert norm2(np.zeros((d, d)) - np.eye(d)) == 1.0  # what summing the empty row gave
+        # row 0 is empty, row 1 holds the identity
+        assert matops.pvm_defects(np.eye(d, dtype=complex)[None], [0], [1], 2, d) == (0.0, 0.0, 1.0)
+    # a zero sum of this size would take 1.6e17 bytes
+    d = 10**8
+    assert matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [], 1, d) == (0.0, 0.0, 1.0)
+    assert matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [], 0, d) == (0.0, 0.0, 0.0)

@@ -1,7 +1,9 @@
 """Correlations, PVM/unitary conversion, and the Schmidt-block decomposition."""
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from syncgames import (
     build_iso_game,
     build_synbcs,
     check_game_algebra_relations,
+    complement_colouring_ga0,
     complete,
     game_from_json_dict,
     graph_from_system,
+    independence_certificate_from_set,
     iso_strategy_from_bcs,
     strategy_from_rep,
     swap_iso_strategy,
@@ -613,6 +617,89 @@ def test_correlation_json_roundtrip_dense_and_sparse():
     data = wide.to_json_dict()
     assert "p" not in data and len(data["entries"]) == 2
     assert Correlation.from_json_dict(data).p == p
+
+
+def dense_entries_oracle(dense: np.ndarray, inputs, outputs) -> dict:
+    """The loop the dense correlation loader ran over every cell."""
+    p = {}
+    for ix, x in enumerate(inputs):
+        for iy, y in enumerate(inputs):
+            for ia, a in enumerate(outputs):
+                for ib, b in enumerate(outputs):
+                    val = float(dense[ix, iy, ia, ib])
+                    if val != 0.0:
+                        p[(x, y, a, b)] = val
+    return p
+
+
+def test_dense_correlation_entries_match_the_cell_loop():
+    inputs, outputs = ("x", 1, (2, "y")), ((-1, 1), "b")
+    dense = np.random.default_rng(15).uniform(size=(3, 3, 2, 2))
+    dense[dense < 0.4] = 0.0
+    dense[0, 1, 0, 1], dense[2, 2, 1, 0], dense[1, 0, 1, 1] = -0.0, np.nan, -0.25
+    data = json.loads(json.dumps({"n": 3, "m": 2, "inputs": [0, 1, 2], "outputs": [0, 1],
+                                  "p": dense.tolist()}))  # json writes and reads NaN
+    cells = np.asarray(data["p"], dtype=float)
+
+    def bits(p: dict) -> list:
+        return [(key, np.float64(val).tobytes()) for key, val in p.items()]
+
+    expected = dense_entries_oracle(cells, inputs, outputs)
+    assert 0 < len(expected) < cells.size and (0, 1, 0, 1) not in expected
+    assert bits(strategies._dense_entries(cells, inputs, outputs)) == bits(expected)
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        Correlation.from_json_dict(data)
+    cells[2, 2, 1, 0] = 0.5
+    data["p"] = cells.tolist()
+    loaded = Correlation.from_json_dict(data)
+    assert bits(loaded.p) == bits(dense_entries_oracle(cells, (0, 1, 2), (0, 1)))
+
+
+def pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def assert_same_strategy(s: OperatorStrategy, back: OperatorStrategy) -> None:
+    """back holds s's keys and operators bit for bit, in a read-only stack, and two keys
+    share a row in back exactly when they share one in s (the row numbers may differ)."""
+    assert (back.dim, back.inputs, back.outputs) == (s.dim, s.inputs, s.outputs)
+    assert back.stored_keys() == s.stored_keys()
+    assert all(back.pvms[key].tobytes() == s.pvms[key].tobytes() for key in s.pvms)
+    assert not back.stack.flags.writeable and not back.ids.flags.writeable
+    assert not any(mat.flags.writeable for mat in back.pvms.values())
+    assert np.array_equal(np.equal.outer(back.ids, back.ids), np.equal.outer(s.ids, s.ids))
+    assert len(back.stack) == len(s.stack)
+
+
+@pytest.mark.parametrize("clone", [pickled, copy.deepcopy, copy.copy],
+                         ids=["pickle", "deepcopy", "copy"])
+def test_strategies_reps_and_certificates_copy_through_their_constructors(
+        clone, magic_square, pauli_rep):
+    bcs = strategy_from_rep(pauli_rep, magic_square)
+    iso = iso_strategy_from_bcs(bcs, magic_square)
+    swapped = swap_iso_strategy(iso)
+    assert not np.array_equal(swapped.ids, np.sort(swapped.ids))  # its rows keep iso's numbers
+    for s in (bcs, iso, swapped):
+        assert_same_strategy(s, clone(s))
+
+    bipartite = random_bipartite(np.random.default_rng(16), 2, 3)
+    back = clone(bipartite)
+    assert back.state.tobytes() == bipartite.state.tobytes()
+    assert_same_strategy(bipartite.alice_strategy(), back.alice_strategy())
+    assert_same_strategy(bipartite.bob_strategy(), back.bob_strategy())
+    assert back.alice is back.alice_strategy().pvms
+
+    rep = clone(pauli_rep)
+    assert rep.stack.tobytes() == pauli_rep.stack.tobytes() and not rep.stack.flags.writeable
+    assert all(np.shares_memory(w, rep.stack) for w in rep.images + (rep.j_image,))
+
+    g_0 = graph_from_system(magic_square, use_b=False)
+    cert = independence_certificate_from_set(g_0, complement_colouring_ga0(magic_square).independent_set)
+    assert cert.verify().passes  # builds the kept game
+    back = clone(cert)
+    assert (back.graph, back.value) == (cert.graph, cert.value) and "_game" not in vars(back)
+    assert_same_strategy(cert.strategy, back.strategy)
+    assert back.verify().as_dict() == cert.verify().as_dict()
 
 
 @pytest.mark.parametrize(
