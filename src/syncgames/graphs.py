@@ -79,6 +79,10 @@ class Graph:
         edges.flags.writeable = False
         return edges
 
+    def __reduce__(self):
+        # a pickle or copy drops the kept rows, edge array and complement
+        return (Graph, (self.n, self.edges, self.labels))
+
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 

@@ -7,8 +7,10 @@ element is compressed to the complement of the previously emitted projections
 before rounding, so the outputs are mutually orthogonal by construction, and an
 optional remainder absorption makes them sum to the identity.  The compression
 is taken in an orthonormal basis of that complement, which shrinks as blocks
-are emitted, so each element costs one eigensolve of the size still free.  All
-reported norms use the normalized trace.
+are emitted, so each element costs one eigensolve of the size still free.  Each
+input's eigenvalue range is certified from its idempotency defect, which the
+report keeps; only an input far from a projection needs an eigensolve of its
+own.  All reported norms use the normalized trace.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .errors import BoundaryAmbiguityError, ValidationError, VerificationError
 from .labels import Report
 from .matops import (
     BOUNDARY_MARGIN,
+    HERMITIAN_INPUT_TOL,
     as_matrix,
     dagger,
     hermitian_eig,
@@ -29,12 +32,11 @@ from .matops import (
     norm2,
     projection_onto_columns,
     pvm_defects,
+    residual,
 )
 
 ROUNDING_BOUND_FACTOR = 2.0 * math.sqrt(2.0)
 INPUT_EIGENVALUE_SLACK = 0.1  # how far input eigenvalues may stray outside [0, 1]
-# inputs whose eigenvalues come this close to the slack's edge are left to the eigensolve
-CHOLESKY_MARGIN = 1e-9
 EXACT_TOL = 1e-12             # orthogonality/idempotency promised on outputs
 
 
@@ -68,28 +70,26 @@ def _validated_contraction(p) -> tuple:
     return mat, eig
 
 
-def _certified_contraction(p) -> np.ndarray:
-    """The matrix of _validated_contraction(p), without its eigenvectors.
+def _certified_defect(p: np.ndarray) -> float:
+    """norm2(p - p @ p) of a family element after hermitian_input; certifies that the
+    eigenvalues of h = (p + p*) / 2 lie within s = INPUT_EIGENVALUE_SLACK of [0, 1].
 
-    After the input checks of hermitian_eig, Cholesky factorizations of
-    h + s I and (1 + s) I - h, for s = INPUT_EIGENVALUE_SLACK - CHOLESKY_MARGIN
-    and h the symmetrized input, certify every eigenvalue within
-    INPUT_EIGENVALUE_SLACK of [0, 1].  An input they cannot certify (a factor
-    fails or is not finite) goes to _validated_contraction, which decides and
-    words any refusal exactly as before.
+    lam - lam^2 >= -s (1 + s) iff lam is in [-s, 1 + s], so ||h - h^2||_F <= s (1 + s)
+    suffices.  sqrt(d) * defect, the computed ||p - p^2||_F, is within the slack
+    d tol (1 + ||p||_F)^2 (tol = HERMITIAN_INPUT_TOL) of ||h - h^2||_F: a = p - h has
+    ||a||_F <= d tol / 2 and ||a - h a - a h - a^2||_F <= ||a||_F (1 + 3 ||p||_F), and
+    the product and norm round by a small multiple of d 2^-53 (1 + ||p||_F)^2.  Other
+    elements go to _validated_contraction, whose eigensolve decides and words refusals.
     """
-    mat = hermitian_input(p)
-    h = mat / 2 + dagger(mat) / 2  # the matrix hermitian_eig diagonalizes
-    eye = identity(mat.shape[0])
-    s = INPUT_EIGENVALUE_SLACK - CHOLESKY_MARGIN
-    with np.errstate(all="ignore"):
-        try:
-            factors = (np.linalg.cholesky(h + s * eye), np.linalg.cholesky((1.0 + s) * eye - h))
-        except np.linalg.LinAlgError:
-            factors = ()
-    if factors and all(np.isfinite(f).all() for f in factors):
-        return mat
-    return _validated_contraction(mat)[0]
+    hermitian_input(p)
+    root_d = math.sqrt(p.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = residual(p - p @ p)
+    scale = 1.0 + root_d * residual(p)  # 1 + ||p||_F
+    slack = p.shape[0] * HERMITIAN_INPUT_TOL * scale * scale  # scale ** 2 may raise OverflowError
+    if not root_d * defect + slack <= INPUT_EIGENVALUE_SLACK * (1.0 + INPUT_EIGENVALUE_SLACK):
+        _validated_contraction(p)
+    return defect
 
 
 def _upper_half_columns(eig, boundary_margin: float) -> np.ndarray:
@@ -199,10 +199,11 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
     compression is diagonalized as rest* p_k rest, where the columns of rest
     are an orthonormal basis of the range of r: its eigenvalues are the nonzero
     ones of r p_k r, the eigenvectors for [1/2, 1] give q_k's columns and
-    the others give the next rest.  Each input's eigenvalue range is certified
-    without an eigensolve (_certified_contraction).  With sum_one the remainder
-    I - sum q_i is absorbed into q_1.  Returns (qs, report); the report tracks
-    the input scale against the (40 m + 3) budget.
+    the others give the next rest; the first element, with nothing emitted, is
+    diagonalized as it is.  Each input's eigenvalue range is certified from its
+    input defect (_certified_defect), before the sweep.  With sum_one the
+    remainder I - sum q_i is absorbed into q_1.  Returns (qs, report); the report
+    tracks the input scale against the (40 m + 3) budget.
     """
     mats = [as_matrix(p) for p in ps]
     m = len(mats)
@@ -214,21 +215,23 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
     for p in mats:
         if p.shape != (d, d):
             raise ValidationError("family elements have mixed dimensions")
-    validated = [_certified_contraction(p) for p in mats]
+    input_defects = tuple(_certified_defect(p) for p in mats)
 
     eye = identity(d)
     basis = np.zeros((d, 0), dtype=complex)  # the emitted columns
-    rest = eye  # orthonormal columns spanning their complement
+    rest = None  # orthonormal columns spanning their complement, once it is not all of C^d
     qs = []
-    for p in validated:
-        h = dagger(rest) @ p @ rest  # compression can amplify p's tolerated non-Hermitian part past 1e-10
-        eig = hermitian_eig((h + dagger(h)) / 2)
-        cols = _orthonormalize_against(rest @ _upper_half_columns(eig, BOUNDARY_MARGIN), basis)
-        rest = rest @ eig.eigenvectors[:, eig.eigenvalues < 0.5]
+    for p in mats:
+        h = p if rest is None else dagger(rest) @ p @ rest
+        eig = hermitian_eig((h + dagger(h)) / 2)  # compression can amplify p's non-Hermitian part
+        # each block's columns in C^d, and in C order as the products after them expect
+        lift = np.ascontiguousarray if rest is None else rest.__matmul__
+        cols = _orthonormalize_against(lift(_upper_half_columns(eig, BOUNDARY_MARGIN)), basis)
+        rest = lift(eig.eigenvectors[:, eig.eigenvalues < 0.5])
         qs.append(projection_onto_columns(cols))
         basis = np.concatenate([basis, cols], axis=1)
 
-    sum_before = norm2(sum(validated) - eye)
+    sum_before = norm2(sum(mats) - eye)
     if sum_one:
         remainder = eye - basis @ dagger(basis)
         remainder = (remainder + dagger(remainder)) / 2
@@ -238,11 +241,10 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
             )
         qs[0] = qs[0] + remainder
 
-    input_defects = tuple(norm2(p - p @ p) for p in validated)
     overlaps = tuple(
-        ((i, j), norm2(validated[i] @ validated[j])) for i in range(m) for j in range(i + 1, m)
+        ((i, j), norm2(mats[i] @ mats[j])) for i in range(m) for j in range(i + 1, m)
     )
-    distances = tuple(norm2(p - q) for p, q in zip(validated, qs))
+    distances = tuple(norm2(p - q) for p, q in zip(mats, qs))
     out_adjoint, out_idem, sum_after = pvm_defects(qs, range(m), [0] * m, 1, d)
     out_overlap = max(
         (norm2(qs[i] @ qs[j]) for i in range(m) for j in range(i + 1, m)), default=0.0

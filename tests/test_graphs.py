@@ -2,6 +2,8 @@
 and the certificate transports of the BCS / isomorphism / independence triangle."""
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 import warnings
 
@@ -208,6 +210,35 @@ def test_complement_is_built_once_per_graph(monkeypatch):
     assert cert.game().to_json_dict()["H"] == comp.to_json_dict()
     monkeypatch.setattr(Graph, "to_json_dict", lambda self: pytest.fail("graph JSON built"))
     assert cert.verify().passes  # builds its game, never the game's JSON
+
+
+GRAPH_CACHES = {"rows", "_edge_array", "_complement"}
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy,
+                                   copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_graph_copies_drop_the_kept_caches(clone):
+    g = Graph(n=4, edges=frozenset({(2, 0), (1, 3)}), labels=tuple("abcd"))
+    assert g.complement() and g.rows and g._edge_array.size
+    back = clone(g)
+    assert back == g and back.labels == g.labels
+    assert not GRAPH_CACHES & set(vars(back))
+    assert back.complement() == g.complement() and back.rows == g.rows
+
+
+def test_pickles_leave_the_complement_behind():
+    """A graph's complement grows as n^2; neither the graph's pickle nor that of a
+    certificate whose game was built carries it."""
+    g = empty_graph(500)
+    g.complement()
+    assert len(pickle.dumps(g)) < 100_000
+    cert = independence_certificate_from_set(g, [0, 5, 9])
+    cert.game()
+    data = pickle.dumps(cert)
+    assert len(data) < 100_000
+    back = pickle.loads(data)
+    assert back.graph == g and not GRAPH_CACHES & set(vars(back.graph))
+    assert back.verify().passes
 
 
 def test_graph_json_roundtrip():

@@ -22,9 +22,16 @@ from syncgames import (
 from syncgames import rounding
 from syncgames.cli import main
 from syncgames.errors import BoundaryAmbiguityError, ValidationError, VerificationError
-from syncgames.matops import BOUNDARY_MARGIN, hermitian_eig, norm2, projection_onto_columns
+from syncgames.matops import (
+    BOUNDARY_MARGIN,
+    HERMITIAN_INPUT_TOL,
+    hermitian_eig,
+    norm2,
+    projection_onto_columns,
+)
 from syncgames.rounding import (
-    _certified_contraction,
+    INPUT_EIGENVALUE_SLACK,
+    _certified_defect,
     _orthonormalize_against,
     _upper_half_columns,
     _validated_contraction,
@@ -338,33 +345,54 @@ def test_family_matches_the_full_space_construction():
 
 
 def test_family_output_report_matches_the_per_element_loops():
-    """The output adjoint, idempotency and sum residuals of one pvm_defects call are
-    bit for bit those of the per-element loops they replaced."""
+    """The input defects computed before the sweep, and the output adjoint, idempotency
+    and sum residuals of one pvm_defects call, are bit for bit those of the
+    per-element loops they replaced."""
     for ps, sum_one in family_cases(seed=121, count=30):
         result = outcome(orthogonalize_family, ps, sum_one)
         if result[0] != "ok":
             continue
         qs, report = result[1]
         eye = np.eye(qs[0].shape[0], dtype=complex)
+        assert report.input_defects == tuple(norm2(p - p @ p) for p in ps)
         assert report.max_output_adjoint == max(norm2(q - q.conj().T) for q in qs)
         assert report.max_output_idempotency == max(norm2(q - q @ q) for q in qs)
         assert report.sum_defect_after == norm2(sum(qs) - eye)
 
 
-def test_family_makes_one_eigensolve_per_element(monkeypatch):
+def recorded_eigensolves(monkeypatch) -> list:
+    """Patch rounding.hermitian_eig to record the matrix of each call; returns the record."""
     calls = []
 
-    def counted(h, **kwargs):
-        calls.append(h.shape[0])
+    def recorded(h, **kwargs):
+        calls.append(h)
         return hermitian_eig(h, **kwargs)
 
-    monkeypatch.setattr(rounding, "hermitian_eig", counted)
-    ps = perturbed_pvm(16, 4, np.random.default_rng(121), 1e-4)
-    qs, _ = orthogonalize_family(ps)
-    ranks = [round(np.trace(q).real) for q in qs]
-    # each eigensolve is over the complement of the blocks emitted before it
-    assert calls == [16 - sum(ranks[:k]) for k in range(4)]
-    assert min(ranks) >= 1
+    monkeypatch.setattr(rounding, "hermitian_eig", recorded)
+    return calls
+
+
+def test_family_makes_one_eigensolve_per_element(monkeypatch):
+    """Near-PVM families round with no Cholesky factorization.  The first eigensolve
+    is of the symmetrized input itself, and each later one is over the complement
+    of the blocks emitted before it."""
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    calls = recorded_eigensolves(monkeypatch)
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    rng = np.random.default_rng(121)
+    for d, m in ((16, 4), (32, 3), (7, 7), (64, 5)):
+        calls.clear()
+        ps = perturbed_pvm(d, m, rng, 1e-4)
+        qs, report = orthogonalize_family(ps)
+        assert report.outputs_exact and report.within_budget
+        assert np.array_equal(calls[0], (ps[0] + ps[0].conj().T) / 2)
+        ranks = [round(np.trace(q).real) for q in qs]
+        # each eigensolve is over the complement of the blocks emitted before it
+        assert [h.shape[0] for h in calls] == [d - sum(ranks[:k]) for k in range(m)]
+        if d == 16:
+            assert min(ranks) >= 1
 
 
 @pytest.mark.parametrize("lam, accepted", [
@@ -387,27 +415,63 @@ def test_family_input_range_edges(lam, accepted):
         assert str(info.value) == expected
 
 
-def test_input_range_certificate_decides_as_the_eigensolve_does():
+def eigensolve_defect(p):
+    """What _certified_defect returns, with the eigenvalue range checked by the
+    eigensolve alone."""
+    mat = _validated_contraction(p)[0]
+    return norm2(mat - mat @ mat)
+
+
+def test_input_range_certificate_decides_as_the_eigensolve_does(monkeypatch):
     """Rotated inputs whose extreme eigenvalues straddle the edges of the slack by
-    1e-17 to 1e-3: the Cholesky certificate accepts and refuses exactly what the
-    eigensolve accepts and refuses, with the same message.  (Unshifted by
-    CHOLESKY_MARGIN, the factorizations accept some inputs within rounding of
-    the edge that the eigensolve refuses.)"""
+    1e-17 to 1e-3: the certificate accepts and refuses exactly what the eigensolve
+    accepts and refuses, with the same message and defect.  Near-PVM inputs, some
+    with the largest asymmetry hermitian_input admits, pass the defect bound alone,
+    with no eigensolve."""
+    calls = recorded_eigensolves(monkeypatch)
     rng = np.random.default_rng(122)
-    for _ in range(400):
-        d = int(rng.integers(1, 17))
-        lam = rng.uniform(0.0, 1.0, size=d)
-        edge = float(rng.choice([-0.1, 1.1]))
-        lam[0] = edge + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-17.0, -3.0)
-        u = random_unitary(d, rng)
-        p = (u * lam) @ u.conj().T
-        new = outcome(_certified_contraction, p)
-        old = outcome(lambda a: _validated_contraction(a)[0], p)
-        assert new[0] == old[0]
-        if new[0] == "ok":
-            assert np.array_equal(new[1], old[1])
+    for k in range(600):
+        if k < 400:
+            d = int(rng.integers(1, 17))
+            lam = rng.uniform(0.0, 1.0, size=d)
+            edge = float(rng.choice([-0.1, 1.1]))
+            lam[0] = edge + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-17.0, -3.0)
+            u = random_unitary(d, rng)
+            p = (u * lam) @ u.conj().T
         else:
-            assert new[1] == old[1]
+            d = int(rng.integers(1, 33))
+            eps = float(10.0 ** rng.uniform(-9.0, -2.5))
+            p = random_exact_pvm(d, int(rng.integers(1, d + 1)), rng)[0]
+            p = p + random_hermitian(d, rng, scale=eps)
+            if k % 2:
+                p = p + 0.45j * HERMITIAN_INPUT_TOL * rng.uniform(-1.0, 1.0, size=(d, d))
+        calls.clear()
+        new = outcome(_certified_defect, p)
+        assert k < 400 or calls == []
+        assert new == outcome(eigensolve_defect, p)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_defect_bound_edge_on_a_diagonal_input(side, monkeypatch):
+    """diag(-s + delta, 1 + s - delta), s = INPUT_EIGENVALUE_SLACK, has Frobenius defect
+    sqrt(2) (s - delta) (1 + s - delta); delta puts it about 1e-12 inside (side -1) or
+    outside (side +1) s (1 + s) - slack.  Inside, the bound accepts the input with no
+    eigensolve; outside, the eigensolve decides.  Either way the verdict and the
+    defect are the eigensolve's."""
+    s = INPUT_EIGENVALUE_SLACK
+    delta = 0.0
+    for _ in range(3):  # the slack hardly moves with delta
+        frobenius = np.hypot(-s + delta, 1.0 + s - delta)
+        target = s * (1.0 + s) - 2 * HERMITIAN_INPUT_TOL * (1.0 + frobenius) ** 2
+        # (s - delta) (1 + s - delta) = target / sqrt(2), the smaller root
+        c = s * (1.0 + s) - target / np.sqrt(2.0)
+        delta = (1.0 + 2 * s - np.sqrt((1.0 + 2 * s) ** 2 - 4.0 * c)) / 2.0
+    p = np.diag([-s + delta - side * 1e-12, 1.0 + s - delta + side * 1e-12]).astype(complex)
+    calls = recorded_eigensolves(monkeypatch)
+    new = outcome(_certified_defect, p)
+    assert len(calls) == (side > 0)
+    assert new == outcome(eigensolve_defect, p)
+    assert new[0] == "ok"
 
 
 def test_family_huge_entry_exits_2_without_a_warning(tmp_path):
