@@ -60,6 +60,8 @@ class ContractionRoundingReport(Report):
 
 def _validated_contraction(p) -> tuple:
     mat = as_matrix(p)
+    if mat.shape[0] < 1:
+        raise ValidationError("matrix dim must be >= 1, got 0")
     eig = hermitian_eig(mat)
     lam = eig.eigenvalues
     if lam.size and (lam[0] < -INPUT_EIGENVALUE_SLACK or lam[-1] > 1.0 + INPUT_EIGENVALUE_SLACK):
@@ -215,6 +217,8 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
     for p in mats:
         if p.shape != (d, d):
             raise ValidationError("family elements have mixed dimensions")
+    if d < 1:
+        raise ValidationError("matrix dim must be >= 1, got 0")
     input_defects = tuple(_certified_defect(p) for p in mats)
 
     eye = identity(d)

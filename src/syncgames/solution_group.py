@@ -97,6 +97,8 @@ class GroupRep:
         mats = tuple(as_matrix(w) for w in self.images)
         j = as_matrix(self.j_image)
         d = j.shape[0]
+        if d < 1:
+            raise ValidationError("representation dimension must be >= 1")
         for k, w in enumerate(mats, start=1):
             if w.shape != (d, d):
                 raise ValidationError(f"generator image {k} has shape {w.shape}, expected {(d, d)}")

@@ -1,11 +1,7 @@
 """Operator strategies and correlations: tracial and bipartite correlation evaluation,
-synchronicity/perfectness tests, PVM/unitary conversion, and the Schmidt-block
-decomposition turning a finite-dimensional bipartite synchronous strategy into a
-convex combination of tracial strategies.
-
-Output-to-spectral-value convention: output number i in {1..m} (position in the
-strategy's output tuple, 1-based) corresponds to the spectral value w^i of the
-row unitary, where w = exp(2*pi*1j/m).
+synchronicity/perfectness tests, and the Schmidt-block decomposition turning a
+finite-dimensional bipartite synchronous strategy into a convex combination of
+tracial strategies.
 """
 from __future__ import annotations
 
@@ -33,13 +29,12 @@ from .labels import (
 )
 from .matops import (
     DEFAULT_TOL,
+    _residuals,
     as_matrix,
     dagger,
     hermitian_eig,
-    identity,
     matrix_from_json,
     matrix_to_json,
-    norm2,
     pvm_defects,
 )
 
@@ -189,22 +184,6 @@ class OperatorStrategy:
     def matrix(self, x, a) -> np.ndarray:
         mat = self.pvms.get((x, a))
         return np.zeros((self.dim, self.dim), dtype=complex) if mat is None else mat
-
-    def row_outputs(self, x) -> tuple:
-        """Outputs with a stored operator for input x, in output order."""
-        return tuple(a for (x2, a) in self.pvms if x2 == x)
-
-    def unitary(self, x) -> np.ndarray:
-        """pvm_to_unitary of the full row for input x (zeros included, in output
-        order), summed over the stored operators only, so an implicit output
-        alphabet is never enumerated."""
-        if not self.outputs:
-            raise ValidationError("empty PVM row")
-        omega = np.exp(2j * np.pi / len(self.outputs))
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a in self.row_outputs(x):
-            out = out + omega ** (self._output_index(a) + 1) * self.pvms[(x, a)]
-        return out
 
     def stored_keys(self) -> list:
         """The (input, output) keys with a stored operator, in input order, then output order."""
@@ -545,44 +524,6 @@ def is_perfect(corr: Correlation, game: "SyncGame", eps: float = DEFAULT_TOL) ->
     return corr.max_losing(game)[0] <= eps
 
 
-def pvm_to_unitary(row) -> np.ndarray:
-    """The order-m unitary sum of w^i E_i over the ordered PVM row (1-based exponents)."""
-    mats = [as_matrix(e) for e in row]
-    if not mats:
-        raise ValidationError("empty PVM row")
-    m = len(mats)
-    omega = np.exp(2j * np.pi / m)
-    out = np.zeros_like(mats[0])
-    for i, e in enumerate(mats, start=1):
-        out = out + omega**i * e
-    return out
-
-
-def unitary_to_pvm(u, m: int, tol: float = DEFAULT_TOL) -> list:
-    """Recover the spectral PVM of an order-m unitary by power averaging.
-
-    e_i = (1/m) sum_k w^(-ik) u^k is an exact polynomial identity, so no
-    eigendecomposition of the (non-Hermitian) unitary is ever needed.
-    """
-    mat = as_matrix(u)
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    eye = identity(mat.shape[0])
-    if norm2(mat @ dagger(mat) - eye) > tol:
-        raise VerificationError(f"input is not unitary within {tol:g}")
-    powers = [eye]
-    for _ in range(m - 1):
-        powers.append(powers[-1] @ mat)
-    if norm2(powers[-1] @ mat - eye) > tol:
-        raise VerificationError(f"u^{m} differs from the identity by more than {tol:g}")
-    omega = np.exp(2j * np.pi / m)
-    row = []
-    for i in range(1, m + 1):
-        e = sum(omega ** (-i * k) * powers[k] for k in range(m)) / m
-        row.append((e + dagger(e)) / 2)
-    return row
-
-
 def deterministic_to_operator(inputs, outputs, assignment: dict) -> OperatorStrategy:
     """Embed a deterministic assignment as the d = 1 operator strategy."""
     one = np.ones((1, 1), dtype=complex)
@@ -625,6 +566,17 @@ def _schmidt_levels(sigma: np.ndarray, cluster_tol: float) -> list:
     return levels
 
 
+def _compress(stack: np.ndarray, cols: np.ndarray) -> tuple:
+    """(cols* E cols, ||P E (I - P)||_2) for each operator E of a (D, d, d) stack, where
+    the d x L columns cols are orthonormal and P = cols cols*: one batched product per
+    operator, associated as (cols* E) cols.  Since ||P E (I - P)||_2 = ||cols* E (I - P)||_F
+    / sqrt(d), the residual is that of cols* E - (cols* E cols) cols*; for Hermitian E it
+    is ||(I - P) E P||_2, zero exactly when P commutes with E."""
+    left = dagger(cols) @ stack
+    small = left @ cols
+    return small, _residuals(left - small @ dagger(cols))
+
+
 def decompose_qs(
     s: BipartiteStrategy,
     tol: float = DEFAULT_TOL,
@@ -634,11 +586,15 @@ def decompose_qs(
 
     Computes the Schmidt decomposition of the dim_a x dim_b state matrix (the
     local dimensions may differ), groups equal Schmidt coefficients into level
-    sets, verifies that each level's subspace reduces every row unitary on both
-    sides, each under its own normalized trace, and returns (weight, compressed
-    tracial strategy) pairs whose convex recombination reproduces the input
-    correlation within 10 * tol.  The level subspaces are certified rather
-    than trusted: a reduction residual above tol raises ClusterAmbiguityError.
+    sets, verifies that each level's subspace reduces every stored operator on
+    both sides, each under its own normalized trace, and returns (weight,
+    compressed tracial strategy) pairs whose convex recombination reproduces the
+    input correlation within 10 * tol.  The level subspaces are certified rather
+    than trusted: a reduction residual ||P E (I - P)||_2 above tol raises
+    ClusterAmbiguityError naming the first input, in input order, with such an
+    operator on either side, and that input's largest residual.  Each level
+    takes one batched product per side over its distinct operators (_compress),
+    and keys sharing an operator share its compression.
     """
     defect = sync_vector_defect(s)
     if defect > tol:
@@ -656,10 +612,9 @@ def decompose_qs(
         raise VerificationError("state has no Schmidt coefficient above the clustering tolerance")
 
     alice, bob = s.alice_strategy(), s.bob_strategy()
-    alice_unitaries = {x: alice.unitary(x) for x in s.inputs}
-    bob_unitaries = {x: bob.unitary(x) for x in s.inputs}
-
-    eye_a, eye_b = identity(s.dim_a), identity(s.dim_b)
+    # the input position of each stored key: Alice's keys, then Bob's
+    key_inputs = np.array([side._input_index[x] for side in (alice, bob) for x, _ in side.pvms],
+                          dtype=np.intp)
     blocks = []
     for level in levels:
         a_cols = vecs[:, level]
@@ -667,23 +622,22 @@ def decompose_qs(
         gram = dagger(b_cols) @ b_cols
         if float(np.max(np.abs(gram - np.eye(len(level))))) > 1e-6:
             raise ClusterAmbiguityError("Schmidt partners of a level set are not orthonormal")
-        p_l = a_cols @ dagger(a_cols)
-        q_l = b_cols @ dagger(b_cols)
-        for x in s.inputs:
-            res_a = norm2((eye_a - p_l) @ alice_unitaries[x] @ p_l)
-            res_b = norm2((eye_b - q_l) @ bob_unitaries[x] @ q_l)
-            if max(res_a, res_b) > tol:
-                raise ClusterAmbiguityError(
-                    f"level set of size {len(level)} fails the reduction check at input {x!r} "
-                    f"(residual {max(res_a, res_b):.3e} > {tol:g}); Schmidt clusters are ambiguous"
-                )
+        small, res_a = _compress(alice.stack, a_cols)
+        _, res_b = _compress(bob.stack, b_cols)
+        per_input = np.zeros(len(s.inputs))  # each input's largest residual, both sides
+        np.maximum.at(per_input, key_inputs, np.concatenate([res_a[alice.ids], res_b[bob.ids]]))
+        failing = np.flatnonzero(per_input > tol)
+        if failing.size:
+            k = int(failing[0])
+            raise ClusterAmbiguityError(
+                f"level set of size {len(level)} fails the reduction check at input "
+                f"{s.inputs[k]!r} (residual {per_input[k]:.3e} > {tol:g}); Schmidt clusters are ambiguous"
+            )
         weight = float(np.sum(lam[level]))
-        compressed = {}
-        for (x, a), e in s.alice.items():
-            small = dagger(a_cols) @ e @ a_cols
-            small = (small + dagger(small)) / 2
-            if norm2(small) > 0.0:
-                compressed[(x, a)] = small
+        small = (small + dagger(small)) / 2
+        nonzero, views = _residuals(small) > 0.0, list(small)  # one view object per row
+        compressed = {key: views[row] for key, row in zip(alice.pvms, alice.ids.tolist())
+                      if nonzero[row]}
         block = OperatorStrategy(
             dim=len(level), inputs=s.inputs, outputs=s.outputs, pvms=compressed
         )

@@ -155,6 +155,12 @@ def test_round_rejects_non_hermitian():
         round_contraction(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
+def test_round_refuses_a_zero_dimensional_contraction():
+    """A 0 x 0 input has no defect, distance or bound to report: it is refused."""
+    with pytest.raises(ValidationError, match="matrix dim must be >= 1, got 0"):
+        round_contraction(np.zeros((0, 0)))
+
+
 def test_family_exact_pvm_is_fixed():
     rng = np.random.default_rng(7)
     pvm = random_exact_pvm(6, 3, rng)
@@ -222,6 +228,13 @@ def test_family_mixed_dimensions_rejected():
         orthogonalize_family([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize("sum_one", [False, True])
+@pytest.mark.parametrize("count", [1, 3])
+def test_family_of_zero_dimensional_elements_is_refused(count, sum_one):
+    with pytest.raises(ValidationError, match="matrix dim must be >= 1, got 0"):
+        orthogonalize_family([np.zeros((0, 0))] * count, sum_one=sum_one)
+
+
 def test_family_accepts_an_asymmetry_that_compression_amplifies():
     """Each input is Hermitian within 1e-10, but r p_2 r (r = I - q_1) is not: the
     compression is symmetrized before its eigensolve, so the family still rounds."""
@@ -253,7 +266,7 @@ def test_rounded_perturbed_strategy_is_perfect_again():
     eps = 1e-6
     rounded = {}
     for i in game.inputs:
-        outputs = strategy.row_outputs(i)
+        outputs = [a for x, a in strategy.pvms if x == i]
         noisy = [
             strategy.pvms[(i, a)] + random_hermitian(4, rng, scale=eps) for a in outputs
         ]

@@ -140,6 +140,14 @@ def test_verify_rejects_generator_count_mismatch(magic_square):
         verify_rep(rep, magic_square)
 
 
+@pytest.mark.parametrize("images", [(), (np.zeros((0, 0)),) * 9], ids=["no-generators", "nine"])
+def test_zero_dimensional_representation_is_refused_as_invalid(images):
+    """A 0 x 0 image of J is refused when the representation is built, before a check
+    would divide by its dimension."""
+    with pytest.raises(ValidationError, match="representation dimension must be >= 1"):
+        GroupRep(images=images, j_image=np.zeros((0, 0)))
+
+
 def test_normalize_j_identity_on_already_normalized(pauli_rep):
     assert normalize_j(pauli_rep) is pauli_rep
 

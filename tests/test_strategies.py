@@ -1,9 +1,10 @@
-"""Correlations, PVM/unitary conversion, and the Schmidt-block decomposition."""
+"""Correlations and the Schmidt-block decomposition."""
 from __future__ import annotations
 
 import copy
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from syncgames import strategies
 from syncgames.games import SyncGame, game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
 from syncgames.labels import SignVectors
-from syncgames.matops import dagger, norm2, residual
+from syncgames.matops import dagger, hermitian_eig, norm2, residual
 from syncgames.strategies import (
     BipartiteStrategy,
     PVMDefects,
@@ -46,9 +47,7 @@ from syncgames.strategies import (
     deterministic_to_operator,
     is_perfect,
     is_synchronous,
-    pvm_to_unitary,
     sync_vector_defect,
-    unitary_to_pvm,
 )
 
 X_PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -214,68 +213,6 @@ def test_uniform_correlation_is_not_perfect():
     }
     corr = Correlation(inputs=game.inputs, outputs=game.outputs, p=p)
     assert not is_perfect(corr, game, eps=1.0 / m**2 - 1e-9)
-
-
-def test_pvm_to_unitary_two_outputs():
-    u = pvm_to_unitary([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert np.allclose(u, np.diag([-1.0, 1.0]))
-
-
-def test_pvm_to_unitary_three_coordinate_projections():
-    omega = np.exp(2j * np.pi / 3)
-    u = pvm_to_unitary([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
-    assert np.allclose(u, np.diag([omega, omega**2, 1.0]))
-
-
-def test_pvm_unitary_roundtrip_random():
-    rng = np.random.default_rng(44)
-    for _ in range(25):
-        d = int(rng.integers(2, 8))
-        m = int(rng.integers(2, 5))
-        row = random_exact_pvm(d, m, rng)
-        u = pvm_to_unitary(row)
-        back = unitary_to_pvm(u, m)
-        assert max(norm2(e - f) for e, f in zip(row, back)) <= 1e-10
-        assert norm2(pvm_to_unitary(back) - u) <= 1e-10
-
-
-def test_unitary_to_pvm_rejects_wrong_order():
-    u = np.diag([np.exp(2j * np.pi / 3), 1.0])
-    with pytest.raises(VerificationError):
-        unitary_to_pvm(u, 2)
-
-
-def test_row_unitary_sums_the_stored_operators_only(magic_square, pauli_rep):
-    """OperatorStrategy.unitary is pvm_to_unitary of the full row, zeros skipped: on a
-    sparse tuple-labelled row and on the magic-square strategy over SignVectors(9)."""
-    rng = np.random.default_rng(101)
-    pvms = {(0, a): e for a, e in zip((1, 3, 4), random_exact_pvm(4, 3, rng))}
-    sparse = OperatorStrategy(dim=4, inputs=(0,), outputs=tuple(range(6)), pvms=pvms)
-    strategy = strategy_from_rep(pauli_rep, magic_square)
-    for s in (sparse, strategy):
-        for x in s.inputs:
-            row = [s.matrix(x, a) for a in s.outputs]  # the full row, zeros included
-            assert np.array_equal(s.unitary(x), pvm_to_unitary(row))
-    with pytest.raises(ValidationError):
-        OperatorStrategy(dim=1, inputs=(0,), outputs=(), pvms={}).unitary(0)
-
-
-def test_unitary_to_pvm_rejects_non_unitary():
-    with pytest.raises(VerificationError):
-        unitary_to_pvm(np.diag([0.5, 1.0]), 2)
-
-
-def test_strategy_row_feeds_the_unitary_roundtrip():
-    rng = np.random.default_rng(67)
-    pvms = {}
-    for x in range(2):
-        for a, e in enumerate(random_exact_pvm(4, 3, rng)):
-            pvms[(x, a)] = e
-    s = OperatorStrategy(dim=4, inputs=(0, 1), outputs=(0, 1, 2), pvms=pvms)
-    for x in s.inputs:
-        row = [s.matrix(x, a) for a in s.outputs]
-        back = unitary_to_pvm(pvm_to_unitary(row), len(s.outputs))
-        assert max(norm2(e - f) for e, f in zip(row, back)) <= 1e-10
 
 
 def test_sync_vector_defect_transpose_trick_is_zero():
@@ -554,28 +491,153 @@ def test_decompose_rejects_nonsynchronous_state():
         decompose_qs(s, tol=1e-9)
 
 
-def test_decompose_cluster_ambiguity():
-    # Schmidt coefficients just above the clustering tolerance apart, so they
-    # land in separate clusters, with both PVM families coherently rotated
-    # across the two Schmidt lines: the tiny coefficient gap suppresses the
-    # sync defect (~ theta * gap) while neither single line reduces the
-    # rotated unitary (residual ~ theta), so the split must be flagged.
+def _rotated_lines_strategy(theta: float) -> BipartiteStrategy:
+    """Schmidt coefficients just above the clustering tolerance apart, so they land in
+    separate clusters, with both PVM families coherently rotated by theta across the two
+    Schmidt lines: the tiny coefficient gap suppresses the sync defect (~ theta * gap)
+    while neither single line reduces the rotated operators (residual ~ theta)."""
     r1 = 1 / np.sqrt(2) + 1.5e-7
     r2 = np.sqrt(1 - r1**2)
     assert 1e-7 < r1 - r2 < 1e-6
-    theta = 1e-2
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     e0 = rot @ np.diag([1.0, 0.0]) @ rot.T
     e1 = rot @ np.diag([0.0, 1.0]) @ rot.T
     alice = {(0, 0): e0.astype(complex), (0, 1): e1.astype(complex)}
     bob = {key: mat.T for key, mat in alice.items()}
     psi = np.diag([r1, r2]).astype(complex).reshape(-1)
-    s = BipartiteStrategy(
+    return BipartiteStrategy(
         dim_a=2, dim_b=2, inputs=(0,), outputs=(0, 1), alice=alice, bob=bob, state=psi
     )
+
+
+def test_decompose_cluster_ambiguity():
+    s = _rotated_lines_strategy(1e-2)
     assert sync_vector_defect(s) < 1e-6  # passes the defect gate: clustering is what trips
     with pytest.raises(ClusterAmbiguityError):
         decompose_qs(s, tol=1e-6)
+
+
+def _first_level_columns(s: BipartiteStrategy) -> tuple:
+    """Alice's and Bob's orthonormal columns of the largest Schmidt level of size one,
+    computed as decompose_qs computes them."""
+    m = s.state_matrix()
+    eig = hermitian_eig(m @ dagger(m))
+    k = int(np.argmax(eig.eigenvalues))
+    a_cols = eig.eigenvectors[:, [k]]
+    return a_cols, np.conj(dagger(m) @ a_cols) / np.sqrt(eig.eigenvalues[k])
+
+
+def test_cluster_ambiguity_reports_the_largest_per_operator_residual():
+    """The refusal's residual is the largest norm2((I - P) E P) over both sides' operators,
+    as a per-operator loop takes it."""
+    s = _rotated_lines_strategy(1e-2)
+    expected = 0.0
+    for cols, side in zip(_first_level_columns(s), (s.alice, s.bob)):
+        p = cols @ dagger(cols)
+        for e in side.values():
+            expected = max(expected, norm2((np.eye(2) - p) @ e @ p))
+    with pytest.raises(ClusterAmbiguityError,
+                       match=re.escape(f"at input 0 (residual {expected:.3e} > 1e-06)")):
+        decompose_qs(s, tol=1e-6)
+
+
+@pytest.mark.parametrize("theta", [1e-2, 1e-4, 0.3])
+def test_per_operator_residual_is_half_the_row_unitary_residual_at_two_outputs(theta):
+    """At m = 2 the row unitary is w E_0 + w^2 E_1 = E_1 - E_0 = 2 E_1 - I (w = -1), so
+    the residual of the unitary, which the reduction check used to take, is twice the
+    largest per-operator residual it takes now."""
+    s = _rotated_lines_strategy(theta)
+    omega = np.exp(2j * np.pi / 2)
+    old = new = 0.0
+    for cols, side in zip(_first_level_columns(s), (s.alice_strategy(), s.bob_strategy())):
+        p = cols @ dagger(cols)
+        u = sum(omega ** (i + 1) * side.pvms[(0, a)] for i, a in enumerate(s.outputs))
+        old = max(old, norm2((np.eye(2) - p) @ u @ p))
+        new = max(new, float(strategies._compress(side.stack, cols)[1].max()))
+    assert new == pytest.approx(old / 2, rel=1e-12)
+    with pytest.raises(ClusterAmbiguityError, match=re.escape(f"(residual {new:.3e} > ")):
+        decompose_qs(s, tol=1e-6)
+
+
+def decompose_oracle(s: BipartiteStrategy) -> list:
+    """The per-key compression loop decompose_qs replaced: (weight, {key: the symmetrised
+    a* E a}) per Schmidt level, in stored-key order, leaving out a zero compression."""
+    m = s.state_matrix()
+    eig = hermitian_eig(m @ dagger(m))
+    order = np.argsort(eig.eigenvalues)[::-1]
+    lam = np.clip(eig.eigenvalues[order], 0.0, None)
+    vecs = eig.eigenvectors[:, order]
+    levels = []
+    for level in strategies._schmidt_levels(np.sqrt(lam), strategies.DEFAULT_CLUSTER_TOL):
+        a_cols = vecs[:, level]
+        compressed = {}
+        for key, e in s.alice.items():
+            small = dagger(a_cols) @ e @ a_cols
+            small = (small + dagger(small)) / 2
+            if norm2(small) > 0.0:
+                compressed[key] = small
+        levels.append((float(np.sum(lam[level])), compressed))
+    return levels
+
+
+def _shared_rows_strategy(rng) -> BipartiteStrategy:
+    """A planted three-block strategy whose input 1 repeats input 0's operators, so the
+    keys (0, a) and (1, a) share a row on each side."""
+    s, _ = _block_diagonal_strategy(rng, dims=(3, 2, 1), weights=(0.5, 0.3, 0.2))
+    alice = {(x, a): s.alice[(0, a)] for x, a in s.alice}
+    bob = {(x, a): s.bob[(0, a)] for x, a in s.bob}
+    return BipartiteStrategy(s.dim_a, s.dim_b, s.inputs, s.outputs, alice, bob, s.state)
+
+
+def test_decompose_blocks_match_the_per_key_compression_loop():
+    """Blocks and weights are bit-identical to the per-key loop, and keys that share an
+    operator share its compression."""
+    rng = np.random.default_rng(720)
+    planted = [((3, 2), (0.7, 0.3)), ((2, 2, 1), (0.5, 0.3, 0.2)), ((4, 1, 3), (0.2, 0.45, 0.35))]
+    cases = [_block_diagonal_strategy(rng, dims, weights, m_out=4)[0] for dims, weights in planted]
+    cases += [_rectangular_strategy(rng, 1, 3), _shared_rows_strategy(rng)]
+    for s in cases:
+        blocks, expected = decompose_qs(s, tol=1e-9), decompose_oracle(s)
+        assert [w for w, _ in blocks] == [w for w, _ in expected]
+        for (_, block), (_, compressed) in zip(blocks, expected):
+            assert list(block.pvms) == list(compressed)
+            assert all(block.pvms[key].tobytes() == mat.tobytes() for key, mat in compressed.items())
+    shared_ids = cases[-1].alice_strategy().ids.tolist()
+    assert shared_ids[:3] == shared_ids[3:]  # inputs 0 and 1, in stored-key order
+    for _, block in decompose_qs(cases[-1], tol=1e-9):
+        for a in block.outputs:
+            if (0, a) in block.pvms:
+                assert block.pvms[(0, a)] is block.pvms[(1, a)]
+
+
+def test_decompose_refuses_a_slightly_rotated_bob_by_its_sync_defect():
+    """Bob's PVM rotated by 1e-6 against the maximally entangled state: the
+    synchronous-state defect is the rotation angle, and decompose_qs stops there."""
+    theta = 1e-6
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    s = BipartiteStrategy(
+        dim_a=2, dim_b=2, inputs=(0,), outputs=(0, 1),
+        alice={(0, 0): e0, (0, 1): e1}, bob={(0, 0): rot @ e0 @ rot.T, (0, 1): rot @ e1 @ rot.T},
+        state=np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2),
+    )
+    with pytest.raises(VerificationError, match=re.escape("synchronous-state defect 1.000e-06 > 1e-09")):
+        decompose_qs(s, tol=1e-9)
+
+
+def test_decompose_refuses_merged_schmidt_lines_by_the_recombination():
+    """A cluster tolerance wider than the gap between Schmidt coefficients 0.8 and 0.6
+    merges the two lines into one uniform block: every check before the recombination
+    passes, and the recombination misses p(0, 0 | 0, 0) = 0.64 by 0.14."""
+    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    pvms = {(0, 0): e0, (0, 1): e1}
+    s = BipartiteStrategy(
+        dim_a=2, dim_b=2, inputs=(0,), outputs=(0, 1), alice=pvms, bob=pvms,
+        state=np.diag([0.8, 0.6]).astype(complex).reshape(-1),
+    )
+    with pytest.raises(VerificationError,
+                       match=re.escape("block recombination misses the input correlation by 1.400e-01")):
+        decompose_qs(s, tol=1e-9, cluster_tol=0.3)
 
 
 def test_strategy_json_roundtrip():
@@ -855,7 +917,7 @@ def defects_oracle(s: OperatorStrategy) -> PVMDefects:
             max_adj = max(max_adj, residual(mat - dagger(mat)))
             max_proj = max(max_proj, residual(mat - mat @ mat))
         for x in s.inputs:
-            total = sum((s.pvms[(x, a)] for a in s.row_outputs(x)), 0.0 * eye)
+            total = sum((mat for (x2, _), mat in s.pvms.items() if x2 == x), 0.0 * eye)
             max_complete = max(max_complete, residual(total - eye))
     return PVMDefects(max_adj, max_proj, max_complete)
 
