@@ -218,7 +218,7 @@ def build_hom_game(g, h) -> SyncGame:
         v = np.array([k[0] for k in keys], dtype=np.intp)
         x = np.array([k[1] for k in keys], dtype=np.intp)
         repeated = (v[:, None] == v[None, :]) & (x[:, None] != x[None, :])
-        return repeated | (_pair_adjacency(g, v) & ~_pair_adjacency(h, x))
+        return repeated | (_pair_table(_adjacency, g, v) & ~_pair_table(_adjacency, h, x))
 
     game = SyncGame(
         inputs=tuple(range(g.n)),
@@ -237,26 +237,33 @@ def _rel(graph, u, v) -> int:
     return 1 if graph.is_edge(u, v) else 2
 
 
-def _pair_adjacency(graph, verts: np.ndarray) -> np.ndarray:
-    """(K, K) bool array of graph.is_edge(verts[i], verts[j]).  The edges whose two
-    endpoints are both among the n' distinct vertices named are scattered into an
-    n' x n' table, so the cost is O(K^2 + |E| log n') and never grows with graph.n.  The
-    edges come from the graph's own (|E|, 2) array, built once per graph."""
-    named, inverse = np.unique(verts, return_inverse=True)
+def _adjacency(graph, named: np.ndarray) -> np.ndarray:
+    """n' x n' bool table of graph.is_edge over the n' distinct vertices named, ascending.
+    Only the edges with both endpoints named are scattered in, so the cost is
+    O(n'^2 + |E| log n') and never grows with graph.n.  The edges come from the graph's
+    own (|E|, 2) array, built once per graph."""
     adjacent = np.zeros((len(named), len(named)), dtype=bool)
     if len(named):
         edges = graph._edge_array
         pos = np.searchsorted(named, edges).clip(max=len(named) - 1)
         u, v = pos[(named[pos] == edges).all(axis=1)].T  # edges with both ends named
         adjacent[u, v] = adjacent[v, u] = True
-    return adjacent[np.ix_(inverse, inverse)]
+    return adjacent
 
 
-def _relation_types(graph, verts: np.ndarray) -> np.ndarray:
-    """(K, K) int8 array of _rel(graph, verts[i], verts[j])."""
-    rel = 2 - _pair_adjacency(graph, verts).astype(np.int8)
-    rel[verts[:, None] == verts[None, :]] = 0
+def _relation_types(graph, named: np.ndarray) -> np.ndarray:
+    """n' x n' int8 table of _rel over the n' distinct vertices named, ascending."""
+    rel = 2 - _adjacency(graph, named).astype(np.int8)
+    np.fill_diagonal(rel, 0)  # the named vertices are distinct: equal exactly on the diagonal
     return rel
+
+
+def _pair_table(table_of, graph, verts: np.ndarray) -> np.ndarray:
+    """(K, K) array whose entry (i, j) is entry (verts[i], verts[j]) of table_of(graph,
+    named), a table over the n' distinct vertices named: the small table is expanded
+    by two 1-D gathers, rows then columns."""
+    named, inverse = np.unique(verts, return_inverse=True)
+    return table_of(graph, named)[inverse][:, inverse]
 
 
 def build_iso_game(g, h) -> SyncGame:
@@ -286,8 +293,14 @@ def build_iso_game(g, h) -> SyncGame:
         valid = np.flatnonzero([pair is not None for pair in pairs])
         gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
         hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
-        mask = np.ones((len(keys), len(keys)), dtype=bool)  # a same-side key loses every round
-        mask[np.ix_(valid, valid)] = _relation_types(g, gv) != _relation_types(h, hv)
+        block = _pair_table(_relation_types, g, gv) != _pair_table(_relation_types, h, hv)
+        if len(valid) == len(keys):
+            return block
+        # a same-side key loses every round: place the block's rows, then its columns
+        rows = np.ones((len(valid), len(keys)), dtype=bool)
+        rows[:, valid] = block
+        mask = np.ones((len(keys), len(keys)), dtype=bool)
+        mask[valid] = rows
         return mask
 
     game = SyncGame(

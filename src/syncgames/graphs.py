@@ -359,26 +359,34 @@ def iso_strategy_from_bcs(
     and all relation products are certified through the game checker.  Each G_b
     vertex is paired only with the G_0 vertices of its own equation, read from the
     system's local solutions (both graphs list vertices equation-major in that order).
+    The result shares s's read-only stack, each key taking its BCS projection's row,
+    so nothing is copied or re-hashed; only when some stored BCS projection is at no
+    x*y (an output that is not a local solution) are the used rows gathered, so that
+    every row of the result's stack is one of its keys'.
     """
     g_b = graph_from_system(sys, use_b=True)
     g_0 = graph_from_system(sys, use_b=False)
     game = build_iso_game(g_b, g_0)
     homogeneous = sys._homogeneous()
-    pvms = {}
+    row_of = dict(zip(s.pvms, s.ids.tolist()))
+    keys, rows = [], []
     u = v0 = 0  # the first G_b and G_0 vertex of equation i
     for i in range(1, sys.m + 1):
         ys = homogeneous._local_solutions(i)
         for x in sys._local_solutions(i):
             for v, y in enumerate(ys, start=v0):
-                z = tuple(a * b for a, b in zip(x, y))
-                mat = s.pvms.get((i, z))
-                if mat is None:
-                    continue
-                pvms[(("g", u), ("h", v))] = mat
-                pvms[(("h", v), ("g", u))] = mat
+                row = row_of.get((i, tuple(a * b for a, b in zip(x, y))))
+                if row is not None:
+                    keys += [(("g", u), ("h", v)), (("h", v), ("g", u))]
+                    rows += [row, row]
             u += 1
         v0 += len(ys)
-    iso = OperatorStrategy(dim=s.dim, inputs=game.inputs, outputs=game.outputs, pvms=pvms)
+    stack, rows = s.stack, np.array(rows, dtype=np.intp)
+    used = np.unique(rows)
+    if len(used) < len(stack):
+        stack, rows = stack[used], np.searchsorted(used, rows)
+        stack.flags.writeable = False
+    iso = OperatorStrategy._over_rows(s.dim, game.inputs, game.outputs, keys, stack, rows)
     check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso
 

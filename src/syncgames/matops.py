@@ -1,7 +1,7 @@
 """Dense complex Hermitian matrix kernel: eigendecomposition, projections onto
 columns, normalized-trace 2-norms (one at a time, or batched in chunks over
 operator products, the relations of a PVM family and any stack of residual
-matrices) and Kronecker products.
+matrices) and batched Kronecker products of paired stacks.
 
 All 2-norms in this package are taken with respect to the NORMALIZED trace,
 norm2(a) = sqrt(tr(a* a) / d), so norm2(I) = 1 in every dimension.  Every distance-bound
@@ -91,11 +91,14 @@ def _chunked_residuals(count: int, d: int, build) -> np.ndarray:
 def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
-    Each distinct pair of ids is multiplied once and its norm scattered back to
-    the caller's order, so a stack of distinct operators (an OperatorStrategy's
-    store) forms one product per distinct pair of operator contents.  Equal
-    factors give bit-identical products, so the norms are those of the pairs
-    taken one by one.
+    Each distinct pair of ids is multiplied once, in ascending (i, j) order, and
+    its norm scattered back to the caller's order, so a stack of distinct
+    operators (an OperatorStrategy's store) forms one product per distinct pair
+    of operator contents.  Equal factors give bit-identical products, so the
+    norms are those of the pairs taken one by one.  The distinct pairs are read
+    off a D x D presence table over the stack's D rows, with no sort: for an
+    OperatorStrategy's stack, each of whose rows is some stored key's, no more
+    cells than the K x K losing mask of a relation check over its K keys.
 
     Each norm is taken of the direct product, never through a Gram-matrix trace
     identity: a residual near 1e-16 would come out of the square root of a
@@ -103,9 +106,12 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
     that overflows has norm inf.
     """
-    n = max(len(stack), 1)
-    pairs, inverse = np.unique(np.asarray(left, dtype=np.intp) * n
-                               + np.asarray(right, dtype=np.intp), return_inverse=True)
+    n = len(stack)
+    codes = np.asarray(left, dtype=np.intp) * n + np.asarray(right, dtype=np.intp)
+    present = np.zeros(n * n, dtype=bool)
+    present[codes] = True
+    pairs = np.flatnonzero(present)  # ascending codes: (i, j) in row-major order
+    inverse = (np.cumsum(present) - 1)[codes]  # each code's position among the pairs
     left, right = pairs // n, pairs % n
     with np.errstate(over="ignore", invalid="ignore"):
         out = _chunked_residuals(len(pairs), stack.shape[-1],
@@ -146,13 +152,8 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     return float(max_adj), float(max_proj), float(max_sum)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product in row-major block order."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a[t], b[t]) for each t of two stacks, (c, p, p) and (c, q, q): each entry
+    """np.kron(a[t], b[t]) for each t of two stacks, (c, p, p) and (c, q, q): each entry
     the product of the same two factors, multiplied in the same broadcast as np.kron."""
     c, p, q = len(a), a.shape[-1], b.shape[-1]
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(c, p * q, p * q)

@@ -84,12 +84,14 @@ class OperatorStrategy:
 
     Each distinct operator is stored once.  The constructor copies the given
     operators into one read-only (D, dim, dim) array, stack, and ids[k] is the
-    row of stack holding the operator of stored_keys()[k].  Operators are
+    row of stack holding the operator of stored_keys()[k]; every row is some
+    key's, so D is at most the number of stored keys.  Operators are
     shared first by identity (an isomorphism strategy passes each BCS
     projection many times), then by content: a blake2b digest of the bytes, a
     hit confirmed byte for byte, so a strategy reloaded from JSON or rotated key
     by key shares its rows too.  The constructor numbers rows in stored-key order
-    of first use (a swapped isomorphism strategy keeps the original's numbers).
+    of first use (a swapped isomorphism strategy keeps the original's numbers, and
+    one built by graphs.iso_strategy_from_bcs the BCS strategy's).
     After construction pvms is a read-only mapping, in stored_keys() order, to
     read-only views of the rows, one view object per row.
     """
@@ -159,8 +161,9 @@ class OperatorStrategy:
                    ids: np.ndarray) -> "OperatorStrategy":
         """The strategy mapping keys[t] to stack[ids[t]] over another strategy's
         read-only stack, shared as it is: nothing is copied, re-hashed or re-validated,
-        so every key must be a valid (input, output) label pair.  Rows keep their
-        numbers, which need not follow this strategy's key order."""
+        so every key must be a valid (input, output) label pair and every row of stack
+        some key's row.  Rows keep their numbers, which need not follow this
+        strategy's key order."""
         self = cls.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "inputs", tuple(inputs))
@@ -191,9 +194,9 @@ class OperatorStrategy:
 
     def stacked(self) -> tuple:
         """(stored_keys(), their operators in that order as a (K, dim, dim) array): the
-        read-only stack itself when no two keys share a row, else a gathered copy."""
-        keys = self.stored_keys()
-        return keys, self.stack if len(self.stack) == len(keys) else self.stack[self.ids]
+        read-only stack itself when key k has row k, else a gathered copy."""
+        in_order = np.array_equal(self.ids, np.arange(len(self.stack)))
+        return self.stored_keys(), self.stack if in_order else self.stack[self.ids]
 
     @cached_property
     def _defects(self) -> PVMDefects:

@@ -707,6 +707,98 @@ def test_losing_mask_memory_does_not_grow_with_the_vertex_count(build, keys):
     assert np.array_equal(mask, np.array(expected, dtype=bool))
 
 
+def ix_pair_adjacency(graph, verts: np.ndarray) -> np.ndarray:
+    """The np.ix_ expansion the hom and iso masks used before their 1-D gathers."""
+    named, inverse = np.unique(verts, return_inverse=True)
+    adjacent = np.zeros((len(named), len(named)), dtype=bool)
+    if len(named):
+        edges = graph._edge_array
+        pos = np.searchsorted(named, edges).clip(max=len(named) - 1)
+        u, v = pos[(named[pos] == edges).all(axis=1)].T
+        adjacent[u, v] = adjacent[v, u] = True
+    return adjacent[np.ix_(inverse, inverse)]
+
+
+def ix_relation_types(graph, verts: np.ndarray) -> np.ndarray:
+    rel = 2 - ix_pair_adjacency(graph, verts).astype(np.int8)
+    rel[verts[:, None] == verts[None, :]] = 0
+    return rel
+
+
+def ix_losing_mask(kind: str, g, h, keys) -> np.ndarray:
+    """The hom or iso losing mask as built with np.ix_ gathers and an np.ix_ scatter."""
+    if kind == "hom":
+        v = np.array([k[0] for k in keys], dtype=np.intp)
+        x = np.array([k[1] for k in keys], dtype=np.intp)
+        repeated = (v[:, None] == v[None, :]) & (x[:, None] != x[None, :])
+        return repeated | (ix_pair_adjacency(g, v) & ~ix_pair_adjacency(h, x))
+    pairs = [None if p[0] == r[0] else (p[1], r[1]) if p[0] == "g" else (r[1], p[1])
+             for p, r in keys]
+    valid = np.flatnonzero([pair is not None for pair in pairs])
+    gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
+    hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
+    mask = np.ones((len(keys), len(keys)), dtype=bool)
+    mask[np.ix_(valid, valid)] = ix_relation_types(g, gv) != ix_relation_types(h, hv)
+    return mask
+
+
+PATH4 = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
+STAR5 = Graph(n=5, edges=frozenset({(0, 1), (0, 2), (0, 3)}))  # vertex 4 is isolated
+BIG = Graph(n=4000, edges=frozenset({(0, 3999)}))
+
+
+def ix_oracle_cases() -> list:
+    """(kind, g, h, keys): repeated vertices, keys naming no edge, zero and one key,
+    same-side iso keys, the 4000-vertex one-edge graph, and random keys with repeats."""
+    def iso(*pairs):
+        return [((p, u), (r, v)) for p, u, r, v in pairs]
+
+    cases = [
+        ("hom", PATH4, STAR5, [(0, 1), (2, 1), (0, 1), (0, 3), (3, 0), (2, 2), (1, 0)], "repeated"),
+        ("iso", PATH4, STAR5, iso(("g", 0, "h", 1), ("g", 0, "h", 1), ("h", 1, "g", 2),
+                                  ("g", 2, "h", 0), ("h", 4, "g", 1)), "repeated"),
+        ("hom", PATH4, STAR5, [(0, 4), (2, 4), (3, 3), (0, 2)], "no-edge"),
+        ("iso", PATH4, STAR5, iso(("g", 0, "h", 4), ("g", 2, "h", 3), ("h", 1, "g", 3)),
+         "no-edge"),
+        ("hom", PATH4, STAR5, [], "empty"),
+        ("iso", PATH4, STAR5, [], "empty"),
+        ("hom", PATH4, STAR5, [(1, 0)], "one"),
+        ("iso", PATH4, STAR5, iso(("h", 2, "g", 3)), "one"),
+        ("iso", PATH4, STAR5, iso(("g", 0, "h", 1), ("g", 0, "g", 1), ("h", 0, "g", 1),
+                                  ("h", 2, "h", 2), ("g", 1, "h", 0)), "same-side"),
+        ("iso", PATH4, STAR5, iso(("g", 3, "g", 3)), "only-same-side"),
+        ("hom", BIG, BIG, [(0, 3999), (3999, 0), (1, 2), (1, 0)], "4000-vertices"),
+        ("iso", BIG, BIG, iso(("g", 0, "h", 3999), ("g", 3999, "h", 0), ("g", 1, "h", 2),
+                              ("h", 5, "h", 6)), "4000-vertices"),
+    ]
+    rng = np.random.default_rng(67)
+    for t in range(6):
+        g, h = random_graph(rng, int(rng.integers(1, 7))), random_graph(rng, int(rng.integers(1, 7)))
+        for kind, build in (("hom", build_hom_game), ("iso", build_iso_game)):
+            keys = every_key(build(g, h))
+            picked = rng.integers(0, len(keys), size=25)  # with repeats
+            cases.append((kind, g, h, [keys[k] for k in picked], f"random-{t}"))
+    return [pytest.param(kind, g, h, keys, id=f"{kind}-{name}") for kind, g, h, keys, name in cases]
+
+
+@pytest.mark.parametrize("kind, g, h, keys", ix_oracle_cases())
+def test_masks_from_small_tables_match_the_ix_oracle(kind, g, h, keys):
+    """The n' x n' tables expanded by two 1-D gathers, and the iso block placed by row
+    and column assignment, give the np.ix_ masks bit for bit."""
+    game = (build_hom_game if kind == "hom" else build_iso_game)(g, h)
+    mask, expected = game.losing_mask(keys), ix_losing_mask(kind, g, h, keys)
+    assert (mask.dtype, mask.shape, mask.tobytes()) == (expected.dtype, expected.shape,
+                                                         expected.tobytes())
+    assert mask.tolist() == [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
+    if kind == "hom":  # the expanded tables themselves, on each graph's named vertices
+        for graph, side in ((g, 0), (h, 1)):
+            verts = np.array([k[side] for k in keys], dtype=np.intp)
+            for table, oracle in ((games._adjacency, ix_pair_adjacency),
+                                  (games._relation_types, ix_relation_types)):
+                got, want = games._pair_table(table, graph, verts), oracle(graph, verts)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_relation_kernel_matches_the_loop_on_rotated_strategies(copies):
     sys_, rep = kcopy_magic_square(copies)

@@ -31,6 +31,7 @@ from syncgames import (
     chi,
     complement_colouring_ga0,
     complete,
+    correlation_from_tracial,
     empty_graph,
     graph_from_system,
     independence_certificate_from_set,
@@ -56,7 +57,7 @@ from syncgames.graphs import (
     is_independent_set,
     is_proper_colouring,
 )
-from syncgames.matops import dagger, kron, norm2
+from syncgames.matops import dagger, norm2
 from syncgames.strategies import OperatorStrategy
 
 
@@ -446,7 +447,7 @@ def transport_oracle(cert, iso, target) -> dict:
                 q = iso.pvms.get((("g", v), ("h", x)))
                 if e is None or q is None:
                     continue
-                term = kron(e, q)
+                term = np.kron(e, q)
                 acc = term if acc is None else acc + term
             if acc is not None and norm2(acc) > 0.0:
                 pvms[(k, x)] = acc
@@ -776,3 +777,81 @@ def test_swap_iso_strategy_shares_the_original_stack(magic_square, pauli_rep):
     game = build_iso_game(g_0, g_b)
     assert (check_game_algebra_relations(game, swapped, 1e-12).as_dict()
             == check_game_algebra_relations(game, rebuilt, 1e-12).as_dict())
+
+
+def test_stacked_follows_the_key_order_of_a_swapped_strategy():
+    """Eight distinct operators, one per key: the swap gives key k row (k + 4) % 8, so
+    stacked() gathers the rows in key order rather than handing back the stack as it
+    is, and the correlation is the rebuilt strategy's."""
+    def line(t):
+        v = np.array([np.cos(t), np.sin(t)])
+        return np.outer(v, v).astype(complex)
+
+    labels = (("g", 0), ("g", 1), ("h", 0), ("h", 1))
+    pvms = {}
+    for k, x in enumerate(labels):
+        a0, a1 = [a for a in labels if a[0] != x[0]]
+        pvms[(x, a0)] = line(0.1 + 0.3 * k)
+        pvms[(x, a1)] = np.eye(2) - pvms[(x, a0)]
+    swapped = swap_iso_strategy(OperatorStrategy(2, labels, labels, pvms))
+    assert swapped.ids.tolist() == [4, 5, 6, 7, 0, 1, 2, 3]
+    keys, stack = swapped.stacked()
+    assert all(stack[k].tobytes() == swapped.pvms[key].tobytes() for k, key in enumerate(keys))
+    rebuilt = OperatorStrategy(2, swapped.inputs, swapped.outputs, dict(swapped.pvms))
+    assert (correlation_from_tracial(swapped).to_json_dict()
+            == correlation_from_tracial(rebuilt).to_json_dict())
+
+
+def copying_iso_strategy(s: OperatorStrategy, sys_) -> OperatorStrategy:
+    """The construction iso_strategy_from_bcs used before it shared s's stack: the BCS
+    projection at x*y passed at both keys of every same-equation pair (u, v) of G_b and
+    G_0 vertices, and copied into the constructor's new store."""
+    g_b, g_0 = graph_from_system(sys_), graph_from_system(sys_, use_b=False)
+    game = build_iso_game(g_b, g_0)
+    pvms = {}
+    for u, (i, x) in enumerate(g_b.labels):
+        for v, (j, y) in enumerate(g_0.labels):
+            mat = s.pvms.get((i, tuple(a * b for a, b in zip(x, y)))) if i == j else None
+            if mat is not None:
+                pvms[(("g", u), ("h", v))] = pvms[(("h", v), ("g", u))] = mat
+    return OperatorStrategy(s.dim, game.inputs, game.outputs, pvms)
+
+
+def assert_same_iso(iso: OperatorStrategy, copied: OperatorStrategy, sys_) -> None:
+    """Same JSON, keys in the same order, defects and relation report as the copy."""
+    assert iso.to_json_dict() == copied.to_json_dict()
+    assert list(iso.pvms) == list(copied.pvms)
+    assert iso.defects() == copied.defects()
+    game = build_iso_game(graph_from_system(sys_), graph_from_system(sys_, use_b=False))
+    assert (check_game_algebra_relations(game, iso, 1e-9).as_dict()
+            == check_game_algebra_relations(game, copied, 1e-9).as_dict())
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("seed", [None, 79], ids=["pauli", "rotated"])
+def test_iso_strategy_shares_the_bcs_stack(copies, seed):
+    sys_, rep = kcopy_magic_square(copies)
+    strategy = strategy_from_rep(rep, sys_)
+    if seed is not None:
+        strategy = rotated(strategy, random_unitary(strategy.dim, np.random.default_rng(seed)))
+    iso = iso_strategy_from_bcs(strategy, sys_)
+    assert iso.stack is strategy.stack
+    assert_same_iso(iso, copying_iso_strategy(strategy, sys_), sys_)
+
+
+def test_iso_strategy_keeps_only_the_rows_its_keys_use(magic_square, pauli_rep):
+    """A BCS strategy storing an operator at an output that is no local solution: no
+    iso key takes that row, so the iso strategy gathers the rows it uses (every row of
+    a strategy's stack is some key's) and still reads as the copying construction."""
+    strategy = strategy_from_rep(pauli_rep, magic_square)
+    i = magic_square.b.index(1) + 1
+    ones = (1,) * magic_square.n
+    assert ones not in enumerate_si(magic_square, i)
+    pvms = {**strategy.pvms, (i, ones): 0.5 * np.eye(4, dtype=complex)}
+    stray = OperatorStrategy(4, strategy.inputs, strategy.outputs, pvms)
+    assert len(stray.stack) == len(strategy.stack) + 1
+    iso = iso_strategy_from_bcs(stray, magic_square)
+    assert len(iso.stack) == len(strategy.stack)
+    assert sorted(set(iso.ids.tolist())) == list(range(len(iso.stack)))
+    assert not iso.stack.flags.writeable
+    assert_same_iso(iso, copying_iso_strategy(stray, magic_square), magic_square)

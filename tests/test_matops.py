@@ -1,4 +1,4 @@
-"""Matrix kernel: eigendecomposition, tracial norms, kron, matrix JSON."""
+"""Matrix kernel: eigendecomposition, tracial norms, product norms, matrix JSON."""
 from __future__ import annotations
 
 import base64
@@ -13,8 +13,8 @@ from syncgames import matops
 from syncgames.errors import BudgetError, ValidationError
 from syncgames.matops import (
     MAX_EIG_DIM,
+    _kron_pairs,
     hermitian_eig,
-    kron,
     matrix_from_json,
     matrix_to_json,
     norm2,
@@ -83,16 +83,22 @@ def test_pythagorean_identity_for_trace_orthogonal_pair():
 
 
 def test_kron_identity_with_pauli_z():
-    assert np.allclose(kron(np.eye(2), PAULI_Z), np.diag([1.0, -1.0, 1.0, -1.0]))
+    pairs = _kron_pairs(np.eye(2, dtype=complex)[None], PAULI_Z[None])
+    assert np.array_equal(pairs[0], np.kron(np.eye(2), PAULI_Z))
+    assert np.array_equal(pairs[0], np.diag([1.0, -1.0, 1.0, -1.0]))
 
 
 def test_kron_mixed_product_property():
+    """The batched Kronecker products of paired stacks (p != q) are np.kron's, bit for
+    bit, and obey the mixed-product rule."""
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        a, b, c, d = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs) + 1)
+    a, c = (rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2)) for _ in range(2))
+    b, d = (rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3)) for _ in range(2))
+    pairs = _kron_pairs(a, b)
+    assert all(pairs[t].tobytes() == np.kron(a[t], b[t]).tobytes() for t in range(10))
+    lhs = pairs @ _kron_pairs(c, d)
+    rhs = _kron_pairs(a @ c, b @ d)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs) + 1)
 
 
 def test_matrix_json_roundtrip():
@@ -184,6 +190,42 @@ def test_product_norms_match_the_per_pair_products(monkeypatch):
     monkeypatch.undo()
     assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
     assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)
+
+
+def unique_product_norms(stack, left, right) -> np.ndarray:
+    """The np.unique dedup product_norms used before its presence table: the same
+    products, formed in ascending (i, j) order, scattered back through unique's inverse."""
+    n = max(len(stack), 1)
+    pairs, inverse = np.unique(np.asarray(left, dtype=np.intp) * n
+                               + np.asarray(right, dtype=np.intp), return_inverse=True)
+    left, right = pairs // n, pairs % n
+    out = matops._chunked_residuals(len(pairs), stack.shape[-1],
+                                    lambda sl: np.matmul(stack[left[sl]], stack[right[sl]]))
+    return out[inverse]
+
+
+@pytest.mark.parametrize("rows, count", [(1, 0), (1, 1), (1, 300), (3, 0), (5, 1), (5, 400),
+                                         (24, 11520)])
+def test_product_norms_presence_table_matches_the_unique_dedup(monkeypatch, rows, count):
+    """Random codes over a stack of D rows (D = 1 included, and empty left and right):
+    the same products in the same order, and the same norms, bit for bit."""
+    rng = np.random.default_rng(rows * 1000 + count)
+    u = random_unitary(4, rng)
+    stack = np.array([u @ random_hermitian(4, rng) @ u.conj().T for _ in range(rows)])
+    left, right = rng.integers(0, rows, size=(2, count))
+    residuals, formed = matops._residuals, []
+
+    def recording(mats):
+        formed.append(mats.tobytes())
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", recording)
+    got = product_norms(stack, left, right)
+    products, formed[:] = list(formed), []
+    expected = unique_product_norms(stack, left, right)
+    assert products == formed
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape,
+                                                     expected.tobytes())
 
 
 def test_an_empty_pvm_row_has_completeness_residual_one_without_a_zero_sum():

@@ -559,6 +559,47 @@ def test_per_operator_residual_is_half_the_row_unitary_residual_at_two_outputs(t
         decompose_qs(s, tol=1e-6)
 
 
+def _bob_rotated_strategy(delta: float) -> BipartiteStrategy:
+    """Alice's operators block-diagonal over three Schmidt levels: a heavy line pair and
+    two light lines of coefficients 1e-3 and 2e-3.  Bob's are her transposes rotated by
+    exp(delta A), A coupling the two light lines: still projections, and synchronous up
+    to a defect of about 2e-3 * delta, but Bob's light lines no longer reduce input 0's
+    operators (residual about delta / 2)."""
+    h = np.full((2, 2), 0.5)
+    e00, e10 = np.diag([1.0, 0.0, 1.0, 0.0]), np.zeros((4, 4))
+    e10[:2, :2], e10[2:, 2:] = h, np.eye(2)
+    alice = {(0, 0): e00, (0, 1): np.eye(4) - e00, (1, 0): e10, (1, 1): np.eye(4) - e10}
+    rot = np.eye(4)
+    rot[2:, 2:] = [[np.cos(delta), -np.sin(delta)], [np.sin(delta), np.cos(delta)]]
+    bob = {key: rot @ mat.T @ rot.T for key, mat in alice.items()}
+    light = np.array([1e-3, 2e-3])
+    heavy = np.sqrt((1 - np.sum(light**2)) / 2)
+    psi = np.diag([heavy, heavy, *light]).astype(complex).reshape(-1)
+    return BipartiteStrategy(4, 4, (0, 1), (0, 1), alice, bob, psi)
+
+
+def test_only_bobs_reduction_check_refuses_a_bob_side_rotation():
+    """The synchronous-state gate and Alice's reductions pass, so the refusal comes from
+    Bob's residual alone: at the 2e-3 line, input 0's rotated operators, residual about
+    delta / 2 = 5e-8 > tol."""
+    delta, tol = 1e-7, 1e-9
+    s = _bob_rotated_strategy(delta)
+    assert s.bob_strategy().defects().max <= 1e-15
+    assert sync_vector_defect(s) < tol
+    m = s.state_matrix()
+    alice_residual = bob_residual = 0.0
+    for k in (3, 2):  # the light lines, larger first; both sides' columns are e_k
+        cols = np.eye(4)[:, [k]]
+        alice_residual = max(alice_residual, strategies._compress(s.alice_strategy().stack, cols)[1].max())
+        bob_residual = max(bob_residual, strategies._compress(s.bob_strategy().stack, cols)[1].max())
+    assert m[3, 3] > m[2, 2] and alice_residual == 0.0
+    assert bob_residual == pytest.approx(delta / 2, rel=1e-6)
+    with pytest.raises(ClusterAmbiguityError,
+                       match=re.escape(f"size 1 fails the reduction check at input 0 (residual "
+                                       f"{bob_residual:.3e} > 1e-09)")):
+        decompose_qs(s, tol=tol)
+
+
 def decompose_oracle(s: BipartiteStrategy) -> list:
     """The per-key compression loop decompose_qs replaced: (weight, {key: the symmetrised
     a* E a}) per Schmidt level, in stored-key order, leaving out a zero compression."""
