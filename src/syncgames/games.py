@@ -1,13 +1,15 @@
 """Synchronous games: the data model, the BCS / graph-homomorphism / graph-isomorphism
 constructors, exhaustive classical solving, and the game-algebra relation checker.
 
-Predicates are closures over the generating structure; winning tuples of a BCS
-game are sparse while losing tuples are astronomically many, so games are never
-materialized as losing lists except when loaded from an explicit JSON table.
-The generated games also carry a vectorised losing mask over a list of stored
-(input, output) keys, which the relation checker, the classical search's pair
-table and DeterministicStrategy.perfect_for use in place of one predicate call per
-pair; it is computed only when asked for.
+A game's rule is its losing mask: losing(keys) is the (K, K) bool array over a list
+of (input, output) keys whose entry (i, j) is True when the round
+(x_i, x_j, a_i, a_j) loses.  The relation checker, the classical search's pair
+table, DeterministicStrategy.perfect_for and Correlation.max_losing all read it,
+and it is computed only over the keys asked for: winning tuples of a BCS game are
+sparse while losing tuples are astronomically many, so only an explicit game,
+loaded from a JSON table, holds its losing tuples.  Every constructor also lists
+each input's candidates, the outputs a with V(x, x, a, a) = 1, so the classical
+search never scans the alphabet.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ from .labels import (
     MAX_SIGN_VECTOR_LENGTH,
     SignVectors,
     ToleranceReport,
+    as_alphabet,
+    label_index,
     label_set,
     label_to_json,
     labels_from_json,
@@ -37,33 +41,22 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_GAME_VARIABLES = MAX_SIGN_VECTOR_LENGTH  # synBCS outputs are SignVectors(n)
 DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
-MAX_SYNC_SCAN_CELLS = 2_000_000
-# predicate calls of the search's candidate scan, made only for a game that lists no
-# candidates (an explicit game; generated games list theirs): above 3 * 2^20, the
-# largest scan the 64-bit search budget allowed while synBCS games had at most 20
-# variables
-MAX_CANDIDATE_SCAN = 4_000_000
 # cells of the search's pair table, K^2 for K candidate keys (x, a): K <= 2000
 MAX_PAIR_TABLE_CELLS = 4_000_000
-MAX_LOSING_TABLE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SyncGame:
-    """A synchronous finite input-output game with a total win/lose predicate."""
+    """A synchronous finite input-output game, given by its losing mask."""
 
     inputs: tuple
     outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
-    predicate: Callable  # (x, y, a, b) -> bool on valid labels
-    source: Optional[Callable] = None  # () -> JSON provenance, for generated games
-    # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)]:
-    # the vectorised form of the predicate, attached only by the generating constructors
-    # (through _with_mask), so it cannot be passed in disagreeing with the predicate
-    _mask_of: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
-    # input -> its winning outputs (those a with V(x, x, a, a) = 1) in output order, so
-    # the classical search need not scan the alphabet; attached by the generating
-    # constructors only
-    _candidates: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
+    # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)];
+    # the labels must be valid for the game
+    losing: Callable
+    # input -> its winning outputs (those a with V(x, x, a, a) = 1), in output order
+    candidates: dict = field(compare=False, repr=False)
+    source: Callable  # () -> the game's JSON
 
     @cached_property
     def input_set(self) -> frozenset:
@@ -79,60 +72,18 @@ class SyncGame:
             raise ValidationError(f"unknown input label in ({x!r}, {y!r})")
         if a not in self.output_set or b not in self.output_set:
             raise ValidationError(f"unknown output label in ({a!r}, {b!r})")
-        return bool(self.predicate(x, y, a, b))
-
-    def losing_mask(self, keys) -> np.ndarray:
-        """(K, K) bool array over (input, output) keys: entry (i, j) is True when the
-        round (x_i, x_j, a_i, a_j) loses.  Labels must be valid for the game."""
-        if self._mask_of is not None:
-            return self._mask_of(keys)
-        mask = [not self.predicate(x, y, a, b) for x, a in keys for y, b in keys]
-        return np.array(mask, dtype=bool).reshape(len(keys), len(keys))
-
-    def synchronicity_holds(self) -> bool:
-        """Full diagonal predicate scan: V(x,x,a,b) = 0 whenever a != b."""
-        cells = len(self.inputs) * len(self.outputs) ** 2
-        if cells > MAX_SYNC_SCAN_CELLS:
-            raise BudgetError(f"synchronicity scan needs {cells} cells > {MAX_SYNC_SCAN_CELLS}")
-        for x in self.inputs:
-            for a in self.outputs:
-                for b in self.outputs:
-                    if a != b and self.predicate(x, x, a, b):
-                        return False
-        return True
+        return not self.losing([(x, a), (y, b)])[0, 1]
 
     def to_json_dict(self) -> dict:
-        if self.source is not None:
-            return self.source()
-        cells = len(self.inputs) ** 2 * len(self.outputs) ** 2
-        if cells > MAX_LOSING_TABLE_CELLS:
-            raise BudgetError(f"explicit losing table needs {cells} cells > {MAX_LOSING_TABLE_CELLS}")
-        losing = [
-            [label_to_json(x), label_to_json(y), label_to_json(a), label_to_json(b)]
-            for x in self.inputs
-            for y in self.inputs
-            for a in self.outputs
-            for b in self.outputs
-            if not self.predicate(x, y, a, b)
-        ]
-        return {
-            "kind": "explicit",
-            "inputs": [label_to_json(x) for x in self.inputs],
-            "outputs": [label_to_json(a) for a in self.outputs],
-            "losing": losing,
-        }
-
-
-def _with_mask(game: SyncGame, mask_of: Callable, candidates: Optional[dict] = None) -> SyncGame:
-    object.__setattr__(game, "_mask_of", mask_of)
-    object.__setattr__(game, "_candidates", candidates)
-    return game
+        return self.source()
 
 
 def game_from_losing(inputs, outputs, losing) -> SyncGame:
-    """Build a game from an explicit losing-tuple table, enforcing synchronicity."""
-    inputs = tuple(inputs)
-    outputs = tuple(outputs)
+    """Build a game from an explicit losing-tuple table, enforcing synchronicity.  Its
+    mask looks each pair up in the table, and its JSON lists the table in (input,
+    input, output, output) position order."""
+    inputs = as_alphabet(inputs, "explicit game inputs")
+    outputs = as_alphabet(outputs, "explicit game outputs")
     losing_set = frozenset(tuple(t) for t in losing)
     for x, y, a, b in losing_set:
         if x not in inputs or y not in inputs or a not in outputs or b not in outputs:
@@ -144,11 +95,23 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
                     raise ValidationError(
                         f"not synchronous: ({x!r}, {x!r}, {a!r}, {b!r}) must lose"
                     )
-    return SyncGame(
-        inputs=inputs,
-        outputs=outputs,
-        predicate=lambda x, y, a, b: (x, y, a, b) not in losing_set,
-    )
+
+    def losing_of(keys):
+        mask = [(x, y, a, b) in losing_set for x, a in keys for y, b in keys]
+        return np.array(mask, dtype=bool).reshape(len(keys), len(keys))
+
+    def source():
+        xi, ai = label_index(inputs), label_index(outputs)
+        table = sorted(losing_set, key=lambda t: (xi(t[0]), xi(t[1]), ai(t[2]), ai(t[3])))
+        return {
+            "kind": "explicit",
+            "inputs": [label_to_json(x) for x in inputs],
+            "outputs": [label_to_json(a) for a in outputs],
+            "losing": [[label_to_json(v) for v in t] for t in table],
+        }
+
+    candidates = {x: tuple(a for a in outputs if (x, x, a, a) not in losing_set) for x in inputs}
+    return SyncGame(inputs, outputs, losing_of, candidates, source)
 
 
 def _bcs_disagreement(sys: BinaryLinearSystem, keys) -> np.ndarray:
@@ -181,60 +144,39 @@ def _build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     # game, and the reference cycle would leave a dropped system to the cyclic collector.
     spec = BinaryLinearSystem(m=sys.m, n=sys.n, rows=sys.rows, b=sys.b)
     solutions = {i: frozenset(si) for i, si in listed.items()}
-    shared = {
-        (i, j): tuple(sorted(sys.rows[i - 1] & sys.rows[j - 1]))
-        for i in range(1, sys.m + 1)
-        for j in range(1, sys.m + 1)
-    }
 
-    def predicate(i, j, x, y):
-        if x not in solutions[i] or y not in solutions[j]:
-            return False
-        return all(x[k - 1] == y[k - 1] for k in shared[(i, j)])
-
-    def mask_of(keys):
+    def losing(keys):
         valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
         return ~(valid[:, None] & valid[None, :]) | _bcs_disagreement(spec, keys)
 
-    game = SyncGame(
+    return SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
         outputs=SignVectors(sys.n),
-        predicate=predicate,
+        losing=losing,
+        candidates=listed,
         source=lambda: {"kind": "synbcs", "system": spec.to_json_dict()},
     )
-    return _with_mask(game, mask_of, listed)
 
 
 def build_hom_game(g, h) -> SyncGame:
     """The graph homomorphism game from g to h: lose on edges mapped to non-edges
     and on unequal answers to a repeated question."""
 
-    def predicate(v, w, x, y):
-        if v == w and x != y:
-            return False
-        return not (g.is_edge(v, w) and not h.is_edge(x, y))
-
-    def mask_of(keys):
+    def losing(keys):
         v = np.array([k[0] for k in keys], dtype=np.intp)
         x = np.array([k[1] for k in keys], dtype=np.intp)
         repeated = (v[:, None] == v[None, :]) & (x[:, None] != x[None, :])
         return repeated | (_pair_table(_adjacency, g, v) & ~_pair_table(_adjacency, h, x))
 
-    game = SyncGame(
-        inputs=tuple(range(g.n)),
-        outputs=tuple(range(h.n)),
-        predicate=predicate,
+    inputs, outputs = tuple(range(g.n)), tuple(range(h.n))
+    return SyncGame(
+        inputs=inputs,
+        outputs=outputs,
+        losing=losing,
+        # graphs are loopless, so V(v, v, x, x) = 1 for every output x
+        candidates=dict.fromkeys(inputs, outputs),
         source=lambda: {"kind": "hom", "G": g.to_json_dict(), "H": h.to_json_dict()},
     )
-    # graphs are loopless, so V(v, v, x, x) = 1 for every output x
-    return _with_mask(game, mask_of, dict.fromkeys(game.inputs, game.outputs))
-
-
-def _rel(graph, u, v) -> int:
-    """0 for equal vertices, 1 for adjacent, 2 for distinct non-adjacent."""
-    if u == v:
-        return 0
-    return 1 if graph.is_edge(u, v) else 2
 
 
 def _adjacency(graph, named: np.ndarray) -> np.ndarray:
@@ -252,7 +194,8 @@ def _adjacency(graph, named: np.ndarray) -> np.ndarray:
 
 
 def _relation_types(graph, named: np.ndarray) -> np.ndarray:
-    """n' x n' int8 table of _rel over the n' distinct vertices named, ascending."""
+    """n' x n' int8 table over the n' distinct vertices named, ascending: 0 for equal
+    vertices, 1 for adjacent, 2 for distinct non-adjacent."""
     rel = 2 - _adjacency(graph, named).astype(np.int8)
     np.fill_diagonal(rel, 0)  # the named vertices are distinct: equal exactly on the diagonal
     return rel
@@ -281,14 +224,7 @@ def build_iso_game(g, h) -> SyncGame:
             return answer[1], question[1]
         return None
 
-    def predicate(p, q, r, s):
-        first = pair_of(p, r)
-        second = pair_of(q, s)
-        if first is None or second is None:
-            return False
-        return _rel(g, first[0], second[0]) == _rel(h, first[1], second[1])
-
-    def mask_of(keys):
+    def losing(keys):
         pairs = [pair_of(p, r) for p, r in keys]
         valid = np.flatnonzero([pair is not None for pair in pairs])
         gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
@@ -303,16 +239,15 @@ def build_iso_game(g, h) -> SyncGame:
         mask[valid] = rows
         return mask
 
-    game = SyncGame(
-        inputs=labels,
-        outputs=labels,
-        predicate=predicate,
-        source=lambda: {"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
-    )
     # V(p, p, r, r) = 1 exactly when r is on the side opposite p (both pairs are equal)
     g_side, h_side = labels[:g.n], labels[g.n:]
-    candidates = {p: h_side if p[0] == "g" else g_side for p in labels}
-    return _with_mask(game, mask_of, candidates)
+    return SyncGame(
+        inputs=labels,
+        outputs=labels,
+        losing=losing,
+        candidates={p: h_side if p[0] == "g" else g_side for p in labels},
+        source=lambda: {"kind": "iso", "G": g.to_json_dict(), "H": h.to_json_dict()},
+    )
 
 
 def game_from_json_dict(data: dict) -> SyncGame:
@@ -360,7 +295,7 @@ class DeterministicStrategy:
                 raise ValidationError(f"assignment lacks input {x!r}")
             if f[x] not in game.output_set:
                 raise ValidationError(f"unknown output label {f[x]!r} for input {x!r}")
-        return not game.losing_mask([(x, f[x]) for x in game.inputs]).any()
+        return not game.losing([(x, f[x]) for x in game.inputs]).any()
 
 
 def node_budget() -> Callable:
@@ -382,12 +317,11 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     BudgetError (an explicit undecided outcome) when the assignment space,
     sum over inputs x of log2 |candidates(x)|, exceeds DEFAULT_SEARCH_BITS
     bits or the search exceeds DEFAULT_SEARCH_NODES nodes.  The candidates of
-    x are its outputs a with V(x, x, a, a) = 1: the game's own lists when it
-    has them (synBCS: the local solutions S_i; hom: every output; iso: every
-    label of the opposite side), else a predicate scan of the whole alphabet,
-    refused above MAX_CANDIDATE_SCAN calls and counted as every output in the
-    bit budget.  Inputs are processed most constrained first and partial
-    assignments are pruned against every previously assigned input.
+    x are its outputs a with V(x, x, a, a) = 1, as the game lists them (synBCS:
+    the local solutions S_i; hom: every output; iso: every label of the
+    opposite side; explicit: those its table does not lose).  Inputs are
+    processed most constrained first and partial assignments are pruned
+    against every previously assigned input.
 
     The pruning reads a pair table built once, before the search, from the
     game's losing mask over the K candidate keys (x, a): key k is a Python
@@ -396,26 +330,12 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     table of more than MAX_PAIR_TABLE_CELLS cells (K^2) is refused before
     anything is allocated.
     """
-    n_inputs = len(game.inputs)
-    n_outputs = len(game.outputs)
-    candidates = game._candidates
-    if candidates is None:
-        bits = n_inputs * math.log2(max(n_outputs, 1))
-    else:
-        bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
+    candidates = game.candidates
+    bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
     if bits > DEFAULT_SEARCH_BITS:
         raise BudgetError(
             f"search space of {bits:.1f} bits exceeds budget of {DEFAULT_SEARCH_BITS:.1f}; undecided"
         )
-    if candidates is None:
-        if n_inputs * n_outputs > MAX_CANDIDATE_SCAN:
-            raise BudgetError(
-                f"candidate scan needs {n_inputs * n_outputs} predicate calls > "
-                f"{MAX_CANDIDATE_SCAN}; undecided"
-            )
-        candidates = {
-            x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
-        }
     if any(not c for c in candidates.values()):
         return None
     order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
@@ -426,7 +346,7 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
             f"pair table of {len(keys)} candidate keys needs {cells} cells > "
             f"{MAX_PAIR_TABLE_CELLS}; undecided"
         )
-    losing = game.losing_mask(keys)
+    losing = game.losing(keys)
     packed = np.packbits(~(losing | losing.T), axis=1, bitorder="little")
     # key k as (its own bit, its compatibility row, its output), cut into one level per depth
     entries = [(1 << k, int.from_bytes(row.tobytes(), "little"), a)
@@ -514,7 +434,7 @@ def check_game_algebra_relations(
     _check_labels(game, strategy)
     defects = strategy.defects()
     keys = strategy.stored_keys()
-    left, right = np.nonzero(game.losing_mask(keys))
+    left, right = np.nonzero(game.losing(keys))
     overlaps = product_norms(strategy.stack, strategy.ids[left], strategy.ids[right])
     max_losing, worst = 0.0, None
     if overlaps.size and overlaps.max() > 0.0:

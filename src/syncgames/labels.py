@@ -83,10 +83,25 @@ class SignVectors(Sequence):
         return SignVectors, (self.n,)
 
 
-def as_alphabet(labels) -> Sequence:
+def unique_dict(pairs, what: str) -> dict:
+    """A dict from (key, value) pairs, refusing a repeated key: a ValidationError
+    names what repeats it and the key."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"{what} repeat {key!r}")
+        out[key] = value
+    return out
+
+
+def as_alphabet(labels, what: str) -> Sequence:
     """A label sequence as stored: an implicit alphabet stays implicit, anything else
-    becomes a tuple."""
-    return labels if isinstance(labels, SignVectors) else tuple(labels)
+    becomes a tuple, refused (as what) when it repeats a label."""
+    if isinstance(labels, SignVectors):
+        return labels
+    labels = tuple(labels)
+    unique_dict(zip(labels, labels), what)
+    return labels
 
 
 def label_set(labels):
@@ -97,7 +112,7 @@ def label_set(labels):
 
 def label_index(labels) -> Callable:
     """label -> position in the sequence: arithmetic for an implicit alphabet, a
-    dict lookup otherwise (the last position of a repeated label wins)."""
+    dict lookup otherwise."""
     if isinstance(labels, SignVectors):
         return labels.index
     return {label: k for k, label in enumerate(labels)}.__getitem__

@@ -26,6 +26,7 @@ from .labels import (
     labels_from_json,
     outputs_from_json,
     outputs_to_json,
+    unique_dict,
 )
 from .matops import (
     DEFAULT_TOL,
@@ -60,7 +61,7 @@ def _pvm_entry_from_json(e) -> tuple:
 
 def _pvms_from_json(entries, what: str) -> dict:
     """Inverse of _pvms_to_json: (input, output) -> operator."""
-    return dict(labels_from_json(entries, what, item=_pvm_entry_from_json))
+    return unique_dict(labels_from_json(entries, what, item=_pvm_entry_from_json), what)
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class OperatorStrategy:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("strategy dimension must be >= 1")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
+        object.__setattr__(self, "inputs", as_alphabet(self.inputs, "strategy inputs"))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs, "strategy outputs"))
         input_set, output_set, dim = frozenset(self.inputs), label_set(self.outputs), self.dim
         for x, a in self.pvms:
             if x not in input_set:
@@ -167,7 +168,7 @@ class OperatorStrategy:
         self = cls.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", as_alphabet(outputs))
+        object.__setattr__(self, "outputs", as_alphabet(outputs, "strategy outputs"))
         order = sorted(range(len(keys)), key=lambda t: (
             self._input_index[keys[t][0]], self._output_index(keys[t][1])))
         sorted_ids = np.asarray(ids)[order]
@@ -263,8 +264,8 @@ class BipartiteStrategy:
     _bob: OperatorStrategy = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
+        object.__setattr__(self, "inputs", as_alphabet(self.inputs, "bipartite strategy inputs"))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs, "bipartite strategy outputs"))
         for side, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
             strategy = OperatorStrategy(dim, self.inputs, self.outputs, getattr(self, side))
             object.__setattr__(self, "_" + side, strategy)
@@ -333,8 +334,8 @@ class Correlation:
     p: dict  # (x, y, a, b) -> float
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", as_alphabet(self.outputs))
+        object.__setattr__(self, "inputs", as_alphabet(self.inputs, "correlation inputs"))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs, "correlation outputs"))
         object.__setattr__(self, "p", dict(self.p))
 
     @cached_property
@@ -385,7 +386,7 @@ class Correlation:
             return 0.0, None
         rows = [keys[(x, a)] for x, _, a, _ in self.p]
         cols = [keys[(y, b)] for _, y, _, b in self.p]
-        losing = game.losing_mask(list(keys))[rows, cols]
+        losing = game.losing(list(keys))[rows, cols]
         vals = np.fromiter(self.p.values(), dtype=float, count=len(self.p))
         vals = np.where(losing & (vals > 0.0), vals, 0.0)
         k = int(np.argmax(vals))
@@ -459,7 +460,8 @@ class Correlation:
                         raise ValidationError(f"correlation value {val!r} is not a number")
                     return (x, y, a, b), float(val)
 
-                p = dict(labels_from_json(data["entries"], "correlation entries", item=entry))
+                p = unique_dict(labels_from_json(data["entries"], "correlation entries", item=entry),
+                                "correlation entries")
             if not np.isfinite(np.fromiter(p.values(), dtype=float, count=len(p))).all():
                 raise ValidationError("correlation has a NaN or infinite value")
             return cls(inputs=inputs, outputs=outputs, p=p)

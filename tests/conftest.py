@@ -6,12 +6,15 @@ independent of the code paths they check.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product as iter_product
 
 import numpy as np
 import pytest
 
 from syncgames import BinaryLinearSystem, Graph, mermin_peres_system, pauli_magic_square_rep
+from syncgames.games import game_from_losing
+from syncgames.labels import label_from_json
 from syncgames.solution_group import GroupRep
 from syncgames.strategies import OperatorStrategy
 
@@ -126,3 +129,70 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return any(
         all(h.is_edge(perm[u], perm[v]) for u, v in g.edges) for perm in permutations(range(g.n))
     )
+
+
+def predicate_of(game):
+    """The game's rule V(x, y, a, b) -> bool on valid labels, rebuilt from its JSON (the
+    system, the two graphs or the losing table) one scalar rule per kind, with no
+    losing mask: the oracle the masks are checked against, and a faster one than
+    game.wins for brute-force loops."""
+    data = game.to_json_dict()
+    if data["kind"] == "explicit":
+        losing = {tuple(map(label_from_json, t)) for t in data["losing"]}
+        return lambda x, y, a, b: (x, y, a, b) not in losing
+    if data["kind"] == "synbcs":
+        sys_ = BinaryLinearSystem.from_json_dict(data["system"])
+
+        @cache
+        def local(i, x) -> bool:  # a solution of equation i, +1 off its support
+            off = set(range(1, sys_.n + 1)) - sys_.rows[i - 1]
+            return sys_.equation_holds(i, x) and all(x[k - 1] == 1 for k in off)
+
+        def synbcs(i, j, x, y):
+            shared = sys_.rows[i - 1] & sys_.rows[j - 1]
+            return local(i, x) and local(j, y) and all(x[k - 1] == y[k - 1] for k in shared)
+
+        return synbcs
+    g, h = Graph.from_json_dict(data["G"]), Graph.from_json_dict(data["H"])
+    if data["kind"] == "hom":
+        def hom(v, w, x, y):
+            if v == w and x != y:
+                return False
+            return not (g.is_edge(v, w) and not h.is_edge(x, y))
+
+        return hom
+
+    def rel(graph, u, v) -> int:
+        """0 for equal vertices, 1 for adjacent, 2 for distinct non-adjacent."""
+        if u == v:
+            return 0
+        return 1 if graph.is_edge(u, v) else 2
+
+    def pair_of(question, answer):
+        # (g-vertex, h-vertex) named by one player's round, or None on a type mismatch
+        if question[0] == "g" and answer[0] == "h":
+            return question[1], answer[1]
+        if question[0] == "h" and answer[0] == "g":
+            return answer[1], question[1]
+        return None
+
+    def iso(p, q, r, s):
+        first, second = pair_of(p, r), pair_of(q, s)
+        if first is None or second is None:
+            return False
+        return rel(g, first[0], second[0]) == rel(h, first[1], second[1])
+
+    return iso
+
+
+def explicit_copy(game):
+    """The game as an explicit game: its oracle's losing tuples, in scan order."""
+    wins = predicate_of(game)
+    cells = iter_product(game.inputs, game.inputs, game.outputs, game.outputs)
+    return game_from_losing(game.inputs, game.outputs, [t for t in cells if not wins(*t)])
+
+
+def is_synchronous(game) -> bool:
+    """Whether every round (x, x, a, b) with a != b loses, read off one mask per input."""
+    eye = np.eye(len(game.outputs), dtype=bool)
+    return all((game.losing([(x, a) for a in game.outputs]) | eye).all() for x in game.inputs)

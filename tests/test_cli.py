@@ -224,6 +224,9 @@ BIPARTITE_STRING_INPUTS = {"dim_a": 1, "dim_b": 1, "inputs": "x", "outputs": [0]
 BIPARTITE_ONE = {**BIPARTITE_STRING_INPUTS, "inputs": ["x"]}
 EXPLICIT = {"kind": "explicit", "inputs": ["x"], "outputs": ["a", "b"],
             "losing": [["x", "x", "a", "b"], ["x", "x", "b", "a"]]}
+# one key stored twice, first as the zero operator, then as the identity
+ZERO = {"dim": 1, "entries": [[[0.0, 0.0]]]}
+TWICE = [{"input": "x", "output": 0, "matrix": m} for m in (ZERO, ONE)]
 
 
 def c16(values, dim: int = 1) -> dict:
@@ -329,6 +332,27 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
                              "pvms": [{"input": 1, "output": [1], "matrix": ONE}]}),
         (TRANSPORT_SWAPPED, {"dim": 1, "inputs": [["x", 0]], "outputs": [["h", 0]],
                              "pvms": [{"input": ["x", 0], "output": ["h", 0], "matrix": ONE}]}),
+        (["game", "solve-classical", "--in"],
+         {**EXPLICIT, "losing": EXPLICIT["losing"] + [["x", "x", "a", "c"]]}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "losing": EXPLICIT["losing"][:1]}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "inputs": ["x", "x"]}),
+        (["game", "solve-classical", "--in"], {**EXPLICIT, "outputs": ["a", "b", "a"]}),
+        (["strategy", "correlation", "--out", "o.json", "--tracial"],
+         {"dim": 1, "inputs": ["x", "x"], "outputs": [0], "pvms": TWICE[1:]}),
+        (["strategy", "correlation", "--out", "o.json", "--tracial"],
+         {"dim": 1, "inputs": ["x"], "outputs": [0, 0], "pvms": TWICE[1:]}),
+        (["strategy", "correlation", "--out", "o.json", "--tracial"],
+         {"dim": 1, "inputs": ["x"], "outputs": [0], "pvms": TWICE}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "inputs": ["x", "x"]}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "outputs": [0, 0]}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "alice": TWICE}),
+        (["strategy", "decompose-qs", "--in"], {**BIPARTITE_ONE, "bob": TWICE}),
+        (["strategy", "check", "--correlation"],
+         {"n": 2, "m": 1, "inputs": [0, 0], "outputs": [0], "p": [[[[0.25]], [[0.25]]]] * 2}),
+        (["strategy", "check", "--correlation"],
+         {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 0], "entries": [[0, 0, 0, 0, 1.0]]}),
+        (["strategy", "check", "--correlation"],
+         {**CORRELATION, "entries": [[0, 0, 0, 0, 0.5], [0, 0, 0, 0, 1.0]]}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -344,7 +368,12 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
          "c16-and-entries", "matrix-without-payload", "c16-not-string", "matrix-dim-0",
          "entries-huge-int", "entries-bool", "entries-triple", "bipartite-state-bool",
          "bipartite-entries-bool", "bipartite-state-huge-int", "bipartite-state-string",
-         "swap-iso-bcs-strategy", "swap-iso-side-x"],
+         "swap-iso-bcs-strategy", "swap-iso-side-x", "explicit-losing-unknown-label",
+         "explicit-not-synchronous", "explicit-inputs-repeated", "explicit-outputs-repeated",
+         "strategy-inputs-repeated", "strategy-outputs-repeated", "strategy-key-repeated",
+         "bipartite-inputs-repeated", "bipartite-outputs-repeated", "bipartite-alice-key-repeated",
+         "bipartite-bob-key-repeated", "correlation-inputs-repeated",
+         "correlation-outputs-repeated", "correlation-entry-repeated"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
@@ -860,7 +889,8 @@ _json = st.recursive(
     st.none() | st.booleans() | _numbers | st.text(max_size=3) | _matrices | _c16_matrices
     | st.sampled_from(["synbcs", "hom", "iso", "explicit", "input", "output", "matrix",
                        "sign_vectors"]),
-    lambda inner: st.lists(inner, max_size=4)
+    # [v, v]: a label list or a pvm, losing or entry list repeating an item
+    lambda inner: st.lists(inner, max_size=4) | inner.map(lambda v: [v, v])
     | st.dictionaries(st.text(max_size=6) | st.just("sign_vectors"), inner, max_size=4),
     max_leaves=16,
 )

@@ -1,8 +1,10 @@
 """Game constructors, classical search and the algebra-relation checker."""
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 import tracemalloc
 from itertools import product as iter_product
 
@@ -13,7 +15,10 @@ from conftest import (
     brute_chi,
     brute_isomorphic,
     exhaustive_solutions,
+    explicit_copy,
+    is_synchronous,
     kcopy_magic_square,
+    predicate_of,
     random_graph,
     random_hermitian,
     random_system,
@@ -52,9 +57,10 @@ from syncgames.strategies import OperatorStrategy
 
 def brute_force_has_perfect_assignment(game: SyncGame) -> bool:
     """Independent oracle: scan every assignment, no pruning."""
+    wins = predicate_of(game)
     for choice in iter_product(game.outputs, repeat=len(game.inputs)):
         f = dict(zip(game.inputs, choice))
-        if all(game.wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs):
+        if all(wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs):
             return True
     return False
 
@@ -69,10 +75,11 @@ def test_synbcs_single_equation_predicate():
 def test_synbcs_same_equation_distinct_solutions_lose():
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(0, 1))
     game = build_synbcs(sys_)
-    assert game.synchronicity_holds()
+    assert is_synchronous(game)
+    wins = predicate_of(game)
     for x in game.outputs:
         for y in game.outputs:
-            if x != y and game.predicate(1, 1, x, y):
+            if x != y and wins(1, 1, x, y):
                 pytest.fail(f"distinct same-equation outputs {x}, {y} should lose")
 
 
@@ -80,9 +87,10 @@ def test_synbcs_magic_square_shape(magic_square):
     game = build_synbcs(magic_square)
     assert len(game.inputs) == 6
     assert len(game.outputs) == 2**9
+    wins = predicate_of(game)
     for i in game.inputs:
-        winners = [x for x in game.outputs if game.predicate(i, i, x, x)]
-        assert len(winners) == 4
+        winners = tuple(x for x in game.outputs if wins(i, i, x, x))
+        assert len(winners) == 4 and game.candidates[i] == winners
 
 
 def test_synbcs_refuses_too_many_variables():
@@ -97,38 +105,40 @@ def test_synbcs_refuses_too_many_variables():
     assert len(game.outputs) == 2**62
 
 
-def test_classical_search_refuses_a_candidate_scan_over_the_whole_alphabet():
+def test_classical_search_reads_the_listed_candidates_over_a_huge_alphabet():
     """A synBCS game lists its candidates (the local solutions S_i), so one equation
-    over 23 variables is solved without a scan.  A game over the same 2^23 outputs
-    that lists none would scan them all: a budget refusal (at 40 variables the
-    scan would not finish)."""
-    sys_ = BinaryLinearSystem(m=1, n=23, rows=(frozenset({1}),), b=(0,))
+    over 40 variables is solved without touching its 2^40 outputs."""
+    sys_ = BinaryLinearSystem(m=1, n=40, rows=(frozenset({1}),), b=(0,))
     game = build_synbcs(sys_)
     found = find_deterministic_perfect(game)
     assert found is not None and found.perfect_for(game)
-    assert found.assignment == {1: (1,) * 23}
-    unlisted = SyncGame(inputs=game.inputs, outputs=SignVectors(23), predicate=game.predicate)
-    with pytest.raises(BudgetError, match="candidate scan"):
-        find_deterministic_perfect(unlisted)
+    assert found.assignment == {1: (1,) * 40}
+
+
+def test_explicit_game_search_budget_counts_its_candidates():
+    """An explicit game's budget is sum_x log2 |candidates(x)|, its candidates read off
+    its table: 70 inputs over 2 outputs, one of them losing on the diagonal, make 0
+    bits (every output would make 70) and are answered; with both outputs winning on
+    the diagonal they make 70 bits and are refused."""
+    ins = tuple(range(70))
+    diagonal = [(x, x, a, b) for x in ins for a in (0, 1) for b in (0, 1) if a != b]
+    game = game_from_losing(ins, (0, 1), diagonal + [(x, x, 1, 1) for x in ins])
+    assert game.candidates == dict.fromkeys(ins, (0,))
+    assert find_deterministic_perfect(game).assignment == dict.fromkeys(ins, 0)
+    with pytest.raises(BudgetError, match="70.0 bits"):
+        find_deterministic_perfect(game_from_losing(ins, (0, 1), diagonal))
 
 
 def test_synbcs_candidate_lists_are_the_local_solutions_in_output_order():
-    """The attached lists equal the scan they replace, and the search over them finds
-    the very assignment the scan-based search finds."""
+    """The listed candidates are the oracle's diagonal winners, in output order."""
     rng = np.random.default_rng(33)
     for _ in range(30):
         sys_ = random_system(rng, max_m=4, max_n=6)
         game = build_synbcs(sys_)
-        scanned = {
-            i: tuple(a for a in game.outputs if game.predicate(i, i, a, a)) for i in game.inputs
-        }
-        assert game._candidates == scanned
+        wins = predicate_of(game)
+        scanned = {i: tuple(a for a in game.outputs if wins(i, i, a, a)) for i in game.inputs}
+        assert game.candidates == scanned
         assert all(tuple(enumerate_si(sys_, i)) == scanned[i] for i in game.inputs)
-        unlisted = SyncGame(inputs=game.inputs, outputs=game.outputs, predicate=game.predicate)
-        found, expected = find_deterministic_perfect(game), find_deterministic_perfect(unlisted)
-        assert (found is None) == (expected is None)
-        if found is not None:
-            assert found.assignment == expected.assignment
 
 
 def test_synbcs_search_budget_counts_the_candidate_lists():
@@ -181,7 +191,7 @@ def test_hom_game_k3_to_k2_has_no_perfect_assignment():
 
 def test_hom_game_synchronicity():
     game = build_hom_game(complete(3), complete(3))
-    assert game.synchronicity_holds()
+    assert is_synchronous(game)
 
 
 def test_iso_game_single_vertex():
@@ -205,7 +215,7 @@ def test_iso_game_identity_is_perfect_for_equal_graphs():
     assert all(
         game.wins(p, q, identity[p], identity[q]) for p in game.inputs for q in game.inputs
     )
-    assert game.synchronicity_holds()
+    assert is_synchronous(game)
 
 
 def test_deterministic_search_agrees_with_gf2_and_brute_force():
@@ -237,29 +247,25 @@ def test_deterministic_search_budget():
         find_deterministic_perfect(game)
 
 
+@functools.cache
+def scanned_oracle(game: SyncGame) -> tuple:
+    """The game's oracle predicate and each input's candidates scanned from the alphabet
+    with it, once per game."""
+    wins = predicate_of(game)
+    return wins, {x: tuple(a for a in game.outputs if wins(x, x, a, a)) for x in game.inputs}
+
+
 def search_oracle(game: SyncGame):
-    """The per-node predicate search the pair table replaced: the same budgets, order
-    and node count, with every partial assignment checked by predicate calls."""
-    n_inputs, n_outputs = len(game.inputs), len(game.outputs)
-    candidates = game._candidates
-    if candidates is None:
-        bits = n_inputs * math.log2(max(n_outputs, 1))
-    else:
-        bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
+    """The per-node predicate search the pair table replaced: the same budget, order
+    and node count, with the candidates scanned from the alphabet and every partial
+    assignment checked by calls of the game's oracle predicate."""
+    wins, candidates = scanned_oracle(game)
+    bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
     if bits > games.DEFAULT_SEARCH_BITS:
         raise BudgetError(
             f"search space of {bits:.1f} bits exceeds budget of {games.DEFAULT_SEARCH_BITS:.1f}; "
             "undecided"
         )
-    if candidates is None:
-        if n_inputs * n_outputs > games.MAX_CANDIDATE_SCAN:
-            raise BudgetError(
-                f"candidate scan needs {n_inputs * n_outputs} predicate calls > "
-                f"{games.MAX_CANDIDATE_SCAN}; undecided"
-            )
-        candidates = {
-            x: tuple(a for a in game.outputs if game.predicate(x, x, a, a)) for x in game.inputs
-        }
     if any(not c for c in candidates.values()):
         return None
     order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
@@ -276,7 +282,7 @@ def search_oracle(game: SyncGame):
             if nodes > games.DEFAULT_SEARCH_NODES:
                 raise BudgetError(f"search exceeded {games.DEFAULT_SEARCH_NODES} nodes; undecided")
             if all(
-                game.predicate(x, y, a, b) and game.predicate(y, x, b, a)
+                wins(x, y, a, b) and wins(y, x, b, a)
                 for y, b in assignment.items()
             ):
                 assignment[x] = a
@@ -343,9 +349,10 @@ def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
     """For every node budget up to 30, both searches raise, or both answer alike: so the
     first node over the budget is the same node."""
     refused = answered = 0
+    cases = random_search_games(1202)[::3]
     for limit in range(1, 31):
         monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", limit)
-        for game in random_search_games(1202)[::3]:
+        for game in cases:
             expected = search_outcome(search_oracle, game)
             assert search_outcome(find_deterministic_perfect, game) == expected
             refused += isinstance(expected, str)
@@ -359,9 +366,9 @@ def nothing_loses(keys) -> np.ndarray:
 
 def one_input_game(n_outputs: int, mask_of=nothing_loses) -> SyncGame:
     """One input with n_outputs candidates and a cheap losing mask."""
-    game = SyncGame(inputs=(0,), outputs=tuple(range(n_outputs)),
-                    predicate=lambda x, y, a, b: a == b)
-    return games._with_mask(game, mask_of)
+    outputs = tuple(range(n_outputs))
+    return SyncGame(inputs=(0,), outputs=outputs, losing=mask_of, candidates={0: outputs},
+                    source=dict)
 
 
 def test_pair_table_budget_boundary(monkeypatch):
@@ -379,11 +386,10 @@ def test_pair_table_budget_boundary(monkeypatch):
         find_deterministic_perfect(build_hom_game(empty_graph(1), empty_graph(7)))
 
 
-def test_hom_and_iso_searches_call_no_predicate():
+def test_hom_and_iso_searches_match_the_colouring_and_isomorphism_oracles():
     """Hom games list every output as a candidate (graphs are loopless) and iso games
-    every label of the opposite side: the lists equal the diagonal scan they replace,
-    the search makes no predicate call, and its verdicts match the brute-force
-    colouring and isomorphism oracles."""
+    every label of the opposite side: the lists equal the oracle's diagonal scan, and
+    the search's verdicts match the brute-force colouring and isomorphism oracles."""
     rng = np.random.default_rng(1203)
     cases = []
     for _ in range(12):
@@ -401,17 +407,10 @@ def test_hom_and_iso_searches_call_no_predicate():
         cases.append((build_iso_game(g, h), brute_isomorphic(g, h)))
     verdicts = []
     for game, expected in cases:
-        predicate, calls = game.predicate, []
-        scanned = {x: tuple(a for a in game.outputs if predicate(x, x, a, a)) for x in game.inputs}
-        assert game._candidates == scanned
-
-        def counting(*args, predicate=predicate, calls=calls):
-            calls.append(args)
-            return predicate(*args)
-
-        object.__setattr__(game, "predicate", counting)
+        wins = predicate_of(game)
+        scanned = {x: tuple(a for a in game.outputs if wins(x, x, a, a)) for x in game.inputs}
+        assert game.candidates == scanned
         found = find_deterministic_perfect(game)
-        assert calls == []
         assert (found is not None) == expected
         assert found is None or found.perfect_for(game)
         verdicts.append(expected)
@@ -426,7 +425,7 @@ def test_hom_mask_into_an_edgeless_2000_vertex_graph_stays_small():
     keys = [(0, a) for a in range(2000)]
     tracemalloc.start()
     try:
-        mask = game.losing_mask(keys)
+        mask = game.losing(keys)
         found = find_deterministic_perfect(game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -450,12 +449,12 @@ def test_perfect_for_checks_labels_and_reads_one_mask():
         drawn = DeterministicStrategy(
             {x: game.outputs[int(rng.integers(len(game.outputs)))] for x in game.inputs}
         )
-        found = find_deterministic_perfect(game)
+        found, wins = find_deterministic_perfect(game), predicate_of(game)
         for strategy in [drawn] + ([found] if found is not None else []):
             f = strategy.assignment
             verdicts.append(strategy.perfect_for(game))
             assert verdicts[-1] == all(
-                game.wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs
+                wins(x, y, f[x], f[y]) for x in game.inputs for y in game.inputs
             )
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
@@ -498,8 +497,15 @@ def test_relation_check_rejects_input_mismatch():
 
 
 def test_explicit_game_requires_synchronicity():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"not synchronous: \(0, 0, 0, 1\) must lose"):
         game_from_losing(inputs=[0], outputs=[0, 1], losing=[])
+
+
+def test_explicit_game_refuses_unknown_labels():
+    diagonal = [(0, 0, 0, 1), (0, 0, 1, 0)]
+    for stray in [(0, 1, 0, 0), (0, 0, 0, 2)]:
+        with pytest.raises(ValidationError, match=rf"losing tuple {re.escape(repr(stray))} uses unknown"):
+            game_from_losing(inputs=[0], outputs=[0, 1], losing=diagonal + [stray])
 
 
 def test_game_json_roundtrip_synbcs(magic_square):
@@ -517,12 +523,38 @@ def test_game_json_roundtrip_synbcs(magic_square):
 
 def test_game_json_roundtrip_explicit():
     game = build_hom_game(complete(2), complete(2))
-    explicit = SyncGame(inputs=game.inputs, outputs=game.outputs, predicate=game.predicate)
-    data = explicit.to_json_dict()
+    data = explicit_copy(game).to_json_dict()
     assert data["kind"] == "explicit"
     back = game_from_json_dict(data)
     for t in iter_product(game.inputs, game.inputs, game.outputs, game.outputs):
         assert game.wins(*t) == back.wins(*t)
+
+
+def test_explicit_game_json_lists_its_table_in_scan_order():
+    """However its table is ordered, an explicit game writes its losing tuples in the
+    order of a scan over (input, input, output, output) positions, with string, int
+    and tuple labels, and its candidates are its diagonal winners in output order."""
+    rng = np.random.default_rng(1205)
+    for _ in range(20):
+        ins = [("x", i) for i in range(int(rng.integers(1, 5)))][::-1]
+        outs = ["b", 0, ("a", 1)][:int(rng.integers(1, 4))]
+        scan = [(x, y, a, b) for x in ins for y in ins for a in outs for b in outs
+                if (x == y and a != b) or rng.random() < 0.3]
+        shuffled = [scan[k] for k in rng.permutation(len(scan))]
+        game = game_from_losing(ins, outs, shuffled + shuffled[:3])
+        expected = [[list(x), list(y), list(a) if isinstance(a, tuple) else a,
+                     list(b) if isinstance(b, tuple) else b] for x, y, a, b in scan]
+        assert game.to_json_dict()["losing"] == expected
+        assert game.candidates == {x: tuple(a for a in outs if (x, x, a, a) not in scan)
+                                   for x in ins}
+
+
+@pytest.mark.parametrize("inputs, outputs, repeated",
+                         [([0, 0], [0], "explicit game inputs repeat 0"),
+                          ([0], ["a", "b", "a"], "explicit game outputs repeat 'a'")])
+def test_explicit_game_refuses_repeated_labels(inputs, outputs, repeated):
+    with pytest.raises(ValidationError, match=repeated):
+        game_from_losing(inputs, outputs, [])
 
 
 def test_wins_rejects_unknown_labels():
@@ -615,12 +647,12 @@ def test_relation_check_invariant_under_relabelling(magic_square, permuted, eps)
 def relation_oracle(game, strategy) -> tuple:
     """The per-pair loop the batched kernel replaced: (max overlap, witness, pairs checked)
     over the stored keys in row-major order, taking the first strict maximum."""
-    keys = strategy.stored_keys()
+    keys, wins = strategy.stored_keys(), predicate_of(game)
     max_losing, worst, n_checked = 0.0, None, 0
     for x, a in keys:
         e = strategy.pvms[(x, a)]
         for y, b in keys:
-            if game.predicate(x, y, a, b):
+            if wins(x, y, a, b):
                 continue
             n_checked += 1
             overlap = norm2(e @ strategy.pvms[(y, b)])
@@ -669,17 +701,17 @@ def mask_cases() -> list:
     cases.append(pytest.param(build_synbcs(magic),
                               [(i, x) for i in range(1, 7) for x in enumerate_si(magic, i)],
                               id="synbcs-magic-square"))
-    explicit = game_from_json_dict(SyncGame(
-        inputs=(0, 1), outputs=(0, 1, 2), predicate=build_hom_game(complete(2), complete(3)).predicate,
-    ).to_json_dict())
+    explicit = game_from_json_dict(explicit_copy(build_hom_game(complete(2), complete(3)))
+                                   .to_json_dict())
     cases.append(pytest.param(explicit, every_key(explicit), id="explicit"))
     return cases
 
 
 @pytest.mark.parametrize("game, keys", mask_cases())
 def test_losing_mask_is_the_negated_predicate(game, keys):
-    expected = [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
-    assert np.array_equal(game.losing_mask(keys), np.array(expected, dtype=bool).reshape(len(keys), -1))
+    wins = predicate_of(game)
+    expected = [[not wins(x, y, a, b) for y, b in keys] for x, a in keys]
+    assert np.array_equal(game.losing(keys), np.array(expected, dtype=bool).reshape(len(keys), -1))
 
 
 @pytest.mark.parametrize(
@@ -698,12 +730,13 @@ def test_losing_mask_memory_does_not_grow_with_the_vertex_count(build, keys):
     game = build(g, g)
     tracemalloc.start()
     try:
-        mask = game.losing_mask(keys)
+        mask = game.losing(keys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    expected = [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
+    wins = predicate_of(game)
+    expected = [[not wins(x, y, a, b) for y, b in keys] for x, a in keys]
     assert np.array_equal(mask, np.array(expected, dtype=bool))
 
 
@@ -786,10 +819,11 @@ def test_masks_from_small_tables_match_the_ix_oracle(kind, g, h, keys):
     """The n' x n' tables expanded by two 1-D gathers, and the iso block placed by row
     and column assignment, give the np.ix_ masks bit for bit."""
     game = (build_hom_game if kind == "hom" else build_iso_game)(g, h)
-    mask, expected = game.losing_mask(keys), ix_losing_mask(kind, g, h, keys)
+    mask, expected = game.losing(keys), ix_losing_mask(kind, g, h, keys)
     assert (mask.dtype, mask.shape, mask.tobytes()) == (expected.dtype, expected.shape,
                                                          expected.tobytes())
-    assert mask.tolist() == [[not game.predicate(x, y, a, b) for y, b in keys] for x, a in keys]
+    wins = predicate_of(game)
+    assert mask.tolist() == [[not wins(x, y, a, b) for y, b in keys] for x, a in keys]
     if kind == "hom":  # the expanded tables themselves, on each graph's named vertices
         for graph, side in ((g, 0), (h, 1)):
             verts = np.array([k[side] for k in keys], dtype=np.intp)
@@ -824,9 +858,9 @@ def test_relation_kernel_matches_the_loop_on_a_perturbed_strategy(magic_square, 
         pvms[key] = mat + delta
     perturbed = OperatorStrategy(4, strategy.inputs, strategy.outputs, pvms)
     game = build_synbcs(magic_square)
-    keys = perturbed.stored_keys()
+    keys, wins = perturbed.stored_keys(), predicate_of(game)
     overlaps = sorted(norm2(perturbed.pvms[(x, a)] @ perturbed.pvms[(y, b)])
-                      for x, a in keys for y, b in keys if not game.predicate(x, y, a, b))
+                      for x, a in keys for y, b in keys if not wins(x, y, a, b))
     assert (overlaps[-1] > overlaps[-2]) == (noise == "general")
     assert_kernel_matches_oracle(game, perturbed)
 
@@ -890,7 +924,7 @@ def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
     if rotate:
         iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(61)))
     keys = iso.stored_keys()
-    left, right = np.nonzero(game.losing_mask(keys))
+    left, right = np.nonzero(game.losing(keys))
     rows = []
     residuals = matops._residuals
 

@@ -187,7 +187,7 @@ def test_mutating_a_local_solution_list_changes_nothing_kept(magic_square):
     listed.append((1,) * 9)
     assert enumerate_si(magic_square, 1) == expected
     assert enumerate_si(magic_square, 1) is not enumerate_si(magic_square, 1)
-    assert build_synbcs(magic_square)._candidates[1] == tuple(expected)
+    assert build_synbcs(magic_square).candidates[1] == tuple(expected)
 
 
 def test_equal_systems_share_no_derived_object(magic_square):
@@ -211,7 +211,7 @@ def test_equal_systems_share_no_derived_object(magic_square):
         assert sys_ == magic_square and sys_._derived == {}
     fresh = BinaryLinearSystem(m=6, n=9, rows=magic_square.rows, b=(1,) * 6)
     assert graph_from_system(flipped, True) == graph_from_system(fresh, True)
-    assert build_synbcs(flipped)._candidates == build_synbcs(fresh)._candidates
+    assert build_synbcs(flipped).candidates == build_synbcs(fresh).candidates
 
 
 def test_refusals_are_raised_on_every_call(monkeypatch, magic_square):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from syncgames.errors import ValidationError
-from syncgames.labels import SignVectors, outputs_from_json, outputs_to_json
+from syncgames.labels import (
+    SignVectors,
+    as_alphabet,
+    outputs_from_json,
+    outputs_to_json,
+    unique_dict,
+)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -127,3 +133,16 @@ def test_any_other_list_stays_a_tuple(listed):
 def test_malformed_output_alphabets_are_refused(data):
     with pytest.raises(ValidationError):
         outputs_from_json(data)
+
+
+def test_unique_dict_names_the_first_repeated_key():
+    assert unique_dict([("a", 1), (("b", 2), 2)], "pairs") == {"a": 1, ("b", 2): 2}
+    with pytest.raises(ValidationError, match=r"pairs repeat \('b', 2\)"):
+        unique_dict([(("b", 2), 2), ("a", 3), (("b", 2), 4), ("a", 5)], "pairs")
+
+
+def test_as_alphabet_refuses_a_repeated_label_but_keeps_the_implicit_alphabet():
+    assert as_alphabet(["a", 0, ("a", 0)], "labels") == ("a", 0, ("a", 0))
+    assert as_alphabet(SignVectors(3), "labels") == SignVectors(3)
+    with pytest.raises(ValidationError, match="labels repeat 0"):
+        as_alphabet(iter([1, 0, 2, 0]), "labels")

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    explicit_copy,
     kcopy_magic_square,
+    predicate_of,
     random_exact_pvm,
     random_hermitian,
     random_unitary,
@@ -32,10 +34,10 @@ from syncgames import (
     swap_iso_strategy,
 )
 from syncgames import strategies
-from syncgames.games import SyncGame, game_from_losing
+from syncgames.games import game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
 from syncgames.labels import SignVectors
-from syncgames.matops import dagger, hermitian_eig, norm2, residual
+from syncgames.matops import dagger, hermitian_eig, matrix_to_json, norm2, residual
 from syncgames.strategies import (
     BipartiteStrategy,
     PVMDefects,
@@ -722,6 +724,40 @@ def test_correlation_json_roundtrip_dense_and_sparse():
     assert Correlation.from_json_dict(data).p == p
 
 
+def test_loaders_refuse_repeated_labels_and_keys_naming_the_repeat():
+    """A repeated label would fold cells or keys into one, and a repeated key or entry
+    would keep only its last value: each is refused, naming what repeats."""
+    one = matrix_to_json(np.eye(1))
+    strategy = {"dim": 1, "inputs": ["x"], "outputs": [0],
+                "pvms": [{"input": "x", "output": 0, "matrix": one}]}
+    bipartite = {"dim_a": 1, "dim_b": 1, "inputs": ["x"], "outputs": [0],
+                 "alice": strategy["pvms"], "bob": strategy["pvms"], "state": [[1.0, 0.0]]}
+    correlation = {"n": 1, "m": 1, "inputs": ["x"], "outputs": [0],
+                   "entries": [["x", "x", 0, 0, 1.0]]}
+    assert OperatorStrategy.from_json_dict(strategy).pvms.keys() == {("x", 0)}
+    assert BipartiteStrategy.from_json_dict(bipartite).alice.keys() == {("x", 0)}
+    assert Correlation.from_json_dict(correlation).p == {("x", "x", 0, 0): 1.0}
+    cases = [
+        (OperatorStrategy, {**strategy, "inputs": ["x", "x"]}, "strategy inputs repeat 'x'"),
+        (OperatorStrategy, {**strategy, "outputs": [0, 0]}, "strategy outputs repeat 0"),
+        (OperatorStrategy, {**strategy, "pvms": strategy["pvms"] * 2},
+         r"strategy pvms repeat \('x', 0\)"),
+        (BipartiteStrategy, {**bipartite, "inputs": ["x", "x"]},
+         "bipartite strategy inputs repeat 'x'"),
+        (BipartiteStrategy, {**bipartite, "bob": strategy["pvms"] * 2},
+         r"bipartite strategy bob repeat \('x', 0\)"),
+        (Correlation, {**correlation, "n": 2, "inputs": ["x", "x"]},
+         "correlation inputs repeat 'x'"),
+        (Correlation, {**correlation, "m": 2, "outputs": [0, 0], "p": [[[[1.0, 0.0], [0.0, 0.0]]]]},
+         "correlation outputs repeat 0"),
+        (Correlation, {**correlation, "entries": correlation["entries"] * 2},
+         r"correlation entries repeat \('x', 'x', 0, 0\)"),
+    ]
+    for cls, data, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            cls.from_json_dict(data)
+
+
 def dense_entries_oracle(dense: np.ndarray, inputs, outputs) -> dict:
     """The loop the dense correlation loader ran over every cell."""
     p = {}
@@ -864,11 +900,11 @@ def test_bipartite_rejects_unnormalized_state():
 # ------------------------------------------------------ batched max_losing --
 
 def max_losing_oracle(corr: Correlation, game) -> tuple:
-    """The per-entry loop Correlation.max_losing replaced: one game.wins call per
-    stored entry, keeping the first strict maximum above 0."""
-    worst, witness = 0.0, None
+    """The per-entry loop Correlation.max_losing replaced: one call of the game's oracle
+    predicate per stored entry, keeping the first strict maximum above 0."""
+    worst, witness, wins = 0.0, None, predicate_of(game)
     for (x, y, a, b), val in corr.p.items():
-        if not game.wins(x, y, a, b) and val > worst:
+        if not wins(x, y, a, b) and val > worst:
             worst, witness = val, (x, y, a, b)
     return worst, witness
 
@@ -905,9 +941,8 @@ def max_losing_cases() -> list:
                for a in hom.outputs for b in hom.outputs}
     cases.append(pytest.param(noisy(Correlation(hom.inputs, hom.outputs, uniform), 89), hom,
                               id="hom"))
-    explicit = game_from_json_dict(SyncGame(
-        inputs=(0, 1), outputs=(0, 1, 2), predicate=build_hom_game(complete(2), complete(3)).predicate,
-    ).to_json_dict())
+    explicit = game_from_json_dict(explicit_copy(build_hom_game(complete(2), complete(3)))
+                                   .to_json_dict())
     cases.append(pytest.param(noisy(Correlation((0, 1), (0, 1, 2), {
         key: 1.0 / 9 for key in uniform if max(key) < 3 and max(key[:2]) < 2}), 97), explicit,
         id="explicit"))
