@@ -129,6 +129,8 @@ def _read_json(path: str, digests: Optional[dict] = None) -> dict:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path} nests JSON too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return data
@@ -158,8 +160,14 @@ class Run:
         self.started = time.monotonic()
 
     def track(self, path: str, loader: Callable):
-        """Read one input file, record its digest and parse it with its loader."""
-        return loader(_read_json(path, self.inputs), path, self.inputs)
+        """Read one input file, record its digest and parse it with its loader.  The
+        loaders parse nested labels recursively, so a deeper nesting than the
+        interpreter's recursion limit allows is refused as invalid input."""
+        data = _read_json(path, self.inputs)
+        try:
+            return loader(data, path, self.inputs)
+        except RecursionError as exc:
+            raise ValidationError(f"{path} nests its values too deeply to load") from exc
 
     def check(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append({"name": name, "pass": bool(ok), "detail": detail})

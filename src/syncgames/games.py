@@ -114,18 +114,6 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
     return SyncGame(inputs, outputs, losing_of, candidates, source)
 
 
-def _bcs_disagreement(sys: BinaryLinearSystem, keys) -> np.ndarray:
-    """(K, K) bool array over (equation, sign vector) keys of the system: entry (i, j)
-    is True when the two sign vectors disagree on a variable both equations contain."""
-    # Over the variables two keys' equations share, the signed support rows
-    # give (#agreeing - #disagreeing) = #shared exactly when the answers agree.
-    support = np.zeros((len(keys), sys.n), dtype=np.int64)
-    for k, (i, _) in enumerate(keys):
-        support[k, [j - 1 for j in sys.rows[i - 1]]] = 1
-    signed = support * np.array([x for _, x in keys], dtype=np.int64).reshape(len(keys), sys.n)
-    return (signed @ signed.T) != (support @ support.T)
-
-
 def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     """The synchronous BCS game of a GF(2) system: inputs are equations, outputs are
     the global sign vectors, kept implicit as SignVectors(n); players win when both
@@ -140,14 +128,20 @@ def build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
 def _build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     # the system's own local-solution tuples, in output order
     listed = {i: sys._local_solutions(i) for i in range(1, sys.m + 1)}
-    # The closures hold an equal system with nothing derived, not sys: sys keeps this
-    # game, and the reference cycle would leave a dropped system to the cyclic collector.
+    # The closures hold the system's sign table and an equal system with nothing
+    # derived, not sys: sys keeps this game, and the reference cycle would leave a
+    # dropped system to the cyclic collector.
+    table = sys._sign_table()
     spec = BinaryLinearSystem(m=sys.m, n=sys.n, rows=sys.rows, b=sys.b)
-    solutions = {i: frozenset(si) for i, si in listed.items()}
+    row_of = table.row_of.get
 
     def losing(keys):
-        valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
-        return ~(valid[:, None] & valid[None, :]) | _bcs_disagreement(spec, keys)
+        rows = np.array([row_of(key, -1) for key in keys], dtype=np.intp)
+        valid = rows >= 0
+        if valid.all():
+            return table.disagreement(rows)
+        # a key that is no local solution loses every round
+        return table.disagreement(np.where(valid, rows, 0)) | ~(valid[:, None] & valid[None, :])
 
     return SyncGame(
         inputs=tuple(range(1, sys.m + 1)),
@@ -357,19 +351,23 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
         start += len(candidates[x])
     chosen: list = [None] * len(order)
     spend = node_budget()
-
-    def extend(depth: int, allowed: int) -> bool:
-        if depth == len(levels):
-            return True
-        for bit, row, a in levels[depth]:
+    # one frame per assigned depth, on a list rather than the interpreter's stack (one
+    # per input): (the depth's entries still to try, the keys allowed there)
+    frames = [(iter(levels[0]), -1)] if levels else []  # -1: every bit set
+    while frames:
+        untried, allowed = frames[-1]
+        for bit, row, a in untried:
             spend()
             if allowed & bit:
-                chosen[depth] = a
-                if extend(depth + 1, allowed & row):
-                    return True
-        return False
-
-    if extend(0, -1):  # -1: every bit set
+                break
+        else:
+            frames.pop()  # no entry left: back to the depth before
+            continue
+        chosen[len(frames) - 1] = a
+        if len(frames) == len(levels):
+            break
+        frames.append((iter(levels[len(frames)]), allowed & row))
+    if frames or not levels:
         return DeterministicStrategy(assignment=dict(zip(order, chosen)))
     return None
 

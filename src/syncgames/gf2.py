@@ -7,8 +7,10 @@ Rows are bit-packed into Python ints, so elimination is exact and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Optional
+
+import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .labels import int_from_json
@@ -28,8 +30,8 @@ class BinaryLinearSystem:
     b: tuple      # tuple of bits (0 or 1)
     # what the library derives from the system, each built on first use and kept for the
     # object's life (equality, hashing and repr ignore it): ("si", i) -> equation i's local
-    # solutions, "homogeneous" -> the b = 0 system, "graph" -> the incompatibility graph,
-    # "synbcs" -> the synBCS game
+    # solutions, "signs" -> the SignTable of all of them, "homogeneous" -> the b = 0
+    # system, "graph" -> the incompatibility graph, "synbcs" -> the synBCS game
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -106,6 +108,11 @@ class BinaryLinearSystem:
         self._local_solution_count(i)
         return self._cached(("si", i), lambda: _enumerate_si(self, i))
 
+    def _sign_table(self) -> "SignTable":
+        """The local solutions of every equation as one SignTable, built once per system;
+        a refusal is raised on every call."""
+        return self._cached("signs", lambda: _build_sign_table(self))
+
     def _homogeneous(self) -> "BinaryLinearSystem":
         """The system with every b_i = 0: itself when it is homogeneous, else built once."""
         if not any(self.b):
@@ -140,6 +147,44 @@ class BinaryLinearSystem:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed system JSON: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class SignTable:
+    """A system's local solutions (i, x), equation-major with each S_i in enumerate_si's
+    order (the incompatibility graph's vertex order), as one row each.  It holds no
+    reference to the system, so whatever keeps it never keeps the system alive."""
+
+    row_of: dict  # (i, x) -> its row, in row order
+    equation: np.ndarray  # (N,) intp: row r's equation, 0-based
+    # (N, n) int8: row r's sign vector on its equation's support, 0 off it
+    signs: np.ndarray
+    supports: np.ndarray  # (m, n) int8: entry (i - 1, j - 1) is 1 when x_j is in V_i
+
+    def disagreement(self, rows=slice(None)) -> np.ndarray:
+        """(K, K) bool array over the K rows given (every row by default): entry (k, l)
+        is True when the two local solutions disagree on a variable both equations
+        contain."""
+        # Over the variables two equations share, the signed rows give (#agreeing -
+        # #disagreeing) = #shared exactly when the answers agree; with entries -1, 0, 1
+        # and at most 2^53 terms, float64 forms every sum exactly.
+        signed = self.signs[rows].astype(np.float64)
+        support = self.supports[self.equation[rows]].astype(np.float64)
+        return (signed @ signed.T) != (support @ support.T)
+
+
+def _build_sign_table(sys: BinaryLinearSystem) -> SignTable:
+    listed = [sys._local_solutions(i) for i in range(1, sys.m + 1)]
+    keys = [(i, x) for i, si in enumerate(listed, start=1) for x in si]
+    supports = np.zeros((sys.m, sys.n), dtype=np.int8)
+    supports.reshape(-1)[[i * sys.n + j - 1 for i, row in enumerate(sys.rows) for j in row]] = 1
+    equation = np.repeat(np.arange(sys.m, dtype=np.intp), [len(si) for si in listed])
+    signs = np.fromiter(chain.from_iterable(chain.from_iterable(listed)), dtype=np.int8,
+                        count=len(keys) * sys.n).reshape(-1, sys.n)
+    signs = signs * supports[equation]  # a local solution is +1 off its support
+    for array in (equation, signs, supports):
+        array.flags.writeable = False
+    return SignTable(dict(zip(keys, range(len(keys)))), equation, signs, supports)
 
 
 def solve_gf2(sys: BinaryLinearSystem) -> Optional[SignVector]:

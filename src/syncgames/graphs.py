@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
 from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
-from .games import _bcs_disagreement, _check_labels, node_budget
+from .games import _check_labels, node_budget
 from .gf2 import BinaryLinearSystem
 from .labels import int_from_json, label_to_json, labels_from_json
 from .matops import DEFAULT_TOL, _chunk_slices, _kron_pairs, _residuals
@@ -271,10 +271,11 @@ def graph_from_system(sys: BinaryLinearSystem, use_b: bool = True) -> Graph:
 
 
 def _build_graph_from_system(sys: BinaryLinearSystem) -> Graph:
-    labels = [(i, x) for i in range(1, sys.m + 1) for x in sys._local_solutions(i)]
-    us, vs = np.nonzero(np.triu(_bcs_disagreement(sys, labels), 1))
-    edges = frozenset(zip(us.tolist(), vs.tolist()))
-    return Graph(n=len(labels), edges=edges, labels=tuple(labels))
+    table = sys._sign_table()  # its rows are the vertices, in order
+    us, vs = np.nonzero(table.disagreement())
+    upper = us < vs
+    edges = frozenset(zip(us[upper].tolist(), vs[upper].tolist()))
+    return Graph(n=len(table.row_of), edges=edges, labels=tuple(table.row_of))
 
 
 @dataclass(frozen=True)

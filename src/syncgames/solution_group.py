@@ -307,13 +307,13 @@ def strategy_from_rep(
     eps = tol if eps is None else eps
 
     game = build_synbcs(sys)
-    keys = [(i, x) for i in range(1, sys.m + 1) for x in sys._local_solutions(i)]
+    table = sys._sign_table()
+    keys = list(table.row_of)
     stack = rep.stack
     pvms = {}
     for members, ids in _by_length([sorted(sys.rows[i - 1]) for i, _ in keys]):
         ids = ids - 1
-        signs = np.array([keys[r][1] for r in members], dtype=complex)
-        signs = np.take_along_axis(signs, ids, axis=1)
+        signs = np.take_along_axis(table.signs[members], ids, axis=1).astype(complex)
 
         def factor(sl, pos):
             # chi_{+-1}(w) = (I +- w)/2, exact for involutions; no eigensolver needed

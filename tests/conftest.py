@@ -79,6 +79,39 @@ def random_system(rng, max_m: int = 6, max_n: int = 10) -> BinaryLinearSystem:
     return BinaryLinearSystem(m=m, n=n, rows=tuple(rows), b=b)
 
 
+def local_solutions(sys_: BinaryLinearSystem, i: int) -> list:
+    """Equation i's local solutions, +1 off its support, in ascending tuple order."""
+    support = sorted(sys_.rows[i - 1])
+    out = []
+    for signs in iter_product((-1, 1), repeat=len(support)):
+        x = [1] * sys_.n
+        for j, s in zip(support, signs):
+            x[j - 1] = s
+        if sys_.equation_holds(i, tuple(x)):
+            out.append(tuple(x))
+    return sorted(out)
+
+
+def bcs_disagreement(sys_: BinaryLinearSystem, keys) -> np.ndarray:
+    """(K, K) bool array over (equation, sign vector) keys, built key by key from the
+    tuples: entry (k, l) is True when the two sign vectors disagree on a variable both
+    equations contain (signed supports agree on all #shared variables exactly when the
+    answers agree)."""
+    support = np.zeros((len(keys), sys_.n), dtype=np.int64)
+    for k, (i, _) in enumerate(keys):
+        support[k, [j - 1 for j in sys_.rows[i - 1]]] = 1
+    signed = support * np.array([x for _, x in keys], dtype=np.int64).reshape(len(keys), sys_.n)
+    return (signed @ signed.T) != (support @ support.T)
+
+
+def synbcs_losing_oracle(sys_: BinaryLinearSystem, keys) -> np.ndarray:
+    """The synBCS losing mask from per-equation frozensets of local solutions and the
+    per-key disagreement: a key that is no local solution loses every round."""
+    solutions = {i: frozenset(local_solutions(sys_, i)) for i in range(1, sys_.m + 1)}
+    valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
+    return ~(valid[:, None] & valid[None, :]) | bcs_disagreement(sys_, keys)
+
+
 def exhaustive_solutions(sys: BinaryLinearSystem) -> list:
     """All global sign-vector solutions by scanning all 2^n assignments."""
     out = []

@@ -185,6 +185,18 @@ def test_pair_table_budget_exit_code(tmp_path, capsys):
     assert main(["game", "solve-classical", "--in", write_json(tmp_path, "fits.json", game)]) == 0
 
 
+def test_search_over_1200_inputs_exits_0_with_a_report(tmp_path):
+    """The hom game from an edgeless 1,200-vertex graph into K_1 is searched one depth
+    per input, deeper than the interpreter's recursion limit."""
+    game = {"kind": "hom", "G": {"n": 1200, "edges": []}, "H": {"n": 1, "edges": []}}
+    report = tmp_path / "solve.json"
+    path = write_json(tmp_path, "edgeless.json", game)
+    assert main(["game", "solve-classical", "--in", path, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())["payload"]
+    assert payload["perfect_deterministic_strategy_exists"] is True
+    assert sorted(payload["assignment"]) == [[v, 0] for v in range(1200)]
+
+
 def test_verification_exit_code_for_bad_strategy(tmp_path, magic_square_file):
     game_file = write_json(
         tmp_path, "game.json", {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
@@ -353,6 +365,10 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
          {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 0], "entries": [[0, 0, 0, 0, 1.0]]}),
         (["strategy", "check", "--correlation"],
          {**CORRELATION, "entries": [[0, 0, 0, 0, 0.5], [0, 0, 0, 0, 1.0]]}),
+        (["system", "solve", "--in"], "[" * 100_000 + "]" * 100_000),
+        (["game", "solve-classical", "--in"],
+         '{"kind": "explicit", "inputs": [%s], "outputs": [0], "losing": []}'
+         % ("[" * 900 + "0" + "]" * 900)),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -373,7 +389,8 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
          "strategy-inputs-repeated", "strategy-outputs-repeated", "strategy-key-repeated",
          "bipartite-inputs-repeated", "bipartite-outputs-repeated", "bipartite-alice-key-repeated",
          "bipartite-bob-key-repeated", "correlation-inputs-repeated",
-         "correlation-outputs-repeated", "correlation-entry-repeated"],
+         "correlation-outputs-repeated", "correlation-entry-repeated", "json-nested-100000",
+         "explicit-input-label-nested-900"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
@@ -381,8 +398,8 @@ def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     write_json(tmp_path, "empty-graph.json", EMPTY_CERT["graph"])
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     path = tmp_path / "input.json"
-    if payload is not None:
-        path.write_text(json.dumps(payload))
+    if payload is not None:  # raw text is written as it is
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     report = tmp_path / "report.json"
     assert main(argv + [str(path), "--report", str(report)]) == 2
     assert capsys.readouterr().err.startswith("invalid input: ")

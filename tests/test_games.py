@@ -18,12 +18,14 @@ from conftest import (
     explicit_copy,
     is_synchronous,
     kcopy_magic_square,
+    local_solutions,
     predicate_of,
     random_graph,
     random_hermitian,
     random_system,
     random_unitary,
     rotated,
+    synbcs_losing_oracle,
 )
 
 from syncgames import (
@@ -358,6 +360,13 @@ def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
             refused += isinstance(expected, str)
             answered += not isinstance(expected, str)
     assert refused > 100 and answered > 100
+
+
+def test_search_over_1200_inputs_keeps_its_own_stack():
+    """One depth per input, 1,200 deep: the hom game from an edgeless graph into K_1
+    is answered, not refused by the interpreter's recursion limit."""
+    game = build_hom_game(empty_graph(1200), complete(1))
+    assert find_deterministic_perfect(game).assignment == {v: 0 for v in range(1200)}
 
 
 def nothing_loses(keys) -> np.ndarray:
@@ -831,6 +840,73 @@ def test_masks_from_small_tables_match_the_ix_oracle(kind, g, h, keys):
                                   (games._relation_types, ix_relation_types)):
                 got, want = games._pair_table(table, graph, verts), oracle(graph, verts)
                 assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+# ------------------------------------------------------- synBCS sign table --
+
+def stray_key(sys_, rng) -> tuple:
+    """A key (i, x) that is no local solution of equation i: a local solution with one
+    support sign flipped (wrong parity) or, when a variable is off the support, -1 there."""
+    i = int(rng.integers(1, sys_.m + 1))
+    listed = local_solutions(sys_, i)
+    x = list(listed[int(rng.integers(len(listed)))])
+    off = sorted(set(range(1, sys_.n + 1)) - sys_.rows[i - 1])
+    if off and rng.random() < 0.5:
+        x[int(rng.choice(off)) - 1] = -1
+    else:
+        j = int(rng.choice(sorted(sys_.rows[i - 1])))
+        x[j - 1] = -x[j - 1]
+    return i, tuple(x)
+
+
+def sign_table_cases() -> list:
+    """(system, key lists) on seeded random systems and the 1-, 2- and 3-copy magic
+    squares: local solutions mixed with stray keys, shuffled, repeated, none, one local
+    solution, one stray key and stray keys only."""
+    rng = np.random.default_rng(2417)
+    systems = [random_system(rng) for _ in range(20)] + [kcopy_magic_square(k)[0] for k in (1, 2, 3)]
+    cases = []
+    for t, sys_ in enumerate(systems):
+        local = [(i, x) for i in range(1, sys_.m + 1) for x in local_solutions(sys_, i)]
+        stray = [stray_key(sys_, rng) for _ in range(6)]
+        assert not set(stray) & set(local)
+        mixed = local + stray
+        shuffled = [mixed[k] for k in rng.permutation(len(mixed))]
+        repeated = [mixed[k] for k in rng.integers(0, len(mixed), size=2 * len(mixed))]
+        key_lists = [shuffled, repeated, [], local[:1], stray[:1], stray]
+        cases.append(pytest.param(sys_, key_lists, id=f"system-{t}"))
+    return cases
+
+
+@pytest.mark.parametrize("sys_, key_lists", sign_table_cases())
+def test_synbcs_masks_from_the_sign_table_match_the_per_key_oracle(sys_, key_lists):
+    """Index lookups and row gathers from the system's sign table give the masks the
+    per-key support loop and the frozenset membership gave, bit for bit."""
+    game = build_synbcs(sys_)
+    for keys in key_lists:
+        mask, expected = game.losing(keys), synbcs_losing_oracle(sys_, keys)
+        assert (mask.dtype, mask.shape, mask.tobytes()) == (expected.dtype, expected.shape,
+                                                             expected.tobytes())
+
+
+def test_a_system_of_many_equations_builds_its_synbcs_game_in_memory_linear_in_m():
+    """3,000 one-variable equations: the sign table holds the m x n supports, not
+    m x m shared-variable counts (72 MB of float64 here), and a mask over a few keys
+    gathers only their rows."""
+    m = 3000
+    sys_ = BinaryLinearSystem(m=m, n=1, rows=(frozenset({1}),) * m,
+                              b=tuple(i % 2 for i in range(m)))
+    keys = [(1, (1,)), (2, (-1,)), (2, (1,)), (m, (-1,))]
+    tracemalloc.start()
+    try:
+        game = build_synbcs(sys_)
+        mask = game.losing(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    expected = synbcs_losing_oracle(sys_, keys)
+    assert (mask.dtype, mask.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 @pytest.mark.parametrize("copies", [1, 2])

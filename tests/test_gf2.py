@@ -176,7 +176,8 @@ def test_solve_agrees_with_bitmask_scan_up_to_sixteen_variables():
 def derived_objects(sys_) -> list:
     """Every object the library derives from sys_ and keeps on it."""
     objects = [build_synbcs(sys_), graph_from_system(sys_, True), graph_from_system(sys_, False)]
-    objects += [sys_._homogeneous()] + [sys_._local_solutions(i) for i in range(1, sys_.m + 1)]
+    objects += [sys_._sign_table(), sys_._homogeneous()._sign_table(), sys_._homogeneous()]
+    objects += [sys_._local_solutions(i) for i in range(1, sys_.m + 1)]
     return objects
 
 
@@ -244,16 +245,17 @@ def test_refusals_are_raised_on_every_call(monkeypatch, magic_square):
 
 def test_a_dropped_system_is_freed_with_what_it_derived():
     """What a system keeps holds no reference back to it, so dropping the system frees
-    it and its derived objects at once, without the cyclic collector."""
+    it and its derived objects at once, without the cyclic collector.  The game's
+    closures keep the system's sign table, which goes with the game."""
     gc.disable()
     try:
         sys_ = mermin_peres_system()
-        refs = [weakref.ref(obj) for obj in [sys_] + derived_objects(sys_)[:3]]
+        refs = [weakref.ref(obj) for obj in [sys_] + derived_objects(sys_)[:5]]
         game = build_synbcs(sys_)
         del sys_
-        assert [ref() is None for ref in refs] == [True, False, True, True]
+        assert [ref() is None for ref in refs] == [True, False, True, True, False, True]
         assert game.to_json_dict()["system"] == mermin_peres_system().to_json_dict()
         del game
-        assert refs[1]() is None
+        assert refs[1]() is None and refs[4]() is None
     finally:
         gc.enable()

@@ -275,25 +275,32 @@ def graph_from_system_oracle(sys_: BinaryLinearSystem, use_b: bool) -> Graph:
     b = sys_.b if use_b else (0,) * sys_.m
     variant = BinaryLinearSystem(m=sys_.m, n=sys_.n, rows=sys_.rows, b=b)
     labels = [(i, x) for i in range(1, sys_.m + 1) for x in enumerate_si(variant, i)]
-    edges = set()
+    edges = []  # in ascending pair order, which fixes the frozenset's order
     for u in range(len(labels)):
         i, x = labels[u]
         for v in range(u + 1, len(labels)):
             j, y = labels[v]
             if any(x[k - 1] != y[k - 1] for k in sys_.rows[i - 1] & sys_.rows[j - 1]):
-                edges.add((u, v))
+                edges.append((u, v))
     return Graph(n=len(labels), edges=frozenset(edges), labels=tuple(labels))
 
 
 def test_incompatibility_graph_matches_the_pair_loop():
+    """G_b and G_0, from the disagreement over each variant's whole sign table, are the
+    graphs the pair loop builds: the same edges in the same order (so the same edge
+    array), labels, equality, hash, pickle and JSON."""
     rng = np.random.default_rng(52)
     systems = [random_system(rng, max_m=6, max_n=10) for _ in range(40)]
-    systems.append(kcopy_magic_square(3)[0])
+    systems += [kcopy_magic_square(k)[0] for k in (1, 2, 3)]
     for sys_ in systems:
         for use_b in (True, False):
             g = graph_from_system(sys_, use_b=use_b)
             expected = graph_from_system_oracle(sys_, use_b)
             assert (g.n, g.labels, g.edges) == (expected.n, expected.labels, expected.edges)
+            assert list(g.edges) == list(expected.edges)
+            assert g == expected and hash(g) == hash(expected)
+            assert pickle.loads(pickle.dumps(g)) == expected
+            assert g.to_json_dict() == expected.to_json_dict()
 
 
 def test_alpha_of_incompatibility_graph_detects_solvability():
@@ -530,6 +537,18 @@ def test_rep_from_independence_rejects_value_mismatch(magic_square):
     indep = max_independent_set(g_b)  # size 5 < m
     cert = independence_certificate_from_set(g_b, indep)
     with pytest.raises(ValidationError):
+        rep_from_independence(cert, magic_square)
+
+
+def test_rep_from_independence_refuses_a_certificate_on_g0(magic_square):
+    """The value-6 certificate on G_0 from complement_colouring_ga0 has the right value
+    but the wrong graph: G_0 and G_b have the same vertex count and differ in labels
+    and edges, so Graph equality refuses it."""
+    certs = complement_colouring_ga0(magic_square)
+    cert = independence_certificate_from_set(certs.graph, certs.independent_set)
+    assert cert.value == magic_square.m and cert.graph.n == graph_from_system(magic_square).n
+    with pytest.raises(ValidationError,
+                       match="^certificate graph is not the system's incompatibility graph$"):
         rep_from_independence(cert, magic_square)
 
 

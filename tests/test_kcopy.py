@@ -268,11 +268,13 @@ def test_each_certificate_is_checked_once(monkeypatch, pipeline, relation_checks
 def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
     """Each pipeline starts from a fresh system and builds, through the private builders
     counted here, its one synBCS game, its one G_b, the one G_0 of its homogeneous
-    variant and each of the two systems' local solutions once per equation: 12 and 24
+    variant, one sign table for each of the two systems (the game and G_b share the
+    system's) and each of the two systems' local solutions once per equation: 12 and 24
     enumerations (60 and 132 when every conversion rebuilt them).  6 Graphs are built
     in all (10 and 13 before): G_b, G_0, their complements and the complete graph of
     each of the two independence certificates' games."""
-    built = {"_enumerate_si": [], "_build_graph_from_system": [], "_build_synbcs": []}
+    built = {"_enumerate_si": [], "_build_sign_table": [], "_build_graph_from_system": [],
+             "_build_synbcs": []}
 
     def count(module, name):
         original = getattr(module, name)
@@ -283,6 +285,7 @@ def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
         monkeypatch.setattr(module, name, wrapper)
 
     count(gf2, "_enumerate_si")
+    count(gf2, "_build_sign_table")
     count(graphs, "_build_graph_from_system")
     count(games, "_build_synbcs")
     graphs_built = []
@@ -297,6 +300,7 @@ def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
     homogeneous = system._homogeneous()
     assert any(system.b) and not any(homogeneous.b)
     assert [id(s) for s, in built["_build_graph_from_system"]] == [id(system), id(homogeneous)]
+    assert sorted(id(s) for s, in built["_build_sign_table"]) == sorted([id(system), id(homogeneous)])
     enumerated = Counter((id(s), i) for s, i in built["_enumerate_si"])
     assert enumerated == Counter((id(s), i) for s in (system, homogeneous)
                                  for i in range(1, system.m + 1))
