@@ -422,11 +422,7 @@ def _graph_colour_ga0(run, args, system):
     return certs.as_dict()
 
 
-def _graph_certify(run, args, cert, graph, strategy):
-    if cert is None:
-        if graph is None or strategy is None or args.value is None:
-            raise ValidationError("pass --cert or all of --graph/--value/--strategy")
-        cert = IndependenceCertificate(graph=graph, value=args.value, strategy=strategy)
+def _graph_certify(run, args, cert):
     report = cert.verify(args.tol)
     run.payload["value"] = cert.value
     run.payload["relations"] = report.as_dict()
@@ -616,9 +612,7 @@ COMMANDS = (
     Command("graph colour-ga0", "colouring + independent-set certificates for G_{A,0}",
             _graph_colour_ga0, inputs=(Input("--system", "system"),), flags=(OUT,)),
     Command("graph certify", "verify an independence certificate", _graph_certify,
-            inputs=(Input("--cert", "cert_bundle", False, "certificate bundle JSON"),
-                    Input("--graph", "graph", False), Input("--strategy", "strategy", False)),
-            flags=(flag("--value", type=int), TOL)),
+            inputs=(Input("--cert", "cert_bundle", help="certificate bundle JSON"),), flags=(TOL,)),
     Command("graph transport", "transport a certificate along an isomorphism strategy",
             _graph_transport,
             inputs=(Input("--cert", "cert_bundle", help="certificate bundle JSON"),

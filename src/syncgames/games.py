@@ -13,7 +13,6 @@ search never scans the alphabet.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .strategies import OperatorStrategy
 
 MAX_GAME_VARIABLES = MAX_SIGN_VECTOR_LENGTH  # synBCS outputs are SignVectors(n)
-DEFAULT_SEARCH_BITS = 64.0
 DEFAULT_SEARCH_NODES = 2_000_000
 # cells of the search's pair table, K^2 for K candidate keys (x, a): K <= 2000
 MAX_PAIR_TABLE_CELLS = 4_000_000
@@ -308,14 +306,14 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     """Backtracking search for a perfect deterministic strategy.
 
     Returns None only when the exhaustive search proved none exists; raises
-    BudgetError (an explicit undecided outcome) when the assignment space,
-    sum over inputs x of log2 |candidates(x)|, exceeds DEFAULT_SEARCH_BITS
-    bits or the search exceeds DEFAULT_SEARCH_NODES nodes.  The candidates of
+    BudgetError (an explicit undecided outcome) when the search exceeds
+    DEFAULT_SEARCH_NODES nodes or its pair table MAX_PAIR_TABLE_CELLS cells,
+    and never for the size of the assignment space alone.  The candidates of
     x are its outputs a with V(x, x, a, a) = 1, as the game lists them (synBCS:
     the local solutions S_i; hom: every output; iso: every label of the
     opposite side; explicit: those its table does not lose).  Inputs are
-    processed most constrained first and partial assignments are pruned
-    against every previously assigned input.
+    processed most constrained first, ties in input order, and partial
+    assignments are pruned against every previously assigned input.
 
     The pruning reads a pair table built once, before the search, from the
     game's losing mask over the K candidate keys (x, a): key k is a Python
@@ -325,14 +323,9 @@ def find_deterministic_perfect(game: SyncGame) -> Optional[DeterministicStrategy
     anything is allocated.
     """
     candidates = game.candidates
-    bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
-    if bits > DEFAULT_SEARCH_BITS:
-        raise BudgetError(
-            f"search space of {bits:.1f} bits exceeds budget of {DEFAULT_SEARCH_BITS:.1f}; undecided"
-        )
     if any(not c for c in candidates.values()):
         return None
-    order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
+    order = sorted(game.inputs, key=lambda x: len(candidates[x]))  # stable: ties keep input order
     keys = [(x, a) for x in order for a in candidates[x]]
     cells = len(keys) ** 2
     if cells > MAX_PAIR_TABLE_CELLS:

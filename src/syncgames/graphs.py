@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, ValidationError, VerificationError
-from .games import GameRelationReport, build_hom_game, build_iso_game, check_game_algebra_relations
-from .games import _check_labels, node_budget
+from .games import GameRelationReport, SyncGame, build_hom_game, build_iso_game
+from .games import _adjacency, _check_labels, _pair_table, check_game_algebra_relations, node_budget
 from .gf2 import BinaryLinearSystem
 from .labels import int_from_json, label_to_json, labels_from_json
 from .matops import DEFAULT_TOL, _chunk_slices, _kron_pairs, _residuals
@@ -325,12 +325,26 @@ class IndependenceCertificate:
 
     def game(self):
         """The homomorphism game from K_value into the graph's complement, built once
-        per certificate, as Graph keeps its complement."""
+        per certificate.  Its mask reads the graph itself, so neither K_value nor the
+        complement is built: keys (k, v) and (l, w) lose when k = l and v != w, or when
+        k != l and v = w or v ~ w.  Only its JSON, written on demand, builds both."""
         return self._game
 
     @cached_property
     def _game(self):
-        return build_hom_game(complete(self.value), self.graph.complement())
+        g, value = self.graph, self.value
+
+        def losing(keys):
+            slot = np.array([k[0] for k in keys], dtype=np.intp)
+            v = np.array([k[1] for k in keys], dtype=np.intp)
+            same = v[:, None] == v[None, :]
+            return np.where(slot[:, None] == slot[None, :], ~same,
+                            same | _pair_table(_adjacency, g, v))
+
+        inputs, outputs = tuple(range(value)), tuple(range(g.n))
+        # the complement is loopless, so every output is a candidate
+        return SyncGame(inputs, outputs, losing, dict.fromkeys(inputs, outputs),
+                        lambda: build_hom_game(complete(value), g.complement()).to_json_dict())
 
     def verify(self, tol: float = DEFAULT_TOL) -> GameRelationReport:
         return check_game_algebra_relations(self.game(), self.strategy, tol)

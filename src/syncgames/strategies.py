@@ -86,13 +86,12 @@ class OperatorStrategy:
     Each distinct operator is stored once.  The constructor copies the given
     operators into one read-only (D, dim, dim) array, stack, and ids[k] is the
     row of stack holding the operator of stored_keys()[k]; every row is some
-    key's, so D is at most the number of stored keys.  Operators are
-    shared first by identity (an isomorphism strategy passes each BCS
-    projection many times), then by content: a blake2b digest of the bytes, a
-    hit confirmed byte for byte, so a strategy reloaded from JSON or rotated key
-    by key shares its rows too.  The constructor numbers rows in stored-key order
-    of first use (a swapped isomorphism strategy keeps the original's numbers, and
-    one built by graphs.iso_strategy_from_bcs the BCS strategy's).
+    key's, so D is at most the number of stored keys.  Operators are shared by
+    content: a blake2b digest of the bytes, a hit confirmed byte for byte, so a
+    strategy reloaded from JSON or rotated key by key shares its rows too.  The
+    constructor numbers rows in stored-key order of first use (a swapped
+    isomorphism strategy keeps the original's numbers, and one built by
+    graphs.iso_strategy_from_bcs the BCS strategy's).
     After construction pvms is a read-only mapping, in stored_keys() order, to
     read-only views of the rows, one view object per row.
     """
@@ -119,27 +118,22 @@ class OperatorStrategy:
             self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index(key[1]))
         )
         distinct: list = []
-        by_object: dict = {}  # id(mat) -> (mat, row); holding mat keeps its id from being reused
         by_digest: dict = {}  # blake2b digest -> rows with that digest
         ids = np.empty(len(keys), dtype=np.intp)
         for k, key in enumerate(keys):
-            mat = self.pvms[key]
-            hit = by_object.get(id(mat))
-            if hit is None:
-                m = np.ascontiguousarray(as_matrix(mat))
-                if m.shape != (dim, dim):
-                    raise ValidationError(
-                        f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
-                    )
-                same = by_digest.setdefault(hashlib.blake2b(m, digest_size=32).digest(), [])
-                raw = m.view(np.uint8)
-                row = next((r for r in same if np.array_equal(raw, distinct[r].view(np.uint8))), None)
-                if row is None:
-                    row = len(distinct)
-                    distinct.append(m)
-                    same.append(row)
-                hit = by_object[id(mat)] = (mat, row)
-            ids[k] = hit[1]
+            m = np.ascontiguousarray(as_matrix(self.pvms[key]))
+            if m.shape != (dim, dim):
+                raise ValidationError(
+                    f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
+                )
+            same = by_digest.setdefault(hashlib.blake2b(m, digest_size=32).digest(), [])
+            raw = m.view(np.uint8)
+            row = next((r for r in same if np.array_equal(raw, distinct[r].view(np.uint8))), None)
+            if row is None:
+                row = len(distinct)
+                distinct.append(m)
+                same.append(row)
+            ids[k] = row
         stack = np.array(distinct, dtype=complex).reshape(len(distinct), dim, dim)
         stack.flags.writeable = False
         ids.flags.writeable = False

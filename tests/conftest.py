@@ -48,11 +48,16 @@ def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
     return scale * h / np.linalg.norm(h, 2)
 
 
+def kcopy_system(k: int) -> BinaryLinearSystem:
+    """k disjoint Mermin-Peres systems (6k equations over 9k variables)."""
+    base = mermin_peres_system()
+    rows = tuple(frozenset(j + 9 * c for j in r) for c in range(k) for r in base.rows)
+    return BinaryLinearSystem(m=6 * k, n=9 * k, rows=rows, b=base.b * k)
+
+
 def kcopy_magic_square(k: int) -> tuple:
     """k disjoint Mermin-Peres systems and their k-fold Kronecker Pauli representation."""
-    base, pauli = mermin_peres_system(), pauli_magic_square_rep()
-    rows = tuple(frozenset(j + 9 * c for j in r) for c in range(k) for r in base.rows)
-    sys_ = BinaryLinearSystem(m=6 * k, n=9 * k, rows=rows, b=base.b * k)
+    sys_, pauli = kcopy_system(k), pauli_magic_square_rep()
     images = []
     for c in range(k):
         for w in pauli.images:

@@ -164,14 +164,18 @@ def test_validation_exit_code_for_garbage_file(tmp_path):
     assert main(["system", "solve", "--in", path.as_posix()]) == 2
 
 
-def test_budget_exit_code(tmp_path):
-    game = {
-        "kind": "hom",
-        "G": complete(70).to_json_dict(),
-        "H": complete(2).to_json_dict(),
-    }
+def test_budget_exit_code(tmp_path, monkeypatch, capsys):
+    """K_70 -> K_2 (70 bits) is refuted; K_5 -> K_4 is refuted too, but only past a
+    node budget of 100, so under that budget the answer is undecided."""
+    game = {"kind": "hom", "G": complete(70).to_json_dict(), "H": complete(2).to_json_dict()}
+    report = tmp_path / "solve.json"
     path = write_json(tmp_path, "big.json", game)
-    assert main(["game", "solve-classical", "--in", path]) == 4
+    assert main(["game", "solve-classical", "--in", path, "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["payload"]["perfect_deterministic_strategy_exists"] is False
+    monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", 100)
+    game = {"kind": "hom", "G": complete(5).to_json_dict(), "H": complete(4).to_json_dict()}
+    assert main(["game", "solve-classical", "--in", write_json(tmp_path, "k5.json", game)]) == 4
+    assert "search exceeded 100 nodes; undecided" in capsys.readouterr().err
 
 
 def test_pair_table_budget_exit_code(tmp_path, capsys):
@@ -480,7 +484,8 @@ def failing_runs(tmp_path) -> dict:
     """argv, exit code and report error of one failing run per failure kind."""
     game = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
     empty = {"dim": 2, "inputs": [1, 2, 3, 4, 5, 6], "outputs": [[1] * 9], "pvms": []}
-    big = {"kind": "hom", "G": complete(70).to_json_dict(), "H": complete(2).to_json_dict()}
+    # 2001 candidate keys: the search's pair table would need more than 4,000,000 cells
+    big = {"kind": "hom", "G": {"n": 1, "edges": []}, "H": {"n": 2001, "edges": []}}
     huge = {"dim": 1, "inputs": [0], "outputs": [0], "pvms": [
         {"input": 0, "output": 0, "matrix": {"dim": 1, "entries": [[[1e308, 0.0]]]}}]}
     one = {"m": 1, "n": 1, "rows": [[1]], "b": [0]}
@@ -514,7 +519,8 @@ def failing_runs(tmp_path) -> dict:
         "budget": (
             ["game", "solve-classical", "--in", write_json(tmp_path, "big.json", big)],
             4,
-            "budget exceeded: search space of 70.0 bits exceeds budget of 64.0; undecided",
+            "budget exceeded: pair table of 2001 candidate keys needs 4004001 cells > 4000000; "
+            "undecided",
         ),
         # 1e308 squared overflows: the PVM check must fail (exit 3), not warn or exit 2
         "overflow": (
@@ -855,6 +861,28 @@ def test_certify_report_digests_the_files_a_bundle_names(tmp_path):
         for path in (bundle_file, graph_file, strategy_file)
     }
     assert json.loads(report.read_text())["inputs"] == digests
+
+
+def test_certify_reads_a_large_bundle(tmp_path, capsys):
+    """A value-2 certificate on 3,000 isolated vertices: a small bundle whose check
+    never builds the graph's complement."""
+    cert = independence_certificate_from_set(empty_graph(3000), [0, 1])
+    bundle = {"value": 2, "graph": cert.graph.to_json_dict(),
+              "strategy": cert.strategy.to_json_dict()}
+    report = tmp_path / "report.json"
+    assert main(["graph", "certify", "--cert", write_json(tmp_path, "bundle.json", bundle),
+                 "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())["payload"]
+    assert payload["value"] == 2 and payload["relations"]["passes"]
+
+
+def test_certify_takes_its_certificate_as_a_bundle_only(tmp_path, capsys):
+    graph_file = write_json(tmp_path, "g.json", empty_graph(3).to_json_dict())
+    for argv in (["graph", "certify"], ["graph", "certify", "--graph", graph_file]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "--cert" in capsys.readouterr().err
 
 
 # Per loader kind: a command reading that kind (the fuzzed file goes last) and the

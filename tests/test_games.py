@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 import tracemalloc
 from itertools import product as iter_product
@@ -18,6 +17,7 @@ from conftest import (
     explicit_copy,
     is_synchronous,
     kcopy_magic_square,
+    kcopy_system,
     local_solutions,
     predicate_of,
     random_graph,
@@ -118,17 +118,17 @@ def test_classical_search_reads_the_listed_candidates_over_a_huge_alphabet():
 
 
 def test_explicit_game_search_budget_counts_its_candidates():
-    """An explicit game's budget is sum_x log2 |candidates(x)|, its candidates read off
-    its table: 70 inputs over 2 outputs, one of them losing on the diagonal, make 0
-    bits (every output would make 70) and are answered; with both outputs winning on
-    the diagonal they make 70 bits and are refused."""
+    """An explicit game's search reads its candidates off its table: 70 inputs over 2
+    outputs, one of them losing on the diagonal, list one candidate each and are
+    answered; with both outputs winning on the diagonal (2^70 assignments) they are
+    answered too, at the first leaf."""
     ins = tuple(range(70))
     diagonal = [(x, x, a, b) for x in ins for a in (0, 1) for b in (0, 1) if a != b]
     game = game_from_losing(ins, (0, 1), diagonal + [(x, x, 1, 1) for x in ins])
     assert game.candidates == dict.fromkeys(ins, (0,))
     assert find_deterministic_perfect(game).assignment == dict.fromkeys(ins, 0)
-    with pytest.raises(BudgetError, match="70.0 bits"):
-        find_deterministic_perfect(game_from_losing(ins, (0, 1), diagonal))
+    both = game_from_losing(ins, (0, 1), diagonal)
+    assert find_deterministic_perfect(both).assignment == dict.fromkeys(ins, 0)
 
 
 def test_synbcs_candidate_lists_are_the_local_solutions_in_output_order():
@@ -144,16 +144,15 @@ def test_synbcs_candidate_lists_are_the_local_solutions_in_output_order():
 
 
 def test_synbcs_search_budget_counts_the_candidate_lists():
-    """Equations on one 4-variable support list 8 candidates (3 bits) each: 21 of
-    them (63 bits) fit the 64-bit budget although 21 * log2(2^4) = 84, and 22
-    (66 bits) are refused before any search."""
+    """Equations on one 4-variable support list 8 candidates each, not 2^4: 21 of
+    them and 22 of them (8^22 assignments) are answered alike."""
     def system(m):
         return BinaryLinearSystem(m=m, n=4, rows=(frozenset({1, 2, 3, 4}),) * m, b=(0,) * m)
 
-    game = build_synbcs(system(21))
-    assert find_deterministic_perfect(game).perfect_for(game)
-    with pytest.raises(BudgetError, match="66.0 bits"):
-        find_deterministic_perfect(build_synbcs(system(22)))
+    for m in (21, 22):
+        game = build_synbcs(system(m))
+        assert all(len(c) == 8 for c in game.candidates.values())
+        assert find_deterministic_perfect(game).perfect_for(game)
 
 
 def test_relation_check_compares_output_alphabets_without_enumerating_them():
@@ -243,9 +242,31 @@ def test_deterministic_search_magic_square_absent(magic_square):
     assert find_deterministic_perfect(build_synbcs(magic_square)) is None
 
 
+def cycle(n: int) -> Graph:
+    return Graph(n=n, edges=frozenset(tuple(sorted((v, (v + 1) % n))) for v in range(n)))
+
+
+def test_search_decides_games_of_more_than_64_bits():
+    """The search refuses only by its node budget and its pair table: games whose
+    assignment space is far over 2^64 are decided when the pruning is quick."""
+    copies = BinaryLinearSystem(m=60, n=4, rows=(frozenset({1, 2, 3, 4}),) * 60, b=(0,) * 60)
+    decided = [
+        (build_hom_game(complete(70), complete(2)), False),  # 70 bits
+        (build_hom_game(empty_graph(70), complete(2)), True),
+        (build_hom_game(cycle(71), complete(2)), False),  # an odd cycle, 71 bits
+        (build_synbcs(kcopy_system(6)), False),  # 36 inputs x 4 candidates: 72 bits
+        (build_synbcs(copies), True),  # 60 x 8 candidates: 180 bits
+    ]
+    for game, exists in decided:
+        found = find_deterministic_perfect(game)
+        assert (found is not None) == exists
+        assert found is None or found.perfect_for(game)
+
+
 def test_deterministic_search_budget():
-    game = build_hom_game(complete(70), complete(2))
-    with pytest.raises(BudgetError):
+    """A hopeless game, a dense 40-vertex graph into K_5, stops at the node budget."""
+    game = build_hom_game(random_graph(np.random.default_rng(0), 40), complete(5))
+    with pytest.raises(BudgetError, match=f"search exceeded {games.DEFAULT_SEARCH_NODES} nodes"):
         find_deterministic_perfect(game)
 
 
@@ -258,16 +279,10 @@ def scanned_oracle(game: SyncGame) -> tuple:
 
 
 def search_oracle(game: SyncGame):
-    """The per-node predicate search the pair table replaced: the same budget, order
-    and node count, with the candidates scanned from the alphabet and every partial
-    assignment checked by calls of the game's oracle predicate."""
+    """The per-node predicate search the pair table replaced: the same node budget,
+    order and node count, with the candidates scanned from the alphabet and every
+    partial assignment checked by calls of the game's oracle predicate."""
     wins, candidates = scanned_oracle(game)
-    bits = sum(math.log2(max(len(c), 1)) for c in candidates.values())
-    if bits > games.DEFAULT_SEARCH_BITS:
-        raise BudgetError(
-            f"search space of {bits:.1f} bits exceeds budget of {games.DEFAULT_SEARCH_BITS:.1f}; "
-            "undecided"
-        )
     if any(not c for c in candidates.values()):
         return None
     order = sorted(game.inputs, key=lambda x: (len(candidates[x]), game.inputs.index(x)))
@@ -351,7 +366,9 @@ def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
     """For every node budget up to 30, both searches raise, or both answer alike: so the
     first node over the budget is the same node."""
     refused = answered = 0
-    cases = random_search_games(1202)[::3]
+    # two games over 64 bits: K_70 -> K_2 is refuted at node 10, the edgeless one needs 70
+    cases = random_search_games(1202)[::3] + [
+        build_hom_game(complete(70), complete(2)), build_hom_game(empty_graph(70), complete(2))]
     for limit in range(1, 31):
         monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", limit)
         for game in cases:

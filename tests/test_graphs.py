@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from conftest import (
 from syncgames import (
     BinaryLinearSystem,
     alpha,
+    build_hom_game,
     build_iso_game,
     build_synbcs,
     check_game_algebra_relations,
@@ -240,6 +242,40 @@ def test_pickles_leave_the_complement_behind():
     back = pickle.loads(data)
     assert back.graph == g and not GRAPH_CACHES & set(vars(back.graph))
     assert back.verify().passes
+
+
+def test_certificate_mask_matches_the_hom_game_into_the_complement():
+    """The certificate game reads the graph's own adjacency: bit for bit the mask of
+    the hom game from K_value into the complement, on keys that repeat, share a slot
+    or share a vertex, and the same candidates and JSON."""
+    rng = np.random.default_rng(1207)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        g = random_graph(rng, n, float(rng.uniform(0.0, 1.0)))
+        value = int(rng.integers(1, 5))
+        cert = IndependenceCertificate(graph=g, value=value, strategy=None)
+        game, hom = cert.game(), build_hom_game(complete(value), g.complement())
+        assert (game.inputs, game.outputs, game.candidates) == (hom.inputs, hom.outputs,
+                                                                hom.candidates)
+        assert game.to_json_dict() == hom.to_json_dict()
+        for size in (0, 1, 2, 7, 20):
+            keys = [(int(rng.integers(value)), int(rng.integers(n))) for _ in range(size)]
+            assert np.array_equal(game.losing(keys), hom.losing(keys))
+
+
+def test_large_certificate_verifies_without_the_complement():
+    """A value-2 certificate on 3,000 isolated vertices verifies without building the
+    complement's 4.5 million edges."""
+    cert = independence_certificate_from_set(empty_graph(3000), [0, 1])
+    tracemalloc.start()
+    try:
+        report = cert.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passes and report.n_stored == 2
+    assert peak < 20 << 20
+    assert "_complement" not in vars(cert.graph)
 
 
 def test_graph_json_roundtrip():

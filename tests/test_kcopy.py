@@ -270,9 +270,9 @@ def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
     counted here, its one synBCS game, its one G_b, the one G_0 of its homogeneous
     variant, one sign table for each of the two systems (the game and G_b share the
     system's) and each of the two systems' local solutions once per equation: 12 and 24
-    enumerations (60 and 132 when every conversion rebuilt them).  6 Graphs are built
-    in all (10 and 13 before): G_b, G_0, their complements and the complete graph of
-    each of the two independence certificates' games."""
+    enumerations (60 and 132 when every conversion rebuilt them).  3 Graphs are built
+    in all: G_b, G_0 and the complement of G_0 that the equation colouring is checked
+    on; the independence certificates' games build none."""
     built = {"_enumerate_si": [], "_build_sign_table": [], "_build_graph_from_system": [],
              "_build_synbcs": []}
 
@@ -304,4 +304,5 @@ def test_each_system_builds_its_derived_objects_once(monkeypatch, pipeline):
     enumerated = Counter((id(s), i) for s, i in built["_enumerate_si"])
     assert enumerated == Counter((id(s), i) for s in (system, homogeneous)
                                  for i in range(1, system.m + 1))
-    assert len(graphs_built) == 6
+    g_b, g_0 = (graphs.graph_from_system(s) for s in (system, homogeneous))
+    assert graphs_built == [g_b, g_0, g_0.complement()]
