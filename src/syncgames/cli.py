@@ -548,6 +548,11 @@ OUT = flag("--out", help="output JSON path")
 OUT_REQUIRED = flag("--out", required=True, help="output JSON path")
 TOL = flag("--tol", default=1e-9, help="verification tolerance (default 1e-9)")
 EPS = flag("--eps", default=1e-9, help="perfectness tolerance (default 1e-9)")
+CORRELATION_EPS = flag("--eps", default=1e-9, help=(
+    "perfectness tolerance (default 1e-9), the largest losing probability allowed; "
+    "correlation_from_tracial sums d^2 products per trace, so an exact strategy's "
+    "losing probabilities come out near 1e-17, and an --eps below about 1e-16 can "
+    "refuse it"))
 
 
 GROUPS = {
@@ -579,7 +584,7 @@ COMMANDS = (
             flags=(OUT_REQUIRED, TOL)),
     Command("strategy check", "synchronicity / perfectness of a correlation", _strategy_check,
             inputs=(Input("--correlation", "correlation"), Input("--game", "game", False)),
-            flags=(TOL, EPS)),
+            flags=(TOL, CORRELATION_EPS)),
     Command("strategy decompose-qs", "Schmidt-block decomposition", _strategy_decompose_qs,
             inputs=(Input("--in", "bipartite"),),
             flags=(flag("--cluster-tol", default=1e-7), OUT, TOL)),

@@ -418,15 +418,18 @@ def check_game_algebra_relations(
     stored keys picks the losing pairs, in row-major order, and matops takes
     the norms of their products in one batch over the strategy's stack of
     distinct operators, forming one product per distinct pair of rows (an iso
-    strategy stores each BCS projection many times) and giving each pair its
-    own norm.  The witness is the first pair attaining the largest overlap,
-    None when every overlap is zero.  A product that overflows has overlap inf
-    and fails the check."""
+    strategy stores each BCS projection many times), and one per unordered pair
+    when both rows are exactly Hermitian (flagged in the same pass as the
+    defects; F E is then (E F)*, and both orders get the norm of E F), giving
+    each pair its norm.  The witness is the first pair, in row-major key order,
+    attaining the largest overlap, None when every overlap is zero.  A product
+    that overflows has overlap inf and fails the check."""
     _check_labels(game, strategy)
     defects = strategy.defects()
     keys = strategy.stored_keys()
     left, right = np.nonzero(game.losing(keys))
-    overlaps = product_norms(strategy.stack, strategy.ids[left], strategy.ids[right])
+    overlaps = product_norms(strategy.stack, strategy.ids[left], strategy.ids[right],
+                             strategy._hermitian)
     max_losing, worst = 0.0, None
     if overlaps.size and overlaps.max() > 0.0:
         k = int(np.argmax(overlaps))

@@ -137,12 +137,6 @@ def is_independent_set(g: Graph, vertices) -> bool:
     return all(not g.is_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
-def is_proper_colouring(g: Graph, colouring: dict) -> bool:
-    if set(colouring) != set(range(g.n)):
-        return False
-    return all(colouring[u] != colouring[v] for u, v in g.edges)
-
-
 def _bits(x: int):
     """The vertices of bitset x, lowest first."""
     while x:
@@ -299,10 +293,17 @@ class HomogeneousGraphCertificates:
 
 def complement_colouring_ga0(sys: BinaryLinearSystem) -> HomogeneousGraphCertificates:
     """Colour the complement of the homogeneous incompatibility graph by equation and
-    exhibit the all-ones independent set, establishing alpha = m for that graph."""
+    exhibit the all-ones independent set, establishing alpha = m for that graph.  The
+    colouring is proper on the complement exactly when each equation's colour class is
+    a clique of G_0, which is checked on G_0's edges, with no complement built."""
     g0 = graph_from_system(sys, use_b=False)
     colouring = {v: g0.labels[v][0] - 1 for v in range(g0.n)}
-    if not is_proper_colouring(g0.complement(), colouring):
+    colour = np.array(list(colouring.values()), dtype=np.intp)
+    edges = g0._edge_array
+    inside = colour[edges[:, 0]] == colour[edges[:, 1]]
+    sizes = np.bincount(colour, minlength=sys.m)
+    if not np.array_equal(np.bincount(colour[edges[inside, 0]], minlength=sys.m),
+                          sizes * (sizes - 1) // 2):
         raise VerificationError("equation colouring is not proper on the complement")
     ones = tuple(1 for _ in range(sys.n))
     index_of = {lab: v for v, lab in enumerate(g0.labels)}

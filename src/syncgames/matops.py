@@ -88,26 +88,68 @@ def _chunked_residuals(count: int, d: int, build) -> np.ndarray:
     return out
 
 
-def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
+def _adjoint_differences(mats: np.ndarray) -> np.ndarray:
+    """mats - dagger(mats) for a (c, d, d) stack, as a new C-ordered array: subtracting
+    dagger's transposed layout directly took several times as long.  A matrix of finite
+    entries is exactly Hermitian, equal to its adjoint entry for entry, when its
+    difference has no nonzero entry, since x - y is 0 only when x == y."""
+    out = np.empty(mats.shape, dtype=complex)
+    np.conjugate(np.swapaxes(mats, -1, -2), out=out)
+    return np.subtract(mats, out, out=out)
+
+
+def _adjoint_check(mats: np.ndarray) -> tuple:
+    """(residual(a - a*) of each matrix a of a (c, d, d) stack of finite entries, which
+    of them are exactly Hermitian), from one _adjoint_differences array that is freed
+    on return.  Compute under np.errstate(over="ignore", invalid="ignore"): a
+    difference that overflows is inf, still nonzero."""
+    diff = _adjoint_differences(mats)
+    return _residuals(diff), ~np.any(diff, axis=(1, 2))
+
+
+def _hermitian_rows(stack: np.ndarray) -> np.ndarray:
+    """Which rows of a (n, d, d) stack of finite entries are exactly Hermitian, taken in
+    _chunk_slices, never through an adjoint of the whole stack."""
+    out = np.empty(len(stack), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl in _chunk_slices(len(stack), stack.shape[-1]):
+            out[sl] = _adjoint_check(stack[sl])[1]
+    return out
+
+
+def product_norms(stack: np.ndarray, left, right, hermitian=None) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
-    Each distinct pair of ids is multiplied once, in ascending (i, j) order, and
-    its norm scattered back to the caller's order, so a stack of distinct
+    hermitian, a bool per row of stack, flags the rows that equal their adjoint
+    entry for entry (None flags none).  For two such rows F E is (E F)*, whose
+    norm is the same in exact arithmetic, so a pair (j, i) with j > i of two
+    flagged rows is folded onto (i, j) first: each unordered pair of flagged rows
+    is multiplied once and both orders get that product's norm, which may differ
+    in its last bit from the norm of the mirror product.  A pair with an
+    unflagged row keeps its own order.
+
+    Each distinct pair of ids is then multiplied once, in ascending (i, j) order,
+    and its norm scattered back to the caller's order, so a stack of distinct
     operators (an OperatorStrategy's store) forms one product per distinct pair
-    of operator contents.  Equal factors give bit-identical products, so the
-    norms are those of the pairs taken one by one.  The distinct pairs are read
+    of operator contents, and one per unordered pair when both are exactly
+    Hermitian.  Equal factors give bit-identical products, so the norms are
+    those of the (folded) pairs taken one by one.  The distinct pairs are read
     off a D x D presence table over the stack's D rows, with no sort: for an
     OperatorStrategy's stack, each of whose rows is some stored key's, no more
     cells than the K x K losing mask of a relation check over its K keys.
 
-    Each norm is taken of the direct product, never through a Gram-matrix trace
-    identity: a residual near 1e-16 would come out of the square root of a
+    Each norm is taken of a product actually formed, never through a Gram-matrix
+    trace identity: a residual near 1e-16 would come out of the square root of a
     trace near 1e-32 that rounding has already swamped.  Products are formed in
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
     that overflows has norm inf.
     """
     n = len(stack)
-    codes = np.asarray(left, dtype=np.intp) * n + np.asarray(right, dtype=np.intp)
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    if hermitian is not None:
+        mirror = (left > right) & hermitian[left] & hermitian[right]
+        left, right = np.where(mirror, right, left), np.where(mirror, left, right)
+    codes = left * n + right
     present = np.zeros(n * n, dtype=bool)
     present[codes] = True
     pairs = np.flatnonzero(present)  # ascending codes: (i, j) in row-major order
@@ -120,11 +162,13 @@ def product_norms(stack: np.ndarray, left, right) -> np.ndarray:
 
 
 def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
-    """(largest adjoint, idempotency, completeness residual) of a family of d x d
-    operators held once each in mats, a (D, d, d) array or a sequence of D
-    arrays: member k of the family is mats[ids[k]], in row rows[k] of n_rows
-    rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
-    mats, so every entry must belong to the family; residual(s - I) is taken of
+    """(largest adjoint, idempotency, completeness residual, exactly Hermitian flags)
+    of a family of d x d operators held once each in mats, a (D, d, d) array or a
+    sequence of D arrays: member k of the family is mats[ids[k]], in row rows[k] of
+    n_rows rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
+    mats, so every entry must belong to the family, and in the same pass the flags
+    (a bool array of length D) record which entries are exactly Hermitian, as
+    _hermitian_rows would; residual(s - I) is taken of
     each row sum s, its members added in family order.  An empty row sums to 0,
     so its residual is norm2(-I) = 1.0, taken without forming a d x d matrix.
     Entries and row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES
@@ -137,10 +181,12 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     filled = np.flatnonzero(np.diff(bounds))  # the rows with a member
     max_adj = max_proj = 0.0
     max_sum = 1.0 if len(filled) < n_rows else 0.0
+    hermitian = np.empty(len(mats), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for sl in _chunk_slices(len(mats), d):
             chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
-            max_adj = max(max_adj, _residuals(chunk - dagger(chunk)).max())
+            adjoint, hermitian[sl] = _adjoint_check(chunk)
+            max_adj = max(max_adj, adjoint.max())
             max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
         for sl in _chunk_slices(len(filled), d):
             totals = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
@@ -149,7 +195,7 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
                     total += mats[ids[k]]  # in place, in family order: the bits of a plain sum
             totals -= identity(d)
             max_sum = max(max_sum, _residuals(totals).max())
-    return float(max_adj), float(max_proj), float(max_sum)
+    return float(max_adj), float(max_proj), float(max_sum), hermitian
 
 
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -249,7 +249,7 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
         ((i, j), norm2(mats[i] @ mats[j])) for i in range(m) for j in range(i + 1, m)
     )
     distances = tuple(norm2(p - q) for p, q in zip(mats, qs))
-    out_adjoint, out_idem, sum_after = pvm_defects(qs, range(m), [0] * m, 1, d)
+    out_adjoint, out_idem, sum_after, _ = pvm_defects(qs, range(m), [0] * m, 1, d)
     out_overlap = max(
         (norm2(qs[i] @ qs[j]) for i in range(m) for j in range(i + 1, m)), default=0.0
     )

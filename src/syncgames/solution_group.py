@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,8 +28,10 @@ from .gf2 import BinaryLinearSystem
 from .labels import ToleranceReport, labels_from_json
 from .matops import (
     DEFAULT_TOL,
+    _adjoint_differences,
     _chunk_slices,
     _chunked_residuals,
+    _hermitian_rows,
     _residuals,
     as_matrix,
     dagger,
@@ -112,6 +115,14 @@ class GroupRep:
         # a pickle or copy is rebuilt by the constructor, so its stack is read-only again
         return (GroupRep, (self.images, self.j_image))
 
+    @cached_property
+    def _hermitian(self) -> np.ndarray:
+        """Read-only flags, one per row of stack: True where the row equals its adjoint
+        entry for entry.  Taken once per representation, in chunks."""
+        flags = _hermitian_rows(self.stack)
+        flags.flags.writeable = False
+        return flags
+
     @property
     def dim(self) -> int:
         return self.j_image.shape[0]
@@ -179,9 +190,26 @@ def _by_length(seqs) -> list:
             for length, members in groups.items()]
 
 
-def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b - b @ a for each matrix of a stack (either side may be one matrix)."""
-    return np.matmul(a, b) - np.matmul(b, a)
+def _commutators(a: np.ndarray, b: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """a @ b - b @ a for each matrix of a stack (either side may be one matrix).  With
+    hermitian, which says that every a and b equals its adjoint entry for entry, b @ a
+    is the adjoint of p = a @ b, so the commutator is p - p*, from the one product p."""
+    p = np.matmul(a, b)
+    return _adjoint_differences(p) if hermitian else p - np.matmul(b, a)
+
+
+def _pair_commutators(stack: np.ndarray, left, right, hermitian) -> np.ndarray:
+    """residual of _commutators(stack[left[t]], stack[right[t]]) for each t, in chunked
+    batches: from one product when both rows are flagged exactly Hermitian, from both
+    orders otherwise."""
+    out = np.empty(len(left))
+    both = hermitian[left] & hermitian[right]
+    for mask, flag in ((both, True), (~both, False)):
+        t = np.flatnonzero(mask)
+        a, b = left[t], right[t]
+        out[t] = _chunked_residuals(len(t), stack.shape[-1], lambda sl: _commutators(
+            stack[a[sl]], stack[b[sl]], flag))
+    return out
 
 
 def _ordered_products(eye: np.ndarray, count: int, length: int, factor):
@@ -202,28 +230,35 @@ def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL)
     Each relator family is one chunked batch over rep.stack: unitarity and
     involutions of every generator and J, the commutators of equation-mates and
     with J, and each equation's product, multiplied from I in sorted support
-    order; the residuals are those of the relators taken one at a time.
+    order; the residuals are those of the relators taken one at a time.  Where
+    rep.stack's rows are exactly Hermitian (w == w* entry for entry), a product
+    is formed once: w* w is w @ w, so unitarity is the involution residual, and a
+    commutator A B - B A of two such rows is P - P* with P = A @ B.  Other rows
+    keep both products.
     """
     if rep.n_variables != sys.n:
         raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
     n, d, stack, j = sys.n, rep.dim, rep.stack, rep.j_image
+    hermitian = rep._hermitian
     eye = identity(d)
     supports = [sorted(row) for row in sys.rows]
     mates = [(i, a, b) for i, support in enumerate(supports, start=1)
              for pos, a in enumerate(support) for b in support[pos + 1:]]
-    left = np.array([a for _, a, _ in mates], dtype=np.intp) - 1
-    right = np.array([b for _, _, b in mates], dtype=np.intp) - 1
+    # the mates' pairs of rows, then each generator's with J (row n)
+    left = np.array([a - 1 for _, a, _ in mates] + list(range(n)), dtype=np.intp)
+    right = np.array([b - 1 for _, _, b in mates] + [n] * n, dtype=np.intp)
     odd = np.array(sys.b, dtype=bool)
     products = np.empty(sys.m)
     # Huge finite entries may overflow; _residuals turns that into a failed relator.
     with np.errstate(over="ignore", invalid="ignore"):
-        unitarity = _chunked_residuals(
-            n + 1, d, lambda sl: np.matmul(dagger(stack[sl]), stack[sl]) - eye)
         involutions = _chunked_residuals(
             n + 1, d, lambda sl: np.matmul(stack[sl], stack[sl]) - eye)
-        mate = _chunked_residuals(
-            len(mates), d, lambda sl: _commutators(stack[left[sl]], stack[right[sl]]))
-        j_comm = _chunked_residuals(n, d, lambda sl: _commutators(stack[sl], j))
+        unitarity = involutions.copy()
+        other = np.flatnonzero(~hermitian)
+        unitarity[other] = _chunked_residuals(
+            len(other), d, lambda sl: np.matmul(dagger(stack[other[sl]]), stack[other[sl]]) - eye)
+        commutators = _pair_commutators(stack, left, right, hermitian)
+        mate, j_comm = commutators[:len(mates)], commutators[len(mates):]
         for eqs, ids in _by_length(supports):
             ids = ids - 1
             for sl, prod in _ordered_products(eye, len(eqs), ids.shape[1],

@@ -194,9 +194,12 @@ class OperatorStrategy:
         return self.stored_keys(), self.stack if in_order else self.stack[self.ids]
 
     @cached_property
-    def _defects(self) -> PVMDefects:
+    def _pvm_pass(self) -> tuple:
+        """(PVMDefects, which rows of stack are exactly Hermitian): one pvm_defects pass."""
         rows = [self._input_index[x] for x, _ in self.pvms]
-        return PVMDefects(*pvm_defects(self.stack, self.ids, rows, len(self.inputs), self.dim))
+        *defects, hermitian = pvm_defects(self.stack, self.ids, rows, len(self.inputs), self.dim)
+        hermitian.flags.writeable = False
+        return PVMDefects(*defects), hermitian
 
     def defects(self) -> PVMDefects:
         """The largest adjoint, idempotency and completeness residuals: adjoint and
@@ -204,7 +207,13 @@ class OperatorStrategy:
         stored_keys() order.  Computed once per strategy, whose operators are
         read-only; a residual that overflows (huge finite entries) is inf, so it
         fails every check."""
-        return self._defects
+        return self._pvm_pass[0]
+
+    @property
+    def _hermitian(self) -> np.ndarray:
+        """Read-only flags, one per row of stack: True where the row equals its adjoint
+        entry for entry.  Taken in the same pass as defects()."""
+        return self._pvm_pass[1]
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
         """Raise unless every PVM defect is within tol; return the defects."""

@@ -160,6 +160,14 @@ def brute_chi(g: Graph) -> int:
     return g.n
 
 
+def is_proper_colouring(g: Graph, colouring: dict) -> bool:
+    """The check complement_colouring_ga0 made on the complement before it read G_0's
+    colour classes as cliques."""
+    if set(colouring) != set(range(g.n)):
+        return False
+    return all(colouring[u] != colouring[v] for u, v in g.edges)
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some bijection of the vertices maps g's edges onto h's."""
     if g.n != h.n or len(g.edges) != len(h.edges):

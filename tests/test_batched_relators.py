@@ -21,6 +21,7 @@ from syncgames.solution_group import (
     RepVerificationReport,
     glue_rep,
     normalize_j,
+    rep_from_strategy,
     strategy_from_rep,
     verify_rep,
 )
@@ -382,3 +383,78 @@ def test_glue_rep_refuses_an_overflowing_difference_as_the_loop_does(chunking):
     args = (sys_, rows, 2, 1e-6, 1e-9, "tail")
     got, want = outcome(glue_rep, *args), outcome(glue_rep_loop, *args)
     assert got == want == (ValidationError, "matrix has non-finite entries")
+
+
+# ------------------------------------------- one product per Hermitian pair --
+
+def counted_products(monkeypatch) -> list:
+    """The number of matrix products of each np.matmul call, appended as it is made."""
+    matmul, formed = np.matmul, []
+
+    def counting(a, b, *args, **kwargs):
+        out = matmul(a, b, *args, **kwargs)
+        formed.append(int(np.prod(out.shape[:-2], dtype=np.intp)))
+        return out
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return formed
+
+
+def relator_products(rep: GroupRep, sys_: BinaryLinearSystem) -> int:
+    """The products verify_rep forms: w @ w for every row of the stack, w* w besides for a
+    row that is not exactly Hermitian, one product per mate or J commutator of two exactly
+    Hermitian rows and two otherwise, and |V_i| for equation i's product from I."""
+    flags = [np.array_equal(w, w.conj().T) for w in rep.stack]
+    pairs = [(a - 1, b - 1) for row in sys_.rows for a in row for b in row if a < b]
+    pairs += [(k, sys_.n) for k in range(sys_.n)]
+    return (len(flags) + flags.count(False) + sum(1 if flags[a] and flags[b] else 2
+                                                  for a, b in pairs)
+            + sum(map(len, sys_.rows)))
+
+
+def exact_rep_cases() -> list:
+    """(id, system, rep, products formed): every row exactly Hermitian, with dyadic entries,
+    so each product is exact and both orders agree bit for bit on any BLAS."""
+    square, pauli = mermin_peres_system(), pauli_magic_square_rep()
+    two, two_rep = kcopy_magic_square(2)
+    glued = rep_from_strategy(strategy_from_rep(pauli, square), square)
+    return [("magic-square", square, pauli, 55), ("2-copy", two, two_rep, 109),
+            ("glued", square, glued, 55)]
+
+
+EXACT = exact_rep_cases()
+
+
+@pytest.mark.parametrize("case", EXACT, ids=[c[0] for c in EXACT])
+def test_verify_rep_forms_one_product_per_hermitian_relator(case, chunking, monkeypatch):
+    """Exactly Hermitian images: unitarity and involution from the one product w @ w, each
+    commutator from one product P as P - P*; the report is the two-product loop's, bit for
+    bit (182 products for the 2-copy rep before, 109 now)."""
+    _, sys_, rep, products = case
+    assert rep._hermitian.all()
+    assert relator_products(rep, sys_) == products
+    formed = counted_products(monkeypatch)
+    got = verify_rep(rep, sys_, 1e-9)
+    assert sum(formed) == products
+    monkeypatch.undo()
+    assert repr(got.as_dict()) == repr(verify_rep_loop(rep, sys_, 1e-9).as_dict())
+    assert got.unitarity == got.involutions and got.passes
+
+
+@pytest.mark.parametrize("name", ["magic-square-rotated", "2-copy-rotated",
+                                  "magic-square-random", "mixed-solutions"])
+def test_verify_rep_keeps_both_orders_for_rows_not_exactly_hermitian(name, monkeypatch):
+    """Haar-rotated images differ from their adjoints in the last bits (the rotated diagonal
+    Pauli images and J = -I can stay exact), and random ones are not Hermitian at all:
+    those rows take both products; the report is the loop's, bit for bit."""
+    _, sys_, rep = next(c for c in CASES if c[0] == name)
+    flags = rep._hermitian
+    assert flags.tolist() == [np.array_equal(w, w.conj().T) for w in rep.stack]
+    assert flags.sum() <= 7
+    formed = counted_products(monkeypatch)
+    got = verify_rep(rep, sys_, 1e-9)
+    assert sum(formed) == relator_products(rep, sys_)
+    monkeypatch.undo()
+    assert repr(got.as_dict()) == repr(verify_rep_loop(rep, sys_, 1e-9).as_dict())
+    if name == "magic-square-random":
+        assert not flags.any() and sum(formed) == 92  # every relator in both orders

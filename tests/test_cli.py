@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import random_exact_pvm
 
 from syncgames import (
+    GroupRep,
     OperatorStrategy,
     build_iso_game,
     check_game_algebra_relations,
@@ -761,6 +762,41 @@ def test_group_normalize_j(tmp_path, pauli_rep_file):
     assert main(["group", "normalize-j", "--rep", pauli_rep_file, "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["dim"] == 4
+
+
+@pytest.mark.parametrize("j, message", [
+    (2 * np.eye(2), "image of J is not an involution; cannot compress"),
+    (np.eye(2), "image of J has no -1 eigenspace; nothing to compress to"),
+])
+def test_group_normalize_j_refuses_a_j_it_cannot_compress(tmp_path, capsys, j, message):
+    rep = GroupRep(images=(np.diag([1.0, -1.0]),), j_image=j)
+    path = write_json(tmp_path, "rep.json", rep.to_json_dict())
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    argv = ["group", "normalize-j", "--rep", path, "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    data = json.loads(report.read_text())
+    assert (data["exit_code"], data["error"]) == (2, f"invalid input: {message}")
+    assert not out.exists()
+
+
+def test_strategy_check_help_names_the_eps_floor(capsys, monkeypatch):
+    """An exact strategy's tracial losing probabilities round near 1e-17, so the help of
+    strategy check says where --eps stops being meaningful; the --eps of group
+    to-strategy, which tests ||E F||^2, keeps the shared text."""
+    monkeypatch.setenv("COLUMNS", "1000")  # no line break inside "1e-16"
+
+    def help_of(argv) -> str:
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    text = help_of(["strategy", "check"])
+    assert "correlation_from_tracial sums d^2 products per trace" in text
+    assert "near 1e-17" in text and "an --eps below about 1e-16 can refuse it" in text
+    shared = help_of(["group", "to-strategy"])
+    assert "--eps EPS perfectness tolerance (default 1e-9) --report" in shared
+    assert "1e-16" not in shared
 
 
 def test_strategy_correlation_and_check(tmp_path, magic_square_file, pauli_rep_file):

@@ -1032,3 +1032,62 @@ def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
     pvms = iso.pvms
     assert all(overlaps[k] == norm2(pvms[keys[left[k]]] @ pvms[keys[right[k]]])
                for k in range(0, len(left), 97))
+
+
+@pytest.mark.parametrize("case", ["pauli", "rotated", "rotated-symmetrised"])
+def test_relation_check_forms_one_product_per_unordered_pair_of_hermitian_rows(
+        monkeypatch, case):
+    """The 2-copy iso strategy's 432 distinct row pairs are 216 unordered ones: the check
+    forms those once when every row is exactly Hermitian (the Pauli strategy, or rotated
+    rows symmetrised as (E + E*)/2).  Rotated rows keep both orders unless both rows of a
+    pair are still exactly Hermitian (the rotated diagonal projections can be)."""
+    game, iso = magic_square_iso(2)
+    if case != "pauli":
+        iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(62)))
+    if case == "rotated-symmetrised":
+        iso = OperatorStrategy(iso.dim, iso.inputs, iso.outputs,
+                               {key: (m + m.conj().T) / 2 for key, m in iso.pvms.items()})
+    flags = iso._hermitian  # taken with the defects, before the products are counted
+    assert flags.tolist() == [np.array_equal(m, m.conj().T) for m in iso.stack]
+    assert flags.all() == (case != "rotated")
+    keys = iso.stored_keys()
+    left, right = np.nonzero(game.losing(keys))
+    rows = set(zip(iso.ids[left].tolist(), iso.ids[right].tolist()))
+    unordered = {(min(p), max(p)) if flags[list(p)].all() else p for p in rows}
+    assert len(rows) == 432
+    assert len(unordered) == 216 if flags.all() else 216 < len(unordered) <= 432
+    formed = []
+    residuals = matops._residuals
+
+    def counting(mats):
+        formed.append(len(mats))
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", counting)
+    report = check_game_algebra_relations(game, iso, 1e-9)
+    assert sum(formed) == len(unordered)
+    assert report.passes
+
+
+@pytest.mark.parametrize("inputs", [("u", "v"), ("v", "u")])
+def test_relation_witness_is_the_first_of_two_tied_mirror_pairs(inputs):
+    """(u, v, 0, 0) and (v, u, 0, 0) lose, and E_u0 E_v0 and E_v0 E_u0 of exactly Hermitian
+    rank-one projections get one norm: the witness is the first pair in row-major key
+    order, so it follows the game's input order."""
+    rng = np.random.default_rng(71)
+    pvms = {}
+    for x in ("u", "v"):
+        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
+        vec /= np.linalg.norm(vec)
+        p = np.outer(vec, vec.conj())
+        p = (p + p.conj().T) / 2  # the diagonal's imaginary parts round to +-4e-18
+        pvms[(x, 0)], pvms[(x, 1)] = p, np.eye(3) - p
+    strategy = OperatorStrategy(3, inputs, (0, 1), pvms)
+    assert strategy._hermitian.all()
+    losing = [(x, x, a, 1 - a) for x in inputs for a in (0, 1)] + [("u", "v", 0, 0),
+                                                                   ("v", "u", 0, 0)]
+    report = check_game_algebra_relations(game_from_losing(inputs, (0, 1), losing), strategy,
+                                          1e-9)
+    first, second = inputs
+    assert report.worst_losing == (first, second, 0, 0)
+    assert report.max_losing_overlap == norm2(pvms[(first, 0)] @ pvms[(second, 0)]) > 0.1

@@ -15,6 +15,7 @@ from conftest import (
     brute_alpha,
     brute_chi,
     brute_omega,
+    is_proper_colouring,
     kcopy_magic_square,
     random_graph,
     random_hermitian,
@@ -50,14 +51,13 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
-from syncgames import games
+from syncgames import games, graphs
 from syncgames.errors import BudgetError, ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
 from syncgames.graphs import (
     Graph,
     IndependenceCertificate,
     is_independent_set,
-    is_proper_colouring,
 )
 from syncgames.matops import dagger, norm2
 from syncgames.strategies import OperatorStrategy
@@ -386,6 +386,27 @@ def test_complement_colouring_ga0_random_homogeneous():
         certs = complement_colouring_ga0(sys_)
         assert certs.value == sys_.m
         assert is_proper_colouring(certs.graph.complement(), certs.colouring)
+
+
+def test_complement_colouring_ga0_refuses_a_colour_class_that_is_no_clique(magic_square,
+                                                                            monkeypatch):
+    """The self-check reads G_0 alone: with one edge inside an equation's colour class
+    removed, that class is no clique, so the colouring is not proper on the complement
+    and is refused; a cross-class edge removed leaves it proper, and certified."""
+    g0 = graph_from_system(magic_square, use_b=False)
+    colouring = {v: lab[0] - 1 for v, lab in enumerate(g0.labels)}
+    same = sorted(e for e in g0.edges if colouring[e[0]] == colouring[e[1]])
+    cross = sorted(e for e in g0.edges if colouring[e[0]] != colouring[e[1]])
+    for edge, proper in ((same[0], False), (same[-1], False), (cross[0], True)):
+        cut = Graph(n=g0.n, edges=g0.edges - {edge}, labels=g0.labels)
+        assert is_proper_colouring(cut.complement(), colouring) is proper
+        monkeypatch.setattr(graphs, "graph_from_system", lambda sys, use_b, g=cut: g)
+        if proper:
+            assert complement_colouring_ga0(magic_square).colouring == colouring
+        else:
+            with pytest.raises(VerificationError,
+                               match="^equation colouring is not proper on the complement$"):
+                complement_colouring_ga0(magic_square)
 
 
 def test_iso_strategy_from_classical_solution_is_permutation():

@@ -13,7 +13,9 @@ from syncgames import matops
 from syncgames.errors import BudgetError, ValidationError
 from syncgames.matops import (
     MAX_EIG_DIM,
+    _hermitian_rows,
     _kron_pairs,
+    dagger,
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
@@ -228,12 +230,103 @@ def test_product_norms_presence_table_matches_the_unique_dedup(monkeypatch, rows
                                                      expected.tobytes())
 
 
+def counted_products(monkeypatch) -> list:
+    """The number of matrices of each batch product_norms takes residuals of."""
+    residuals, formed = matops._residuals, []
+
+    def counting(mats):
+        formed.append(len(mats))
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", counting)
+    return formed
+
+
+def two_order_norms(stack, left, right) -> np.ndarray:
+    """The norm of each pair's own product, in its own order: product_norms before it
+    folded mirror pairs of Hermitian rows."""
+    return np.array([norm2(stack[i] @ stack[j]) for i, j in zip(left, right)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+def test_product_norms_fold_the_mirror_pairs_of_exactly_hermitian_rows(monkeypatch, d):
+    """Haar-rotated Hermitian rows symmetrised as (E + E*)/2 are exactly Hermitian, and
+    each unordered pair of them is multiplied once, for i <= j, both orders taking that
+    product's norm: within rounding of the two-order loop, and bit for bit where the
+    pair is in its own order.  The same rows unsymmetrised keep both orders, bit for bit."""
+    rng = np.random.default_rng(300 + d)
+    u = random_unitary(d, rng)
+    rotated = np.array([u @ random_hermitian(d, rng) @ u.conj().T for _ in range(5)])
+    left, right = rng.integers(0, 5, size=(2, 400))
+    formed = counted_products(monkeypatch)
+    for stack in ((rotated + dagger(rotated)) / 2, rotated):
+        flags = _hermitian_rows(stack)
+        assert flags.tolist() == [np.array_equal(m, m.conj().T) for m in stack]
+        both = flags[left] & flags[right]
+        folded_left = np.where(both, np.minimum(left, right), left)
+        folded_right = np.where(both, np.maximum(left, right), right)
+        formed.clear()
+        got = product_norms(stack, left, right, flags)
+        assert sum(formed) == len(set(zip(folded_left.tolist(), folded_right.tolist())))
+        assert got.tolist() == two_order_norms(stack, folded_left, folded_right).tolist()
+        want = two_order_norms(stack, left, right)
+        own = ~both | (left <= right)
+        assert got[own].tolist() == want[own].tolist()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert _hermitian_rows((rotated + dagger(rotated)) / 2).all()
+    assert d == 1 or not _hermitian_rows(rotated).any()
+    # with no flags, nothing is folded
+    formed.clear()
+    got = product_norms(rotated, left, right)
+    assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
+    assert got.tolist() == two_order_norms(rotated, left, right).tolist()
+
+
+def test_a_row_one_ulp_off_its_adjoint_keeps_both_orders(monkeypatch):
+    """Row 2 differs from its adjoint in one entry by one ulp: the three unordered pairs of
+    the other rows are formed once each, and the six ordered pairs with row 2 both ways."""
+    rng = np.random.default_rng(17)
+    u = random_unitary(4, rng)
+    stack = np.array([u @ random_hermitian(4, rng) @ u.conj().T for _ in range(4)])
+    stack = (stack + dagger(stack)) / 2
+    stack[2, 0, 1] = complex(np.nextafter(stack[2, 0, 1].real, np.inf), stack[2, 0, 1].imag)
+    flags = _hermitian_rows(stack)
+    assert flags.tolist() == [True, True, False, True]
+    *_, in_pass = matops.pvm_defects(stack, range(4), [0] * 4, 1, 4)
+    assert in_pass.tolist() == flags.tolist()
+    left, right = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
+    formed = counted_products(monkeypatch)
+    got = product_norms(stack, left, right, flags)
+    assert sum(formed) == 3 + 6
+    with_row_2 = (left == 2) | (right == 2)
+    assert got[with_row_2].tolist() == two_order_norms(stack, left, right)[with_row_2].tolist()
+    formed.clear()
+    product_norms(stack, left, right, np.ones(4, dtype=bool))  # had row 2 been flagged
+    assert sum(formed) == 6
+
+
+def test_hermitian_rows_are_taken_in_chunks(monkeypatch):
+    """The flags of a stack of 2^13 / 16 + 3 rows at d = 4, taken chunk by chunk and with
+    one matrix per chunk, are those of each row alone; the empty stack has none."""
+    rng = np.random.default_rng(23)
+    stack = rng.normal(size=(515, 4, 4)) + 1j * rng.normal(size=(515, 4, 4))
+    stack[::3] = (stack[::3] + dagger(stack[::3])) / 2
+    want = [np.array_equal(m, m.conj().T) for m in stack]
+    assert _hermitian_rows(stack).tolist() == want and sum(want) == 172
+    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", 1)
+    assert _hermitian_rows(stack).tolist() == want
+    assert _hermitian_rows(np.empty((0, 4, 4), dtype=complex)).shape == (0,)
+
+
 def test_an_empty_pvm_row_has_completeness_residual_one_without_a_zero_sum():
     for d in (1, 2, 3, 5, 64):
         assert norm2(np.zeros((d, d)) - np.eye(d)) == 1.0  # what summing the empty row gave
         # row 0 is empty, row 1 holds the identity
-        assert matops.pvm_defects(np.eye(d, dtype=complex)[None], [0], [1], 2, d) == (0.0, 0.0, 1.0)
+        *defects, hermitian = matops.pvm_defects(np.eye(d, dtype=complex)[None], [0], [1], 2, d)
+        assert defects == [0.0, 0.0, 1.0] and hermitian.tolist() == [True]
     # a zero sum of this size would take 1.6e17 bytes
     d = 10**8
-    assert matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [], 1, d) == (0.0, 0.0, 1.0)
-    assert matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [], 0, d) == (0.0, 0.0, 0.0)
+    for n_rows, completeness in ((1, 1.0), (0, 0.0)):
+        *defects, hermitian = matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [],
+                                                 n_rows, d)
+        assert defects == [0.0, 0.0, completeness] and hermitian.shape == (0,)

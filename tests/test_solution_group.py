@@ -178,6 +178,33 @@ def test_normalize_j_rejects_trivial_j():
         normalize_j(rep)
 
 
+def test_normalize_j_names_a_j_with_no_minus_one_eigenspace():
+    """J = I is an involution with no -1 eigenspace: refused by that check, not later by
+    the 0-dimensional representation the compression would build."""
+    rep = GroupRep(images=(np.eye(3), np.diag([1.0, -1.0, 1.0])), j_image=np.eye(3))
+    with pytest.raises(ValidationError, match="^image of J has no -1 eigenspace; nothing to "
+                                              "compress to$"):
+        normalize_j(rep)
+
+
+def test_normalize_j_names_a_j_that_is_no_involution():
+    """J = 2I is no involution; past that check it would be refused as having no -1
+    eigenspace, so only this message pins the involution check."""
+    rep = GroupRep(images=(np.eye(3),), j_image=2 * np.eye(3))
+    with pytest.raises(ValidationError, match="^image of J is not an involution; cannot "
+                                              "compress$"):
+        normalize_j(rep)
+
+
+def test_rep_from_strategy_refuses_a_variable_in_no_equation():
+    """Variable 3 appears in no equation: refused before gluing, which would map it to the
+    identity and certify the result."""
+    sys_ = BinaryLinearSystem(m=1, n=3, rows=(frozenset({1, 2}),), b=(1,))
+    strategy = strategy_from_solution(sys_, (1, -1, 1))
+    with pytest.raises(ValidationError, match=r"^variables \[3\] appear in no equation$"):
+        rep_from_strategy(strategy, sys_)
+
+
 def test_strategy_from_rep_single_equation_scalar():
     sys_ = single_equation_system()
     rep = GroupRep(images=(-np.eye(1),), j_image=-np.eye(1))
