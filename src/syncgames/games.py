@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -24,11 +23,10 @@ from .errors import BudgetError, ValidationError
 from .gf2 import BinaryLinearSystem
 from .labels import (
     MAX_SIGN_VECTOR_LENGTH,
+    Labels,
     SignVectors,
     ToleranceReport,
     as_alphabet,
-    label_index,
-    label_set,
     label_to_json,
     labels_from_json,
 )
@@ -47,8 +45,8 @@ MAX_PAIR_TABLE_CELLS = 4_000_000
 class SyncGame:
     """A synchronous finite input-output game, given by its losing mask."""
 
-    inputs: tuple
-    outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
+    inputs: Labels
+    outputs: Sequence  # Labels, or SignVectors for the synBCS alphabet
     # keys -> (K, K) bool array, True where (x_i, x_j, a_i, a_j) loses for keys [(x, a)];
     # the labels must be valid for the game
     losing: Callable
@@ -56,19 +54,14 @@ class SyncGame:
     candidates: dict = field(compare=False, repr=False)
     source: Callable  # () -> the game's JSON
 
-    @cached_property
-    def input_set(self) -> frozenset:
-        return frozenset(self.inputs)
-
-    @cached_property
-    def output_set(self):
-        """Membership test for the outputs (the implicit alphabet itself, never a set of it)."""
-        return label_set(self.outputs)
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", as_alphabet(self.inputs, "game inputs"))
+        object.__setattr__(self, "outputs", as_alphabet(self.outputs, "game outputs"))
 
     def wins(self, x, y, a, b) -> bool:
-        if x not in self.input_set or y not in self.input_set:
+        if x not in self.inputs or y not in self.inputs:
             raise ValidationError(f"unknown input label in ({x!r}, {y!r})")
-        if a not in self.output_set or b not in self.output_set:
+        if a not in self.outputs or b not in self.outputs:
             raise ValidationError(f"unknown output label in ({a!r}, {b!r})")
         return not self.losing([(x, a), (y, b)])[0, 1]
 
@@ -99,7 +92,7 @@ def game_from_losing(inputs, outputs, losing) -> SyncGame:
         return np.array(mask, dtype=bool).reshape(len(keys), len(keys))
 
     def source():
-        xi, ai = label_index(inputs), label_index(outputs)
+        xi, ai = inputs.index, outputs.index
         table = sorted(losing_set, key=lambda t: (xi(t[0]), xi(t[1]), ai(t[2]), ai(t[3])))
         return {
             "kind": "explicit",
@@ -285,7 +278,7 @@ class DeterministicStrategy:
         for x in game.inputs:
             if x not in f:
                 raise ValidationError(f"assignment lacks input {x!r}")
-            if f[x] not in game.output_set:
+            if f[x] not in game.outputs:
                 raise ValidationError(f"unknown output label {f[x]!r} for input {x!r}")
         return not game.losing([(x, f[x]) for x in game.inputs]).any()
 
@@ -398,13 +391,15 @@ def _check_labels(game: SyncGame, strategy: "OperatorStrategy") -> None:
     """Raise ValidationError unless strategy's inputs are game's and its outputs lie
     among game's: the label part of the relation check, which a conversion reading a
     strategy's keys as the game's labels needs even when it skips the residuals."""
-    if set(strategy.inputs) != game.input_set:
+    # both alphabets are free of repeats, so equal lengths and inclusion make them equal sets
+    inputs = strategy.inputs
+    if len(inputs) != len(game.inputs) or not all(x in game.inputs for x in inputs):
         raise ValidationError("strategy inputs do not match game inputs")
     # The strategy checked every stored key against its own labels when it was built,
     # so these two label-set checks also cover the stored keys.  The scan stops at the
     # first label missing from the game: for a longer alphabet, within len(game.outputs).
     outputs = strategy.outputs
-    if outputs != game.outputs and not all(a in game.output_set for a in outputs):
+    if outputs != game.outputs and not all(a in game.outputs for a in outputs):
         raise ValidationError("strategy outputs are not a subset of game outputs")
 
 

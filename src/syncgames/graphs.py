@@ -126,10 +126,6 @@ def complete(n: int) -> Graph:
     return Graph(n=n, edges=frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n=n, edges=frozenset())
-
-
 def is_independent_set(g: Graph, vertices) -> bool:
     vs = list(vertices)
     if len(set(vs)) != len(vs):

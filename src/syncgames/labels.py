@@ -1,6 +1,7 @@
 """Labels of games and strategies: the JSON codec for labels (tuples round-trip as
-lists, scalars pass through), the implicit sign-vector alphabet of BCS games and
-the converter pair for output alphabets, the integer fields of the JSON
+lists, scalars pass through), the two alphabet types (explicit Labels and the
+implicit sign-vector alphabet of BCS games, both answering `in` and index()), the
+converter pair for output alphabets, the integer fields of the JSON
 formats, and the base that writes every check report's JSON form."""
 from __future__ import annotations
 
@@ -94,28 +95,35 @@ def unique_dict(pairs, what: str) -> dict:
     return out
 
 
+class Labels(tuple):
+    """An explicit alphabet: a tuple of distinct labels whose membership and index()
+    read one dict, label -> position.  A repeated label is refused, as what.  Equality,
+    hashing, repr, slices and JSON are a tuple's; a pickle or copy rebuilds the dict."""
+
+    def __new__(cls, labels, what: str):
+        self = super().__new__(cls, labels)
+        self._positions = unique_dict(zip(self, range(len(self))), what)
+        return self
+
+    def __contains__(self, label) -> bool:
+        return label in self._positions
+
+    def index(self, label) -> int:
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not in the alphabet") from None
+
+    def __reduce__(self):
+        return Labels, (tuple(self), "labels")
+
+
 def as_alphabet(labels, what: str) -> Sequence:
-    """A label sequence as stored: an implicit alphabet stays implicit, anything else
-    becomes a tuple, refused (as what) when it repeats a label."""
-    if isinstance(labels, SignVectors):
+    """A label sequence as stored: an alphabet stays as it is, anything else becomes
+    Labels, refused (as what) when it repeats a label."""
+    if isinstance(labels, (SignVectors, Labels)):
         return labels
-    labels = tuple(labels)
-    unique_dict(zip(labels, labels), what)
-    return labels
-
-
-def label_set(labels):
-    """A membership test for a label sequence: an implicit alphabet is its own,
-    any other sequence gets a frozenset."""
-    return labels if isinstance(labels, SignVectors) else frozenset(labels)
-
-
-def label_index(labels) -> Callable:
-    """label -> position in the sequence: arithmetic for an implicit alphabet, a
-    dict lookup otherwise."""
-    if isinstance(labels, SignVectors):
-        return labels.index
-    return {label: k for k, label in enumerate(labels)}.__getitem__
+    return Labels(labels, what)
 
 
 def label_to_json(label):

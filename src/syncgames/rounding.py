@@ -239,6 +239,10 @@ def orthogonalize_family(ps, sum_one: bool = False) -> tuple:
     if sum_one:
         remainder = eye - basis @ dagger(basis)
         remainder = (remainder + dagger(remainder)) / 2
+        # A self-check, which no input is known to fail: each block's columns come out of
+        # a QR factorization with every |R_kk| >= 1/2, after two passes against the
+        # earlier blocks, so B*B = I to within rounding for the emitted columns B, and
+        # I - B B* is idempotent to within rounding too, far below 1e-9.
         if norm2(remainder - remainder @ remainder) > 1e-9:
             raise VerificationError(
                 "remainder is not a projection; input defects are too large for sum_one"

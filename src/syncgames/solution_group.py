@@ -41,7 +41,7 @@ from .matops import (
     matrix_to_json,
     residual,
 )
-from .strategies import OperatorStrategy, deterministic_to_operator
+from .strategies import OperatorStrategy
 
 
 @dataclass(frozen=True)
@@ -461,21 +461,3 @@ def rep_from_strategy(
     choice_tol = math.sqrt(8.0 * s_max * s_max * tol)
     return glue_rep(sys, rows, s.dim, choice_tol, tol,
                     "the strategy is only approximately perfect")
-
-
-def strategy_from_solution(sys: BinaryLinearSystem, x) -> OperatorStrategy:
-    """The d = 1 strategy of a classical solution: both players answer the local
-    restriction of x (support entries kept, off-support entries set to +1)."""
-    x = tuple(x)
-    # the synBCS alphabet's own rule: int entries +-1 only, so no bool or float slips in
-    if len(x) != sys.n or any(type(v) is not int or v not in (-1, 1) for v in x):
-        raise ValidationError(f"not a sign vector of length {sys.n}")
-    for i in range(1, sys.m + 1):
-        if not sys.equation_holds(i, x):
-            raise ValidationError(f"vector fails equation {i}; not a classical solution")
-    game = build_synbcs(sys)
-    local = {
-        i: tuple(x[j - 1] if j in sys.rows[i - 1] else 1 for j in range(1, sys.n + 1))
-        for i in game.inputs
-    }
-    return deterministic_to_operator(game.inputs, game.outputs, local)

@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ClusterAmbiguityError, ValidationError, VerificationError
 from .labels import (
+    Labels,
+    SignVectors,
     as_alphabet,
     complex_from_json,
     int_from_json,
     label_from_json,
-    label_index,
-    label_set,
     label_to_json,
     labels_from_json,
     outputs_from_json,
@@ -97,8 +97,8 @@ class OperatorStrategy:
     """
 
     dim: int
-    inputs: tuple
-    outputs: Sequence  # a tuple, or SignVectors for the synBCS alphabet
+    inputs: Labels
+    outputs: Sequence  # Labels, or SignVectors for the synBCS alphabet
     pvms: Mapping
     stack: np.ndarray = field(init=False, compare=False, repr=False)
     ids: np.ndarray = field(init=False, compare=False, repr=False)
@@ -108,15 +108,13 @@ class OperatorStrategy:
             raise ValidationError("strategy dimension must be >= 1")
         object.__setattr__(self, "inputs", as_alphabet(self.inputs, "strategy inputs"))
         object.__setattr__(self, "outputs", as_alphabet(self.outputs, "strategy outputs"))
-        input_set, output_set, dim = frozenset(self.inputs), label_set(self.outputs), self.dim
+        inputs, outputs, dim = self.inputs, self.outputs, self.dim
         for x, a in self.pvms:
-            if x not in input_set:
+            if x not in inputs:
                 raise ValidationError(f"PVM key has unknown input {x!r}")
-            if a not in output_set:
+            if a not in outputs:
                 raise ValidationError(f"PVM key has unknown output {a!r}")
-        keys = sorted(
-            self.pvms, key=lambda key: (self._input_index[key[0]], self._output_index(key[1]))
-        )
+        keys = sorted(self.pvms, key=lambda key: (inputs.index(key[0]), outputs.index(key[1])))
         distinct: list = []
         by_digest: dict = {}  # blake2b digest -> rows with that digest
         ids = np.empty(len(keys), dtype=np.intp)
@@ -161,23 +159,14 @@ class OperatorStrategy:
         strategy's key order."""
         self = cls.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "inputs", as_alphabet(inputs, "strategy inputs"))
         object.__setattr__(self, "outputs", as_alphabet(outputs, "strategy outputs"))
         order = sorted(range(len(keys)), key=lambda t: (
-            self._input_index[keys[t][0]], self._output_index(keys[t][1])))
+            self.inputs.index(keys[t][0]), self.outputs.index(keys[t][1])))
         sorted_ids = np.asarray(ids)[order]
         sorted_ids.flags.writeable = False
         self._set_rows([keys[t] for t in order], stack, sorted_ids)
         return self
-
-    @cached_property
-    def _input_index(self) -> dict:
-        return {x: i for i, x in enumerate(self.inputs)}
-
-    @cached_property
-    def _output_index(self):
-        """output label -> position, without enumerating an implicit alphabet."""
-        return label_index(self.outputs)
 
     def matrix(self, x, a) -> np.ndarray:
         mat = self.pvms.get((x, a))
@@ -196,7 +185,7 @@ class OperatorStrategy:
     @cached_property
     def _pvm_pass(self) -> tuple:
         """(PVMDefects, which rows of stack are exactly Hermitian): one pvm_defects pass."""
-        rows = [self._input_index[x] for x, _ in self.pvms]
+        rows = [self.inputs.index(x) for x, _ in self.pvms]
         *defects, hermitian = pvm_defects(self.stack, self.ids, rows, len(self.inputs), self.dim)
         hermitian.flags.writeable = False
         return PVMDefects(*defects), hermitian
@@ -257,7 +246,7 @@ class BipartiteStrategy:
 
     dim_a: int
     dim_b: int
-    inputs: tuple
+    inputs: Labels
     outputs: Sequence
     alice: dict
     bob: dict
@@ -332,7 +321,7 @@ class BipartiteStrategy:
 class Correlation:
     """Conditional probabilities p(a, b | x, y), stored sparsely: missing entries are 0."""
 
-    inputs: tuple
+    inputs: Labels
     outputs: Sequence
     p: dict  # (x, y, a, b) -> float
 
@@ -381,9 +370,9 @@ class Correlation:
             keys.setdefault((x, a), len(keys))
             keys.setdefault((y, b), len(keys))
         for x, a in keys:
-            if x not in game.input_set:
+            if x not in game.inputs:
                 raise ValidationError(f"unknown input label {x!r}")
-            if a not in game.output_set:
+            if a not in game.outputs:
                 raise ValidationError(f"unknown output label {a!r}")
         if not keys:
             return 0.0, None
@@ -408,11 +397,10 @@ class Correlation:
 
     def to_dense(self) -> np.ndarray:
         n, m = len(self.inputs), len(self.outputs)
-        xi = {x: i for i, x in enumerate(self.inputs)}
-        ai = label_index(self.outputs)
+        xi, ai = self.inputs.index, self.outputs.index
         dense = np.zeros((n, n, m, m))
         for (x, y, a, b), val in self.p.items():
-            dense[xi[x], xi[y], ai(a), ai(b)] = val
+            dense[xi(x), xi(y), ai(a), ai(b)] = val
         return dense
 
     def to_json_dict(self) -> dict:
@@ -452,12 +440,15 @@ class Correlation:
                     raise ValidationError(f"dense correlation must be a {shape} array of numbers")
                 p = _dense_entries(dense.astype(float), inputs, outputs)
             else:
-                input_set, output_set = frozenset(inputs), label_set(outputs)
+                # the listed labels, each once: a repeat is refused by the constructor, after
+                # every entry is read
+                listed_x = frozenset(inputs)
+                listed_a = outputs if isinstance(outputs, SignVectors) else frozenset(outputs)
 
                 def entry(e) -> tuple:
                     *labels, val = e
                     x, y, a, b = map(label_from_json, labels)
-                    if not ({x, y} <= input_set and a in output_set and b in output_set):
+                    if not ({x, y} <= listed_x and a in listed_a and b in listed_a):
                         raise ValidationError(f"unlisted label in correlation entry {[x, y, a, b]!r}")
                     if isinstance(val, bool) or not isinstance(val, (int, float)):
                         raise ValidationError(f"correlation value {val!r} is not a number")
@@ -536,7 +527,7 @@ def deterministic_to_operator(inputs, outputs, assignment: dict) -> OperatorStra
     """Embed a deterministic assignment as the d = 1 operator strategy."""
     one = np.ones((1, 1), dtype=complex)
     pvms = {(x, assignment[x]): one for x in inputs}
-    return OperatorStrategy(dim=1, inputs=tuple(inputs), outputs=outputs, pvms=pvms)
+    return OperatorStrategy(dim=1, inputs=inputs, outputs=outputs, pvms=pvms)
 
 
 def sync_vector_defect(s: BipartiteStrategy) -> float:
@@ -621,7 +612,7 @@ def decompose_qs(
 
     alice, bob = s.alice_strategy(), s.bob_strategy()
     # the input position of each stored key: Alice's keys, then Bob's
-    key_inputs = np.array([side._input_index[x] for side in (alice, bob) for x, _ in side.pvms],
+    key_inputs = np.array([s.inputs.index(x) for side in (alice, bob) for x, _ in side.pvms],
                           dtype=np.intp)
     blocks = []
     for level in levels:

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from syncgames import BinaryLinearSystem, Graph, mermin_peres_system, pauli_magic_square_rep
-from syncgames.games import game_from_losing
-from syncgames.labels import label_from_json
+from syncgames.games import build_synbcs, game_from_losing
+from syncgames.labels import SignVectors, label_from_json
 from syncgames.solution_group import GroupRep
-from syncgames.strategies import OperatorStrategy
+from syncgames.strategies import OperatorStrategy, deterministic_to_operator
 
 
 @pytest.fixture
@@ -115,6 +115,15 @@ def synbcs_losing_oracle(sys_: BinaryLinearSystem, keys) -> np.ndarray:
     solutions = {i: frozenset(local_solutions(sys_, i)) for i in range(1, sys_.m + 1)}
     valid = np.array([x in solutions[i] for i, x in keys], dtype=bool)
     return ~(valid[:, None] & valid[None, :]) | bcs_disagreement(sys_, keys)
+
+
+def classical_strategy(sys_: BinaryLinearSystem, x) -> OperatorStrategy:
+    """The d = 1 strategy of a classical solution x: equation i answers x's local
+    restriction, x on the equation's support and +1 off it."""
+    game = build_synbcs(sys_)
+    local = {i: tuple(x[j - 1] if j in sys_.rows[i - 1] else 1 for j in range(1, sys_.n + 1))
+             for i in game.inputs}
+    return deterministic_to_operator(game.inputs, game.outputs, local)
 
 
 def exhaustive_solutions(sys: BinaryLinearSystem) -> list:
@@ -242,3 +251,17 @@ def is_synchronous(game) -> bool:
     """Whether every round (x, x, a, b) with a != b loses, read off one mask per input."""
     eye = np.eye(len(game.outputs), dtype=bool)
     return all((game.losing([(x, a) for a in game.outputs]) | eye).all() for x in game.inputs)
+
+
+def label_set(labels):
+    """A membership test for a label sequence, built by hand: an implicit alphabet is its
+    own, any other sequence gets a frozenset (the oracle for an alphabet's `in`)."""
+    return labels if isinstance(labels, SignVectors) else frozenset(labels)
+
+
+def label_index(labels):
+    """label -> position in the sequence, built by hand: arithmetic for an implicit
+    alphabet, a dict lookup otherwise (the oracle for an alphabet's index())."""
+    if isinstance(labels, SignVectors):
+        return labels.index
+    return {label: k for k, label in enumerate(labels)}.__getitem__

@@ -17,13 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import random_exact_pvm
 
 from syncgames import (
+    Graph,
     GroupRep,
     OperatorStrategy,
     build_iso_game,
     check_game_algebra_relations,
     complement_colouring_ga0,
     complete,
-    empty_graph,
     graph_from_system,
     independence_certificate_from_set,
     iso_strategy_from_bcs,
@@ -101,7 +101,8 @@ def test_graph_alpha_on_long_paths_answers_or_exits_4(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("param, graph, need, value", [
-    ("alpha", empty_graph(10), 21, "10"), ("omega", complete(5), 20, "5"), ("chi", complete(5), 25, "5"),
+    ("alpha", Graph(n=10, edges=frozenset()), 21, "10"), ("omega", complete(5), 20, "5"),
+    ("chi", complete(5), 25, "5"),
 ], ids=["alpha", "omega", "chi"])
 def test_graph_param_exits_4_past_the_node_budget(tmp_path, capsys, monkeypatch, param, graph,
                                                   need, value):
@@ -506,6 +507,11 @@ def failing_runs(tmp_path) -> dict:
     # no d x d matrix may be formed for it
     huge_dim = write_json(tmp_path, "huge_dim.json",
                           {"dim": 100000000, "inputs": [0], "outputs": [0], "pvms": []})
+    # a 2 x 2 strategy with Schmidt coefficients 0.8 and 0.6, each side diagonal
+    sides = [{"input": 0, "output": a, "matrix": matrix_to_json(np.diag([1.0 - a, a]))}
+             for a in (0, 1)]
+    two_lines = {"dim_a": 2, "dim_b": 2, "inputs": [0], "outputs": [0, 1], "alice": sides,
+                 "bob": sides, "state": [[0.8, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]]}
     transport = scaled_transport_inputs()
     files = {name: write_json(tmp_path, f"{name}.json", transport[name])
              for name in ("cert", "cert-scaled", "iso", "iso-scaled", "target")}
@@ -622,6 +628,13 @@ def failing_runs(tmp_path) -> dict:
             2,
             "invalid input: --tol must be finite and >= 0, got -inf",
         ),
+        # both Schmidt coefficients, 0.8 and 0.6, are within a cluster tolerance of 1
+        "decompose-no-level": (
+            ["strategy", "decompose-qs", "--cluster-tol", "1",
+             "--in", write_json(tmp_path, "two_lines.json", two_lines)],
+            3,
+            "verification failed: state has no Schmidt coefficient above the clustering tolerance",
+        ),
         # A value that is not a number is refused by main too, with a report.
         "tol-not-a-number": (
             ["strategy", "decompose-qs", "--tol", "abc", "--in", str(tmp_path / "mismatched.json")],
@@ -682,7 +695,7 @@ def scaled_transport_inputs() -> dict:
                                   "transport-cert-scaled", "from-strategy-defective",
                                   "to-strategy-untouched-and-relators", "to-strategy-j-and-relators",
                                   "from-strategy-untouched-and-relations", "huge-dim-check",
-                                  "huge-dim-correlation"])
+                                  "huge-dim-correlation", "decompose-no-level"])
 def test_failed_run_still_writes_report(tmp_path, case):
     argv, code, error = failing_runs(tmp_path)[case]
     report = tmp_path / "r.json"
@@ -885,7 +898,7 @@ def test_graph_transport_via_bundles(tmp_path, magic_square_file, pauli_rep_file
 
 
 def test_certify_report_digests_the_files_a_bundle_names(tmp_path):
-    cert = independence_certificate_from_set(empty_graph(3), [0, 2])
+    cert = independence_certificate_from_set(Graph(n=3, edges=frozenset()), [0, 2])
     graph_file = write_json(tmp_path, "g.json", cert.graph.to_json_dict())
     strategy_file = write_json(tmp_path, "s.json", cert.strategy.to_json_dict())
     bundle = {"value": 2, "graph": "g.json", "strategy": "s.json"}
@@ -902,7 +915,7 @@ def test_certify_report_digests_the_files_a_bundle_names(tmp_path):
 def test_certify_reads_a_large_bundle(tmp_path, capsys):
     """A value-2 certificate on 3,000 isolated vertices: a small bundle whose check
     never builds the graph's complement."""
-    cert = independence_certificate_from_set(empty_graph(3000), [0, 1])
+    cert = independence_certificate_from_set(Graph(n=3000, edges=frozenset()), [0, 1])
     bundle = {"value": 2, "graph": cert.graph.to_json_dict(),
               "strategy": cert.strategy.to_json_dict()}
     report = tmp_path / "report.json"
@@ -913,7 +926,7 @@ def test_certify_reads_a_large_bundle(tmp_path, capsys):
 
 
 def test_certify_takes_its_certificate_as_a_bundle_only(tmp_path, capsys):
-    graph_file = write_json(tmp_path, "g.json", empty_graph(3).to_json_dict())
+    graph_file = write_json(tmp_path, "g.json", Graph(n=3, edges=frozenset()).to_json_dict())
     for argv in (["graph", "certify"], ["graph", "certify", "--graph", graph_file]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -35,7 +35,6 @@ from syncgames import (
     build_synbcs,
     check_game_algebra_relations,
     complete,
-    empty_graph,
     enumerate_si,
     find_deterministic_perfect,
     game_from_json_dict,
@@ -203,7 +202,7 @@ def test_iso_game_single_vertex():
 
 
 def test_iso_game_edge_count_mismatch_unwinnable():
-    game = build_iso_game(complete(2), empty_graph(2))
+    game = build_iso_game(complete(2), Graph(n=2, edges=frozenset()))
     assert not brute_force_has_perfect_assignment(game)
     assert find_deterministic_perfect(game) is None
 
@@ -252,7 +251,7 @@ def test_search_decides_games_of_more_than_64_bits():
     copies = BinaryLinearSystem(m=60, n=4, rows=(frozenset({1, 2, 3, 4}),) * 60, b=(0,) * 60)
     decided = [
         (build_hom_game(complete(70), complete(2)), False),  # 70 bits
-        (build_hom_game(empty_graph(70), complete(2)), True),
+        (build_hom_game(Graph(n=70, edges=frozenset()), complete(2)), True),
         (build_hom_game(cycle(71), complete(2)), False),  # an odd cycle, 71 bits
         (build_synbcs(kcopy_system(6)), False),  # 36 inputs x 4 candidates: 72 bits
         (build_synbcs(copies), True),  # 60 x 8 candidates: 180 bits
@@ -368,7 +367,8 @@ def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
     refused = answered = 0
     # two games over 64 bits: K_70 -> K_2 is refuted at node 10, the edgeless one needs 70
     cases = random_search_games(1202)[::3] + [
-        build_hom_game(complete(70), complete(2)), build_hom_game(empty_graph(70), complete(2))]
+        build_hom_game(complete(70), complete(2)),
+        build_hom_game(Graph(n=70, edges=frozenset()), complete(2))]
     for limit in range(1, 31):
         monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", limit)
         for game in cases:
@@ -382,7 +382,7 @@ def test_search_trips_the_node_budget_at_the_oracle_node(monkeypatch):
 def test_search_over_1200_inputs_keeps_its_own_stack():
     """One depth per input, 1,200 deep: the hom game from an edgeless graph into K_1
     is answered, not refused by the interpreter's recursion limit."""
-    game = build_hom_game(empty_graph(1200), complete(1))
+    game = build_hom_game(Graph(n=1200, edges=frozenset()), complete(1))
     assert find_deterministic_perfect(game).assignment == {v: 0 for v in range(1200)}
 
 
@@ -409,7 +409,8 @@ def test_pair_table_budget_boundary(monkeypatch):
     monkeypatch.setattr(games, "MAX_PAIR_TABLE_CELLS", 6 * 6)
     assert find_deterministic_perfect(build_hom_game(complete(2), complete(3))) is not None
     with pytest.raises(BudgetError, match="7 candidate keys"):
-        find_deterministic_perfect(build_hom_game(empty_graph(1), empty_graph(7)))
+        find_deterministic_perfect(
+            build_hom_game(Graph(n=1, edges=frozenset()), Graph(n=7, edges=frozenset())))
 
 
 def test_hom_and_iso_searches_match_the_colouring_and_isomorphism_oracles():
@@ -447,7 +448,7 @@ def test_hom_mask_into_an_edgeless_2000_vertex_graph_stays_small():
     """One vertex into 2000 isolated ones: 2000 candidate keys, whose 4 MB pair table
     the search builds; the adjacency lookup scatters the named edges into one bool
     table instead of forming n'^2 int64 arrays (over 100 MB of peak here)."""
-    game = build_hom_game(empty_graph(1), empty_graph(2000))
+    game = build_hom_game(Graph(n=1, edges=frozenset()), Graph(n=2000, edges=frozenset()))
     keys = [(0, a) for a in range(2000)]
     tracemalloc.start()
     try:

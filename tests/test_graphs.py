@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     brute_alpha,
+    classical_strategy,
     brute_chi,
     brute_omega,
     is_proper_colouring,
@@ -35,18 +36,14 @@ from syncgames import (
     complement_colouring_ga0,
     complete,
     correlation_from_tracial,
-    empty_graph,
     graph_from_system,
     independence_certificate_from_set,
     iso_strategy_from_bcs,
-    max_clique,
-    max_independent_set,
     omega,
     pauli_magic_square_rep,
     rep_from_independence,
     solve_gf2,
     strategy_from_rep,
-    strategy_from_solution,
     swap_iso_strategy,
     transport_independence,
     verify_rep,
@@ -58,6 +55,8 @@ from syncgames.graphs import (
     Graph,
     IndependenceCertificate,
     is_independent_set,
+    max_clique,
+    max_independent_set,
 )
 from syncgames.matops import dagger, norm2
 from syncgames.strategies import OperatorStrategy
@@ -77,7 +76,7 @@ def test_complete_graph_parameters():
 
 def test_empty_graph_parameters():
     for n in range(1, 6):
-        e = empty_graph(n)
+        e = Graph(n=n, edges=frozenset())
         assert alpha(e) == n
         assert chi(e) == 1
 
@@ -152,10 +151,10 @@ def test_exact_solvers_refuse_oversized_graphs(monkeypatch):
     budget for all components: K_5's clique search places 5 + 4 + 3 + 2 + 1 vertices
     and takes 5 branches, chi's greedy upper bound places 5 more, and each isolated
     vertex takes one placement and one branch."""
-    assert alpha(empty_graph(41)) == 41
-    assert chi(empty_graph(21)) == 1
+    assert alpha(Graph(n=41, edges=frozenset())) == 41
+    assert chi(Graph(n=21, edges=frozenset())) == 1
     for solver, g, need, value in ((omega, complete(5), 20, 5), (chi, complete(5), 25, 5),
-                                   (alpha, empty_graph(10), 21, 10)):
+                                   (alpha, Graph(n=10, edges=frozenset()), 21, 10)):
         monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need)
         assert solver(g) == value
         monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", need - 1)
@@ -165,7 +164,7 @@ def test_exact_solvers_refuse_oversized_graphs(monkeypatch):
     monkeypatch.setattr(Graph, "rows", property(lambda self: pytest.fail("bitsets built")))
     for solver in (alpha, omega, chi):  # 12000^2 / 64 > 2,000,000
         with pytest.raises(BudgetError, match="^search exceeded 2000000 nodes; undecided$"):
-            solver(empty_graph(12_000))
+            solver(Graph(n=12_000, edges=frozenset()))
 
 
 def test_alpha_refuses_before_building_the_complement(monkeypatch):
@@ -175,10 +174,10 @@ def test_alpha_refuses_before_building_the_complement(monkeypatch):
         raise AssertionError("complement graph built")
 
     monkeypatch.setattr(Graph, "complement", complement)
-    assert alpha(empty_graph(2000)) == 2000
+    assert alpha(Graph(n=2000, edges=frozenset())) == 2000
     monkeypatch.setattr(games, "DEFAULT_SEARCH_NODES", 1000)
     with pytest.raises(BudgetError):
-        alpha(empty_graph(2000))
+        alpha(Graph(n=2000, edges=frozenset()))
 
 
 def test_searches_do_not_recurse_on_long_paths():
@@ -232,7 +231,7 @@ def test_graph_copies_drop_the_kept_caches(clone):
 def test_pickles_leave_the_complement_behind():
     """A graph's complement grows as n^2; neither the graph's pickle nor that of a
     certificate whose game was built carries it."""
-    g = empty_graph(500)
+    g = Graph(n=500, edges=frozenset())
     g.complement()
     assert len(pickle.dumps(g)) < 100_000
     cert = independence_certificate_from_set(g, [0, 5, 9])
@@ -266,7 +265,7 @@ def test_certificate_mask_matches_the_hom_game_into_the_complement():
 def test_large_certificate_verifies_without_the_complement():
     """A value-2 certificate on 3,000 isolated vertices verifies without building the
     complement's 4.5 million edges."""
-    cert = independence_certificate_from_set(empty_graph(3000), [0, 1])
+    cert = independence_certificate_from_set(Graph(n=3000, edges=frozenset()), [0, 1])
     tracemalloc.start()
     try:
         report = cert.verify()
@@ -412,7 +411,7 @@ def test_complement_colouring_ga0_refuses_a_colour_class_that_is_no_clique(magic
 def test_iso_strategy_from_classical_solution_is_permutation():
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
     x = solve_gf2(sys_)
-    strategy = strategy_from_solution(sys_, x)
+    strategy = classical_strategy(sys_, x)
     iso = iso_strategy_from_bcs(strategy, sys_, tol=1e-12)
     g_b = graph_from_system(sys_, use_b=True)
     g_0 = graph_from_system(sys_, use_b=False)
@@ -484,7 +483,7 @@ def test_transport_through_identity_isomorphism():
 def test_transport_classical_certificate_through_classical_iso():
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
     x = solve_gf2(sys_)
-    iso = iso_strategy_from_bcs(strategy_from_solution(sys_, x), sys_, tol=1e-12)
+    iso = iso_strategy_from_bcs(classical_strategy(sys_, x), sys_, tol=1e-12)
     g_b = graph_from_system(sys_, use_b=True)
     g_0 = graph_from_system(sys_, use_b=False)
     certs0 = complement_colouring_ga0(sys_)
@@ -535,7 +534,7 @@ def transport_cases() -> list:
         if copies == 1:
             cases.append((transport_independence(cert0, swap_iso_strategy(iso), g_b), iso, g_0))
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
-    iso = iso_strategy_from_bcs(strategy_from_solution(sys_, solve_gf2(sys_)), sys_, tol=1e-12)
+    iso = iso_strategy_from_bcs(classical_strategy(sys_, solve_gf2(sys_)), sys_, tol=1e-12)
     cert0 = independence_certificate_from_set(graph_from_system(sys_, use_b=False),
                                                complement_colouring_ga0(sys_).independent_set)
     cases.append((cert0, swap_iso_strategy(iso), graph_from_system(sys_, use_b=True)))

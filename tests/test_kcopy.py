@@ -10,7 +10,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from conftest import kcopy_magic_square, random_unitary
+from conftest import classical_strategy, kcopy_magic_square, random_unitary
 
 from syncgames import (
     BinaryLinearSystem,
@@ -25,12 +25,10 @@ from syncgames import (
     is_perfect,
     is_synchronous,
     iso_strategy_from_bcs,
-    max_independent_set,
     rep_from_independence,
     rep_from_strategy,
     solve_gf2,
     strategy_from_rep,
-    strategy_from_solution,
     swap_iso_strategy,
     transport_independence,
     verify_rep,
@@ -38,7 +36,7 @@ from syncgames import (
 from syncgames import cli, games, gf2, graphs, solution_group
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
-from syncgames.graphs import is_independent_set
+from syncgames.graphs import is_independent_set, max_independent_set
 from syncgames.labels import SignVectors
 from syncgames.solution_group import GroupRep
 from syncgames.strategies import BipartiteStrategy, Correlation, OperatorStrategy
@@ -190,7 +188,7 @@ def test_a_62_variable_system_never_enumerates_its_outputs():
     rows = tuple(frozenset({j, j + 1}) for j in range(1, n)) + (frozenset({n}),)
     sys_ = BinaryLinearSystem(m=n, n=n, rows=rows, b=tuple(j % 2 for j in range(n)))
     x = solve_gf2(sys_)
-    strategy = strategy_from_solution(sys_, x)
+    strategy = classical_strategy(sys_, x)
     assert strategy.outputs == SignVectors(62)
     game = build_synbcs(sys_)
     assert check_game_algebra_relations(game, strategy, TOL).max_residual == 0.0

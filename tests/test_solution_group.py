@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import kcopy_magic_square, random_hermitian, random_unitary, rotated
+from conftest import (
+    classical_strategy,
+    kcopy_magic_square,
+    random_hermitian,
+    random_unitary,
+    rotated,
+)
 from test_graphs import transported_certificate
 
 from syncgames import (
@@ -30,7 +36,6 @@ from syncgames.solution_group import (
     presentation,
     rep_from_strategy,
     strategy_from_rep,
-    strategy_from_solution,
     verify_rep,
 )
 from syncgames.gf2 import enumerate_si
@@ -200,7 +205,7 @@ def test_rep_from_strategy_refuses_a_variable_in_no_equation():
     """Variable 3 appears in no equation: refused before gluing, which would map it to the
     identity and certify the result."""
     sys_ = BinaryLinearSystem(m=1, n=3, rows=(frozenset({1, 2}),), b=(1,))
-    strategy = strategy_from_solution(sys_, (1, -1, 1))
+    strategy = classical_strategy(sys_, (1, -1, 1))
     with pytest.raises(ValidationError, match=r"^variables \[3\] appear in no equation$"):
         rep_from_strategy(strategy, sys_)
 
@@ -248,7 +253,7 @@ def test_scalar_rep_for_solvable_inhomogeneous_system():
     report = verify_rep(rep, sys_, 1e-12)
     assert report.passes and report.j_nontrivial
     strategy = strategy_from_rep(rep, sys_)
-    deterministic = strategy_from_solution(sys_, x)
+    deterministic = classical_strategy(sys_, x)
     assert set(strategy.pvms) == set(deterministic.pvms)
     recovered = rep_from_strategy(deterministic, sys_)
     for w, v in zip(recovered.images, x):
@@ -318,11 +323,6 @@ def _expm_skew(h, eps):
     """exp(1j * eps * h) for Hermitian h via its eigendecomposition."""
     w, u = np.linalg.eigh(h)
     return u @ np.diag(np.exp(1j * eps * w)) @ u.conj().T
-
-
-def test_strategy_from_solution_validates_input(magic_square):
-    with pytest.raises(ValidationError):
-        strategy_from_solution(magic_square, (1,) * 9)  # magic square has no solution
 
 
 def test_group_rep_json_roundtrip(pauli_rep):

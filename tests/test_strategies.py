@@ -668,19 +668,31 @@ def test_decompose_refuses_a_slightly_rotated_bob_by_its_sync_defect():
         decompose_qs(s, tol=1e-9)
 
 
+def two_line_strategy() -> BipartiteStrategy:
+    """A 2 x 2 strategy with Schmidt coefficients 0.8 and 0.6, each side diagonal."""
+    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    pvms = {(0, 0): e0, (0, 1): e1}
+    return BipartiteStrategy(
+        dim_a=2, dim_b=2, inputs=(0,), outputs=(0, 1), alice=pvms, bob=pvms,
+        state=np.diag([0.8, 0.6]).astype(complex).reshape(-1),
+    )
+
+
 def test_decompose_refuses_merged_schmidt_lines_by_the_recombination():
     """A cluster tolerance wider than the gap between Schmidt coefficients 0.8 and 0.6
     merges the two lines into one uniform block: every check before the recombination
     passes, and the recombination misses p(0, 0 | 0, 0) = 0.64 by 0.14."""
-    e0, e1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    pvms = {(0, 0): e0, (0, 1): e1}
-    s = BipartiteStrategy(
-        dim_a=2, dim_b=2, inputs=(0,), outputs=(0, 1), alice=pvms, bob=pvms,
-        state=np.diag([0.8, 0.6]).astype(complex).reshape(-1),
-    )
     with pytest.raises(VerificationError,
                        match=re.escape("block recombination misses the input correlation by 1.400e-01")):
-        decompose_qs(s, tol=1e-9, cluster_tol=0.3)
+        decompose_qs(two_line_strategy(), tol=1e-9, cluster_tol=0.3)
+
+
+def test_decompose_refuses_a_state_with_every_schmidt_coefficient_within_the_tolerance():
+    """A cluster tolerance of 1 treats both Schmidt coefficients, 0.8 and 0.6, as zero:
+    no level set is left to decompose into."""
+    with pytest.raises(VerificationError, match="^state has no Schmidt coefficient above "
+                                                "the clustering tolerance$"):
+        decompose_qs(two_line_strategy(), tol=1e-9, cluster_tol=1.0)
 
 
 def test_strategy_json_roundtrip():
