@@ -117,11 +117,11 @@ def _hermitian_rows(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_norms(stack: np.ndarray, left, right, hermitian=None) -> np.ndarray:
+def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
     hermitian, a bool per row of stack, flags the rows that equal their adjoint
-    entry for entry (None flags none).  For two such rows F E is (E F)*, whose
+    entry for entry.  For two such rows F E is (E F)*, whose
     norm is the same in exact arithmetic, so a pair (j, i) with j > i of two
     flagged rows is folded onto (i, j) first: each unordered pair of flagged rows
     is multiplied once and both orders get that product's norm, which may differ
@@ -146,9 +146,8 @@ def product_norms(stack: np.ndarray, left, right, hermitian=None) -> np.ndarray:
     """
     n = len(stack)
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
-    if hermitian is not None:
-        mirror = (left > right) & hermitian[left] & hermitian[right]
-        left, right = np.where(mirror, right, left), np.where(mirror, left, right)
+    mirror = (left > right) & hermitian[left] & hermitian[right]
+    left, right = np.where(mirror, right, left), np.where(mirror, left, right)
     codes = left * n + right
     present = np.zeros(n * n, dtype=bool)
     present[codes] = True

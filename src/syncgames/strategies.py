@@ -5,10 +5,10 @@ tracial strategies.
 """
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -87,8 +87,8 @@ class OperatorStrategy:
     operators into one read-only (D, dim, dim) array, stack, and ids[k] is the
     row of stack holding the operator of stored_keys()[k]; every row is some
     key's, so D is at most the number of stored keys.  Operators are shared by
-    content: a blake2b digest of the bytes, a hit confirmed byte for byte, so a
-    strategy reloaded from JSON or rotated key by key shares its rows too.  The
+    their bytes, the keys of one dict (so -0.0 is not 0.0), and a strategy
+    reloaded from JSON or rotated key by key shares its rows too.  The
     constructor numbers rows in stored-key order of first use (a swapped
     isomorphism strategy keeps the original's numbers, and one built by
     graphs.iso_strategy_from_bcs the BCS strategy's).
@@ -116,7 +116,7 @@ class OperatorStrategy:
                 raise ValidationError(f"PVM key has unknown output {a!r}")
         keys = sorted(self.pvms, key=lambda key: (inputs.index(key[0]), outputs.index(key[1])))
         distinct: list = []
-        by_digest: dict = {}  # blake2b digest -> rows with that digest
+        rows: dict = {}  # operator bytes -> its row
         ids = np.empty(len(keys), dtype=np.intp)
         for k, key in enumerate(keys):
             m = np.ascontiguousarray(as_matrix(self.pvms[key]))
@@ -124,14 +124,9 @@ class OperatorStrategy:
                 raise ValidationError(
                     f"operator for {key!r} has shape {m.shape}, expected {(dim, dim)}"
                 )
-            same = by_digest.setdefault(hashlib.blake2b(m, digest_size=32).digest(), [])
-            raw = m.view(np.uint8)
-            row = next((r for r in same if np.array_equal(raw, distinct[r].view(np.uint8))), None)
-            if row is None:
-                row = len(distinct)
+            row = ids[k] = rows.setdefault(m.tobytes(), len(distinct))
+            if row == len(distinct):
                 distinct.append(m)
-                same.append(row)
-            ids[k] = row
         stack = np.array(distinct, dtype=complex).reshape(len(distinct), dim, dim)
         stack.flags.writeable = False
         ids.flags.writeable = False
@@ -153,10 +148,10 @@ class OperatorStrategy:
     def _over_rows(cls, dim: int, inputs, outputs, keys, stack: np.ndarray,
                    ids: np.ndarray) -> "OperatorStrategy":
         """The strategy mapping keys[t] to stack[ids[t]] over another strategy's
-        read-only stack, shared as it is: nothing is copied, re-hashed or re-validated,
-        so every key must be a valid (input, output) label pair and every row of stack
-        some key's row.  Rows keep their numbers, which need not follow this
-        strategy's key order."""
+        read-only stack, shared as it is: nothing is copied, keyed by its bytes or
+        re-validated, so every key must be a valid (input, output) label pair and every
+        row of stack some key's row.  Rows keep their numbers, which need not follow
+        this strategy's key order; every reader goes through ids."""
         self = cls.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "inputs", as_alphabet(inputs, "strategy inputs"))
@@ -175,12 +170,6 @@ class OperatorStrategy:
     def stored_keys(self) -> list:
         """The (input, output) keys with a stored operator, in input order, then output order."""
         return list(self.pvms)
-
-    def stacked(self) -> tuple:
-        """(stored_keys(), their operators in that order as a (K, dim, dim) array): the
-        read-only stack itself when key k has row k, else a gathered copy."""
-        in_order = np.array_equal(self.ids, np.arange(len(self.stack)))
-        return self.stored_keys(), self.stack if in_order else self.stack[self.ids]
 
     @cached_property
     def _pvm_pass(self) -> tuple:
@@ -319,72 +308,82 @@ class BipartiteStrategy:
 
 @dataclass(frozen=True)
 class Correlation:
-    """Conditional probabilities p(a, b | x, y), stored sparsely: missing entries are 0."""
+    """Conditional probabilities p(a, b | x, y), stored sparsely: missing entries are 0.
+
+    The constructor walks its own copy of p once, in dict order, refusing a label outside
+    the alphabets, and every reader reads that walk: _keys, the distinct (x, a) in first
+    use (an entry's (x, a) before its (y, b)); _ends, each entry's two key numbers; _cells,
+    the input positions (x, y) and output positions (a, b) of each entry; _vals, its value."""
 
     inputs: Labels
     outputs: Sequence
     p: dict  # (x, y, a, b) -> float
+    _keys: list = field(init=False, compare=False, repr=False)
+    _ends: np.ndarray = field(init=False, compare=False, repr=False)  # (2, E)
+    _cells: np.ndarray = field(init=False, compare=False, repr=False)  # (2, 2, E)
+    _vals: np.ndarray = field(init=False, compare=False, repr=False)  # (E,)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", as_alphabet(self.inputs, "correlation inputs"))
         object.__setattr__(self, "outputs", as_alphabet(self.outputs, "correlation outputs"))
         object.__setattr__(self, "p", dict(self.p))
-
-    @cached_property
-    def _row_sums(self) -> dict:
-        sums: dict = {}
-        for (x, y, _a, _b), val in self.p.items():
-            sums[(x, y)] = sums.get((x, y), 0.0) + val
-        return sums
+        keys: dict = {}  # (x, a) -> its number
+        ends = np.array([keys.setdefault(key, len(keys)) for x, y, a, b in self.p
+                         for key in ((x, a), (y, b))], dtype=np.intp).reshape(-1, 2)
+        for x, a in keys:
+            if x not in self.inputs:
+                raise ValidationError(f"correlation entry has unknown input {x!r}")
+            if a not in self.outputs:
+                raise ValidationError(f"correlation entry has unknown output {a!r}")
+        positions = np.array([(self.inputs.index(x), self.outputs.index(a)) for x, a in keys],
+                             dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_keys", list(keys))
+        object.__setattr__(self, "_ends", ends.T)
+        object.__setattr__(self, "_cells", positions[ends].T)
+        object.__setattr__(self, "_vals", np.fromiter(self.p.values(), float, len(self.p)))
 
     def value(self, x, y, a, b) -> float:
         return self.p.get((x, y, a, b), 0.0)
 
-    def row_sum(self, x, y) -> float:
-        return self._row_sums.get((x, y), 0.0)
-
     def max_range_violation(self) -> float:
         """How far the entries stray outside [0, 1]; NaN when an entry is NaN."""
-        vals = np.fromiter(self.p.values(), dtype=float, count=len(self.p))
-        return float(np.max(np.maximum(-vals, vals - 1.0), initial=0.0))
+        return float(np.max(np.maximum(-self._vals, self._vals - 1.0), initial=0.0))
 
     def max_normalization_defect(self) -> float:
-        defects = [abs(self.row_sum(x, y) - 1.0) for x in self.inputs for y in self.inputs]
-        return max(defects, default=0.0)
+        """max |sum_{a,b} p(a, b | x, y) - 1| over (x, y) in input order, each row summed in
+        dict order, by Python's max (so a NaN defect counts only in first place)."""
+        n, (x, y) = len(self.inputs), self._cells[0]
+        sums = np.zeros(n * n)
+        np.add.at(sums, x * n + y, self._vals)
+        return max(np.abs(sums - 1.0).tolist(), default=0.0)
+
+    def _first_max(self, picked: np.ndarray) -> tuple:
+        """(max, witness): the first picked entry, in dict order, holding the largest value
+        above 0; (0.0, None) when there is none, and a NaN value never counts."""
+        vals = np.where(picked & (self._vals > 0.0), self._vals, 0.0)
+        if not vals.any():
+            return 0.0, None
+        k = int(np.argmax(vals))
+        return float(vals[k]), next(islice(self.p, k, None))
 
     def max_sync_violation(self) -> tuple:
         """(max, witness) over diagonal entries p(a, b | x, x) with a != b."""
-        worst, witness = 0.0, None
-        for (x, y, a, b), val in self.p.items():
-            if x == y and a != b and val > worst:
-                worst, witness = val, (x, y, a, b)
-        return worst, witness
+        (x, y), (a, b) = self._cells
+        return self._first_max((x == y) & (a != b))
 
     def max_losing(self, game: "SyncGame") -> tuple:
         """(max, witness) over stored entries on losing tuples of the game: one losing
-        mask over the distinct (x, a) and (y, b) keys of the entries picks them, and
-        the witness is the first entry, in dict order, holding the largest value
-        above 0 (None when there is none; a NaN value never counts)."""
-        keys = {}
-        for x, y, a, b in self.p:
-            keys.setdefault((x, a), len(keys))
-            keys.setdefault((y, b), len(keys))
-        for x, a in keys:
+        mask over the walk's keys picks them, and the witness is the first entry, in
+        dict order, holding the largest value above 0 (None when there is none; a NaN
+        value never counts)."""
+        for x, a in self._keys:
             if x not in game.inputs:
                 raise ValidationError(f"unknown input label {x!r}")
             if a not in game.outputs:
                 raise ValidationError(f"unknown output label {a!r}")
-        if not keys:
+        if not self._keys:
             return 0.0, None
-        rows = [keys[(x, a)] for x, _, a, _ in self.p]
-        cols = [keys[(y, b)] for _, y, _, b in self.p]
-        losing = game.losing(list(keys))[rows, cols]
-        vals = np.fromiter(self.p.values(), dtype=float, count=len(self.p))
-        vals = np.where(losing & (vals > 0.0), vals, 0.0)
-        k = int(np.argmax(vals))
-        if vals[k] > 0.0:
-            return float(vals[k]), list(self.p)[k]
-        return 0.0, None
+        return self._first_max(game.losing(self._keys)[tuple(self._ends)])
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         if not self.max_range_violation() <= tol:  # written so that a NaN entry fails too
@@ -397,10 +396,9 @@ class Correlation:
 
     def to_dense(self) -> np.ndarray:
         n, m = len(self.inputs), len(self.outputs)
-        xi, ai = self.inputs.index, self.outputs.index
+        (x, y), (a, b) = self._cells
         dense = np.zeros((n, n, m, m))
-        for (x, y, a, b), val in self.p.items():
-            dense[xi(x), xi(y), ai(a), ai(b)] = val
+        dense[x, y, a, b] = self._vals
         return dense
 
     def to_json_dict(self) -> dict:
@@ -471,12 +469,17 @@ def _dense_entries(dense: np.ndarray, inputs, outputs) -> dict:
             for ix, iy, ia, ib, val in zip(*(c.tolist() for c in cells), dense[cells].tolist())}
 
 
-def _trace_table(inputs, outputs, row_keys, rows, col_keys, cols, d) -> Correlation:
-    """p(x, y, a, b) = tr(rows[i] cols[j]^T) / d over keys (x, a) = row_keys[i], (y, b) =
-    col_keys[j] in key order, from one Gram product of the (K, n, n) stacks and with no
-    square root, so as exact as a per-pair trace; a non-real trace (beyond 1e-9) raises."""
-    n = rows.shape[-1]
-    traces = rows.reshape(len(row_keys), n * n) @ cols.reshape(len(col_keys), n * n).T / d
+def _trace_table(left: OperatorStrategy, rows, right: OperatorStrategy, cols, d) -> Correlation:
+    """p(x, y, a, b) = tr(rows[left.ids[i]] cols[right.ids[j]]^T) / d over the keys (x, a)
+    and (y, b) of left and right in key order, for (D, n, n) stacks rows and cols over
+    each side's distinct rows, read through the ids: one Gram product with no square
+    root, so as exact as a per-pair trace; a non-real trace (beyond 1e-9) raises.  The
+    product runs over the rows in key order, not over the distinct ones: BLAS picks its
+    kernel by the operands' row counts, so only then are an entry's bits those of its
+    two operators whatever the row layout (a swapped or reloaded strategy)."""
+    n, row_keys, col_keys = rows.shape[-1], left.stored_keys(), right.stored_keys()
+    rows, cols = rows[left.ids], cols[right.ids]
+    traces = rows.reshape(len(rows), n * n) @ cols.reshape(len(cols), n * n).T / d
     nonreal = np.flatnonzero(np.abs(traces.imag) > 1e-9)
     if nonreal.size:
         i, j = divmod(int(nonreal[0]), len(col_keys))
@@ -488,15 +491,14 @@ def _trace_table(inputs, outputs, row_keys, rows, col_keys, cols, d) -> Correlat
         for i, (x, a) in enumerate(row_keys)
         for j, (y, b) in enumerate(col_keys)
     }
-    return Correlation(inputs=inputs, outputs=outputs, p=p)
+    return Correlation(inputs=left.inputs, outputs=left.outputs, p=p)
 
 
 def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:
     """p(a, b | x, y) = tr(E_{x,a} E_{y,b}) / d under the normalized trace, over the
     stored operators in stored_keys() order."""
     defects = s.validate(tol)
-    keys, stack = s.stacked()
-    corr = _trace_table(s.inputs, s.outputs, keys, stack, keys, np.swapaxes(stack, 1, 2), s.dim)
+    corr = _trace_table(s, s.stack, s, np.swapaxes(s.stack, 1, 2), s.dim)
     corr.validate(max(tol, 10 * defects.max))
     return corr
 
@@ -504,13 +506,11 @@ def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> C
 def correlation_from_bipartite(s: BipartiteStrategy, tol: float = DEFAULT_TOL) -> Correlation:
     """p(a, b | x, y) = <(E_{x,a} (x) F_{y,b}) psi, psi> = tr(m* E_{x,a} m F_{y,b}^T) for the
     state matrix m, over Alice's and Bob's stored operators in stored_keys() order."""
-    s.alice_strategy().validate(tol)
-    s.bob_strategy().validate(tol)
+    alice, bob = s.alice_strategy(), s.bob_strategy()
+    alice.validate(tol)
+    bob.validate(tol)
     m = s.state_matrix()
-    a_keys, a_stack = s.alice_strategy().stacked()
-    b_keys, b_stack = s.bob_strategy().stacked()
-    rows = dagger(m) @ a_stack @ m
-    corr = _trace_table(s.inputs, s.outputs, a_keys, rows, b_keys, b_stack, 1)
+    corr = _trace_table(alice, dagger(m) @ alice.stack @ m, bob, bob.stack, 1)
     corr.validate(1e-10 if tol <= 1e-10 else tol)
     return corr
 

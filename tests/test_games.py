@@ -1027,7 +1027,8 @@ def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
         return residuals(mats)
 
     monkeypatch.setattr(matops, "_residuals", counting)
-    overlaps = matops.product_norms(iso.stack, iso.ids[left], iso.ids[right])
+    overlaps = matops.product_norms(iso.stack, iso.ids[left], iso.ids[right],
+                                    np.zeros(len(iso.stack), dtype=bool))
     assert (len(keys), len(left), sum(rows)) == (384, 23040, 432)
     monkeypatch.undo()
     pvms = iso.pvms

@@ -854,10 +854,11 @@ def test_swap_iso_strategy_shares_the_original_stack(magic_square, pauli_rep):
             == check_game_algebra_relations(game, rebuilt, 1e-12).as_dict())
 
 
-def test_stacked_follows_the_key_order_of_a_swapped_strategy():
+def test_swapped_strategy_correlation_follows_its_own_key_order():
     """Eight distinct operators, one per key: the swap gives key k row (k + 4) % 8, so
-    stacked() gathers the rows in key order rather than handing back the stack as it
-    is, and the correlation is the rebuilt strategy's."""
+    its correlation must read each key's row through ids.  The entries come in the
+    swapped strategy's own key order, each the trace of its own pair of operators, and
+    the correlation is the rebuilt strategy's."""
     def line(t):
         v = np.array([np.cos(t), np.sin(t)])
         return np.outer(v, v).astype(complex)
@@ -870,11 +871,13 @@ def test_stacked_follows_the_key_order_of_a_swapped_strategy():
         pvms[(x, a1)] = np.eye(2) - pvms[(x, a0)]
     swapped = swap_iso_strategy(OperatorStrategy(2, labels, labels, pvms))
     assert swapped.ids.tolist() == [4, 5, 6, 7, 0, 1, 2, 3]
-    keys, stack = swapped.stacked()
-    assert all(stack[k].tobytes() == swapped.pvms[key].tobytes() for k, key in enumerate(keys))
+    corr, keys = correlation_from_tracial(swapped), swapped.stored_keys()
+    assert list(corr.p) == [(x, y, a, b) for x, a in keys for y, b in keys]
+    for (x, y, a, b), val in corr.p.items():
+        trace = np.trace(swapped.pvms[(x, a)] @ swapped.pvms[(y, b)]).real / 2
+        assert abs(val - trace) <= 1e-15
     rebuilt = OperatorStrategy(2, swapped.inputs, swapped.outputs, dict(swapped.pvms))
-    assert (correlation_from_tracial(swapped).to_json_dict()
-            == correlation_from_tracial(rebuilt).to_json_dict())
+    assert corr.to_json_dict() == correlation_from_tracial(rebuilt).to_json_dict()
 
 
 def copying_iso_strategy(s: OperatorStrategy, sys_) -> OperatorStrategy:

@@ -187,11 +187,14 @@ def test_product_norms_match_the_per_pair_products(monkeypatch):
         left, right = rng.integers(0, 4, size=(2, 200))
         expected = [norm2(stack[i] @ stack[j]) for i, j in zip(left, right)]
         formed.clear()
-        assert product_norms(stack, left, right).tolist() == expected
+        unflagged = np.zeros(len(stack), dtype=bool)
+        assert product_norms(stack, left, right, unflagged).tolist() == expected
         assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
     monkeypatch.undo()
-    assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], []).shape == (0,)
-    assert product_norms(np.eye(3, dtype=complex)[None], [], []).shape == (0,)
+    assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], [],
+                         np.zeros(0, dtype=bool)).shape == (0,)
+    assert product_norms(np.eye(3, dtype=complex)[None], [], [],
+                         np.zeros(1, dtype=bool)).shape == (0,)
 
 
 def unique_product_norms(stack, left, right) -> np.ndarray:
@@ -222,7 +225,7 @@ def test_product_norms_presence_table_matches_the_unique_dedup(monkeypatch, rows
         return residuals(mats)
 
     monkeypatch.setattr(matops, "_residuals", recording)
-    got = product_norms(stack, left, right)
+    got = product_norms(stack, left, right, np.zeros(len(stack), dtype=bool))
     products, formed[:] = list(formed), []
     expected = unique_product_norms(stack, left, right)
     assert products == formed
@@ -277,7 +280,7 @@ def test_product_norms_fold_the_mirror_pairs_of_exactly_hermitian_rows(monkeypat
     assert d == 1 or not _hermitian_rows(rotated).any()
     # with no flags, nothing is folded
     formed.clear()
-    got = product_norms(rotated, left, right)
+    got = product_norms(rotated, left, right, np.zeros(len(rotated), dtype=bool))
     assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
     assert got.tolist() == two_order_norms(rotated, left, right).tolist()
 

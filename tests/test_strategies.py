@@ -15,6 +15,7 @@ from conftest import (
     predicate_of,
     random_exact_pvm,
     random_hermitian,
+    random_system,
     random_unitary,
     rotated,
 )
@@ -995,6 +996,235 @@ def test_max_losing_refuses_labels_the_game_does_not_have():
             Correlation((0, 1, 2), (0, 1, 5), {key: 0.5}).max_losing(game)
 
 
+# ------------------------------------------- one walk of a correlation's entries --
+
+def normalization_oracle(corr: Correlation) -> float:
+    """max_normalization_defect before the walk: the rows summed in dict order into a
+    dict, then every (x, y) defect in input order under Python's max."""
+    sums: dict = {}
+    for (x, y, _a, _b), val in corr.p.items():
+        sums[(x, y)] = sums.get((x, y), 0.0) + val
+    defects = [abs(sums.get((x, y), 0.0) - 1.0) for x in corr.inputs for y in corr.inputs]
+    return max(defects, default=0.0)
+
+
+def sync_oracle(corr: Correlation) -> tuple:
+    """max_sync_violation before the walk: the first strict maximum above 0 among the
+    diagonal entries with a != b, in dict order."""
+    worst, witness = 0.0, None
+    for (x, y, a, b), val in corr.p.items():
+        if x == y and a != b and val > worst:
+            worst, witness = val, (x, y, a, b)
+    return worst, witness
+
+
+def losing_mask_oracle(corr: Correlation, game) -> tuple:
+    """max_losing before the walk: its own key table, each entry's (x, a) then (y, b) in
+    first use, the game-label refusals in that order, and one mask over the table."""
+    keys: dict = {}
+    for x, y, a, b in corr.p:
+        keys.setdefault((x, a), len(keys))
+        keys.setdefault((y, b), len(keys))
+    for x, a in keys:
+        if x not in game.inputs:
+            raise ValidationError(f"unknown input label {x!r}")
+        if a not in game.outputs:
+            raise ValidationError(f"unknown output label {a!r}")
+    if not keys:
+        return 0.0, None
+    rows = [keys[(x, a)] for x, _, a, _ in corr.p]
+    cols = [keys[(y, b)] for _, y, _, b in corr.p]
+    losing = game.losing(list(keys))[rows, cols]
+    vals = np.fromiter(corr.p.values(), dtype=float, count=len(corr.p))
+    vals = np.where(losing & (vals > 0.0), vals, 0.0)
+    k = int(np.argmax(vals))
+    if vals[k] > 0.0:
+        return float(vals[k]), list(corr.p)[k]
+    return 0.0, None
+
+
+def dense_oracle(corr: Correlation) -> np.ndarray:
+    """to_dense before the walk: one cell write per entry, in dict order."""
+    n, m = len(corr.inputs), len(corr.outputs)
+    dense = np.zeros((n, n, m, m))
+    for (x, y, a, b), val in corr.p.items():
+        dense[corr.inputs.index(x), corr.inputs.index(y),
+              corr.outputs.index(a), corr.outputs.index(b)] = val
+    return dense
+
+
+def gathered_trace_table(row_keys, rows, col_keys, cols, d) -> dict:
+    """_trace_table before it read the ids: one Gram product over stacks gathered in
+    key order, the first non-real trace in key order refused."""
+    n = rows.shape[-1]
+    traces = rows.reshape(len(row_keys), n * n) @ cols.reshape(len(col_keys), n * n).T / d
+    nonreal = np.flatnonzero(np.abs(traces.imag) > 1e-9)
+    if nonreal.size:
+        i, j = divmod(int(nonreal[0]), len(col_keys))
+        (x, a), (y, b) = row_keys[i], col_keys[j]
+        raise VerificationError(f"non-real trace {complex(traces[i, j])!r} at {(x, y, a, b)!r}")
+    real = traces.real.tolist()
+    return {(x, y, a, b): real[i][j] for i, (x, a) in enumerate(row_keys)
+            for j, (y, b) in enumerate(col_keys)}
+
+
+def stacked(s: OperatorStrategy) -> tuple:
+    """OperatorStrategy.stacked() as it was: the keys and their operators in key order,
+    the stack itself when key k has row k, else a gathered copy."""
+    in_order = np.array_equal(s.ids, np.arange(len(s.stack)))
+    return s.stored_keys(), s.stack if in_order else s.stack[s.ids]
+
+
+def gathered_tracial(s: OperatorStrategy) -> dict:
+    keys, stack = stacked(s)
+    return gathered_trace_table(keys, stack, keys, np.swapaxes(stack, 1, 2), s.dim)
+
+
+def gathered_bipartite(s: BipartiteStrategy) -> dict:
+    m = s.state_matrix()
+    a_keys, a_stack = stacked(s.alice_strategy())
+    b_keys, b_stack = stacked(s.bob_strategy())
+    return gathered_trace_table(a_keys, dagger(m) @ a_stack @ m, b_keys, b_stack, 1)
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def entry_bits(p: dict) -> list:
+    return [(key, bits(val)) for key, val in p.items()]
+
+
+def random_correlation(rng, inputs, outputs, size: int, extra=()) -> Correlation:
+    """size distinct entries in random order, their values drawn from a few numbers
+    (and extra), so that maxima tie and rows sum to anything."""
+    cells = [(x, y, a, b) for x in inputs for y in inputs for a in outputs for b in outputs]
+    values = [0.5, 0.25, 0.25, 1 / 3, 0.0, -0.0, -0.25, *extra]
+    picks = rng.choice(len(cells), size=size, replace=False).tolist()
+    return Correlation(inputs, outputs, {
+        cells[k]: values[int(rng.integers(len(values)))] for k in picks})
+
+
+def walk_cases() -> list:
+    """(correlation, game) params: explicit games over random losing tables, synBCS
+    games over SignVectors outputs, NaN and infinite entries, and empty correlations."""
+    rng = np.random.default_rng(730)
+    cases = []
+    for t in range(4):
+        inputs, outputs = ("u", 1, (2, "w"))[:2 + t % 2], (0, "b", (1,))
+        cells = [(x, y, a, b) for x in inputs for y in inputs for a in outputs for b in outputs]
+        game = game_from_losing(inputs, outputs, [c for c in cells if c[0] == c[1] and c[2] != c[3]]
+                                + [c for c in cells if rng.uniform() < 0.3])
+        extra = [(), (float("nan"),), (float("nan"), float("inf")), ()][t]
+        cases.append(pytest.param(random_correlation(rng, inputs, outputs, 20 + 5 * t, extra),
+                                  game, id=f"explicit-{t}"))
+    for t in range(3):
+        game = build_synbcs(random_system(rng, max_m=3, max_n=4))
+        extra = [(), (float("nan"),), ()][t]
+        size = min(40, (len(game.inputs) * len(game.outputs)) ** 2)
+        cases.append(pytest.param(random_correlation(rng, game.inputs, game.outputs, size, extra),
+                                  game, id=f"synbcs-{t}"))
+    cases.append(pytest.param(Correlation(game.inputs, game.outputs, {}), game, id="empty"))
+    cases.append(pytest.param(Correlation((), (), {}), game_from_losing((), (), ()),
+                              id="empty-alphabets"))
+    return cases
+
+
+@pytest.mark.parametrize("corr, game", walk_cases())
+def test_correlation_walk_matches_the_per_entry_loops_bit_for_bit(corr, game):
+    assert bits(corr.max_normalization_defect()) == bits(normalization_oracle(corr))
+    for got, want in ((corr.max_sync_violation(), sync_oracle(corr)),
+                      (corr.max_losing(game), losing_mask_oracle(corr, game))):
+        assert (bits(got[0]), got[1]) == (bits(want[0]), want[1])
+    assert corr.to_dense().tobytes() == dense_oracle(corr).tobytes()
+
+
+def test_correlation_walk_cases_tie_and_hold_nan():
+    """The walk cases are what they claim: maxima tie, NaN entries are stored, and the
+    sync and losing witnesses are not all None."""
+    cases = [param.values for param in walk_cases()]
+    tied = witnessed = nan = 0
+    for corr, game in cases:
+        vals = list(corr.p.values())
+        tied += vals.count(max(vals, default=0.0)) > 1
+        nan += any(v != v for v in vals)
+        witnessed += None not in (sync_oracle(corr)[1], losing_mask_oracle(corr, game)[1])
+    assert tied >= 6 and nan >= 2 and witnessed >= 5
+
+
+def test_correlation_walk_refuses_game_labels_as_the_key_table_did():
+    """Keys in first use, (x, a) before (y, b): the first unknown one is named."""
+    game = build_hom_game(complete(2), complete(2))
+    for p in ({(0, 2, 0, 0): 0.5}, {(0, 0, 5, 0): 0.5}, {(0, 1, 0, 5): 0.5, (2, 0, 0, 0): 0.5}):
+        corr = Correlation((0, 1, 2), (0, 1, 5), p)
+        with pytest.raises(ValidationError) as expected:
+            losing_mask_oracle(corr, game)
+        with pytest.raises(ValidationError) as got:
+            corr.max_losing(game)
+        assert str(got.value) == str(expected.value)
+
+
+def test_correlation_refuses_an_entry_label_outside_its_alphabets():
+    """The constructor refuses what to_json_dict could not write; the sparse loader keeps
+    its own entry check, which comes before the repeated-label refusal."""
+    cases = [(((0,), (0,)), {(5, 5, 0, 0): 1.0}, "unknown input 5"),
+             (((0,), (0,)), {(0, 0, 0, 5): 1.0}, "unknown output 5"),
+             (((0,), SignVectors(2)), {(0, 0, (1, 1), (1, 2)): 1.0}, r"unknown output \(1, 2\)")]
+    for (inputs, outputs), p, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            Correlation(inputs=inputs, outputs=outputs, p=p)
+    data = {"n": 2, "m": 1, "inputs": [0, 0], "outputs": [0], "entries": [[0, 0, 0, 5, 1.0]]}
+    with pytest.raises(ValidationError, match="unlisted label in correlation entry"):
+        Correlation.from_json_dict(data)
+
+
+def shared_stack_cases() -> list:
+    """Tracial strategies whose keys share rows, or whose rows are out of key order: the
+    iso strategy over the BCS stack, its swap, both rotated key by key, and the
+    decompose_qs blocks of a planted strategy whose inputs 0 and 1 share operators."""
+    sys_, rep = kcopy_magic_square(1)
+    iso = iso_strategy_from_bcs(strategy_from_rep(rep, sys_), sys_)
+    spun = rotated(iso, random_unitary(iso.dim, np.random.default_rng(731)))
+    shared = _shared_rows_strategy(np.random.default_rng(732))
+    return ([iso, swap_iso_strategy(iso), spun, swap_iso_strategy(spun)]
+            + [block for _, block in decompose_qs(shared, tol=1e-9)])
+
+
+@pytest.mark.parametrize("s", shared_stack_cases())
+def test_tracial_trace_table_reads_shared_rows_through_the_ids(s):
+    assert len(s.stack) < len(s.stored_keys()) or not np.array_equal(s.ids, np.sort(s.ids))
+    assert entry_bits(correlation_from_tracial(s).p) == entry_bits(gathered_tracial(s))
+
+
+def test_bipartite_trace_table_reads_shared_rows_through_the_ids():
+    """Shared rows on each side (inputs 0 and 1 share operators), a planted, a
+    rectangular and a random strategy (zero operators share a row), at row counts that
+    are not multiples of 4, where a Gram product over the distinct rows alone would
+    differ from this one in the last bits of some entries."""
+    rng = np.random.default_rng(733)
+    shared = _shared_rows_strategy(rng)
+    assert len(shared.alice_strategy().stack) < len(shared.alice)
+    cases = [shared, _block_diagonal_strategy(rng, (3, 2), (0.6, 0.4), m_out=4)[0],
+             _rectangular_strategy(rng, 1, 3), random_bipartite(rng, 3, 4)]
+    for s in cases:
+        assert entry_bits(correlation_from_bipartite(s).p) == entry_bits(gathered_bipartite(s))
+
+
+def test_trace_table_bits_do_not_depend_on_the_row_layout():
+    """The same keys and operators over the same rows in another order (as _over_rows
+    leaves a swapped or shared strategy) give the same correlation, bit for bit."""
+    rng = np.random.default_rng(734)
+    for _ in range(20):
+        pvms = {(x, a): e for x in range(3) for a, e in enumerate(random_exact_pvm(3, 3, rng))}
+        s = OperatorStrategy(3, range(3), range(3), pvms)
+        perm = rng.permutation(len(s.stack))
+        moved = OperatorStrategy._over_rows(3, s.inputs, s.outputs, s.stored_keys(),
+                                            s.stack[perm], np.argsort(perm)[s.ids])
+        assert all(moved.pvms[key].tobytes() == mat.tobytes() for key, mat in s.pvms.items())
+        assert (entry_bits(correlation_from_tracial(moved).p)
+                == entry_bits(correlation_from_tracial(s).p))
+
+
 def defects_oracle(s: OperatorStrategy) -> PVMDefects:
     """The per-operator loop OperatorStrategy.defects replaced: one residual call per
     adjoint and idempotency check, one row sum per input in output order."""
@@ -1087,25 +1317,9 @@ def test_sync_vector_defect_matches_the_per_key_loop():
     assert max(defects[:4]) <= 1e-12 and min(defects[4:]) > 1e-4
 
 
-class _CollidingDigest:
-    """A stand-in for hashlib whose blake2b gives every matrix the same digest."""
-
-    @staticmethod
-    def blake2b(data, digest_size):
-        return _CollidingDigest
-
-    @staticmethod
-    def digest():
-        return bytes(32)
-
-
-@pytest.mark.parametrize("digests", ["blake2b", "colliding"])
-def test_store_shares_rows_by_content(monkeypatch, digests):
+def test_store_shares_rows_by_content():
     """Equal operators passed as separate arrays share one row and operators that
-    differ only in the sign of a zero do not, also when every digest collides and only
-    the byte comparison tells the operators apart.  Each key reads back its own bytes."""
-    if digests == "colliding":
-        monkeypatch.setattr(strategies, "hashlib", _CollidingDigest)
+    differ only in the sign of a zero do not.  Each key reads back its own bytes."""
     rng = np.random.default_rng(711)
     base = [random_hermitian(4, rng) for _ in range(3)]
     signed = base[0].copy()
@@ -1115,12 +1329,38 @@ def test_store_shares_rows_by_content(monkeypatch, digests):
     pvms[(4, 0)] = signed
     s = OperatorStrategy(4, range(5), range(3), pvms)
     assert (len(s.stored_keys()), len(s.stack)) == (13, len(set(choice)) + 1)
-    keys, stack = s.stacked()
-    for k, key in enumerate(keys):
-        assert s.pvms[key].tobytes() == stack[k].tobytes() == pvms[key].tobytes()
-        assert s.pvms[key].tobytes() == s.stack[s.ids[k]].tobytes()
+    for k, key in enumerate(s.stored_keys()):
+        assert s.pvms[key].tobytes() == s.stack[s.ids[k]].tobytes() == pvms[key].tobytes()
     distinct = OperatorStrategy(4, range(3), range(1), {(x, 0): base[x] for x in range(3)})
-    assert distinct.stacked()[1] is distinct.stack  # no key repeats a row: nothing is copied
+    assert distinct.ids.tolist() == [0, 1, 2]
+
+
+def _signed_zero(e: np.ndarray) -> np.ndarray:
+    e = e.astype(complex)
+    e.imag[0, 1] = -0.0
+    return e
+
+
+def _one_ulp_up(e: np.ndarray) -> np.ndarray:
+    e = e.astype(complex)
+    e.real[0, 0] = np.nextafter(e.real[0, 0], 2.0)
+    return e
+
+
+@pytest.mark.parametrize("variant, ids", [
+    (_signed_zero, [0, 1, 0]),
+    (_one_ulp_up, [0, 1, 0]),
+    (lambda e: e.astype(complex), [0, 0, 0]),
+], ids=["signed-zero", "one-ulp", "float-and-complex"])
+def test_store_keys_rows_by_their_bytes(variant, ids):
+    """Rows are shared by exact bytes, numbered in first use: 0.0 against -0.0 and
+    entries one ulp apart are two rows, and a float array and a complex array of the
+    same content are one."""
+    e = np.array([[1.0, 0.0], [0.0, 0.0]])
+    pvms = {(0, 0): e, (1, 0): variant(e), (2, 0): e.copy()}
+    s = OperatorStrategy(2, range(3), range(1), pvms)
+    assert s.ids.tolist() == ids and len(s.stack) == max(ids) + 1
+    assert all(s.pvms[key].tobytes() == mat.astype(complex).tobytes() for key, mat in pvms.items())
 
 
 @pytest.mark.parametrize("copies, stored, rows", [(1, 192, 24), (2, 384, 48), (3, 576, 72)])
