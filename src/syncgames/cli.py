@@ -44,10 +44,10 @@ from .graphs import (
     swap_iso_strategy,
     transport_independence,
 )
-from .labels import int_from_json, label_to_json, labels_from_json
+from .labels import MAX_SIGN_VECTOR_LENGTH, int_from_json, label_to_json, labels_from_json
 from .magic_square import mermin_peres_system, pauli_magic_square_rep
-from .matops import matrix_from_json, matrix_to_json
-from .rounding import orthogonalize_family
+from .matops import DEFAULT_TOL, matrix_from_json, matrix_to_json
+from .rounding import EXACT_TOL, orthogonalize_family
 from .solution_group import (
     GroupRep,
     normalize_j,
@@ -57,6 +57,7 @@ from .solution_group import (
     verify_rep,
 )
 from .strategies import (
+    DEFAULT_CLUSTER_TOL,
     BipartiteStrategy,
     Correlation,
     OperatorStrategy,
@@ -81,9 +82,9 @@ ERROR_EXITS = (
 )
 
 OUTPUTS_NOTE = (
-    '{"sign_vectors": n}, 0 <= n <= 62, stands for all 2^n sign vectors [+1|-1, ...] in '
-    "itertools.product((-1, 1), repeat=n) order, the synBCS output alphabet, and is how it is "
-    "written; the old form listing every vector still loads)"
+    f'{{"sign_vectors": n}}, 0 <= n <= {MAX_SIGN_VECTOR_LENGTH}, stands for all 2^n sign vectors '
+    "[+1|-1, ...] in itertools.product((-1, 1), repeat=n) order, the synBCS output alphabet, "
+    "and is how it is written; the old form listing every vector still loads)"
 )
 
 SCHEMAS = {
@@ -116,15 +117,14 @@ SCHEMAS = {
 }
 
 
-def _read_json(path: str, digests: Optional[dict] = None) -> dict:
+def _read_json(path: str, digests: dict) -> dict:
     """Parse the JSON object in path; record the sha256 of the bytes read in digests."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in a bundle-named path
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if digests is not None:
-        digests[path] = hashlib.sha256(raw).hexdigest()
+    digests[path] = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -345,7 +345,7 @@ def _round(run, args, mats):
     run.check(
         "outputs-exact",
         report.outputs_exact,
-        f"orthogonality/idempotency within {1e-12:g}",
+        f"orthogonality/idempotency within {EXACT_TOL:g}",
     )
     run.check(
         "within-budget",
@@ -546,9 +546,9 @@ def flag(*names, **kwargs) -> tuple:
 
 OUT = flag("--out", help="output JSON path")
 OUT_REQUIRED = flag("--out", required=True, help="output JSON path")
-TOL = flag("--tol", default=1e-9, help="verification tolerance (default 1e-9)")
-EPS = flag("--eps", default=1e-9, help="perfectness tolerance (default 1e-9)")
-CORRELATION_EPS = flag("--eps", default=1e-9, help=(
+TOL = flag("--tol", default=DEFAULT_TOL, help="verification tolerance (default 1e-9)")
+EPS = flag("--eps", default=DEFAULT_TOL, help="perfectness tolerance (default 1e-9)")
+CORRELATION_EPS = flag("--eps", default=DEFAULT_TOL, help=(
     "perfectness tolerance (default 1e-9), the largest losing probability allowed; "
     "correlation_from_tracial sums d^2 products per trace, so an exact strategy's "
     "losing probabilities come out near 1e-17, and an --eps below about 1e-16 can "
@@ -587,7 +587,7 @@ COMMANDS = (
             flags=(TOL, CORRELATION_EPS)),
     Command("strategy decompose-qs", "Schmidt-block decomposition", _strategy_decompose_qs,
             inputs=(Input("--in", "bipartite"),),
-            flags=(flag("--cluster-tol", default=1e-7), OUT, TOL)),
+            flags=(flag("--cluster-tol", default=DEFAULT_CLUSTER_TOL), OUT, TOL)),
     Command("round", "orthogonalize a family of near-projections", _round,
             inputs=(Input("--in", "pvm_family"),),
             flags=(flag("--sum-one", action="store_true"), OUT_REQUIRED)),

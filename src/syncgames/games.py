@@ -129,8 +129,6 @@ def _build_synbcs(sys: BinaryLinearSystem) -> SyncGame:
     def losing(keys):
         rows = np.array([row_of(key, -1) for key in keys], dtype=np.intp)
         valid = rows >= 0
-        if valid.all():
-            return table.disagreement(rows)
         # a key that is no local solution loses every round
         return table.disagreement(np.where(valid, rows, 0)) | ~(valid[:, None] & valid[None, :])
 
@@ -202,27 +200,21 @@ def build_iso_game(g, h) -> SyncGame:
     labels = tuple(("g", v) for v in range(g.n)) + tuple(("h", w) for w in range(h.n))
 
     def pair_of(question, answer):
-        # (g-vertex, h-vertex) named by one player's round, or None on a type mismatch
+        # (g-vertex, h-vertex) named by one player's round, or (-1, -1) on a type mismatch
         if question[0] == "g" and answer[0] == "h":
             return question[1], answer[1]
         if question[0] == "h" and answer[0] == "g":
             return answer[1], question[1]
-        return None
+        return -1, -1
 
     def losing(keys):
         pairs = [pair_of(p, r) for p, r in keys]
-        valid = np.flatnonzero([pair is not None for pair in pairs])
-        gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
-        hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
+        gv = np.array([v for v, _ in pairs], dtype=np.intp)
+        hv = np.array([w for _, w in pairs], dtype=np.intp)
+        valid = gv >= 0
+        # a same-side key loses every round, whatever vertex -1's table entries read
         block = _pair_table(_relation_types, g, gv) != _pair_table(_relation_types, h, hv)
-        if len(valid) == len(keys):
-            return block
-        # a same-side key loses every round: place the block's rows, then its columns
-        rows = np.ones((len(valid), len(keys)), dtype=bool)
-        rows[:, valid] = block
-        mask = np.ones((len(keys), len(keys)), dtype=bool)
-        mask[valid] = rows
-        return mask
+        return block | ~(valid[:, None] & valid[None, :])
 
     # V(p, p, r, r) = 1 exactly when r is on the side opposite p (both pairs are equal)
     g_side, h_side = labels[:g.n], labels[g.n:]

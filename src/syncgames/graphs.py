@@ -372,9 +372,8 @@ def iso_strategy_from_bcs(
     vertex is paired only with the G_0 vertices of its own equation, read from the
     system's local solutions (both graphs list vertices equation-major in that order).
     The result shares s's read-only stack, each key taking its BCS projection's row,
-    so nothing is copied or re-hashed; only when some stored BCS projection is at no
-    x*y (an output that is not a local solution) are the used rows gathered, so that
-    every row of the result's stack is one of its keys'.
+    so nothing is copied or re-hashed; a BCS projection at no x*y (an output that is
+    not a local solution) keeps its row there, which no key of the result names.
     """
     g_b = graph_from_system(sys, use_b=True)
     g_0 = graph_from_system(sys, use_b=False)
@@ -393,12 +392,8 @@ def iso_strategy_from_bcs(
                     rows += [row, row]
             u += 1
         v0 += len(ys)
-    stack, rows = s.stack, np.array(rows, dtype=np.intp)
-    used = np.unique(rows)
-    if len(used) < len(stack):
-        stack, rows = stack[used], np.searchsorted(used, rows)
-        stack.flags.writeable = False
-    iso = OperatorStrategy._over_rows(s.dim, game.inputs, game.outputs, keys, stack, rows)
+    iso = OperatorStrategy._over_rows(s.dim, game.inputs, game.outputs, keys, s.stack,
+                                      np.array(rows, dtype=np.intp))
     check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from itertools import product as iter_product
 from typing import Callable, ClassVar
 
@@ -16,6 +16,7 @@ from .errors import ValidationError, VerificationError
 MAX_SIGN_VECTOR_LENGTH = 62  # the largest n whose 2^n fits in len()'s Py_ssize_t
 
 
+@dataclass(frozen=True)
 class SignVectors(Sequence):
     """The alphabet {-1, +1}^n as an immutable sequence, never materialised.
 
@@ -23,22 +24,20 @@ class SignVectors(Sequence):
     entry j is +1 exactly when bit n-1-j of k is set.  Indexing, index() and
     membership are arithmetic, O(n); membership accepts only length-n tuples
     of int entries -1 and +1 (booleans are refused).  Two alphabets are equal
-    when their lengths n are; an alphabet never equals a tuple.
+    when their lengths n are; an alphabet never equals a tuple.  A pickle or
+    copy is rebuilt by the constructor.
     """
 
-    __slots__ = ("n",)
+    n: int
 
-    def __init__(self, n: int):
+    def __post_init__(self):
+        n = self.n
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValidationError(f"sign-vector length must be an integer, got {n!r}")
         if not 0 <= n <= MAX_SIGN_VECTOR_LENGTH:
             raise ValidationError(
                 f"sign-vector length {n} is outside 0..{MAX_SIGN_VECTOR_LENGTH}"
             )
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignVectors is immutable")
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -68,17 +67,6 @@ class SignVectors(Sequence):
 
     def __iter__(self):
         return iter_product((-1, 1), repeat=self.n)
-
-    def __eq__(self, other):
-        if isinstance(other, SignVectors):
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((SignVectors, self.n))
-
-    def __repr__(self) -> str:
-        return f"SignVectors({self.n})"
 
     def __reduce__(self):
         return SignVectors, (self.n,)

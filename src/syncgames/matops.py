@@ -135,8 +135,9 @@ def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.n
     Hermitian.  Equal factors give bit-identical products, so the norms are
     those of the (folded) pairs taken one by one.  The distinct pairs are read
     off a D x D presence table over the stack's D rows, with no sort: for an
-    OperatorStrategy's stack, each of whose rows is some stored key's, no more
-    cells than the K x K losing mask of a relation check over its K keys.
+    OperatorStrategy's stack, no more cells than the square of the rows of the
+    strategy it was built over (its own, or the BCS strategy an isomorphism
+    strategy shares).
 
     Each norm is taken of a product actually formed, never through a Gram-matrix
     trace identity: a residual near 1e-16 would come out of the square root of a
@@ -165,9 +166,10 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     of a family of d x d operators held once each in mats, a (D, d, d) array or a
     sequence of D arrays: member k of the family is mats[ids[k]], in row rows[k] of
     n_rows rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
-    mats, so every entry must belong to the family, and in the same pass the flags
-    (a bool array of length D) record which entries are exactly Hermitian, as
-    _hermitian_rows would; residual(s - I) is taken of
+    mats, and their largest values over the entries ids names: an entry no member
+    uses counts in neither, however large or infinite its residuals.  In the same
+    pass the flags (a bool array of length D) record which entries are exactly
+    Hermitian, as _hermitian_rows would; residual(s - I) is taken of
     each row sum s, its members added in family order.  An empty row sums to 0,
     so its residual is norm2(-I) = 1.0, taken without forming a d x d matrix.
     Entries and row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES
@@ -178,15 +180,14 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
     order = np.argsort(rows, kind="stable")  # by row, in family order within a row
     bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
     filled = np.flatnonzero(np.diff(bounds))  # the rows with a member
-    max_adj = max_proj = 0.0
     max_sum = 1.0 if len(filled) < n_rows else 0.0
+    adjoint, idempotency = np.empty(len(mats)), np.empty(len(mats))
     hermitian = np.empty(len(mats), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for sl in _chunk_slices(len(mats), d):
             chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
-            adjoint, hermitian[sl] = _adjoint_check(chunk)
-            max_adj = max(max_adj, adjoint.max())
-            max_proj = max(max_proj, _residuals(chunk - np.matmul(chunk, chunk)).max())
+            adjoint[sl], hermitian[sl] = _adjoint_check(chunk)
+            idempotency[sl] = _residuals(chunk - np.matmul(chunk, chunk))
         for sl in _chunk_slices(len(filled), d):
             totals = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
             for r, total in zip(filled[sl], totals):
@@ -194,7 +195,9 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
                     total += mats[ids[k]]  # in place, in family order: the bits of a plain sum
             totals -= identity(d)
             max_sum = max(max_sum, _residuals(totals).max())
-    return float(max_adj), float(max_proj), float(max_sum), hermitian
+    used = np.asarray(ids, dtype=np.intp)
+    return (float(adjoint[used].max(initial=0.0)), float(idempotency[used].max(initial=0.0)),
+            float(max_sum), hermitian)
 
 
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,12 +205,6 @@ def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the product of the same two factors, multiplied in the same broadcast as np.kron."""
     c, p, q = len(a), a.shape[-1], b.shape[-1]
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(c, p * q, p * q)
-
-
-def hermitian_defect(a) -> float:
-    """Max-entry deviation of a from its adjoint."""
-    mat = as_matrix(a)
-    return float(np.max(np.abs(mat - dagger(mat)))) if mat.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -227,9 +224,9 @@ def hermitian_input(h) -> np.ndarray:
     if d > MAX_EIG_DIM:
         raise BudgetError(f"dimension {d} exceeds cap {MAX_EIG_DIM}")
     # Huge finite entries may overflow to inf here; that is reported through the
-    # defect, never as a numpy warning.
+    # defect (the max-entry deviation from the adjoint), never as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = hermitian_defect(mat)
+        defect = float(np.max(np.abs(mat - dagger(mat)), initial=0.0))
     if defect > HERMITIAN_INPUT_TOL:
         raise ValidationError(
             f"matrix is not Hermitian within {HERMITIAN_INPUT_TOL:g} (defect {defect:.3e})"

@@ -9,6 +9,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from numbers import Real
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -85,12 +86,13 @@ class OperatorStrategy:
 
     Each distinct operator is stored once.  The constructor copies the given
     operators into one read-only (D, dim, dim) array, stack, and ids[k] is the
-    row of stack holding the operator of stored_keys()[k]; every row is some
-    key's, so D is at most the number of stored keys.  Operators are shared by
-    their bytes, the keys of one dict (so -0.0 is not 0.0), and a strategy
-    reloaded from JSON or rotated key by key shares its rows too.  The
-    constructor numbers rows in stored-key order of first use (a swapped
-    isomorphism strategy keeps the original's numbers, and one built by
+    row of stack holding the operator of stored_keys()[k]; the constructor
+    stores only the keys' operators, so D is at most the number of stored keys,
+    while a strategy sharing another's stack may hold rows no key names.
+    Operators are shared by their bytes, the keys of one dict (so -0.0 is not
+    0.0), and a strategy reloaded from JSON or rotated key by key shares its
+    rows too.  The constructor numbers rows in stored-key order of first use (a
+    swapped isomorphism strategy keeps the original's numbers, and one built by
     graphs.iso_strategy_from_bcs the BCS strategy's).
     After construction pvms is a read-only mapping, in stored_keys() order, to
     read-only views of the rows, one view object per row.
@@ -149,9 +151,9 @@ class OperatorStrategy:
                    ids: np.ndarray) -> "OperatorStrategy":
         """The strategy mapping keys[t] to stack[ids[t]] over another strategy's
         read-only stack, shared as it is: nothing is copied, keyed by its bytes or
-        re-validated, so every key must be a valid (input, output) label pair and every
-        row of stack some key's row.  Rows keep their numbers, which need not follow
-        this strategy's key order; every reader goes through ids."""
+        re-validated, so every key must be a valid (input, output) label pair.  Rows
+        keep their numbers, which need not follow this strategy's key order, and a row
+        no key names is never read: every reader goes through ids."""
         self = cls.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "inputs", as_alphabet(inputs, "strategy inputs"))
@@ -311,9 +313,10 @@ class Correlation:
     """Conditional probabilities p(a, b | x, y), stored sparsely: missing entries are 0.
 
     The constructor walks its own copy of p once, in dict order, refusing a label outside
-    the alphabets, and every reader reads that walk: _keys, the distinct (x, a) in first
-    use (an entry's (x, a) before its (y, b)); _ends, each entry's two key numbers; _cells,
-    the input positions (x, y) and output positions (a, b) of each entry; _vals, its value."""
+    the alphabets and a value that is not a real number (a boolean included), and every
+    reader reads that walk: _keys, the distinct (x, a) in first use (an entry's (x, a)
+    before its (y, b)); _ends, each entry's two key numbers; _cells, the input positions
+    (x, y) and output positions (a, b) of each entry; _vals, its value."""
 
     inputs: Labels
     outputs: Sequence
@@ -335,6 +338,10 @@ class Correlation:
                 raise ValidationError(f"correlation entry has unknown input {x!r}")
             if a not in self.outputs:
                 raise ValidationError(f"correlation entry has unknown output {a!r}")
+        for val in self.p.values():
+            # a float passes at once: an isinstance check against the Real ABC is far slower
+            if type(val) is not float and (isinstance(val, bool) or not isinstance(val, Real)):
+                raise ValidationError(f"correlation value {val!r} is not a number")
         positions = np.array([(self.inputs.index(x), self.outputs.index(a)) for x, a in keys],
                              dtype=np.intp).reshape(-1, 2)
         object.__setattr__(self, "_keys", list(keys))
@@ -381,8 +388,6 @@ class Correlation:
                 raise ValidationError(f"unknown input label {x!r}")
             if a not in game.outputs:
                 raise ValidationError(f"unknown output label {a!r}")
-        if not self._keys:
-            return 0.0, None
         return self._first_max(game.losing(self._keys)[tuple(self._ends)])
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:

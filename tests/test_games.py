@@ -843,8 +843,8 @@ def ix_oracle_cases() -> list:
 
 @pytest.mark.parametrize("kind, g, h, keys", ix_oracle_cases())
 def test_masks_from_small_tables_match_the_ix_oracle(kind, g, h, keys):
-    """The n' x n' tables expanded by two 1-D gathers, and the iso block placed by row
-    and column assignment, give the np.ix_ masks bit for bit."""
+    """The n' x n' tables expanded by two 1-D gathers, and the iso table over every key
+    or-ed with its same-side keys' rows and columns, give the np.ix_ masks bit for bit."""
     game = (build_hom_game if kind == "hom" else build_iso_game)(g, h)
     mask, expected = game.losing(keys), ix_losing_mask(kind, g, h, keys)
     assert (mask.dtype, mask.shape, mask.tobytes()) == (expected.dtype, expected.shape,
@@ -925,6 +925,86 @@ def test_a_system_of_many_equations_builds_its_synbcs_game_in_memory_linear_in_m
     assert peak < 8 << 20
     expected = synbcs_losing_oracle(sys_, keys)
     assert (mask.dtype, mask.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+# ------------------------------------------- the masks' former special cases --
+
+def branched_synbcs_losing(sys_, keys) -> np.ndarray:
+    """The synBCS mask as built with an all-valid branch: the sign table's disagreement
+    alone when every key is a local solution, the general expression otherwise."""
+    table = sys_._sign_table()
+    rows = np.array([table.row_of.get(key, -1) for key in keys], dtype=np.intp)
+    valid = rows >= 0
+    if valid.all():
+        return table.disagreement(rows)
+    return table.disagreement(np.where(valid, rows, 0)) | ~(valid[:, None] & valid[None, :])
+
+
+def placed_iso_losing(g, h, keys) -> np.ndarray:
+    """The iso mask as built with an all-valid branch, and otherwise with the block's
+    rows placed into a (K', K) array, then that array into the K x K mask."""
+    pairs = [None if p[0] == r[0] else (p[1], r[1]) if p[0] == "g" else (r[1], p[1])
+             for p, r in keys]
+    valid = np.flatnonzero([pair is not None for pair in pairs])
+    gv = np.array([pairs[k][0] for k in valid], dtype=np.intp)
+    hv = np.array([pairs[k][1] for k in valid], dtype=np.intp)
+    block = (games._pair_table(games._relation_types, g, gv)
+             != games._pair_table(games._relation_types, h, hv))
+    if len(valid) == len(keys):
+        return block
+    rows = np.ones((len(valid), len(keys)), dtype=bool)
+    rows[:, valid] = block
+    mask = np.ones((len(keys), len(keys)), dtype=bool)
+    mask[valid] = rows
+    return mask
+
+
+def assert_same_mask(mask: np.ndarray, expected: np.ndarray) -> None:
+    assert (mask.dtype, mask.shape, mask.tobytes()) == (expected.dtype, expected.shape,
+                                                         expected.tobytes())
+
+
+def test_synbcs_mask_without_its_all_valid_branch_matches_the_branched_one():
+    """Local solutions alone (shuffled and repeated), mixed with outputs that are no
+    local solution, those outputs alone, and no key: the general expression gives the
+    branched mask bit for bit."""
+    rng = np.random.default_rng(2903)
+    systems = [random_system(rng) for _ in range(20)] + [kcopy_system(k) for k in (1, 2)]
+    for sys_ in systems:
+        game = build_synbcs(sys_)
+        local = [(i, x) for i in range(1, sys_.m + 1) for x in local_solutions(sys_, i)]
+        stray = [(int(rng.choice(game.inputs)), game.outputs[int(rng.integers(len(game.outputs)))])
+                 for _ in range(8)]
+        stray = [key for key in stray if key not in local]
+        mixed = local + stray
+        for keys in ([local[k] for k in rng.permutation(len(local))],
+                     [local[k] for k in rng.integers(0, len(local), size=2 * len(local))],
+                     [mixed[k] for k in rng.permutation(len(mixed))],
+                     stray, local[:1], []):
+            assert_same_mask(game.losing(keys), branched_synbcs_losing(sys_, keys))
+
+
+def test_iso_mask_over_every_key_matches_the_placed_block():
+    """Opposite-side keys alone (every pair of each game, and a random pick with
+    repeats), mixed with same-side keys, same-side keys alone, one key and no key: the
+    table over every key (vertex -1 for a same-side one), or-ed with the invalid pairs,
+    gives the placed mask bit for bit."""
+    rng = np.random.default_rng(2909)
+    magic = mermin_peres_system()
+    sizes = rng.integers(1, 8, size=(12, 2)).tolist()
+    graphs = [(random_graph(rng, m), random_graph(rng, n)) for m, n in sizes]
+    graphs.append((graph_from_system(magic, use_b=True), graph_from_system(magic, use_b=False)))
+    for g, h in graphs:
+        game = build_iso_game(g, h)
+        keys = every_key(game)
+        opposite = [(x, a) for x, a in keys if x[0] != a[0]]
+        same = [(x, a) for x, a in keys if x[0] == a[0]]
+        for picked in (opposite,
+                       [opposite[k] for k in rng.integers(0, len(opposite), size=30)],
+                       [keys[k] for k in rng.integers(0, len(keys), size=30)],
+                       [same[k] for k in rng.integers(0, len(same), size=5)],
+                       opposite[:1], same[:1], []):
+            assert_same_mask(game.losing(picked), placed_iso_losing(g, h, picked))
 
 
 @pytest.mark.parametrize("copies", [1, 2])

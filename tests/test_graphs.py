@@ -919,17 +919,20 @@ def test_iso_strategy_shares_the_bcs_stack(copies, seed):
 
 def test_iso_strategy_keeps_only_the_rows_its_keys_use(magic_square, pauli_rep):
     """A BCS strategy storing an operator at an output that is no local solution: no
-    iso key takes that row, so the iso strategy gathers the rows it uses (every row of
-    a strategy's stack is some key's) and still reads as the copying construction."""
+    iso key takes that row, and the iso strategy shares the BCS stack as it is, stray
+    row included.  Its checks read only the rows its keys use, so a stray row whose
+    adjoint and idempotency residuals overflow leaves it reading as the copying
+    construction."""
     strategy = strategy_from_rep(pauli_rep, magic_square)
     i = magic_square.b.index(1) + 1
     ones = (1,) * magic_square.n
     assert ones not in enumerate_si(magic_square, i)
-    pvms = {**strategy.pvms, (i, ones): 0.5 * np.eye(4, dtype=complex)}
+    huge = 1e300 * (1 + 1j) * np.triu(np.ones((4, 4)))  # neither Hermitian nor idempotent
+    pvms = {**strategy.pvms, (i, ones): huge}
     stray = OperatorStrategy(4, strategy.inputs, strategy.outputs, pvms)
     assert len(stray.stack) == len(strategy.stack) + 1
+    assert stray.defects().max_adjoint == stray.defects().max_projection == np.inf
     iso = iso_strategy_from_bcs(stray, magic_square)
-    assert len(iso.stack) == len(strategy.stack)
-    assert sorted(set(iso.ids.tolist())) == list(range(len(iso.stack)))
-    assert not iso.stack.flags.writeable
+    assert iso.stack is stray.stack
+    assert stray.ids[list(stray.pvms).index((i, ones))] not in set(iso.ids.tolist())
     assert_same_iso(iso, copying_iso_strategy(stray, magic_square), magic_square)

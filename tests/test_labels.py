@@ -91,6 +91,22 @@ def test_equality_and_hash():
         SignVectors(3).n = 4
 
 
+def test_sign_vectors_copies_are_rebuilt_by_the_constructor():
+    """A pickle, copy or deep copy is an equal alphabet built through SignVectors(n);
+    every attribute is frozen, and an alphabet never equals a tuple from either side."""
+    alphabet = SignVectors(5)
+    assert alphabet.__reduce__() == (SignVectors, (5,))
+    for again in (pickle.loads(pickle.dumps(alphabet)), copy.copy(alphabet),
+                  copy.deepcopy(alphabet)):
+        assert type(again) is SignVectors and again == alphabet
+        assert hash(again) == hash(alphabet) and list(again) == list(alphabet)
+    for name in ("n", "m"):
+        with pytest.raises(AttributeError):
+            setattr(alphabet, name, 3)
+    assert alphabet.n == 5 and repr(alphabet) == "SignVectors(n=5)"
+    assert tuple(alphabet) != alphabet and SignVectors(0) != ((),)
+
+
 def test_largest_alphabet_is_counted_without_being_built():
     alphabet = SignVectors(62)
     assert len(alphabet) == 2**62

@@ -333,3 +333,30 @@ def test_an_empty_pvm_row_has_completeness_residual_one_without_a_zero_sum():
         *defects, hermitian = matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [],
                                                  n_rows, d)
         assert defects == [0.0, 0.0, completeness] and hermitian.shape == (0,)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e300], ids=["large", "overflowing"])
+def test_pvm_defects_take_their_maxima_over_the_rows_the_family_uses(monkeypatch, scale):
+    """A stack row no member uses, however large or infinite its residuals, leaves the
+    largest residuals those of the stack gathered to the used rows, whole or in chunks
+    of one matrix; the flags of the used rows are the gathered stack's."""
+    rng = np.random.default_rng(31)
+    d = 4
+    u = random_unitary(d, rng)
+    members = [u[:, k:k + 2] @ u[:, k:k + 2].conj().T for k in (0, 2)]
+    members = [m + 1e-6 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+               for m in members] + [np.eye(d, dtype=complex)]
+    stray = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    stack = np.array([members[0], stray, members[1], members[2]])
+    ids, rows = [0, 2, 3], [0, 0, 1]
+    gathered, gathered_ids = stack[[0, 2, 3]], [0, 1, 2]
+    *own, _ = matops.pvm_defects(stack, [1], [0], 1, d)
+    assert own[0] > 1e3 and own[1] > 1e3
+    if scale == 1e300:
+        assert own[:2] == [np.inf, np.inf]
+    for chunk in (matops.PRODUCT_CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
+        *got, flags = matops.pvm_defects(stack, ids, rows, 2, d)
+        *want, want_flags = matops.pvm_defects(gathered, gathered_ids, rows, 2, d)
+        assert got == want and 1e-7 < min(got[:2]) and max(got) < 1e-3
+        assert flags[[0, 2, 3]].tolist() == want_flags.tolist() == [False, False, True]

@@ -996,6 +996,20 @@ def test_max_losing_refuses_labels_the_game_does_not_have():
             Correlation((0, 1, 2), (0, 1, 5), {key: 0.5}).max_losing(game)
 
 
+def test_max_losing_of_an_empty_correlation_reads_an_empty_mask():
+    """No entry: every game kind's mask over no key is (0, 0), and nothing loses."""
+    sys_ = kcopy_magic_square(1)[0]
+    g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+    cert = independence_certificate_from_set(g_0, complement_colouring_ga0(sys_).independent_set)
+    explicit = game_from_json_dict(explicit_copy(build_hom_game(complete(2), complete(3)))
+                                   .to_json_dict())
+    for game in (build_synbcs(sys_), build_hom_game(g_b, g_0), build_iso_game(g_b, g_0),
+                 explicit, cert.game()):
+        mask = game.losing([])
+        assert (mask.dtype, mask.shape) == (np.dtype(bool), (0, 0))
+        assert Correlation(game.inputs, game.outputs, {}).max_losing(game) == (0.0, None)
+
+
 # ------------------------------------------- one walk of a correlation's entries --
 
 def normalization_oracle(corr: Correlation) -> float:
@@ -1176,6 +1190,21 @@ def test_correlation_refuses_an_entry_label_outside_its_alphabets():
     data = {"n": 2, "m": 1, "inputs": [0, 0], "outputs": [0], "entries": [[0, 0, 0, 5, 1.0]]}
     with pytest.raises(ValidationError, match="unlisted label in correlation entry"):
         Correlation.from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", ["x", 1j, None, True], ids=["str", "complex", "none", "bool"])
+def test_correlation_refuses_a_value_that_is_not_a_real_number(value):
+    """A string or complex value would raise a bare ValueError or TypeError, None would
+    be stored as NaN and True as 1.0; each is refused as the sparse loader refuses it."""
+    message = re.escape(f"correlation value {value!r} is not a number")
+    with pytest.raises(ValidationError, match=message):
+        Correlation(inputs=(0,), outputs=(0, 1), p={(0, 0, 0, 0): 0.5, (0, 0, 1, 1): value})
+
+
+def test_correlation_takes_numpy_real_scalars():
+    corr = Correlation(inputs=(0,), outputs=(0, 1),
+                       p={(0, 0, 0, 0): np.float32(0.5), (0, 0, 1, 1): np.int64(1)})
+    assert corr._vals.tolist() == [0.5, 1.0]
 
 
 def shared_stack_cases() -> list:
