@@ -379,20 +379,22 @@ class GameRelationReport(ToleranceReport):
         )
 
 
-def _check_labels(game: SyncGame, strategy: "OperatorStrategy") -> None:
+def _check_labels(game: SyncGame, strategy, what: str = "strategy") -> None:
     """Raise ValidationError unless strategy's inputs are game's and its outputs lie
     among game's: the label part of the relation check, which a conversion reading a
-    strategy's keys as the game's labels needs even when it skips the residuals."""
+    strategy's keys as the game's labels needs even when it skips the residuals.  A
+    correlation, whose entries its constructor checked against its own alphabets, is
+    checked the same way, named by what."""
     # both alphabets are free of repeats, so equal lengths and inclusion make them equal sets
     inputs = strategy.inputs
     if len(inputs) != len(game.inputs) or not all(x in game.inputs for x in inputs):
-        raise ValidationError("strategy inputs do not match game inputs")
+        raise ValidationError(f"{what} inputs do not match game inputs")
     # The strategy checked every stored key against its own labels when it was built,
     # so these two label-set checks also cover the stored keys.  The scan stops at the
     # first label missing from the game: for a longer alphabet, within len(game.outputs).
     outputs = strategy.outputs
     if outputs != game.outputs and not all(a in game.outputs for a in outputs):
-        raise ValidationError("strategy outputs are not a subset of game outputs")
+        raise ValidationError(f"{what} outputs are not a subset of game outputs")
 
 
 def check_game_algebra_relations(

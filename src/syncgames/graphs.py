@@ -320,6 +320,10 @@ class IndependenceCertificate:
     value: int
     strategy: OperatorStrategy
 
+    def __post_init__(self):
+        if self.value < 0:
+            raise ValidationError(f"certificate value must be >= 0, got {self.value}")
+
     def game(self):
         """The homomorphism game from K_value into the graph's complement, built once
         per certificate.  Its mask reads the graph itself, so neither K_value nor the
@@ -371,9 +375,9 @@ def iso_strategy_from_bcs(
     and all relation products are certified through the game checker.  Each G_b
     vertex is paired only with the G_0 vertices of its own equation, read from the
     system's local solutions (both graphs list vertices equation-major in that order).
-    The result shares s's read-only stack, each key taking its BCS projection's row,
-    so nothing is copied or re-hashed; a BCS projection at no x*y (an output that is
-    not a local solution) keeps its row there, which no key of the result names.
+    The result shares s's read-only stack and row checks, each key taking its BCS
+    projection's row, so nothing is copied, re-hashed or checked again; a BCS projection
+    at no x*y (not a local solution) keeps its row there, which no key of the result names.
     """
     g_b = graph_from_system(sys, use_b=True)
     g_0 = graph_from_system(sys, use_b=False)
@@ -392,16 +396,15 @@ def iso_strategy_from_bcs(
                     rows += [row, row]
             u += 1
         v0 += len(ys)
-    iso = OperatorStrategy._over_rows(s.dim, game.inputs, game.outputs, keys, s.stack,
-                                      np.array(rows, dtype=np.intp))
+    iso = OperatorStrategy._over_rows(s, game.inputs, game.outputs, keys, rows)
     check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso
 
 
 def swap_iso_strategy(iso: OperatorStrategy) -> OperatorStrategy:
     """Reverse an isomorphism-game strategy: a strategy for (G, H) becomes one for
-    (H, G) by exchanging the two side tags.  The result shares iso's read-only
-    stack: each flipped key keeps its row, and nothing is copied or re-hashed.  Every
+    (H, G) by exchanging the two side tags.  The result shares iso's read-only stack
+    and row checks: each flipped key keeps its row, nothing is copied or checked again.  Every
     input and output label must be a ("g"|"h", vertex) pair, or ValidationError."""
     for label in chain(iso.inputs, iso.outputs):  # lazily: a sign-vector alphabet fails first
         if not (type(label) is tuple and len(label) == 2 and label[0] in ("g", "h")
@@ -417,7 +420,7 @@ def swap_iso_strategy(iso: OperatorStrategy) -> OperatorStrategy:
     h_side = [v for side, v in iso.inputs if side == "h"]
     inputs = tuple(("g", v) for v in sorted(h_side)) + tuple(("h", v) for v in sorted(g_side))
     keys = [(flip(x), flip(a)) for x, a in iso.stored_keys()]
-    return OperatorStrategy._over_rows(iso.dim, inputs, inputs, keys, iso.stack, iso.ids)
+    return OperatorStrategy._over_rows(iso, inputs, inputs, keys, iso.ids)
 
 
 def transport_independence(

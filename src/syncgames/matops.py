@@ -98,25 +98,6 @@ def _adjoint_differences(mats: np.ndarray) -> np.ndarray:
     return np.subtract(mats, out, out=out)
 
 
-def _adjoint_check(mats: np.ndarray) -> tuple:
-    """(residual(a - a*) of each matrix a of a (c, d, d) stack of finite entries, which
-    of them are exactly Hermitian), from one _adjoint_differences array that is freed
-    on return.  Compute under np.errstate(over="ignore", invalid="ignore"): a
-    difference that overflows is inf, still nonzero."""
-    diff = _adjoint_differences(mats)
-    return _residuals(diff), ~np.any(diff, axis=(1, 2))
-
-
-def _hermitian_rows(stack: np.ndarray) -> np.ndarray:
-    """Which rows of a (n, d, d) stack of finite entries are exactly Hermitian, taken in
-    _chunk_slices, never through an adjoint of the whole stack."""
-    out = np.empty(len(stack), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sl in _chunk_slices(len(stack), stack.shape[-1]):
-            out[sl] = _adjoint_check(stack[sl])[1]
-    return out
-
-
 def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
@@ -161,33 +142,43 @@ def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.n
     return out[inverse]
 
 
-def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
-    """(largest adjoint, idempotency, completeness residual, exactly Hermitian flags)
-    of a family of d x d operators held once each in mats, a (D, d, d) array or a
-    sequence of D arrays: member k of the family is mats[ids[k]], in row rows[k] of
-    n_rows rows.  residual(a - a*) and residual(a - a a) are taken once per entry of
-    mats, and their largest values over the entries ids names: an entry no member
-    uses counts in neither, however large or infinite its residuals.  In the same
-    pass the flags (a bool array of length D) record which entries are exactly
-    Hermitian, as _hermitian_rows would; residual(s - I) is taken of
-    each row sum s, its members added in family order.  An empty row sums to 0,
-    so its residual is norm2(-I) = 1.0, taken without forming a d x d matrix.
-    Entries and row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES
-    complex entries per array, never all at once; a residual that overflows is
-    inf.  Each largest residual is 0.0 when there is nothing to check.
+def row_checks(mats, d: int) -> tuple:
+    """(residual(a - a*), residual(a - a a), a == a* entry for entry) of each d x d
+    matrix a of mats, a (D, d, d) array or a sequence of D arrays of finite entries,
+    as three read-only arrays of length D.  Taken in _chunk_slices, never over a copy
+    of all of mats; each chunk's adjoint difference is freed before its idempotency
+    products are formed.  An overflowing residual is inf, an overflowing difference nonzero."""
+    adjoint, idempotency = np.empty(len(mats)), np.empty(len(mats))
+    hermitian = np.empty(len(mats), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl in _chunk_slices(len(mats), d):
+            chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
+            diff = _adjoint_differences(chunk)
+            adjoint[sl], hermitian[sl] = _residuals(diff), ~np.any(diff, axis=(1, 2))
+            del diff
+            idempotency[sl] = _residuals(chunk - np.matmul(chunk, chunk))
+    for out in (adjoint, idempotency, hermitian):
+        out.flags.writeable = False
+    return adjoint, idempotency, hermitian
+
+
+def pvm_defects(mats, checks, ids, rows, n_rows: int, d: int) -> tuple:
+    """(largest adjoint, idempotency, completeness residual) of a family of d x d
+    operators held once each in mats, a (D, d, d) array or a sequence of D arrays
+    with row_checks checks: member k is mats[ids[k]], in row rows[k] of n_rows rows.
+    The largest residuals are taken over the entries ids names: an entry no member
+    uses counts in neither, however large or infinite its residuals.  residual(s - I)
+    is taken of each row sum s, its members added in family order.  An empty row sums
+    to 0, so its residual is norm2(-I) = 1.0, taken without forming a d x d matrix.
+    Row sums are taken in chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per
+    array; an overflowing residual is inf, and each largest is 0.0 with nothing to check.
     """
     rows = np.asarray(rows, dtype=np.intp)
     order = np.argsort(rows, kind="stable")  # by row, in family order within a row
     bounds = np.searchsorted(rows[order], np.arange(n_rows + 1))
     filled = np.flatnonzero(np.diff(bounds))  # the rows with a member
     max_sum = 1.0 if len(filled) < n_rows else 0.0
-    adjoint, idempotency = np.empty(len(mats)), np.empty(len(mats))
-    hermitian = np.empty(len(mats), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sl in _chunk_slices(len(mats), d):
-            chunk = np.asarray(mats[sl], dtype=complex)  # a view if mats is an array
-            adjoint[sl], hermitian[sl] = _adjoint_check(chunk)
-            idempotency[sl] = _residuals(chunk - np.matmul(chunk, chunk))
         for sl in _chunk_slices(len(filled), d):
             totals = np.zeros((sl.stop - sl.start, d, d), dtype=complex)
             for r, total in zip(filled[sl], totals):
@@ -196,8 +187,8 @@ def pvm_defects(mats, ids, rows, n_rows: int, d: int) -> tuple:
             totals -= identity(d)
             max_sum = max(max_sum, _residuals(totals).max())
     used = np.asarray(ids, dtype=np.intp)
-    return (float(adjoint[used].max(initial=0.0)), float(idempotency[used].max(initial=0.0)),
-            float(max_sum), hermitian)
+    adjoint, idempotency = checks[0][used], checks[1][used]
+    return float(adjoint.max(initial=0.0)), float(idempotency.max(initial=0.0)), float(max_sum)
 
 
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

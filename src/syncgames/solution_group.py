@@ -31,7 +31,6 @@ from .matops import (
     _adjoint_differences,
     _chunk_slices,
     _chunked_residuals,
-    _hermitian_rows,
     _residuals,
     as_matrix,
     dagger,
@@ -40,6 +39,7 @@ from .matops import (
     matrix_from_json,
     matrix_to_json,
     residual,
+    row_checks,
 )
 from .strategies import OperatorStrategy
 
@@ -118,10 +118,8 @@ class GroupRep:
     @cached_property
     def _hermitian(self) -> np.ndarray:
         """Read-only flags, one per row of stack: True where the row equals its adjoint
-        entry for entry.  Taken once per representation, in chunks."""
-        flags = _hermitian_rows(self.stack)
-        flags.flags.writeable = False
-        return flags
+        entry for entry.  Taken once per representation, by matops.row_checks."""
+        return row_checks(self.stack, self.dim)[2]
 
     @property
     def dim(self) -> int:

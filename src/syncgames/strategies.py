@@ -11,11 +11,11 @@ from functools import cached_property
 from itertools import islice
 from numbers import Real
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ClusterAmbiguityError, ValidationError, VerificationError
+from .games import SyncGame, _check_labels
 from .labels import (
     Labels,
     SignVectors,
@@ -38,10 +38,8 @@ from .matops import (
     matrix_from_json,
     matrix_to_json,
     pvm_defects,
+    row_checks,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .games import SyncGame
 
 DEFAULT_CLUSTER_TOL = 1e-7
 MAX_DENSE_CORRELATION_CELLS = 4_000_000  # a larger correlation is written as sparse entries
@@ -104,6 +102,8 @@ class OperatorStrategy:
     pvms: Mapping
     stack: np.ndarray = field(init=False, compare=False, repr=False)
     ids: np.ndarray = field(init=False, compare=False, repr=False)
+    # the strategy whose stack _over_rows built this one over; its row checks are read
+    _source: OperatorStrategy | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -147,22 +147,22 @@ class OperatorStrategy:
         return (OperatorStrategy, (self.dim, self.inputs, self.outputs, dict(self.pvms)))
 
     @classmethod
-    def _over_rows(cls, dim: int, inputs, outputs, keys, stack: np.ndarray,
-                   ids: np.ndarray) -> "OperatorStrategy":
-        """The strategy mapping keys[t] to stack[ids[t]] over another strategy's
-        read-only stack, shared as it is: nothing is copied, keyed by its bytes or
-        re-validated, so every key must be a valid (input, output) label pair.  Rows
-        keep their numbers, which need not follow this strategy's key order, and a row
-        no key names is never read: every reader goes through ids."""
+    def _over_rows(cls, source: OperatorStrategy, inputs, outputs, keys, ids) -> OperatorStrategy:
+        """The strategy mapping keys[t] to source.stack[ids[t]] over source's read-only
+        stack, shared as it is with its row checks: nothing is copied, keyed by its
+        bytes or re-validated, so every key must be a valid (input, output) label pair.
+        Rows keep their numbers, which need not follow this strategy's key order, and a
+        row no key names is never read: every reader goes through ids."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", source.dim)
         object.__setattr__(self, "inputs", as_alphabet(inputs, "strategy inputs"))
         object.__setattr__(self, "outputs", as_alphabet(outputs, "strategy outputs"))
         order = sorted(range(len(keys)), key=lambda t: (
             self.inputs.index(keys[t][0]), self.outputs.index(keys[t][1])))
-        sorted_ids = np.asarray(ids)[order]
+        sorted_ids = np.asarray(ids, dtype=np.intp)[order]
         sorted_ids.flags.writeable = False
-        self._set_rows([keys[t] for t in order], stack, sorted_ids)
+        self._set_rows([keys[t] for t in order], source.stack, sorted_ids)
+        object.__setattr__(self, "_source", source)
         return self
 
     def matrix(self, x, a) -> np.ndarray:
@@ -174,12 +174,17 @@ class OperatorStrategy:
         return list(self.pvms)
 
     @cached_property
-    def _pvm_pass(self) -> tuple:
-        """(PVMDefects, which rows of stack are exactly Hermitian): one pvm_defects pass."""
+    def _row_checks(self) -> tuple:
+        """matops.row_checks of stack, taken once per stack, when first read: a
+        strategy built over another's stack holds that strategy's arrays."""
+        source = self._source
+        return row_checks(self.stack, self.dim) if source is None else source._row_checks
+
+    @cached_property
+    def _defects(self) -> PVMDefects:
         rows = [self.inputs.index(x) for x, _ in self.pvms]
-        *defects, hermitian = pvm_defects(self.stack, self.ids, rows, len(self.inputs), self.dim)
-        hermitian.flags.writeable = False
-        return PVMDefects(*defects), hermitian
+        return PVMDefects(*pvm_defects(self.stack, self._row_checks, self.ids, rows,
+                                       len(self.inputs), self.dim))
 
     def defects(self) -> PVMDefects:
         """The largest adjoint, idempotency and completeness residuals: adjoint and
@@ -187,13 +192,13 @@ class OperatorStrategy:
         stored_keys() order.  Computed once per strategy, whose operators are
         read-only; a residual that overflows (huge finite entries) is inf, so it
         fails every check."""
-        return self._pvm_pass[0]
+        return self._defects
 
     @property
     def _hermitian(self) -> np.ndarray:
         """Read-only flags, one per row of stack: True where the row equals its adjoint
-        entry for entry.  Taken in the same pass as defects()."""
-        return self._pvm_pass[1]
+        entry for entry.  Read from the row checks that defects() reads."""
+        return self._row_checks[2]
 
     def validate(self, tol: float = DEFAULT_TOL) -> PVMDefects:
         """Raise unless every PVM defect is within tol; return the defects."""
@@ -378,16 +383,12 @@ class Correlation:
         (x, y), (a, b) = self._cells
         return self._first_max((x == y) & (a != b))
 
-    def max_losing(self, game: "SyncGame") -> tuple:
+    def max_losing(self, game: SyncGame) -> tuple:
         """(max, witness) over stored entries on losing tuples of the game: one losing
         mask over the walk's keys picks them, and the witness is the first entry, in
         dict order, holding the largest value above 0 (None when there is none; a NaN
-        value never counts)."""
-        for x, a in self._keys:
-            if x not in game.inputs:
-                raise ValidationError(f"unknown input label {x!r}")
-            if a not in game.outputs:
-                raise ValidationError(f"unknown output label {a!r}")
+        value never counts).  The inputs must be the game's and the outputs among its."""
+        _check_labels(game, self, "correlation")
         return self._first_max(game.losing(self._keys)[tuple(self._ends)])
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
@@ -524,7 +525,7 @@ def is_synchronous(corr: Correlation, tol: float = DEFAULT_TOL) -> bool:
     return corr.max_sync_violation()[0] <= tol
 
 
-def is_perfect(corr: Correlation, game: "SyncGame", eps: float = DEFAULT_TOL) -> bool:
+def is_perfect(corr: Correlation, game: SyncGame, eps: float = DEFAULT_TOL) -> bool:
     return corr.max_losing(game)[0] <= eps
 
 

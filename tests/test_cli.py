@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import dataclasses
 import functools
 import hashlib
 import json
@@ -32,7 +33,7 @@ from syncgames import (
     strategy_from_rep,
     swap_iso_strategy,
 )
-from syncgames import games
+from syncgames import cli, games
 from syncgames.cli import SCHEMAS, build_parser, main
 from syncgames.matops import MAX_EIG_DIM, matrix_to_json
 
@@ -263,6 +264,12 @@ EMPTY_CERT = {"value": 0, "graph": {"n": 0, "edges": []},
               "strategy": {"dim": 1, "inputs": [], "outputs": [], "pvms": []}}
 TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
                      "--cert", "empty-cert.json", "--target", "empty-graph.json", "--iso"]
+# the magic-square synBCS game, and a correlation answering its first question alone with
+# a winning answer: it stores no losing entry, but leaves the other five unanswered
+MAGIC_GAME = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
+ANSWER = [-1, -1, 1, 1, 1, 1, 1, 1, 1]
+ONE_QUESTION = {"n": 1, "m": 512, "inputs": [1], "outputs": {"sign_vectors": 9},
+                "entries": [[1, 1, ANSWER, ANSWER, 1.0]]}
 
 
 @pytest.mark.parametrize(
@@ -375,6 +382,8 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
         (["game", "solve-classical", "--in"],
          '{"kind": "explicit", "inputs": [%s], "outputs": [0], "losing": []}'
          % ("[" * 900 + "0" + "]" * 900)),
+        (["strategy", "check", "--game", "magic-game.json", "--correlation"], ONE_QUESTION),
+        (["graph", "certify", "--cert"], {**EMPTY_CERT, "value": -1}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -396,12 +405,14 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
          "bipartite-inputs-repeated", "bipartite-outputs-repeated", "bipartite-alice-key-repeated",
          "bipartite-bob-key-repeated", "correlation-inputs-repeated",
          "correlation-outputs-repeated", "correlation-entry-repeated", "json-nested-100000",
-         "explicit-input-label-nested-900"],
+         "explicit-input-label-nested-900", "correlation-one-magic-square-question",
+         "certificate-value-minus-1"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
     write_json(tmp_path, "empty-cert.json", EMPTY_CERT)
     write_json(tmp_path, "empty-graph.json", EMPTY_CERT["graph"])
+    write_json(tmp_path, "magic-game.json", MAGIC_GAME)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     path = tmp_path / "input.json"
     if payload is not None:  # raw text is written as it is
@@ -821,6 +832,52 @@ def test_strategy_correlation_and_check(tmp_path, magic_square_file, pauli_rep_f
         tmp_path, "game.json", {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
     )
     assert main(["strategy", "check", "--correlation", str(corr), "--game", game_file]) == 0
+
+
+def test_strategy_check_forms_one_losing_mask(tmp_path, monkeypatch, capsys,
+                                              magic_square_file, pauli_rep_file):
+    """strategy check --game compares the maxima it reports with --tol and --eps: the
+    game's losing mask is formed once."""
+    strat, corr = tmp_path / "strategy.json", tmp_path / "corr.json"
+    main(["group", "to-strategy", "--system", magic_square_file, "--rep", pauli_rep_file,
+          "--out", str(strat)])
+    assert main(["strategy", "correlation", "--tracial", str(strat), "--out", str(corr)]) == 0
+    game_file = write_json(tmp_path, "game.json", MAGIC_GAME)
+    masks = []
+    load = cli.game_from_json_dict
+
+    def counted(data):
+        game = load(data)
+
+        def losing(keys):
+            masks.append(len(keys))
+            return game.losing(keys)
+        return dataclasses.replace(game, losing=losing)
+
+    monkeypatch.setattr(cli, "game_from_json_dict", counted)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["strategy", "check", "--correlation", str(corr), "--game", game_file,
+                 "--report", str(report)]) == 0
+    assert len(masks) == 1
+    assert "perfect: PASS" in capsys.readouterr().out
+    checks = json.loads(report.read_text())["payload"]["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("synchronous", True), ("perfect", True)]
+
+
+def test_graph_certify_refuses_a_negative_value(tmp_path, capsys):
+    """A value below 0 would leave the certificate game with no input, and so pass; a
+    value of 0 is a valid, trivial certificate."""
+    report = tmp_path / "report.json"
+    trivial = write_json(tmp_path, "zero.json", {**EMPTY_CERT, "graph": {"n": 1, "edges": []},
+                                                 "strategy": {**EMPTY_CERT["strategy"],
+                                                              "outputs": [0]}})
+    assert main(["graph", "certify", "--cert", trivial]) == 0
+    assert "independence-certificate: PASS (value 0," in capsys.readouterr().out
+    negative = write_json(tmp_path, "minus.json", {**EMPTY_CERT, "value": -1})
+    assert main(["graph", "certify", "--cert", negative, "--report", str(report)]) == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == "invalid input: certificate value must be >= 0, got -1"
 
 
 def test_strategy_decompose_cli(tmp_path):

@@ -1129,7 +1129,8 @@ def test_relation_check_forms_one_product_per_unordered_pair_of_hermitian_rows(
     if case == "rotated-symmetrised":
         iso = OperatorStrategy(iso.dim, iso.inputs, iso.outputs,
                                {key: (m + m.conj().T) / 2 for key, m in iso.pvms.items()})
-    flags = iso._hermitian  # taken with the defects, before the products are counted
+    iso.defects()  # the row checks and row sums, before the products are counted
+    flags = iso._hermitian
     assert flags.tolist() == [np.array_equal(m, m.conj().T) for m in iso.stack]
     assert flags.all() == (case != "rotated")
     keys = iso.stored_keys()

@@ -48,7 +48,7 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
-from syncgames import games, graphs
+from syncgames import games, graphs, strategies
 from syncgames.errors import BudgetError, ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
 from syncgames.graphs import (
@@ -444,6 +444,51 @@ def test_iso_strategy_magic_square(magic_square, pauli_rep):
         lab_p = (g_b if p[0] == "g" else g_0).labels[p[1]]
         lab_r = (g_b if r[0] == "g" else g_0).labels[r[1]]
         assert lab_p[0] == lab_r[0]
+
+
+def test_strategies_over_a_shared_stack_hold_its_row_checks(monkeypatch, magic_square,
+                                                            pauli_rep):
+    """The iso strategy of a BCS strategy and its swap hold the BCS strategy's stack and
+    row-check arrays themselves: reading the defects and flags of all three checks the
+    stack once.  The maxima are those of a strategy built from the same keys."""
+    bcs = rotated(strategy_from_rep(pauli_rep, magic_square),
+                  random_unitary(4, np.random.default_rng(7)))
+    checked = []
+    row_checks = strategies.row_checks
+
+    def counting(mats, d):
+        checked.append(mats)
+        return row_checks(mats, d)
+
+    monkeypatch.setattr(strategies, "row_checks", counting)
+    iso = iso_strategy_from_bcs(bcs, magic_square, tol=1e-9)
+    swapped = swap_iso_strategy(iso)
+    for s in (bcs, iso, swapped):
+        s.defects()
+        assert s.stack is bcs.stack and s._hermitian is bcs._row_checks[2]
+        assert all(a is b for a, b in zip(s._row_checks, bcs._row_checks))
+    assert len(checked) == 1 and checked[0] is bcs.stack
+    # a swap of an unchecked strategy checks nothing until it is read
+    loaded = OperatorStrategy(iso.dim, iso.inputs, iso.outputs, dict(iso.pvms))
+    swapped = swap_iso_strategy(loaded)
+    assert len(checked) == 1
+    assert swapped._hermitian is loaded._hermitian and len(checked) == 2
+    monkeypatch.undo()
+    for s in (iso, swapped):
+        own = OperatorStrategy(s.dim, s.inputs, s.outputs, dict(s.pvms))
+        assert s.defects() == own.defects()
+        assert s._hermitian[s.ids].tolist() == own._hermitian[own.ids].tolist()
+
+
+def test_independence_certificate_value_is_at_least_zero():
+    """A value of -1 would build a game with no input, which any strategy over no input
+    passes; it is refused.  A value of 0 is the trivial certificate, and passes."""
+    g = five_cycle()
+    empty = OperatorStrategy(1, (), tuple(range(g.n)), {})
+    with pytest.raises(ValidationError, match="certificate value must be >= 0, got -1"):
+        IndependenceCertificate(graph=g, value=-1, strategy=empty)
+    zero = IndependenceCertificate(graph=g, value=0, strategy=empty)
+    assert zero.game().inputs == () and zero.verify().passes
 
 
 def test_iso_strategy_rejects_defective_input(magic_square):

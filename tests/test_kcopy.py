@@ -33,7 +33,7 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
-from syncgames import cli, games, gf2, graphs, solution_group
+from syncgames import cli, games, gf2, graphs, solution_group, strategies
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
 from syncgames.graphs import is_independent_set, max_independent_set
@@ -260,6 +260,34 @@ def test_each_certificate_is_checked_once(monkeypatch, pipeline, relation_checks
                 monkeypatch.setattr(module, name, counted(name))
     pipeline()
     assert counts == {"check_game_algebra_relations": relation_checks, "verify_rep": rep_checks}
+
+
+def test_the_two_copy_pipeline_row_checks_each_stack_once(monkeypatch):
+    """The BCS strategy, its iso strategy and the swapped iso strategy all read the BCS
+    strategy's 48-row stack, which is row-checked once; the transported certificate's
+    strategy has a stack of its own.  So the pipeline makes 2 row-check passes, where a
+    pass per strategy made 3, 2 of them over the BCS stack."""
+    checked = []
+    row_checks = strategies.row_checks
+
+    def counting(mats, d):
+        checked.append(mats)
+        return row_checks(mats, d)
+
+    monkeypatch.setattr(strategies, "row_checks", counting)
+    over_rows = OperatorStrategy._over_rows.__func__
+    sources = []
+
+    def recording(cls, source, *args):
+        sources.append(source.stack)
+        return over_rows(cls, source, *args)
+
+    monkeypatch.setattr(OperatorStrategy, "_over_rows", classmethod(recording))
+    two_copy_pipeline()
+    bcs_stack = sources[0]
+    assert [len(m) for m in checked] == [48, 48] and checked[0] is bcs_stack
+    assert checked[1] is not bcs_stack
+    assert len(sources) == 2 and sources[1] is bcs_stack  # the swap reads the iso's stack
 
 
 @pytest.mark.parametrize("pipeline", [demo_pipeline, two_copy_pipeline], ids=["demo", "kcopy2"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import base64
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from syncgames import matops
 from syncgames.errors import BudgetError, ValidationError
 from syncgames.matops import (
     MAX_EIG_DIM,
-    _hermitian_rows,
     _kron_pairs,
     dagger,
     hermitian_eig,
@@ -21,6 +21,8 @@ from syncgames.matops import (
     matrix_to_json,
     norm2,
     product_norms,
+    residual,
+    row_checks,
 )
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -245,6 +247,11 @@ def counted_products(monkeypatch) -> list:
     return formed
 
 
+def hermitian_rows(stack) -> np.ndarray:
+    """The exact-Hermitian flags of row_checks."""
+    return row_checks(stack, stack.shape[-1])[2]
+
+
 def two_order_norms(stack, left, right) -> np.ndarray:
     """The norm of each pair's own product, in its own order: product_norms before it
     folded mirror pairs of Hermitian rows."""
@@ -252,7 +259,7 @@ def two_order_norms(stack, left, right) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
-def test_product_norms_fold_the_mirror_pairs_of_exactly_hermitian_rows(monkeypatch, d):
+def test_product_norms_fold_the_mirror_pairs_of_exactlyhermitian_rows(monkeypatch, d):
     """Haar-rotated Hermitian rows symmetrised as (E + E*)/2 are exactly Hermitian, and
     each unordered pair of them is multiplied once, for i <= j, both orders taking that
     product's norm: within rounding of the two-order loop, and bit for bit where the
@@ -263,7 +270,7 @@ def test_product_norms_fold_the_mirror_pairs_of_exactly_hermitian_rows(monkeypat
     left, right = rng.integers(0, 5, size=(2, 400))
     formed = counted_products(monkeypatch)
     for stack in ((rotated + dagger(rotated)) / 2, rotated):
-        flags = _hermitian_rows(stack)
+        flags = hermitian_rows(stack)
         assert flags.tolist() == [np.array_equal(m, m.conj().T) for m in stack]
         both = flags[left] & flags[right]
         folded_left = np.where(both, np.minimum(left, right), left)
@@ -276,8 +283,8 @@ def test_product_norms_fold_the_mirror_pairs_of_exactly_hermitian_rows(monkeypat
         own = ~both | (left <= right)
         assert got[own].tolist() == want[own].tolist()
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    assert _hermitian_rows((rotated + dagger(rotated)) / 2).all()
-    assert d == 1 or not _hermitian_rows(rotated).any()
+    assert hermitian_rows((rotated + dagger(rotated)) / 2).all()
+    assert d == 1 or not hermitian_rows(rotated).any()
     # with no flags, nothing is folded
     formed.clear()
     got = product_norms(rotated, left, right, np.zeros(len(rotated), dtype=bool))
@@ -293,10 +300,8 @@ def test_a_row_one_ulp_off_its_adjoint_keeps_both_orders(monkeypatch):
     stack = np.array([u @ random_hermitian(4, rng) @ u.conj().T for _ in range(4)])
     stack = (stack + dagger(stack)) / 2
     stack[2, 0, 1] = complex(np.nextafter(stack[2, 0, 1].real, np.inf), stack[2, 0, 1].imag)
-    flags = _hermitian_rows(stack)
+    flags = hermitian_rows(stack)
     assert flags.tolist() == [True, True, False, True]
-    *_, in_pass = matops.pvm_defects(stack, range(4), [0] * 4, 1, 4)
-    assert in_pass.tolist() == flags.tolist()
     left, right = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
     formed = counted_products(monkeypatch)
     got = product_norms(stack, left, right, flags)
@@ -308,31 +313,68 @@ def test_a_row_one_ulp_off_its_adjoint_keeps_both_orders(monkeypatch):
     assert sum(formed) == 6
 
 
-def test_hermitian_rows_are_taken_in_chunks(monkeypatch):
-    """The flags of a stack of 2^13 / 16 + 3 rows at d = 4, taken chunk by chunk and with
-    one matrix per chunk, are those of each row alone; the empty stack has none."""
+def row_checks_oracle(mats) -> list:
+    """(residual(a - a*), residual(a - a a), a == a*) of each matrix alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(residual(m - m.conj().T), residual(m - m @ m), np.array_equal(m, m.conj().T))
+                for m in mats]
+
+
+def test_row_checks_are_taken_in_chunks(monkeypatch):
+    """The checks of a stack of 2^13 / 16 + 3 rows at d = 4, taken chunk by chunk, with
+    one matrix per chunk and from a list of the matrices, are those of each row alone,
+    read-only; the empty stack has none."""
     rng = np.random.default_rng(23)
     stack = rng.normal(size=(515, 4, 4)) + 1j * rng.normal(size=(515, 4, 4))
     stack[::3] = (stack[::3] + dagger(stack[::3])) / 2
-    want = [np.array_equal(m, m.conj().T) for m in stack]
-    assert _hermitian_rows(stack).tolist() == want and sum(want) == 172
-    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", 1)
-    assert _hermitian_rows(stack).tolist() == want
-    assert _hermitian_rows(np.empty((0, 4, 4), dtype=complex)).shape == (0,)
+    stack[7] *= 1e300  # its idempotency product overflows
+    want = row_checks_oracle(stack)
+    assert sum(flag for *_, flag in want) == 172 and want[7][1] == np.inf
+    for mats, chunk in ((stack, matops.PRODUCT_CHUNK_ENTRIES), (stack, 1), (list(stack), 5 * 16)):
+        monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
+        checks = row_checks(mats, 4)
+        assert list(zip(*(c.tolist() for c in checks))) == want
+        assert not any(c.flags.writeable for c in checks)
+    assert [c.shape for c in row_checks(np.empty((0, 4, 4), dtype=complex), 4)] == [(0,)] * 3
+
+
+def test_row_checks_free_each_adjoint_difference_before_the_idempotency_products(monkeypatch):
+    """No chunk's adjoint difference is alive while that chunk's idempotency product is
+    formed, so the pass holds one of them at a time."""
+    differences, matmul, alive = matops._adjoint_differences, np.matmul, []
+    refs = []
+
+    def recording(mats):
+        out = differences(mats)
+        refs.append(weakref.ref(out))
+        return out
+
+    def checking(a, b, *args, **kwargs):
+        alive.append(any(ref() is not None for ref in refs))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(matops, "_adjoint_differences", recording)
+    monkeypatch.setattr(matops.np, "matmul", checking)
+    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", 2 * 16)
+    row_checks(np.zeros((5, 4, 4), dtype=complex), 4)
+    assert (len(refs), alive) == (3, [False] * 3)
 
 
 def test_an_empty_pvm_row_has_completeness_residual_one_without_a_zero_sum():
     for d in (1, 2, 3, 5, 64):
         assert norm2(np.zeros((d, d)) - np.eye(d)) == 1.0  # what summing the empty row gave
         # row 0 is empty, row 1 holds the identity
-        *defects, hermitian = matops.pvm_defects(np.eye(d, dtype=complex)[None], [0], [1], 2, d)
-        assert defects == [0.0, 0.0, 1.0] and hermitian.tolist() == [True]
+        eye = np.eye(d, dtype=complex)[None]
+        checks = row_checks(eye, d)
+        assert matops.pvm_defects(eye, checks, [0], [1], 2, d) == (0.0, 0.0, 1.0)
+        assert checks[2].tolist() == [True]
     # a zero sum of this size would take 1.6e17 bytes
     d = 10**8
     for n_rows, completeness in ((1, 1.0), (0, 0.0)):
-        *defects, hermitian = matops.pvm_defects(np.empty((0, d, d), dtype=complex), [], [],
-                                                 n_rows, d)
-        assert defects == [0.0, 0.0, completeness] and hermitian.shape == (0,)
+        empty = np.empty((0, d, d), dtype=complex)
+        checks = row_checks(empty, d)
+        assert matops.pvm_defects(empty, checks, [], [], n_rows, d) == (0.0, 0.0, completeness)
+        assert checks[2].shape == (0,)
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e300], ids=["large", "overflowing"])
@@ -350,13 +392,14 @@ def test_pvm_defects_take_their_maxima_over_the_rows_the_family_uses(monkeypatch
     stack = np.array([members[0], stray, members[1], members[2]])
     ids, rows = [0, 2, 3], [0, 0, 1]
     gathered, gathered_ids = stack[[0, 2, 3]], [0, 1, 2]
-    *own, _ = matops.pvm_defects(stack, [1], [0], 1, d)
+    own = matops.pvm_defects(stack, row_checks(stack, d), [1], [0], 1, d)
     assert own[0] > 1e3 and own[1] > 1e3
     if scale == 1e300:
-        assert own[:2] == [np.inf, np.inf]
+        assert own[:2] == (np.inf, np.inf)
     for chunk in (matops.PRODUCT_CHUNK_ENTRIES, 1):
         monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
-        *got, flags = matops.pvm_defects(stack, ids, rows, 2, d)
-        *want, want_flags = matops.pvm_defects(gathered, gathered_ids, rows, 2, d)
+        checks, want_checks = row_checks(stack, d), row_checks(gathered, d)
+        got = matops.pvm_defects(stack, checks, ids, rows, 2, d)
+        want = matops.pvm_defects(gathered, want_checks, gathered_ids, rows, 2, d)
         assert got == want and 1e-7 < min(got[:2]) and max(got) < 1e-3
-        assert flags[[0, 2, 3]].tolist() == want_flags.tolist() == [False, False, True]
+        assert checks[2][[0, 2, 3]].tolist() == want_checks[2].tolist() == [False, False, True]

@@ -37,7 +37,7 @@ from syncgames import (
 from syncgames import strategies
 from syncgames.games import game_from_losing
 from syncgames.errors import ClusterAmbiguityError, ValidationError, VerificationError
-from syncgames.labels import SignVectors
+from syncgames.labels import SignVectors, as_alphabet
 from syncgames.matops import dagger, hermitian_eig, matrix_to_json, norm2, residual
 from syncgames.strategies import (
     BipartiteStrategy,
@@ -1166,16 +1166,36 @@ def test_correlation_walk_cases_tie_and_hold_nan():
     assert tied >= 6 and nan >= 2 and witnessed >= 5
 
 
-def test_correlation_walk_refuses_game_labels_as_the_key_table_did():
-    """Keys in first use, (x, a) before (y, b): the first unknown one is named."""
-    game = build_hom_game(complete(2), complete(2))
-    for p in ({(0, 2, 0, 0): 0.5}, {(0, 0, 5, 0): 0.5}, {(0, 1, 0, 5): 0.5, (2, 0, 0, 0): 0.5}):
-        corr = Correlation((0, 1, 2), (0, 1, 5), p)
-        with pytest.raises(ValidationError) as expected:
-            losing_mask_oracle(corr, game)
-        with pytest.raises(ValidationError) as got:
-            corr.max_losing(game)
-        assert str(got.value) == str(expected.value)
+def test_correlation_alphabets_are_checked_against_the_game():
+    """max_losing checks the correlation's alphabets as the relation check does a
+    strategy's: its inputs must be the game's, in any order, and its outputs among the
+    game's, whichever labels its entries use; the refusal names the correlation."""
+    game = build_hom_game(complete(3), complete(3))
+    inputs = "correlation inputs do not match game inputs"
+    outputs = "correlation outputs are not a subset of game outputs"
+    for xs, as_, p, message in [
+            ((0, 1, 2, 3), (0, 1, 2), {(0, 1, 0, 1): 0.5}, inputs),
+            ((0, 1), (0, 1, 2), {(0, 1, 0, 1): 0.5}, inputs),
+            ((0, 1, 3), (0, 1, 2), {}, inputs),
+            ((0, 1, 2), (0, 1, 2, 5), {(0, 1, 0, 1): 0.5}, outputs),
+            ((0, 1, 2), (5,), {}, outputs)]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Correlation(xs, as_, p).max_losing(game)
+    for xs, as_ in (((2, 0, 1), (0, 1, 2)), ((0, 1, 2), (1,)), ((0, 1, 2), ())):
+        p = {(0, 1, a, a): 0.25 for a in as_}
+        corr = Correlation(xs, as_, p)
+        assert corr.max_losing(game) == losing_mask_oracle(corr, game)
+
+
+def test_a_correlation_answering_one_magic_square_question_is_refused():
+    """p(1, 1, x, x) = 1 over input 1 alone loses nothing it stores, but it leaves the
+    game's other questions unanswered: refused, where it used to be certified perfect."""
+    game = build_synbcs(kcopy_magic_square(1)[0])
+    answer = game.candidates[1][0]
+    corr = Correlation((1,), game.outputs, {(1, 1, answer, answer): 1.0})
+    assert losing_mask_oracle(corr, game) == (0.0, None)
+    with pytest.raises(ValidationError, match="correlation inputs do not match game inputs"):
+        corr.max_losing(game)
 
 
 def test_correlation_refuses_an_entry_label_outside_its_alphabets():
@@ -1239,6 +1259,22 @@ def test_bipartite_trace_table_reads_shared_rows_through_the_ids():
         assert entry_bits(correlation_from_bipartite(s).p) == entry_bits(gathered_bipartite(s))
 
 
+def over_stack(dim, inputs, outputs, keys, stack, ids) -> OperatorStrategy:
+    """The strategy mapping keys[t] to stack[ids[t]] over any read-only stack: the body
+    of OperatorStrategy._over_rows before it took its stack and row checks from a
+    source strategy."""
+    self = OperatorStrategy.__new__(OperatorStrategy)
+    object.__setattr__(self, "dim", dim)
+    object.__setattr__(self, "inputs", as_alphabet(inputs, "strategy inputs"))
+    object.__setattr__(self, "outputs", as_alphabet(outputs, "strategy outputs"))
+    order = sorted(range(len(keys)), key=lambda t: (
+        self.inputs.index(keys[t][0]), self.outputs.index(keys[t][1])))
+    sorted_ids = np.asarray(ids)[order]
+    sorted_ids.flags.writeable = False
+    self._set_rows([keys[t] for t in order], stack, sorted_ids)
+    return self
+
+
 def test_trace_table_bits_do_not_depend_on_the_row_layout():
     """The same keys and operators over the same rows in another order (as _over_rows
     leaves a swapped or shared strategy) give the same correlation, bit for bit."""
@@ -1247,8 +1283,10 @@ def test_trace_table_bits_do_not_depend_on_the_row_layout():
         pvms = {(x, a): e for x in range(3) for a, e in enumerate(random_exact_pvm(3, 3, rng))}
         s = OperatorStrategy(3, range(3), range(3), pvms)
         perm = rng.permutation(len(s.stack))
-        moved = OperatorStrategy._over_rows(3, s.inputs, s.outputs, s.stored_keys(),
-                                            s.stack[perm], np.argsort(perm)[s.ids])
+        stack = s.stack[perm]
+        stack.flags.writeable = False
+        moved = over_stack(3, s.inputs, s.outputs, s.stored_keys(), stack,
+                           np.argsort(perm)[s.ids])
         assert all(moved.pvms[key].tobytes() == mat.tobytes() for key, mat in s.pvms.items())
         assert (entry_bits(correlation_from_tracial(moved).p)
                 == entry_bits(correlation_from_tracial(s).p))
