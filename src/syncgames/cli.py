@@ -44,7 +44,7 @@ from .graphs import (
     swap_iso_strategy,
     transport_independence,
 )
-from .labels import MAX_SIGN_VECTOR_LENGTH, int_from_json, label_to_json, labels_from_json
+from .labels import MAX_SIGN_VECTOR_LENGTH, label_to_json, labels_from_json
 from .magic_square import mermin_peres_system, pauli_magic_square_rep
 from .matops import DEFAULT_TOL, matrix_from_json, matrix_to_json
 from .rounding import EXACT_TOL, orthogonalize_family
@@ -214,7 +214,7 @@ def _load_cert_bundle(data: dict, path: str, digests: dict) -> IndependenceCerti
     try:
         return IndependenceCertificate(
             graph=part("graph", Graph),
-            value=int_from_json(data["value"], "certificate value"),
+            value=data["value"],
             strategy=part("strategy", OperatorStrategy),
         )
     except (KeyError, TypeError) as exc:

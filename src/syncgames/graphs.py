@@ -321,7 +321,7 @@ class IndependenceCertificate:
     strategy: OperatorStrategy
 
     def __post_init__(self):
-        if self.value < 0:
+        if int_from_json(self.value, "certificate value") < 0:
             raise ValidationError(f"certificate value must be >= 0, got {self.value}")
 
     def game(self):

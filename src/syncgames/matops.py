@@ -206,14 +206,18 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
+def _require_eig_dim(d: int) -> None:
+    """The cap on a dense factorization: an eigensolve, or decompose_qs's SVD of a state."""
+    if d > MAX_EIG_DIM:
+        raise BudgetError(f"dimension {d} exceeds cap {MAX_EIG_DIM}")
+
+
 def hermitian_input(h) -> np.ndarray:
     """h as a square complex matrix with finite entries and Hermitian within
     HERMITIAN_INPUT_TOL entrywise; a BudgetError when it is larger than MAX_EIG_DIM.
     These are the input checks of hermitian_eig, for callers that need no eigenvectors."""
     mat = as_matrix(h)
-    d = mat.shape[0]
-    if d > MAX_EIG_DIM:
-        raise BudgetError(f"dimension {d} exceeds cap {MAX_EIG_DIM}")
+    _require_eig_dim(mat.shape[0])
     # Huge finite entries may overflow to inf here; that is reported through the
     # defect (the max-entry deviation from the adjoint), never as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):

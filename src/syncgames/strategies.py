@@ -31,10 +31,10 @@ from .labels import (
 )
 from .matops import (
     DEFAULT_TOL,
+    _require_eig_dim,
     _residuals,
     as_matrix,
     dagger,
-    hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     pvm_defects,
@@ -555,20 +555,11 @@ def sync_vector_defect(s: BipartiteStrategy) -> float:
 
 
 def _schmidt_levels(sigma: np.ndarray, cluster_tol: float) -> list:
-    """Group the descending Schmidt coefficients into equal-value level sets.
-
-    Consecutive coefficients closer than cluster_tol are merged; coefficients
-    at or below cluster_tol are treated as zero and dropped.
-    """
-    levels: list = []
-    for k, val in enumerate(sigma):
-        if val <= cluster_tol:
-            break
-        if levels and levels[-1] and sigma[levels[-1][-1]] - val < cluster_tol:
-            levels[-1].append(k)
-        else:
-            levels.append([k])
-    return levels
+    """Index arrays of the level sets of the descending Schmidt coefficients sigma: the
+    coefficients above cluster_tol, split wherever a gap is at least cluster_tol."""
+    kept = sigma[sigma > cluster_tol]  # a prefix, as sigma descends
+    cuts = np.flatnonzero(kept[:-1] - kept[1:] >= cluster_tol) + 1
+    return np.split(np.arange(len(kept)), cuts) if len(kept) else []
 
 
 def _compress(stack: np.ndarray, cols: np.ndarray) -> tuple:
@@ -582,6 +573,19 @@ def _compress(stack: np.ndarray, cols: np.ndarray) -> tuple:
     return small, _residuals(left - small @ dagger(cols))
 
 
+def _recombination_miss(parts: list, target: Correlation) -> float:
+    """max |sum_k w_k p_k - target| over every cell of parts' (w_k, p_k) and of target, on
+    one alphabet: one np.add.at over the correlations' walks adds each cell's w_k p_k,
+    part by part, then its target value negated, in the order of a per-key dict loop."""
+    weighted = [*parts, (-1.0, target)]
+    cells = np.concatenate([c._cells.reshape(4, -1) for _, c in weighted], axis=1)
+    terms = np.concatenate([w * c._vals for w, c in weighted])
+    distinct, cell = np.unique(cells, axis=1, return_inverse=True)
+    sums = np.zeros(distinct.shape[1])
+    np.add.at(sums, cell.reshape(-1), terms)
+    return float(np.abs(sums).max(initial=0.0))
+
+
 def decompose_qs(
     s: BipartiteStrategy,
     tol: float = DEFAULT_TOL,
@@ -589,29 +593,24 @@ def decompose_qs(
 ) -> list:
     """Decompose a synchronous bipartite strategy into weighted tracial blocks.
 
-    Computes the Schmidt decomposition of the dim_a x dim_b state matrix (the
-    local dimensions may differ), groups equal Schmidt coefficients into level
-    sets, verifies that each level's subspace reduces every stored operator on
-    both sides, each under its own normalized trace, and returns (weight,
-    compressed tracial strategy) pairs whose convex recombination reproduces the
-    input correlation within 10 * tol.  The level subspaces are certified rather
-    than trusted: a reduction residual ||P E (I - P)||_2 above tol raises
-    ClusterAmbiguityError naming the first input, in input order, with such an
-    operator on either side, and that input's largest residual.  Each level
-    takes one batched product per side over its distinct operators (_compress),
-    and keys sharing an operator share its compression.
+    One SVD u diag(sigma) vh of the dim_a x dim_b state matrix (dim_a at most
+    matops.MAX_EIG_DIM) gives the Schmidt level sets (_schmidt_levels), each weighing
+    sum(sigma[level] ** 2), with Alice's columns u[:, level] and Bob's vh[level].T.
+    Each level's subspace must reduce every stored operator on both sides, each under
+    its own normalized trace: a residual ||P E (I - P)||_2 above tol raises
+    ClusterAmbiguityError naming the first input, in input order, with such an operator
+    on either side, and that input's largest residual.  Each level takes one batched
+    product per side over its distinct operators (_compress), and keys sharing an
+    operator share its compression.  Returns (weight, compressed tracial strategy) pairs
+    whose convex recombination reproduces the input correlation within 10 * tol.
     """
     defect = sync_vector_defect(s)
     if defect > tol:
         raise VerificationError(
             f"synchronous-state defect {defect:.3e} > {tol:g}; not a synchronous strategy"
         )
-    m = s.state_matrix()
-    eig = hermitian_eig(m @ dagger(m))
-    order = np.argsort(eig.eigenvalues)[::-1]
-    lam = np.clip(eig.eigenvalues[order], 0.0, None)
-    vecs = eig.eigenvectors[:, order]
-    sigma = np.sqrt(lam)
+    _require_eig_dim(s.dim_a)
+    u, sigma, vh = np.linalg.svd(s.state_matrix(), full_matrices=False)
     levels = _schmidt_levels(sigma, cluster_tol)
     if not levels:
         raise VerificationError("state has no Schmidt coefficient above the clustering tolerance")
@@ -622,13 +621,8 @@ def decompose_qs(
                           dtype=np.intp)
     blocks = []
     for level in levels:
-        a_cols = vecs[:, level]
-        b_cols = np.conj(dagger(m) @ a_cols) / sigma[level][None, :]
-        gram = dagger(b_cols) @ b_cols
-        if float(np.max(np.abs(gram - np.eye(len(level))))) > 1e-6:
-            raise ClusterAmbiguityError("Schmidt partners of a level set are not orthonormal")
-        small, res_a = _compress(alice.stack, a_cols)
-        _, res_b = _compress(bob.stack, b_cols)
+        small, res_a = _compress(alice.stack, u[:, level])
+        _, res_b = _compress(bob.stack, vh[level].T)
         per_input = np.zeros(len(s.inputs))  # each input's largest residual, both sides
         np.maximum.at(per_input, key_inputs, np.concatenate([res_a[alice.ids], res_b[bob.ids]]))
         failing = np.flatnonzero(per_input > tol)
@@ -638,7 +632,7 @@ def decompose_qs(
                 f"level set of size {len(level)} fails the reduction check at input "
                 f"{s.inputs[k]!r} (residual {per_input[k]:.3e} > {tol:g}); Schmidt clusters are ambiguous"
             )
-        weight = float(np.sum(lam[level]))
+        weight = float(np.sum(sigma[level] ** 2))
         small = (small + dagger(small)) / 2
         nonzero, views = _residuals(small) > 0.0, list(small)  # one view object per row
         compressed = {key: views[row] for key, row in zip(alice.pvms, alice.ids.tolist())
@@ -651,14 +645,8 @@ def decompose_qs(
 
     # Certify the convex recombination against the bipartite correlation.
     target = correlation_from_bipartite(s, tol=tol)
-    recombined: dict = {}
-    for weight, block in blocks:
-        part = correlation_from_tracial(block, tol=10 * tol)
-        for key, val in part.p.items():
-            recombined[key] = recombined.get(key, 0.0) + weight * val
-    worst = 0.0
-    for key in set(recombined) | set(target.p):
-        worst = max(worst, abs(recombined.get(key, 0.0) - target.p.get(key, 0.0)))
+    worst = _recombination_miss(
+        [(w, correlation_from_tracial(block, tol=10 * tol)) for w, block in blocks], target)
     if worst > 10 * tol:
         raise VerificationError(
             f"block recombination misses the input correlation by {worst:.3e} > {10 * tol:g}"

@@ -16,7 +16,7 @@ from syncgames import BinaryLinearSystem, Graph, mermin_peres_system, pauli_magi
 from syncgames.games import build_synbcs, game_from_losing
 from syncgames.labels import SignVectors, label_from_json
 from syncgames.solution_group import GroupRep
-from syncgames.strategies import OperatorStrategy, deterministic_to_operator
+from syncgames.strategies import BipartiteStrategy, OperatorStrategy, deterministic_to_operator
 
 
 @pytest.fixture
@@ -71,6 +71,36 @@ def kcopy_magic_square(k: int) -> tuple:
 def rotated(strategy: OperatorStrategy, u: np.ndarray) -> OperatorStrategy:
     pvms = {key: u @ mat @ u.conj().T for key, mat in strategy.pvms.items()}
     return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
+
+
+LIGHT_BLOCK_DIMS = (8, 16, 4)
+
+
+def light_block_strategy(rng, w: float) -> BipartiteStrategy:
+    """A synchronous strategy planted from three tracial blocks of dims LIGHT_BLOCK_DIMS
+    and weights (0.6, 0.4 - w, w), two inputs and three outputs, then conjugated by a
+    Haar-random local unitary pair (u, v): Alice's operators u E u*, Bob's v E^T v* and
+    the state matrix u diag(sqrt(weight / dim)) v^T.  The light block's Schmidt
+    coefficient sqrt(w / 4) is 1.6e-5 at w = 1e-9 and 5e-7 at w = 1e-12."""
+    total = sum(LIGHT_BLOCK_DIMS)
+    weights = (0.6, 0.4 - w, w)
+    blocks = [[random_exact_pvm(d, 3, rng) for _ in range(2)] for d in LIGHT_BLOCK_DIMS]
+    starts = np.cumsum((0, *LIGHT_BLOCK_DIMS))
+    alice = {}
+    for x in range(2):
+        for a in range(3):
+            mat = np.zeros((total, total), dtype=complex)
+            for start, d, blk in zip(starts, LIGHT_BLOCK_DIMS, blocks):
+                mat[start:start + d, start:start + d] = blk[x][a]
+            alice[(x, a)] = mat
+    coeffs = np.repeat(np.sqrt(np.divide(weights, LIGHT_BLOCK_DIMS)), LIGHT_BLOCK_DIMS)
+    u, v = random_unitary(total, rng), random_unitary(total, rng)
+    return BipartiteStrategy(
+        total, total, (0, 1), (0, 1, 2),
+        alice={key: u @ e @ u.conj().T for key, e in alice.items()},
+        bob={key: v @ e.T @ v.conj().T for key, e in alice.items()},
+        state=(u @ np.diag(coeffs) @ v.T).reshape(-1),
+    )
 
 
 def random_system(rng, max_m: int = 6, max_n: int = 10) -> BinaryLinearSystem:

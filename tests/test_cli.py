@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import random_exact_pvm
+from conftest import LIGHT_BLOCK_DIMS, light_block_strategy, random_exact_pvm
 
 from syncgames import (
     Graph,
@@ -907,6 +907,38 @@ def test_strategy_decompose_cli(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["blocks"]) == 1
     assert data["blocks"][0]["weight"] == pytest.approx(1.0)
+
+
+def test_strategy_decompose_cli_recovers_a_light_block(tmp_path):
+    """A Haar-rotated strategy with a block of Schmidt coefficient 1.6e-5: every block
+    comes back, in descending Schmidt order (the squared-state eigensolve exited 3)."""
+    s = light_block_strategy(np.random.default_rng([741, 0]), 1e-9)
+    infile = write_json(tmp_path, "light.json", s.to_json_dict())
+    report = tmp_path / "report.json"
+    argv = ["strategy", "decompose-qs", "--in", infile, "--out", str(tmp_path / "blocks.json")]
+    assert main(argv + ["--report", str(report)]) == 0
+    assert json.loads(report.read_text())["payload"]["block_dims"] == list(LIGHT_BLOCK_DIMS)
+
+
+def test_strategy_decompose_cli_respects_the_eigensolver_cap(tmp_path, capsys):
+    """The state's SVD shares the eigensolver's cap on dim_a: exit 4, with its message."""
+    d = MAX_EIG_DIM + 1
+    pvms = [{"input": 0, "output": 0, "matrix": matrix_to_json(np.eye(d))}]
+    one = [{"input": 0, "output": 0, "matrix": {"dim": 1, "entries": [[[1.0, 0.0]]]}}]
+    state = [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)
+    infile = write_json(tmp_path, "wide.json", {"dim_a": d, "dim_b": 1, "inputs": [0], "outputs": [0],
+                                                "alice": pvms, "bob": one, "state": state})
+    assert main(["strategy", "decompose-qs", "--in", infile, "--out", str(tmp_path / "o.json")]) == 4
+    assert f"dimension {d} exceeds cap {MAX_EIG_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", True], ids=["string-int", "string-float", "bool"])
+def test_strategy_check_refuses_a_sparse_value_that_is_not_a_number(tmp_path, value):
+    infile = write_json(tmp_path, "corr.json", {**CORRELATION, "entries": [[0, 0, 0, 0, value]]})
+    report = tmp_path / "report.json"
+    assert main(["strategy", "check", "--correlation", infile, "--report", str(report)]) == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == f"invalid input: correlation value {value!r} is not a number"
 
 
 def test_graph_transport_via_bundles(tmp_path, magic_square_file, pauli_rep_file):

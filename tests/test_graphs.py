@@ -491,6 +491,16 @@ def test_independence_certificate_value_is_at_least_zero():
     assert zero.game().inputs == () and zero.verify().passes
 
 
+@pytest.mark.parametrize("value", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_independence_certificate_value_is_an_int(value):
+    """range(2.0) raised a bare TypeError inside verify() and True was read as 1: a value
+    that is not an int, or is a bool, is refused when the certificate is built."""
+    g = complete(3)
+    strategy = independence_certificate_from_set(g, [0]).strategy
+    with pytest.raises(ValidationError, match=re.escape(f"certificate value must be an integer, got {value!r}")):
+        IndependenceCertificate(graph=g, value=value, strategy=strategy)
+
+
 def test_iso_strategy_rejects_defective_input(magic_square):
     game = build_synbcs(magic_square)
     bad = strategy_from_rep(pauli_magic_square_rep(), magic_square)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    LIGHT_BLOCK_DIMS,
     explicit_copy,
     kcopy_magic_square,
+    light_block_strategy,
     predicate_of,
     random_exact_pvm,
     random_hermitian,
@@ -522,12 +524,9 @@ def test_decompose_cluster_ambiguity():
 
 def _first_level_columns(s: BipartiteStrategy) -> tuple:
     """Alice's and Bob's orthonormal columns of the largest Schmidt level of size one,
-    computed as decompose_qs computes them."""
-    m = s.state_matrix()
-    eig = hermitian_eig(m @ dagger(m))
-    k = int(np.argmax(eig.eigenvalues))
-    a_cols = eig.eigenvectors[:, [k]]
-    return a_cols, np.conj(dagger(m) @ a_cols) / np.sqrt(eig.eigenvalues[k])
+    computed as decompose_qs computes them: u[:, [0]] and vh[[0]].T of the state's SVD."""
+    u, _, vh = np.linalg.svd(s.state_matrix(), full_matrices=False)
+    return u[:, [0]], vh[[0]].T
 
 
 def test_cluster_ambiguity_reports_the_largest_per_operator_residual():
@@ -605,22 +604,19 @@ def test_only_bobs_reduction_check_refuses_a_bob_side_rotation():
 
 def decompose_oracle(s: BipartiteStrategy) -> list:
     """The per-key compression loop decompose_qs replaced: (weight, {key: the symmetrised
-    a* E a}) per Schmidt level, in stored-key order, leaving out a zero compression."""
-    m = s.state_matrix()
-    eig = hermitian_eig(m @ dagger(m))
-    order = np.argsort(eig.eigenvalues)[::-1]
-    lam = np.clip(eig.eigenvalues[order], 0.0, None)
-    vecs = eig.eigenvectors[:, order]
+    a* E a}) per Schmidt level, in stored-key order, leaving out a zero compression, with
+    the level columns and weights decompose_qs takes from the state's SVD."""
+    u, sigma, _ = np.linalg.svd(s.state_matrix(), full_matrices=False)
     levels = []
-    for level in strategies._schmidt_levels(np.sqrt(lam), strategies.DEFAULT_CLUSTER_TOL):
-        a_cols = vecs[:, level]
+    for level in strategies._schmidt_levels(sigma, strategies.DEFAULT_CLUSTER_TOL):
+        a_cols = u[:, level]
         compressed = {}
         for key, e in s.alice.items():
             small = dagger(a_cols) @ e @ a_cols
             small = (small + dagger(small)) / 2
             if norm2(small) > 0.0:
                 compressed[key] = small
-        levels.append((float(np.sum(lam[level])), compressed))
+        levels.append((float(np.sum(sigma[level] ** 2)), compressed))
     return levels
 
 
@@ -694,6 +690,84 @@ def test_decompose_refuses_a_state_with_every_schmidt_coefficient_within_the_tol
     with pytest.raises(VerificationError, match="^state has no Schmidt coefficient above "
                                                 "the clustering tolerance$"):
         decompose_qs(two_line_strategy(), tol=1e-9, cluster_tol=1.0)
+
+
+@pytest.mark.parametrize("w", [1e-9, 1e-12])
+def test_decompose_recovers_a_light_block_under_a_local_rotation(w):
+    """A light block's Schmidt coefficient, 1.6e-5 at w = 1e-9 and 5e-7 at w = 1e-12, is
+    far above the cluster tolerance, yet an eigensolve of m m* keeps only half its digits:
+    decompose_qs took Schmidt data that way and refused each of these strategies, by the
+    reduction check at w = 1e-9 and by its Schmidt partners' orthonormality at 1e-12.
+    From the state's SVD every block comes back."""
+    for seed in range(3):
+        blocks = decompose_qs(light_block_strategy(np.random.default_rng([741, seed]), w))
+        assert [b.dim for _, b in blocks] == list(LIGHT_BLOCK_DIMS)
+        assert np.max(np.abs(np.subtract([v for v, _ in blocks], (0.6, 0.4 - w, w)))) <= 1e-12
+
+
+def test_decompose_weights_agree_with_the_squared_state_eigensolve():
+    """The blocks' dims and order are those the eigensolve of m m* gave, and their
+    weights, sums of squared singular values, agree with its eigenvalue sums."""
+    rng = np.random.default_rng(742)
+    planted = [((3, 2), (0.7, 0.3)), ((2, 2, 1), (0.5, 0.3, 0.2)), ((4, 1, 3), (0.2, 0.45, 0.35))]
+    cases = [_block_diagonal_strategy(rng, dims, weights)[0] for dims, weights in planted]
+    cases += [_rectangular_strategy(rng, 3, 1), light_block_strategy(rng, 1e-3)]
+    for s in cases:
+        m = s.state_matrix()
+        lam = np.clip(hermitian_eig(m @ dagger(m)).eigenvalues[::-1], 0.0, None)
+        levels = strategies._schmidt_levels(np.sqrt(lam), strategies.DEFAULT_CLUSTER_TOL)
+        blocks = decompose_qs(s)
+        assert [b.dim for _, b in blocks] == [len(level) for level in levels]
+        assert np.allclose([w for w, _ in blocks], [np.sum(lam[level]) for level in levels],
+                           rtol=0.0, atol=1e-15)
+
+
+def recombination_oracle(parts: list, target: Correlation) -> float:
+    """The dict loops the batched recombination sum replaced: each key's weighted values,
+    part by part, then the largest |recombined - target| over the keys of either."""
+    recombined: dict = {}
+    for weight, part in parts:
+        for key, val in part.p.items():
+            recombined[key] = recombined.get(key, 0.0) + weight * val
+    worst = 0.0
+    for key in set(recombined) | set(target.p):
+        worst = max(worst, abs(recombined.get(key, 0.0) - target.p.get(key, 0.0)))
+    return worst
+
+
+def test_recombination_sum_matches_the_dict_loops():
+    """The recombination miss is bit for bit the dict loops': over decompose_qs's own
+    blocks, which miss by rounding; over the two merged Schmidt lines, which miss by 0.14;
+    and over blocks that store other keys than the target, each missing on the other's."""
+    rng = np.random.default_rng(743)
+    cases = []
+    for s in [light_block_strategy(rng, 1e-9), _rectangular_strategy(rng, 1, 3),
+              _shared_rows_strategy(rng)]:
+        parts = [(w, correlation_from_tracial(b, tol=1e-8)) for w, b in decompose_qs(s)]
+        cases.append((parts, correlation_from_bipartite(s)))
+    merged = two_line_strategy()
+    cases.append(([(1.0, correlation_from_tracial(merged.alice_strategy()))],
+                  correlation_from_bipartite(merged)))
+    for weights in [(0.25, 0.75), (0.1, 0.2, 0.7)]:
+        parts = []
+        for w in weights:
+            pvms = {(x, a): e for x in (0, 1) for a, e in enumerate(random_exact_pvm(3, 3, rng))
+                    if e.any()}  # an output no eigenvector takes stores no key
+            parts.append((w, correlation_from_tracial(OperatorStrategy(3, (0, 1), (0, 1, 2), pvms))))
+        cases.append((parts, correlation_from_bipartite(random_bipartite(rng, 2, 3))))
+    misses = [strategies._recombination_miss(parts, target) for parts, target in cases]
+    assert misses == [recombination_oracle(parts, target) for parts, target in cases]
+    assert 0.0 < max(misses[:3]) < 1e-14 and misses[3] == pytest.approx(0.14) and min(misses[4:]) > 0.01
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", True], ids=["string-int", "string-float", "bool"])
+def test_sparse_correlation_loader_refuses_a_value_that_is_not_a_number(value):
+    """float() would read each of these as a number (1.0, 0.5 and 1.0), so the loader
+    checks an entry's value before it converts it."""
+    data = {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 1],
+            "entries": [[0, 0, 0, 0, 0.5], [0, 0, 1, 1, value]]}
+    with pytest.raises(ValidationError, match=re.escape(f"correlation value {value!r} is not a number")):
+        Correlation.from_json_dict(data)
 
 
 def test_strategy_json_roundtrip():
