@@ -373,8 +373,8 @@ def iso_strategy_from_bcs(
     The projection for the pair ((i, x), (j, y)) is the BCS projection at the
     pointwise product x*y when i = j and zero otherwise.  Row and column sums
     and all relation products are certified through the game checker.  Each G_b
-    vertex is paired only with the G_0 vertices of its own equation, read from the
-    system's local solutions (both graphs list vertices equation-major in that order).
+    vertex (i, x) is paired only with the G_0 vertices of equation i, both read from
+    the graphs' labels, so keys come G_b vertex by G_b vertex, in ascending order.
     The result shares s's read-only stack and row checks, each key taking its BCS
     projection's row, so nothing is copied, re-hashed or checked again; a BCS projection
     at no x*y (not a local solution) keeps its row there, which no key of the result names.
@@ -382,20 +382,17 @@ def iso_strategy_from_bcs(
     g_b = graph_from_system(sys, use_b=True)
     g_0 = graph_from_system(sys, use_b=False)
     game = build_iso_game(g_b, g_0)
-    homogeneous = sys._homogeneous()
     row_of = dict(zip(s.pvms, s.ids.tolist()))
+    partners: dict = {}  # equation -> [(G_0 vertex, its local solution)], ascending
+    for v, (i, y) in enumerate(g_0.labels):
+        partners.setdefault(i, []).append((v, y))
     keys, rows = [], []
-    u = v0 = 0  # the first G_b and G_0 vertex of equation i
-    for i in range(1, sys.m + 1):
-        ys = homogeneous._local_solutions(i)
-        for x in sys._local_solutions(i):
-            for v, y in enumerate(ys, start=v0):
-                row = row_of.get((i, tuple(a * b for a, b in zip(x, y))))
-                if row is not None:
-                    keys += [(("g", u), ("h", v)), (("h", v), ("g", u))]
-                    rows += [row, row]
-            u += 1
-        v0 += len(ys)
+    for u, (i, x) in enumerate(g_b.labels):
+        for v, y in partners[i]:
+            row = row_of.get((i, tuple(a * b for a, b in zip(x, y))))
+            if row is not None:
+                keys += [(("g", u), ("h", v)), (("h", v), ("g", u))]
+                rows += [row, row]
     iso = OperatorStrategy._over_rows(s, game.inputs, game.outputs, keys, rows)
     check_game_algebra_relations(game, iso, tol).require("isomorphism strategy")
     return iso
@@ -436,48 +433,33 @@ def transport_independence(
     certificate for the target graph is verified before being returned, so a
     defective input gives a VerificationError (or a ValidationError) rather than a
     wrong certificate.  Of the inputs only the labels are checked, against the
-    certificate's game and the (cert.graph, target) isomorphism game.  Each input's
-    terms are formed in chunked batches, a position of every sum at a time, and its
-    zero sums dropped in one batch.
+    certificate's game and the (cert.graph, target) isomorphism game.  One pass over
+    the certificate's stored keys (k in input order, then ascending v) lists every
+    term; the terms are formed in chunked batches and added to a running sum per
+    (k, x), and the zero sums are dropped in one batch.
     """
     _check_labels(cert.game(), cert.strategy)
     _check_labels(build_iso_game(cert.graph, target), iso)
-    # Only stored operators contribute: walk each input's stored (k, v) in ascending
-    # v and the iso operators stored for g-vertex v, so each sum lists its terms in
-    # ascending v.  Terms are (certificate row, iso row) pairs of the two stacks.
-    stored: dict = {}
-    for (k, v), row in sorted(zip(cert.strategy.stored_keys(), cert.strategy.ids.tolist()),
-                              key=lambda item: item[0][1]):
-        stored.setdefault(k, []).append((v, row))
-    images: dict = {}
+    images: dict = {}  # g-vertex v -> [(x, iso row)] of the iso operators stored for v
     for ((side, v), (out_side, x)), row in zip(iso.stored_keys(), iso.ids.tolist()):
         if (side, out_side) == ("g", "h"):
             images.setdefault(v, []).append((x, row))
+    terms = [((k, x), e, q) for (k, v), e in zip(cert.strategy.stored_keys(),
+                                                 cert.strategy.ids.tolist())
+             for x, q in images.get(v, ())]
     dim = cert.strategy.dim * iso.dim
-    pvms = {}
-    for k in cert.strategy.inputs:
-        terms: dict = {}
-        for v, e in stored.get(k, ()):
-            for x, q in images.get(v, ()):
-                terms.setdefault(x, []).append((e, q))
-        xs = sorted(terms)
-        for sl in _chunk_slices(len(xs), dim):
-            sums = [terms[x] for x in xs[sl]]
-            acc = None
-            # Huge finite entries may overflow; the result's constructor refuses the
-            # non-finite sum, so the overflow stays silent here.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for pos in range(max(map(len, sums))):
-                    has = [r for r, t in enumerate(sums) if len(t) > pos]
-                    e, q = np.array([sums[r][pos] for r in has], dtype=np.intp).T
-                    term = _kron_pairs(cert.strategy.stack[e], iso.stack[q])
-                    if acc is None:
-                        acc = term  # every sum has a first term
-                    else:
-                        acc[has] += term
-            for x, mat, nonzero in zip(xs[sl], acc, _residuals(acc) > 0.0):
-                if nonzero:
-                    pvms[(k, x)] = mat
+    sums: dict = {}
+    # Huge finite entries may overflow; the result's constructor refuses the non-finite
+    # sum, so the overflow stays silent here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl in _chunk_slices(len(terms), dim):
+            e, q = np.array([t[1:] for t in terms[sl]], dtype=np.intp).T
+            for (key, _, _), term in zip(terms[sl], _kron_pairs(cert.strategy.stack[e],
+                                                                iso.stack[q])):
+                sums[key] = term if key not in sums else sums[key] + term
+    mats = np.array(list(sums.values()), dtype=complex).reshape(len(sums), dim, dim)
+    pvms = {key: mat for key, mat, nonzero in zip(sums, mats, _residuals(mats) > 0.0)
+            if nonzero}
     transported = OperatorStrategy(
         dim=dim,
         inputs=cert.strategy.inputs,
@@ -497,13 +479,16 @@ def rep_from_independence(
     """Recover a solution-group representation from a full-value independence
     certificate for the inhomogeneous incompatibility graph.
 
-    Slot i (the certificate's i-th input) stands for equation i: its row is
-    the slot's stored projections with their vertices' sign vectors, in
-    ascending vertex order, and glue_rep glues the rows into generators (slots
-    sharing a variable must give the same unitary, exactly so under a faithful
-    trace) and verifies them against all solution-group relators at 10 * tol; that
-    check certifies the result, so the certificate's relations are not checked, only
-    its labels.
+    Equation i's row lists the G_b vertices labelled (i, x), in ascending vertex
+    order, each with its sign vector x and its operator: the sum, in slot order, of
+    the slots storing that vertex.  No slot is tied to an equation, so a certificate
+    whose slots permute the equations, or spread one slot over several equations,
+    glues too.  For a perfect certificate one equation's operators form a PVM and
+    disagreeing vertices' operators are orthogonal, so the rows are a perfect BCS
+    strategy.  glue_rep glues the rows into generators (equations sharing a variable
+    must give the same unitary, exactly so under a faithful trace) and verifies them
+    against all solution-group relators at 10 * tol; that check certifies the result,
+    so the certificate's relations are not checked, only its labels.
     """
     if cert.value != sys.m:
         raise ValidationError(f"certificate value {cert.value} != m = {sys.m}")
@@ -512,8 +497,12 @@ def rep_from_independence(
         raise ValidationError("certificate graph is not the system's incompatibility graph")
     _check_labels(cert.game(), cert.strategy)
     choice_tol = 2.0 * g_b.n * math.sqrt(tol)
-    rows: dict = {slot: [] for slot in cert.strategy.inputs}
-    for (slot, t), e in sorted(cert.strategy.pvms.items(), key=lambda item: item[0][1]):
-        rows[slot].append((g_b.labels[t][1], e))
-    return glue_rep(sys, [rows[slot] for slot in cert.strategy.inputs[: sys.m]],
-                    cert.strategy.dim, choice_tol, tol, "defective certificate")
+    ops: dict = {}  # G_b vertex -> the sum, in slot order, of the slots storing it
+    with np.errstate(over="ignore", invalid="ignore"):  # glue_rep refuses a non-finite sum
+        for (_, t), e in cert.strategy.pvms.items():
+            ops[t] = e if t not in ops else ops[t] + e
+    rows: list = [[] for _ in range(sys.m)]
+    for t, (i, x) in enumerate(g_b.labels):
+        if t in ops:
+            rows[i - 1].append((x, ops[t]))
+    return glue_rep(sys, rows, cert.strategy.dim, choice_tol, tol, "defective certificate")

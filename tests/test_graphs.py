@@ -3,6 +3,7 @@ and the certificate transports of the BCS / isomorphism / independence triangle.
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import re
 import tracemalloc
@@ -58,7 +59,8 @@ from syncgames.graphs import (
     max_clique,
     max_independent_set,
 )
-from syncgames.matops import dagger, norm2
+from syncgames.matops import DEFAULT_TOL, dagger, norm2
+from syncgames.solution_group import glue_rep
 from syncgames.strategies import OperatorStrategy
 
 
@@ -576,7 +578,9 @@ def transport_cases() -> list:
     """(certificate, iso strategy, target) for the k-copy magic squares, Pauli and
     Haar-rotated, and for a classical system.  A classical certificate stores one
     operator per input, so each transported sum has one term; the 1-copy quantum
-    certificates, transported back, sum several terms per key."""
+    certificates, transported back, sum several terms per key, and so do the Pauli
+    one's slot-permuted copy and its direct sum with that copy, whose slots are not
+    in equation order."""
     cases = []
     for copies, seed in ((1, None), (1, 73), (2, None), (2, 74)):
         sys_, rep = kcopy_magic_square(copies)
@@ -587,7 +591,11 @@ def transport_cases() -> list:
         cert0 = independence_certificate_from_set(g_0, complement_colouring_ga0(sys_).independent_set)
         cases.append((cert0, swap_iso_strategy(iso), g_b))
         if copies == 1:
-            cases.append((transport_independence(cert0, swap_iso_strategy(iso), g_b), iso, g_0))
+            cert_b = transport_independence(cert0, swap_iso_strategy(iso), g_b)
+            cases.append((cert_b, iso, g_0))
+            if seed is None:
+                permuted = slot_permuted(cert_b)
+                cases += [(permuted, iso, g_0), (direct_sum(cert_b, permuted), iso, g_0)]
     sys_ = BinaryLinearSystem(m=2, n=3, rows=(frozenset({1, 2}), frozenset({2, 3})), b=(1, 0))
     iso = iso_strategy_from_bcs(classical_strategy(sys_, solve_gf2(sys_)), sys_, tol=1e-12)
     cert0 = independence_certificate_from_set(graph_from_system(sys_, use_b=False),
@@ -711,6 +719,42 @@ def classical_certificate(sys_) -> IndependenceCertificate:
     return independence_certificate_from_set(g_b, [index_of[lab] for lab in enumerate(local, 1)])
 
 
+def slot_permuted(cert: IndependenceCertificate) -> IndependenceCertificate:
+    """cert with its slots 0 and 1 exchanged: a certificate still, whose slots are no
+    longer in equation order."""
+    s = cert.strategy
+    pvms = {({0: 1, 1: 0}.get(k, k), v): e for (k, v), e in s.pvms.items()}
+    return IndependenceCertificate(cert.graph, cert.value,
+                                   OperatorStrategy(s.dim, s.inputs, s.outputs, pvms))
+
+
+def direct_sum(a: IndependenceCertificate, b: IndependenceCertificate) -> IndependenceCertificate:
+    """The block-diagonal certificate a (+) b on a's graph: each key's operator is
+    diag(e_a, e_b), a key the one stores and the other does not taking a zero block."""
+    sa, sb = a.strategy, b.strategy
+    pvms = {}
+    for key in {**sa.pvms, **sb.pvms}:
+        mat = pvms[key] = np.zeros((sa.dim + sb.dim,) * 2, dtype=complex)
+        if key in sa.pvms:
+            mat[:sa.dim, :sa.dim] = sa.pvms[key]
+        if key in sb.pvms:
+            mat[sa.dim:, sa.dim:] = sb.pvms[key]
+    return IndependenceCertificate(a.graph, a.value,
+                                   OperatorStrategy(sa.dim + sb.dim, sa.inputs, sa.outputs, pvms))
+
+
+def slot_rows_rep(cert: IndependenceCertificate, sys_, tol: float):
+    """The rows rep_from_independence glued before it read each vertex's equation from
+    its label, kept as its oracle: slot i's row was equation i + 1's, its stored
+    projections with their vertices' sign vectors in ascending vertex order."""
+    rows = {slot: [] for slot in cert.strategy.inputs}
+    for (slot, t), e in sorted(cert.strategy.pvms.items(), key=lambda item: item[0][1]):
+        rows[slot].append((cert.graph.labels[t][1], e))
+    return glue_rep(sys_, [rows[slot] for slot in cert.strategy.inputs[: sys_.m]],
+                    cert.strategy.dim, 2.0 * cert.graph.n * math.sqrt(tol), tol,
+                    "defective certificate")
+
+
 @pytest.mark.parametrize(
     "case", ["1-pauli", "1-rotated", "2-pauli", "2-rotated", "classical", "uncovered-variable"]
 )
@@ -729,6 +773,29 @@ def test_rep_from_independence_matches_the_slot_loop_bit_for_bit(case):
     recovered = rep_from_independence(cert, sys_)
     assert len(recovered.images) == sys_.n
     assert all(w.tobytes() == mat.tobytes() for w, mat in zip(recovered.images, images))
+    # each vertex is stored by one slot, and slot i by equation i + 1's vertices: the rows
+    # read from the vertices' labels are the slot rows, and the rep is theirs bit for bit
+    assert recovered.stack.tobytes() == slot_rows_rep(cert, sys_, DEFAULT_TOL).stack.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["slot-permuted", "direct-sum"])
+def test_rep_from_independence_glues_certificates_whose_slots_are_not_equations(
+        magic_square, kind):
+    """The magic square's transported certificate with slots 0 and 1 exchanged, and its
+    direct sum with that copy, where slot 0 stores vertices of equations 1 and 2 and
+    every vertex is stored by two slots: both are certificates, and both glue into a
+    rep of the solution group.  Gluing slot i as equation i + 1 refused them."""
+    _, cert_b = transported_certificate(1, None)
+    permuted = slot_permuted(cert_b)
+    cert = permuted if kind == "slot-permuted" else direct_sum(cert_b, permuted)
+    assert cert.verify(1e-9).passes
+    if kind == "direct-sum":
+        assert {cert.graph.labels[t][0] for k, t in cert.strategy.pvms if k == 0} == {1, 2}
+    with pytest.raises(VerificationError, match="defective certificate$"):
+        slot_rows_rep(cert, magic_square, 1e-9)
+    rep = rep_from_independence(cert, magic_square, tol=1e-9)
+    assert rep.j_image.shape == (cert.strategy.dim,) * 2
+    assert verify_rep(rep, magic_square, 1e-9).passes
 
 
 def test_defective_certificate_names_its_worst_variable(magic_square):
@@ -933,6 +1000,62 @@ def test_swapped_strategy_correlation_follows_its_own_key_order():
         assert abs(val - trace) <= 1e-15
     rebuilt = OperatorStrategy(2, swapped.inputs, swapped.outputs, dict(swapped.pvms))
     assert corr.to_json_dict() == correlation_from_tracial(rebuilt).to_json_dict()
+
+
+def local_solution_iso(s: OperatorStrategy, sys_) -> OperatorStrategy:
+    """The walk iso_strategy_from_bcs made before it read the graphs' labels, kept as
+    its oracle: equation by equation over the system's local solutions and the
+    homogeneous system's, counting the first G_b and G_0 vertex of each equation.  Its
+    keys take their BCS projections' rows over s's stack, and nothing is checked."""
+    g_b, g_0 = graph_from_system(sys_), graph_from_system(sys_, use_b=False)
+    game = build_iso_game(g_b, g_0)
+    homogeneous = sys_._homogeneous()
+    row_of = dict(zip(s.pvms, s.ids.tolist()))
+    keys, rows = [], []
+    u = v0 = 0
+    for i in range(1, sys_.m + 1):
+        ys = homogeneous._local_solutions(i)
+        for x in sys_._local_solutions(i):
+            for v, y in enumerate(ys, start=v0):
+                row = row_of.get((i, tuple(a * b for a, b in zip(x, y))))
+                if row is not None:
+                    keys += [(("g", u), ("h", v)), (("h", v), ("g", u))]
+                    rows += [row, row]
+            u += 1
+        v0 += len(ys)
+    return OperatorStrategy._over_rows(s, game.inputs, game.outputs, keys, rows)
+
+
+@pytest.mark.parametrize("case", ["1-pauli", "1-rotated", "2-pauli", "2-rotated", "1-removed"])
+def test_iso_strategy_keys_and_rows_match_the_local_solution_walk(monkeypatch, case):
+    """Keys in order and ids as the oracle's, over the BCS stack.  With one BCS operator
+    removed the strategy is refused, and the one the checker refused is compared."""
+    copies, kind = case.split("-")
+    sys_, rep = kcopy_magic_square(int(copies))
+    strategy = strategy_from_rep(rep, sys_)
+    if kind == "rotated":
+        strategy = rotated(strategy, random_unitary(strategy.dim, np.random.default_rng(81)))
+    elif kind == "removed":
+        pvms = dict(strategy.pvms)
+        del pvms[list(pvms)[5]]
+        strategy = OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
+    checked = []
+
+    def recording(game, iso, tol):
+        checked.append(iso)
+        return check_game_algebra_relations(game, iso, tol)
+
+    monkeypatch.setattr(graphs, "check_game_algebra_relations", recording)
+    if kind == "removed":
+        with pytest.raises(VerificationError, match="isomorphism strategy"):
+            iso_strategy_from_bcs(strategy, sys_)
+    else:
+        assert iso_strategy_from_bcs(strategy, sys_) is checked[0]
+    expected = local_solution_iso(strategy, sys_)
+    iso, = checked
+    assert iso.stack is strategy.stack
+    assert list(iso.pvms) == list(expected.pvms)
+    assert iso.ids.tolist() == expected.ids.tolist()
 
 
 def copying_iso_strategy(s: OperatorStrategy, sys_) -> OperatorStrategy:
