@@ -404,21 +404,26 @@ def check_game_algebra_relations(
     be a self-adjoint projection, each input's operators must sum to the identity,
     and operator products over losing tuples must vanish.  Absent operators are
     zero, so only stored pairs are scanned: the game's losing mask over the
-    stored keys picks the losing pairs, in row-major order, and matops takes
-    the norms of their products in one batch over the strategy's stack of
+    stored keys picks the losing pairs, in row-major order (one flat scan of
+    the K x K mask, each position split into its row and column), and matops
+    takes the norms of their products in one batch over the strategy's stack of
     distinct operators, forming one product per distinct pair of rows (an iso
     strategy stores each BCS projection many times), and one per unordered pair
     when both rows are exactly Hermitian (flagged in the same pass as the
     defects; F E is then (E F)*, and both orders get the norm of E F), giving
-    each pair its norm.  The witness is the first pair, in row-major key order,
-    attaining the largest overlap, None when every overlap is zero.  A product
-    that overflows has overlap inf and fails the check."""
+    each pair its norm.  The norms go to the store of the strategy that owns
+    the stack, which every strategy built over that stack reads: a later check
+    of any of them multiplies only the pairs no earlier check formed (none, for
+    the isomorphism strategy of a checked BCS strategy), and reads the same
+    bits a fresh check would form.  The witness is the first pair, in row-major
+    key order, attaining the largest overlap, None when every overlap is zero.
+    A product that overflows has overlap inf and fails the check."""
     _check_labels(game, strategy)
     defects = strategy.defects()
     keys = strategy.stored_keys()
-    left, right = np.nonzero(game.losing(keys))
+    left, right = np.divmod(np.flatnonzero(game.losing(keys)), len(keys))
     overlaps = product_norms(strategy.stack, strategy.ids[left], strategy.ids[right],
-                             strategy._hermitian)
+                             strategy._hermitian, strategy._products)
     max_losing, worst = 0.0, None
     if overlaps.size and overlaps.max() > 0.0:
         k = int(np.argmax(overlaps))

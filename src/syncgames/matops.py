@@ -98,7 +98,21 @@ def _adjoint_differences(mats: np.ndarray) -> np.ndarray:
     return np.subtract(mats, out, out=out)
 
 
-def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.ndarray:
+class ProductStore:
+    """The norms product_norms has formed over one stack: formed is (codes, norms),
+    the ascending codes i * D + j of the (folded) row pairs multiplied so far, D the
+    stack's row count, and their norms.  The pair is replaced as one tuple, never
+    updated in place, so a reader never sees the two arrays at different lengths; it
+    holds one code and one norm per product formed, never a D x D table."""
+
+    __slots__ = ("formed",)
+
+    def __init__(self):
+        self.formed = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray,
+                  store: ProductStore) -> np.ndarray:
     """norm2(stack[i] @ stack[j]) for each pair (i, j) of the row-id arrays left and right.
 
     hermitian, a bool per row of stack, flags the rows that equal their adjoint
@@ -109,22 +123,25 @@ def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.n
     in its last bit from the norm of the mirror product.  A pair with an
     unflagged row keeps its own order.
 
-    Each distinct pair of ids is then multiplied once, in ascending (i, j) order,
-    and its norm scattered back to the caller's order, so a stack of distinct
-    operators (an OperatorStrategy's store) forms one product per distinct pair
-    of operator contents, and one per unordered pair when both are exactly
-    Hermitian.  Equal factors give bit-identical products, so the norms are
-    those of the (folded) pairs taken one by one.  The distinct pairs are read
-    off a D x D presence table over the stack's D rows, with no sort: for an
-    OperatorStrategy's stack, no more cells than the square of the rows of the
-    strategy it was built over (its own, or the BCS strategy an isomorphism
-    strategy shares).
+    The distinct (folded) pairs are read off a D x D presence table over the
+    stack's D rows, with no sort, and those that store, the norms formed over this
+    stack with these flags by earlier calls, lacks are multiplied once each, in
+    ascending (i, j) order, and added to it.  Each pair's
+    norm is then read from the store and scattered back to the caller's order.  So
+    a stack of distinct operators (an OperatorStrategy's, whose store every strategy
+    built over that stack shares) forms one product per distinct pair of operator
+    contents, and one per unordered pair when both are exactly Hermitian, however
+    many checks read it.  A product's bits do not depend on the chunk or call that
+    forms it, so every norm is that of its (folded) pair taken alone.  The presence
+    table lives for one call and holds no more cells than the square of the rows of
+    the strategy that built the stack (its own, or the BCS strategy an isomorphism
+    strategy shares); the store grows with the products formed.
 
     Each norm is taken of a product actually formed, never through a Gram-matrix
     trace identity: a residual near 1e-16 would come out of the square root of a
     trace near 1e-32 that rounding has already swamped.  Products are formed in
     chunks of at most PRODUCT_CHUNK_ENTRIES complex entries per array; a product
-    that overflows has norm inf.
+    that overflows has norm inf, kept in the store, so it fails every later read.
     """
     n = len(stack)
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
@@ -135,11 +152,20 @@ def product_norms(stack: np.ndarray, left, right, hermitian: np.ndarray) -> np.n
     present[codes] = True
     pairs = np.flatnonzero(present)  # ascending codes: (i, j) in row-major order
     inverse = (np.cumsum(present) - 1)[codes]  # each code's position among the pairs
-    left, right = pairs // n, pairs % n
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _chunked_residuals(len(pairs), stack.shape[-1],
-                                lambda sl: np.matmul(stack[left[sl]], stack[right[sl]]))
-    return out[inverse]
+    known, norms = store.formed
+    at = np.searchsorted(known, pairs)
+    # a code is absent from known exactly when its two insertion points coincide
+    absent = at == np.searchsorted(known, pairs, side="right")
+    new = pairs[absent]
+    if len(new):
+        first, second = np.divmod(new, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            formed = _chunked_residuals(len(new), stack.shape[-1],
+                                        lambda sl: np.matmul(stack[first[sl]], stack[second[sl]]))
+        known, norms = np.insert(known, at[absent], new), np.insert(norms, at[absent], formed)
+        store.formed = known, norms
+        at = at + np.cumsum(absent) - absent  # each pair moves past the new codes before it
+    return norms[at][inverse]
 
 
 def row_checks(mats, d: int) -> tuple:

@@ -31,6 +31,7 @@ from .labels import (
 )
 from .matops import (
     DEFAULT_TOL,
+    ProductStore,
     _require_eig_dim,
     _residuals,
     as_matrix,
@@ -181,6 +182,14 @@ class OperatorStrategy:
         return row_checks(self.stack, self.dim) if source is None else source._row_checks
 
     @cached_property
+    def _products(self) -> ProductStore:
+        """The matops.product_norms store of stack: every norm a relation check has
+        formed over it, kept per stack as _row_checks is, whose Hermitian flags fold
+        its pairs.  A strategy built over another's stack reads that strategy's store."""
+        source = self._source
+        return ProductStore() if source is None else source._products
+
+    @cached_property
     def _defects(self) -> PVMDefects:
         rows = [self.inputs.index(x) for x, _ in self.pvms]
         return PVMDefects(*pvm_defects(self.stack, self._row_checks, self.ids, rows,
@@ -321,7 +330,8 @@ class Correlation:
     the alphabets and a value that is not a real number (a boolean included), and every
     reader reads that walk: _keys, the distinct (x, a) in first use (an entry's (x, a)
     before its (y, b)); _ends, each entry's two key numbers; _cells, the input positions
-    (x, y) and output positions (a, b) of each entry; _vals, its value."""
+    (x, y) and output positions (a, b) of each entry; _vals, its value.  A correlation
+    of strategies is built by _over_table, which reads the same walk off its trace table."""
 
     inputs: Labels
     outputs: Sequence
@@ -353,6 +363,42 @@ class Correlation:
         object.__setattr__(self, "_ends", ends.T)
         object.__setattr__(self, "_cells", positions[ends].T)
         object.__setattr__(self, "_vals", np.fromiter(self.p.values(), float, len(self.p)))
+
+    @classmethod
+    def _over_table(cls, inputs, outputs, row_keys, col_keys, table: np.ndarray) -> Correlation:
+        """The correlation p(x, y, a, b) = table[i, j] for the row keys (x, a) = row_keys[i]
+        and the column keys (y, b) = col_keys[j], entries in row-major order, with the walk
+        the constructor would take read off the table: _keys holds row key 0, then the
+        column keys, then the other row keys, each once (the first use of a row-major
+        walk); _ends each entry's row number and column number, the row numbers repeated
+        and the column numbers tiled; _cells the positions of each distinct key, gathered
+        by _ends; _vals the table, raveled.  No entry is walked, p is not copied and no
+        value's type is checked: the keys must be the stored keys of strategies over these
+        inputs and outputs, which checked every label when they were built and hold each
+        key once, and table a real float array, its values floats, in a new dict."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        real = table.tolist()
+        object.__setattr__(self, "p", {
+            (x, y, a, b): real[i][j]
+            for i, (x, a) in enumerate(row_keys)
+            for j, (y, b) in enumerate(col_keys)
+        })
+        if not (len(row_keys) and len(col_keys)):
+            row_keys = col_keys = []  # no entry, so the walk names no key
+        keys = list(dict.fromkeys([*row_keys[:1], *col_keys, *row_keys[1:]]))
+        number = {key: k for k, key in enumerate(keys)}
+        rows = np.array([number[key] for key in row_keys], dtype=np.intp)
+        cols = np.array([number[key] for key in col_keys], dtype=np.intp)
+        ends = np.array([np.repeat(rows, len(cols)), np.tile(cols, len(rows))])
+        positions = np.array([(inputs.index(x), outputs.index(a)) for x, a in keys],
+                             dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_cells", positions[ends.T].T)
+        object.__setattr__(self, "_vals", table.ravel())
+        return self
 
     def value(self, x, y, a, b) -> float:
         return self.p.get((x, y, a, b), 0.0)
@@ -482,7 +528,10 @@ def _trace_table(left: OperatorStrategy, rows, right: OperatorStrategy, cols, d)
     root, so as exact as a per-pair trace; a non-real trace (beyond 1e-9) raises.  The
     product runs over the rows in key order, not over the distinct ones: BLAS picks its
     kernel by the operands' row counts, so only then are an entry's bits those of its
-    two operators whatever the row layout (a swapped or reloaded strategy)."""
+    two operators whatever the row layout (a swapped or reloaded strategy).  Both sides'
+    alphabets are left's (the two sides of a bipartite strategy share its own), so the
+    correlation and its entry walk are read off the real table by
+    Correlation._over_table, with no walk over its entries."""
     n, row_keys, col_keys = rows.shape[-1], left.stored_keys(), right.stored_keys()
     rows, cols = rows[left.ids], cols[right.ids]
     traces = rows.reshape(len(rows), n * n) @ cols.reshape(len(cols), n * n).T / d
@@ -491,13 +540,7 @@ def _trace_table(left: OperatorStrategy, rows, right: OperatorStrategy, cols, d)
         i, j = divmod(int(nonreal[0]), len(col_keys))
         (x, a), (y, b) = row_keys[i], col_keys[j]
         raise VerificationError(f"non-real trace {complex(traces[i, j])!r} at {(x, y, a, b)!r}")
-    real = traces.real.tolist()
-    p = {
-        (x, y, a, b): real[i][j]
-        for i, (x, a) in enumerate(row_keys)
-        for j, (y, b) in enumerate(col_keys)
-    }
-    return Correlation(inputs=left.inputs, outputs=left.outputs, p=p)
+    return Correlation._over_table(left.inputs, left.outputs, row_keys, col_keys, traces.real)
 
 
 def correlation_from_tracial(s: OperatorStrategy, tol: float = DEFAULT_TOL) -> Correlation:

@@ -44,6 +44,7 @@ from syncgames import (
     pauli_magic_square_rep,
     solve_gf2,
     strategy_from_rep,
+    swap_iso_strategy,
     verify_rep,
 )
 from syncgames import games, matops
@@ -1108,7 +1109,8 @@ def test_relation_kernel_forms_each_distinct_product_once(monkeypatch, rotate):
 
     monkeypatch.setattr(matops, "_residuals", counting)
     overlaps = matops.product_norms(iso.stack, iso.ids[left], iso.ids[right],
-                                    np.zeros(len(iso.stack), dtype=bool))
+                                    np.zeros(len(iso.stack), dtype=bool),
+                                    matops.ProductStore())
     assert (len(keys), len(left), sum(rows)) == (384, 23040, 432)
     monkeypatch.undo()
     pvms = iso.pvms
@@ -1122,8 +1124,12 @@ def test_relation_check_forms_one_product_per_unordered_pair_of_hermitian_rows(
     """The 2-copy iso strategy's 432 distinct row pairs are 216 unordered ones: the check
     forms those once when every row is exactly Hermitian (the Pauli strategy, or rotated
     rows symmetrised as (E + E*)/2).  Rotated rows keep both orders unless both rows of a
-    pair are still exactly Hermitian (the rotated diagonal projections can be)."""
-    game, iso = magic_square_iso(2)
+    pair are still exactly Hermitian (the rotated diagonal projections can be).  Each is
+    counted on a strategy built by the constructor, with a stack of its own and an empty
+    store; the shared iso strategy, whose BCS strategy iso_strategy_from_bcs checked over
+    the same stack, forms none and reports the same."""
+    game, shared = magic_square_iso(2)
+    iso = constructor_copy(shared)
     if case != "pauli":
         iso = rotated(iso, random_unitary(iso.dim, np.random.default_rng(62)))
     if case == "rotated-symmetrised":
@@ -1150,6 +1156,74 @@ def test_relation_check_forms_one_product_per_unordered_pair_of_hermitian_rows(
     report = check_game_algebra_relations(game, iso, 1e-9)
     assert sum(formed) == len(unordered)
     assert report.passes
+    if case == "pauli":
+        formed.clear()
+        assert check_game_algebra_relations(game, shared, 1e-9).as_dict() == report.as_dict()
+        assert sum(formed) == 0
+
+
+def constructor_copy(strategy: OperatorStrategy) -> OperatorStrategy:
+    """strategy rebuilt by the constructor: a stack of its own and an empty product store."""
+    return OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, dict(strategy.pvms))
+
+
+@pytest.mark.parametrize("chunk", [matops.PRODUCT_CHUNK_ENTRIES, 1],
+                         ids=["default-chunks", "one-matrix-chunks"])
+@pytest.mark.parametrize("case", ["pauli", "rotated", "perturbed"])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_checks_reading_the_product_store_report_what_a_fresh_check_does(
+        monkeypatch, copies, case, chunk):
+    """A BCS strategy is checked against its synBCS game, then its iso strategy (checked
+    once more by iso_strategy_from_bcs) and the swapped one against their iso games.
+    All three share one stack, so each later check reads the norms the earlier ones
+    formed; each report is the one of a copy built by the constructor, whose check
+    forms every product itself.  Rotated and general-noise strategies have nonzero
+    overlaps, so a norm read for the wrong pair would change a maximum or a witness."""
+    monkeypatch.setattr(matops, "PRODUCT_CHUNK_ENTRIES", chunk)
+    sys_, rep = kcopy_magic_square(copies)
+    strategy = strategy_from_rep(rep, sys_)
+    rng = np.random.default_rng(64 + copies)
+    d = strategy.dim
+    if case == "rotated":
+        strategy = rotated(strategy, random_unitary(d, rng))
+    if case == "perturbed":
+        strategy = OperatorStrategy(d, strategy.inputs, strategy.outputs, {
+            key: mat + 1e-6 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for key, mat in strategy.pvms.items()})
+    tol = 1e-3
+    g_b, g_0 = graph_from_system(sys_, use_b=True), graph_from_system(sys_, use_b=False)
+    checks = [(build_synbcs(sys_), strategy)]
+    iso = iso_strategy_from_bcs(strategy, sys_, tol=tol)
+    checks += [(build_iso_game(g_b, g_0), iso), (build_iso_game(g_0, g_b), swap_iso_strategy(iso))]
+    for game, shared in checks:
+        report = check_game_algebra_relations(game, shared, tol)
+        assert report.passes and (report.max_losing_overlap > 0.0) == (case != "pauli")
+        assert report.as_dict() == check_game_algebra_relations(
+            game, constructor_copy(shared), tol).as_dict()
+
+
+def test_an_overflowing_product_fails_every_check_that_reads_it(magic_square, monkeypatch):
+    """One operator of entries near 1e300 makes its losing products overflow: their norms
+    are inf in the store, so a second check forms nothing and fails as the first did."""
+    strategy = strategy_from_rep(pauli_magic_square_rep(), magic_square)
+    first_key = strategy.stored_keys()[0]
+    pvms = dict(strategy.pvms)
+    pvms[first_key] = 1e300 * random_hermitian(4, np.random.default_rng(67))
+    huge = OperatorStrategy(strategy.dim, strategy.inputs, strategy.outputs, pvms)
+    game = build_synbcs(magic_square)
+    report = check_game_algebra_relations(game, huge, 1e-9)
+    assert report.max_losing_overlap == np.inf and report.worst_losing[0] == first_key[0]
+    assert np.isinf(huge._products.formed[1]).any()
+    formed = []
+    residuals = matops._residuals
+
+    def counting(mats):
+        formed.append(len(mats))
+        return residuals(mats)
+
+    monkeypatch.setattr(matops, "_residuals", counting)
+    again = check_game_algebra_relations(game, huge, 1e-9)
+    assert (again.as_dict(), again.passes, sum(formed)) == (report.as_dict(), False, 0)
 
 
 @pytest.mark.parametrize("inputs", [("u", "v"), ("v", "u")])

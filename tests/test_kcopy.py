@@ -33,7 +33,7 @@ from syncgames import (
     transport_independence,
     verify_rep,
 )
-from syncgames import cli, games, gf2, graphs, solution_group, strategies
+from syncgames import cli, games, gf2, graphs, matops, solution_group, strategies
 from syncgames.cli import main
 from syncgames.games import MAX_GAME_VARIABLES
 from syncgames.graphs import is_independent_set, max_independent_set
@@ -288,6 +288,42 @@ def test_the_two_copy_pipeline_row_checks_each_stack_once(monkeypatch):
     assert [len(m) for m in checked] == [48, 48] and checked[0] is bcs_stack
     assert checked[1] is not bcs_stack
     assert len(sources) == 2 and sources[1] is bcs_stack  # the swap reads the iso's stack
+
+
+@pytest.mark.parametrize("pipeline, formed", [
+    (demo_pipeline, [108, 0, 108]),
+    (two_copy_pipeline, [216, 0, 0, 216, 0]),
+], ids=["demo", "kcopy2"])
+def test_each_pipeline_forms_each_distinct_product_once(monkeypatch, pipeline, formed):
+    """The products each relation check forms, in call order, counted as the matrices
+    matops._chunked_residuals is asked for while a check runs (product_norms is its one
+    caller there).  A check multiplies only the row pairs no earlier check over the same
+    stack formed: the iso and swapped-iso checks read the BCS strategy's store, and a
+    second check of the BCS strategy or of the transported certificate reads its own.
+    When each check formed its own products, the demo formed 108 in each of its 3 checks
+    and the 2-copy pipeline 216 in each of its 5."""
+    counts, running = [], []
+    chunked, check = matops._chunked_residuals, games.check_game_algebra_relations
+
+    def counting(count, d, build):
+        if running:
+            counts[-1] += count
+        return chunked(count, d, build)
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        running.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(matops, "_chunked_residuals", counting)
+    for module in (games, graphs, solution_group, cli):
+        if hasattr(module, "check_game_algebra_relations"):
+            monkeypatch.setattr(module, "check_game_algebra_relations", counted)
+    pipeline()
+    assert counts == formed
 
 
 @pytest.mark.parametrize("pipeline", [demo_pipeline, two_copy_pipeline], ids=["demo", "kcopy2"])

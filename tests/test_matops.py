@@ -20,6 +20,7 @@ from syncgames.matops import (
     matrix_from_json,
     matrix_to_json,
     norm2,
+    ProductStore,
     product_norms,
     residual,
     row_checks,
@@ -190,13 +191,13 @@ def test_product_norms_match_the_per_pair_products(monkeypatch):
         expected = [norm2(stack[i] @ stack[j]) for i, j in zip(left, right)]
         formed.clear()
         unflagged = np.zeros(len(stack), dtype=bool)
-        assert product_norms(stack, left, right, unflagged).tolist() == expected
+        assert product_norms(stack, left, right, unflagged, ProductStore()).tolist() == expected
         assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
     monkeypatch.undo()
     assert product_norms(np.zeros((0, 3, 3), dtype=complex), [], [],
-                         np.zeros(0, dtype=bool)).shape == (0,)
+                         np.zeros(0, dtype=bool), ProductStore()).shape == (0,)
     assert product_norms(np.eye(3, dtype=complex)[None], [], [],
-                         np.zeros(1, dtype=bool)).shape == (0,)
+                         np.zeros(1, dtype=bool), ProductStore()).shape == (0,)
 
 
 def unique_product_norms(stack, left, right) -> np.ndarray:
@@ -227,7 +228,7 @@ def test_product_norms_presence_table_matches_the_unique_dedup(monkeypatch, rows
         return residuals(mats)
 
     monkeypatch.setattr(matops, "_residuals", recording)
-    got = product_norms(stack, left, right, np.zeros(len(stack), dtype=bool))
+    got = product_norms(stack, left, right, np.zeros(len(stack), dtype=bool), ProductStore())
     products, formed[:] = list(formed), []
     expected = unique_product_norms(stack, left, right)
     assert products == formed
@@ -276,7 +277,7 @@ def test_product_norms_fold_the_mirror_pairs_of_exactlyhermitian_rows(monkeypatc
         folded_left = np.where(both, np.minimum(left, right), left)
         folded_right = np.where(both, np.maximum(left, right), right)
         formed.clear()
-        got = product_norms(stack, left, right, flags)
+        got = product_norms(stack, left, right, flags, ProductStore())
         assert sum(formed) == len(set(zip(folded_left.tolist(), folded_right.tolist())))
         assert got.tolist() == two_order_norms(stack, folded_left, folded_right).tolist()
         want = two_order_norms(stack, left, right)
@@ -287,7 +288,8 @@ def test_product_norms_fold_the_mirror_pairs_of_exactlyhermitian_rows(monkeypatc
     assert d == 1 or not hermitian_rows(rotated).any()
     # with no flags, nothing is folded
     formed.clear()
-    got = product_norms(rotated, left, right, np.zeros(len(rotated), dtype=bool))
+    got = product_norms(rotated, left, right, np.zeros(len(rotated), dtype=bool),
+                        ProductStore())
     assert sum(formed) == len(set(zip(left.tolist(), right.tolist())))
     assert got.tolist() == two_order_norms(rotated, left, right).tolist()
 
@@ -304,13 +306,65 @@ def test_a_row_one_ulp_off_its_adjoint_keeps_both_orders(monkeypatch):
     assert flags.tolist() == [True, True, False, True]
     left, right = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
     formed = counted_products(monkeypatch)
-    got = product_norms(stack, left, right, flags)
+    got = product_norms(stack, left, right, flags, ProductStore())
     assert sum(formed) == 3 + 6
     with_row_2 = (left == 2) | (right == 2)
     assert got[with_row_2].tolist() == two_order_norms(stack, left, right)[with_row_2].tolist()
     formed.clear()
-    product_norms(stack, left, right, np.ones(4, dtype=bool))  # had row 2 been flagged
+    # had row 2 been flagged
+    product_norms(stack, left, right, np.ones(4, dtype=bool), ProductStore())
     assert sum(formed) == 6
+
+
+def folded(left, right, flags) -> tuple:
+    """left and right with each pair of two flagged rows ordered as (min, max)."""
+    both = flags[left] & flags[right]
+    return (np.where(both, np.minimum(left, right), left),
+            np.where(both, np.maximum(left, right), right))
+
+
+def test_product_norms_form_only_the_pairs_their_store_lacks(monkeypatch):
+    """Two calls over one stack and one store, their pair lists overlapping in part, three
+    of the six rows exactly Hermitian: every norm is the per-pair oracle's for its folded
+    pair, the second call forms only the pairs the first did not, and the store then holds
+    each distinct folded pair formed once, ascending, with its norm."""
+    rng = np.random.default_rng(79)
+    u = random_unitary(4, rng)
+    stack = np.array([u @ random_hermitian(4, rng) @ u.conj().T for _ in range(6)])
+    stack[:3] = (stack[:3] + dagger(stack[:3])) / 2
+    flags = hermitian_rows(stack)
+    assert flags.tolist() == [True] * 3 + [False] * 3
+    first = rng.integers(0, 6, size=(2, 30))
+    second = np.concatenate([first[:, 10:], rng.integers(0, 6, size=(2, 30))], axis=1)
+    pairs = [set(zip(*(side.tolist() for side in folded(left, right, flags))))
+             for left, right in (first, second)]
+    assert pairs[0] & pairs[1] and pairs[1] - pairs[0]
+    store, seen = matops.ProductStore(), set()
+    formed = counted_products(monkeypatch)
+    for (left, right), new in zip((first, second), (pairs[0], pairs[1] - pairs[0])):
+        want = two_order_norms(stack, *folded(left, right, flags)).tolist()
+        formed.clear()
+        assert product_norms(stack, left, right, flags, store).tolist() == want
+        assert sum(formed) == len(new)
+        seen |= new
+    codes, norms = store.formed
+    assert codes.tolist() == sorted(i * 6 + j for i, j in seen)
+    assert norms.tolist() == two_order_norms(stack, *np.divmod(codes, 6)).tolist()
+
+
+def test_an_overflowing_product_stays_inf_in_the_store(monkeypatch):
+    """Row 1's entries near 1e300 make its products overflow: inf when formed, inf when
+    read back from the store by a call that forms nothing."""
+    rng = np.random.default_rng(83)
+    stack = np.array([random_hermitian(4, rng) for _ in range(3)])
+    stack[1] *= 1e300
+    left, right = np.array([0, 1, 1, 2]), np.array([1, 2, 1, 0])
+    unflagged, store = np.zeros(3, dtype=bool), matops.ProductStore()
+    want = [np.inf, np.inf, np.inf, norm2(stack[2] @ stack[0])]
+    assert product_norms(stack, left, right, unflagged, store).tolist() == want
+    formed = counted_products(monkeypatch)
+    assert product_norms(stack, left[::-1], right[::-1], unflagged, store).tolist() == want[::-1]
+    assert sum(formed) == 0 and np.isinf(store.formed[1]).sum() == 3
 
 
 def row_checks_oracle(mats) -> list:

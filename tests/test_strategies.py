@@ -1541,3 +1541,69 @@ def test_mutating_the_caller_arrays_after_construction_changes_nothing(magic_squ
     report = check_game_algebra_relations(game, s, tol=1e-9).as_dict()
     assert report == check_game_algebra_relations(game, spun, tol=1e-9).as_dict()
     assert report["passes"]
+
+
+# ------------------------------------------------ correlations read off their table --
+
+def two_block_strategy() -> BipartiteStrategy:
+    """A 2 x 2 block of weight 0.75 and a 1 x 1 block of weight 0.25, each side
+    block-diagonal: the bipartite strategy the console-script smoke run decomposes."""
+    half = np.full((2, 2), 0.5)
+
+    def blk(a, b):
+        return np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), np.array([[b]])]])
+
+    pvms = {(0, 0): blk(np.diag([1.0, 0.0]), 1.0), (0, 1): blk(np.diag([0.0, 1.0]), 0.0),
+            (1, 0): blk(half, 0.0), (1, 1): blk(np.eye(2) - half, 1.0)}
+    return BipartiteStrategy(3, 3, (0, 1), (0, 1), pvms, pvms,
+                             np.diag(np.sqrt([0.375, 0.375, 0.25])).reshape(-1))
+
+
+def mixed_keys_strategy() -> BipartiteStrategy:
+    """Alice stores (0, 0), (1, 0), (1, 1) and Bob (0, 0), (0, 1), (1, 1), so the first
+    use of a row-major walk takes row key (0, 0), Bob's keys, then Alice's (1, 0)."""
+    alice = {(0, 0): np.eye(2), (1, 0): X_PLUS, (1, 1): X_MINUS}
+    bob = {(0, 0): np.diag([1.0, 0.0]), (0, 1): np.diag([0.0, 1.0]), (1, 1): np.eye(2)}
+    return BipartiteStrategy(2, 2, (0, 1), (0, 1), alice, bob,
+                             np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+
+
+def table_cases() -> list:
+    """(correlation, game) params: tracial Pauli and Haar-rotated k-copy strategies, a
+    strategy with no stored key, and two bipartite strategies."""
+    cases = []
+    for copies in (1, 2):
+        sys_, rep = kcopy_magic_square(copies)
+        strategy, game = strategy_from_rep(rep, sys_), build_synbcs(sys_)
+        cases.append(pytest.param(correlation_from_tracial(strategy), game,
+                                  id=f"pauli-{copies}-copy"))
+        cases.append(pytest.param(rotated_correlation(strategy, 101 + copies), game,
+                                  id=f"rotated-{copies}-copy"))
+    empty = OperatorStrategy(dim=2, inputs=(), outputs=(0,), pvms={})
+    cases.append(pytest.param(correlation_from_tracial(empty), game_from_losing((), (0,), []),
+                              id="no-stored-key"))
+    synchronous = [(x, x, a, 1 - a) for x in (0, 1) for a in (0, 1)]
+    game = game_from_losing((0, 1), (0, 1), synchronous + [(0, 1, 0, 1), (1, 0, 1, 0)])
+    for name, s in (("two-block", two_block_strategy()), ("mixed-keys", mixed_keys_strategy())):
+        cases.append(pytest.param(correlation_from_bipartite(s), game, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("corr, game", table_cases())
+def test_a_correlation_read_off_its_table_is_the_constructors(corr, game):
+    """Its entries in order, its walk arrays, and the sync and losing maxima with their
+    witnesses are those of the constructor walking the same entries."""
+    walked = Correlation(corr.inputs, corr.outputs, corr.p)
+    assert type(corr.p) is dict and list(corr.p.items()) == list(walked.p.items())
+    assert corr._keys == walked._keys
+    for name in ("_ends", "_cells", "_vals"):
+        got, want = getattr(corr, name), getattr(walked, name)
+        assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist())
+    assert corr.max_sync_violation() == walked.max_sync_violation()
+    assert corr.max_losing(game) == walked.max_losing(game)
+
+
+def test_the_table_walk_takes_the_first_row_key_then_the_column_keys():
+    corr = correlation_from_bipartite(mixed_keys_strategy())
+    assert corr._keys == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert corr._ends.tolist() == [[0] * 3 + [3] * 3 + [2] * 3, [0, 1, 2] * 3]
