@@ -104,7 +104,8 @@ SCHEMAS = {
     "correlation": '{"n": int, "m": int, "inputs": [...], "outputs": [...] | {"sign_vectors": n}, '
     '"p": [[[[...]]]] indexed [x][y][a][b]} or sparse "entries": [[x, y, a, b, value], ...] ('
     + OUTPUTS_NOTE,
-    "representation": '{"dim": d, "images": [matrix, ... n], "j": matrix}',
+    "representation": '{"dim": d, "images": [matrix, ... n], "j": matrix}: dim is an integer '
+    "that must match the matrices, each d x d",
     "pvm_family": '{"pvms": [matrix, ...]}',
     "certificate_bundle": '{"value": c, "graph": {...}|"path", "strategy": {...}|"path"} '
     "(paths resolved relative to the bundle file; reports digest the files named)",

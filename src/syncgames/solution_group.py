@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import ValidationError, VerificationError
 from .games import _check_labels, build_synbcs, check_game_algebra_relations
 from .gf2 import BinaryLinearSystem
-from .labels import ToleranceReport, labels_from_json
+from .labels import ToleranceReport, int_from_json, labels_from_json
 from .matops import (
     DEFAULT_TOL,
     _adjoint_differences,
@@ -39,7 +38,6 @@ from .matops import (
     matrix_from_json,
     matrix_to_json,
     residual,
-    row_checks,
 )
 from .strategies import OperatorStrategy
 
@@ -88,8 +86,9 @@ def presentation(sys: BinaryLinearSystem) -> GroupPresentation:
 class GroupRep:
     """Unitary images of the variable generators plus the image of J.
 
-    The constructor copies them once into a read-only (n + 1, d, d) array, stack
-    (the generators in order, then J); images and j_image are views of its rows.
+    The constructor copies them once into a read-only (n + 1, d, d) array, stack (the
+    generators in order, then J), and keeps nothing else; images and j_image are views
+    of its rows, and each check derives what it reads from stack.
     """
 
     images: tuple  # one matrix per variable generator
@@ -115,12 +114,6 @@ class GroupRep:
         # a pickle or copy is rebuilt by the constructor, so its stack is read-only again
         return (GroupRep, (self.images, self.j_image))
 
-    @cached_property
-    def _hermitian(self) -> np.ndarray:
-        """Read-only flags, one per row of stack: True where the row equals its adjoint
-        entry for entry.  Taken once per representation, by matops.row_checks."""
-        return row_checks(self.stack, self.dim)[2]
-
     @property
     def dim(self) -> int:
         return self.j_image.shape[0]
@@ -139,7 +132,8 @@ class GroupRep:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupRep":
         try:
-            return cls(
+            dim = int_from_json(data["dim"], "representation dim")
+            rep = cls(
                 images=labels_from_json(
                     data["images"], "representation images", item=matrix_from_json
                 ),
@@ -147,6 +141,10 @@ class GroupRep:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed representation JSON: {exc}") from exc
+        if dim != rep.dim:
+            raise ValidationError(
+                f"representation dim {dim} does not match its matrices' dim {rep.dim}")
+        return rep
 
 
 @dataclass(frozen=True)
@@ -210,14 +208,13 @@ def _pair_commutators(stack: np.ndarray, left, right, hermitian) -> np.ndarray:
     return out
 
 
-def _ordered_products(eye: np.ndarray, count: int, length: int, factor):
-    """For each chunk sl of range(count), (sl, the products I @ factor(sl, 0) @ ... @
-    factor(sl, length - 1)), multiplied left to right from the identity as a loop over
-    positions would multiply them one matrix at a time."""
-    d = eye.shape[0]
+def _ordered_products(count: int, length: int, d: int, factor):
+    """For each chunk sl of range(count), (sl, the d x d products factor(sl, 0) @ ... @
+    factor(sl, length - 1)), length >= 1, multiplied left to right from the first
+    factor: the bits of a loop that multiplies them from I, since I @ w is w exactly."""
     for sl in _chunk_slices(count, d):
-        prod = np.broadcast_to(eye, (sl.stop - sl.start, d, d))
-        for pos in range(length):
+        prod = factor(sl, 0)
+        for pos in range(1, length):
             prod = np.matmul(prod, factor(sl, pos))
         yield sl, prod
 
@@ -225,19 +222,18 @@ def _ordered_products(eye: np.ndarray, count: int, length: int, factor):
 def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL) -> RepVerificationReport:
     """Residuals of every solution-group relator under the candidate representation.
 
-    Each relator family is one chunked batch over rep.stack: unitarity and
-    involutions of every generator and J, the commutators of equation-mates and
-    with J, and each equation's product, multiplied from I in sorted support
-    order; the residuals are those of the relators taken one at a time.  Where
-    rep.stack's rows are exactly Hermitian (w == w* entry for entry), a product
-    is formed once: w* w is w @ w, so unitarity is the involution residual, and a
-    commutator A B - B A of two such rows is P - P* with P = A @ B.  Other rows
-    keep both products.
+    Each relator family is one chunked batch over rep.stack: unitarity and involutions
+    of every generator and J, the commutators of equation-mates and with J, and each
+    equation's product, multiplied from its first factor in sorted support order; the
+    residuals are those of the relators taken one at a time.  Where a row is exactly
+    Hermitian (w - w* has no nonzero entry, so w == w* entry for entry; an overflowing
+    difference reads not Hermitian), a product is formed once: w* w is w @ w, so
+    unitarity is the involution residual, and a commutator A B - B A of two such rows
+    is P - P* with P = A @ B.  Other rows keep both products.
     """
     if rep.n_variables != sys.n:
         raise ValidationError(f"representation has {rep.n_variables} generators, system has {sys.n}")
     n, d, stack, j = sys.n, rep.dim, rep.stack, rep.j_image
-    hermitian = rep._hermitian
     eye = identity(d)
     supports = [sorted(row) for row in sys.rows]
     mates = [(i, a, b) for i, support in enumerate(supports, start=1)
@@ -249,6 +245,9 @@ def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL)
     products = np.empty(sys.m)
     # Huge finite entries may overflow; _residuals turns that into a failed relator.
     with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = np.empty(n + 1, dtype=bool)
+        for sl in _chunk_slices(n + 1, d):
+            hermitian[sl] = ~np.any(_adjoint_differences(stack[sl]), axis=(1, 2))
         involutions = _chunked_residuals(
             n + 1, d, lambda sl: np.matmul(stack[sl], stack[sl]) - eye)
         unitarity = involutions.copy()
@@ -259,7 +258,7 @@ def verify_rep(rep: GroupRep, sys: BinaryLinearSystem, tol: float = DEFAULT_TOL)
         mate, j_comm = commutators[:len(mates)], commutators[len(mates):]
         for eqs, ids in _by_length(supports):
             ids = ids - 1
-            for sl, prod in _ordered_products(eye, len(eqs), ids.shape[1],
+            for sl, prod in _ordered_products(len(eqs), ids.shape[1], d,
                                               lambda sl, pos: stack[ids[sl, pos]]):
                 targets = np.where(odd[eqs[sl], None, None], j, eye)
                 products[eqs[sl]] = _residuals(prod - targets)
@@ -318,9 +317,9 @@ def strategy_from_rep(
 ) -> OperatorStrategy:
     """Perfect BCS strategy from a representation with j_image = -I.
 
-    E_{i,x} is the product over the equation's support, in sorted order, of the
-    spectral-half projections (I + x_j w_j) / 2 picked by x, formed in chunked
-    batches over every x in S_i of every equation of one support length;
+    E_{i,x} is the product over the equation's support, in sorted order from its
+    first factor, of the spectral-half projections (I + x_j w_j) / 2 picked by x,
+    formed in chunked batches over every x in S_i of every equation of one support length;
     near-zero solutions (2-norm <= 1e-14) are omitted.  Of rep only the generator
     count and J = -I are checked; the result is certified instead: its PVMs and
     game-algebra relations at tol, and each losing overlap squared, for projections
@@ -354,7 +353,7 @@ def strategy_from_rep(
 
         # Huge finite entries may overflow; the strategy refuses the non-finite result.
         with np.errstate(over="ignore", invalid="ignore"):
-            for sl, e in _ordered_products(eye, len(members), ids.shape[1], factor):
+            for sl, e in _ordered_products(len(members), ids.shape[1], rep.dim, factor):
                 e = (e + dagger(e)) / 2
                 keep = _residuals(e) > 1e-14  # keep the stored family sparse
                 for r, mat in zip(members[sl][keep].tolist(), e[keep]):

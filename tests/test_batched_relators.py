@@ -3,6 +3,8 @@ one-matrix-at-a-time loops they replaced, kept here as oracles: every report, op
 key order and refusal message must be bit-identical, whatever the chunk size."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from test_graphs import transport_cases, transport_oracle
 
 from syncgames import BinaryLinearSystem, build_synbcs, mermin_peres_system, pauli_magic_square_rep
 from syncgames import check_game_algebra_relations
-from syncgames import matops
+from syncgames import matops, solution_group, strategies
 from syncgames.errors import ValidationError, VerificationError
 from syncgames.gf2 import enumerate_si
 from syncgames.graphs import transport_independence
@@ -224,6 +226,15 @@ def random_rep(n: int, d: int, seed: int, scale: float = 1.0) -> GroupRep:
     return GroupRep(images=tuple(mat() for _ in range(n)), j_image=mat())
 
 
+def adjoint_overflow_rep() -> GroupRep:
+    """The Pauli rep with its first image replaced by one whose w - w* overflows: the
+    entries +-1.5e308 at (0, 1) and (1, 0) differ from their adjoints' by 3e308."""
+    pauli = pauli_magic_square_rep()
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 1], w[1, 0] = 1.5e308, -1.5e308
+    return GroupRep(images=(w,) + pauli.images[1:], j_image=pauli.j_image)
+
+
 def rep_cases() -> list:
     """(id, system, representation) for the relator and strategy comparisons."""
     square, pauli = mermin_peres_system(), pauli_magic_square_rep()
@@ -231,6 +242,8 @@ def rep_cases() -> list:
     mixed = mixed_system()
     return [
         ("magic-square", square, pauli),
+        ("2-copy", two, two_rep),
+        ("glued", square, rep_from_strategy(strategy_from_rep(pauli, square), square)),
         ("magic-square-rotated", square, rotate(pauli, 11)),
         ("2-copy-rotated", two, rotate(two_rep, 12)),
         ("mixed-solutions", mixed, solution_rep(mixed, 13)),
@@ -241,6 +254,7 @@ def rep_cases() -> list:
         ("huge-entries-mixed", mixed, GroupRep(
             images=tuple(1e200 * w for w in solution_rep(mixed, 18).images),
             j_image=-np.eye(3, dtype=complex))),
+        ("adjoint-overflow", square, adjoint_overflow_rep()),
     ]
 
 
@@ -272,7 +286,8 @@ def test_strategy_from_rep_is_bit_identical_to_the_loop(case, chunking):
     got = outcome(strategy_from_rep, rep, sys_, 1e-9)
     want = outcome(strategy_from_rep_loop, rep, sys_, 1e-9)
     assert_same_strategy(got, want)
-    if case[0] in ("magic-square-rotated", "2-copy-rotated", "mixed-solutions"):
+    if case[0] in ("magic-square", "2-copy", "glued", "magic-square-rotated", "2-copy-rotated",
+                   "mixed-solutions"):
         assert got[0] == "ok"
 
 
@@ -400,45 +415,51 @@ def counted_products(monkeypatch) -> list:
     return formed
 
 
+def exact_hermitian(rep: GroupRep) -> list:
+    """Whether each row of rep.stack equals its adjoint entry for entry."""
+    return [np.array_equal(w, w.conj().T) for w in rep.stack]
+
+
 def relator_products(rep: GroupRep, sys_: BinaryLinearSystem) -> int:
     """The products verify_rep forms: w @ w for every row of the stack, w* w besides for a
     row that is not exactly Hermitian, one product per mate or J commutator of two exactly
-    Hermitian rows and two otherwise, and |V_i| for equation i's product from I."""
-    flags = [np.array_equal(w, w.conj().T) for w in rep.stack]
+    Hermitian rows and two otherwise, and |V_i| - 1 for equation i's product from its
+    first factor."""
+    flags = exact_hermitian(rep)
     pairs = [(a - 1, b - 1) for row in sys_.rows for a in row for b in row if a < b]
     pairs += [(k, sys_.n) for k in range(sys_.n)]
     return (len(flags) + flags.count(False) + sum(1 if flags[a] and flags[b] else 2
                                                   for a, b in pairs)
-            + sum(map(len, sys_.rows)))
+            + sum(len(row) - 1 for row in sys_.rows))
 
 
-def exact_rep_cases() -> list:
-    """(id, system, rep, products formed): every row exactly Hermitian, with dyadic entries,
-    so each product is exact and both orders agree bit for bit on any BLAS."""
-    square, pauli = mermin_peres_system(), pauli_magic_square_rep()
-    two, two_rep = kcopy_magic_square(2)
-    glued = rep_from_strategy(strategy_from_rep(pauli, square), square)
-    return [("magic-square", square, pauli, 55), ("2-copy", two, two_rep, 109),
-            ("glued", square, glued, 55)]
+def case(name: str) -> tuple:
+    """The CASES entry named name."""
+    return next(c for c in CASES if c[0] == name)
 
 
-EXACT = exact_rep_cases()
-
-
-@pytest.mark.parametrize("case", EXACT, ids=[c[0] for c in EXACT])
-def test_verify_rep_forms_one_product_per_hermitian_relator(case, chunking, monkeypatch):
-    """Exactly Hermitian images: unitarity and involution from the one product w @ w, each
-    commutator from one product P as P - P*; the report is the two-product loop's, bit for
-    bit (182 products for the 2-copy rep before, 109 now)."""
-    _, sys_, rep, products = case
-    assert rep._hermitian.all()
+@pytest.mark.parametrize("name, products", [("magic-square", 49), ("2-copy", 97), ("glued", 49)],
+                         ids=["magic-square", "2-copy", "glued"])
+def test_verify_rep_forms_one_product_per_hermitian_relator(name, products, chunking, monkeypatch):
+    """Exactly Hermitian images with dyadic entries, so each product is exact and both
+    orders agree bit for bit on any BLAS: unitarity and involution from the one product
+    w @ w, each commutator from one product P as P - P*, each equation's product from its
+    first factor; the report is the two-product loop's, bit for bit (182 products for the
+    2-copy rep with both orders, 109 from I, 97 now).  The flags are taken by verify_rep
+    itself: the rep keeps nothing but its images, and no row-check pass runs."""
+    _, sys_, rep = case(name)
+    assert all(exact_hermitian(rep))
     assert relator_products(rep, sys_) == products
+    assert not hasattr(solution_group, "row_checks")
+    for module in (matops, strategies):
+        monkeypatch.setattr(module, "row_checks", None)  # a call would raise
     formed = counted_products(monkeypatch)
     got = verify_rep(rep, sys_, 1e-9)
     assert sum(formed) == products
     monkeypatch.undo()
     assert repr(got.as_dict()) == repr(verify_rep_loop(rep, sys_, 1e-9).as_dict())
     assert got.unitarity == got.involutions and got.passes
+    assert set(vars(rep)) == {"images", "j_image", "stack"}
 
 
 @pytest.mark.parametrize("name", ["magic-square-rotated", "2-copy-rotated",
@@ -447,14 +468,57 @@ def test_verify_rep_keeps_both_orders_for_rows_not_exactly_hermitian(name, monke
     """Haar-rotated images differ from their adjoints in the last bits (the rotated diagonal
     Pauli images and J = -I can stay exact), and random ones are not Hermitian at all:
     those rows take both products; the report is the loop's, bit for bit."""
-    _, sys_, rep = next(c for c in CASES if c[0] == name)
-    flags = rep._hermitian
-    assert flags.tolist() == [np.array_equal(w, w.conj().T) for w in rep.stack]
-    assert flags.sum() <= 7
+    _, sys_, rep = case(name)
+    flags = exact_hermitian(rep)
+    assert sum(flags) <= 7
     formed = counted_products(monkeypatch)
     got = verify_rep(rep, sys_, 1e-9)
     assert sum(formed) == relator_products(rep, sys_)
     monkeypatch.undo()
     assert repr(got.as_dict()) == repr(verify_rep_loop(rep, sys_, 1e-9).as_dict())
     if name == "magic-square-random":
-        assert not flags.any() and sum(formed) == 92  # every relator in both orders
+        assert not any(flags) and sum(formed) == 86  # every relator in both orders
+
+
+def test_verify_rep_reads_an_overflowing_adjoint_difference_as_not_hermitian(chunking,
+                                                                             monkeypatch):
+    """The first image's w - w* overflows to inf: that row is not exactly Hermitian, so it
+    takes both products (the count is the loop's flags'), no warning is raised, and the
+    report, with its infinite residuals, is the loop's."""
+    _, sys_, rep = case("adjoint-overflow")
+    assert exact_hermitian(rep) == [False] + [True] * 9
+    formed = counted_products(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = verify_rep(rep, sys_, 1e-9)
+    assert caught == []
+    assert sum(formed) == relator_products(rep, sys_)
+    monkeypatch.undo()
+    assert repr(got.as_dict()) == repr(verify_rep_loop(rep, sys_, 1e-9).as_dict())
+    assert got.unitarity[0] == np.inf and not got.passes
+
+
+def test_strategy_from_rep_forms_each_projection_from_its_first_factor(monkeypatch):
+    """The 2-copy rep's 48 projections each multiply 3 factors (I +- w) / 2 from the
+    first, 2 products apiece: 96 (144 from I); the relation check that certifies the
+    strategy forms its 216 products over the strategy's stack."""
+    _, sys_, rep = case("2-copy")
+    formed = counted_products(monkeypatch)
+    phases = {}
+
+    def within(phase, fn):
+        def wrapper(*args, **kwargs):
+            start = len(formed)
+            result = fn(*args, **kwargs)
+            if phase == "projections":
+                result = list(result)  # the generator's products, formed now
+            phases[phase] = phases.get(phase, 0) + sum(formed[start:])
+            return result
+        return wrapper
+
+    monkeypatch.setattr(solution_group, "_ordered_products",
+                        within("projections", solution_group._ordered_products))
+    monkeypatch.setattr(solution_group, "check_game_algebra_relations",
+                        within("relations", solution_group.check_game_algebra_relations))
+    strategy_from_rep(rep, sys_)
+    assert phases == {"projections": 96, "relations": 216}

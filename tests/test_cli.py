@@ -267,6 +267,8 @@ TRANSPORT_SWAPPED = ["graph", "transport", "--swap-iso", "--out", "o.json",
 # the magic-square synBCS game, and a correlation answering its first question alone with
 # a winning answer: it stores no losing entry, but leaves the other five unanswered
 MAGIC_GAME = {"kind": "synbcs", "system": mermin_peres_system().to_json_dict()}
+PAULI_REP = pauli_magic_square_rep().to_json_dict()
+GROUP_VERIFY = ["group", "verify", "--system", "magic-system.json", "--rep"]
 ANSWER = [-1, -1, 1, 1, 1, 1, 1, 1, 1]
 ONE_QUESTION = {"n": 1, "m": 512, "inputs": [1], "outputs": {"sign_vectors": 9},
                 "entries": [[1, 1, ANSWER, ANSWER, 1.0]]}
@@ -384,6 +386,10 @@ ONE_QUESTION = {"n": 1, "m": 512, "inputs": [1], "outputs": {"sign_vectors": 9},
          % ("[" * 900 + "0" + "]" * 900)),
         (["strategy", "check", "--game", "magic-game.json", "--correlation"], ONE_QUESTION),
         (["graph", "certify", "--cert"], {**EMPTY_CERT, "value": -1}),
+        (GROUP_VERIFY, {**PAULI_REP, "dim": 7}),
+        (GROUP_VERIFY, {**PAULI_REP, "dim": "4"}),
+        (GROUP_VERIFY, {**PAULI_REP, "dim": True}),
+        (GROUP_VERIFY, {k: v for k, v in PAULI_REP.items() if k != "dim"}),
     ],
     ids=["m-string", "index-float", "index-bool", "b-bool", "edge-float", "ragged-matrix",
          "ragged-correlation", "missing-path", "correlation-labels", "correlation-entry-nan",
@@ -406,13 +412,15 @@ ONE_QUESTION = {"n": 1, "m": 512, "inputs": [1], "outputs": {"sign_vectors": 9},
          "bipartite-bob-key-repeated", "correlation-inputs-repeated",
          "correlation-outputs-repeated", "correlation-entry-repeated", "json-nested-100000",
          "explicit-input-label-nested-900", "correlation-one-magic-square-question",
-         "certificate-value-minus-1"],
+         "certificate-value-minus-1", "rep-dim-mismatched", "rep-dim-string", "rep-dim-bool",
+         "rep-dim-missing"],
 )
 def test_malformed_input_exits_2_with_report(tmp_path, capsys, argv, payload):
     """Runs in-process, so an uncaught exception (a traceback) fails the test."""
     write_json(tmp_path, "empty-cert.json", EMPTY_CERT)
     write_json(tmp_path, "empty-graph.json", EMPTY_CERT["graph"])
     write_json(tmp_path, "magic-game.json", MAGIC_GAME)
+    write_json(tmp_path, "magic-system.json", MAGIC_GAME["system"])
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     path = tmp_path / "input.json"
     if payload is not None:  # raw text is written as it is

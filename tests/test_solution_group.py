@@ -153,6 +153,32 @@ def test_zero_dimensional_representation_is_refused_as_invalid(images):
         GroupRep(images=images, j_image=np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("images, j_image, message", [
+    ((np.eye(2), np.eye(3)), np.eye(2), r"generator image 2 has shape \(3, 3\), expected \(2, 2\)"),
+    ((np.eye(3), np.eye(3)), np.eye(2), r"generator image 1 has shape \(3, 3\), expected \(2, 2\)"),
+], ids=["images-of-two-sizes", "images-unlike-j"])
+def test_representation_refuses_an_image_whose_shape_is_not_js(images, j_image, message):
+    """An image of another size than J is refused by name when the representation is
+    built, not left to numpy's stacking."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GroupRep(images=images, j_image=j_image)
+
+
+def test_group_rep_json_dim_must_be_the_dimension_of_its_matrices(pauli_rep):
+    """A file's dim is read as an integer and must be J's dimension; to_json_dict's
+    output loads as it is."""
+    data = pauli_rep.to_json_dict()
+    assert GroupRep.from_json_dict(data).dim == 4
+    with pytest.raises(ValidationError, match="^representation dim 7 does not match its "
+                                              "matrices' dim 4$"):
+        GroupRep.from_json_dict({**data, "dim": 7})
+    for bad in ("4", True, 4.0):
+        with pytest.raises(ValidationError, match="^representation dim must be an integer"):
+            GroupRep.from_json_dict({**data, "dim": bad})
+    with pytest.raises(ValidationError, match="^malformed representation JSON: 'dim'$"):
+        GroupRep.from_json_dict({k: v for k, v in data.items() if k != "dim"})
+
+
 def test_normalize_j_identity_on_already_normalized(pauli_rep):
     assert normalize_j(pauli_rep) is pauli_rep
 
