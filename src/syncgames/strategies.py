@@ -357,12 +357,16 @@ class Correlation:
             # a float passes at once: an isinstance check against the Real ABC is far slower
             if type(val) is not float and (isinstance(val, bool) or not isinstance(val, Real)):
                 raise ValidationError(f"correlation value {val!r} is not a number")
+        self._set_walk(list(keys), ends.T, np.fromiter(self.p.values(), float, len(self.p)))
+
+    def _set_walk(self, keys: list, ends: np.ndarray, vals: np.ndarray) -> None:
+        """Set the walk from its keys, (2, E) ends and values; _cells gathers the keys' positions."""
         positions = np.array([(self.inputs.index(x), self.outputs.index(a)) for x, a in keys],
                              dtype=np.intp).reshape(-1, 2)
-        object.__setattr__(self, "_keys", list(keys))
-        object.__setattr__(self, "_ends", ends.T)
-        object.__setattr__(self, "_cells", positions[ends].T)
-        object.__setattr__(self, "_vals", np.fromiter(self.p.values(), float, len(self.p)))
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_cells", positions[ends.T].T)
+        object.__setattr__(self, "_vals", vals)
 
     @classmethod
     def _over_table(cls, inputs, outputs, row_keys, col_keys, table: np.ndarray) -> Correlation:
@@ -391,13 +395,8 @@ class Correlation:
         number = {key: k for k, key in enumerate(keys)}
         rows = np.array([number[key] for key in row_keys], dtype=np.intp)
         cols = np.array([number[key] for key in col_keys], dtype=np.intp)
-        ends = np.array([np.repeat(rows, len(cols)), np.tile(cols, len(rows))])
-        positions = np.array([(inputs.index(x), outputs.index(a)) for x, a in keys],
-                             dtype=np.intp).reshape(-1, 2)
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_cells", positions[ends.T].T)
-        object.__setattr__(self, "_vals", table.ravel())
+        self._set_walk(keys, np.array([np.repeat(rows, len(cols)), np.tile(cols, len(rows))]),
+                       table.ravel())
         return self
 
     def value(self, x, y, a, b) -> float:
@@ -605,15 +604,18 @@ def _schmidt_levels(sigma: np.ndarray, cluster_tol: float) -> list:
     return np.split(np.arange(len(kept)), cuts) if len(kept) else []
 
 
-def _compress(stack: np.ndarray, cols: np.ndarray) -> tuple:
-    """(cols* E cols, ||P E (I - P)||_2) for each operator E of a (D, d, d) stack, where
-    the d x L columns cols are orthonormal and P = cols cols*: one batched product per
-    operator, associated as (cols* E) cols.  Since ||P E (I - P)||_2 = ||cols* E (I - P)||_F
+def _reduce(side: OperatorStrategy, cols: np.ndarray) -> tuple:
+    """(cols* E cols per row E of side's stack, each input's largest ||P E (I - P)||_2 over
+    its stored operators, read through ids, 0 for none) for orthonormal columns cols and
+    P = cols cols*, associated as (cols* E) cols.  As ||P E (I - P)||_2 = ||cols* E (I - P)||_F
     / sqrt(d), the residual is that of cols* E - (cols* E cols) cols*; for Hermitian E it
     is ||(I - P) E P||_2, zero exactly when P commutes with E."""
-    left = dagger(cols) @ stack
+    left = dagger(cols) @ side.stack
     small = left @ cols
-    return small, _residuals(left - small @ dagger(cols))
+    per_input = np.zeros(len(side.inputs))
+    np.maximum.at(per_input, [side.inputs.index(x) for x, _ in side.pvms],
+                  _residuals(left - small @ dagger(cols))[side.ids])
+    return small, per_input
 
 
 def _recombination_miss(parts: list, target: Correlation) -> float:
@@ -629,6 +631,37 @@ def _recombination_miss(parts: list, target: Correlation) -> float:
     return float(np.abs(sums).max(initial=0.0))
 
 
+def _certified_blocks(target: Correlation, splits: list, tol: float) -> list:
+    """The block path: certify splits, each a (weight, [(side, cols), ...]) pair of one or
+    more strategies over the same inputs, each with orthonormal columns of its own space.
+    Each input's largest residual over the sides (_reduce) must be at most tol, or
+    ClusterAmbiguityError names the first such input.  The block is the first side's
+    symmetrised non-zero compressions (keys sharing an operator share one), validated by
+    its tracial correlation within 10 * tol, and the weighted correlations must sum to
+    target within 10 * tol.  Returns the (weight, block) pairs."""
+    blocks, parts = [], []
+    for weight, sides in splits:
+        reductions = [_reduce(side, cols) for side, cols in sides]
+        per_input = np.max([res for _, res in reductions], axis=0)
+        (first, cols), small = sides[0], reductions[0][0]
+        if (per_input > tol).any():
+            k = int(np.argmax(per_input > tol))  # the first failing input
+            raise ClusterAmbiguityError(
+                f"level set of size {cols.shape[1]} fails the reduction check at input "
+                f"{first.inputs[k]!r} (residual {per_input[k]:.3e} > {tol:g}); Schmidt clusters are ambiguous")
+        small = (small + dagger(small)) / 2
+        nonzero, views = _residuals(small) > 0.0, list(small)  # one view object per row
+        block = OperatorStrategy(cols.shape[1], first.inputs, first.outputs, {
+            key: views[row] for key, row in zip(first.pvms, first.ids.tolist()) if nonzero[row]})
+        blocks.append((weight, block))
+        parts.append((weight, correlation_from_tracial(block, tol=10 * tol)))
+    worst = _recombination_miss(parts, target)
+    if worst > 10 * tol:
+        raise VerificationError(
+            f"block recombination misses the input correlation by {worst:.3e} > {10 * tol:g}")
+    return blocks
+
+
 def decompose_qs(
     s: BipartiteStrategy,
     tol: float = DEFAULT_TOL,
@@ -636,62 +669,27 @@ def decompose_qs(
 ) -> list:
     """Decompose a synchronous bipartite strategy into weighted tracial blocks.
 
-    One SVD u diag(sigma) vh of the dim_a x dim_b state matrix (dim_a at most
-    matops.MAX_EIG_DIM) gives the Schmidt level sets (_schmidt_levels), each weighing
-    sum(sigma[level] ** 2), with Alice's columns u[:, level] and Bob's vh[level].T.
-    Each level's subspace must reduce every stored operator on both sides, each under
-    its own normalized trace: a residual ||P E (I - P)||_2 above tol raises
-    ClusterAmbiguityError naming the first input, in input order, with such an operator
-    on either side, and that input's largest residual.  Each level takes one batched
-    product per side over its distinct operators (_compress), and keys sharing an
-    operator share its compression.  Returns (weight, compressed tracial strategy) pairs
-    whose convex recombination reproduces the input correlation within 10 * tol.
-    """
+    After the synchronous-state defect and the eigensolver cap (dim_a at most
+    matops.MAX_EIG_DIM), the input's correlation is taken, so both sides' PVMs are checked
+    before any compression.  One SVD u diag(sigma) vh of the state matrix gives the
+    Schmidt level sets (_schmidt_levels), each weighing sum(sigma[level] ** 2), with
+    Alice's columns u[:, level] and Bob's vh[level].T, and the block path
+    (_certified_blocks) certifies them: each level must reduce both sides' operators, each
+    under its own normalized trace, and the blocks, Alice's compressions, must recombine
+    to the input's correlation within 10 * tol.  Returns (weight, block) pairs."""
     defect = sync_vector_defect(s)
     if defect > tol:
         raise VerificationError(
             f"synchronous-state defect {defect:.3e} > {tol:g}; not a synchronous strategy"
         )
     _require_eig_dim(s.dim_a)
+    target = correlation_from_bipartite(s, tol=tol)
     u, sigma, vh = np.linalg.svd(s.state_matrix(), full_matrices=False)
     levels = _schmidt_levels(sigma, cluster_tol)
     if not levels:
         raise VerificationError("state has no Schmidt coefficient above the clustering tolerance")
-
     alice, bob = s.alice_strategy(), s.bob_strategy()
-    # the input position of each stored key: Alice's keys, then Bob's
-    key_inputs = np.array([s.inputs.index(x) for side in (alice, bob) for x, _ in side.pvms],
-                          dtype=np.intp)
-    blocks = []
-    for level in levels:
-        small, res_a = _compress(alice.stack, u[:, level])
-        _, res_b = _compress(bob.stack, vh[level].T)
-        per_input = np.zeros(len(s.inputs))  # each input's largest residual, both sides
-        np.maximum.at(per_input, key_inputs, np.concatenate([res_a[alice.ids], res_b[bob.ids]]))
-        failing = np.flatnonzero(per_input > tol)
-        if failing.size:
-            k = int(failing[0])
-            raise ClusterAmbiguityError(
-                f"level set of size {len(level)} fails the reduction check at input "
-                f"{s.inputs[k]!r} (residual {per_input[k]:.3e} > {tol:g}); Schmidt clusters are ambiguous"
-            )
-        weight = float(np.sum(sigma[level] ** 2))
-        small = (small + dagger(small)) / 2
-        nonzero, views = _residuals(small) > 0.0, list(small)  # one view object per row
-        compressed = {key: views[row] for key, row in zip(alice.pvms, alice.ids.tolist())
-                      if nonzero[row]}
-        block = OperatorStrategy(
-            dim=len(level), inputs=s.inputs, outputs=s.outputs, pvms=compressed
-        )
-        block.validate(10 * tol)
-        blocks.append((weight, block))
-
-    # Certify the convex recombination against the bipartite correlation.
-    target = correlation_from_bipartite(s, tol=tol)
-    worst = _recombination_miss(
-        [(w, correlation_from_tracial(block, tol=10 * tol)) for w, block in blocks], target)
-    if worst > 10 * tol:
-        raise VerificationError(
-            f"block recombination misses the input correlation by {worst:.3e} > {10 * tol:g}"
-        )
-    return blocks
+    return _certified_blocks(target, [
+        (float(np.sum(sigma[level] ** 2)), [(alice, u[:, level]), (bob, vh[level].T)])
+        for level in levels
+    ], tol)

@@ -555,7 +555,7 @@ def test_per_operator_residual_is_half_the_row_unitary_residual_at_two_outputs(t
         p = cols @ dagger(cols)
         u = sum(omega ** (i + 1) * side.pvms[(0, a)] for i, a in enumerate(s.outputs))
         old = max(old, norm2((np.eye(2) - p) @ u @ p))
-        new = max(new, float(strategies._compress(side.stack, cols)[1].max()))
+        new = max(new, float(strategies._reduce(side, cols)[1].max()))
     assert new == pytest.approx(old / 2, rel=1e-12)
     with pytest.raises(ClusterAmbiguityError, match=re.escape(f"(residual {new:.3e} > ")):
         decompose_qs(s, tol=1e-6)
@@ -592,14 +592,58 @@ def test_only_bobs_reduction_check_refuses_a_bob_side_rotation():
     alice_residual = bob_residual = 0.0
     for k in (3, 2):  # the light lines, larger first; both sides' columns are e_k
         cols = np.eye(4)[:, [k]]
-        alice_residual = max(alice_residual, strategies._compress(s.alice_strategy().stack, cols)[1].max())
-        bob_residual = max(bob_residual, strategies._compress(s.bob_strategy().stack, cols)[1].max())
+        alice_residual = max(alice_residual, strategies._reduce(s.alice_strategy(), cols)[1].max())
+        bob_residual = max(bob_residual, strategies._reduce(s.bob_strategy(), cols)[1].max())
     assert m[3, 3] > m[2, 2] and alice_residual == 0.0
     assert bob_residual == pytest.approx(delta / 2, rel=1e-6)
     with pytest.raises(ClusterAmbiguityError,
                        match=re.escape(f"size 1 fails the reduction check at input 0 (residual "
                                        f"{bob_residual:.3e} > 1e-09)")):
         decompose_qs(s, tol=tol)
+
+
+def test_decompose_reports_a_pvm_failure_before_an_ambiguous_level():
+    """Two faults: both sides' first operator scaled by 1 + 1e-5, so Alice's PVM fails by
+    about 1e-5 > tol, and Schmidt lines too close to reduce the rotated operators.  The
+    input's correlation is taken before the split, so the PVM failure is reported, not
+    the ambiguous level, which alone is still refused as ambiguous."""
+    s = _rotated_lines_strategy(1e-2)
+    alice = {key: mat * (1 + 1e-5) if key == (0, 0) else mat for key, mat in s.alice.items()}
+    bob = {key: mat.T for key, mat in alice.items()}
+    faulty = BipartiteStrategy(2, 2, s.inputs, s.outputs, alice, bob, s.state)
+    assert sync_vector_defect(faulty) < 1e-6 and faulty.alice_strategy().defects().max > 1e-6
+    with pytest.raises(VerificationError, match="^PVM invariants fail: .* vs tol 1e-06$") as info:
+        decompose_qs(faulty, tol=1e-6)
+    assert type(info.value) is VerificationError
+    with pytest.raises(ClusterAmbiguityError):
+        decompose_qs(s, tol=1e-6)
+
+
+def test_a_one_side_split_gives_back_the_summands_of_a_rotated_direct_sum(magic_square, pauli_rep):
+    """A tracial split is a one-side call of the block path: a Haar-rotated direct sum of
+    two magic-square strategies (d = 8), split on its planted invariant subspaces, gives
+    back both summands, each weighing 1/2, with their operators and correlations."""
+    rng = np.random.default_rng(760)
+    first = strategy_from_rep(pauli_rep, magic_square)
+    summands = [first, rotated(first, random_unitary(4, rng))]
+    u = random_unitary(8, rng)
+    pvms = {}
+    for key in first.pvms:
+        total = np.zeros((8, 8), dtype=complex)
+        total[:4, :4], total[4:, 4:] = (summand.pvms[key] for summand in summands)
+        pvms[key] = u @ total @ dagger(u)
+    direct_sum = OperatorStrategy(8, first.inputs, first.outputs, pvms)
+    target = correlation_from_tracial(direct_sum)
+    blocks = strategies._certified_blocks(
+        target, [(0.5, [(direct_sum, u[:, :4])]), (0.5, [(direct_sum, u[:, 4:])])], 1e-9)
+    assert [w for w, _ in blocks] == [0.5, 0.5]
+    for (_, block), summand in zip(blocks, summands):
+        assert block.dim == 4 and list(block.pvms) == list(summand.pvms)
+        assert max(np.max(np.abs(block.pvms[key] - e)) for key, e in summand.pvms.items()) <= 1e-12
+        c_block = correlation_from_tracial(block).to_dense()
+        assert np.max(np.abs(c_block - correlation_from_tracial(summand).to_dense())) <= 1e-12
+    with pytest.raises(ClusterAmbiguityError, match="^level set of size 4 fails the reduction check"):
+        strategies._certified_blocks(target, [(1.0, [(direct_sum, u[:, 2:6])])], 1e-9)
 
 
 def decompose_oracle(s: BipartiteStrategy) -> list:
@@ -982,6 +1026,43 @@ def test_bipartite_rejects_unnormalized_state():
             alice={(0, 0): np.eye(1)}, bob={(0, 0): np.eye(1)},
             state=np.array([2.0]),
         )
+
+
+@pytest.mark.parametrize("dim, pvms, message", [
+    # without the check, a strategy of dimension 0 is built
+    (0, {}, "strategy dimension must be >= 1"),
+    # without the next two, Labels.index raises a bare ValueError ("5 is not in the alphabet")
+    (1, {(5, 0): np.eye(1)}, "PVM key has unknown input 5"),
+    (1, {(0, 5): np.eye(1)}, "PVM key has unknown output 5"),
+    # without this one, numpy's reshape of the stack raises a bare ValueError
+    (1, {(0, 0): np.eye(2)}, "operator for (0, 0) has shape (2, 2), expected (1, 1)"),
+], ids=["dimension-0", "unknown-input", "unknown-output", "operator-shape"])
+def test_strategy_constructor_refuses_by_its_message(dim, pvms, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        OperatorStrategy(dim, (0,), (0,), pvms)
+
+
+def test_strategy_loader_refuses_a_missing_field_as_malformed_json():
+    """Without the refusal the loader would return None."""
+    with pytest.raises(ValidationError, match=re.escape("malformed strategy JSON: 'inputs'")):
+        OperatorStrategy.from_json_dict({"dim": 1})
+
+
+def test_bipartite_refuses_a_state_of_the_wrong_size():
+    """A unit vector of 3 components for a 2 x 2 strategy: without the refusal it is kept,
+    and only state_matrix() fails."""
+    with pytest.raises(ValidationError, match=re.escape("state has 3 components, expected 4")):
+        BipartiteStrategy(2, 2, (0,), (0,), {(0, 0): np.eye(2)}, {(0, 0): np.eye(2)},
+                          np.array([1.0, 0.0, 0.0]))
+
+
+def test_dense_correlation_loader_refuses_the_wrong_shape():
+    """A (1, 1, 2) array for one input and two outputs: without the refusal the cell loop
+    fails to unpack it, reported as malformed JSON."""
+    data = {"n": 1, "m": 2, "inputs": [0], "outputs": [0, 1], "p": [[[1.0, 0.0]]]}
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape("dense correlation must be a (1, 1, 2, 2) array of numbers")):
+        Correlation.from_json_dict(data)
 
 
 # ------------------------------------------------------ batched max_losing --
